@@ -36,7 +36,7 @@ from conftest import record_sparse, report
 STOP_TIME = 0.12e-9
 MAX_STEP = 3e-12
 #: Stage counts must be odd (ring logic); spans both sides of the
-#: ~200-unknown cost-model crossover.
+#: ~330-unknown dense/sparse crossover.
 STAGES = (5, 25, 51, 101)
 #: Best-of rounds per arm, relaxed for the big configurations.
 ROUNDS = {5: 3, 25: 3, 51: 2, 101: 2}

@@ -278,11 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_cmd.add_argument(
         "--engine",
-        choices=("compiled", "legacy", "auto", "dense", "sparse"),
+        choices=("auto", "dense", "sparse"),
         default=None,
-        help="evaluation engine: compiled/legacy, or force the compiled "
-             "engine's assembly backend (auto/dense/sparse; default: the "
-             "deck's .OPTIONS SOLVER=, else auto)",
+        help="engine backend, dense or sparse assembly and LU, or auto "
+             "to choose from the circuit's size and sparsity (default: "
+             "the deck's .OPTIONS SOLVER=, else auto)",
     )
     run_cmd.add_argument(
         "--jobs", type=_jobs_argument, default=None, metavar="N",

@@ -11,7 +11,6 @@ from .engine import (
     CompiledCircuit,
     DenseLUSolver,
     EngineStats,
-    LegacyEngine,
     LinearSolver,
     SparseLUSolver,
     compile_circuit,
@@ -37,7 +36,6 @@ from .fourier import (
 )
 from .lint import LintIssue, check_circuit, lint_circuit
 from .runner import DeckRun, run_deck
-from .solvercost import DEFAULT_SOLVER_COST_MODEL, SolverCostModel
 from .sparse import PatternMatrix, SparsityPattern
 from .analysis import TransferFunction, transfer_function
 from .temperature import circuit_at_temperature, temperature_sweep
@@ -48,7 +46,6 @@ __all__ = [
     "Circuit",
     "Element",
     "CompiledCircuit",
-    "LegacyEngine",
     "EngineStats",
     "LinearSolver",
     "DenseLUSolver",
@@ -84,8 +81,6 @@ __all__ = [
     "lint_circuit",
     "SparsityPattern",
     "PatternMatrix",
-    "SolverCostModel",
-    "DEFAULT_SOLVER_COST_MODEL",
     "TransferFunction",
     "transfer_function",
     "circuit_at_temperature",

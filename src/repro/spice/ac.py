@@ -86,27 +86,16 @@ def frequency_grid(
 MAX_BLOCK_BYTES = 1 << 26
 
 
-def ac_block_size(size: int, limit: int | None = None,
-                  nnz: int | None = None) -> int:
-    """Frequencies per batched block for an ``size``-unknown system.
-
-    With ``nnz`` given (sparse assembly) the per-frequency footprint is
-    a flat complex value vector over the pattern, not an ``(n, n)``
-    matrix, so far more frequencies fit in one block.
-    """
-    per_system = 16 * nnz if nnz else 16 * size * size
-    budget = (limit or MAX_BLOCK_BYTES) // max(per_system, 1)
-    return int(min(max(budget, 1), 512))
-
-
 def ac_lane_blocks(lanes: int, freqs: int, per_system_bytes: int,
                    limit: int | None = None) -> tuple[int, int]:
     """``(lane_block, freq_block)`` sizing for the unified block iterator.
 
     Lanes are packed first — stacking a whole parameter chunk into one
     batched call is the point of blocked sweeps — then as many
-    frequencies as the remaining memory budget allows (capped at 512,
-    matching :func:`ac_block_size` for the single-lane case).
+    frequencies as the remaining memory budget allows, capped at 512.
+    ``per_system_bytes`` is one complex system's footprint: ``16 * n^2``
+    for a dense ``(n, n)`` matrix, ``16 * nnz`` for a flat value vector
+    over a sparse pattern, so far more sparse systems fit in a block.
     """
     budget = max(1, (limit or MAX_BLOCK_BYTES) // max(per_system_bytes, 1))
     lane_block = max(1, min(lanes, budget))
@@ -153,9 +142,25 @@ def stack_ac_systems(g_stack: np.ndarray, c_stack: np.ndarray,
     return data.reshape((-1,) + data.shape[2:])
 
 
+def small_signal(engine, x: np.ndarray, gmin: float,
+                 limits: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh copies of ``G`` and ``C`` linearized at ``x``.
+
+    ``(n, n)`` arrays on a dense-assembly engine, ``(nnz,)`` value
+    vectors over the compiled pattern on a sparse one — one lane of the
+    stacks :func:`solve_ac_lanes` takes.  Copied out of the engine
+    buffers, so later evaluations cannot clobber them.
+    """
+    ctx = engine.evaluate(x, gmin=gmin, limits=limits)
+    if engine.assembly == "sparse":
+        return np.array(ctx.g_mat.values), np.array(ctx.c_mat.values)
+    return np.array(ctx.g_mat), np.array(ctx.c_mat)
+
+
 def solve_ac_lanes(engine, g_stack: np.ndarray, c_stack: np.ndarray,
                    omegas: np.ndarray, rhs: np.ndarray,
-                   batched: bool = True) -> np.ndarray:
+                   batched: bool = True,
+                   transpose: bool = False) -> np.ndarray:
     """Solve ``(G_l + j*omega_f*C_l) x = rhs`` for every lane and
     frequency; returns ``(lanes, freqs, n)`` complex.
 
@@ -163,11 +168,13 @@ def solve_ac_lanes(engine, g_stack: np.ndarray, c_stack: np.ndarray,
     single lane, or a full ``chunk x grid`` product: blocks are sized by
     :func:`ac_lane_blocks` and handed to the engine's batched entry
     points (``solve_pattern_batched`` over the shared CSC pattern for
-    sparse value stacks, ``solve_batched`` for dense stacks).  Engines
-    without a batched entry point (legacy), or ``batched=False``, fall
-    back to one :meth:`solve` per system.  Both paths, and any block
-    size, produce identical solutions: systems are formed elementwise
-    and solved independently.
+    sparse value stacks, ``solve_batched`` for dense stacks).
+    ``batched=False`` is the reference loop instead: one solve per
+    system.  Both paths, and any block size, produce the same solutions
+    to rounding: systems are formed elementwise and solved
+    independently.  ``transpose=True`` solves the adjoint systems
+    ``(G_l + j*omega_f*C_l).T x = rhs`` (noise analysis); sparse
+    transposes stay sparse.
     """
     g_stack = np.asarray(g_stack)
     c_stack = np.asarray(c_stack)
@@ -177,10 +184,16 @@ def solve_ac_lanes(engine, g_stack: np.ndarray, c_stack: np.ndarray,
     size = np.asarray(rhs).shape[-1]
     sparse = g_stack.ndim == 2
     out = np.zeros((lanes, nfreq, size), dtype=complex)
-    solve_batched = getattr(engine, "solve_batched", None)
-    if batched and (sparse or solve_batched is not None):
-        solve_stack = engine.solve_pattern_batched if sparse \
-            else solve_batched
+
+    def solve_stack(data):
+        if sparse:
+            return engine.solve_pattern_batched(data, rhs,
+                                                transpose=transpose)
+        if transpose:
+            data = data.transpose(0, 2, 1)
+        return engine.solve_batched(data, rhs)
+
+    if batched:
         per_system = 16 * (g_stack.shape[-1] if sparse else size * size)
         lane_block, freq_block = ac_lane_blocks(lanes, nfreq, per_system)
         for l0 in range(0, lanes, lane_block):
@@ -188,21 +201,20 @@ def solve_ac_lanes(engine, g_stack: np.ndarray, c_stack: np.ndarray,
             cs = c_stack[l0:l0 + lane_block]
             for f0 in range(0, nfreq, freq_block):
                 w = omegas[f0:f0 + freq_block]
-                data = stack_ac_systems(gs, cs, w)
-                block = solve_stack(data, rhs)
+                block = solve_stack(stack_ac_systems(gs, cs, w))
                 out[l0:l0 + gs.shape[0], f0:f0 + w.size] = block.reshape(
                     gs.shape[0], w.size, size
                 )
         return out
     for lane in range(lanes):
         for k, omega in enumerate(omegas):
+            system = g_stack[lane] + 1j * omega * c_stack[lane]
             if sparse:
-                system = engine.pattern.matrix(
-                    g_stack[lane] + 1j * omega * c_stack[lane]
-                )
+                out[lane, k] = solve_stack(system[None])[0]
             else:
-                system = g_stack[lane] + 1j * omega * c_stack[lane]
-            out[lane, k] = engine.solve(system, rhs)
+                out[lane, k] = engine.solve(
+                    system.T if transpose else system, rhs
+                )
     return out
 
 
@@ -223,9 +235,9 @@ def solve_ac(
     through the blocked iterator: systems are formed as one
     ``(block, n, n)`` stack (dense) or ``(block, nnz)`` value stack
     (sparse assembly) and handed to the engine's batched solver.
-    ``batched=False``, or an engine without ``solve_batched`` (the
-    legacy engine), falls back to the per-frequency loop; both paths
-    produce the same solutions and the regression tests assert it.
+    ``batched=False`` takes the per-frequency reference loop; both
+    paths produce the same solutions and the regression tests assert
+    it.
     """
     frequencies = np.asarray(list(frequencies), dtype=float)
     engine = resolve_engine(circuit, engine)
@@ -239,16 +251,7 @@ def solve_ac(
         size = circuit.num_unknowns
         # One evaluation at the operating point gives both Jacobians.  The
         # limits dict is pre-converged, so limiting is inactive here.
-        # Copy out of the engine buffers: the sweep below must not be
-        # clobbered by any later evaluation.
-        ctx = engine.evaluate(dc_solution, gmin=gmin, limits=limits)
-        sparse = getattr(engine, "assembly", "dense") == "sparse"
-        if sparse:
-            g_arr = np.array(ctx.g_mat.values)
-            c_arr = np.array(ctx.c_mat.values)
-        else:
-            g_arr = np.array(ctx.g_mat)
-            c_arr = np.array(ctx.c_mat)
+        g_arr, c_arr = small_signal(engine, dc_solution, gmin, limits)
 
         rhs = ac_stimulus_rhs(circuit, size)
         if not np.any(rhs):

@@ -216,8 +216,9 @@ class Simulator:
         self.tolerances = tolerances or Tolerances()
         self.gmin = gmin
         #: Engine selector threaded to every analysis: ``None`` (the
-        #: circuit's cached compiled engine), ``"compiled"``, ``"legacy"``
-        #: or an engine object (see :func:`repro.spice.engine.resolve_engine`).
+        #: circuit's cached compiled engine), ``"dense"``/``"sparse"``/
+        #: ``"auto"`` (that engine with its backend pinned) or an engine
+        #: object (see :func:`repro.spice.engine.resolve_engine`).
         self.engine = engine
         self._last_op: OperatingPointResult | None = None
 

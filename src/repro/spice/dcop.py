@@ -195,11 +195,7 @@ def newton_solve(
     if limits is None:
         limits = {}
     diag = np.arange(num_nodes)
-    chord_ok = (
-        chord
-        and jacobian_token is not None
-        and getattr(engine, "supports_chord", False)
-    )
+    chord_ok = chord and jacobian_token is not None
     full_newton = not chord_ok
     # The chord loop gets the normal budget; the full-Newton fallback the
     # same again, so a stale-Jacobian stall can never mask a solvable step.
@@ -230,9 +226,8 @@ def newton_solve(
             # its dense assembly entirely.
             residual_only=use_cached,
         )
-        # The context arrays are engine-owned buffers (or, for the legacy
-        # engine, per-call allocations); either way they are free to
-        # mutate — the next evaluation rebuilds them.
+        # The context arrays are engine-owned buffers, free to mutate:
+        # the next evaluation rebuilds them.
         residual = ctx.i_vec
         jacobian = ctx.g_mat
         if rhs_delta is not None:
@@ -500,11 +495,7 @@ def newton_solve_batched(
     # vectors over the compiled pattern — (B, nnz) instead of (B, n, n)
     # — and solve each lane through the identical pattern-wrapped path
     # the scalar Newton uses, so lanes stay bit-identical to solve_dc.
-    pattern = (
-        engine.pattern
-        if getattr(engine, "assembly", "dense") == "sparse"
-        else None
-    )
+    pattern = engine.pattern if engine.assembly == "sparse" else None
     if pattern is not None:
         jac = np.empty((batch, pattern.nnz))
         diag_pos = pattern.positions(diag, diag)
@@ -516,7 +507,7 @@ def newton_solve_batched(
     # every active lane in one stacked pass — the same elementwise math
     # lane-by-lane, so residuals and Jacobians stay bit-identical to the
     # per-lane evaluate loop they replace.
-    stacked = getattr(engine, "supports_stacked_evaluate", False)
+    stacked = engine.supports_stacked_evaluate
     for _iteration in range(tolerances.max_iterations):
         if not active:
             break
@@ -565,13 +556,6 @@ def newton_solve_batched(
                         system = (pattern.matrix(jac[k])
                                   if pattern is not None else jac[k])
                         dx[j] = engine.solve(system, -res[k], token=("dc",))
-                except np.linalg.LinAlgError:
-                    dx[j] = np.nan
-        elif pattern is not None:
-            dx = np.empty((len(active), size))
-            for j, k in enumerate(active):
-                try:
-                    dx[j] = engine.solve(pattern.matrix(jac[k]), -res[k])
                 except np.linalg.LinAlgError:
                     dx[j] = np.nan
         else:

@@ -1,10 +1,11 @@
-"""Compiled-circuit evaluation core.
+"""Compiled-circuit evaluation core: the simulator's one engine.
 
-The legacy evaluation path (:func:`repro.spice.mna.load_circuit`) walks
-every element on every Newton iteration and re-stamps all of them into
-freshly allocated matrices.  For the circuits this package targets —
-dozens of BJTs surrounded by a largely linear bias/load network — most of
-that work is identical from one iteration to the next.
+The per-element stamp walk (:func:`repro.spice.mna.load_circuit`)
+re-stamps every element on every call into freshly allocated matrices;
+it stays as the stamp reference the engine is tested against.  For the
+circuits this package targets — dozens of BJTs surrounded by a largely
+linear bias/load network — most of that work is identical from one
+iteration to the next.
 
 :class:`CompiledCircuit` partitions the elements once, at compile time:
 
@@ -24,12 +25,16 @@ that work is identical from one iteration to the next.
   time.  Any other nonlinear element (diodes, BJT subclasses) falls back
   to its scalar :meth:`~repro.spice.netlist.Element.load_dynamic`.
 
-Behind the engine sits a pluggable :class:`LinearSolver`.  The dense LU
-backend keeps its last factorization and reuses it when the caller passes
-the same ``token`` — which the analyses do for chord iterations on linear
-circuits (transient steps at a fixed step size, DC sweeps of linear
-networks).  Circuits above :data:`SPARSE_THRESHOLD` unknowns switch to a
-``scipy.sparse`` LU backend.
+Compilation makes one backend decision, dense or sparse, as a pure
+function of the system's shape (:func:`repro.spice.solvercost.choose`)
+unless ``mode=`` pins it.  The assembly and the :class:`LinearSolver`
+both follow it: dense assembly fills ``(n, n)`` buffers for the dense LU
+backend, sparse assembly fills flat value arrays over the compiled
+:class:`~repro.spice.sparse.SparsityPattern` for the ``scipy.sparse`` LU
+backend.  Both backends keep their last factorization and reuse it when
+the caller passes the same ``token`` — which the analyses do for chord
+iterations and for linear circuits (transient steps at a fixed step
+size, DC sweeps of linear networks).
 
 Engine work is counted in :class:`EngineStats`, both per engine and into
 the module-level :data:`GLOBAL_STATS` accumulator that the benchmark
@@ -43,33 +48,18 @@ import time as _time
 from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy.linalg import lapack as _lapack
+from scipy.sparse import linalg as _spla
 
 from ..devices.gummel_poon import EXP_LIMIT
 from ..errors import AnalysisError
 from .elements.bjt import BJT
 from .elements.diode import Diode
 from .elements.sources import DC as DCWaveform
-from .mna import LoadContext, load_circuit
+from .mna import LoadContext
 from .netlist import Circuit
-from .solvercost import DEFAULT_SOLVER_COST_MODEL
+from .solvercost import choose as choose_backend
 from .sparse import PatternMatrix, SparsityPattern
-
-try:  # scipy is an optional accelerator; numpy alone is sufficient.
-    from scipy import linalg as _sla
-    from scipy.linalg import lapack as _lapack
-except ImportError:  # pragma: no cover - scipy is present in CI
-    _sla = None
-    _lapack = None
-
-try:
-    from scipy import sparse as _sp
-    from scipy.sparse import linalg as _spla
-except ImportError:  # pragma: no cover - scipy is present in CI
-    _sp = None
-    _spla = None
-
-#: System size above which :func:`make_solver` picks the sparse backend.
-SPARSE_THRESHOLD = 512
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +127,7 @@ class EngineStats:
     #: Fill-in ratio of the most recent sparse LU factorization:
     #: ``factor nnz / matrix nnz`` (gauge).  Directly reflects the
     #: column ordering (``permc_spec``) — COLAMD keeps it low where
-    #: NATURAL lets L+U fill in — and feeds the solver cost model's
-    #: sparse-vs-dense crossover.
+    #: NATURAL lets L+U fill in.
     fill_ratio: float = 0.0
     #: Matrix assembly backend chosen at compile time ("dense"/"sparse").
     assembly: str = ""
@@ -245,23 +234,21 @@ class _timed_stats:
 
 
 class LinearSolver:
-    """Pluggable dense/sparse linear-solver interface.
+    """Base of the dense and sparse LU backends.
 
     ``solve(a, b, token=...)`` solves ``a @ x = b``.  A non-``None``
     ``token`` promises that ``a`` is identical to the previous call that
-    passed the same token, allowing backends to reuse a factorization
-    (chord / Newton-Richardson iteration).  Singular systems raise
+    passed the same token, allowing the backend to reuse the
+    factorization it keeps under that token (chord / Newton-Richardson
+    iteration).  Singular systems raise
     :class:`numpy.linalg.LinAlgError` so callers keep their existing
     convergence-failure handling.
     """
 
-    name = "numpy-dense"
-    #: Whether this backend can keep a factorization alive between calls
-    #: (required for chord / Newton-Richardson iteration).
-    caches_factorization = False
-
     def __init__(self):
         self._sinks: tuple[EngineStats, ...] = ()
+        self._token = None
+        self._factor = None
 
     def bind(self, *sinks: EngineStats) -> None:
         """Attach stat accumulators (engine stats + global stats)."""
@@ -276,11 +263,22 @@ class LinearSolver:
             setattr(sink, attr, value)
 
     def invalidate(self) -> None:
-        """Drop any cached factorization."""
+        """Drop the cached factorization."""
+        self._token = None
+        self._factor = None
 
     def has_factorization(self, token) -> bool:
         """True when a factorization stored under ``token`` is alive."""
-        return False
+        return (
+            token is not None
+            and self._factor is not None
+            and token == self._token
+        )
+
+    def solve(self, a, b: np.ndarray, token=None) -> np.ndarray:
+        """Solve ``a @ x = b``, reusing the factorization kept under
+        ``token`` when there is one."""
+        raise NotImplementedError
 
     def solve_cached(self, b: np.ndarray) -> np.ndarray:
         """Back-substitute against the live factorization.
@@ -289,58 +287,28 @@ class LinearSolver:
         True; chord-Newton uses this to skip refactorizing an unchanged
         (or deliberately frozen) Jacobian.
         """
-        raise AnalysisError(
-            f"{self.name} backend holds no cached factorization"
-        )
+        raise NotImplementedError
 
-    def solve(self, a: np.ndarray, b: np.ndarray, token=None) -> np.ndarray:
-        self._count("factorizations")
-        self._count("solves")
-        return np.linalg.solve(a, b)
-
-    def solve_batched(self, systems: np.ndarray,
-                      rhs: np.ndarray) -> np.ndarray:
-        """Solve a stack of systems ``systems[k] @ x[k] = rhs[k]``.
-
-        ``systems`` has shape ``(batch, n, n)``; ``rhs`` is either one
-        shared vector ``(n,)``, a per-system vector stack ``(batch, n)``
-        or a multi-RHS stack ``(batch, n, k)``.  The dense default is a
-        single broadcast LAPACK call over the whole batch — one C-level
-        dispatch instead of a Python loop — which is what makes blocked
-        AC/noise sweeps fast.  Counters tally one factorization and one
-        solve per system so batched and per-frequency paths report
-        comparable work.
-        """
-        systems = np.asarray(systems)
-        count = systems.shape[0]
-        self._count("factorizations", count)
-        self._count("solves", count)
-        rhs = np.asarray(rhs)
-        if rhs.ndim == 1:
-            rhs = np.broadcast_to(rhs, (count, rhs.shape[0]))
-        if rhs.ndim == 2:
-            return np.linalg.solve(systems, rhs[:, :, None])[:, :, 0]
-        return np.linalg.solve(systems, rhs)
-
-    def solve_batched_exact(self, systems: np.ndarray,
-                            rhs: np.ndarray) -> np.ndarray:
-        """Per-system :meth:`solve` over a ``(batch, n, n)`` stack.
+    def solve_batched_exact(self, systems, rhs: np.ndarray) -> np.ndarray:
+        """Per-system :meth:`solve` over a stack of systems.
 
         The blocked DC path's contract: every lane must be **bit-identical**
-        to the scalar Newton path on the same backend.  The broadcast
-        :meth:`solve_batched` cannot promise that — numpy's batched
-        ``gesv`` and scipy's ``getrf``/``getrs`` (what
-        :class:`DenseLUSolver` runs per point) differ in the last ulp —
-        so this routine simply loops the backend's own scalar ``solve``.
-        A singular lane comes back filled with NaN instead of raising,
-        so one pathological operating point cannot abort the block;
-        callers already treat a non-finite Newton step as that lane's
-        convergence failure.
+        to the scalar Newton path on the same backend.  A broadcast
+        batched LAPACK call cannot promise that — numpy's batched
+        ``gesv`` and the ``getrf``/``getrs`` pair :class:`DenseLUSolver`
+        runs per point differ in the last ulp — so this routine simply
+        loops the backend's own scalar ``solve``.  ``systems`` holds
+        whatever that ``solve`` takes: ``(n, n)`` arrays for the dense
+        backend, :class:`~repro.spice.sparse.PatternMatrix` systems for
+        the sparse one.  A singular lane comes back filled with NaN
+        instead of raising, so one pathological operating point cannot
+        abort the block; callers already treat a non-finite Newton step
+        as that lane's convergence failure.
         """
-        systems = np.asarray(systems)
         rhs = np.asarray(rhs)
-        out = np.empty_like(rhs, dtype=np.result_type(systems, rhs))
-        for k in range(systems.shape[0]):
+        out = np.empty_like(rhs,
+                            dtype=np.result_type(systems[0].dtype, rhs))
+        for k in range(len(systems)):
             try:
                 out[k] = self.solve(systems[k], rhs[k])
             except np.linalg.LinAlgError:
@@ -349,26 +317,9 @@ class LinearSolver:
 
 
 class DenseLUSolver(LinearSolver):
-    """Dense LU via ``scipy.linalg.lu_factor`` with factorization reuse."""
+    """Dense LU via LAPACK ``getrf``/``getrs`` with factorization reuse."""
 
     name = "dense-lu"
-    caches_factorization = True
-
-    def __init__(self):
-        super().__init__()
-        self._token = None
-        self._factor = None
-
-    def invalidate(self) -> None:
-        self._token = None
-        self._factor = None
-
-    def has_factorization(self, token) -> bool:
-        return (
-            token is not None
-            and self._factor is not None
-            and token == self._token
-        )
 
     def solve_cached(self, b: np.ndarray) -> np.ndarray:
         if self._factor is None:
@@ -397,17 +348,7 @@ class DenseLUSolver(LinearSolver):
             getrf, getrs = _lapack.zgetrf, _lapack.zgetrs
         else:
             getrf, getrs = _lapack.dgetrf, _lapack.dgetrs
-        size = a.shape[0]
-        # Feed the dense/sparse cost model real factorization timings;
-        # below 64 unknowns the perf_counter overhead rivals getrf
-        # itself and dense always wins anyway, so skip the clock.
-        clock = size >= 64
-        t0 = _time.perf_counter() if clock else 0.0
         lu, piv, info = getrf(a)
-        if clock:
-            DEFAULT_SOLVER_COST_MODEL.observe(
-                "dense", size, None, _time.perf_counter() - t0
-            )
         if info > 0 or not np.all(np.isfinite(lu)):
             self.invalidate()
             raise np.linalg.LinAlgError("singular matrix in LU factorization")
@@ -416,32 +357,51 @@ class DenseLUSolver(LinearSolver):
         if token is not None:
             self._token, self._factor = token, (lu, piv, getrs)
         # An anonymous (token=None) factorization must not clobber a
-        # factorization cached under a live token: batched fallbacks and
+        # factorization cached under a live token: batched solves and
         # one-off solves used to call invalidate() here, silently
         # defeating chord reuse for the caller that owned the token.
         x, _info = getrs(lu, piv, b)
         return x
 
+    def solve_batched(self, systems: np.ndarray,
+                      rhs: np.ndarray) -> np.ndarray:
+        """Solve a stack of systems ``systems[k] @ x[k] = rhs[k]``.
+
+        ``systems`` has shape ``(batch, n, n)``; ``rhs`` is either one
+        shared vector ``(n,)``, a per-system vector stack ``(batch, n)``
+        or a multi-RHS stack ``(batch, n, k)``.  One broadcast LAPACK
+        call covers the whole batch — one C-level dispatch instead of a
+        Python loop — which is what makes blocked AC/noise sweeps fast.
+        Counters tally one factorization and one solve per system so
+        batched and per-frequency paths report comparable work.
+        """
+        systems = np.asarray(systems)
+        count = systems.shape[0]
+        self._count("factorizations", count)
+        self._count("solves", count)
+        rhs = np.asarray(rhs)
+        if rhs.ndim == 1:
+            rhs = np.broadcast_to(rhs, (count, rhs.shape[0]))
+        if rhs.ndim == 2:
+            return np.linalg.solve(systems, rhs[:, :, None])[:, :, 0]
+        return np.linalg.solve(systems, rhs)
+
 
 class SparseLUSolver(LinearSolver):
     """Sparse LU via ``scipy.sparse.linalg.splu``.
 
-    Accepts either a dense ndarray (converted per call — the legacy
-    large-system fallback) or a :class:`~repro.spice.sparse.PatternMatrix`
-    from the sparse assembly path, whose fixed CSC structure wraps into
-    ``splu`` with zero copies and zero dense scans.
+    Takes :class:`~repro.spice.sparse.PatternMatrix` systems from the
+    sparse assembly path, whose fixed CSC structure wraps into ``splu``
+    with zero copies and zero dense scans.
 
     ``permc_spec`` selects SuperLU's fill-reducing column ordering:
     ``"COLAMD"`` (approximate minimum degree), ``"NATURAL"`` (no
     reordering), or the ``MMD_*`` variants; ``None`` keeps SuperLU's
     default.  The resulting fill-in ratio (factor nnz over matrix nnz)
-    is recorded on :class:`EngineStats` and observed by the solver cost
-    model, so the sparse-vs-dense crossover tracks the ordering
-    actually in effect.
+    is recorded on :class:`EngineStats`.
     """
 
     name = "sparse-lu"
-    caches_factorization = True
 
     #: Column orderings scipy's splu accepts.
     PERMC_SPECS = ("COLAMD", "NATURAL", "MMD_ATA", "MMD_AT_PLUS_A")
@@ -456,8 +416,6 @@ class SparseLUSolver(LinearSolver):
                     f"{self.PERMC_SPECS}"
                 )
         self.permc_spec = permc_spec
-        self._token = None
-        self._factor = None
         #: The SparsityPattern of the last factorization; an identical
         #: pattern on the next factorization means the symbolic
         #: structure was reused (counted as ``pattern_reuses``).
@@ -465,7 +423,7 @@ class SparseLUSolver(LinearSolver):
 
     def _splu(self, matrix):
         """``splu`` with the configured column ordering; singularity
-        surfaces as ``LinAlgError`` like the dense backends."""
+        surfaces as ``LinAlgError`` like the dense backend."""
         try:
             if self.permc_spec is not None:
                 return _spla.splu(matrix, permc_spec=self.permc_spec)
@@ -474,38 +432,17 @@ class SparseLUSolver(LinearSolver):
             self.invalidate()
             raise np.linalg.LinAlgError(str(exc)) from exc
 
-    def invalidate(self) -> None:
-        self._token = None
-        self._factor = None
-
-    def _factorize(self, a):
-        """splu of a dense array or PatternMatrix; counts + calibrates."""
-        if isinstance(a, PatternMatrix):
-            matrix = a.to_csc()
-            if a.pattern is self._last_pattern:
-                self._count("pattern_reuses")
-            self._last_pattern = a.pattern
-        else:
-            matrix = _sp.csc_matrix(np.asarray(a))
-            self._last_pattern = None
-        t0 = _time.perf_counter()
+    def _factorize(self, a: PatternMatrix):
+        """splu of a PatternMatrix; counts and gauges the fill-in."""
+        matrix = a.to_csc()
+        if a.pattern is self._last_pattern:
+            self._count("pattern_reuses")
+        self._last_pattern = a.pattern
         factor = self._splu(matrix)
-        fill = factor.nnz / max(matrix.nnz, 1)
-        DEFAULT_SOLVER_COST_MODEL.observe(
-            "sparse", matrix.shape[0], matrix.nnz,
-            _time.perf_counter() - t0, fill=fill,
-        )
         self._count("factorizations")
         self._gauge("factor_nnz", int(factor.nnz))
-        self._gauge("fill_ratio", float(fill))
+        self._gauge("fill_ratio", factor.nnz / max(matrix.nnz, 1))
         return factor
-
-    def has_factorization(self, token) -> bool:
-        return (
-            token is not None
-            and self._factor is not None
-            and token == self._token
-        )
 
     def solve_cached(self, b: np.ndarray) -> np.ndarray:
         if self._factor is None:
@@ -514,7 +451,8 @@ class SparseLUSolver(LinearSolver):
         self._count("jacobian_reuses")
         return self._factor.solve(b)
 
-    def solve(self, a: np.ndarray, b: np.ndarray, token=None) -> np.ndarray:
+    def solve(self, a: PatternMatrix, b: np.ndarray,
+              token=None) -> np.ndarray:
         if (
             token is not None
             and self._factor is not None
@@ -527,24 +465,8 @@ class SparseLUSolver(LinearSolver):
         if token is not None:
             self._token, self._factor = token, factor
         # token=None: leave any token-cached factorization alone (see
-        # DenseLUSolver.solve) — per-frequency AC fallbacks and batched
-        # loops used to wipe the chord factor here on every call.
+        # DenseLUSolver.solve).
         return factor.solve(b)
-
-    def solve_batched(self, systems: np.ndarray,
-                      rhs: np.ndarray) -> np.ndarray:
-        """Per-system sparse LU: splu has no batched form, so this loops,
-        but still amortizes the Python-level sweep bookkeeping."""
-        systems = np.asarray(systems)
-        rhs = np.asarray(rhs)
-        shared = rhs.ndim == 1
-        out = np.empty(
-            systems.shape[:2] + rhs.shape[2:],
-            dtype=np.result_type(systems.dtype, rhs.dtype),
-        )
-        for k in range(systems.shape[0]):
-            out[k] = self.solve(systems[k], rhs if shared else rhs[k])
-        return out
 
     def solve_pattern_batched(self, pattern: SparsityPattern,
                               data: np.ndarray, rhs: np.ndarray,
@@ -584,42 +506,23 @@ class SparseLUSolver(LinearSolver):
         return out
 
 
-def make_solver(size: int, prefer: str | None = None,
-                nnz: int | None = None,
+def make_solver(size: int, prefer: str, nnz: int | None = None,
                 permc_spec: str | None = None) -> LinearSolver:
-    """Pick a solver backend for a system of ``size`` unknowns.
+    """The LU backend for a system of ``size`` unknowns.
 
-    ``prefer`` forces a backend: ``"dense"``, ``"sparse"`` or ``"numpy"``;
-    ``"auto"`` asks the self-calibrating cost model, which weighs the
-    pattern's ``nnz`` (when known) against dense LAPACK throughput
-    instead of the static size threshold.  ``permc_spec`` configures the
-    sparse backend's fill-reducing column ordering (e.g. ``"COLAMD"`` or
-    ``"NATURAL"``; see :class:`SparseLUSolver`) and is ignored by the
-    dense backends.
+    ``prefer`` is ``"dense"``, ``"sparse"`` or ``"auto"``, which asks
+    :func:`repro.spice.solvercost.choose` and so needs the pattern's
+    ``nnz``.  ``permc_spec`` configures the sparse backend's
+    fill-reducing column ordering (e.g. ``"COLAMD"`` or ``"NATURAL"``;
+    see :class:`SparseLUSolver`) and is ignored by the dense one.
     """
-    if prefer == "numpy":
-        return LinearSolver()
+    if prefer == "auto":
+        prefer = choose_backend(size, nnz)
     if prefer == "sparse":
-        if _spla is None:
-            raise AnalysisError("sparse solver requested but scipy is absent")
         return SparseLUSolver(permc_spec=permc_spec)
     if prefer == "dense":
-        if _sla is None:
-            raise AnalysisError("dense LU solver requested but scipy is absent")
         return DenseLUSolver()
-    if prefer == "auto":
-        if _spla is not None and (
-            DEFAULT_SOLVER_COST_MODEL.choose(size, nnz) == "sparse"
-        ):
-            return SparseLUSolver(permc_spec=permc_spec)
-        return DenseLUSolver() if _sla is not None else LinearSolver()
-    if prefer is not None:
-        raise AnalysisError(f"unknown solver backend {prefer!r}")
-    if size >= SPARSE_THRESHOLD and _spla is not None:
-        return SparseLUSolver(permc_spec=permc_spec)
-    if _sla is not None:
-        return DenseLUSolver()
-    return LinearSolver()
+    raise AnalysisError(f"unknown solver backend {prefer!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -1676,18 +1579,21 @@ class CompiledCircuit:
     cached ``G0``/``C0`` matrices, precomputes source RHS rows and builds
     the vectorized BJT group.  :meth:`evaluate` then assembles the full
     system into preallocated buffers and returns a
-    :class:`~repro.spice.mna.LoadContext` over them — the same object the
-    analyses already consume, so the legacy and compiled paths are
-    interchangeable.
+    :class:`~repro.spice.mna.LoadContext` over them — the same object
+    the per-element stamp reference (:func:`~repro.spice.mna.load_circuit`)
+    returns.
+
+    ``mode`` pins the backend (``"dense"``/``"sparse"``); ``None`` or
+    ``"auto"`` lets :func:`repro.spice.solvercost.choose` decide from
+    the unknown count and the compiled pattern's non-zeros.  Assembly
+    and linear solver both follow the decision.
 
     The returned context's arrays are *views into engine-owned buffers*:
     they are overwritten by the next :meth:`evaluate` call.  Analyses
-    copy what they need to keep (which they already did for the legacy
-    path's per-call allocations, only implicitly).
+    copy what they need to keep.
     """
 
-    def __init__(self, circuit: Circuit, solver: LinearSolver | None = None,
-                 mode: str | None = None):
+    def __init__(self, circuit: Circuit, mode: str | None = None):
         t0 = _time.perf_counter()
         self.circuit = circuit
         size = circuit.assign_indices()
@@ -1782,41 +1688,15 @@ class CompiledCircuit:
             )
             slot_rows.append(np.repeat(own, own.size))
             slot_cols.append(np.tile(own, own.size))
-        self.pattern: SparsityPattern | None = None
-        nnz = None
-        if _sp is not None:
-            self.pattern = SparsityPattern(
-                size, np.concatenate(slot_rows), np.concatenate(slot_cols)
-            )
-            nnz = self.pattern.nnz
+        self.pattern = SparsityPattern(
+            size, np.concatenate(slot_rows), np.concatenate(slot_cols)
+        )
 
-        # -- assembly-mode decision ----------------------------------------
-        requested = mode or "auto"
-        if requested == "auto":
-            if self.pattern is None:
-                backend = "dense"
-            elif solver is not None and not isinstance(solver, SparseLUSolver):
-                # An explicitly supplied non-sparse solver cannot consume
-                # PatternMatrix systems natively; honor it densely.
-                backend = "dense"
-            else:
-                backend = DEFAULT_SOLVER_COST_MODEL.choose(size, nnz)
+        # -- the one dense/sparse decision ---------------------------------
+        if mode in (None, "auto"):
+            backend = choose_backend(size, self.pattern.nnz)
         else:
-            backend = requested
-        if backend == "sparse":
-            if self.pattern is None:
-                raise AnalysisError(
-                    "sparse assembly requested but scipy is absent"
-                )
-            if solver is None:
-                solver = SparseLUSolver(
-                    permc_spec=getattr(self.circuit, "_permc_spec", None)
-                )
-            elif not isinstance(solver, SparseLUSolver):
-                raise AnalysisError(
-                    f"sparse assembly requires a SparseLUSolver backend, "
-                    f"got {solver.name!r}"
-                )
+            backend = mode
         self.assembly = backend
 
         if backend == "sparse":
@@ -1855,8 +1735,8 @@ class CompiledCircuit:
             if self._bjt_group is not None:
                 self._bjt_group.bind_dense(self._g_full, self._c_full)
 
-        self.solver = solver if solver is not None else make_solver(
-            size, permc_spec=getattr(self.circuit, "_permc_spec", None)
+        self.solver = make_solver(
+            size, backend, permc_spec=getattr(circuit, "_permc_spec", None)
         )
         self.solver.bind(self.stats, GLOBAL_STATS)
         self.stats.solver = self.solver.name
@@ -2123,16 +2003,6 @@ class CompiledCircuit:
             token = None
         return self.solver.solve(a, b, token=token)
 
-    @property
-    def supports_chord(self) -> bool:
-        """Whether the bound solver can keep a factorization alive for
-        chord-Newton reuse."""
-        return self.solver.caches_factorization
-
-    #: The compiled assembler can build ``G + alpha*C`` in one pass
-    #: (``evaluate(jac_alpha=...)``); the transient hot path keys on this.
-    supports_fused_jacobian = True
-
     def has_factorization(self, token) -> bool:
         return self.solver.has_factorization(token)
 
@@ -2141,12 +2011,13 @@ class CompiledCircuit:
 
     def solve_batched(self, systems: np.ndarray,
                       rhs: np.ndarray) -> np.ndarray:
-        """Solve a stack of systems through the pluggable backend.
+        """Solve a ``(batch, n, n)`` stack on a dense-assembly engine.
 
         Used by the blocked AC/noise frequency sweeps: every system in
         the stack is distinct (``G + j*omega_k*C``), so there is no
         factorization reuse — the win is one vectorized LAPACK dispatch
-        instead of a per-frequency Python loop.
+        instead of a per-frequency Python loop.  Sparse-assembly
+        engines take :meth:`solve_pattern_batched` instead.
         """
         return self.solver.solve_batched(systems, rhs)
 
@@ -2154,8 +2025,12 @@ class CompiledCircuit:
                             rhs: np.ndarray) -> np.ndarray:
         """Per-lane solves bit-identical to this engine's scalar
         :meth:`solve` — the blocked DC Newton path (see
-        :func:`repro.spice.dcop.newton_solve_batched`).  Singular lanes
-        return NaN instead of raising."""
+        :func:`repro.spice.dcop.newton_solve_batched`).  ``systems`` is
+        the ``(batch, n, n)`` or ``(batch, nnz)`` Jacobian stack of this
+        engine's assembly.  Singular lanes return NaN instead of
+        raising."""
+        if self.assembly == "sparse":
+            systems = [self.pattern.matrix(values) for values in systems]
         return self.solver.solve_batched_exact(systems, rhs)
 
     def solve_pattern_batched(self, data: np.ndarray, rhs: np.ndarray,
@@ -2167,7 +2042,7 @@ class CompiledCircuit:
         pattern instead of dense ``(batch, n, n)`` stacks.  Only
         meaningful on a sparse-assembly engine.
         """
-        if self.pattern is None or self.assembly != "sparse":
+        if self.assembly != "sparse":
             raise AnalysisError(
                 "solve_pattern_batched requires a sparse-assembly engine"
             )
@@ -2183,94 +2058,15 @@ class CompiledCircuit:
         self.solver.invalidate()
 
 
-class LegacyEngine:
-    """Reference engine: per-evaluation full re-stamp (the seed behavior).
-
-    Exposes the same ``evaluate``/``solve``/``stats`` surface as
-    :class:`CompiledCircuit` so analyses and equivalence tests can swap
-    engines freely.
-    """
-
-    has_constant_jacobian = False
-    #: The legacy path re-stamps everything per call; it cannot keep a
-    #: factorization alive, so chord-Newton degrades to full Newton.
-    supports_chord = False
-    #: No fused G + alpha*C assembly either — the integrator keeps its
-    #: reference dense multiply-add against this engine.
-    supports_fused_jacobian = False
-    #: No symbolic pattern: the legacy path always assembles densely.
-    pattern = None
-    assembly = "dense"
-
-    def __init__(self, circuit: Circuit, solver: LinearSolver | None = None):
-        self.circuit = circuit
-        self.size = circuit.assign_indices()
-        self.num_nodes = len(circuit.node_map)
-        self.generation = circuit._generation
-        self.stats = EngineStats()
-        self.solver = solver if solver is not None else LinearSolver()
-        self.solver.bind(self.stats, GLOBAL_STATS)
-        self.stats.solver = self.solver.name
-
-    def evaluate(
-        self,
-        x: np.ndarray,
-        time: float | None = None,
-        gmin: float = 1e-12,
-        x_prev: np.ndarray | None = None,
-        limits: dict | None = None,
-        source_scale: float = 1.0,
-        bypass_tol: float = 0.0,
-        jac_alpha: float | None = None,
-        charges_only: bool = False,
-        residual_only: bool = False,
-    ) -> LoadContext:
-        # bypass_tol / jac_alpha / charges_only / residual_only are
-        # hot-path options of the compiled engine; the reference path
-        # always re-stamps the complete system.
-        self.stats.assemblies += 1
-        GLOBAL_STATS.assemblies += 1
-        count = len(self.circuit)
-        self.stats.element_evals += count
-        GLOBAL_STATS.element_evals += count
-        return load_circuit(
-            self.circuit,
-            x,
-            time=time,
-            gmin=gmin,
-            x_prev=x_prev,
-            limits=limits,
-            source_scale=source_scale,
-        )
-
-    def solve(self, a: np.ndarray, b: np.ndarray, token=None,
-              chord: bool = False) -> np.ndarray:
-        return self.solver.solve(a, b, token=None)
-
-    def has_factorization(self, token) -> bool:
-        return False
-
-    def solve_cached(self, b: np.ndarray) -> np.ndarray:
-        return self.solver.solve_cached(b)
-
-    def timed(self) -> _timed_stats:
-        return _timed_stats(self.stats, GLOBAL_STATS)
-
-    def invalidate_factorization(self) -> None:
-        self.solver.invalidate()
-
-
 # ---------------------------------------------------------------------------
 # engine resolution / caching
 # ---------------------------------------------------------------------------
 
 
-def compile_circuit(
-    circuit: Circuit, solver: LinearSolver | None = None,
-    mode: str | None = None,
-) -> CompiledCircuit:
+def compile_circuit(circuit: Circuit,
+                    mode: str | None = None) -> CompiledCircuit:
     """Compile ``circuit`` into a fresh :class:`CompiledCircuit`."""
-    return CompiledCircuit(circuit, solver=solver, mode=mode)
+    return CompiledCircuit(circuit, mode=mode)
 
 
 def get_engine(circuit: Circuit, mode: str | None = None) -> CompiledCircuit:
@@ -2298,29 +2094,18 @@ def get_engine(circuit: Circuit, mode: str | None = None) -> CompiledCircuit:
 def resolve_engine(circuit: Circuit, engine=None):
     """Resolve an analysis ``engine=`` argument.
 
-    ``None`` uses the circuit's cached compiled engine, the string
-    ``"legacy"`` a cached per-element re-stamping engine, the string
-    ``"compiled"`` the compiled engine explicitly; ``"dense"``,
-    ``"sparse"`` and ``"auto"`` pin the compiled engine's assembly
-    backend; an engine object is validated against the circuit's
-    current generation.
+    ``None`` uses the circuit's cached compiled engine; ``"dense"``,
+    ``"sparse"`` and ``"auto"`` pin its backend; an engine object is
+    validated against the circuit's current generation.
     """
-    if engine is None or engine == "compiled":
+    if engine is None:
         return get_engine(circuit)
     if engine in ("dense", "sparse", "auto"):
         return get_engine(circuit, mode=engine)
-    if engine == "legacy":
-        circuit.assign_indices()
-        cached = getattr(circuit, "_legacy_engine", None)
-        if cached is not None and cached.generation == circuit._generation:
-            return cached
-        legacy = LegacyEngine(circuit)
-        circuit._legacy_engine = legacy
-        return legacy
     if isinstance(engine, str):
         raise AnalysisError(
-            f"unknown engine {engine!r}; expected 'compiled', 'legacy', "
-            "'dense', 'sparse' or 'auto'"
+            f"unknown engine {engine!r}; expected 'dense', 'sparse' or "
+            "'auto'"
         )
     if engine.circuit is not circuit:
         raise AnalysisError("engine was compiled for a different circuit")

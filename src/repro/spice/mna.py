@@ -11,8 +11,9 @@ Jacobian ``G = dI/dx``, and charges/fluxes to ``Q`` and its Jacobian
 :mod:`repro.spice.ac` and :mod:`repro.spice.transient` combine these into
 the per-iteration linear systems.
 
-The matrix buffers are dense numpy arrays here (the legacy path and
-small circuits), but the accumulation protocol is backend-agnostic: the
+The matrix buffers are dense numpy arrays here (:func:`load_circuit`,
+the per-element stamp reference, and the compiled engine's dense
+assembly), but the accumulation protocol is backend-agnostic: the
 compiled engine's sparse assembly substitutes
 :class:`repro.spice.sparse.PatternMatrix` value arrays for ``g_mat`` /
 ``c_mat`` and the same ``add_g`` / ``add_c`` calls scatter into the flat

@@ -23,11 +23,12 @@ Modelled sources:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import AnalysisError
+from .ac import small_signal, solve_ac_lanes
 from .dcop import solve_dc
 from .elements.bjt import BJT
 from .elements.diode import Diode
@@ -222,7 +223,8 @@ def solve_noise(
     ``output_node`` is where the output noise is summed; ``input_source``
     (a V or I source name) enables input-referred quantities.  With
     ``batched=True`` the adjoint systems of a whole frequency block are
-    solved as one stacked call (see :func:`repro.spice.ac.solve_ac`);
+    solved as one stacked call (see
+    :func:`repro.spice.ac.solve_ac_lanes`);
     ``batched=False`` keeps the per-frequency reference loop.
     """
     frequencies = np.asarray(list(frequencies), dtype=float)
@@ -244,9 +246,7 @@ def _solve_noise(
 ) -> NoiseResult:
     limits: dict = {}
     x_op = solve_dc(circuit, gmin=gmin, limits=limits, engine=engine)
-    ctx = engine.evaluate(x_op, gmin=gmin, limits=limits)
-    # Copies: the frequency loop below must survive later evaluations.
-    g_mat, c_mat = ctx.g_mat.copy(), ctx.c_mat.copy()
+    g_arr, c_arr = small_signal(engine, x_op, gmin, limits)
 
     out_index = circuit.node_index(output_node)
     if out_index < 0:
@@ -256,91 +256,30 @@ def _solve_noise(
         raise AnalysisError("circuit contains no noise sources")
 
     size = circuit.num_unknowns
-    e_out = np.zeros(size)
+    e_out = np.zeros(size, dtype=complex)
     e_out[out_index] = 1.0
+    omegas = 2.0 * math.pi * frequencies
 
+    # The adjoint prices every noise source with one transpose solve
+    # per frequency, through the same block iterator as AC analysis.
+    adjoints = solve_ac_lanes(engine, g_arr[None], c_arr[None], omegas,
+                              e_out, batched=batched, transpose=True)[0]
     total = np.zeros(len(frequencies))
     contributions = {s.element: np.zeros(len(frequencies)) for s in sources}
+    for source in sources:
+        y_p = adjoints[:, source.p] if source.p >= 0 else 0.0
+        y_n = adjoints[:, source.n] if source.n >= 0 else 0.0
+        density = np.array([source.density(f) for f in frequencies])
+        value = np.abs(y_n - y_p) ** 2 * density
+        total += value
+        contributions[source.element] += value
+
     gain_squared = None
-    input_element = None
     if input_source is not None:
-        input_element = circuit.element(input_source)
-        gain_squared = np.zeros(len(frequencies))
-
-    solve_batched = getattr(engine, "solve_batched", None)
-    sparse = getattr(engine, "assembly", "dense") == "sparse"
-    if batched and (sparse or solve_batched is not None) \
-            and len(frequencies) > 1:
-        from .ac import ac_block_size
-
-        count = len(frequencies)
-        adjoints = np.empty((count, size), dtype=complex)
-        input_solutions = None
-        rhs_in = None
-        if input_element is not None:
-            rhs_in = _input_rhs(input_element, size)
-            input_solutions = np.empty((count, size), dtype=complex)
-        omegas = 2.0 * math.pi * frequencies
-        if sparse:
-            # Flat (block, nnz) value stacks over the compiled pattern;
-            # the adjoint transpose stays sparse inside the solver.
-            g_vals, c_vals = g_mat.values, c_mat.values
-            block = ac_block_size(size, nnz=engine.pattern.nnz)
-            for start in range(0, count, block):
-                w = omegas[start:start + block]
-                data = g_vals[None, :] + 1j * w[:, None] * c_vals[None, :]
-                adjoints[start:start + len(w)] = (
-                    engine.solve_pattern_batched(
-                        data, e_out.astype(complex), transpose=True
-                    )
-                )
-                if input_solutions is not None:
-                    input_solutions[start:start + len(w)] = (
-                        engine.solve_pattern_batched(data, rhs_in)
-                    )
-        else:
-            block = ac_block_size(size)
-            for start in range(0, count, block):
-                w = omegas[start:start + block]
-                systems = (g_mat[None, :, :]
-                           + 1j * w[:, None, None] * c_mat[None, :, :])
-                # The adjoint prices every noise source with one transpose
-                # solve per frequency; the whole block goes in one call.
-                adjoints[start:start + len(w)] = solve_batched(
-                    systems.transpose(0, 2, 1), e_out.astype(complex)
-                )
-                if input_solutions is not None:
-                    input_solutions[start:start + len(w)] = solve_batched(
-                        systems, rhs_in
-                    )
-        for source in sources:
-            y_p = adjoints[:, source.p] if source.p >= 0 else 0.0
-            y_n = adjoints[:, source.n] if source.n >= 0 else 0.0
-            transfer_sq = np.abs(y_n - y_p) ** 2
-            density = np.array(
-                [source.density(f) for f in frequencies]
-            )
-            value = transfer_sq * density
-            total += value
-            contributions[source.element] += value
-        if input_solutions is not None:
-            gain_squared[:] = np.abs(input_solutions[:, out_index]) ** 2
-    else:
-        for k, frequency in enumerate(frequencies):
-            omega = 2.0 * math.pi * frequency
-            system = g_mat + 1j * omega * c_mat
-            adjoint = engine.solve(system.T, e_out.astype(complex))
-            for source in sources:
-                y_p = adjoint[source.p] if source.p >= 0 else 0.0
-                y_n = adjoint[source.n] if source.n >= 0 else 0.0
-                transfer_sq = abs(y_n - y_p) ** 2
-                value = transfer_sq * source.density(frequency)
-                total[k] += value
-                contributions[source.element][k] += value
-            if input_element is not None:
-                gain_squared[k] = _input_gain_squared(
-                    system, input_element, out_index, size, engine
-                )
+        rhs_in = _input_rhs(circuit.element(input_source), size)
+        solutions = solve_ac_lanes(engine, g_arr[None], c_arr[None],
+                                   omegas, rhs_in, batched=batched)[0]
+        gain_squared = np.abs(solutions[:, out_index]) ** 2
 
     return NoiseResult(
         circuit=circuit,
@@ -370,13 +309,3 @@ def _input_rhs(element, size: int) -> np.ndarray:
             f"input source {element.name!r} is not an independent source"
         )
     return rhs
-
-
-def _input_gain_squared(system, element, out_index: int, size: int,
-                        engine=None) -> float:
-    rhs = _input_rhs(element, size)
-    if engine is not None:
-        solution = engine.solve(system, rhs)
-    else:
-        solution = np.linalg.solve(system, rhs)
-    return abs(solution[out_index]) ** 2

@@ -149,9 +149,10 @@ def run_deck(deck: Deck | str, engine=None, lint: bool = True) -> DeckRun:
     ``engine`` selects the evaluation engine for every analysis (see
     :func:`repro.spice.engine.resolve_engine`): ``None`` uses the
     circuit's cached compiled engine (honoring the deck's
-    ``.OPTIONS SOLVER=auto|dense|sparse`` card, if any), ``"legacy"``
-    the per-element re-stamping reference path, ``"dense"``/``"sparse"``
-    /``"auto"`` a compiled engine with that assembly backend.
+    ``.OPTIONS SOLVER=auto|dense|sparse`` card, if any);
+    ``"dense"``/``"sparse"``/``"auto"`` pin its backend — assembly and
+    LU alike — with ``"auto"`` the shape-based choice of
+    :func:`repro.spice.solvercost.choose`.
     Recognized ``.OPTIONS`` settings (RELTOL/VNTOL/ABSTOL/ITL1/GMIN)
     configure the Newton tolerances.
 

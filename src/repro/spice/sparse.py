@@ -27,13 +27,9 @@ scanning a dense matrix.
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse as _sp
 
 from ..errors import AnalysisError
-
-try:
-    from scipy import sparse as _sp
-except ImportError:  # pragma: no cover - scipy is present in CI
-    _sp = None
 
 __all__ = ["SparsityPattern", "PatternMatrix"]
 
@@ -146,8 +142,6 @@ class SparsityPattern:
         ``data`` may be length ``nnz`` or ``nnz + 1`` (with the trailing
         scratch slot); only the first ``nnz`` values enter the matrix.
         """
-        if _sp is None:  # pragma: no cover - scipy is present in CI
-            raise AnalysisError("sparse assembly requires scipy")
         return _sp.csc_matrix(
             (data[: self.nnz], self.indices, self.indptr),
             shape=(self.size, self.size), copy=False,
@@ -259,12 +253,6 @@ class PatternMatrix:
         if dtype is not None:
             dense = dense.astype(dtype)
         return dense
-
-    @property
-    def T(self) -> np.ndarray:
-        # Only reached by fallback (non-batched) adjoint solves; the
-        # batched noise path keeps the transpose sparse.
-        return self.toarray().T
 
     def dot(self, x: np.ndarray) -> np.ndarray:
         return self.to_csc().dot(x)

@@ -21,7 +21,7 @@ a waveform corner.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -216,15 +216,13 @@ def _solve_transient(
         initial_step = max_step / 10.0
     num_nodes = engine.num_nodes
 
-    chord_active = chord and getattr(engine, "supports_chord", False)
     # Hot-path mode keeps one canonical limits dict for the whole run
     # (saved/restored around rejected steps) so the device-bypass cache,
     # which is keyed on dict identity, survives from step to step.  The
     # reference mode copies the dict per step exactly like the seed code.
-    hot = chord_active or bypass_tol > 0.0
-    # Fused assembly builds G + alpha*C in one dense pass inside the
+    # Hot mode also fuses G + alpha*C into one assembly pass inside the
     # engine; the integrator callback then touches only the residual.
-    fused = hot and getattr(engine, "supports_fused_jacobian", False)
+    hot = chord or bypass_tol > 0.0
 
     limits: dict = {}
     if x0 is None:
@@ -283,13 +281,16 @@ def _solve_transient(
         use_be = use_be_next or method == "be"
         alpha = (1.0 / h) if use_be else (2.0 / h)
 
-        if fused:
+        if hot:
             # The engine already assembled jacobian = G + alpha*C.
             def dynamic(ctx, residual, jacobian):
                 qdot = alpha * (ctx.q_vec - q_prev)
                 if not use_be:
                     qdot -= qdot_prev
                 residual += qdot
+
+            step_limits = limits
+            saved_limits = dict(limits)
         else:
             def dynamic(ctx, residual, jacobian):
                 qdot = alpha * (ctx.q_vec - q_prev)
@@ -298,13 +299,9 @@ def _solve_transient(
                 residual += qdot
                 jacobian += alpha * ctx.c_mat
 
-        if hot:
-            step_limits = limits
-            saved_limits = dict(limits)
-        else:
             step_limits = dict(limits)
         try:
-            if chord_active:
+            if chord:
                 # Hysteresis: keep the token anchored at the alpha the
                 # jacobian was last factorized for until the controller
                 # drifts the step size too far from it.
@@ -323,8 +320,8 @@ def _solve_transient(
                 circuit, x_pred, tolerances, gmin,
                 time=t_new, limits=step_limits, dynamic=dynamic,
                 engine=engine, jacobian_token=token,
-                chord=chord_active, bypass_tol=bypass_tol,
-                jac_alpha=alpha if fused else None,
+                chord=chord, bypass_tol=bypass_tol,
+                jac_alpha=alpha if hot else None,
                 return_context=True,
             )
         except ConvergenceError as exc:
@@ -409,7 +406,7 @@ def _solve_transient(
         # repeats naturally.
         growth = (1.0 / max(error, 1e-6)) ** (1.0 / 3.0)
         factor = min(max(growth * 0.9, 0.2), 2.0)
-        if (chord_active and _DEADBAND_LO <= factor <= _DEADBAND_HI):
+        if chord and _DEADBAND_LO <= factor <= _DEADBAND_HI:
             # Deadband: hold the step when the controller asks for less
             # than a ~25% nudge (error is at or below target in this
             # whole band).  A steady h keeps alpha — and with it the

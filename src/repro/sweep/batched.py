@@ -399,7 +399,7 @@ class BlockedACSweep(_BlockedDeckSweep):
             )
         self._omegas = 2.0 * np.pi * self._frequencies
         self._rhs = ac_stimulus_rhs(self._circuit, self._circuit.num_unknowns)
-        self._sparse = getattr(self._engine, "assembly", "dense") == "sparse"
+        self._sparse = self._engine.assembly == "sparse"
 
     # -- parameter classification -------------------------------------------
 
@@ -513,10 +513,9 @@ class BlockedACSweep(_BlockedDeckSweep):
 
     def _small_signal(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Fresh G/C copies linearized at the solved operating point."""
-        ctx = self._engine.evaluate(x, gmin=self._gmin, limits={})
-        if self._sparse:
-            return np.array(ctx.g_mat.values), np.array(ctx.c_mat.values)
-        return np.array(ctx.g_mat), np.array(ctx.c_mat)
+        from ..spice.ac import small_signal
+
+        return small_signal(self._engine, x, self._gmin, {})
 
     @staticmethod
     def _apply_overrides(g_arr, c_arr, overrides) -> None:
@@ -595,7 +594,7 @@ class BlockedACSweep(_BlockedDeckSweep):
                 for i in solved:
                     results[lanes[i]] = (None, AnalysisError(_NO_STIMULUS))
                 return results
-            if getattr(self._engine, "supports_stacked_evaluate", False):
+            if self._engine.supports_stacked_evaluate:
                 # One lane-stacked linearization for every solved bias
                 # point; each lane's G/C is bit-identical to the scalar
                 # _small_signal at that point.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.devices import GummelPoonParameters
@@ -58,3 +59,25 @@ def generator(process, rules, reference) -> ModelParameterGenerator:
 @pytest.fixture(scope="session")
 def uncalibrated_generator(process, rules) -> ModelParameterGenerator:
     return ModelParameterGenerator(process, rules)
+
+
+@pytest.fixture(scope="session")
+def as_pattern():
+    """Factory ``systems -> (pattern, values)``: the nonzeros of a dense
+    ``(n, n)`` matrix, or of a ``(batch, n, n)`` stack over their union,
+    as a :class:`~repro.spice.sparse.SparsityPattern` plus ``(nnz,)`` or
+    ``(batch, nnz)`` values — the only input the sparse LU backend takes
+    (``pattern.matrix(values)`` for a single system)."""
+    from repro.spice.sparse import SparsityPattern
+
+    def build(systems):
+        systems = np.asarray(systems)
+        leading = tuple(range(systems.ndim - 2))
+        rows, cols = np.nonzero(np.any(systems != 0, axis=leading))
+        pattern = SparsityPattern(systems.shape[-1], rows, cols)
+        values = np.zeros(systems.shape[:-2] + (pattern.nnz,),
+                          dtype=systems.dtype)
+        values[..., pattern.positions(rows, cols)] = systems[..., rows, cols]
+        return pattern, values
+
+    return build

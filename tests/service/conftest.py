@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.spice.solvercost import DEFAULT_SOLVER_COST_MODEL
 from repro.sweep.costmodel import DEFAULT_COST_MODEL
 
 DECKS = Path(__file__).resolve().parents[2] / "examples" / "decks"
@@ -14,24 +13,14 @@ DECKS = Path(__file__).resolve().parents[2] / "examples" / "decks"
 
 @pytest.fixture(autouse=True)
 def _restore_shared_cost_models():
-    """Keep this package's solves from shifting the shared singletons.
-
-    ``tests/service`` collects before ``tests/spice``; the engine
-    calibrates :data:`DEFAULT_SOLVER_COST_MODEL` on every factorization,
-    and the sparse auto-choice tests downstream assert against the
-    seeded coefficients.
-    """
-    sweep_snapshot = (DEFAULT_COST_MODEL.spinup_seconds,
-                      DEFAULT_COST_MODEL.chunk_seconds)
-    solver_snapshot = (DEFAULT_SOLVER_COST_MODEL.dense_factor_ns3,
-                       DEFAULT_SOLVER_COST_MODEL.sparse_factor_ns,
-                       dict(DEFAULT_SOLVER_COST_MODEL.observations))
+    """Keep this package's sweeps from shifting the shared dispatch
+    cost model, which calibrates from observed timings, so later test
+    modules see its seeded coefficients."""
+    snapshot = (DEFAULT_COST_MODEL.spinup_seconds,
+                DEFAULT_COST_MODEL.chunk_seconds)
     yield
     (DEFAULT_COST_MODEL.spinup_seconds,
-     DEFAULT_COST_MODEL.chunk_seconds) = sweep_snapshot
-    (DEFAULT_SOLVER_COST_MODEL.dense_factor_ns3,
-     DEFAULT_SOLVER_COST_MODEL.sparse_factor_ns) = solver_snapshot[:2]
-    DEFAULT_SOLVER_COST_MODEL.observations = dict(solver_snapshot[2])
+     DEFAULT_COST_MODEL.chunk_seconds) = snapshot
 
 
 @pytest.fixture(scope="session")

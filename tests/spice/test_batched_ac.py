@@ -3,27 +3,28 @@
 The batched AC/noise sweeps assemble G and C once and solve each block
 of frequencies as one stacked ``(block, n, n)`` system.  These tests pin
 the batched results against (a) the ``batched=False`` per-frequency
-loop on the same engine, and (b) the legacy engine, which has no
-``solve_batched`` and always takes the fallback loop — on every example
-deck that carries the relevant analysis card.
+loop on the same engine, and (b) the outputs of the per-element
+re-stamping engine, removed after commit 304fafa, which always took the
+per-frequency loop; its outputs at that commit are frozen in
+``legacy_reference.json`` — on every example deck that carries the
+relevant analysis card.
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.spice.ac import ac_block_size, frequency_grid, solve_ac
-from repro.spice.engine import (
-    DenseLUSolver,
-    LegacyEngine,
-    SparseLUSolver,
-    resolve_engine,
-)
+from repro.spice.ac import ac_lane_blocks, frequency_grid, solve_ac
+from repro.spice.engine import DenseLUSolver, SparseLUSolver
 from repro.spice.noise import solve_noise
 from repro.spice.parser import parse_deck
 
 DECKS = Path(__file__).resolve().parents[2] / "examples" / "decks"
+LEGACY = json.loads(
+    (Path(__file__).with_name("legacy_reference.json")).read_text()
+)
 
 
 def _deck(name):
@@ -42,22 +43,39 @@ def _grid(card):
                           card.args["points"], card.args["sweep"])
 
 
+def _freq_block(size, limit=None):
+    """Frequencies per block for one lane of ``size``-unknown dense
+    systems (16 bytes per complex entry), out of a long sweep."""
+    lane_block, freq_block = ac_lane_blocks(1, 10_000, 16 * size * size,
+                                            limit)
+    assert lane_block == 1
+    return freq_block
+
+
 class TestBlockSizing:
     def test_small_systems_cap_at_512(self):
-        assert ac_block_size(2) == 512
-        assert ac_block_size(10) == 512
+        assert _freq_block(2) == 512
+        assert _freq_block(10) == 512
 
     def test_budget_shrinks_with_system_size(self):
-        big = ac_block_size(500)
+        big = _freq_block(500)
         assert 1 <= big < 512
-        assert ac_block_size(1000) < big
+        assert _freq_block(1000) < big
 
     def test_never_below_one(self):
-        assert ac_block_size(10 ** 6) == 1
+        assert _freq_block(10 ** 6) == 1
 
     def test_explicit_limit(self):
         # 16 bytes/entry * n^2 = 6400 bytes/system at n=20.
-        assert ac_block_size(20, limit=64_000) == 10
+        assert _freq_block(20, limit=64_000) == 10
+
+
+def _solve_stack(solver, systems, rhs, as_pattern):
+    """The backend's batched entry point: dense stacks, or the stack's
+    nonzeros over one pattern for the sparse LU."""
+    if isinstance(solver, SparseLUSolver):
+        return solver.solve_pattern_batched(*as_pattern(systems), rhs)
+    return solver.solve_batched(systems, rhs)
 
 
 class TestBatchedSolver:
@@ -69,11 +87,11 @@ class TestBatchedSolver:
         return systems, rng
 
     @pytest.mark.parametrize("solver_cls", [DenseLUSolver, SparseLUSolver])
-    def test_single_rhs_matches_per_system_solves(self, solver_cls):
+    def test_single_rhs_matches_per_system_solves(self, solver_cls,
+                                                  as_pattern):
         systems, rng = self._stack(5, 6, seed=0)
         rhs = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        solver = solver_cls()
-        batched = solver.solve_batched(systems, rhs)
+        batched = _solve_stack(solver_cls(), systems, rhs, as_pattern)
         assert batched.shape == (5, 6)
         for k in range(5):
             np.testing.assert_allclose(
@@ -82,11 +100,11 @@ class TestBatchedSolver:
             )
 
     @pytest.mark.parametrize("solver_cls", [DenseLUSolver, SparseLUSolver])
-    def test_multi_rhs(self, solver_cls):
+    def test_multi_rhs(self, solver_cls, as_pattern):
         systems, rng = self._stack(4, 5, seed=1)
         rhs = (rng.standard_normal((4, 5, 3))
                + 1j * rng.standard_normal((4, 5, 3)))
-        batched = solver_cls().solve_batched(systems, rhs)
+        batched = _solve_stack(solver_cls(), systems, rhs, as_pattern)
         assert batched.shape == (4, 5, 3)
         for k in range(4):
             np.testing.assert_allclose(
@@ -105,12 +123,6 @@ class TestBatchedSolver:
         solver.solve_batched(systems, rhs)
         assert sink.factorizations == 3
         assert sink.solves == 3
-
-    def test_legacy_engine_has_no_batched_entry_point(self):
-        deck = _deck("ce_stage.cir")
-        legacy = resolve_engine(deck.circuit, "legacy")
-        assert isinstance(legacy, LegacyEngine)
-        assert getattr(legacy, "solve_batched", None) is None
 
 
 class TestBatchedACRegression:
@@ -132,8 +144,9 @@ class TestBatchedACRegression:
         deck = _deck("ce_stage.cir")
         freqs = _grid(_card(deck, "ac"))
         batched = solve_ac(deck.circuit, freqs)
-        legacy = solve_ac(deck.circuit, freqs, engine="legacy")
-        np.testing.assert_allclose(batched.solutions, legacy.solutions,
+        real, imag = LEGACY["ac_ce_stage_solutions"]
+        np.testing.assert_allclose(batched.solutions,
+                                   np.asarray(real) + 1j * np.asarray(imag),
                                    rtol=1e-9, atol=1e-12)
 
     def test_block_boundaries_are_seamless(self):
@@ -180,14 +193,11 @@ class TestBatchedNoiseRegression:
         freqs = _grid(card)
         batched = solve_noise(deck.circuit, card.args["output"], freqs,
                               input_source=card.args["source"])
-        legacy = solve_noise(deck.circuit, card.args["output"], freqs,
-                             input_source=card.args["source"],
-                             engine="legacy")
+        legacy = LEGACY["noise_bench_batched"]
         np.testing.assert_allclose(batched.output_density,
-                                   legacy.output_density,
-                                   rtol=1e-8)
+                                   legacy["output_density"], rtol=1e-8)
         np.testing.assert_allclose(batched.gain_squared,
-                                   legacy.gain_squared, rtol=1e-8)
+                                   legacy["gain_squared"], rtol=1e-8)
 
     def test_batched_without_input_source(self):
         deck = _deck("noise_bench.cir")

@@ -1,9 +1,11 @@
-"""Sparse-native assembly: pattern mechanics, cost model, golden parity.
+"""Sparse-native assembly: pattern mechanics, backend choice, golden
+parity.
 
 The dense engine is the reference: every analysis run through the sparse
 assembly backend must agree with the dense backend within Newton/solver
 tolerances, with zero dense ``(n, n)`` work in the sparse hot loop
-(asserted through the EngineStats counters).
+(asserted through the EngineStats counters).  The backend itself is a
+pure function of the circuit, never of what ran before it.
 """
 
 from pathlib import Path
@@ -12,11 +14,12 @@ import numpy as np
 import pytest
 
 from repro.errors import AnalysisError
-from repro.spice import parse_deck, run_deck
+from repro.geometry import ModelParameterGenerator, default_reference
+from repro.rfsystems import RingOscillatorSpec, build_ring_oscillator
+from repro.spice import parse_deck, run_deck, solvercost
 from repro.spice.ac import ACResult, solve_ac
 from repro.spice.analysis import OperatingPointResult, TransferFunction
 from repro.spice.engine import (
-    SPARSE_THRESHOLD,
     DenseLUSolver,
     SparseLUSolver,
     compile_circuit,
@@ -25,8 +28,7 @@ from repro.spice.engine import (
 )
 from repro.spice.noise import NoiseResult
 from repro.spice.sparse import PatternMatrix, SparsityPattern
-from repro.spice.solvercost import SolverCostModel
-from repro.spice.transient import TransientResult
+from repro.spice.transient import TransientResult, solve_transient
 
 DECK_DIR = Path(__file__).resolve().parents[2] / "examples" / "decks"
 
@@ -119,10 +121,14 @@ class TestPatternMatrix:
             g.__iadd__(other)
 
     def test_matvec_and_transpose(self):
-        _, g, _ = self._gm()
+        pattern, g, _ = self._gm()
         x = np.array([2.0, -1.0])
         np.testing.assert_allclose(g.dot(x), g.toarray() @ x)
-        np.testing.assert_allclose(g.T, g.toarray().T)
+        # Transposed systems stay sparse: the solver transposes the CSC
+        # structure instead of densifying the matrix.
+        adjoint = SparseLUSolver().solve_pattern_batched(
+            pattern, g.values[None], x, transpose=True)[0]
+        np.testing.assert_allclose(adjoint, np.linalg.solve(g.toarray().T, x))
 
     def test_length_mismatch_rejected(self):
         pattern = SparsityPattern(2, [0, 1], [0, 1])
@@ -131,47 +137,62 @@ class TestPatternMatrix:
 
 
 # ---------------------------------------------------------------------------
-# cost model
+# the backend choice
 # ---------------------------------------------------------------------------
 
 
 class TestSolverCostModel:
     def test_small_systems_stay_dense(self):
-        model = SolverCostModel()
-        assert model.choose(50, nnz=200) == "dense"
-        assert model.choose(model.min_size - 1, nnz=10) == "dense"
+        assert solvercost.choose(50, nnz=200) == "dense"
+        assert solvercost.choose(solvercost.MIN_SIZE - 1, nnz=10) == "dense"
 
     def test_large_sparse_systems_go_sparse(self):
-        model = SolverCostModel()
-        assert model.choose(2000, nnz=8000) == "sparse"
+        assert solvercost.choose(2000, nnz=8000) == "sparse"
 
     def test_dense_pattern_stays_dense(self):
         # A dense-ish pattern (nnz ~ n^2) never wins with sparse LU.
-        model = SolverCostModel()
         n = 600
-        assert model.choose(n, nnz=n * n) == "dense"
-
-    def test_no_nnz_falls_back_to_threshold(self):
-        model = SolverCostModel()
-        assert model.choose(SPARSE_THRESHOLD - 1) == "dense"
-        assert model.choose(SPARSE_THRESHOLD) == "sparse"
-
-    def test_observe_recalibrates(self):
-        model = SolverCostModel(calibration_weight=1.0)
-        before = model.dense_cost(1000)
-        # Report dense factorization 10x slower than the prior predicts.
-        model.observe("dense", 1000, None, seconds=10 * before)
-        assert model.dense_cost(1000) > before
+        assert solvercost.choose(n, nnz=n * n) == "dense"
 
     def test_crossover_reports_a_size(self):
-        model = SolverCostModel()
-        size = model.crossover()
-        assert size is None or size >= model.min_size
+        assert solvercost.crossover() >= solvercost.MIN_SIZE
+
+
+def _ring(stages):
+    generator = ModelParameterGenerator(reference=default_reference())
+    return build_ring_oscillator(
+        generator.generate("N1.2-12D"),
+        follower_model=generator.generate("N1.2-6D"),
+        spec=RingOscillatorSpec(stages=stages),
+    )
+
+
+class TestBackendChoice:
+    def test_choice_ignores_solver_history(self):
+        # 13 stages (223 unknowns, nnz 1005) lies where a choice
+        # calibrated from factorization timings could flip: it went
+        # sparse after the dense and sparse transients below.
+        first = compile_circuit(_ring(13))
+        assert first.assembly == solvercost.choose(first.size,
+                                                   first.pattern.nnz)
+        for stages in (25, 51):
+            for mode in ("dense", "sparse"):
+                solve_transient(_ring(stages), stop_time=0.05e-9,
+                                engine=mode)
+        assert compile_circuit(_ring(13)).assembly == first.assembly
+
+    def test_solver_follows_pinned_assembly(self):
+        # 869 unknowns: a pinned dense engine factorizes with dense LU.
+        engine = get_engine(_ring(51), "dense")
+        assert isinstance(engine.solver, DenseLUSolver)
+        assert isinstance(get_engine(_ring(5), "sparse").solver,
+                          SparseLUSolver)
 
 
 class TestMakeSolver:
     def test_prefer_auto_small_is_dense(self):
-        assert isinstance(make_solver(10, prefer="auto"), DenseLUSolver)
+        assert isinstance(make_solver(10, prefer="auto", nnz=40),
+                          DenseLUSolver)
 
     def test_prefer_auto_large_sparse_pattern(self):
         solver = make_solver(2000, prefer="auto", nnz=8000)
@@ -235,27 +256,6 @@ class TestPermcSpecAndFill:
         np.testing.assert_allclose(results["MMD_AT_PLUS_A"], results[None],
                                    rtol=1e-12, atol=1e-15)
 
-    def test_cost_model_observes_fill(self):
-        model = SolverCostModel(calibration_weight=1.0)
-        model.observe("sparse", 1000, 5000, seconds=1e-3, fill=24.0)
-        assert model.fill_ratio == 24.0
-        # Doubled fill relative to the reference doubles the factor
-        # term (hold the factor coefficient fixed to isolate the fill).
-        after = model.sparse_cost(1000, 5000)
-        model.fill_ratio = model.reference_fill
-        assert after > model.sparse_cost(1000, 5000)
-
-    def test_fill_scaling_moves_the_crossover(self):
-        cheap = SolverCostModel(fill_ratio=2.0)
-        costly = SolverCostModel(fill_ratio=60.0)
-        assert cheap.sparse_cost(512, 2048) < costly.sparse_cost(512, 2048)
-
-    def test_observe_without_fill_keeps_the_prior(self):
-        model = SolverCostModel(calibration_weight=1.0)
-        prior = model.fill_ratio
-        model.observe("sparse", 1000, 5000, seconds=1e-3)
-        assert model.fill_ratio == prior
-
 
 # ---------------------------------------------------------------------------
 # factorization-cache regression: anonymous solves must not clobber a
@@ -264,11 +264,14 @@ class TestPermcSpecAndFill:
 
 
 @pytest.mark.parametrize("solver_cls", [DenseLUSolver, SparseLUSolver])
-def test_anonymous_solve_keeps_token_cache(solver_cls):
+def test_anonymous_solve_keeps_token_cache(solver_cls, as_pattern):
     rng = np.random.default_rng(3)
     a = rng.normal(size=(8, 8)) + 8 * np.eye(8)
     other = rng.normal(size=(8, 8)) + 8 * np.eye(8)
     b = rng.normal(size=8)
+    if solver_cls is SparseLUSolver:
+        a, other = (pattern.matrix(values) for pattern, values in
+                    (as_pattern(a), as_pattern(other)))
 
     solver = solver_cls()
     x_cached = solver.solve(a, b, token=("jac", 1))
@@ -279,16 +282,22 @@ def test_anonymous_solve_keeps_token_cache(solver_cls):
     np.testing.assert_allclose(solver.solve_cached(b), x_cached)
 
 
-def test_anonymous_batched_solve_keeps_token_cache():
+def test_anonymous_batched_solve_keeps_token_cache(as_pattern):
     rng = np.random.default_rng(4)
     a = rng.normal(size=(8, 8)) + 8 * np.eye(8)
     systems = rng.normal(size=(3, 8, 8)) + 8 * np.eye(8)
     b = rng.normal(size=8)
 
-    for solver in (DenseLUSolver(), SparseLUSolver()):
-        solver.solve(a, b, token="dc")
-        solver.solve_batched(systems, b)
-        assert solver.has_factorization("dc")
+    dense = DenseLUSolver()
+    dense.solve(a, b, token="dc")
+    dense.solve_batched(systems, b)
+    assert dense.has_factorization("dc")
+
+    sparse = SparseLUSolver()
+    pattern, values = as_pattern(a)
+    sparse.solve(pattern.matrix(values), b, token="dc")
+    sparse.solve_pattern_batched(*as_pattern(systems), b)
+    assert sparse.has_factorization("dc")
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +417,6 @@ class TestSparseEngineCounters:
         assert sparse is not dense
         assert get_engine(circuit, "sparse") is sparse
         assert get_engine(circuit, "dense") is dense
-
-    def test_sparse_mode_requires_sparse_solver(self):
-        with pytest.raises(AnalysisError, match="SparseLUSolver"):
-            compile_circuit(self._circuit(), solver=DenseLUSolver(),
-                            mode="sparse")
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(AnalysisError, match="assembly mode"):

@@ -97,15 +97,13 @@ class TestHotPathParity:
     STOP = 0.4e-9
     MAX_STEP = 5e-12
 
-    @pytest.mark.parametrize("engine", ["compiled", "legacy"])
-    def test_on_vs_off_waveforms_agree(self, engine):
+    def test_on_vs_off_waveforms_agree(self):
         ref = solve_transient(
             _ring(), stop_time=self.STOP, max_step=self.MAX_STEP,
-            engine=engine, bypass_tol=0.0, chord=False,
+            bypass_tol=0.0, chord=False,
         )
         hot = solve_transient(
             _ring(), stop_time=self.STOP, max_step=self.MAX_STEP,
-            engine=engine,
         )
         assert _deviation(ref, hot, self.STOP) < 0.05
 

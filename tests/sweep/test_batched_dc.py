@@ -120,10 +120,21 @@ class TestBlockedSolverParity:
         assert str(excinfo.value) == str(errors[1])
         assert excinfo.value.report.stage == errors[1].report.stage
 
+    @staticmethod
+    def _systems(solver_cls, systems, as_pattern):
+        """Dense stacks for dense LU, PatternMatrix lanes for sparse."""
+        if solver_cls is DenseLUSolver:
+            return systems
+        pattern, values = as_pattern(systems)
+        return [pattern.matrix(lane) for lane in values]
+
     @pytest.mark.parametrize("solver_cls", (DenseLUSolver, SparseLUSolver))
-    def test_solve_batched_exact_bitwise_per_backend(self, solver_cls):
+    def test_solve_batched_exact_bitwise_per_backend(self, solver_cls,
+                                                     as_pattern):
         rng = np.random.default_rng(7)
-        systems = rng.standard_normal((5, 6, 6)) + 3.0 * np.eye(6)
+        systems = self._systems(
+            solver_cls, rng.standard_normal((5, 6, 6)) + 3.0 * np.eye(6),
+            as_pattern)
         rhs = rng.standard_normal((5, 6))
         solver = solver_cls()
         batched = solver.solve_batched_exact(systems, rhs)
@@ -133,8 +144,12 @@ class TestBlockedSolverParity:
             )
 
     @pytest.mark.parametrize("solver_cls", (DenseLUSolver, SparseLUSolver))
-    def test_solve_batched_exact_nan_fills_singular_lane(self, solver_cls):
-        systems = np.stack([np.eye(3), np.zeros((3, 3)), 2.0 * np.eye(3)])
+    def test_solve_batched_exact_nan_fills_singular_lane(self, solver_cls,
+                                                         as_pattern):
+        systems = self._systems(
+            solver_cls,
+            np.stack([np.eye(3), np.zeros((3, 3)), 2.0 * np.eye(3)]),
+            as_pattern)
         rhs = np.ones((3, 3))
         out = solver_cls().solve_batched_exact(systems, rhs)
         np.testing.assert_array_equal(out[0], np.ones(3))

@@ -26,28 +26,21 @@ from repro.sweep.executors import (
     pool_is_warm,
     shutdown_pools,
 )
-from repro.spice.solvercost import DEFAULT_SOLVER_COST_MODEL, SolverCostModel
 
 
 @pytest.fixture(autouse=True)
 def _restore_shared_cost_models():
     """Shield the rest of the suite from this module's calibrations.
 
-    Both singletons self-calibrate from observed timings; tests that
-    stress them (or run many solves) would otherwise shift auto-choice
+    The dispatch cost model self-calibrates from observed timings; tests
+    that stress it (or run many sweeps) would otherwise shift auto-choice
     behavior in later test modules.
     """
-    sweep_snapshot = (DEFAULT_COST_MODEL.spinup_seconds,
-                      DEFAULT_COST_MODEL.chunk_seconds)
-    solver_snapshot = (DEFAULT_SOLVER_COST_MODEL.dense_factor_ns3,
-                       DEFAULT_SOLVER_COST_MODEL.sparse_factor_ns,
-                       dict(DEFAULT_SOLVER_COST_MODEL.observations))
+    snapshot = (DEFAULT_COST_MODEL.spinup_seconds,
+                DEFAULT_COST_MODEL.chunk_seconds)
     yield
     (DEFAULT_COST_MODEL.spinup_seconds,
-     DEFAULT_COST_MODEL.chunk_seconds) = sweep_snapshot
-    (DEFAULT_SOLVER_COST_MODEL.dense_factor_ns3,
-     DEFAULT_SOLVER_COST_MODEL.sparse_factor_ns) = solver_snapshot[:2]
-    DEFAULT_SOLVER_COST_MODEL.observations = dict(solver_snapshot[2])
+     DEFAULT_COST_MODEL.chunk_seconds) = snapshot
 
 
 def _poly(params: dict, attempt: int = 0) -> float:
@@ -253,27 +246,6 @@ class TestSharedCountersUnderThreads:
         assert 0.05 <= model.spinup_seconds <= 0.1
         assert 5e-4 <= model.chunk_seconds <= 1e-3
 
-    def test_solver_cost_model_observation_counts(self):
-        model = SolverCostModel()
-        per_thread = 250
-
-        def observe() -> None:
-            for _ in range(per_thread):
-                model.observe("dense", 100, None, 1e-4)
-                model.observe("sparse", 500, 2000, 1e-4)
-
-        pool = [threading.Thread(target=observe) for _ in range(6)]
-        for thread in pool:
-            thread.start()
-        for thread in pool:
-            thread.join()
-        assert model.observations["dense"] == 6 * per_thread
-        assert model.observations["sparse"] == 6 * per_thread
-        assert model.dense_factor_ns3 > 0.0
-        assert model.sparse_factor_ns > 0.0
-
     def test_cost_model_copy_gets_fresh_lock(self):
         copied = DEFAULT_COST_MODEL.copy()
         assert copied._lock is not DEFAULT_COST_MODEL._lock
-        solver_copy = SolverCostModel()
-        assert solver_copy._lock is not DEFAULT_SOLVER_COST_MODEL._lock
