@@ -6,8 +6,9 @@ PHASE90-IF phase shifter — across an 81-corner full-factorial set
 levels), with DC + AC measurements and device stress checks at every
 corner.  The blocked ``executor="auto"`` path is asserted bit-identical
 to the scalar serial reference before any number is recorded; CI gates
-the blocked speedup >= 1.  Archived in BENCH_verify.json next to the
-runner's core count.
+the blocked speedup >= 1 and one engine compile per corner variant
+(``compilations`` equal to ``corner_decks``).  Archived in
+BENCH_verify.json next to the runner's core count.
 """
 
 import time
@@ -112,6 +113,9 @@ def bench_corner_qualification():
             "corners": len(corners),
             "measurements": len(measurements),
             "corner_decks": scalar_ev.prime(),
+            # One engine per corner variant, however many corners and
+            # analyses share it; CI gates the two equal.
+            "compilations": scalar_ev.compilations(),
             "scalar_seconds": round(t_scalar, 6),
             "blocked_seconds": round(t_blocked, 6),
             "scalar_corners_per_second": round(
@@ -129,7 +133,8 @@ def bench_corner_qualification():
         lines.append(
             f"{cell_name}: {len(corners)} corners x "
             f"{len(measurements)} measurements "
-            f"({scalar_ev.prime()} corner decks)\n"
+            f"({scalar_ev.prime()} corner decks, "
+            f"{scalar_ev.compilations()} engine compiles)\n"
             f"  scalar serial {t_scalar * 1e3:7.1f} ms "
             f"({len(corners) / t_scalar:6.0f} corners/s)\n"
             f"  blocked {blocked.stats['executor']:7s} "

@@ -44,7 +44,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from ..errors import AnalysisError, ReproError
+from ..errors import AnalysisError, ReproError, SweepError
 from ..spice.lint import lint_circuit
 from ..spice.parser import parse_deck
 from ..spice.runner import _deck_tolerances
@@ -77,9 +77,9 @@ class _CircuitEntry:
     simulator: object
     #: serializes dc/ac/transient jobs on the shared compiled engine.
     lock: threading.Lock = field(default_factory=threading.Lock)
-    #: lazily-built, reusable sweep evaluators keyed by
-    #: ``(analysis, output, frequency grid)`` — DC node outputs and AC
-    #: gain sweeps each hold their own compiled evaluator.
+    #: reusable, primed deck evaluators: sweeps keyed by ``(analysis,
+    #: output, frequency grid)``, qualifications by ``("verify", corner
+    #: config, rules)``.
     evaluators: dict = field(default_factory=dict)
     created_at: float = field(default_factory=time.monotonic)
 
@@ -541,38 +541,21 @@ class SimulationService:
 
         return self._cached(job, key, compute)
 
-    def _evaluator(self, entry: _CircuitEntry, output: str,
-                   analysis: str = "dc", frequencies=None):
-        """The entry's cached sweep evaluator for one measured output.
+    def _evaluator(self, entry: _CircuitEntry, key: tuple, build):
+        """The entry's cached deck evaluator under ``key``.
 
-        Keyed by ``(analysis, output, frequency grid)``: DC sweeps get a
-        :class:`BlockedDCSweep` over the node voltage, AC sweeps a
-        :class:`BlockedACSweep` over the node's gain in dB.  Reused
-        across jobs so the lazily-compiled circuit persists — repeated
-        sweeps on one circuit id pay the parse + compile once, and
-        ``recompiles`` stays 0 for DC and AC jobs alike.  The evaluator
-        serializes its own solves, so concurrent jobs may share it
-        safely.
+        Built by ``build()`` and primed (every kept variant compiled)
+        on first use, then reused across jobs, so repeated sweeps and
+        qualifications of one circuit id pay the parse + compile once.
+        Jobs count the evaluator's :meth:`compilations` around their run
+        as ``recompiles``.  The evaluator serializes its own solves, so
+        concurrent jobs may share it safely.
         """
-        grid = None if frequencies is None else tuple(
-            float(f) for f in frequencies
-        )
-        key = (analysis, output, grid)
         with entry.lock:
             evaluator = entry.evaluators.get(key)
             if evaluator is None:
-                if analysis == "ac":
-                    evaluator = BlockedACSweep(
-                        entry.deck_text, measure=ac_gain_db(output),
-                        frequencies=grid,
-                    )
-                else:
-                    evaluator = BlockedDCSweep(
-                        entry.deck_text, measure=node_voltage(output)
-                    )
-                # Prime the lazy compile outside any timing-sensitive
-                # path so later recompile accounting sees a warm engine.
-                evaluator._ensure()
+                evaluator = build()
+                evaluator.prime()
                 entry.evaluators[key] = evaluator
             return evaluator
 
@@ -592,21 +575,30 @@ class SimulationService:
             raise AnalysisError(
                 f"sweep job analysis must be 'dc' or 'ac', got {analysis!r}"
             )
-        frequencies = None
+        if str(source) not in entry.deck.circuit:
+            raise SweepError(
+                f"deck has no element named {source!r} to sweep"
+            )
+        output = str(output)
         if analysis == "ac":
-            frequencies = params.get("frequencies")
-            if frequencies is None and "start" in params:
+            grid = params.get("frequencies")
+            if grid is None and "start" in params:
                 from ..spice.ac import frequency_grid
 
-                frequencies = frequency_grid(
+                grid = frequency_grid(
                     float(params["start"]), float(params["stop"]),
                     int(params.get("points_per_decade", 10)),
                     str(params.get("sweep", "dec")),
                 )
-        evaluator = self._evaluator(entry, str(output), analysis=analysis,
-                                    frequencies=frequencies)
-        engine = evaluator._engine
-        before = engine.stats.compilations
+            grid = None if grid is None else tuple(float(f) for f in grid)
+            evaluator = self._evaluator(
+                entry, ("ac", output, grid),
+                lambda: BlockedACSweep(entry.deck_text,
+                                       measure=ac_gain_db(output),
+                                       frequencies=grid))
+        else:
+            evaluator = self._dc_evaluator(entry, output)
+        before = evaluator.compilations()
         result = run_sweep(
             evaluator,
             [{str(source): float(v)} for v in values],
@@ -616,7 +608,7 @@ class SimulationService:
             cache=self._tenant_cache(job.tenant),
             on_error=params.get("on_error", "skip"),
         )
-        self.stats.record_recompiles(engine.stats.compilations - before)
+        self.stats.record_recompiles(evaluator.compilations() - before)
         self.stats.fold_sweep(result.stats)
         if analysis == "ac":
             point_values = [
@@ -646,30 +638,18 @@ class SimulationService:
             ]
         return payload
 
-    def _verify_evaluator(self, entry: _CircuitEntry, key: tuple,
-                          corners, measurements, rules):
-        """The entry's cached corner evaluator for one verify config.
-
-        Mirrors :meth:`_evaluator`: built (and primed — every corner
-        deck compiled) once per ``(corner config, rules)`` and reused
-        across jobs, so repeated qualification of one circuit id keeps
-        ``recompiles == 0``.
-        """
-        from ..verify import CornerEvaluator
-
-        with entry.lock:
-            evaluator = entry.evaluators.get(key)
-            if evaluator is None:
-                evaluator = CornerEvaluator(
-                    entry.deck_text, corners, measurements, rules=rules,
-                )
-                evaluator.prime()
-                entry.evaluators[key] = evaluator
-            return evaluator
+    def _dc_evaluator(self, entry: _CircuitEntry, output: str):
+        """The cached node-voltage evaluator sweep and optimize jobs
+        share."""
+        return self._evaluator(
+            entry, ("dc", output, None),
+            lambda: BlockedDCSweep(entry.deck_text,
+                                   measure=node_voltage(output)))
 
     def _job_verify(self, job: Job) -> dict:
         from ..verify import (
             DEFAULT_STRESS_RULES,
+            CornerEvaluator,
             default_corners,
             default_measurements,
             load_stress_rules,
@@ -698,11 +678,10 @@ class SimulationService:
             "passive_tol": passive_tol,
             "rules": [rule.to_dict() for rule in rules],
         })
-        evaluator = self._verify_evaluator(
-            entry,
-            ("verify", temps, supply_tol, passive_tol, rules),
-            corners, measurements, rules,
-        )
+        evaluator = self._evaluator(
+            entry, ("verify", temps, supply_tol, passive_tol, rules),
+            lambda: CornerEvaluator(entry.deck_text, corners,
+                                    measurements, rules=rules))
 
         def compute() -> dict:
             before = evaluator.compilations()
@@ -751,7 +730,7 @@ class SimulationService:
             for d in dimensions
         ]
         objective = _TargetObjective(
-            self._evaluator(entry, str(output)), float(target)
+            self._dc_evaluator(entry, str(output)), float(target)
         )
         result = coordinate_search(
             objective,

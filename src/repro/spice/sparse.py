@@ -98,21 +98,6 @@ class SparsityPattern:
             )
         return np.where(dummy, self.nnz, pos).astype(np.intp)
 
-    def stamp_positions(self, rows, cols) -> tuple[np.ndarray, np.ndarray]:
-        """Scatter positions for a ground-aware element stamp.
-
-        Like :meth:`positions`, but entries whose row or column is
-        negative (the ground reference) are dropped rather than
-        rejected — mirroring how element stamps skip grounded
-        terminals.  Returns ``(positions, keep)`` where ``keep`` is the
-        boolean mask of surviving entries, so callers can filter their
-        per-entry stamp values identically.
-        """
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        keep = (rows >= 0) & (cols >= 0)
-        return self.positions(rows[keep], cols[keep]), keep
-
     def position(self, row: int, col: int) -> int:
         """Data position of one slot (cached scalar fast path)."""
         key = (row, col)

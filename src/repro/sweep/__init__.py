@@ -40,7 +40,10 @@ Execution is structured for *positive* parallel scaling:
 * :class:`BlockedACSweep` does the same for AC sweeps: one stacked
   Newton bias solve for the chunk, then every ``lane x frequency``
   system solved through a handful of batched complex solves — with
-  per-lane source re-bias and linear R/L/C small-signal overrides,
+  per-lane source re-bias, and R/L/C values set through compiled
+  variants of the deck (both evaluators, and the qualification
+  harness's ``CornerEvaluator``, are configurations of one deck
+  evaluator),
 * ``executor="auto"`` / ``jobs="auto"`` consults the dispatch
   :class:`CostModel` (:mod:`repro.sweep.costmodel`): a probe chunk is
   timed in-process and serial/thread/process plus the chunk size are

@@ -1,31 +1,43 @@
-"""Blocked sweep evaluation: one deck, many operating points per call.
+"""Blocked deck evaluation: one parsed deck, many operating points per call.
 
-:class:`BlockedDCSweep` and :class:`BlockedACSweep` are sweep
-evaluation functions (``fn(params)``) with a second, faster
-personality: ``evaluate_batch(chunk)`` solves a whole chunk of points
-through stacked linear algebra instead of one scalar analysis per
-point.  :func:`repro.sweep.run_sweep` detects the ``supports_batch``
-attribute and routes chunks through the batch path automatically
-(under every executor), falling back to scalar calls for warm-start
-sweeps, seeded points, and per-lane retries.
+:class:`BlockedDCSweep`, :class:`BlockedACSweep` and
+:class:`repro.verify.CornerEvaluator` are configurations of one deck
+evaluator, :class:`_BlockedDeckSweep`.  Each is a sweep evaluation
+function (``fn(params)``) with a second, faster personality:
+``evaluate_batch(chunk)`` solves a whole chunk of points through
+stacked linear algebra instead of one scalar analysis per point.
+:func:`repro.sweep.run_sweep` detects the ``supports_batch`` attribute
+and routes chunks through the batch path automatically (under every
+executor), falling back to scalar calls for warm-start sweeps, seeded
+points, and per-lane retries.
 
-Both evaluators share :class:`_BlockedDeckSweep`: built from **deck
-text**, not a live circuit, parsing/compiling lazily — pickled to a
-persistent pool worker it ships as a couple of kilobytes of netlist,
-and the expensive parse + engine compile happens once per worker (the
-executor caches the deserialized function by content hash) — after
-that only point chunks cross the pipe.
+The evaluator is built from **deck text**, not a live circuit: pickled
+to a persistent pool worker it ships as a couple of kilobytes of
+netlist, and the parse happens once per worker (the executor caches the
+deserialized function by content hash) — after that only point chunks
+cross the pipe.
 
-Sweep parameters name independent sources in the deck
-(``{"VB": 0.8}``); each level is applied as a residual-row delta
-``coeff * (level - base)`` (see :func:`repro.spice.dcop.newton_solve`'s
-``rhs_delta``) rather than by mutating and recompiling the circuit.
-:class:`BlockedACSweep` additionally accepts linear R/L/C names: their
-value overrides are scattered as small-signal G/C deltas through the
-precomputed sparse-pattern positions, so the symbolic CSC pattern is
-shared across every lane.  Scalar and batched paths apply the
-identical delta arithmetic at the identical point of the solve, which
-is what makes batched-vs-scalar results bit-identical.
+Every point splits into a deck *variant* and a source re-bias:
+
+* Parameters naming independent DC sources (``{"VB": 0.8}``) re-bias
+  as lanes: each level is a residual-row delta
+  ``coeff * (level - base)`` (see :func:`repro.spice.dcop.newton_solve`'s
+  ``rhs_delta``), so any number of levels share one compiled engine.
+* Parameters naming linear R/L/C elements (``{"RC": 1.5e3}``), and a
+  corner's temperature and passive-scale levels, change the matrix:
+  they select a variant, a :class:`~repro.spice.netlist.Circuit`
+  derived from the parsed deck and compiled directly, with the deck's
+  ``.OPTIONS SOLVER=`` and ``PERMC=`` applied.  The deck as written and
+  the variants of corner levels are compiled once and kept; a variant
+  named by a sweep point's passive values is dropped after the call
+  that built it.
+
+Each point gets one bias solve — :func:`~repro.spice.dcop.solve_dc` on
+the scalar path, :func:`~repro.spice.dcop.solve_dc_batched` per variant
+on the blocked one — and that one solution feeds the DC measure, the
+small-signal AC solve and the corner outcome.  Both paths apply the
+identical arithmetic at the identical point of the solve, which is what
+makes blocked results bit-identical to scalar ones.
 """
 
 from __future__ import annotations
@@ -37,8 +49,19 @@ import threading
 
 import numpy as np
 
-from ..errors import AnalysisError, SweepError
+from ..devices.temperature import celsius
+from ..errors import AnalysisError, ReproError, SweepError
+from ..spice.ac import (
+    ac_stimulus_rhs,
+    frequency_grid,
+    small_signal,
+    solve_ac_lanes,
+)
 from ..spice.dcop import Tolerances, solve_dc, solve_dc_batched
+from ..spice.elements import DC, Capacitor, Inductor, Resistor
+from ..spice.engine import compile_circuit
+from ..spice.netlist import Circuit
+from ..spice.temperature import circuit_at_temperature
 from .costmodel import DEFAULT_COST_MODEL
 
 __all__ = [
@@ -52,6 +75,9 @@ __all__ = [
 ]
 
 _NO_STIMULUS = "AC analysis: no source has an AC stimulus"
+
+#: Variant key ``(corner edits, passive values)`` of the deck as written.
+_BASE = ((), ())
 
 
 def _measure_node(node: str, circuit, x: np.ndarray) -> float:
@@ -97,17 +123,77 @@ def ac_solution_matrix(circuit, solutions: np.ndarray) -> np.ndarray:
     return np.array(solutions)
 
 
-class _BlockedDeckSweep:
-    """Shared compile-once / content-hashed / picklable deck evaluator.
+# -- deck variants -------------------------------------------------------------
 
-    Subclasses implement the analysis (``__call__`` and
-    ``evaluate_batch``); this base owns deck-text pickling, the lazy
-    parse + engine compile, the per-instance solve lock, source
-    re-biasing via ``rhs_delta``, and the content-hash cache tag.
+
+def _passive_value(element) -> tuple[str, float] | None:
+    """``(kind, value)`` of a linear R/L/C element, else None."""
+    if isinstance(element, Resistor):
+        return "R", element.resistance
+    if isinstance(element, Capacitor):
+        return "C", element.capacitance
+    if isinstance(element, Inductor):
+        return "L", element.inductance
+    return None
+
+
+def _with_value(element, kind: str, value: float):
+    """A copy of a linear R/L/C element carrying ``value``."""
+    if kind == "R":
+        return Resistor(element.name, element.nodes, value)
+    cls = Capacitor if kind == "C" else Inductor
+    return cls(element.name, element.nodes, value, ic=element.ic)
+
+
+def _edit_passives(circuit: Circuit, scales: dict, values: dict) -> Circuit:
+    """A copy of ``circuit`` whose R/L/C values are replaced by name
+    (``values``) or scaled by kind (``scales``); every other element is
+    shared with the original."""
+    edited = Circuit(circuit.title)
+    for element in circuit:
+        kind, value = _passive_value(element) or (None, None)
+        name = element.name.upper()
+        if name in values:
+            element = _with_value(element, kind, values[name])
+        elif kind in scales:
+            element = _with_value(element, kind, value * scales[kind])
+        edited.add(element)
+    return edited
+
+
+def _derive(circuit: Circuit, key: tuple) -> Circuit:
+    """The circuit of variant ``key``: the corner edits in order
+    (``("temperature", celsius)`` or ``(kind, scale)``), then the
+    per-element passive values."""
+    edits, values = key
+    for target, level in edits:
+        if target == "temperature":
+            circuit = circuit_at_temperature(circuit, celsius(level))
+        else:
+            circuit = _edit_passives(circuit, {target: level}, {})
+    if values:
+        circuit = _edit_passives(circuit, {}, dict(values))
+    return circuit
+
+
+class _BlockedDeckSweep:
+    """The one deck evaluator (see the module docstring).
+
+    A subclass is a configuration plus a reduction: its constructor
+    sets ``_args`` (pickled, and hashed into the cache tag), it may
+    turn on the small-signal solve (``_with_ac``) and split corner
+    points into deck edits (:meth:`_split`), and ``_reduce(circuit, x,
+    solutions)`` turns one solved point into its value.
     """
 
     #: run_sweep's opt-in marker for the ``evaluate_batch`` fast path.
     supports_batch = True
+    #: Raised for malformed constructor arguments and grids.
+    _error = SweepError
+    #: The cache tag is ``<prefix><class name>#<content hash>``.
+    _tag_prefix = "repro.sweep.batched."
+    #: Whether every solved point also runs the small-signal AC solve.
+    _with_ac = False
 
     @staticmethod
     def preferred_chunk_size(count: int) -> int:
@@ -126,142 +212,307 @@ class _BlockedDeckSweep:
                  tolerances: Tolerances | None = None,
                  gmin: float | None = None,
                  engine: str | None = None):
-        if not isinstance(deck, str):
-            raise SweepError(
-                f"{type(self).__name__} takes deck text (str), got "
-                f"{type(deck).__name__}; pass the netlist source so the "
-                "evaluator stays picklable"
+        if not isinstance(deck, str) or not deck.strip():
+            raise self._error(
+                f"{type(self).__name__} takes non-empty deck text (str), "
+                f"got {type(deck).__name__}; pass the netlist source so "
+                "the evaluator stays picklable"
             )
+        self._args = (deck, measure, tolerances, gmin, engine)
         self._deck_text = deck
         self._measure = measure
         self._tolerances_arg = tolerances
         self._gmin_arg = gmin
         self._engine_arg = engine
-        self._circuit = None
-        self._engine = None
-        self._tolerances = None
-        self._gmin = None
-        self._sources: dict[str, tuple[list, float]] = {}
-        # The compiled circuit's evaluation buffers are shared state: a
+        self._deck = None
+        self._params: dict[str, tuple] = {}
+        self._variants: dict[tuple, tuple] = {}
+        self._compiles = 0
+        # The compiled circuits' evaluation buffers are shared state: a
         # thread executor running two chunks through one evaluator would
         # race on them.  Solves are serialized per evaluator instance
         # (process workers each hold their own instance, so this only
         # bites — and only costs — the thread backend).
         self._lock = threading.Lock()
 
-    # -- pickling: ship the text, rebuild the circuit lazily -----------------
+    # -- pickling and identity ------------------------------------------------
 
-    def __getstate__(self):
-        return {
-            "deck": self._deck_text,
-            "measure": self._measure,
-            "tolerances": self._tolerances_arg,
-            "gmin": self._gmin_arg,
-            "engine": self._engine_arg,
-        }
+    def __reduce__(self):
+        # Ship the constructor arguments; the receiver parses lazily.
+        return type(self), self._args
 
-    def __setstate__(self, state):
-        self.__init__(state["deck"], measure=state["measure"],
-                      tolerances=state["tolerances"], gmin=state["gmin"],
-                      engine=state.get("engine"))
-
-    def _tag_extra(self) -> tuple:
-        """Subclass hook: extra values folded into the cache tag."""
-        return ()
+    def _tag_items(self) -> tuple:
+        """The constructor arguments hashed after the deck text."""
+        return self._args[1:]
 
     @property
     def __cache_tag__(self) -> str:
         """Content-hash cache tag: two evaluators over different decks
-        (or measures/tolerances/engines/grids) must never share cache
-        entries."""
+        (or measures/tolerances/engines/grids/corners) must never share
+        cache entries."""
         hasher = hashlib.sha256(self._deck_text.encode())
-        hasher.update(repr(self._measure).encode())
-        hasher.update(repr(self._tolerances_arg).encode())
-        hasher.update(repr(self._gmin_arg).encode())
-        hasher.update(repr(self._engine_arg).encode())
-        for item in self._tag_extra():
+        for item in self._tag_items():
             hasher.update(repr(item).encode())
-        return (f"repro.sweep.batched.{type(self).__name__}"
+        return (f"{self._tag_prefix}{type(self).__name__}"
                 f"#{hasher.hexdigest()[:16]}")
 
-    # -- lazy compile --------------------------------------------------------
+    def _grid(self, frequencies) -> tuple | None:
+        """A validated ``frequencies=`` argument (Hz), or None."""
+        if frequencies is None:
+            return None
+        freqs = np.asarray(list(frequencies), dtype=float)
+        if freqs.size == 0 or not np.all(np.isfinite(freqs)) \
+                or np.any(freqs <= 0.0):
+            raise self._error(
+                f"{type(self).__name__} frequencies must be a non-empty "
+                "grid of positive values (Hz)"
+            )
+        return tuple(float(f) for f in freqs)
 
-    def _ensure(self):
-        if self._circuit is not None:
+    # -- the parsed deck and its variants -------------------------------------
+
+    def _resolve(self) -> None:
+        """Parse the deck once: tolerances, options and AC grid."""
+        if self._deck is not None:
             return
-        from ..spice.engine import resolve_engine
         from ..spice.parser import parse_deck
         from ..spice.runner import _deck_tolerances
 
         deck = parse_deck(self._deck_text)
         tolerances, gmin = _deck_tolerances(deck)
-        self._circuit = deck.circuit
-        self._circuit.assign_indices()
-        self._engine = resolve_engine(self._circuit, self._engine_arg)
-        self._tolerances = (
-            self._tolerances_arg
-            if self._tolerances_arg is not None
-            else (tolerances or Tolerances())
-        )
+        self._tolerances = (self._tolerances_arg
+                            if self._tolerances_arg is not None
+                            else tolerances or Tolerances())
         self._gmin = self._gmin_arg if self._gmin_arg is not None else gmin
-        self._compiled(deck)
+        self._mode = (self._engine_arg if self._engine_arg is not None
+                      else deck.options.get("solver"))
+        self._permc = deck.options.get("permc")
+        circuit = deck.circuit
+        circuit.assign_indices()
+        if self._with_ac:
+            if self._frequencies_arg is not None:
+                self._frequencies = np.asarray(self._frequencies_arg)
+            else:
+                card = next((a for a in deck.analyses if a.kind == "ac"),
+                            None)
+                if card is None:
+                    raise self._error(
+                        f"{type(self).__name__} needs a frequency grid: "
+                        "pass frequencies=... (Hz) or give the deck an "
+                        ".AC card"
+                    )
+                self._frequencies = frequency_grid(
+                    card.args["start"], card.args["stop"],
+                    card.args["points"], card.args["sweep"],
+                )
+            self._omegas = 2.0 * np.pi * self._frequencies
+            # Sources are shared by every variant, so one stimulus
+            # vector serves them all.
+            self._rhs = ac_stimulus_rhs(circuit, circuit.num_unknowns)
+        self._deck = deck
 
-    def _compiled(self, deck) -> None:
-        """Subclass hook: runs once at the end of :meth:`_ensure`."""
+    def _variant(self, key: tuple) -> tuple:
+        """``(circuit, engine)`` of variant ``key``, compiled on first
+        use.  Variants without per-element passive values are kept; the
+        others live as long as the call that asked for them."""
+        variant = self._variants.get(key)
+        if variant is None:
+            circuit = _derive(self._deck.circuit, key)
+            if self._permc is not None:
+                circuit._permc_spec = self._permc
+            circuit.assign_indices()
+            variant = (circuit, compile_circuit(circuit, self._mode))
+            self._compiles += 1
+            if not key[1]:
+                self._variants[key] = variant
+        return variant
 
-    def _find_element(self, name: str):
-        for candidate in self._circuit:
-            if candidate.name.upper() == name.upper():
-                return candidate
-        raise SweepError(
-            f"deck has no element named {name!r} to sweep; "
-            "parameters must name independent V/I sources"
-        )
+    def _kept_keys(self) -> list:
+        """The variants :meth:`prime` compiles up front."""
+        return [_BASE]
 
-    def _source_info(self, name: str) -> tuple[list, float]:
-        info = self._sources.get(name)
+    def prime(self) -> int:
+        """Compile every kept variant up front (the service's
+        compile-once contract); returns how many are kept."""
+        with self._lock:
+            self._resolve()
+            for key in self._kept_keys():
+                self._variant(key)
+            return len(self._variants)
+
+    def compilations(self) -> int:
+        """Engines compiled so far, kept or dropped — the service's
+        recompile guard watches this stay flat."""
+        with self._lock:
+            return self._compiles
+
+    # -- points -----------------------------------------------------------------
+
+    def _param(self, name: str) -> tuple:
+        """Classify one parameter name (cached): ``("source", rows,
+        level)`` for an independent DC source, ``(kind, NAME, value)``
+        for a linear R/L/C element."""
+        info = self._params.get(name)
         if info is not None:
             return info
-        from ..spice.elements.sources import DC
-
-        element = self._find_element(name)
-        rows = getattr(element, "rhs_rows", None)
-        if rows is None or type(getattr(element, "waveform", None)) is not DC:
+        circuit = self._deck.circuit
+        if name not in circuit:
             raise SweepError(
-                f"element {name!r} is not an independent DC source; "
-                f"{type(self).__name__} can only re-bias V/I sources with "
-                "DC waveforms"
+                f"deck has no element named {name!r} to sweep; parameters "
+                "must name independent V/I sources or linear R/L/C elements"
             )
-        info = (list(element.rhs_rows()), float(element.source_value(None)))
-        self._sources[name] = info
+        element = circuit.element(name)
+        passive = _passive_value(element)
+        if getattr(element, "rhs_rows", None) is not None \
+                and type(getattr(element, "waveform", None)) is DC:
+            info = ("source", list(element.rhs_rows()),
+                    float(element.source_value(None)))
+        elif passive is not None:
+            info = (passive[0], element.name.upper(), float(passive[1]))
+        else:
+            raise SweepError(
+                f"element {name!r} is not an independent DC source or a "
+                f"linear R/L/C; {type(self).__name__} can only re-bias "
+                "sources and set passive values"
+            )
+        self._params[name] = info
         return info
 
-    def _delta(self, params: dict) -> np.ndarray | None:
-        """The rhs_delta vector biasing the deck's sources to ``params``."""
-        if not params:
-            return None
-        delta = np.zeros(self._circuit.num_unknowns)
+    def _split(self, params: dict) -> tuple[tuple, dict]:
+        """A point's corner edits and its element parameters."""
+        return (), params
+
+    def _lane(self, params: dict) -> tuple[tuple, np.ndarray | None]:
+        """One point's variant key and source re-bias vector.  Raises
+        the point's :class:`~repro.errors.ReproError` here, so the
+        scalar and blocked paths reject a point identically."""
+        edits, params = self._split(params)
+        delta = None
+        values = []
         for name, level in params.items():
-            rows, base = self._source_info(name)
-            shift = float(level) - base
-            for row, coeff in rows:
-                delta[row] += coeff * shift
-        return delta
+            kind, target, base = self._param(name)
+            level = float(level)
+            if kind == "source":
+                if delta is None:
+                    delta = np.zeros(self._deck.circuit.num_unknowns)
+                shift = level - base
+                for row, coeff in target:
+                    delta[row] += coeff * shift
+            elif not math.isfinite(level) or level < 0.0 \
+                    or (level == 0.0 and kind != "C"):
+                raise SweepError(
+                    f"cannot set {name!r} to {level!r}; passive values "
+                    "must be finite and positive (capacitance may be zero)"
+                )
+            elif level != base:
+                values.append((target, level))
+        return (edits, tuple(sorted(values))), delta
+
+    def _ac_solutions(self, engine, x: np.ndarray) -> np.ndarray:
+        """``(lanes, freqs, n)`` small-signal solutions linearized at
+        each row of ``x``."""
+        if engine.supports_stacked_evaluate:
+            # One lane-stacked linearization; each lane's G/C is
+            # bit-identical to a scalar small_signal at that point.
+            sctx = engine.evaluate_stacked(
+                x, gmin=self._gmin, limits_list=[{} for _ in x],
+                with_c=True,
+            )
+            g_stack, c_stack = np.array(sctx.g), np.array(sctx.c)
+        else:
+            pairs = [small_signal(engine, lane, self._gmin, {})
+                     for lane in x]
+            g_stack = np.stack([g for g, _ in pairs])
+            c_stack = np.stack([c for _, c in pairs])
+        return solve_ac_lanes(engine, g_stack, c_stack, self._omegas,
+                              self._rhs)
+
+    def _evaluate(self, params: dict, attempt: int):
+        """Scalar path: the point's bias through the full
+        :func:`~repro.spice.dcop.solve_dc` homotopy ladder (``attempt``
+        picks the retry rung), then its AC sweep as a single lane."""
+        with self._lock:
+            self._resolve()
+            key, delta = self._lane(params)
+            circuit, engine = self._variant(key)
+            x = solve_dc(
+                circuit, tolerances=self._tolerances, gmin=self._gmin,
+                engine=engine, attempt=attempt, rhs_delta=delta,
+            )
+            solutions = None
+            if self._with_ac:
+                if not np.any(self._rhs):
+                    raise AnalysisError(_NO_STIMULUS)
+                solutions = self._ac_solutions(engine, x[None])[0]
+            return self._reduce(circuit, x, solutions)
+
+    def _evaluate_batch(self, chunk_params: list) -> list:
+        """Blocked path: lanes grouped by variant, one stacked Newton
+        bias solve per group, then one run of ``(lanes x freq_block)``
+        stacked complex solves.  Returns ``[(value, error), ...]``
+        aligned with the chunk; a failed lane carries the identical
+        error the scalar path raises for that point, and never disturbs
+        its neighbours."""
+        with self._lock:
+            self._resolve()
+            results: list = [None] * len(chunk_params)
+            groups: dict[tuple, tuple[list, list]] = {}
+            for k, params in enumerate(chunk_params):
+                try:
+                    key, delta = self._lane(params)
+                except ReproError as error:
+                    results[k] = (None, error)
+                    continue
+                lanes, deltas = groups.setdefault(key, ([], []))
+                lanes.append(k)
+                deltas.append(delta)
+            for key, (lanes, deltas) in groups.items():
+                circuit, engine = self._variant(key)
+                x, errors = solve_dc_batched(
+                    circuit, deltas, tolerances=self._tolerances,
+                    gmin=self._gmin, engine=engine,
+                )
+                solved = []
+                for i, error in enumerate(errors):
+                    if error is None:
+                        solved.append(i)
+                    else:
+                        results[lanes[i]] = (None, error)
+                solutions = [None] * len(solved)
+                if self._with_ac and solved:
+                    if not np.any(self._rhs):
+                        for i in solved:
+                            results[lanes[i]] = (
+                                None, AnalysisError(_NO_STIMULUS))
+                        continue
+                    solutions = self._ac_solutions(engine, x[solved])
+                for i, lane_solutions in zip(solved, solutions):
+                    # Per-lane capture keeps a reduction error (a bad
+                    # measurement node, ...) identical to what the
+                    # scalar path raises for that point.
+                    try:
+                        results[lanes[i]] = (
+                            self._reduce(circuit, x[i], lane_solutions),
+                            None)
+                    except Exception as error:  # noqa: BLE001
+                        results[lanes[i]] = (None, error)
+            return results
 
 
 class BlockedDCSweep(_BlockedDeckSweep):
     """Batch-capable DC operating-point evaluator over one deck.
 
     ``deck`` is SPICE deck text; analysis cards are ignored — only the
-    circuit and ``.OPTIONS`` (RELTOL/VNTOL/ABSTOL/ITL1/GMIN) matter.
-    ``measure(circuit, x) -> value`` reduces each solved operating point
-    (default: the full solution vector); it must be picklable for the
-    process executor, e.g. :func:`node_voltage`.
+    circuit and ``.OPTIONS`` (RELTOL/VNTOL/ABSTOL/ITL1/GMIN, SOLVER,
+    PERMC) matter.  ``measure(circuit, x) -> value`` reduces each solved
+    operating point (default: the full solution vector); it must be
+    picklable for the process executor, e.g. :func:`node_voltage`.
 
-    Point parameters name independent V/I sources and give the DC level
-    to solve at; unnamed sources keep their deck values.  The instance
-    is picklable and cheap on the wire — workers rebuild the circuit
-    lazily, once, and reuse it for every later chunk.
+    Point parameters name independent V/I sources (the DC level to
+    solve at) or linear R/L/C elements (the value to solve with);
+    unnamed elements keep their deck values.  The instance is picklable
+    and cheap on the wire — workers parse the deck lazily, once, and
+    reuse its compiled engine for every later chunk.
 
     ``evaluate_batch(chunk)`` solves a whole chunk of operating points
     through :func:`repro.spice.dcop.solve_dc_batched` — a stacked
@@ -272,62 +523,44 @@ class BlockedDCSweep(_BlockedDeckSweep):
     def __call__(self, params: dict, attempt: int = 0):
         """Scalar path: one operating point through the full
         :func:`~repro.spice.dcop.solve_dc` homotopy ladder."""
-        with self._lock:
-            self._ensure()
-            x = solve_dc(
-                self._circuit, tolerances=self._tolerances, gmin=self._gmin,
-                engine=self._engine, attempt=attempt,
-                rhs_delta=self._delta(params),
-            )
-            measure = self._measure or solution_vector
-            return measure(self._circuit, x)
+        return self._evaluate(params, attempt)
 
     def evaluate_batch(self, chunk_params: list) -> list:
-        """Blocked path: solve every point of the chunk in one stacked
-        Newton run.  Returns ``[(value, error), ...]`` aligned with the
-        chunk — ``error`` is ``None`` on success, else the lane's
-        :class:`~repro.errors.ConvergenceError` (value ``None``)."""
-        with self._lock:
-            self._ensure()
-            deltas = [self._delta(params) for params in chunk_params]
-            x, errors = solve_dc_batched(
-                self._circuit, deltas, tolerances=self._tolerances,
-                gmin=self._gmin, engine=self._engine,
-            )
-            measure = self._measure or solution_vector
-            return [
-                (None, error) if error is not None
-                else (measure(self._circuit, x[k]), None)
-                for k, error in enumerate(errors)
-            ]
+        """Blocked path: every point of the chunk in one stacked Newton
+        run per variant.  Returns ``[(value, error), ...]`` aligned with
+        the chunk — ``error`` is ``None`` on success, else the lane's
+        error (value ``None``)."""
+        return self._evaluate_batch(chunk_params)
+
+    def _reduce(self, circuit, x, solutions):
+        return (self._measure or solution_vector)(circuit, x)
 
 
 class BlockedACSweep(_BlockedDeckSweep):
     """Batch-capable AC small-signal evaluator over one deck.
 
-    Every point is an AC sweep over one frequency grid: bias the deck's
-    sources to the point's levels, linearize, then solve
-    ``(G + j*omega*C) dx = b`` per frequency.
-    ``measure(circuit, solutions) -> value`` reduces the point's
-    ``(freqs, unknowns)`` complex solution matrix (default: the full
-    matrix); it must be picklable, e.g. :func:`ac_node_voltage` or
+    Every point is an AC sweep over one frequency grid: bias the deck to
+    the point, linearize, then solve ``(G + j*omega*C) dx = b`` per
+    frequency.  ``measure(circuit, solutions) -> value`` reduces the
+    point's ``(freqs, unknowns)`` complex solution matrix (default: the
+    full matrix); it must be picklable, e.g. :func:`ac_node_voltage` or
     :func:`ac_gain_db`.
 
-    Point parameters may name independent DC V/I sources (re-biased via
-    ``rhs_delta``, exactly as :class:`BlockedDCSweep`) **or** linear
-    R/L/C elements: a passive override is applied as a small-signal
-    G/C stamp delta at the element's precomputed matrix positions —
-    ``1/R`` into G, ``C`` into C, ``-L`` into the inductor's branch row
-    — without touching the DC bias or the compiled pattern.
+    Point parameters are those of :class:`BlockedDCSweep`: source levels
+    re-bias through ``rhs_delta``, and an R/L/C value selects a compiled
+    variant of the deck, so the bias and the small-signal matrices both
+    see it — exactly as simulating the edited deck would.
 
     ``frequencies`` is the grid in Hz; ``None`` adopts the deck's
-    ``.AC`` card.  ``evaluate_batch(chunk)`` bias-solves all lanes
-    through :func:`~repro.spice.dcop.solve_dc_batched`, restamps
-    per-lane G/C deltas, and solves the whole chunk as
+    ``.AC`` card.  ``evaluate_batch(chunk)`` bias-solves the lanes of
+    each variant through :func:`~repro.spice.dcop.solve_dc_batched`,
+    linearizes them in one lane-stacked evaluation, and solves them as
     ``(lanes x freq_block)`` stacked complex systems through the
     engine's batched entry points — a handful of batched solves instead
     of ``lanes * freqs`` scalar ones, bit-identical to the scalar path.
     """
+
+    _with_ac = True
 
     def __init__(self, deck: str, measure=None, frequencies=None,
                  tolerances: Tolerances | None = None,
@@ -335,289 +568,32 @@ class BlockedACSweep(_BlockedDeckSweep):
                  engine: str | None = None):
         super().__init__(deck, measure=measure, tolerances=tolerances,
                          gmin=gmin, engine=engine)
-        if frequencies is not None:
-            freqs = np.asarray(list(frequencies), dtype=float)
-            if freqs.size == 0 or not np.all(np.isfinite(freqs)) \
-                    or np.any(freqs <= 0.0):
-                raise SweepError(
-                    "BlockedACSweep frequencies must be a non-empty grid "
-                    "of positive values (Hz)"
-                )
-            self._frequencies_arg = tuple(float(f) for f in freqs)
-        else:
-            self._frequencies_arg = None
-        self._frequencies = None
-        self._omegas = None
-        self._rhs = None
-        self._sparse = False
-        self._params: dict[str, tuple] = {}
+        self._frequencies_arg = self._grid(frequencies)
+        self._args = (deck, measure, self._frequencies_arg, tolerances,
+                      gmin, engine)
         #: Planner hint: blocked complex solves run mostly in
         #: LAPACK/SuperLU with the GIL released, so the thread backend
         #: overlaps far more of the evaluation than scalar python work.
         self.thread_fraction_hint = DEFAULT_COST_MODEL.complex_parallel_fraction
 
-    def __getstate__(self):
-        state = super().__getstate__()
-        state["frequencies"] = self._frequencies_arg
-        return state
-
-    def __setstate__(self, state):
-        self.__init__(state["deck"], measure=state["measure"],
-                      frequencies=state.get("frequencies"),
-                      tolerances=state["tolerances"], gmin=state["gmin"],
-                      engine=state.get("engine"))
-
-    def _tag_extra(self) -> tuple:
-        return ("ac", self._frequencies_arg)
-
     @property
     def frequencies(self) -> np.ndarray:
-        """The resolved frequency grid (compiles the deck if needed)."""
+        """The resolved frequency grid (parses the deck if needed)."""
         with self._lock:
-            self._ensure()
+            self._resolve()
             return np.array(self._frequencies)
-
-    # -- compile hooks -------------------------------------------------------
-
-    def _compiled(self, deck) -> None:
-        from ..spice.ac import ac_stimulus_rhs, frequency_grid
-
-        if self._frequencies_arg is not None:
-            self._frequencies = np.asarray(self._frequencies_arg, dtype=float)
-        else:
-            card = next(
-                (a for a in deck.analyses if a.kind == "ac"), None
-            )
-            if card is None:
-                raise SweepError(
-                    "BlockedACSweep needs a frequency grid: pass "
-                    "frequencies=... (Hz) or give the deck an .AC card"
-                )
-            self._frequencies = frequency_grid(
-                card.args["start"], card.args["stop"],
-                card.args["points"], card.args["sweep"],
-            )
-        self._omegas = 2.0 * np.pi * self._frequencies
-        self._rhs = ac_stimulus_rhs(self._circuit, self._circuit.num_unknowns)
-        self._sparse = self._engine.assembly == "sparse"
-
-    # -- parameter classification -------------------------------------------
-
-    def _param_info(self, name: str) -> tuple:
-        """Classify one parameter name: ``("source", info)`` or a
-        passive override ``(kind, (stamp, base))`` with kind in
-        ``"R"/"C"/"L"``.  Cached — classification walks the netlist and
-        (sparse) resolves pattern positions once per name."""
-        info = self._params.get(name)
-        if info is not None:
-            return info
-        from ..spice.elements.capacitor import Capacitor
-        from ..spice.elements.inductor import Inductor
-        from ..spice.elements.resistor import Resistor
-        from ..spice.elements.sources import DC
-
-        element = self._find_element(name)
-        rows = getattr(element, "rhs_rows", None)
-        if rows is not None and \
-                type(getattr(element, "waveform", None)) is DC:
-            info = ("source", self._source_info(name))
-        elif isinstance(element, Resistor):
-            p, n = element.node_index
-            info = ("R", (self._conductance_stamp(p, n),
-                          1.0 / float(element.resistance)))
-        elif isinstance(element, Capacitor):
-            p, n = element.node_index
-            info = ("C", (self._conductance_stamp(p, n),
-                          float(element.capacitance)))
-        elif isinstance(element, Inductor):
-            branch = element.branch_index[0]
-            info = ("L", (self._conductance_stamp(branch, -1),
-                          float(element.inductance)))
-        else:
-            raise SweepError(
-                f"element {name!r} is not an independent DC source or a "
-                "linear R/L/C; BlockedACSweep can only re-bias sources "
-                "and override passive values"
-            )
-        self._params[name] = info
-        return info
-
-    def _conductance_stamp(self, p: int, n: int) -> tuple:
-        """The two-terminal stamp footprint between nodes ``p``/``n``
-        (``n < 0``: a single diagonal slot, also used for the inductor's
-        branch row): ground-filtered rows/cols/signs plus, under sparse
-        assembly, the scatter positions into the shared pattern."""
-        if n < 0 and p < 0:
-            raise SweepError("cannot override an element with both "
-                             "terminals grounded")
-        if n < 0 or p < 0:
-            node = p if p >= 0 else n
-            rows = np.array([node], dtype=np.intp)
-            cols = np.array([node], dtype=np.intp)
-            signs = np.array([1.0])
-        else:
-            rows = np.array([p, n, p, n], dtype=np.intp)
-            cols = np.array([p, n, n, p], dtype=np.intp)
-            signs = np.array([1.0, 1.0, -1.0, -1.0])
-        positions = None
-        if self._sparse:
-            positions, keep = self._engine.pattern.stamp_positions(rows, cols)
-            rows, cols, signs = rows[keep], cols[keep], signs[keep]
-        return rows, cols, signs, positions
-
-    def _override_deltas(self, params: dict) -> list:
-        """Per-point passive overrides as ``(matrix, stamp, delta)``
-        triples (``matrix`` is ``"g"`` or ``"c"``); source parameters
-        are skipped (they travel through ``rhs_delta``).  Validated
-        here so the scalar and batched paths raise identical
-        :class:`~repro.errors.SweepError`\\ s per point."""
-        out = []
-        for name, level in params.items():
-            kind, payload = self._param_info(name)
-            if kind == "source":
-                continue
-            stamp, base = payload
-            level = float(level)
-            if not np.isfinite(level) or (kind == "R" and level == 0.0):
-                raise SweepError(
-                    f"cannot override {name!r} to {level!r}; passive "
-                    "values must be finite (and resistance nonzero)"
-                )
-            if kind == "R":
-                out.append(("g", stamp, 1.0 / level - base))
-            elif kind == "C":
-                out.append(("c", stamp, level - base))
-            else:  # inductor: the branch equation stamps -L into C
-                out.append(("c", stamp, -(level - base)))
-        return out
-
-    def _delta(self, params: dict) -> np.ndarray | None:
-        """Source-only rhs_delta; passive parameters ride separately
-        through :meth:`_override_deltas`."""
-        if not params:
-            return None
-        delta = None
-        for name, level in params.items():
-            kind, payload = self._param_info(name)
-            if kind != "source":
-                continue
-            rows, base = payload
-            if delta is None:
-                delta = np.zeros(self._circuit.num_unknowns)
-            shift = float(level) - base
-            for row, coeff in rows:
-                delta[row] += coeff * shift
-        return delta
-
-    # -- evaluation ----------------------------------------------------------
-
-    def _small_signal(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Fresh G/C copies linearized at the solved operating point."""
-        from ..spice.ac import small_signal
-
-        return small_signal(self._engine, x, self._gmin, {})
-
-    @staticmethod
-    def _apply_overrides(g_arr, c_arr, overrides) -> None:
-        for matrix, stamp, delta in overrides:
-            rows, cols, signs, positions = stamp
-            target = g_arr if matrix == "g" else c_arr
-            if positions is not None:
-                np.add.at(target, positions, signs * delta)
-            else:
-                np.add.at(target, (rows, cols), signs * delta)
-
-    def _solve_lanes(self, g_stack, c_stack) -> np.ndarray:
-        from ..spice.ac import solve_ac_lanes
-
-        return solve_ac_lanes(
-            self._engine, g_stack, c_stack, self._omegas, self._rhs
-        )
 
     def __call__(self, params: dict, attempt: int = 0):
         """Scalar path: one full :func:`~repro.spice.dcop.solve_dc`
         homotopy bias solve, then the point's AC sweep as a single
         lane through the blocked frequency solver."""
-        with self._lock:
-            self._ensure()
-            delta = self._delta(params)
-            overrides = self._override_deltas(params)
-            x = solve_dc(
-                self._circuit, tolerances=self._tolerances, gmin=self._gmin,
-                engine=self._engine, attempt=attempt, rhs_delta=delta,
-            )
-            if not np.any(self._rhs):
-                raise AnalysisError(_NO_STIMULUS)
-            g_arr, c_arr = self._small_signal(x)
-            self._apply_overrides(g_arr, c_arr, overrides)
-            solutions = self._solve_lanes(g_arr[None], c_arr[None])[0]
-            measure = self._measure or ac_solution_matrix
-            return measure(self._circuit, solutions)
+        return self._evaluate(params, attempt)
 
     def evaluate_batch(self, chunk_params: list) -> list:
-        """Blocked path: one stacked Newton bias solve for the chunk,
+        """Blocked path: one stacked Newton bias solve per variant,
         then one run of ``(lanes x freq_block)`` stacked complex solves.
-        Returns ``[(value, error), ...]`` aligned with the chunk; a
-        failed lane carries the identical error the scalar path would
-        raise for that point, and never disturbs its neighbours."""
-        with self._lock:
-            self._ensure()
-            results: list = [None] * len(chunk_params)
-            lanes: list[int] = []
-            lane_deltas: list = []
-            lane_overrides: list = []
-            for k, params in enumerate(chunk_params):
-                try:
-                    delta = self._delta(params)
-                    overrides = self._override_deltas(params)
-                except SweepError as error:
-                    results[k] = (None, error)
-                else:
-                    lanes.append(k)
-                    lane_deltas.append(delta)
-                    lane_overrides.append(overrides)
-            if not lanes:
-                return results
-            x, errors = solve_dc_batched(
-                self._circuit, lane_deltas, tolerances=self._tolerances,
-                gmin=self._gmin, engine=self._engine,
-            )
-            solved: list[int] = []
-            for i, error in enumerate(errors):
-                if error is not None:
-                    results[lanes[i]] = (None, error)
-                else:
-                    solved.append(i)
-            if not solved:
-                return results
-            if not np.any(self._rhs):
-                for i in solved:
-                    results[lanes[i]] = (None, AnalysisError(_NO_STIMULUS))
-                return results
-            if self._engine.supports_stacked_evaluate:
-                # One lane-stacked linearization for every solved bias
-                # point; each lane's G/C is bit-identical to the scalar
-                # _small_signal at that point.
-                sctx = self._engine.evaluate_stacked(
-                    x[np.array(solved)], gmin=self._gmin,
-                    limits_list=[dict() for _ in solved], with_c=True,
-                )
-                g_list = [np.array(g) for g in sctx.g]
-                c_list = [np.array(c) for c in sctx.c]
-                for j, i in enumerate(solved):
-                    self._apply_overrides(
-                        g_list[j], c_list[j], lane_overrides[i]
-                    )
-            else:
-                g_list, c_list = [], []
-                for i in solved:
-                    g_arr, c_arr = self._small_signal(x[i])
-                    self._apply_overrides(g_arr, c_arr, lane_overrides[i])
-                    g_list.append(g_arr)
-                    c_list.append(c_arr)
-            solutions = self._solve_lanes(np.stack(g_list), np.stack(c_list))
-            measure = self._measure or ac_solution_matrix
-            for j, i in enumerate(solved):
-                results[lanes[i]] = (measure(self._circuit, solutions[j]),
-                                     None)
-            return results
+        Returns ``[(value, error), ...]`` aligned with the chunk."""
+        return self._evaluate_batch(chunk_params)
+
+    def _reduce(self, circuit, x, solutions):
+        return (self._measure or ac_solution_matrix)(circuit, solutions)

@@ -1,25 +1,27 @@
-"""The qualification harness: every corner through the blocked sweep engine.
+"""The qualification harness: every corner through the blocked deck evaluator.
 
 :class:`CornerEvaluator` turns a deck plus a :class:`~repro.verify.corners.
 CornerSet` into a sweep evaluation function the existing fault-tolerant
 engine (:func:`repro.sweep.run_sweep`) can fan out: each sweep point is
 one corner's ``{axis: value}`` dict, each value is one corner's outcome
-(measurements, device stress quantities, violations).  The evaluator is
-picklable (it ships deck text and plain dataclasses), batch-capable
-(``supports_batch``/``evaluate_batch``), and content-hashed
-(``__cache_tag__``) — so corners ride the same executor matrix, result
-cache, ``on_error`` policies and bit-identity contract as every other
-sweep in the repo.
+(measurements, device stress quantities, violations).  It is a
+configuration of the one blocked deck evaluator behind
+:class:`~repro.sweep.BlockedDCSweep` and :class:`~repro.sweep.
+BlockedACSweep` (:mod:`repro.sweep.batched`), so corners ride the same
+pickling, content-hashed cache tag (``__cache_tag__``), executor matrix,
+result cache, ``on_error`` policies and bit-identity contract as every
+other sweep in the repo.
 
 Corner mechanics: axes that change the compiled matrix (temperature,
-passive scale) are folded into **derived decks** — one
-:class:`~repro.sweep.BlockedDCSweep` (and, with AC measurements, one
-:class:`~repro.sweep.BlockedACSweep`) per distinct deck-level value
-combination, compiled once and reused for every corner in the group —
-while source axes ride each group's ``rhs_delta`` re-bias path.  A
-27-corner set over 3 temperatures x 3 resistor scales x 3 supply levels
-therefore compiles 9 corner decks and solves 3 stacked bias points
-through each.
+passive scale) select a deck *variant* — a circuit derived from the
+parsed deck and compiled directly, once per distinct combination of
+their levels and kept for every corner sharing it — while source axes
+re-bias lanes of that variant through ``rhs_delta``.  Each corner gets
+one bias solve, and that one operating point feeds the DC measurements,
+the small-signal AC sweep and the stress checks.  A 27-corner set over 3
+temperatures x 3 resistor scales x 3 supply levels therefore parses the
+deck once, compiles 9 engines and solves 3 stacked bias lanes through
+each.
 
 :func:`qualify_deck` / :func:`qualify_cell` wrap the whole flow and
 return a :class:`~repro.verify.report.QualificationReport`.
@@ -27,16 +29,13 @@ return a :class:`~repro.verify.report.QualificationReport`.
 
 from __future__ import annotations
 
-import hashlib
-import math
-import threading
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..sweep import run_sweep
-from ..sweep.batched import BlockedACSweep, BlockedDCSweep
+from ..sweep.batched import _BlockedDeckSweep
 from .corners import CornerSet, VerificationError, corners_from_tolerances
 from .report import CornerOutcome, QualificationReport
 from .stress import DEFAULT_STRESS_RULES, check_stress, device_quantities
@@ -184,254 +183,83 @@ def _ac_value(measurement: Measurement, circuit, frequencies,
                                               - measurement.frequency)))])
 
 
-class _Group:
-    """One derived corner deck: its text and compiled evaluators."""
-
-    __slots__ = ("deck_text", "dc", "ac", "circuit")
-
-    def __init__(self, deck_text, dc, ac, circuit):
-        self.deck_text = deck_text
-        self.dc = dc
-        self.ac = ac
-        self.circuit = circuit
-
-
-class CornerEvaluator:
+class CornerEvaluator(_BlockedDeckSweep):
     """Batch-capable, picklable corner evaluation function (see module
     docstring).  ``fn(corner.values) -> outcome dict`` with the blocked
-    fast path under ``evaluate_batch``."""
+    fast path under ``evaluate_batch``: a configuration of the blocked
+    deck evaluator whose points carry corner levels and whose reduction
+    is the corner outcome."""
 
-    supports_batch = True
-
-    @staticmethod
-    def preferred_chunk_size(count: int) -> int:
-        """Blocked evaluation wants few large chunks (cf.
-        :meth:`repro.sweep.batched._BlockedDeckSweep.preferred_chunk_size`)."""
-        return max(1, math.ceil(count / 8))
+    _error = VerificationError
+    _tag_prefix = "repro.verify."
 
     def __init__(self, deck: str, corners: CornerSet, measurements,
                  rules=DEFAULT_STRESS_RULES, frequencies=None,
                  engine: str | None = None):
-        if not isinstance(deck, str) or not deck.strip():
-            raise VerificationError(
-                "CornerEvaluator takes deck text (str); pass the netlist "
-                "source so the evaluator stays picklable"
-            )
+        super().__init__(deck, engine=engine)
         if not isinstance(corners, CornerSet):
             raise VerificationError(
                 f"CornerEvaluator needs a CornerSet, got "
                 f"{type(corners).__name__}"
             )
-        self._deck_text = deck
-        self._corners = corners
         self._measurements = tuple(measurements)
         if not self._measurements:
             raise VerificationError(
                 "qualification needs at least one measurement"
             )
+        self._corners = corners
         self._rules = tuple(rules)
-        self._frequencies_arg = (
-            None if frequencies is None
-            else tuple(float(f) for f in frequencies)
-        )
-        self._engine_arg = engine
+        self._frequencies_arg = self._grid(frequencies)
+        self._args = (deck, corners, self._measurements, self._rules,
+                      self._frequencies_arg, engine)
         self._deck_axes = corners.deck_axes()
         self._source_axes = corners.source_axes()
-        self._wants_ac = any(m.analysis == "ac"
-                             for m in self._measurements)
-        self._base = None
-        self._tolerances = None
-        self._gmin = None
-        self._frequencies = None
-        self._groups: dict[tuple, _Group] = {}
-        self._lock = threading.Lock()
+        self._with_ac = any(m.analysis == "ac" for m in self._measurements)
 
-    # -- pickling ------------------------------------------------------------
+    def _tag_items(self) -> tuple:
+        return (self._corners.to_dict(),) + self._args[2:]
 
-    def __getstate__(self):
-        return {
-            "deck": self._deck_text,
-            "corners": self._corners,
-            "measurements": self._measurements,
-            "rules": self._rules,
-            "frequencies": self._frequencies_arg,
-            "engine": self._engine_arg,
-        }
-
-    def __setstate__(self, state):
-        self.__init__(state["deck"], state["corners"],
-                      state["measurements"], rules=state["rules"],
-                      frequencies=state["frequencies"],
-                      engine=state["engine"])
-
-    @property
-    def __cache_tag__(self) -> str:
-        hasher = hashlib.sha256(self._deck_text.encode())
-        hasher.update(repr(self._corners.to_dict()).encode())
-        hasher.update(repr(self._measurements).encode())
-        hasher.update(repr(self._rules).encode())
-        hasher.update(repr(self._frequencies_arg).encode())
-        hasher.update(repr(self._engine_arg).encode())
-        return f"repro.verify.CornerEvaluator#{hasher.hexdigest()[:16]}"
-
-    # -- lazy compile --------------------------------------------------------
-
-    def _ensure_base(self) -> None:
-        if self._base is not None:
-            return
-        from ..spice.parser import parse_deck
-        from ..spice.runner import _deck_tolerances
-
-        deck = parse_deck(self._deck_text)
-        self._tolerances, self._gmin = _deck_tolerances(deck)
-        if self._frequencies_arg is not None:
-            self._frequencies = np.asarray(self._frequencies_arg,
-                                           dtype=float)
-        elif self._wants_ac:
-            from ..spice.ac import frequency_grid
-
-            card = next((a for a in deck.analyses if a.kind == "ac"),
-                        None)
-            if card is None:
+    def _split(self, params: dict) -> tuple[tuple, dict]:
+        """Corner levels -> deck edits (temperature, passive scales)
+        and source levels keyed by the source they re-bias."""
+        edits = []
+        for axis in self._deck_axes:
+            try:
+                level = float(params[axis.name])
+            except KeyError:
                 raise VerificationError(
-                    "AC measurements need a frequency grid: pass "
-                    "frequencies=... (Hz) or give the deck an .AC card"
-                )
-            self._frequencies = frequency_grid(
-                card.args["start"], card.args["stop"],
-                card.args["points"], card.args["sweep"],
-            )
-        self._base = deck
-
-    def _group_key(self, params: dict) -> tuple:
-        try:
-            return tuple(float(params[axis.name])
-                         for axis in self._deck_axes)
-        except KeyError as exc:
-            raise VerificationError(
-                f"corner point is missing deck-level axis {exc}; points "
-                "must carry every axis of the corner set"
-            ) from None
-
-    def _source_params(self, params: dict) -> dict:
-        out = {}
+                    f"corner point is missing deck-level axis "
+                    f"{axis.name!r}; points must carry every axis of the "
+                    "corner set"
+                ) from None
+            edits.append((axis.kind if axis.kind == "temperature"
+                          else axis.target, level))
+        sources = {}
         for axis in self._source_axes:
             try:
-                out[axis.target] = float(params[axis.name])
+                sources[axis.target] = float(params[axis.name])
             except KeyError:
                 raise VerificationError(
                     f"corner point is missing source axis "
                     f"{axis.name!r}"
                 ) from None
-        return out
+        return tuple(edits), sources
 
-    def _derived_deck(self, key: tuple) -> str:
-        """The corner deck for one deck-level value combination."""
-        if not key:
-            return self._deck_text
-        from ..devices.temperature import celsius
-        from ..spice.serialize import circuit_to_deck
-        from ..spice.temperature import circuit_at_temperature
-        from ..spice.elements.capacitor import Capacitor
-        from ..spice.elements.inductor import Inductor
-        from ..spice.elements.resistor import Resistor
-        from ..spice.netlist import Circuit
+    def _kept_keys(self) -> list:
+        return sorted({(self._split(corner.values)[0], ())
+                       for corner in self._corners})
 
-        circuit = self._base.circuit
-        title = circuit.title or "corner deck"
-        for axis, value in zip(self._deck_axes, key):
-            if axis.kind == "temperature":
-                circuit = circuit_at_temperature(circuit, celsius(value))
-            else:
-                kinds = {"R": Resistor, "C": Capacitor, "L": Inductor}
-                cls = kinds[axis.target]
-                scaled = Circuit(circuit.title)
-                for element in circuit:
-                    if isinstance(element, cls):
-                        if cls is Resistor:
-                            scaled.add(Resistor(
-                                element.name, element.nodes,
-                                float(element.resistance) * value))
-                        elif cls is Capacitor:
-                            scaled.add(Capacitor(
-                                element.name, element.nodes,
-                                float(element.capacitance) * value,
-                                ic=element.ic))
-                        else:
-                            scaled.add(Inductor(
-                                element.name, element.nodes,
-                                float(element.inductance) * value,
-                                ic=element.ic))
-                    else:
-                        scaled.add(element)
-                circuit = scaled
-        tag = "/".join(
-            f"{axis.name}={value:g}"
-            for axis, value in zip(self._deck_axes, key)
-        )
-        return circuit_to_deck(circuit, title=f"{title} [{tag}]")
-
-    def _group(self, key: tuple) -> _Group:
-        group = self._groups.get(key)
-        if group is not None:
-            return group
-        self._ensure_base()
-        deck_text = self._derived_deck(key)
-        dc = BlockedDCSweep(
-            deck_text, tolerances=self._tolerances, gmin=self._gmin,
-            engine=self._engine_arg,
-        )
-        dc._ensure()
-        ac = None
-        if self._wants_ac:
-            ac = BlockedACSweep(
-                deck_text,
-                frequencies=tuple(float(f) for f in self._frequencies),
-                tolerances=self._tolerances, gmin=self._gmin,
-                engine=self._engine_arg,
-            )
-            ac._ensure()
-        group = _Group(deck_text, dc, ac, dc._circuit)
-        self._groups[key] = group
-        return group
-
-    def prime(self) -> int:
-        """Compile every corner deck up front (the service's
-        compile-once contract); returns the group count."""
-        with self._lock:
-            self._ensure_base()
-            keys = {self._group_key(corner.values)
-                    for corner in self._corners}
-            for key in sorted(keys):
-                self._group(key)
-            return len(self._groups)
-
-    def compilations(self) -> int:
-        """Summed engine compile counter across every corner deck —
-        the service's recompile guard watches this stay flat."""
-        with self._lock:
-            total = 0
-            for group in self._groups.values():
-                for evaluator in (group.dc, group.ac):
-                    engine = getattr(evaluator, "_engine", None)
-                    if engine is not None:
-                        total += engine.stats.compilations
-            return total
-
-    # -- outcome reduction ---------------------------------------------------
-
-    def _outcome(self, group: _Group, x, ac_solutions) -> dict:
+    def _reduce(self, circuit, x, solutions) -> dict:
         measurements = {}
         for measurement in self._measurements:
             if measurement.analysis == "dc":
                 measurements[measurement.name] = _dc_value(
-                    measurement, group.circuit, x)
+                    measurement, circuit, x)
             else:
                 measurements[measurement.name] = _ac_value(
-                    measurement, group.circuit, self._frequencies,
-                    ac_solutions)
-        quantities = device_quantities(group.circuit, x)
-        violations = check_stress(group.circuit, x, self._rules,
+                    measurement, circuit, self._frequencies, solutions)
+        quantities = device_quantities(circuit, x)
+        violations = check_stress(circuit, x, self._rules,
                                   quantities=quantities)
         return {
             "measurements": measurements,
@@ -439,72 +267,18 @@ class CornerEvaluator:
             "violations": tuple(violations),
         }
 
-    # -- evaluation ----------------------------------------------------------
-
     def __call__(self, params: dict, attempt: int = 0) -> dict:
-        """Scalar path: one corner through the group's full solve."""
-        with self._lock:
-            group = self._group(self._group_key(params))
-            source_params = self._source_params(params)
-            x = group.dc(source_params, attempt=attempt)
-            solutions = None
-            if group.ac is not None:
-                solutions = group.ac(source_params, attempt=attempt)
-            return self._outcome(group, x, solutions)
+        """Scalar path: one corner through its variant's full bias
+        solve (and AC sweep), reduced to the corner outcome."""
+        return self._evaluate(params, attempt)
 
     def evaluate_batch(self, chunk_params: list) -> list:
-        """Blocked path: lanes grouped by corner deck, each group solved
-        through the blocked DC/AC evaluators' stacked fast paths.
-        Returns ``[(outcome, error), ...]`` aligned with the chunk —
-        per-lane errors identical to what the scalar path raises."""
-        with self._lock:
-            results: list = [None] * len(chunk_params)
-            lanes_by_key: dict[tuple, list[int]] = {}
-            for k, params in enumerate(chunk_params):
-                try:
-                    key = self._group_key(params)
-                except VerificationError as error:
-                    results[k] = (None, error)
-                    continue
-                lanes_by_key.setdefault(key, []).append(k)
-            for key, lanes in lanes_by_key.items():
-                group = self._group(key)
-                source_params = []
-                kept = []
-                for k in lanes:
-                    try:
-                        source_params.append(
-                            self._source_params(chunk_params[k]))
-                        kept.append(k)
-                    except VerificationError as error:
-                        results[k] = (None, error)
-                if not kept:
-                    continue
-                dc_results = group.dc.evaluate_batch(source_params)
-                ac_results = None
-                if group.ac is not None:
-                    ac_results = group.ac.evaluate_batch(source_params)
-                for j, k in enumerate(kept):
-                    x, error = dc_results[j]
-                    if error is not None:
-                        results[k] = (None, error)
-                        continue
-                    solutions = None
-                    if ac_results is not None:
-                        solutions, error = ac_results[j]
-                        if error is not None:
-                            results[k] = (None, error)
-                            continue
-                    # Per-lane capture keeps reduction errors (bad
-                    # measurement node, ...) identical to what the
-                    # scalar path raises for that corner, instead of
-                    # failing the whole chunk.
-                    try:
-                        results[k] = (
-                            self._outcome(group, x, solutions), None)
-                    except Exception as error:  # noqa: BLE001
-                        results[k] = (None, error)
-            return results
+        """Blocked path: lanes grouped by corner variant, one stacked
+        bias solve per variant feeding the DC measurements, the AC
+        sweep and the stress checks.  Returns ``[(outcome, error),
+        ...]`` aligned with the chunk — per-lane errors identical to
+        what the scalar path raises."""
+        return self._evaluate_batch(chunk_params)
 
 
 def _failure_record(failed) -> dict:
@@ -541,13 +315,26 @@ def qualify_deck(
     ``evaluator`` lets a caller (the service) supply a pre-compiled
     :class:`CornerEvaluator` so repeated qualifications reuse the
     per-corner compiled engines; otherwise one is built from the
-    arguments.  ``stats_sink["sweep"]`` receives the run's
-    :class:`~repro.sweep.SweepStats` when a dict is passed.
+    arguments.  A supplied evaluator must have been built from the same
+    ``deck``, ``corners``, ``measurements``, ``rules``, ``frequencies``
+    and ``engine`` (its cache tag must match), else
+    :class:`~repro.verify.corners.VerificationError`: it would evaluate
+    other corners than the ones reported.  ``stats_sink["sweep"]``
+    receives the run's :class:`~repro.sweep.SweepStats` when a dict is
+    passed.
     """
+    built = CornerEvaluator(
+        deck, corners, measurements, rules=rules,
+        frequencies=frequencies, engine=engine,
+    )
     if evaluator is None:
-        evaluator = CornerEvaluator(
-            deck, corners, measurements, rules=rules,
-            frequencies=frequencies, engine=engine,
+        evaluator = built
+    elif evaluator.__cache_tag__ != built.__cache_tag__:
+        raise VerificationError(
+            "qualify_deck: the evaluator was built from another deck, "
+            "corner set, measurement set, rules, frequency grid or "
+            "engine than this call names; pass the arguments it was "
+            "built from, or no evaluator"
         )
     started = time.perf_counter()
     result = run_sweep(
@@ -599,8 +386,7 @@ def qualify_deck(
         name=name,
         axes=[axis.to_dict() for axis in corners.axes],
         outcomes=outcomes,
-        rules=[rule.to_dict() for rule in
-               (evaluator._rules if evaluator is not None else rules)],
+        rules=[rule.to_dict() for rule in evaluator._rules],
         stats=stats,
     )
 

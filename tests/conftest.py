@@ -81,3 +81,21 @@ def as_pattern():
         return pattern, values
 
     return build
+
+
+@pytest.fixture()
+def compile_log(monkeypatch):
+    """Every engine compiled while the test runs, in order, as
+    ``(assembly, permc_spec)`` pairs (``permc_spec`` is None on dense
+    engines and on sparse ones left at SuperLU's default ordering)."""
+    from repro.spice.engine import CompiledCircuit
+
+    log = []
+    original = CompiledCircuit.__init__
+
+    def init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        log.append((self.assembly, getattr(self.solver, "permc_spec", None)))
+
+    monkeypatch.setattr(CompiledCircuit, "__init__", init)
+    return log

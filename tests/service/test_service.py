@@ -184,10 +184,11 @@ class TestSweepAndOptimizeJobs:
         _run(service, service.run_sweep(cid, **request))
         entry = service._entry(cid)
         evaluator = entry.evaluators[("ac", "c", (1e6, 1e8, 1e10))]
-        compiled = evaluator._engine.stats.compilations
+        compiled = evaluator.compilations()
+        assert compiled == 1  # primed at first use
         _run(service, service.run_sweep(cid, **request))
         _run(service, service.run_sweep(cid, tenant="other", **request))
-        assert evaluator._engine.stats.compilations == compiled
+        assert evaluator.compilations() == compiled
         assert service.stats_payload()["stats"]["circuits"]["recompiles"] == 0
         # Second identical request on the same tenant was pure cache.
         second = _run(service, service.run_sweep(cid, **request))

@@ -31,9 +31,9 @@ from repro.sweep import (
 DECKS = Path(__file__).resolve().parents[2] / "examples" / "decks"
 DECK_TEXT = (DECKS / "ce_stage.cir").read_text()
 
-#: The CE stage extended with linear passives for override sweeping: a
-#: load capacitor, an emitter-leg inductor and a second resistor, all
-#: of which BlockedACSweep can re-stamp without recompiling.
+#: The CE stage extended with linear passives for value sweeping: a
+#: load capacitor, an emitter-leg inductor and a second resistor, each
+#: of which a point may set (through a compiled variant of the deck).
 PASSIVE_DECK = DECK_TEXT.replace(
     ".OP",
     "CL c 0 0.5p\nLE e2 0 1n\nRE2 c e2 10k\n.OP",
@@ -145,7 +145,7 @@ class TestSweepParityMatrix:
 
 
 class TestPassiveOverrides:
-    """R/L/C value overrides restamped through the shared pattern."""
+    """R/L/C values set per point, through compiled deck variants."""
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_override_parity_scalar_vs_batch(self, engine):
@@ -198,6 +198,52 @@ class TestPassiveOverrides:
         assert isinstance(results[1][1], SweepError)
         np.testing.assert_array_equal(results[0][0], fn(points[0]))
         np.testing.assert_array_equal(results[2][0], fn(points[2]))
+
+
+#: A first-order RC low-pass: |H| = 1 / sqrt(1 + (2 pi f R C)^2).
+LOWPASS = """* rc low-pass
+V1 in 0 DC 0 AC 1
+R1 in out 1k
+C1 out 0 1n
+.AC DEC 10 1K 10MEG
+.END
+"""
+
+
+class TestEditedDeckOracles:
+    """A point's passive values reach the bias and the small-signal
+    matrices alike: each point reads what simulating the edited deck
+    (or the closed form) gives."""
+
+    def test_rc_lowpass_matches_closed_form(self):
+        fn = BlockedACSweep(LOWPASS, measure=ac_node_voltage("out"))
+        points = [{"C1": c} for c in (0.47e-9, 1e-9, 2.2e-9, 10e-9)]
+        batched = fn.evaluate_batch(points)
+        freqs = fn.frequencies
+        for point, (value, error) in zip(points, batched):
+            assert error is None
+            np.testing.assert_array_equal(value, fn(point))
+            expected = 1.0 / np.sqrt(
+                1.0 + (2.0 * np.pi * freqs * 1e3 * point["C1"]) ** 2)
+            np.testing.assert_allclose(np.abs(value), expected, rtol=1e-9)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_bias_resistor_matches_the_edited_deck(self, engine):
+        from repro.spice.ac import solve_ac
+
+        point = {"VB": 0.85, "RC": 1.5e3}
+        edited = DECK_TEXT.replace("VB b 0 DC 0.8 AC 1",
+                                   "VB b 0 DC 0.85 AC 1")
+        edited = edited.replace("RC vcc c 1k", "RC vcc c 1.5k")
+        assert edited.count("0.85") == 1 and "1.5k" in edited
+        fn = BlockedACSweep(DECK_TEXT, engine=engine)
+        scalar = fn(point)
+        (batched, error), = fn.evaluate_batch([point])
+        assert error is None
+        np.testing.assert_array_equal(batched, scalar)
+        reference = solve_ac(parse_deck(edited).circuit, fn.frequencies,
+                             engine=engine).solutions
+        np.testing.assert_allclose(scalar, reference, rtol=1e-9, atol=0.0)
 
 
 class TestFrequencyResolution:

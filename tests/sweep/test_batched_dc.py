@@ -258,9 +258,14 @@ class TestBatchOptIn:
             fn({"VBOGUS": 1.0})
 
     def test_non_source_parameter_is_a_sweep_error(self):
+        # Sources re-bias and R/L/C values select a compiled variant;
+        # anything else (here the nonlinear BJT) has no point value.
         fn = BlockedDCSweep(DECK_TEXT)
-        with pytest.raises(SweepError, match="independent DC source"):
-            fn({"RC": 2e3})
+        with pytest.raises(SweepError,
+                           match="independent DC source or a linear"):
+            fn({"Q1": 1.0})
+        (value, error), = fn.evaluate_batch([{"Q1": 1.0}])
+        assert value is None and isinstance(error, SweepError)
 
     def test_deck_must_be_text(self):
         with pytest.raises(SweepError, match="deck text"):
@@ -296,3 +301,90 @@ class TestCacheTag:
         clone = pickle.loads(pickle.dumps(fn))
         assert clone.__cache_tag__ == fn.__cache_tag__
         assert clone({"VB": 0.75}) == fn({"VB": 0.75})
+
+
+#: A resistive divider: V(out) = V1 * R2 / (R1 + R2) in closed form.
+DIVIDER = """* resistive divider
+V1 in 0 DC 10
+R1 in out 1k
+R2 out 0 1k
+.OP
+.END
+"""
+
+
+class TestPassiveValues:
+    """An R/L/C value in a DC point selects a compiled variant of the
+    deck, so the operating point is that of the edited circuit."""
+
+    POINTS = [{"R2": 500.0}, {"R2": 1e3}, {"R2": 4.7e3, "V1": 3.0},
+              {"V1": 7.5}, {"R2": 2.2e3}]
+
+    @staticmethod
+    def _closed_form(point):
+        v1, r2 = point.get("V1", 10.0), point.get("R2", 1e3)
+        return v1 * r2 / (1e3 + r2)
+
+    def test_divider_matches_closed_form_both_paths(self):
+        fn = BlockedDCSweep(DIVIDER, measure=node_voltage("out"))
+        scalar = [fn(point) for point in self.POINTS]
+        batched = fn.evaluate_batch(self.POINTS)
+        for point, value, (lane, error) in zip(self.POINTS, scalar,
+                                               batched):
+            assert error is None
+            assert lane == value
+            assert value == pytest.approx(self._closed_form(point),
+                                          rel=1e-9)
+
+    def test_sweep_points_compile_dropped_variants(self, compile_log):
+        fn = BlockedDCSweep(DIVIDER, measure=node_voltage("out"))
+        assert fn.prime() == 1
+        fn.evaluate_batch(self.POINTS)
+        # The deck as written plus one variant per distinct R2 value
+        # other than its deck value; only the deck itself is kept.
+        assert fn.compilations() == len(compile_log) == 4
+        assert fn.prime() == 1
+        fn({"R2": 500.0})
+        assert fn.compilations() == 5
+
+    @pytest.mark.parametrize("value", (0.0, -1.0, float("nan")))
+    def test_invalid_resistance_fails_its_lane_only(self, value):
+        fn = BlockedDCSweep(DIVIDER, measure=node_voltage("out"))
+        with pytest.raises(SweepError, match="must be finite"):
+            fn({"R2": value})
+        bad, good = fn.evaluate_batch([{"R2": value}, {"R2": 500.0}])
+        assert bad[0] is None and isinstance(bad[1], SweepError)
+        assert good == (fn({"R2": 500.0}), None)
+
+
+class TestDeckOptions:
+    """``.OPTIONS SOLVER=`` and ``PERMC=`` reach every engine the deck
+    evaluators compile, the deck's own and every variant's."""
+
+    DECK = DECK_TEXT.replace(
+        ".OP", ".OPTIONS SOLVER=sparse PERMC=NATURAL\n.OP", 1)
+
+    def test_every_compile_honours_the_options(self, compile_log):
+        from repro.sweep import BlockedACSweep
+        from repro.verify import (
+            CornerEvaluator,
+            corners_from_tolerances,
+            dc_voltage,
+        )
+
+        dc = BlockedDCSweep(self.DECK, measure=node_voltage("c"))
+        ac = BlockedACSweep(self.DECK, frequencies=[1e6, 1e9])
+        for fn in (dc, ac):
+            fn({"VB": 0.8})
+            fn({"VB": 0.8, "RC": 1.2e3})
+        corners = CornerEvaluator(
+            self.DECK, corners_from_tolerances({"VCC": (5.0, 0.1)},
+                                               passive_tols={"R": 0.1}),
+            (dc_voltage("v_c", "c"),))
+        assert corners.prime() == 9
+        assert len(compile_log) == 4 + 9
+        assert set(compile_log) == {("sparse", "NATURAL")}
+
+    def test_engine_argument_overrides_the_deck(self, compile_log):
+        BlockedDCSweep(self.DECK, engine="dense")({"VB": 0.8})
+        assert compile_log == [("dense", None)]

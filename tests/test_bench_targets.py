@@ -1,0 +1,91 @@
+"""The repo benchmark's trace targets stay wired to the program.
+
+``perfbench/layers.py`` names the calls the benchmark's tracer wraps.
+The tracer silently skips a method that moved to a shared base class
+(it patches only classes whose own ``__dict__`` defines the method), and
+a class or function that no longer exists crashes the traced run.  The
+sweep-dispatch choices the benchmark freezes are keyed by the type name
+``run_sweep`` receives.  These tests read the benchmark's modules and
+its frozen choices without changing them.
+"""
+
+from __future__ import annotations
+
+import importlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+DECK = (PERFBENCH.parent / "examples" / "decks" / "ce_stage.cir").read_text()
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """``(layers, tracer)`` imported from the benchmark directory, which
+    is on the path only while they load."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        yield (importlib.import_module("layers"),
+               importlib.import_module("tracer"))
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        for name in ("layers", "tracer", "common"):
+            sys.modules.pop(name, None)
+
+
+def test_every_target_patches_something(bench):
+    layers, tracer = bench
+    probe = tracer.Tracer(spans=False)
+    unwired = []
+    for target in layers.TARGETS:
+        probe.install([target])
+        if not probe.patched:
+            unwired.append(target.where)
+        probe.uninstall()
+    assert unwired == []
+
+
+def test_sweep_type_names_match_the_frozen_choices(bench):
+    from repro.celldb import seed_database
+    import repro.sweep as sweep
+    from repro.sweep import (
+        BlockedACSweep,
+        BlockedDCSweep,
+        ac_gain_db,
+        node_voltage,
+    )
+    from repro.verify import qualify_cell
+
+    _, tracer = bench
+    choices = json.loads((PERFBENCH / "reference" / "choices.json")
+                         .read_text())
+    recorded = {entry.split(":")[1]
+                for entries in choices["workloads"].values()
+                for entry in entries if entry.startswith("sweep:")}
+    names = []
+
+    def seen(tracer_, call, result, pre):
+        fn = call.args[0]
+        # The name the benchmark's run_sweep hook records.
+        names.append(fn.func.__name__ if hasattr(fn, "func")
+                     else type(fn).__name__)
+
+    probe = tracer.Tracer(spans=False)
+    probe.install([tracer.Target("repro.sweep.orchestrator:run_sweep",
+                                 None, after=seen)])
+    try:
+        # Looked up after install, as the workloads do.
+        sweep.run_sweep(BlockedDCSweep(DECK, measure=node_voltage("c")),
+                        [{"VB": 0.8}], executor="serial")
+        sweep.run_sweep(BlockedACSweep(DECK, measure=ac_gain_db("c"),
+                                       frequencies=[1e6]),
+                        [{"VB": 0.8}], executor="serial")
+        cells = {c.name: c for c in seed_database().cells()}
+        qualify_cell(cells["PHASE90-IF"], executor="serial")
+    finally:
+        probe.uninstall()
+    assert names == ["BlockedDCSweep", "BlockedACSweep", "CornerEvaluator"]
+    assert set(names) <= recorded

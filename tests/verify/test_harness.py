@@ -185,7 +185,8 @@ class TestCornerEvaluator:
         evaluator = CornerEvaluator(DECK, _corners(), MEASUREMENTS)
         assert evaluator.prime() == 9  # 3 temps x 3 R scales
         compiled = evaluator.compilations()
-        assert compiled > 0
+        # One engine per variant serves its DC and AC measurements.
+        assert compiled == 9
         # Evaluating after prime never recompiles: the service's
         # recompile guard watches exactly this invariant.
         qualify_deck(DECK, _corners(), MEASUREMENTS,
@@ -226,6 +227,54 @@ class TestCornerEvaluator:
         evaluator = CornerEvaluator(DECK, _corners(), MEASUREMENTS)
         with pytest.raises(VerificationError, match="axis"):
             evaluator({"V1": 5.0})
+
+    def test_evaluator_for_other_corners_is_rejected(self):
+        evaluator = CornerEvaluator(DECK, _corners(), MEASUREMENTS)
+        wider = corners_from_tolerances(
+            {"V1": (5.0, 0.1), "VRF": (0.85, 0.05)},
+            passive_tols={"R": 0.1})
+        assert len(wider) == 81
+        # Run on this evaluator, the VRF levels would never reach the
+        # deck: every corner would be solved at the deck's VRF.
+        with pytest.raises(VerificationError, match="evaluator"):
+            qualify_deck(DECK, wider, MEASUREMENTS, executor="serial",
+                         evaluator=evaluator)
+        with pytest.raises(VerificationError, match="evaluator"):
+            qualify_deck(DECK, _corners(), MEASUREMENTS[:1],
+                         executor="serial", evaluator=evaluator)
+
+    def test_one_compile_and_one_bias_solve_per_corner(self, compile_log,
+                                                       monkeypatch):
+        """A default 27-corner qualification with AC measurements parses
+        the deck at most three times (corner defaults, measurement
+        defaults, evaluator), compiles one engine per temperature x
+        R-scale variant, and solves each corner's bias once for its DC
+        and AC measurements alike."""
+        from repro.celldb.seed import seed_database
+        from repro.spice import dcop, parser
+
+        cells = {c.name: c for c in seed_database().cells()}
+        parses, lanes = [], []
+        parse_deck = parser.parse_deck
+        newton_solve_batched = dcop.newton_solve_batched
+
+        def counted_parse(text, *args, **kwargs):
+            parses.append(text)
+            return parse_deck(text, *args, **kwargs)
+
+        def counted_newton(circuit, x0, *args, **kwargs):
+            lanes.append(len(x0))
+            return newton_solve_batched(circuit, x0, *args, **kwargs)
+
+        monkeypatch.setattr(parser, "parse_deck", counted_parse)
+        monkeypatch.setattr(dcop, "newton_solve_batched", counted_newton)
+        report = qualify_cell(cells["PHASE90-IF"], executor="serial")
+        assert len(report) == 27 and report.stats["failures"] == 0
+        assert any(name.startswith("gain_db_")
+                   for name in report.outcomes[0].measurements)
+        assert len(compile_log) == 9
+        assert len(parses) <= 3
+        assert sum(lanes) == 27
 
 
 class TestDefaults:
