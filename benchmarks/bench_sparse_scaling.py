@@ -15,9 +15,11 @@ Gates (CI enforces them on the artifact as well):
 * the sparse runs must report **zero** dense assemblies — the flat
   scatter path handles every stamp, including device bypass replay and
   the fused ``G + alpha*C`` transient Jacobian;
-* the compiled symbolic pattern must actually be reused across
+* the pattern's fill-reducing order must actually be reused across
   factorizations (``pattern_reuses`` > 0), and both backends must land
-  on the same waveform.
+  on the same waveform;
+* the sparse LU's fill-in (factor nnz over pattern nnz) must stay at or
+  below :data:`MAX_FILL_IN` at every stage count.
 """
 
 import time
@@ -41,6 +43,9 @@ STAGES = (5, 25, 51, 101)
 #: Best-of rounds per arm, relaxed for the big configurations.
 ROUNDS = {5: 3, 25: 3, 51: 2, 101: 2}
 PARITY_WINDOW = 0.1e-9
+#: Fill-in ceiling: the minimum-degree A+Aᵀ order measures ~2x at every
+#: stage count (an unsymmetric per-call COLAMD order gave 4-11x).
+MAX_FILL_IN = 3.0
 
 
 def _ring(stages):
@@ -104,13 +109,17 @@ def bench_sparse_scaling():
 
         # Observability contract: the sparse arm never touches a dense
         # (n, n) assembly, the dense arm never scatters, and the
-        # symbolic pattern is reused instead of re-analyzed.
+        # pattern's order is reused instead of recomputed.
         assert d_sparse["dense_assemblies"] == 0
         assert d_sparse["sparse_assemblies"] > 0
         assert d_sparse["pattern_reuses"] > 0
         assert d_dense["sparse_assemblies"] == 0
         assert deviation < 0.2, (
             f"backends diverged at {stages} stages: {deviation:.3g} V"
+        )
+        assert fill <= MAX_FILL_IN, (
+            f"sparse LU fill-in {fill:.2f}x > {MAX_FILL_IN}x at "
+            f"{stages} stages"
         )
 
         record_sparse(f"ring_oscillator_{stages}_stage", {

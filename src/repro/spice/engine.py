@@ -59,7 +59,7 @@ from .elements.sources import DC as DCWaveform
 from .mna import LoadContext
 from .netlist import Circuit
 from .solvercost import choose as choose_backend
-from .sparse import PatternMatrix, SparsityPattern
+from .sparse import DEFAULT_ORDERING, PatternMatrix, SparsityPattern
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +115,10 @@ class EngineStats:
     sparse_assemblies: int = 0
     #: Assemblies that filled a dense ``(n, n)`` matrix buffer.
     dense_assemblies: int = 0
-    #: Sparse factorizations that reused the compiled symbolic pattern
-    #: (zero-copy CSC over the fixed structure — no re-analysis, no
-    #: dense scan, no conversion).
+    #: Sparse factorizations that reused the fill-reducing order their
+    #: compiled pattern already held (no ordering, no symbolic
+    #: re-analysis, no dense scan: a gather into the permuted CSC and
+    #: a numeric-only factorization).
     pattern_reuses: int = 0
     #: Structural non-zeros of the compiled sparsity pattern (gauge).
     pattern_nnz: int = 0
@@ -126,8 +127,7 @@ class EngineStats:
     factor_nnz: int = 0
     #: Fill-in ratio of the most recent sparse LU factorization:
     #: ``factor nnz / matrix nnz`` (gauge).  Directly reflects the
-    #: column ordering (``permc_spec``) — COLAMD keeps it low where
-    #: NATURAL lets L+U fill in.
+    #: pattern's order (``permc_spec``).
     fill_ratio: float = 0.0
     #: Matrix assembly backend chosen at compile time ("dense"/"sparse").
     assembly: str = ""
@@ -349,17 +349,17 @@ class DenseLUSolver(LinearSolver):
         else:
             getrf, getrs = _lapack.dgetrf, _lapack.dgetrs
         lu, piv, info = getrf(a)
+        # A failed or anonymous (token=None) factorization leaves the
+        # cache alone: the cached factor still belongs to the matrix its
+        # token names (a solve carrying that token reuses it instead of
+        # factorizing), and dropping it would defeat chord reuse for the
+        # caller that owns the token.
         if info > 0 or not np.all(np.isfinite(lu)):
-            self.invalidate()
             raise np.linalg.LinAlgError("singular matrix in LU factorization")
         self._count("factorizations")
         self._count("solves")
         if token is not None:
             self._token, self._factor = token, (lu, piv, getrs)
-        # An anonymous (token=None) factorization must not clobber a
-        # factorization cached under a live token: batched solves and
-        # one-off solves used to call invalidate() here, silently
-        # defeating chord reuse for the caller that owned the token.
         x, _info = getrs(lu, piv, b)
         return x
 
@@ -387,23 +387,54 @@ class DenseLUSolver(LinearSolver):
         return np.linalg.solve(systems, rhs)
 
 
+#: SPICE's relative pivot threshold (``PIVREL``): the sparse LU keeps a
+#: diagonal pivot while its magnitude is at least this fraction of the
+#: largest entry in its column, and only then pivots off the diagonal.
+PIVREL = 1e-3
+#: SuperLU options of every sparse factorization: symmetric mode, so the
+#: pivot search prefers the diagonal of the symmetrically ordered matrix.
+_SYMMETRIC_MODE = {"SymmetricMode": True}
+
+
+class _OrderedLU:
+    """SuperLU factor of a pattern's symmetrically permuted matrix;
+    solves permute ``b`` in and ``x`` back out."""
+
+    __slots__ = ("lu", "order", "inverse")
+
+    def __init__(self, lu, order):
+        self.lu = lu
+        self.order = order.order
+        self.inverse = order.inverse
+
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        return self.lu.solve(b[self.order], trans=trans)[self.inverse]
+
+
 class SparseLUSolver(LinearSolver):
-    """Sparse LU via ``scipy.sparse.linalg.splu``.
+    """Sparse LU via SuperLU (``scipy.sparse.linalg.splu``), ordered once
+    per pattern.
 
     Takes :class:`~repro.spice.sparse.PatternMatrix` systems from the
-    sparse assembly path, whose fixed CSC structure wraps into ``splu``
-    with zero copies and zero dense scans.
+    sparse assembly path.  Each :class:`~repro.spice.sparse.SparsityPattern`
+    is ordered once, from its structure alone
+    (:meth:`~repro.spice.sparse.SparsityPattern.ordered`); every
+    factorization gathers its values into that permuted CSC and runs
+    SuperLU's numeric factorization only — ``NATURAL`` column order,
+    symmetric mode, diagonal pivoting at threshold :data:`PIVREL`.
+    Every factorization, the first included, takes that one path, so a
+    result never depends on which systems were factorized before it.
 
-    ``permc_spec`` selects SuperLU's fill-reducing column ordering:
-    ``"COLAMD"`` (approximate minimum degree), ``"NATURAL"`` (no
-    reordering), or the ``MMD_*`` variants; ``None`` keeps SuperLU's
-    default.  The resulting fill-in ratio (factor nnz over matrix nnz)
-    is recorded on :class:`EngineStats`.
+    ``permc_spec`` selects the ordering: ``None`` is minimum degree on
+    A+Aᵀ; ``"COLAMD"``, ``"NATURAL"`` (no reordering) and the ``MMD_*``
+    variants are SuperLU's other orderings, applied symmetrically.  The
+    resulting fill-in ratio (factor nnz over matrix nnz) is recorded
+    on :class:`EngineStats`.
     """
 
     name = "sparse-lu"
 
-    #: Column orderings scipy's splu accepts.
+    #: Orderings SuperLU computes; ``.OPTIONS PERMC=`` takes the same.
     PERMC_SPECS = ("COLAMD", "NATURAL", "MMD_ATA", "MMD_AT_PLUS_A")
 
     def __init__(self, permc_spec: str | None = None):
@@ -416,33 +447,27 @@ class SparseLUSolver(LinearSolver):
                     f"{self.PERMC_SPECS}"
                 )
         self.permc_spec = permc_spec
-        #: The SparsityPattern of the last factorization; an identical
-        #: pattern on the next factorization means the symbolic
-        #: structure was reused (counted as ``pattern_reuses``).
-        self._last_pattern = None
+        self._ordering = permc_spec or DEFAULT_ORDERING
 
-    def _splu(self, matrix):
-        """``splu`` with the configured column ordering; singularity
-        surfaces as ``LinAlgError`` like the dense backend."""
-        try:
-            if self.permc_spec is not None:
-                return _spla.splu(matrix, permc_spec=self.permc_spec)
-            return _spla.splu(matrix)
-        except RuntimeError as exc:  # "Factor is exactly singular"
-            self.invalidate()
-            raise np.linalg.LinAlgError(str(exc)) from exc
-
-    def _factorize(self, a: PatternMatrix):
-        """splu of a PatternMatrix; counts and gauges the fill-in."""
-        matrix = a.to_csc()
-        if a.pattern is self._last_pattern:
+    def _factorize(self, pattern: SparsityPattern,
+                   data: np.ndarray) -> _OrderedLU:
+        """Numeric-only LU of one value vector over ``pattern``; counts
+        the factorization (and the order reuse) and gauges the fill-in.
+        Singularity surfaces as ``LinAlgError`` like the dense backend."""
+        if self._ordering in pattern.orders:
             self._count("pattern_reuses")
-        self._last_pattern = a.pattern
-        factor = self._splu(matrix)
+        order = pattern.ordered(self._ordering)
+        try:
+            lu = _spla.splu(
+                order.csc(data), permc_spec="NATURAL",
+                options=_SYMMETRIC_MODE, diag_pivot_thresh=PIVREL,
+            )
+        except RuntimeError as exc:  # "Factor is exactly singular"
+            raise np.linalg.LinAlgError(str(exc)) from exc
         self._count("factorizations")
-        self._gauge("factor_nnz", int(factor.nnz))
-        self._gauge("fill_ratio", factor.nnz / max(matrix.nnz, 1))
-        return factor
+        self._gauge("factor_nnz", int(lu.nnz))
+        self._gauge("fill_ratio", lu.nnz / max(pattern.nnz, 1))
+        return _OrderedLU(lu, order)
 
     def solve_cached(self, b: np.ndarray) -> np.ndarray:
         if self._factor is None:
@@ -460,12 +485,12 @@ class SparseLUSolver(LinearSolver):
         ):
             self._count("solves")
             return self._factor.solve(b)
-        factor = self._factorize(a)
+        factor = self._factorize(a.pattern, a.data)
         self._count("solves")
         if token is not None:
             self._token, self._factor = token, factor
-        # token=None: leave any token-cached factorization alone (see
-        # DenseLUSolver.solve).
+        # token=None leaves any token-cached factorization alone, as a
+        # singular system does (see DenseLUSolver.solve).
         return factor.solve(b)
 
     def solve_pattern_batched(self, pattern: SparsityPattern,
@@ -477,9 +502,9 @@ class SparseLUSolver(LinearSolver):
         system over the compiled pattern — e.g. ``G + j*omega_k*C`` per
         frequency); ``rhs`` is ``(n,)`` shared, ``(batch, n)`` or
         ``(batch, n, k)``.  ``transpose=True`` solves ``A.T x = b``
-        (noise adjoint systems) while keeping the transpose sparse.
-        Every lane reuses the symbolic pattern — no dense staging
-        array is ever built.
+        (noise adjoint systems) with the same factor of ``A``.  Every
+        lane reuses the pattern's order — no dense staging array is
+        ever built.
         """
         data = np.asarray(data)
         rhs = np.asarray(rhs)
@@ -489,20 +514,11 @@ class SparseLUSolver(LinearSolver):
             (batch, pattern.size) + rhs.shape[2:],
             dtype=np.result_type(data.dtype, rhs.dtype),
         )
-        self._count("factorizations", batch)
-        self._count("solves", batch)
-        self._count("pattern_reuses", batch)
-        self._last_pattern = pattern
+        trans = "T" if transpose else "N"
         for k in range(batch):
-            matrix = pattern.csc(data[k])
-            if transpose:
-                matrix = matrix.T.tocsc()
-            factor = self._splu(matrix)
-            out[k] = factor.solve(rhs if shared else rhs[k])
-        if batch:
-            self._gauge("factor_nnz", int(factor.nnz))
-            self._gauge("fill_ratio",
-                        float(factor.nnz) / max(matrix.nnz, 1))
+            factor = self._factorize(pattern, data[k])
+            self._count("solves")
+            out[k] = factor.solve(rhs if shared else rhs[k], trans=trans)
         return out
 
 
@@ -513,8 +529,8 @@ def make_solver(size: int, prefer: str, nnz: int | None = None,
     ``prefer`` is ``"dense"``, ``"sparse"`` or ``"auto"``, which asks
     :func:`repro.spice.solvercost.choose` and so needs the pattern's
     ``nnz``.  ``permc_spec`` configures the sparse backend's
-    fill-reducing column ordering (e.g. ``"COLAMD"`` or ``"NATURAL"``;
-    see :class:`SparseLUSolver`) and is ignored by the dense one.
+    fill-reducing order (e.g. ``"COLAMD"`` or ``"NATURAL"``; see
+    :class:`SparseLUSolver`) and is ignored by the dense one.
     """
     if prefer == "auto":
         prefer = choose_backend(size, nnz)

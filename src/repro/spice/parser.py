@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from ..devices.parameters import GummelPoonParameters
 from ..errors import ParseError
 from ..units import parse_value
+from .engine import SparseLUSolver
 from .netlist import Circuit
 from .elements import (
     BJT,
@@ -265,14 +266,14 @@ class _Parser:
                         )
                     self.options["solver"] = backend
                 elif name.lower() == "permc":
-                    # Fill-reducing column ordering for the sparse LU.
+                    # Fill-reducing ordering for the sparse LU.
                     spec = value.upper()
-                    if spec not in ("COLAMD", "NATURAL", "MMD_ATA",
-                                    "MMD_AT_PLUS_A"):
+                    specs = SparseLUSolver.PERMC_SPECS
+                    if spec not in specs:
                         raise ParseError(
-                            f".OPTIONS PERMC must be COLAMD, NATURAL, "
-                            f"MMD_ATA or MMD_AT_PLUS_A (got {value})",
-                            lineno,
+                            f".OPTIONS PERMC must be "
+                            f"{', '.join(specs[:-1])} or {specs[-1]} "
+                            f"(got {value})", lineno,
                         )
                     self.options["permc"] = spec
                 elif name.lower() in recognized:

@@ -19,10 +19,28 @@ stages      n     nnz   splu (ms)   getrf (ms)
 
 Dense factorization scales as ``n^3`` plus an ``n^2`` assembly/copy
 term per Newton iteration; sparse factorization on circuit-like
-patterns scales roughly as ``nnz * log2(n)`` (fill-in stays modest:
-9-21x on the rings above, versus ~100x for *random* patterns of the
-same density — which is why the constants must come from real circuit
+patterns scales roughly as ``nnz * log2(n)`` (fill-in stays modest on
+the rings above, versus ~100x for *random* patterns of the same
+density — which is why the constants must come from real circuit
 matrices).
+
+That ``splu`` column timed factorizations that each ordered their own
+matrix (SuperLU's per-call COLAMD, 9-21x fill-in).  The sparse LU now
+orders each compiled pattern once and factorizes numerically only
+(:class:`~repro.spice.engine.SparseLUSolver`, ~2x fill-in).  Re-measured
+on the same two Jacobians, all three columns interleaved on a 2-vCPU
+container (medians of 100 calls; 20 for ``getrf``):
+
+========  =====================  ==================  ==========
+stages    splu, per-call order   splu, ordered once  getrf (ms)
+========  =====================  ==================  ==========
+25                  0.92 ms              0.55 ms           3.76
+101                 7.53 ms              1.87 ms          77.42
+========  =====================  ==================  ==========
+
+The constants are deliberately left as fitted, so no backend choice
+moved with the cheaper LU: refitting :data:`SPARSE_FACTOR_NS` to it
+would send circuits of about 192-330 unknowns to sparse.
 """
 
 from __future__ import annotations
@@ -36,7 +54,8 @@ DENSE_FACTOR_NS3 = 0.05e-9
 #: Dense per-iteration assembly + matvec traffic, seconds per n^2.
 DENSE_ASSEMBLE_NS2 = 2.0e-9
 #: Sparse LU factorization, seconds per nnz*log2(n) (SuperLU on
-#: circuit-structured patterns; includes symbolic + numeric).
+#: circuit-structured patterns, fitted when every factorization still
+#: ordered its own matrix; kept so no backend choice moves).
 SPARSE_FACTOR_NS = 130.0e-9
 #: Sparse per-iteration scatter + matvec, seconds per nnz.
 SPARSE_ASSEMBLE_NS = 30.0e-9

@@ -17,6 +17,12 @@ compile time and then fills a flat nnz-length data array per iteration:
   actually use (scalar and fancy ``[row, col]`` access, ``alpha * C``,
   ``G += ...``, ``copy``), so :class:`~repro.spice.mna.LoadContext` and
   the Newton loops run unchanged on top of it.
+* :class:`PatternOrder` is the pattern's fill-reducing symmetric
+  permutation, computed once from the structure alone (never from a
+  matrix's values), plus the gather map that turns a data array into
+  the permuted matrix's CSC values.  The sparse LU factorizes that
+  permuted matrix numerically only — no ordering or symbolic analysis
+  per factorization.
 
 Wrapping the data array back into ``scipy.sparse.csc_matrix`` is a
 zero-copy header operation, which is what lets
@@ -28,10 +34,15 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import sparse as _sp
+from scipy.sparse import linalg as _spla
 
 from ..errors import AnalysisError
 
-__all__ = ["SparsityPattern", "PatternMatrix"]
+__all__ = ["SparsityPattern", "PatternMatrix", "PatternOrder"]
+
+#: The ordering ``permc_spec=None`` stands for: minimum degree on the
+#: structure of A+Aᵀ, the symmetric order circuit matrices suit.
+DEFAULT_ORDERING = "MMD_AT_PLUS_A"
 
 
 class SparsityPattern:
@@ -43,8 +54,8 @@ class SparsityPattern:
     slot ``nnz`` — so vectorized scatters need no masking.
 
     The structure is immutable after construction; every assembly reuses
-    it (that reuse is the "symbolic analysis" the solver no longer pays
-    per factorization).
+    it, and every factorization reuses the fill-reducing order
+    :meth:`ordered` computes from it once.
     """
 
     def __init__(self, size: int, rows, cols):
@@ -71,6 +82,9 @@ class SparsityPattern:
         #: regularization always has a slot).
         self._diag_positions: np.ndarray | None = None
         self._scalar_cache: dict[tuple[int, int], int] = {}
+        #: The orders computed so far, keyed by ordering name (see
+        #: :meth:`ordered`).
+        self.orders: dict[str, PatternOrder] = {}
 
     def positions(self, rows, cols) -> np.ndarray:
         """Data positions of the given slots (vectorized).
@@ -115,6 +129,18 @@ class SparsityPattern:
             self._diag_positions = self.positions(diag, diag)
         return self._diag_positions
 
+    def ordered(self, permc_spec: str | None = None) -> "PatternOrder":
+        """The pattern's fill-reducing symmetric order for SuperLU's
+        ``permc_spec`` ordering (``None``: :data:`DEFAULT_ORDERING`),
+        computed on first use and kept in :attr:`orders`."""
+        spec = permc_spec or DEFAULT_ORDERING
+        order = self.orders.get(spec)
+        if order is None:
+            # Threads racing here compute the same order; all keep the
+            # one stored first.
+            order = self.orders.setdefault(spec, PatternOrder(self, spec))
+        return order
+
     def matrix(self, data: np.ndarray | None = None) -> "PatternMatrix":
         """A :class:`PatternMatrix` over ``data`` (fresh zeros if None)."""
         if data is None:
@@ -129,6 +155,58 @@ class SparsityPattern:
         """
         return _sp.csc_matrix(
             (data[: self.nnz], self.indices, self.indptr),
+            shape=(self.size, self.size), copy=False,
+        )
+
+
+class PatternOrder:
+    """A symmetric permutation of a pattern and its permuted CSC structure.
+
+    ``order[k]`` is the unknown placed at position ``k``: the permuted
+    matrix is ``A[order][:, order]``, so diagonal entries stay on the
+    diagonal and threshold pivoting can keep them as pivots.
+    ``inverse`` undoes it (``x == y[inverse]`` for ``y == x[order]``).
+
+    The order depends on the structure alone.  SuperLU computes it, in
+    symmetric mode, from a stand-in matrix over the pattern plus its
+    diagonal, whose values (strictly diagonally dominant, so that
+    factorization always succeeds) never reach the order.  The engine's
+    patterns always hold the diagonal, so their order is the one
+    SuperLU would compute from the Jacobian itself; minimum degree on
+    A+Aᵀ ignores the diagonal, so the default order is that one for any
+    pattern.
+    """
+
+    __slots__ = ("size", "order", "inverse", "gather", "indices", "indptr")
+
+    def __init__(self, pattern: SparsityPattern, permc_spec: str):
+        size = pattern.size
+        self.size = size
+        counts = np.diff(pattern.indptr)
+        stand_in = pattern.csc(np.ones(pattern.nnz)) + _sp.diags(
+            counts + 1.0, format="csc")
+        self.inverse = _spla.splu(
+            stand_in, permc_spec=permc_spec,
+            options=dict(SymmetricMode=True),
+        ).perm_c.astype(np.intp)
+        self.order = np.argsort(self.inverse)
+        # Where every data position lands in the permuted CSC.
+        cols = np.repeat(np.arange(size, dtype=np.intp), counts)
+        keys = (self.inverse[cols] * np.intp(size)
+                + self.inverse[pattern.indices])
+        #: ``data[gather]`` are the permuted matrix's CSC values.
+        self.gather = np.argsort(keys)
+        keys = keys[self.gather]
+        self.indices = (keys % size).astype(np.int32)
+        self.indptr = np.searchsorted(
+            keys // size, np.arange(size + 1)
+        ).astype(np.int32)
+
+    def csc(self, data: np.ndarray):
+        """The permuted matrix over a pattern data array (length ``nnz``
+        or ``nnz + 1``)."""
+        return _sp.csc_matrix(
+            (data[self.gather], self.indices, self.indptr),
             shape=(self.size, self.size), copy=False,
         )
 

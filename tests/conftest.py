@@ -87,7 +87,7 @@ def as_pattern():
 def compile_log(monkeypatch):
     """Every engine compiled while the test runs, in order, as
     ``(assembly, permc_spec)`` pairs (``permc_spec`` is None on dense
-    engines and on sparse ones left at SuperLU's default ordering)."""
+    engines and on sparse ones left at the default A+Aᵀ order)."""
     from repro.spice.engine import CompiledCircuit
 
     log = []

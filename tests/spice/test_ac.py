@@ -95,7 +95,11 @@ class TestRCHighpass:
 
 
 class TestRLC:
-    def test_series_resonance(self):
+    """Closed forms on both LU backends: the sparse factorization is held
+    to the oracle, not only to dense parity."""
+
+    @pytest.mark.parametrize("engine", ["dense", "sparse"])
+    def test_series_resonance(self, engine):
         l, c, r = 1e-6, 1e-9, 10.0
         ckt = Circuit("rlc")
         ckt.add(VoltageSource("V1", ("in", "0"), ac_mag=1.0))
@@ -104,11 +108,12 @@ class TestRLC:
         ckt.add(Capacitor("C1", ("out", "0"), c))
         f0 = 1.0 / (2 * math.pi * math.sqrt(l * c))
         q = math.sqrt(l / c) / r
-        result = solve_ac(ckt, [f0])
+        result = solve_ac(ckt, [f0], engine=engine)
         # capacitor voltage at resonance = Q * input
         assert abs(result.voltage("out")[0]) == pytest.approx(q, rel=1e-6)
 
-    def test_parallel_tank_impedance(self):
+    @pytest.mark.parametrize("engine", ["dense", "sparse"])
+    def test_parallel_tank_impedance(self, engine):
         l, c = 1e-6, 1e-9
         ckt = Circuit("tank")
         ckt.add(CurrentSource("I1", ("0", "t"), ac_mag=1e-3))
@@ -116,7 +121,7 @@ class TestRLC:
         ckt.add(Capacitor("C1", ("t", "0"), c))
         ckt.add(Resistor("RP", ("t", "0"), 100e3))
         f0 = 1.0 / (2 * math.pi * math.sqrt(l * c))
-        result = solve_ac(ckt, [f0 / 10, f0, f0 * 10])
+        result = solve_ac(ckt, [f0 / 10, f0, f0 * 10], engine=engine)
         mags = np.abs(result.voltage("t"))
         assert mags[1] > 10 * mags[0]
         assert mags[1] > 10 * mags[2]

@@ -148,12 +148,14 @@ class TestControlledSourcesDC:
 
 
 class TestNonlinearDC:
-    def test_diode_resistor(self):
+    @pytest.mark.parametrize("engine", ["dense", "sparse"])
+    def test_diode_resistor(self, engine):
+        # The Shockley law on both LU backends.
         ckt = Circuit("dr")
         ckt.add(VoltageSource("V1", ("in", "0"), dc=5.0))
         ckt.add(Resistor("R1", ("in", "d"), 1e3))
         ckt.add(Diode("D1", ("d", "0"), DiodeModel(IS=1e-14)))
-        result = op(ckt)
+        result = Simulator(ckt, engine=engine).operating_point()
         vd = result.voltage("d")
         i_resistor = (5.0 - vd) / 1e3
         i_diode = 1e-14 * (math.exp(vd / VT) - 1)

@@ -124,8 +124,8 @@ class TestPatternMatrix:
         pattern, g, _ = self._gm()
         x = np.array([2.0, -1.0])
         np.testing.assert_allclose(g.dot(x), g.toarray() @ x)
-        # Transposed systems stay sparse: the solver transposes the CSC
-        # structure instead of densifying the matrix.
+        # Transposed systems stay sparse: the solver back-substitutes
+        # with the transpose of the factor of ``g``.
         adjoint = SparseLUSolver().solve_pattern_batched(
             pattern, g.values[None], x, transpose=True)[0]
         np.testing.assert_allclose(adjoint, np.linalg.solve(g.toarray().T, x))
@@ -269,15 +269,24 @@ def test_anonymous_solve_keeps_token_cache(solver_cls, as_pattern):
     a = rng.normal(size=(8, 8)) + 8 * np.eye(8)
     other = rng.normal(size=(8, 8)) + 8 * np.eye(8)
     b = rng.normal(size=8)
+    singular = a.copy()
+    singular[3] = 0.0
     if solver_cls is SparseLUSolver:
-        a, other = (pattern.matrix(values) for pattern, values in
-                    (as_pattern(a), as_pattern(other)))
+        a, other, singular = (
+            pattern.matrix(values) for pattern, values in
+            (as_pattern(a), as_pattern(other), as_pattern(singular)))
 
     solver = solver_cls()
     x_cached = solver.solve(a, b, token=("jac", 1))
     assert solver.has_factorization(("jac", 1))
 
     solver.solve(other, b)  # token=None: one-off, must not invalidate
+    assert solver.has_factorization(("jac", 1))
+    np.testing.assert_allclose(solver.solve_cached(b), x_cached)
+
+    # Neither may a one-off system that turns out singular.
+    with pytest.raises(np.linalg.LinAlgError):
+        solver.solve(singular, b)
     assert solver.has_factorization(("jac", 1))
     np.testing.assert_allclose(solver.solve_cached(b), x_cached)
 
@@ -298,6 +307,20 @@ def test_anonymous_batched_solve_keeps_token_cache(as_pattern):
     sparse.solve(pattern.matrix(values), b, token="dc")
     sparse.solve_pattern_batched(*as_pattern(systems), b)
     assert sparse.has_factorization("dc")
+
+    # A stack with one singular lane: that lane is NaN, the others are
+    # solved, and the token-cached factorization survives.
+    stack = systems.copy()
+    stack[1, 3] = 0.0
+    rhs = np.broadcast_to(b, (3, 8))
+    pattern, values = as_pattern(stack)
+    for solver, lanes in ((dense, stack),
+                          (sparse, [pattern.matrix(v) for v in values])):
+        out = solver.solve_batched_exact(lanes, rhs)
+        assert np.isnan(out[1]).all()
+        for k in (0, 2):
+            np.testing.assert_allclose(out[k], np.linalg.solve(stack[k], b))
+        assert solver.has_factorization("dc")
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +389,33 @@ def test_dense_sparse_golden_equivalence(name, tran_stop):
     _assert_runs_agree(dense_run, sparse_run)
 
 
+def test_sparse_results_do_not_depend_on_earlier_analyses():
+    # The order is structural and every factorization takes the same
+    # numeric path, so an engine that already factorized other systems
+    # (noise adjoints at other frequencies, another bias) gives the same
+    # bits as a fresh one.
+    from repro.spice.dcop import solve_dc
+    from repro.spice.noise import solve_noise
+
+    text = (DECK_DIR / "ce_stage.cir").read_text()
+    freqs = np.geomspace(1e6, 1e11, 16)
+
+    def run(warm):
+        circuit = parse_deck(text).circuit
+        engine = compile_circuit(circuit, mode="sparse")
+        if warm:
+            solve_noise(circuit, "c", [1e3, 3e8], engine=engine)
+            solve_dc(circuit, gmin=1e-9, engine=engine)
+            assert engine.pattern.orders
+        x = solve_dc(circuit, engine=engine)
+        return x, solve_ac(circuit, freqs, dc_solution=x,
+                           engine=engine).solutions
+
+    (x_fresh, ac_fresh), (x_warm, ac_warm) = run(False), run(True)
+    assert np.array_equal(x_fresh, x_warm)
+    assert np.array_equal(ac_fresh, ac_warm)
+
+
 def test_options_solver_card_equivalent_to_engine_flag():
     text = (DECK_DIR / "ce_stage.cir").read_text()
     via_flag = _run_backend(text, "sparse")
@@ -399,7 +449,8 @@ class TestSparseEngineCounters:
         delta = engine.stats.since(snapshot)
         assert delta.dense_assemblies == 0
         assert delta.sparse_assemblies > 0
-        assert delta.pattern_reuses > 0  # symbolic analysis amortized
+        # Every factorization after the first reuses the pattern's order.
+        assert delta.pattern_reuses == delta.factorizations - 1 > 0
 
     def test_dense_engine_reports_dense(self):
         circuit = self._circuit()
