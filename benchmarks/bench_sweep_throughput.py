@@ -12,7 +12,8 @@ workloads (Monte-Carlo yield, the Fig. 5 grid, AC sweeps):
 * batched vs per-frequency AC solves on the CE-stage example deck;
 * 500-point Monte-Carlo DC operating points — the real per-point-cost
   workload the CI speedup gate runs on — serial scalar vs blocked
-  (one stacked Newton per chunk) vs blocked + process pool;
+  (one chunk, one stacked Newton on the serial executor) vs blocked +
+  process pool;
 * the ``--jobs auto`` dispatch cost model's per-size decisions (the
   "when does parallel win" table).
 
@@ -199,9 +200,11 @@ def bench_monte_carlo_dc_500():
     Per-point cost is a real Newton solve (~ms), which is what parallel
     dispatch needs to win.  Three configurations, all bit-identical:
     serial scalar (the old architecture's best case), serial blocked
-    (one stacked Newton per chunk), and blocked + persistent process
-    pool.  CI fails if the process configuration does not beat serial
-    scalar (``speedup`` field) on a multi-core runner.
+    (one chunk, so one stacked Newton, recorded as ``blocked_chunks``),
+    and blocked + persistent process pool.  CI fails if the process
+    configuration does not beat serial scalar (``speedup`` field) on a
+    multi-core runner, or if the serial blocked run took more than one
+    chunk.
     """
     fn = BlockedDCSweep((DECKS / "ce_stage.cir").read_text(),
                         measure=node_voltage("c"))
@@ -231,6 +234,7 @@ def bench_monte_carlo_dc_500():
         "parallel_seconds": round(t_parallel, 6),
         "speedup": round(speedup, 3),
         "blocked_speedup": round(blocked_speedup, 3),
+        "blocked_chunks": blocked.stats.chunks,
         "pool_spinup_seconds": round(spinup, 6),
         "dispatch_payload_bytes": parallel.stats.payload_bytes,
         "chunk_p50_seconds": round(parallel.stats.chunk_p50_seconds, 6),
@@ -256,10 +260,11 @@ def bench_monte_carlo_ac():
     the CE-stage deck's ``.AC DEC 10 1MEG 100G`` grid.  Three
     configurations, all bit-identical: serial scalar (one bias solve
     and a single-lane frequency sweep per point), serial blocked (one
-    stacked Newton for the chunk, then ``lanes x freq_block`` stacked
+    chunk: one stacked Newton, then ``lanes x freq_block`` stacked
     complex solves), and blocked + persistent process pool.  CI fails
     if blocked does not beat serial scalar — that comparison is
-    algorithmic, so it must hold even on a single core.
+    algorithmic, so it must hold even on a single core — or if the
+    serial blocked run took more than one chunk (``blocked_chunks``).
     """
     fn = BlockedACSweep((DECKS / "ce_stage.cir").read_text(),
                         measure=ac_gain_db("c"))
@@ -293,6 +298,7 @@ def bench_monte_carlo_ac():
         "parallel_seconds": round(t_parallel, 6),
         "speedup": round(speedup, 3),
         "blocked_speedup": round(blocked_speedup, 3),
+        "blocked_chunks": blocked.stats.chunks,
         "pool_spinup_seconds": round(spinup, 6),
         "bit_identical": True,
     })

@@ -81,9 +81,15 @@ def frequency_grid(
     raise AnalysisError(f"unknown sweep type {sweep!r}")
 
 
-#: Memory budget for one batched block (bytes of complex system data);
-#: blocks are sized so ``systems * per_system_bytes`` stays below.
-MAX_BLOCK_BYTES = 1 << 26
+#: Memory budget for one stacked block (bytes): blocks are sized so
+#: ``systems * per_system_bytes`` stays below.  It bounds the complex
+#: frequency blocks here and the deck evaluators' Newton lane blocks
+#: (:class:`repro.sweep.batched.BlockedDCSweep` and kin), which is what
+#: bounds a blocked sweep's memory once it runs as one chunk.  2 MiB was
+#: measured against the ``service_mix`` benchmark's peak RSS (see
+#: ``docs/simulator.md``): larger budgets bought no speed there and
+#: raised the peak by up to 48 %.
+MAX_BLOCK_BYTES = 1 << 21
 
 
 def ac_lane_blocks(lanes: int, freqs: int, per_system_bytes: int,
@@ -93,9 +99,11 @@ def ac_lane_blocks(lanes: int, freqs: int, per_system_bytes: int,
     Lanes are packed first — stacking a whole parameter chunk into one
     batched call is the point of blocked sweeps — then as many
     frequencies as the remaining memory budget allows, capped at 512.
-    ``per_system_bytes`` is one complex system's footprint: ``16 * n^2``
-    for a dense ``(n, n)`` matrix, ``16 * nnz`` for a flat value vector
-    over a sparse pattern, so far more sparse systems fit in a block.
+    ``per_system_bytes`` is one system's footprint: ``16 * n^2`` for a
+    dense complex ``(n, n)`` matrix, ``16 * nnz`` for a flat complex
+    value vector over a sparse pattern (``8 *`` for the real Newton
+    Jacobians, with ``freqs=1``), so far more sparse systems fit in a
+    block.
     """
     budget = max(1, (limit or MAX_BLOCK_BYTES) // max(per_system_bytes, 1))
     lane_block = max(1, min(lanes, budget))

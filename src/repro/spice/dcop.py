@@ -469,8 +469,10 @@ def newton_solve_batched(
     factorization the scalar path reuses), identical weighted-error
     convergence test — so a converged lane is bit-identical to a scalar
     :func:`newton_solve` on that point.  The blocking win is per-point
-    convergence masking (finished lanes drop out of the Python loop) and
-    a single vectorized error test per iteration instead of ``B``.
+    convergence masking (finished lanes drop out of the stack) and array
+    operations over every active lane per iteration — re-bias,
+    regularization, finiteness mask, update and error test — instead of
+    ``B`` of each.
 
     ``rhs_deltas``, when given, is a per-lane sequence of residual
     offsets (entries may be ``None``); see :func:`newton_solve`.
@@ -491,102 +493,95 @@ def newton_solve_batched(
     diag = np.arange(num_nodes)
     limits = [dict() for _ in range(batch)]
     converged = np.zeros(batch, dtype=bool)
+    # Source re-biases, stacked once.  Lanes without one get no add at
+    # all: ``+= 0.0`` would turn a -0.0 residual entry into +0.0, which
+    # the scalar path never does.
+    has_delta = np.zeros(batch, dtype=bool)
+    deltas = np.zeros((batch, size))
+    for k, delta in enumerate(rhs_deltas if rhs_deltas is not None else ()):
+        if delta is not None:
+            has_delta[k] = True
+            deltas[k] = delta
+    if source_scale != 1.0:
+        deltas *= source_scale
     # Sparse-assembly engines keep per-lane Jacobians as flat value
     # vectors over the compiled pattern — (B, nnz) instead of (B, n, n)
     # — and solve each lane through the identical pattern-wrapped path
     # the scalar Newton uses, so lanes stay bit-identical to solve_dc.
     pattern = engine.pattern if engine.assembly == "sparse" else None
-    if pattern is not None:
-        jac = np.empty((batch, pattern.nnz))
-        diag_pos = pattern.positions(diag, diag)
-    else:
-        jac = np.empty((batch, size, size))
-    res = np.empty((batch, size))
-    active = list(range(batch))
+    diag_pos = pattern.positions(diag, diag) if pattern is not None else None
     # Engines whose nonlinear devices are all group-vectorized assemble
     # every active lane in one stacked pass — the same elementwise math
     # lane-by-lane, so residuals and Jacobians stay bit-identical to the
     # per-lane evaluate loop they replace.
     stacked = engine.supports_stacked_evaluate
+    active = np.arange(batch)
     for _iteration in range(tolerances.max_iterations):
-        if not active:
+        if active.size == 0:
             break
+        xa = x[active]
         if stacked:
-            idx_arr = np.array(active)
             sctx = engine.evaluate_stacked(
-                x[idx_arr], gmin=gmin,
-                limits_list=[limits[k] for k in active],
+                xa, gmin=gmin, limits_list=[limits[k] for k in active],
                 source_scale=source_scale,
             )
-            res[idx_arr] = sctx.i
-            jac[idx_arr] = sctx.g
+            res, jac = sctx.i, sctx.g
         else:
-            for k in active:
+            res = np.empty((active.size, size))
+            jac = np.empty((active.size,) + (
+                (pattern.nnz,) if pattern is not None else (size, size)))
+            for j, k in enumerate(active):
                 ctx = engine.evaluate(
                     x[k], gmin=gmin, limits=limits[k],
                     source_scale=source_scale,
                 )
-                np.copyto(res[k], ctx.i_vec)
-                if pattern is not None:
-                    np.copyto(jac[k], ctx.g_mat.values)
-                else:
-                    np.copyto(jac[k], ctx.g_mat)
-        for k in active:
-            if rhs_deltas is not None and rhs_deltas[k] is not None:
-                if source_scale == 1.0:
-                    res[k] += rhs_deltas[k]
-                else:
-                    res[k] += rhs_deltas[k] * source_scale
-            if pattern is not None:
-                jac[k][diag_pos] += DIAG_GSHUNT
-            else:
-                jac[k][diag, diag] += DIAG_GSHUNT
-            res[k][:num_nodes] += DIAG_GSHUNT * x[k][:num_nodes]
-        idx = np.array(active)
+                res[j] = ctx.i_vec
+                jac[j] = (ctx.g_mat.values if pattern is not None
+                          else ctx.g_mat)
+        # The scalar iteration's regularization, in its order, on every
+        # active lane at once: re-bias, Jacobian diagonal, residual.
+        rebias = has_delta[active]
+        if rebias.any():
+            res[rebias] += deltas[active[rebias]]
+        if pattern is not None:
+            jac[:, diag_pos] += DIAG_GSHUNT
+        else:
+            jac[:, diag, diag] += DIAG_GSHUNT
+        res[:, :num_nodes] += DIAG_GSHUNT * xa[:, :num_nodes]
         if engine.has_constant_jacobian:
             # The scalar path factorizes this (lane-independent) matrix
             # once under the ("dc",) token and back-substitutes for every
             # later point; reuse the very same cached factorization.
-            dx = np.empty((len(active), size))
-            for j, k in enumerate(active):
+            dx = np.empty((active.size, size))
+            for j in range(active.size):
                 try:
                     if engine.has_factorization(("dc",)):
-                        dx[j] = engine.solve_cached(-res[k])
+                        dx[j] = engine.solve_cached(-res[j])
                     else:
-                        system = (pattern.matrix(jac[k])
-                                  if pattern is not None else jac[k])
-                        dx[j] = engine.solve(system, -res[k], token=("dc",))
+                        system = (pattern.matrix(jac[j])
+                                  if pattern is not None else jac[j])
+                        dx[j] = engine.solve(system, -res[j], token=("dc",))
                 except np.linalg.LinAlgError:
                     dx[j] = np.nan
         else:
-            dx = engine.solve_batched_exact(jac[idx], -res[idx])
-        stepped = []
-        rows = []
-        for j, k in enumerate(active):
-            if not np.all(np.isfinite(dx[j])):
-                converged[k] = False
-                continue
-            x[k] += dx[j]
-            stepped.append(k)
-            rows.append(j)
-        if not stepped:
-            active = []
+            dx = engine.solve_batched_exact(jac, -res)
+        # A singular or non-finite step ends its lane unconverged.
+        finite = np.isfinite(dx).all(axis=1)
+        stepped = active[finite]
+        if stepped.size == 0:
             break
+        step = dx[finite]
+        x[stepped] += step
         # Vectorized convergence masking: one weighted-error evaluation
         # over every lane that stepped, elementwise-identical to the
         # scalar test (which recomputes the pre-step iterate as x - dx).
-        step = dx[rows]
         xs = x[stepped]
         scale = tolerances.reltol * np.maximum(np.abs(xs - step), np.abs(xs))
         scale[:, :num_nodes] += tolerances.vntol
         scale[:, num_nodes:] += tolerances.abstol
-        worst = np.max(np.abs(step) / scale, axis=1)
-        active = []
-        for k, err in zip(stepped, worst):
-            if err <= 1.0:
-                converged[k] = True
-            else:
-                active.append(k)
+        done = np.max(np.abs(step) / scale, axis=1) <= 1.0
+        converged[stepped[done]] = True
+        active = stepped[~done]
     return x, converged
 
 

@@ -297,10 +297,12 @@ class LinearSolver:
         batched LAPACK call cannot promise that — numpy's batched
         ``gesv`` and the ``getrf``/``getrs`` pair :class:`DenseLUSolver`
         runs per point differ in the last ulp — so this routine simply
-        loops the backend's own scalar ``solve``.  ``systems`` holds
-        whatever that ``solve`` takes: ``(n, n)`` arrays for the dense
-        backend, :class:`~repro.spice.sparse.PatternMatrix` systems for
-        the sparse one.  A singular lane comes back filled with NaN
+        loops the backend's own scalar ``solve`` (the dense backend runs
+        that ``getrf``/``getrs`` pair itself, without the per-call
+        overhead).  ``systems`` holds whatever that ``solve`` takes: a
+        ``(batch, n, n)`` stack for the dense backend,
+        :class:`~repro.spice.sparse.PatternMatrix` systems for the sparse
+        one.  A singular lane comes back filled with NaN
         instead of raising, so one pathological operating point cannot
         abort the block; callers already treat a non-finite Newton step
         as that lane's convergence failure.
@@ -362,6 +364,32 @@ class DenseLUSolver(LinearSolver):
             self._token, self._factor = token, (lu, piv, getrs)
         x, _info = getrs(lu, piv, b)
         return x
+
+    def solve_batched_exact(self, systems: np.ndarray,
+                            rhs: np.ndarray) -> np.ndarray:
+        """:meth:`solve`'s ``getrf``/``getrs`` pair per lane of a
+        ``(batch, n, n)`` stack, without its per-call overhead: the
+        complex check runs once per stack and the counters are bumped
+        once, for the lanes that solved.  The same LAPACK calls on the
+        same inputs, so every lane is bit-identical to :meth:`solve`; a
+        singular lane comes back NaN."""
+        rhs = np.asarray(rhs)
+        if np.iscomplexobj(systems):
+            getrf, getrs = _lapack.zgetrf, _lapack.zgetrs
+        else:
+            getrf, getrs = _lapack.dgetrf, _lapack.dgetrs
+        out = np.empty_like(rhs, dtype=np.result_type(systems.dtype, rhs))
+        solved = 0
+        for k in range(len(systems)):
+            lu, piv, info = getrf(systems[k])
+            if info > 0 or not np.isfinite(lu).all():
+                out[k] = np.nan
+                continue
+            out[k], _info = getrs(lu, piv, rhs[k])
+            solved += 1
+        self._count("factorizations", solved)
+        self._count("solves", solved)
+        return out
 
     def solve_batched(self, systems: np.ndarray,
                       rhs: np.ndarray) -> np.ndarray:

@@ -52,6 +52,7 @@ import numpy as np
 from ..devices.temperature import celsius
 from ..errors import AnalysisError, ReproError, SweepError
 from ..spice.ac import (
+    ac_lane_blocks,
     ac_stimulus_rhs,
     frequency_grid,
     small_signal,
@@ -176,6 +177,17 @@ def _derive(circuit: Circuit, key: tuple) -> Circuit:
     return circuit
 
 
+def _lane_block(engine, lanes: int) -> int:
+    """Lanes per stacked block of one variant: as many real Jacobians
+    (``8 n^2`` bytes each on a dense engine, ``8 nnz`` on a sparse one)
+    as the stacked-block byte budget
+    (:data:`repro.spice.ac.MAX_BLOCK_BYTES`) holds, at least one."""
+    per_lane = 8 * (engine.pattern.nnz if engine.assembly == "sparse"
+                    else engine.size * engine.size)
+    lane_block, _ = ac_lane_blocks(lanes, 1, per_lane)
+    return lane_block
+
+
 class _BlockedDeckSweep:
     """The one deck evaluator (see the module docstring).
 
@@ -194,19 +206,6 @@ class _BlockedDeckSweep:
     _tag_prefix = "repro.sweep.batched."
     #: Whether every solved point also runs the small-signal AC solve.
     _with_ac = False
-
-    @staticmethod
-    def preferred_chunk_size(count: int) -> int:
-        """Chunking hint consulted by :func:`~repro.sweep.run_sweep`.
-
-        Blocked evaluation pays its fixed costs (stacked Newton
-        iterations, stacked frequency solves) once per chunk, so it
-        wants ~8 large chunks where the scalar default targets ~32
-        small ones.  Depends only on the point count — chunking stays
-        identical across executors, and values are bit-identical under
-        any chunking regardless.
-        """
-        return max(1, math.ceil(count / 8))
 
     def __init__(self, deck: str, measure=None,
                  tolerances: Tolerances | None = None,
@@ -447,9 +446,9 @@ class _BlockedDeckSweep:
             return self._reduce(circuit, x, solutions)
 
     def _evaluate_batch(self, chunk_params: list) -> list:
-        """Blocked path: lanes grouped by variant, one stacked Newton
-        bias solve per group, then one run of ``(lanes x freq_block)``
-        stacked complex solves.  Returns ``[(value, error), ...]``
+        """Blocked path: lanes grouped by variant, each group solved in
+        lane blocks whose stacked Jacobians fit the byte budget
+        (:func:`_lane_block`).  Returns ``[(value, error), ...]``
         aligned with the chunk; a failed lane carries the identical
         error the scalar path raises for that point, and never disturbs
         its neighbours."""
@@ -468,35 +467,45 @@ class _BlockedDeckSweep:
                 deltas.append(delta)
             for key, (lanes, deltas) in groups.items():
                 circuit, engine = self._variant(key)
-                x, errors = solve_dc_batched(
-                    circuit, deltas, tolerances=self._tolerances,
-                    gmin=self._gmin, engine=engine,
-                )
-                solved = []
-                for i, error in enumerate(errors):
-                    if error is None:
-                        solved.append(i)
-                    else:
-                        results[lanes[i]] = (None, error)
-                solutions = [None] * len(solved)
-                if self._with_ac and solved:
-                    if not np.any(self._rhs):
-                        for i in solved:
-                            results[lanes[i]] = (
-                                None, AnalysisError(_NO_STIMULUS))
-                        continue
-                    solutions = self._ac_solutions(engine, x[solved])
-                for i, lane_solutions in zip(solved, solutions):
-                    # Per-lane capture keeps a reduction error (a bad
-                    # measurement node, ...) identical to what the
-                    # scalar path raises for that point.
-                    try:
-                        results[lanes[i]] = (
-                            self._reduce(circuit, x[i], lane_solutions),
-                            None)
-                    except Exception as error:  # noqa: BLE001
-                        results[lanes[i]] = (None, error)
+                block = _lane_block(engine, len(lanes))
+                for start in range(0, len(lanes), block):
+                    self._solve_block(
+                        circuit, engine, lanes[start:start + block],
+                        deltas[start:start + block], results,
+                    )
             return results
+
+    def _solve_block(self, circuit, engine, lanes: list, deltas: list,
+                     results: list) -> None:
+        """One lane block of one variant: a stacked Newton bias solve,
+        then one run of ``(lanes x freq_block)`` stacked complex solves;
+        fills ``results`` at the block's chunk positions ``lanes``."""
+        x, errors = solve_dc_batched(
+            circuit, deltas, tolerances=self._tolerances,
+            gmin=self._gmin, engine=engine,
+        )
+        solved = []
+        for i, error in enumerate(errors):
+            if error is None:
+                solved.append(i)
+            else:
+                results[lanes[i]] = (None, error)
+        solutions = [None] * len(solved)
+        if self._with_ac and solved:
+            if not np.any(self._rhs):
+                for i in solved:
+                    results[lanes[i]] = (None, AnalysisError(_NO_STIMULUS))
+                return
+            solutions = self._ac_solutions(engine, x[solved])
+        for i, lane_solutions in zip(solved, solutions):
+            # Per-lane capture keeps a reduction error (a bad
+            # measurement node, ...) identical to what the scalar path
+            # raises for that point.
+            try:
+                results[lanes[i]] = (
+                    self._reduce(circuit, x[i], lane_solutions), None)
+            except Exception as error:  # noqa: BLE001
+                results[lanes[i]] = (None, error)
 
 
 class BlockedDCSweep(_BlockedDeckSweep):

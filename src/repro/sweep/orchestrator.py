@@ -3,9 +3,12 @@
 Execution model (see ``docs/sweeps.md`` for the full contract):
 
 1. The point list is split into **chunks** of ``chunk_size`` consecutive
-   points.  Chunking depends only on the point count and ``chunk_size``
-   — never on the executor or worker count — so any two runs of the same
-   sweep form identical chunks.
+   points.  Scalar and warm-start chunking depends only on the point
+   count and ``chunk_size`` — never on the executor or worker count — so
+   any two runs of the same warm sweep form identical chains.  A
+   batch-capable evaluation (``evaluate_batch``) without a warm chain
+   follows the executor instead: one chunk on the serial executor, the
+   cost model's chunks on a pool (see :func:`_chunk_size`).
 2. Chunks are dispatched through the executor.  A chunk is the dispatch
    unit (amortizing process-pool IPC) *and* the warm-start unit: with
    ``warm_start=True`` each chunk evaluates its points in order,
@@ -283,6 +286,24 @@ def _default_chunk_size(count: int) -> int:
     return max(1, math.ceil(count / 32))
 
 
+def _chunk_size(backend: Executor, count: int, blocked: bool) -> int:
+    """The default chunk size of a sweep of ``count`` points.
+
+    Scalar and warm-start chunks take :func:`_default_chunk_size`.  A
+    blocked sweep (``evaluate_batch``, no warm chain) pays its stacked
+    solver's fixed cost once per chunk, so it runs as one chunk on the
+    serial executor and in :meth:`CostModel.chunk_size_for` chunks on a
+    pool (the ``auto`` probe included); the evaluator bounds a chunk's
+    memory by its byte budget.  Blocked values are bit-identical under
+    any chunking.
+    """
+    if not blocked:
+        return _default_chunk_size(count)
+    if isinstance(backend, SerialExecutor):
+        return count
+    return DEFAULT_COST_MODEL.chunk_size_for(count, backend.workers)
+
+
 def _code_object(fn):
     """The code object behind a callable, or None (builtins, C funcs)."""
     code = getattr(fn, "__code__", None)
@@ -541,10 +562,11 @@ def _plan_auto_dispatch(
 
     Returns ``(backend, plan_text, probe_results, chunks, keys)`` where
     ``chunks``/``keys`` are the *remaining* work, re-chunked to the
-    plan's size when that is safe (never in warm mode: warm chunks are
-    semantic units, and regrouping them would change results).
-    Re-chunking only regroups whole points, so evaluation order within
-    the sweep — and therefore every value — is unchanged.
+    plan's size — one chunk when the plan stays serial — unless the
+    sweep is warm (warm chunks are semantic units, and regrouping them
+    would change results).  Re-chunking only regroups whole points, so
+    evaluation order within the sweep — and therefore every value — is
+    unchanged.
     """
     t0 = _time.perf_counter()
     probe_results = [work(pending_chunks[0])]
@@ -566,24 +588,26 @@ def _plan_auto_dispatch(
     except Exception:
         # Unpicklable evaluation: the process pool is off the table, and
         # for pure-python workloads threads rarely beat serial.
-        return (SerialExecutor(), "serial x1: evaluation is not picklable",
-                probe_results, chunks, keys)
-    workers = auto.workers
-    plan = DEFAULT_COST_MODEL.plan(
-        remaining, point_seconds, point_bytes=point_bytes,
-        fn_bytes=fn_bytes, workers=workers,
-        pool_warm=pool_is_warm(workers),
-        thread_fraction=thread_fraction,
-    )
-    if plan.backend == "thread":
-        backend = ThreadExecutor(plan.jobs)
-    elif plan.backend == "process":
-        backend = ProcessExecutor(plan.jobs)
+        backend, plan_text = (SerialExecutor(),
+                              "serial x1: evaluation is not picklable")
+        size = remaining
     else:
-        backend = SerialExecutor()
-    if plan.backend != "serial" and not warm_start:
+        workers = auto.workers
+        plan = DEFAULT_COST_MODEL.plan(
+            remaining, point_seconds, point_bytes=point_bytes,
+            fn_bytes=fn_bytes, workers=workers,
+            pool_warm=pool_is_warm(workers),
+            thread_fraction=thread_fraction,
+        )
+        if plan.backend == "thread":
+            backend = ThreadExecutor(plan.jobs)
+        elif plan.backend == "process":
+            backend = ProcessExecutor(plan.jobs)
+        else:
+            backend = SerialExecutor()
+        plan_text, size = plan.summary(), max(1, plan.chunk_size)
+    if not warm_start:
         flat_points = [point for chunk in chunks for point in chunk]
-        size = max(1, plan.chunk_size)
         rechunked = [flat_points[i:i + size]
                      for i in range(0, len(flat_points), size)]
         if all(key is None for key in keys):
@@ -593,7 +617,7 @@ def _plan_auto_dispatch(
             keys = [flat_keys[i:i + size]
                     for i in range(0, len(flat_keys), size)]
         chunks = rechunked
-    return backend, plan.summary(), probe_results, chunks, keys
+    return backend, plan_text, probe_results, chunks, keys
 
 
 def run_sweep(
@@ -619,7 +643,9 @@ def run_sweep(
     ``jobs`` select the backend (see
     :func:`~repro.sweep.executors.resolve_executor`); ``cache`` enables
     content-hash result reuse; ``warm_start`` switches to the
-    ``(value, state)`` continuation protocol.
+    ``(value, state)`` continuation protocol.  ``chunk_size`` must be a
+    positive integer; ``None`` picks one from the point count and, for
+    blocked sweeps, the executor (see :func:`_chunk_size`).
 
     ``on_error`` selects the failure policy (``"raise"``, ``"skip"`` or
     ``"retry"`` — see the module docstring); ``retries`` bounds
@@ -676,18 +702,14 @@ def run_sweep(
             executor=backend.name, workers=backend.workers,
             on_error=on_error))
     if chunk_size is None:
-        # Batch-capable evaluators amortize per-chunk setup (stacked
-        # Newton, stacked frequency solves) and want far fewer, larger
-        # chunks than the scalar default targets.  Values stay
-        # bit-identical under any chunking, so this only moves overhead.
-        preferred = (getattr(fn, "preferred_chunk_size", None)
-                     if use_batch else None)
-        size = (int(preferred(count)) if callable(preferred)
-                else _default_chunk_size(count))
+        size = _chunk_size(backend, count, use_batch and not warm_start)
+    elif (isinstance(chunk_size, bool) or not isinstance(chunk_size, int)
+          or chunk_size < 1):
+        raise AnalysisError(
+            f"chunk_size must be a positive integer, got {chunk_size!r}"
+        )
     else:
         size = chunk_size
-    if size < 1:
-        raise AnalysisError("chunk_size must be at least 1")
     chunks = [points[i:i + size] for i in range(0, count, size)]
 
     tag = cache_tag

@@ -134,6 +134,15 @@ class TestJobLifecycle:
 
 
 class TestSweepAndOptimizeJobs:
+    def test_sweep_job_rejects_a_string_chunk_size(self, service, ce_deck):
+        cid = service.create_circuit(ce_deck)["circuit_id"]
+        polled = _run(service, service.run_sweep(
+            cid, source="VB", values=[0.75, 0.8], output="c",
+            chunk_size="4"))
+        assert polled["state"] == "failed"
+        assert polled["error"]["code"] == 400
+        assert polled["error"]["error_type"] == "AnalysisError"
+
     def test_sweep_job_reuses_results_via_tenant_cache(self, service,
                                                        ce_deck):
         cid = service.create_circuit(ce_deck)["circuit_id"]

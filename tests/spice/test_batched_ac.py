@@ -11,12 +11,18 @@ relevant analysis card.
 """
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.spice.ac import ac_lane_blocks, frequency_grid, solve_ac
+from repro.spice.ac import (
+    MAX_BLOCK_BYTES,
+    ac_lane_blocks,
+    frequency_grid,
+    solve_ac,
+)
 from repro.spice.engine import DenseLUSolver, SparseLUSolver
 from repro.spice.noise import solve_noise
 from repro.spice.parser import parse_deck
@@ -58,9 +64,12 @@ class TestBlockSizing:
         assert _freq_block(10) == 512
 
     def test_budget_shrinks_with_system_size(self):
-        big = _freq_block(500)
+        # Sizes taken from the budget: about 64 systems of n unknowns
+        # fit it, so both blocks sit below the 512 cap.
+        n = math.isqrt(MAX_BLOCK_BYTES // (16 * 64))
+        big = _freq_block(n)
         assert 1 <= big < 512
-        assert _freq_block(1000) < big
+        assert _freq_block(2 * n) < big
 
     def test_never_below_one(self):
         assert _freq_block(10 ** 6) == 1

@@ -62,8 +62,11 @@ class TestRunSweepBasics:
             run_sweep(_square, [("x", 1)])
 
     def test_bad_chunk_size_rejected(self):
-        with pytest.raises(AnalysisError):
-            run_sweep(_square, [{"x": 1}], chunk_size=0)
+        # Non-integers once failed inside the comparison or ``range``
+        # (a TypeError), and True ran as a chunk size of 1.
+        for chunk_size in (0, "4", 2.5, True):
+            with pytest.raises(AnalysisError):
+                run_sweep(_square, [{"x": 1}], chunk_size=chunk_size)
 
     def test_value_and_param_arrays(self):
         result = run_sweep(_square, [{"x": i} for i in range(4)])
