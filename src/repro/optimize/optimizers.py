@@ -12,10 +12,9 @@ Three searches, chosen for the shapes analog sizing problems take:
 All three share the evaluation backend: every batch of candidate
 points fans out through :func:`repro.sweep.run_sweep`, which brings
 
-* **parallelism** — ``executor=``/``jobs=`` run candidates on thread or
-  process pools, with the engine's guarantee that results are
-  bit-identical to a serial run (chunking and seeding are independent
-  of scheduling),
+* **parallelism** — ``executor=``/``jobs=`` run candidates on a process
+  pool, with the engine's guarantee that results are bit-identical to a
+  serial run (chunking and seeding are independent of scheduling),
 * **caching** — a :class:`~repro.sweep.ResultCache` serves revisited
   points (pattern searches and DE's survivors revisit constantly)
   without re-simulation,
@@ -440,7 +439,7 @@ def differential_evolution(
     objectives.  Selection is greedy per slot.  Because every random
     draw happens in the parent and :func:`repro.sweep.run_sweep` is
     executor-independent, a fixed seed yields **bit-identical results
-    on serial, thread and process executors**.
+    on serial and process executors**.
 
     A candidate whose evaluation raises (``ConvergenceError`` included)
     is charged ``failure_penalty`` — it loses its slot, the run

@@ -48,13 +48,20 @@ from ..errors import AnalysisError, ReproError, SweepError
 from ..spice.lint import lint_circuit
 from ..spice.parser import parse_deck
 from ..spice.runner import _deck_tolerances
-from ..sweep import ResultCache, content_key, run_sweep
+from ..sweep import (
+    Executor,
+    ResultCache,
+    content_key,
+    resolve_executor,
+    run_sweep,
+)
 from ..sweep.batched import (
     BlockedACSweep,
     BlockedDCSweep,
     ac_gain_db,
     node_voltage,
 )
+from ..sweep.executors import _default_jobs
 from .jobs import JOB_KINDS, Job, JobQueue, QueueFullError
 from .payloads import error_payload, failed_point_to_dict, ok_payload
 from .stats import ServiceStats
@@ -559,6 +566,34 @@ class SimulationService:
                 entry.evaluators[key] = evaluator
             return evaluator
 
+    def _sweep_dispatch(self, params: dict) -> dict:
+        """The ``executor``/``jobs`` pair a sweep-backed job runs with.
+
+        A request's own values are checked before any pool is touched,
+        because a process pool's size follows ``jobs`` and the pool
+        outlives the job: ``jobs`` must be absent, ``"auto"`` or an
+        integer from 1 to the usable CPUs, and ``executor`` a name
+        :func:`~repro.sweep.resolve_executor` accepts.  Anything else
+        fails the job with code 400.  The operator's ``sweep_executor``
+        and ``sweep_jobs`` are trusted as given.
+        """
+        executor = params.get("executor", self._sweep_executor)
+        jobs = params.get("jobs", self._sweep_jobs)
+        cpus = _default_jobs()
+        if "jobs" in params and jobs not in (None, "auto") and (
+                isinstance(jobs, bool) or not isinstance(jobs, int)
+                or not 1 <= jobs <= cpus):
+            raise AnalysisError(
+                f"jobs must be 'auto' or an integer from 1 to {cpus} "
+                f"(the usable CPUs), got {jobs!r}"
+            )
+        if isinstance(params.get("executor"), Executor):
+            raise AnalysisError(
+                f"executor must be a backend name, got {executor!r}"
+            )
+        resolve_executor(executor, jobs)  # unknown names raise here
+        return {"executor": executor, "jobs": jobs}
+
     def _job_sweep(self, job: Job) -> dict:
         entry = self._entry(job.circuit_id)
         params = job.params
@@ -570,6 +605,7 @@ class SimulationService:
                 "sweep job needs source, values and output, e.g. "
                 '{"source": "VIN", "values": [0.0, 0.1], "output": "out"}'
             )
+        dispatch = self._sweep_dispatch(params)
         analysis = str(params.get("analysis", "dc")).lower()
         if analysis not in ("dc", "ac"):
             raise AnalysisError(
@@ -602,11 +638,10 @@ class SimulationService:
         result = run_sweep(
             evaluator,
             [{str(source): float(v)} for v in values],
-            executor=params.get("executor", self._sweep_executor),
-            jobs=params.get("jobs", self._sweep_jobs),
             chunk_size=params.get("chunk_size"),
             cache=self._tenant_cache(job.tenant),
             on_error=params.get("on_error", "skip"),
+            **dispatch,
         )
         self.stats.record_recompiles(evaluator.compilations() - before)
         self.stats.fold_sweep(result.stats)
@@ -658,6 +693,7 @@ class SimulationService:
 
         entry = self._entry(job.circuit_id)
         params = job.params
+        dispatch = self._sweep_dispatch(params)
         temps = tuple(float(t)
                       for t in params.get("temps", (-20.0, 27.0, 85.0)))
         supply_tol = float(params.get("supply_tol", 0.1))
@@ -689,13 +725,12 @@ class SimulationService:
             report = qualify_deck(
                 entry.deck_text, corners, measurements,
                 name=entry.deck.title, rules=rules,
-                executor=params.get("executor", self._sweep_executor),
-                jobs=params.get("jobs", self._sweep_jobs),
                 chunk_size=params.get("chunk_size"),
                 cache=self._tenant_cache(job.tenant),
                 on_error=params.get("on_error", "retry"),
                 evaluator=evaluator,
                 stats_sink=stats_sink,
+                **dispatch,
             )
             self.stats.record_recompiles(
                 evaluator.compilations() - before)
@@ -718,6 +753,7 @@ class SimulationService:
                 '{"output": "out", "target": 2.5, "parameters": '
                 '[{"name": "VIN", "lower": 0.0, "upper": 5.0}]}'
             )
+        dispatch = self._sweep_dispatch(params)
         search = [
             Parameter(
                 name=str(d["name"]),
@@ -736,9 +772,8 @@ class SimulationService:
             objective,
             search,
             max_iterations=int(params.get("max_iterations", 40)),
-            executor=params.get("executor", self._sweep_executor),
-            jobs=params.get("jobs", self._sweep_jobs),
             cache=self._tenant_cache(job.tenant),
+            **dispatch,
         )
         return {
             "output": str(output),

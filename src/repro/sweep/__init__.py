@@ -12,8 +12,8 @@ through:
   (:class:`numpy.random.SeedSequence` spawning, so parallel and serial
   runs consume bit-identical streams),
 * :func:`run_sweep` — execute an evaluation function over the points
-  with a pluggable executor (serial, thread pool, process pool with
-  chunked dispatch), optional warm-start continuation between adjacent
+  with a pluggable executor (serial, or a process pool with chunked
+  dispatch), optional warm-start continuation between adjacent
   points, and a content-hash :class:`ResultCache` so repeated points are
   never re-simulated,
 * :class:`SweepStats` — per-sweep counters (points evaluated, cache
@@ -44,10 +44,10 @@ Execution is structured for *positive* parallel scaling:
   variants of the deck (both evaluators, and the qualification
   harness's ``CornerEvaluator``, are configurations of one deck
   evaluator),
-* ``executor="auto"`` / ``jobs="auto"`` consults the dispatch
-  :class:`CostModel` (:mod:`repro.sweep.costmodel`): a probe chunk is
-  timed in-process and serial/thread/process plus the chunk size are
-  chosen so small sweeps never pay the pool tax,
+* ``executor="auto"`` / ``jobs="auto"`` consults the dispatch cost
+  model (:mod:`repro.sweep.costmodel`): a probe chunk is timed
+  in-process and serial or process plus the chunk size are chosen so
+  small sweeps never pay the pool tax,
 * every dispatch records :class:`DispatchStats` (payload bytes, pool
   spin-up, per-chunk latency percentiles), surfaced on
   :class:`SweepStats` and via ``repro run --profile``.
@@ -65,14 +65,13 @@ from .batched import (
     node_voltage,
 )
 from .cache import ResultCache, content_key
-from .costmodel import DEFAULT_COST_MODEL, CostModel, DispatchPlan
+from .costmodel import DispatchPlan
 from .executors import (
     AutoExecutor,
     DispatchStats,
     Executor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     map_chunks_with_retries,
     pool_is_warm,
     resolve_executor,
@@ -95,13 +94,10 @@ __all__ = [
     "content_key",
     "Executor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "AutoExecutor",
     "DispatchStats",
-    "CostModel",
     "DispatchPlan",
-    "DEFAULT_COST_MODEL",
     "BlockedDCSweep",
     "BlockedACSweep",
     "node_voltage",

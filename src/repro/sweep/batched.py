@@ -63,7 +63,6 @@ from ..spice.elements import DC, Capacitor, Inductor, Resistor
 from ..spice.engine import compile_circuit
 from ..spice.netlist import Circuit
 from ..spice.temperature import circuit_at_temperature
-from .costmodel import DEFAULT_COST_MODEL
 
 __all__ = [
     "BlockedDCSweep",
@@ -227,11 +226,11 @@ class _BlockedDeckSweep:
         self._params: dict[str, tuple] = {}
         self._variants: dict[tuple, tuple] = {}
         self._compiles = 0
-        # The compiled circuits' evaluation buffers are shared state: a
-        # thread executor running two chunks through one evaluator would
-        # race on them.  Solves are serialized per evaluator instance
-        # (process workers each hold their own instance, so this only
-        # bites — and only costs — the thread backend).
+        # The compiled circuits' evaluation buffers are shared state:
+        # the service shares one cached evaluator across its job threads
+        # (repro.service.server), which would race on them.  Solves are
+        # serialized per evaluator instance; process workers each hold
+        # their own instance.
         self._lock = threading.Lock()
 
     # -- pickling and identity ------------------------------------------------
@@ -580,10 +579,6 @@ class BlockedACSweep(_BlockedDeckSweep):
         self._frequencies_arg = self._grid(frequencies)
         self._args = (deck, measure, self._frequencies_arg, tolerances,
                       gmin, engine)
-        #: Planner hint: blocked complex solves run mostly in
-        #: LAPACK/SuperLU with the GIL released, so the thread backend
-        #: overlaps far more of the evaluation than scalar python work.
-        self.thread_fraction_hint = DEFAULT_COST_MODEL.complex_parallel_fraction
 
     @property
     def frequencies(self) -> np.ndarray:

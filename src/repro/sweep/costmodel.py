@@ -1,20 +1,19 @@
 """Dispatch cost model: when does parallel actually win?
 
 Process pools are not free — spawning workers costs tens of
-milliseconds, every chunk pays a pickle + pipe round-trip, and threads
-only help while the evaluation releases the GIL.  Historically
-``--jobs N`` paid those taxes unconditionally, which made small sweeps
-*slower* in parallel.  :class:`CostModel` makes the trade explicit: it
-predicts wall-clock for the serial, thread, and process backends from a
-measured per-point cost and picks the cheapest, with a safety margin so
-a near-tie resolves to serial (the predictable choice).
+milliseconds and every chunk pays a pickle + pipe round-trip.
+Historically ``--jobs N`` paid those taxes unconditionally, which made
+small sweeps *slower* in parallel.  :func:`plan` makes the trade
+explicit: it predicts wall-clock for the serial and process backends
+from a measured per-point cost and picks the cheaper, with a safety
+margin so a near-tie resolves to serial (the predictable choice).
 
 :func:`repro.sweep.run_sweep` consults the model when given the ``auto``
 executor (``--jobs auto``): it times the first chunk in-process — those
 points must be evaluated anyway — then plans the remaining dispatch.
-Observed :class:`~repro.sweep.executors.DispatchStats` feed back through
-:meth:`CostModel.observe`, so spin-up and per-chunk overhead estimates
-track the machine the sweep is actually running on.
+The model's terms are module constants, so a plan depends on its own
+sweep's probe, payload sizes, worker count and pool warmth alone, never
+on the sweeps that ran before it.
 
 The model only re-routes *where* and in *what grouping* points are
 evaluated — never the arithmetic — so every plan yields bit-identical
@@ -24,17 +23,30 @@ results to the serial backend.
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-__all__ = ["CostModel", "DispatchPlan", "DEFAULT_COST_MODEL"]
+__all__ = ["DispatchPlan", "chunk_size_for", "plan", "predict"]
+
+#: One-time process-pool creation + worker warm-up cost (seconds).
+SPINUP_SECONDS = 0.08
+#: Per-chunk overhead on a *warm* process pool (submit, pickle
+#: bookkeeping, result round-trip).
+CHUNK_SECONDS = 2e-3
+#: Per-byte cost of shipping payloads through the pipe.
+BYTE_SECONDS = 1e-8
+#: Required predicted speedup before leaving serial (near-ties stay
+#: serial: it is the predictable, zero-overhead choice).
+MIN_SPEEDUP = 1.2
+#: Target chunks per worker — enough slack for load balancing without
+#: drowning in per-chunk overhead.
+CHUNKS_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
 class DispatchPlan:
     """The cost model's decision for one sweep dispatch."""
 
-    #: Chosen backend: ``"serial"``, ``"thread"`` or ``"process"``.
+    #: Chosen backend: ``"serial"`` or ``"process"``.
     backend: str
     #: Worker count for the chosen backend (1 for serial).
     jobs: int
@@ -54,139 +66,48 @@ class DispatchPlan:
                 f"{self.reason} [{predicted}]")
 
 
-@dataclass
-class CostModel:
-    """Tunable dispatch cost estimates (seconds / bytes / ratios).
-
-    Defaults were measured on a small container; :meth:`observe` adapts
-    the dominant terms (pool spin-up, per-chunk overhead) to the host
-    via an exponential moving average.
-    """
-
-    #: One-time process-pool creation + worker warm-up cost.
-    spinup_seconds: float = 0.08
-    #: Per-chunk overhead on a *warm* process pool (submit, pickle
-    #: bookkeeping, result round-trip).
-    chunk_seconds: float = 2e-3
-    #: Per-byte cost of shipping payloads through the pipe.
-    byte_seconds: float = 1e-8
-    #: Per-chunk overhead of the thread backend.
-    thread_chunk_seconds: float = 2e-4
-    #: Fraction of the evaluation that runs GIL-free (numpy/LAPACK);
-    #: bounds how much the thread backend can overlap.
-    thread_parallel_fraction: float = 0.25
-    #: GIL-free fraction for *blocked complex solves* (batched AC):
-    #: the work is dominated by stacked LAPACK/SuperLU calls, so
-    #: threads overlap far more of it than scalar python evaluation.
-    #: Batch-capable evaluators advertise this via their
-    #: ``thread_fraction_hint`` attribute and the auto planner threads
-    #: it through :meth:`plan`.
-    complex_parallel_fraction: float = 0.6
-    #: Required predicted speedup before leaving serial (near-ties stay
-    #: serial: it is the predictable, zero-overhead choice).
-    min_speedup: float = 1.2
-    #: Target chunks per worker — enough slack for load balancing
-    #: without drowning in per-chunk overhead.
-    chunks_per_worker: int = 4
-    #: EWMA weight for :meth:`observe` updates.
-    ewma: float = 0.5
-    #: Guards the EWMA terms: :data:`DEFAULT_COST_MODEL` is process-wide
-    #: and concurrent sweeps observe into it from many threads (init=False
-    #: so :func:`dataclasses.replace`-based copies get a fresh lock).
-    _lock: threading.Lock = field(default_factory=threading.Lock,
-                                  init=False, repr=False, compare=False)
-
-    def predict(self, backend: str, count: int, point_seconds: float,
-                point_bytes: float, fn_bytes: float, workers: int,
-                chunk_size: int, pool_warm: bool,
-                thread_fraction: float | None = None) -> float:
-        """Predicted wall seconds to evaluate ``count`` points.
-
-        ``thread_fraction`` overrides the GIL-free overlap estimate for
-        the thread backend (e.g. an evaluator's
-        ``thread_fraction_hint``); ``None`` keeps the scalar default.
-        """
-        compute = count * point_seconds
-        chunks = math.ceil(count / max(1, chunk_size))
-        if backend == "serial" or workers <= 1:
-            return compute
-        if backend == "thread":
-            overlap = (self.thread_parallel_fraction
-                       if thread_fraction is None
-                       else min(max(float(thread_fraction), 0.0), 1.0))
-            parallel = compute * overlap / workers
-            return compute * (1.0 - overlap) + parallel \
-                + chunks * self.thread_chunk_seconds
-        if backend == "process":
-            wall = 0.0 if pool_warm else self.spinup_seconds
-            wall += workers * fn_bytes * self.byte_seconds
-            wall += chunks * self.chunk_seconds
-            wall += count * point_bytes * self.byte_seconds
-            wall += compute / workers
-            return wall
-        raise ValueError(f"unknown backend {backend!r}")
-
-    def plan(self, count: int, point_seconds: float, *,
-             point_bytes: float = 512.0, fn_bytes: float = 4096.0,
-             workers: int = 2, pool_warm: bool = False,
-             thread_fraction: float | None = None) -> DispatchPlan:
-        """Pick the cheapest backend + chunking for ``count`` points."""
-        workers = max(1, int(workers))
-        chunk_size = self.chunk_size_for(count, workers)
-        predictions = {
-            name: self.predict(name, count, point_seconds, point_bytes,
-                               fn_bytes, workers, chunk_size, pool_warm,
-                               thread_fraction=thread_fraction)
-            for name in ("serial", "thread", "process")
-        }
-        serial = predictions["serial"]
-        best = min(("process", "thread"), key=predictions.__getitem__)
-        if workers <= 1 or count <= 1:
-            return DispatchPlan("serial", 1, max(1, count),
-                                "single worker or point", predictions)
-        if predictions[best] * self.min_speedup >= serial:
-            reason = (f"predicted {best} speedup "
-                      f"{serial / max(predictions[best], 1e-12):.2f}x "
-                      f"< {self.min_speedup:.2f}x threshold")
-            return DispatchPlan("serial", 1, max(1, count), reason,
-                                predictions)
-        reason = (f"predicted {serial / predictions[best]:.2f}x over serial"
-                  + ("" if pool_warm or best != "process"
-                     else " despite pool spin-up"))
-        return DispatchPlan(best, workers, chunk_size, reason, predictions)
-
-    def chunk_size_for(self, count: int, workers: int) -> int:
-        """Chunks sized for ``chunks_per_worker`` waves per worker."""
-        waves = max(1, workers) * max(1, self.chunks_per_worker)
-        return max(1, math.ceil(count / waves))
-
-    def observe(self, stats) -> None:
-        """Fold an observed :class:`DispatchStats` back into the model.
-
-        Thread-safe: the read-modify-write EWMA updates are atomic under
-        the model's lock, so concurrent sweeps calibrating the shared
-        :data:`DEFAULT_COST_MODEL` never lose or double-apply an update.
-        """
-        if stats is None:
-            return
-        with self._lock:
-            w = self.ewma
-            if stats.spinup_seconds > 0.0 and not stats.pool_reused:
-                self.spinup_seconds += w * (stats.spinup_seconds
-                                            - self.spinup_seconds)
-            if stats.chunk_seconds:
-                observed = stats.chunk_percentile(0.5)
-                if observed is not None and observed > 0.0:
-                    # The p50 chunk latency includes compute; only
-                    # shrink the overhead estimate, never inflate it
-                    # from busy chunks.
-                    if observed < self.chunk_seconds:
-                        self.chunk_seconds += w * (observed
-                                                   - self.chunk_seconds)
-
-    def copy(self) -> "CostModel":
-        return replace(self)
+def predict(backend: str, count: int, point_seconds: float,
+            point_bytes: float, fn_bytes: float, workers: int,
+            chunk_size: int, pool_warm: bool) -> float:
+    """Predicted wall seconds to evaluate ``count`` points."""
+    compute = count * point_seconds
+    if backend == "serial" or workers <= 1:
+        return compute
+    if backend == "process":
+        wall = 0.0 if pool_warm else SPINUP_SECONDS
+        wall += workers * fn_bytes * BYTE_SECONDS
+        wall += math.ceil(count / max(1, chunk_size)) * CHUNK_SECONDS
+        wall += count * point_bytes * BYTE_SECONDS
+        wall += compute / workers
+        return wall
+    raise ValueError(f"unknown backend {backend!r}")
 
 
-#: Process-wide model that ``--jobs auto`` sweeps calibrate and share.
-DEFAULT_COST_MODEL = CostModel()
+def plan(count: int, point_seconds: float, *, point_bytes: float = 512.0,
+         fn_bytes: float = 4096.0, workers: int = 2,
+         pool_warm: bool = False) -> DispatchPlan:
+    """Pick the cheaper backend + chunking for ``count`` points."""
+    workers = max(1, int(workers))
+    chunk_size = chunk_size_for(count, workers)
+    predictions = {
+        name: predict(name, count, point_seconds, point_bytes, fn_bytes,
+                      workers, chunk_size, pool_warm)
+        for name in ("serial", "process")
+    }
+    serial, process = predictions["serial"], predictions["process"]
+    if workers <= 1 or count <= 1:
+        return DispatchPlan("serial", 1, max(1, count),
+                            "single worker or point", predictions)
+    if process * MIN_SPEEDUP >= serial:
+        reason = (f"predicted process speedup "
+                  f"{serial / max(process, 1e-12):.2f}x "
+                  f"< {MIN_SPEEDUP:.2f}x threshold")
+        return DispatchPlan("serial", 1, max(1, count), reason, predictions)
+    reason = (f"predicted {serial / process:.2f}x over serial"
+              + ("" if pool_warm else " despite pool spin-up"))
+    return DispatchPlan("process", workers, chunk_size, reason, predictions)
+
+
+def chunk_size_for(count: int, workers: int) -> int:
+    """Chunks sized for :data:`CHUNKS_PER_WORKER` waves per worker."""
+    return max(1, math.ceil(count / (max(1, workers) * CHUNKS_PER_WORKER)))

@@ -1,4 +1,4 @@
-"""Pluggable sweep executors: serial, thread pool, persistent process pool.
+"""Pluggable sweep executors: serial and a persistent process pool.
 
 An executor's only job is ``map_chunks(fn, chunks)``: apply ``fn`` to
 every chunk and return the results *in submission order*.  All sweep
@@ -18,9 +18,9 @@ after :data:`POOL_IDLE_REAP_SECONDS` — but never while a dispatch is in
 flight, and idleness is measured from dispatch *completion* — and are
 torn down at interpreter exit; a pool broken by a dying worker is
 discarded and respawned by :func:`map_chunks_with_retries`'s backoff
-loop.  The registry is lock-guarded: concurrent sweeps (thread fan-out,
-the :mod:`repro.service` job workers) may fetch, spawn and reap pools
-from many threads at once.
+loop.  The registry is lock-guarded: concurrent sweeps (threads that
+each call ``run_sweep``, the :mod:`repro.service` job workers) may
+fetch, spawn and reap pools from many threads at once.
 
 The process executor requires ``fn`` (a partial over the module-level
 chunk evaluator) and every point's parameters to be picklable; the
@@ -31,8 +31,8 @@ module-level evaluation functions for exactly this reason.
 Every ``map_chunks`` call records a :class:`DispatchStats` on the
 executor (``backend.dispatch``): serialized payload bytes, pool spin-up
 seconds, and per-chunk submit-to-result latencies.  The orchestrator
-copies these into :class:`~repro.sweep.orchestrator.SweepStats` so the
-cost model's inputs are observable (``repro run --profile``).
+copies these into :class:`~repro.sweep.orchestrator.SweepStats` so what
+dispatch cost is observable (``repro run --profile``).
 """
 
 from __future__ import annotations
@@ -43,11 +43,7 @@ import os
 import pickle
 import threading
 import time
-from concurrent.futures import (
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from ..errors import AnalysisError, SweepError
@@ -160,8 +156,8 @@ class _PoolState:
 
 #: Live pools keyed by worker count.  Process-global: every sweep in the
 #: interpreter shares them, which is the whole point.  Every access goes
-#: through :data:`_POOLS_LOCK`: concurrent sweeps (thread executors over
-#: sweeps, the service layer's worker threads) fetch, spawn, reap and
+#: through :data:`_POOLS_LOCK`: concurrent sweeps (threads that each run
+#: a sweep, the service layer's worker threads) fetch, spawn, reap and
 #: discard pools from many threads at once.
 _POOLS: dict[int, _PoolState] = {}
 _POOLS_LOCK = threading.Lock()
@@ -406,30 +402,6 @@ class SerialExecutor(Executor):
         return self._serial_fallback(fn, chunks)
 
 
-class ThreadExecutor(Executor):
-    """Thread pool: wins when the evaluation releases the GIL (numpy/
-    LAPACK-heavy points) or waits on I/O; otherwise GIL-bound."""
-
-    name = "thread"
-
-    def map_chunks(self, fn, chunks: list) -> list:
-        if len(chunks) <= 1 or self.workers <= 1:
-            return self._serial_fallback(fn, chunks)
-        stats = DispatchStats()
-        t0 = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            stats.spinup_seconds = time.perf_counter() - t0
-            submitted = []
-            for chunk in chunks:
-                submitted.append((time.perf_counter(), pool.submit(fn, chunk)))
-            results = []
-            for started, future in submitted:
-                results.append(future.result())
-                stats.chunk_seconds.append(time.perf_counter() - started)
-        self.dispatch = stats
-        return results
-
-
 class ProcessExecutor(Executor):
     """Chunked dispatch to a persistent process pool — the throughput
     backend.
@@ -516,7 +488,7 @@ class AutoExecutor(Executor):
     """Placeholder backend for ``executor="auto"`` / ``jobs="auto"``.
 
     The orchestrator intercepts it: a probe chunk is timed in-process,
-    the :mod:`repro.sweep.costmodel` picks serial/thread/process and the
+    the :mod:`repro.sweep.costmodel` picks serial or process and the
     chunk size, and dispatch proceeds on the chosen real backend.  Used
     directly (``map_chunks``), it degrades to serial execution.
     """
@@ -531,11 +503,11 @@ def resolve_executor(executor=None, jobs=None) -> Executor:
     """Resolve an ``executor=``/``jobs=`` argument pair.
 
     ``None`` picks serial unless ``jobs`` asks for more than one worker,
-    in which case the persistent process pool is used (the only backend
-    that speeds up pure-python evaluation).  ``"auto"`` — as either
-    argument — defers the choice to the dispatch cost model (see
-    :func:`~repro.sweep.run_sweep`).  Strings name a backend explicitly;
-    an :class:`Executor` instance passes through.
+    in which case the persistent process pool is used (the only parallel
+    backend).  ``"auto"`` — as either argument — defers the choice to the
+    dispatch cost model (see :func:`~repro.sweep.run_sweep`).  Strings
+    name a backend explicitly; an :class:`Executor` instance passes
+    through.
     """
     if isinstance(executor, Executor):
         return executor
@@ -552,11 +524,9 @@ def resolve_executor(executor=None, jobs=None) -> Executor:
         return ProcessExecutor(jobs)
     if executor == "serial":
         return SerialExecutor()
-    if executor == "thread":
-        return ThreadExecutor(jobs)
     if executor == "process":
         return ProcessExecutor(jobs)
     raise AnalysisError(
-        f"unknown executor {executor!r}; expected 'serial', 'thread', "
-        "'process', 'auto' or an Executor instance"
+        f"unknown executor {executor!r}; expected 'serial', 'process', "
+        "'auto' or an Executor instance"
     )

@@ -69,14 +69,13 @@ import numpy as np
 from ..errors import AnalysisError, ConvergenceError, ConvergenceReport, \
     SweepError
 from ..spice.engine import GLOBAL_STATS
+from . import costmodel
 from .cache import ResultCache, content_key
-from .costmodel import DEFAULT_COST_MODEL
 from .executors import (
     AutoExecutor,
     Executor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     map_chunks_with_retries,
     pool_is_warm,
     resolve_executor,
@@ -292,16 +291,16 @@ def _chunk_size(backend: Executor, count: int, blocked: bool) -> int:
     Scalar and warm-start chunks take :func:`_default_chunk_size`.  A
     blocked sweep (``evaluate_batch``, no warm chain) pays its stacked
     solver's fixed cost once per chunk, so it runs as one chunk on the
-    serial executor and in :meth:`CostModel.chunk_size_for` chunks on a
-    pool (the ``auto`` probe included); the evaluator bounds a chunk's
-    memory by its byte budget.  Blocked values are bit-identical under
-    any chunking.
+    serial executor and in :func:`~repro.sweep.costmodel.chunk_size_for`
+    chunks on a pool (the ``auto`` probe included); the evaluator bounds
+    a chunk's memory by its byte budget.  Blocked values are
+    bit-identical under any chunking.
     """
     if not blocked:
         return _default_chunk_size(count)
     if isinstance(backend, SerialExecutor):
         return count
-    return DEFAULT_COST_MODEL.chunk_size_for(count, backend.workers)
+    return costmodel.chunk_size_for(count, backend.workers)
 
 
 def _code_object(fn):
@@ -551,7 +550,6 @@ def _plan_auto_dispatch(
     pending_chunks: list,
     pending_keys: list,
     warm_start: bool,
-    thread_fraction: float | None = None,
 ):
     """Probe-then-plan for the ``auto`` executor.
 
@@ -586,25 +584,19 @@ def _plan_auto_dispatch(
             / max(1, len(pending_chunks[0]))
         )
     except Exception:
-        # Unpicklable evaluation: the process pool is off the table, and
-        # for pure-python workloads threads rarely beat serial.
+        # Unpicklable evaluation: the process pool is off the table.
         backend, plan_text = (SerialExecutor(),
                               "serial x1: evaluation is not picklable")
         size = remaining
     else:
         workers = auto.workers
-        plan = DEFAULT_COST_MODEL.plan(
+        plan = costmodel.plan(
             remaining, point_seconds, point_bytes=point_bytes,
             fn_bytes=fn_bytes, workers=workers,
             pool_warm=pool_is_warm(workers),
-            thread_fraction=thread_fraction,
         )
-        if plan.backend == "thread":
-            backend = ThreadExecutor(plan.jobs)
-        elif plan.backend == "process":
-            backend = ProcessExecutor(plan.jobs)
-        else:
-            backend = SerialExecutor()
+        backend = (ProcessExecutor(plan.jobs) if plan.backend == "process"
+                   else SerialExecutor())
         plan_text, size = plan.summary(), max(1, plan.chunk_size)
     if not warm_start:
         flat_points = [point for chunk in chunks for point in chunk]
@@ -775,12 +767,7 @@ def run_sweep(
             probe_keys = pending_keys[:1]
             (backend, plan_text, probe_results, rest_chunks,
              rest_keys) = _plan_auto_dispatch(
-                backend, work, pending_chunks, pending_keys, warm_start,
-                thread_fraction=(
-                    getattr(fn, "thread_fraction_hint", None)
-                    if use_batch else None
-                ),
-            )
+                backend, work, pending_chunks, pending_keys, warm_start)
             pending_chunks = probe_chunks + rest_chunks
             pending_keys = probe_keys + rest_keys
             to_dispatch = rest_chunks
@@ -841,10 +828,6 @@ def run_sweep(
         stats.spinup_seconds = dispatch.spinup_seconds
         stats.chunk_p50_seconds = dispatch.chunk_percentile(0.5)
         stats.chunk_p99_seconds = dispatch.chunk_percentile(0.99)
-        if backend.name == "process":
-            # Calibrate the cost model from what dispatch actually cost
-            # on this machine (spin-up, warm-chunk overhead).
-            DEFAULT_COST_MODEL.observe(dispatch)
     GLOBAL_STATS.sweep_points += stats.points
     GLOBAL_STATS.sweep_cache_hits += stats.cache_hits
     GLOBAL_STATS.sweep_point_seconds += stats.point_seconds

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.errors import ConvergenceError, DesignError
+from repro.errors import AnalysisError, ConvergenceError, DesignError
 from repro.optimize import (
     BoundKind,
     DEFAULT_FAILURE_PENALTY,
@@ -101,14 +101,13 @@ class TestOptimizersFindTheMinimum:
 class TestDeterminism:
     def test_de_bit_identical_across_executors(self):
         """Acceptance: fixed seed -> bit-identical DE results on the
-        serial, thread and process executors."""
+        serial and process executors."""
         runs = {
             name: differential_evolution(
                 quadratic, BOX, seed=3, population=10, generations=20,
                 executor=executor, jobs=jobs)
             for name, executor, jobs in (
                 ("serial", None, None),
-                ("thread", "thread", 4),
                 ("process", "process", 2),
             )
         }
@@ -122,12 +121,12 @@ class TestDeterminism:
         serial = differential_evolution(noisy, [Parameter("x", -1, 1)],
                                         seed=5, population=8,
                                         generations=10)
-        threaded = differential_evolution(noisy, [Parameter("x", -1, 1)],
+        parallel = differential_evolution(noisy, [Parameter("x", -1, 1)],
                                           seed=5, population=8,
                                           generations=10,
-                                          executor="thread", jobs=4)
-        assert serial.best_value == threaded.best_value
-        assert serial.best_params == threaded.best_params
+                                          executor="process", jobs=2)
+        assert serial.best_value == parallel.best_value
+        assert serial.best_params == parallel.best_params
 
     def test_different_seeds_differ(self):
         a = differential_evolution(quadratic, BOX, seed=1, population=8,
@@ -219,3 +218,7 @@ class TestValidation:
     def test_de_population_floor(self):
         with pytest.raises(DesignError):
             differential_evolution(quadratic, BOX, population=2)
+
+    def test_unknown_executor_raises(self):
+        with pytest.raises(AnalysisError, match="unknown executor"):
+            coordinate_search(quadratic, BOX, executor="thread")

@@ -6,21 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.sweep.costmodel import DEFAULT_COST_MODEL
-
 DECKS = Path(__file__).resolve().parents[2] / "examples" / "decks"
-
-
-@pytest.fixture(autouse=True)
-def _restore_shared_cost_models():
-    """Keep this package's sweeps from shifting the shared dispatch
-    cost model, which calibrates from observed timings, so later test
-    modules see its seeded coefficients."""
-    snapshot = (DEFAULT_COST_MODEL.spinup_seconds,
-                DEFAULT_COST_MODEL.chunk_seconds)
-    yield
-    (DEFAULT_COST_MODEL.spinup_seconds,
-     DEFAULT_COST_MODEL.chunk_seconds) = snapshot
 
 
 @pytest.fixture(scope="session")

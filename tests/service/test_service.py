@@ -219,6 +219,41 @@ class TestSweepAndOptimizeJobs:
         assert polled["state"] == "failed"
         assert polled["error"]["error_type"] == "SweepError"
 
+    def test_request_cannot_size_a_process_pool(self, service, ce_deck,
+                                                monkeypatch):
+        """A request's ``jobs`` and ``executor`` are checked before any
+        pool is touched: ``jobs`` past the usable CPUs and an unknown
+        executor name fail the job with code 400, on every job kind
+        that dispatches a sweep."""
+        def no_pool(*args, **kwargs):
+            raise RuntimeError("a job reached the process-pool registry")
+
+        monkeypatch.setattr("repro.sweep.executors._get_pool", no_pool)
+        cid = service.create_circuit(ce_deck)["circuit_id"]
+        sweep = dict(source="VB", values=[0.75, 0.8, 0.85], output="c")
+        optimize = dict(output="c", target=3.0, parameters=[
+            {"name": "VB", "lower": 0.7, "upper": 0.9}])
+        for submit, request in ((service.run_sweep, sweep),
+                                (service.run_verify, {}),
+                                (service.run_optimize, optimize)):
+            for dispatch in ({"executor": "process", "jobs": 10_000},
+                             {"executor": "auto", "jobs": 10_000},
+                             {"jobs": 0}, {"jobs": 2.0},
+                             {"executor": "thread"}):
+                polled = _run(service, submit(cid, **request, **dispatch))
+                assert polled["state"] == "failed", (submit, dispatch)
+                assert polled["error"]["code"] == 400, (submit, dispatch)
+
+    def test_request_within_the_cpus_still_runs(self, service, ce_deck):
+        cid = service.create_circuit(ce_deck)["circuit_id"]
+        for dispatch in ({"executor": "serial", "jobs": 1},
+                         {"executor": "auto", "jobs": "auto"}):
+            polled = _run(service, service.run_sweep(
+                cid, source="VB", values=[0.75, 0.8], output="c",
+                tenant=dispatch["executor"], **dispatch))
+            assert polled["state"] == "done", dispatch
+            assert polled["result"]["sweep_stats"]["executor"] == "serial"
+
     def test_optimize_job_hits_the_target(self, service, ce_deck):
         cid = service.create_circuit(ce_deck)["circuit_id"]
         polled = _run(service, service.run_optimize(

@@ -44,7 +44,6 @@ VB_LEVELS = [0.55, 0.62, 0.68, 0.72, 0.75, 0.78, 0.80, 0.82]
 
 EXECUTOR_MATRIX = (
     {"executor": "serial"},
-    {"executor": "thread", "jobs": 2},
     {"executor": "process", "jobs": 2},
     {"executor": "auto"},
 )
@@ -371,10 +370,3 @@ class TestEvaluatorContract:
         clone = pickle.loads(pickle.dumps(fn))
         assert clone.__cache_tag__ == fn.__cache_tag__
         np.testing.assert_array_equal(clone({"VB": 0.75}), fn({"VB": 0.75}))
-
-    def test_thread_fraction_hint_matches_cost_model(self):
-        from repro.sweep import DEFAULT_COST_MODEL
-
-        fn = BlockedACSweep(DECK_TEXT)
-        assert (fn.thread_fraction_hint
-                == DEFAULT_COST_MODEL.complex_parallel_fraction)

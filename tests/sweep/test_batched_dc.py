@@ -40,7 +40,6 @@ VB_LEVELS = [0.55, 0.62, 0.68, 0.72, 0.75, 0.78, 0.80, 0.82]
 
 EXECUTOR_MATRIX = (
     {"executor": "serial"},
-    {"executor": "thread", "jobs": 2},
     {"executor": "process", "jobs": 2},
     {"executor": "auto"},
 )

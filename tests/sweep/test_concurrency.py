@@ -1,11 +1,11 @@
-"""Concurrency stress tests: shared pools, caches and cost models.
+"""Concurrency stress tests: shared pools and caches.
 
-The sweep layer's process-pool registry, result caches and EWMA cost
-models are process-global, and the service layer (:mod:`repro.service`)
-drives all of them from many threads at once.  These tests hammer the
-shared state from thread fan-outs and assert the serial contracts
-survive: no lost results, no ``BrokenProcessPool`` from a reaped-while-
-busy pool, bit-identical values, consistent counters.
+The sweep layer's process-pool registry and result caches are
+process-global, and the service layer (:mod:`repro.service`) drives
+them from many threads at once.  These tests hammer the shared state
+from thread fan-outs and assert the serial contracts survive: no lost
+results, no ``BrokenProcessPool`` from a reaped-while-busy pool,
+bit-identical values, consistent counters.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ import time
 import pytest
 
 from repro.sweep import ResultCache, run_sweep
-from repro.sweep.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.sweep.executors import (
-    DispatchStats,
     ProcessExecutor,
     _get_pool,
     _POOLS,
@@ -26,21 +24,6 @@ from repro.sweep.executors import (
     pool_is_warm,
     shutdown_pools,
 )
-
-
-@pytest.fixture(autouse=True)
-def _restore_shared_cost_models():
-    """Shield the rest of the suite from this module's calibrations.
-
-    The dispatch cost model self-calibrates from observed timings; tests
-    that stress it (or run many sweeps) would otherwise shift auto-choice
-    behavior in later test modules.
-    """
-    snapshot = (DEFAULT_COST_MODEL.spinup_seconds,
-                DEFAULT_COST_MODEL.chunk_seconds)
-    yield
-    (DEFAULT_COST_MODEL.spinup_seconds,
-     DEFAULT_COST_MODEL.chunk_seconds) = snapshot
 
 
 def _poly(params: dict, attempt: int = 0) -> float:
@@ -101,12 +84,6 @@ class TestConcurrentSweeps:
         # after the first wave everything is served from cache.
         assert cache.misses < lookups
         assert cache.hits > 0
-
-    def test_thread_executor_matches_serial_bitwise(self):
-        points = [{"x": i * 0.25} for i in range(64)]
-        serial = run_sweep(_poly, points)
-        threaded = run_sweep(_poly, points, executor="thread", jobs=4)
-        assert threaded.values == serial.values  # bit-identical, not approx
 
 
 class TestPoolRegistryRaces:
@@ -200,7 +177,7 @@ class TestPoolRegistryRaces:
 
 
 class TestSharedCountersUnderThreads:
-    """ResultCache counters and cost-model EWMAs under contention."""
+    """ResultCache counters under contention."""
 
     def test_result_cache_counters_stay_consistent(self):
         cache = ResultCache(maxsize=32)
@@ -226,26 +203,3 @@ class TestSharedCountersUnderThreads:
         assert cache.hits + cache.misses == threads * per_thread
         assert len(cache) <= 32  # eviction never overshoots under races
         assert 0.0 <= cache.hit_rate() <= 1.0
-
-    def test_dispatch_cost_model_ewma_is_atomic(self):
-        model = CostModel(spinup_seconds=0.1, chunk_seconds=1e-3, ewma=0.5)
-        stats = DispatchStats(spinup_seconds=0.05, pool_reused=False,
-                              chunk_seconds=[5e-4] * 8)
-
-        def observe() -> None:
-            for _ in range(200):
-                model.observe(stats)
-
-        pool = [threading.Thread(target=observe) for _ in range(8)]
-        for thread in pool:
-            thread.start()
-        for thread in pool:
-            thread.join()
-        # The EWMA converges toward the observed values; torn read-
-        # modify-write cycles would leave it outside (observed, seed).
-        assert 0.05 <= model.spinup_seconds <= 0.1
-        assert 5e-4 <= model.chunk_seconds <= 1e-3
-
-    def test_cost_model_copy_gets_fresh_lock(self):
-        copied = DEFAULT_COST_MODEL.copy()
-        assert copied._lock is not DEFAULT_COST_MODEL._lock

@@ -2,108 +2,96 @@
 
 The model's one job is to keep ``--jobs auto`` from ever *losing* to
 serial: pool spin-up and per-chunk IPC must be charged against the
-predicted parallel win, near-ties must resolve to serial, and observed
-dispatch stats must pull the estimates toward the actual machine.
+predicted parallel win, near-ties must resolve to serial, and a plan
+must depend on its own sweep's inputs alone.
 """
 
 import pytest
 
-from repro.sweep import CostModel, DEFAULT_COST_MODEL, DispatchPlan
-from repro.sweep.executors import DispatchStats
+from repro.sweep import DispatchPlan, run_sweep, shutdown_pools
+from repro.sweep.costmodel import (
+    SPINUP_SECONDS,
+    chunk_size_for,
+    plan,
+    predict,
+)
+
+
+def _noop(params):
+    return 0.0
 
 
 class TestPlanning:
     def test_tiny_cheap_sweep_stays_serial(self):
-        plan = CostModel().plan(8, 20e-6, workers=4)
-        assert plan.backend == "serial"
-        assert plan.jobs == 1
+        chosen = plan(8, 20e-6, workers=4)
+        assert chosen.backend == "serial"
+        assert chosen.jobs == 1
 
     def test_large_expensive_sweep_goes_process(self):
-        plan = CostModel().plan(500, 1.5e-3, workers=4)
-        assert plan.backend == "process"
-        assert plan.jobs == 4
-        assert plan.predictions["process"] < plan.predictions["serial"]
+        chosen = plan(500, 1.5e-3, workers=4)
+        assert chosen.backend == "process"
+        assert chosen.jobs == 4
+        assert chosen.predictions["process"] < chosen.predictions["serial"]
 
     def test_single_worker_never_parallel(self):
-        plan = CostModel().plan(10_000, 1e-2, workers=1)
-        assert plan.backend == "serial"
+        chosen = plan(10_000, 1e-2, workers=1)
+        assert chosen.backend == "serial"
 
     def test_single_point_never_parallel(self):
-        plan = CostModel().plan(1, 10.0, workers=8)
-        assert plan.backend == "serial"
+        chosen = plan(1, 10.0, workers=8)
+        assert chosen.backend == "serial"
 
     def test_warm_pool_tilts_toward_process(self):
-        model = CostModel()
         # A workload sized so spin-up is the deciding term.
         count, per_point = 40, 2e-3
-        cold = model.plan(count, per_point, workers=4, pool_warm=False)
-        warm = model.plan(count, per_point, workers=4, pool_warm=True)
+        cold = plan(count, per_point, workers=4, pool_warm=False)
+        warm = plan(count, per_point, workers=4, pool_warm=True)
         assert (warm.predictions["process"]
                 < cold.predictions["process"])
         assert cold.predictions["process"] - warm.predictions["process"] \
-            == pytest.approx(model.spinup_seconds)
+            == pytest.approx(SPINUP_SECONDS)
 
     def test_near_tie_resolves_to_serial(self):
-        model = CostModel(min_speedup=1.2)
         # Find a size where parallel wins by less than the threshold.
-        plan = model.plan(30, 120e-6, workers=2)
-        ratio = (plan.predictions["serial"]
-                 / min(plan.predictions["thread"],
-                       plan.predictions["process"]))
+        chosen = plan(30, 120e-6, workers=2)
+        ratio = (chosen.predictions["serial"]
+                 / chosen.predictions["process"])
         if ratio < 1.2:
-            assert plan.backend == "serial"
+            assert chosen.backend == "serial"
 
     def test_payload_cost_charged_per_point(self):
-        model = CostModel()
-        small = model.predict("process", 100, 1e-3, 100.0, 1000.0, 4,
-                              10, True)
-        large = model.predict("process", 100, 1e-3, 1e6, 1000.0, 4,
-                              10, True)
+        small = predict("process", 100, 1e-3, 100.0, 1000.0, 4, 10, True)
+        large = predict("process", 100, 1e-3, 1e6, 1000.0, 4, 10, True)
         assert large > small
 
     def test_chunk_size_targets_waves_per_worker(self):
-        model = CostModel(chunks_per_worker=4)
-        assert model.chunk_size_for(160, 4) == 10
-        assert model.chunk_size_for(3, 4) == 1
+        assert chunk_size_for(160, 4) == 10
+        assert chunk_size_for(3, 4) == 1
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError):
-            CostModel().predict("gpu", 10, 1e-3, 1.0, 1.0, 2, 1, False)
+            predict("gpu", 10, 1e-3, 1.0, 1.0, 2, 1, False)
 
     def test_plan_summary_is_informative(self):
-        plan = CostModel().plan(500, 1.5e-3, workers=4)
-        text = plan.summary()
+        text = plan(500, 1.5e-3, workers=4).summary()
         assert "process" in text
         assert "serial=" in text
 
 
-class TestCalibration:
-    def test_observe_updates_spinup_from_cold_start(self):
-        model = CostModel(spinup_seconds=0.08, ewma=0.5)
-        model.observe(DispatchStats(spinup_seconds=0.2, pool_reused=False))
-        assert model.spinup_seconds == pytest.approx(0.14)
-
-    def test_observe_ignores_reused_pool_spinup(self):
-        model = CostModel(spinup_seconds=0.08)
-        model.observe(DispatchStats(spinup_seconds=0.0, pool_reused=True))
-        assert model.spinup_seconds == 0.08
-
-    def test_observe_only_shrinks_chunk_overhead(self):
-        # Chunk latency includes compute: a busy chunk must not inflate
-        # the overhead estimate, a fast one may shrink it.
-        model = CostModel(chunk_seconds=2e-3, ewma=0.5)
-        model.observe(DispatchStats(chunk_seconds=[0.5, 0.6, 0.7]))
-        assert model.chunk_seconds == 2e-3
-        model.observe(DispatchStats(chunk_seconds=[1e-3, 1e-3, 1e-3]))
-        assert model.chunk_seconds == pytest.approx(1.5e-3)
-
-    def test_observe_none_is_noop(self):
-        model = CostModel()
-        before = model.spinup_seconds
-        model.observe(None)
-        assert model.spinup_seconds == before
-
-    def test_default_model_is_shared_and_copyable(self):
-        clone = DEFAULT_COST_MODEL.copy()
-        assert clone is not DEFAULT_COST_MODEL
-        assert isinstance(clone.plan(10, 1e-3), DispatchPlan)
+class TestIsolation:
+    def test_plan_ignores_earlier_dispatches(self):
+        """A sweep's plan depends only on its own probe: a process
+        dispatch of fast no-op chunks (the pool warm-up a campaign runs
+        first) must not move a later plan, predictions included."""
+        inputs = dict(point_bytes=300.0, fn_bytes=2048.0, workers=2,
+                      pool_warm=False)
+        before = plan(64, 4e-4, **inputs)
+        shutdown_pools()
+        try:
+            run_sweep(_noop, [{"i": i} for i in range(8)],
+                      executor="process", jobs=2, chunk_size=1)
+        finally:
+            shutdown_pools()
+        after = plan(64, 4e-4, **inputs)
+        assert isinstance(after, DispatchPlan)
+        assert after == before

@@ -5,8 +5,8 @@ and workers cache the deserialized evaluation function by content hash.
 These tests pin the lifecycle (reuse, discard, fault recovery hook), the
 worker count validation introduced with :class:`~repro.errors.SweepError`
 (``workers < 1`` used to silently degrade to serial), and the
-:class:`~repro.sweep.DispatchStats` observability record the cost model
-feeds on.
+:class:`~repro.sweep.DispatchStats` observability record each sweep
+copies onto its stats.
 """
 
 import pickle
@@ -19,7 +19,6 @@ from repro.sweep import (
     DispatchStats,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     pool_is_warm,
     resolve_executor,
     run_sweep,
@@ -39,13 +38,13 @@ def _chunk_loads(chunk):
 
 
 class TestWorkerValidation:
-    @pytest.mark.parametrize("backend", (ThreadExecutor, ProcessExecutor))
+    @pytest.mark.parametrize("backend", (ProcessExecutor,))
     @pytest.mark.parametrize("jobs", (0, -1, -8))
     def test_nonpositive_worker_count_raises(self, backend, jobs):
         with pytest.raises(SweepError, match="at least 1 worker"):
             backend(jobs)
 
-    @pytest.mark.parametrize("backend", (ThreadExecutor, ProcessExecutor))
+    @pytest.mark.parametrize("backend", (ProcessExecutor,))
     @pytest.mark.parametrize("jobs", (2.0, "4", True))
     def test_non_integer_worker_count_raises(self, backend, jobs):
         with pytest.raises(SweepError, match="positive integer"):
@@ -53,14 +52,14 @@ class TestWorkerValidation:
 
     def test_default_worker_count_still_allowed(self):
         assert ProcessExecutor().workers >= 1
-        assert ThreadExecutor(3).workers == 3
+        assert ProcessExecutor(3).workers == 3
 
     @pytest.mark.parametrize("jobs", (0, -2))
     def test_resolve_executor_rejects_bad_jobs(self, jobs):
         with pytest.raises(SweepError):
             resolve_executor(None, jobs)
         with pytest.raises(SweepError):
-            resolve_executor("thread", jobs)
+            resolve_executor("process", jobs)
 
     def test_run_sweep_surfaces_validation(self):
         with pytest.raises(SweepError):
@@ -81,6 +80,12 @@ class TestResolveExecutor:
     def test_unknown_backend_mentions_auto(self):
         with pytest.raises(AnalysisError, match="auto"):
             resolve_executor("gpu", None)
+
+    def test_thread_is_not_a_backend(self):
+        with pytest.raises(AnalysisError, match="unknown executor"):
+            resolve_executor("thread", 2)
+        with pytest.raises(AnalysisError, match="unknown executor"):
+            run_sweep(_chunk_sum, [{"x": 1}], executor="thread")
 
 
 class TestPersistentPool:
@@ -154,15 +159,11 @@ class TestDispatchStats:
         assert len(stats.chunk_seconds) == len(chunks)
         assert stats.chunk_percentile(0.5) <= stats.chunk_percentile(0.99)
 
-    def test_serial_and_thread_record_chunk_latencies(self):
+    def test_serial_records_chunk_latencies(self):
         serial = SerialExecutor()
         serial.map_chunks(_chunk_sum, [[1], [2]])
         assert len(serial.dispatch.chunk_seconds) == 2
         assert serial.dispatch.payload_bytes == 0
-
-        thread = ThreadExecutor(2)
-        thread.map_chunks(_chunk_sum, [[1], [2], [3]])
-        assert len(thread.dispatch.chunk_seconds) == 3
 
     def test_percentile_of_empty_is_zero(self):
         assert DispatchStats().chunk_percentile(0.5) == 0.0
@@ -170,8 +171,7 @@ class TestDispatchStats:
 
 class TestOrderPreservation:
     @pytest.mark.parametrize("make",
-                             (SerialExecutor, lambda: ThreadExecutor(2),
-                              lambda: ProcessExecutor(2)))
+                             (SerialExecutor, lambda: ProcessExecutor(2)))
     def test_results_in_submission_order(self, make):
         shutdown_pools()
         backend = make()

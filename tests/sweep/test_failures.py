@@ -20,7 +20,7 @@ from repro.sweep import (
     run_sweep,
 )
 
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 
 def _report(stage="newton"):

@@ -10,7 +10,6 @@ from repro.sweep import (
     ParameterGrid,
     ResultCache,
     SerialExecutor,
-    ThreadExecutor,
     resolve_executor,
     run_sweep,
 )
@@ -99,9 +98,9 @@ class TestWarmStart:
         points = [{"x": 1.0}] * 6
         serial = run_sweep(_chain, points, warm_start=True, chunk_size=2,
                            executor="serial")
-        threaded = run_sweep(_chain, points, warm_start=True, chunk_size=2,
-                             executor="thread", jobs=3)
-        assert serial.values == threaded.values
+        parallel = run_sweep(_chain, points, warm_start=True, chunk_size=2,
+                             executor="process", jobs=2)
+        assert serial.values == parallel.values
 
     def test_protocol_violation_raises(self):
         with pytest.raises(AnalysisError, match="warm_start"):
@@ -255,7 +254,6 @@ class TestExecutorResolution:
 
     def test_names_resolve(self):
         assert resolve_executor("serial").name == "serial"
-        assert resolve_executor("thread", 2).workers == 2
         assert resolve_executor("process", 3).workers == 3
 
     def test_instance_passthrough(self):
@@ -265,10 +263,3 @@ class TestExecutorResolution:
     def test_unknown_name_rejected(self):
         with pytest.raises(AnalysisError):
             resolve_executor("gpu")
-
-    def test_thread_executor_preserves_submission_order(self):
-        backend = ThreadExecutor(jobs=4)
-        chunks = [[i] for i in range(12)]
-        assert backend.map_chunks(lambda c: c[0] * 2, chunks) == [
-            i * 2 for i in range(12)
-        ]

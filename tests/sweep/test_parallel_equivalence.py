@@ -1,4 +1,4 @@
-"""Bit-identity of serial, thread and process sweep execution.
+"""Bit-identity of serial and process sweep execution.
 
 The orchestration contract says results are a function of the sweep
 definition alone — chunking, per-point seeding and warm chains never
@@ -20,7 +20,7 @@ from repro.geometry import (
 from repro.rfsystems import fig5_sweep
 from repro.sweep import MonteCarloSampler, run_sweep
 
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 
 def _draw_pair(params, rng):
@@ -39,7 +39,7 @@ class TestOrchestratorEquivalence:
 
 
 class TestMonteCarloModelsEquivalence:
-    @pytest.mark.parametrize("executor", ("thread", "process"))
+    @pytest.mark.parametrize("executor", ("process",))
     def test_bit_identical_populations(self, executor):
         serial = monte_carlo_models("N1.2-6D", 12, seed=5)
         parallel = monte_carlo_models("N1.2-6D", 12, seed=5,
@@ -67,7 +67,7 @@ class TestMonteCarloModelsEquivalence:
 
 
 class TestMonteCarloImageRejectionEquivalence:
-    @pytest.mark.parametrize("executor", ("thread", "process"))
+    @pytest.mark.parametrize("executor", ("process",))
     def test_bit_identical_yield_report(self, executor):
         mismatch = MismatchSpec(1.5, 0.02)
         serial = monte_carlo_image_rejection(40, mismatch, seed=2)
@@ -87,7 +87,7 @@ class TestFig5Equivalence:
     PHASES = (0.5, 1.0, 2.0)
     GAINS = (0.01, 0.05)
 
-    @pytest.mark.parametrize("executor", ("thread", "process"))
+    @pytest.mark.parametrize("executor", ("process",))
     def test_simulated_grid_identical(self, executor):
         serial = fig5_sweep(self.PHASES, self.GAINS)
         parallel = fig5_sweep(self.PHASES, self.GAINS,
@@ -110,7 +110,7 @@ class TestFTCurveEquivalence:
             CJE=40e-15, CJC=25e-15, TF=8e-12,
         )
 
-    @pytest.mark.parametrize("executor", ("thread", "process"))
+    @pytest.mark.parametrize("executor", ("process",))
     def test_warm_started_sweep_identical(self, device, executor):
         ics = np.geomspace(1e-5, 1e-2, 12)
         serial = ft_curve(device, ics, chunk_size=4)

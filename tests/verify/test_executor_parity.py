@@ -1,7 +1,7 @@
 """Bit-identity of qualification across every sweep executor.
 
 Mirrors ``tests/sweep/test_batched_dc.py``: the serial *scalar* path
-(``batch=False``) is the reference; serial/thread/process/auto blocked
+(``batch=False``) is the reference; serial/process/auto blocked
 runs must reproduce its corner outcomes, stress verdicts, and failure
 records exactly.
 """
@@ -52,7 +52,6 @@ BAD_MEASUREMENTS = (dc_voltage("v_missing", "no_such_node"),)
 
 EXECUTOR_MATRIX = (
     {"executor": "serial"},
-    {"executor": "thread", "jobs": 2},
     {"executor": "process", "jobs": 2},
     {"executor": "auto"},
 )
