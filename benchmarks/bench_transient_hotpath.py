@@ -16,10 +16,12 @@ waveform well resolved, the regime the mixed-level verification loops
 run in: most accepted steps sit at ``max_step``, so the chord token
 repeats and bypassed devices barely move between steps.
 
-Each measurement is best-of-N wall clock; engine counters come from the
-:data:`~repro.spice.engine.GLOBAL_STATS` delta of the *last* run of
-each arm.  Results land in ``BENCH_transient.json`` via
-:func:`conftest.record_transient`.
+Each measurement is best-of-N wall clock, the reference and hot runs
+alternating inside every round so that machine drift lands on both
+arms alike; engine counters come from the
+:data:`~repro.spice.engine.GLOBAL_STATS` delta of each arm's best run
+(they are the same on every run).  Results land in
+``BENCH_transient.json`` via :func:`conftest.record_transient`.
 """
 
 import time
@@ -64,13 +66,18 @@ def _run(stages, **kwargs):
     return result, wall, GLOBAL_STATS.since(snapshot).as_dict()
 
 
-def _best_of(stages, **kwargs):
-    best = None
-    for _ in range(ROUNDS):
-        result, wall, delta = _run(stages, **kwargs)
-        if best is None or wall < best[1]:
-            best = (result, wall, delta)
-    return best
+def _best_of_interleaved(stages):
+    """Best-of-ROUNDS ``(result, seconds, counters)`` for the reference
+    and the hot arm, the two alternating (in swapped order every other
+    round) instead of timing all reference rounds first."""
+    arms = {"ref": {"bypass_tol": 0.0, "chord": False}, "hot": {}}
+    best = {}
+    for round_ in range(ROUNDS):
+        for arm in (("ref", "hot") if round_ % 2 == 0 else ("hot", "ref")):
+            result, wall, delta = _run(stages, **arms[arm])
+            if arm not in best or wall < best[arm][1]:
+                best[arm] = (result, wall, delta)
+    return best["ref"], best["hot"]
 
 
 def _early_window_deviation(ref, hot):
@@ -94,8 +101,8 @@ def bench_transient_hotpath():
     headline = None
     for stages in (5, 25):
         _run(stages, bypass_tol=0.0, chord=False)  # warm caches
-        ref, t_ref, d_ref = _best_of(stages, bypass_tol=0.0, chord=False)
-        hot, t_hot, d_hot = _best_of(stages)
+        (ref, t_ref, d_ref), (hot, t_hot, d_hot) = _best_of_interleaved(
+            stages)
 
         speedup = t_ref / t_hot
         deviation = _early_window_deviation(ref, hot)
@@ -142,6 +149,7 @@ def bench_transient_hotpath():
 
     report("BENCH_transient_hotpath", "\n".join(lines))
     # Headline target (tracked by BENCH_transient.json): >=2x on the
-    # LU-dominated ring.  Asserted with slack for noisy shared runners;
-    # locally this measures ~2.8x.
+    # LU-dominated ring, asserted at 1.5x for noisy shared runners.  On a
+    # 2-core container eight interleaved runs read 1.28x to 1.78x
+    # (median 1.61x).
     assert headline is not None and headline >= 1.5

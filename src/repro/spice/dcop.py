@@ -477,6 +477,13 @@ def newton_solve_batched(
     ``rhs_deltas``, when given, is a per-lane sequence of residual
     offsets (entries may be ``None``); see :func:`newton_solve`.
 
+    Each lane carries its own ``pnjlim`` history, as a fresh ``limits``
+    dict would in the scalar path: engines with stacked evaluation keep
+    it as one ``(B, 2, n)`` array
+    (:meth:`~repro.spice.engine.CompiledCircuit.new_history`) that every
+    stacked assembly reads and rewrites for the active lanes; the
+    per-lane fallback keeps one dict per lane.
+
     Returns ``(x, converged)``: the ``(B, n)`` solution stack and a
     boolean mask.  Lanes that hit a singular Jacobian, a non-finite step
     or the iteration budget come back unconverged with their last
@@ -491,7 +498,6 @@ def newton_solve_batched(
         raise ValueError("newton_solve_batched expects a (B, n) stack")
     batch, size = x.shape
     diag = np.arange(num_nodes)
-    limits = [dict() for _ in range(batch)]
     converged = np.zeros(batch, dtype=bool)
     # Source re-biases, stacked once.  Lanes without one get no add at
     # all: ``+= 0.0`` would turn a -0.0 residual entry into +0.0, which
@@ -511,20 +517,27 @@ def newton_solve_batched(
     pattern = engine.pattern if engine.assembly == "sparse" else None
     diag_pos = pattern.positions(diag, diag) if pattern is not None else None
     # Engines whose nonlinear devices are all group-vectorized assemble
-    # every active lane in one stacked pass — the same elementwise math
+    # every active lane in one stacked pass — the same device kernel
     # lane-by-lane, so residuals and Jacobians stay bit-identical to the
-    # per-lane evaluate loop they replace.
+    # per-lane evaluate loop they replace.  Their limiting history is one
+    # (B, 2, n) array; the per-lane loop keeps a limits dict per lane.
     stacked = engine.supports_stacked_evaluate
+    if stacked:
+        history = engine.new_history(batch)
+    else:
+        limits = [dict() for _ in range(batch)]
     active = np.arange(batch)
     for _iteration in range(tolerances.max_iterations):
         if active.size == 0:
             break
         xa = x[active]
         if stacked:
+            lane_history = history[active]
             sctx = engine.evaluate_stacked(
-                xa, gmin=gmin, limits_list=[limits[k] for k in active],
+                xa, gmin=gmin, history=lane_history,
                 source_scale=source_scale,
             )
+            history[active] = lane_history
             res, jac = sctx.i, sctx.g
         else:
             res = np.empty((active.size, size))

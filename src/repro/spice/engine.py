@@ -22,8 +22,8 @@ iteration to the next.
   benchmarks — are evaluated as a single vectorized group
   (:class:`BJTGroup`): one numpy pass over all devices, scattered into
   the matrices with ``np.add.at`` through index arrays built at compile
-  time.  Any other nonlinear element (diodes, BJT subclasses) falls back
-  to its scalar :meth:`~repro.spice.netlist.Element.load_dynamic`.
+  time.  Any other nonlinear element (diodes) falls back to its scalar
+  :meth:`~repro.spice.netlist.Element.load_dynamic`.
 
 Compilation makes one backend decision, dense or sparse, as a pure
 function of the system's shape (:func:`repro.spice.solvercost.choose`)
@@ -595,7 +595,11 @@ def _diode_current_vec(
 def _pnjlim_vec(
     v_new: np.ndarray, v_old: np.ndarray, vt: np.ndarray, v_crit: np.ndarray
 ) -> np.ndarray:
-    """Vectorized SPICE pnjlim junction-voltage limiting."""
+    """Vectorized SPICE pnjlim junction-voltage limiting.
+
+    A NaN ``v_old`` (no history) leaves ``v_new`` unlimited, exactly as
+    ``v_old == v_new`` does.
+    """
     limit = (v_new > v_crit) & (np.abs(v_new - v_old) > 2.0 * vt)
     arg = 1.0 + (v_new - v_old) / vt
     arg_pos = arg > 0.0
@@ -609,93 +613,94 @@ def _pnjlim_vec(
     return np.where(limit, limited, v_new)
 
 
-class _DepletionJunction:
-    """Precomputed constants for a batch of depletion junctions.
+def _depletion_constants(cj, vj, m, fc) -> np.ndarray:
+    """The 11 per-junction constants of :func:`_depletion`, stacked."""
+    one_m = 1.0 - m
+    f1 = vj / one_m * (1.0 - (1.0 - fc) ** one_m)
+    f2 = (1.0 - fc) ** (1.0 + m)
+    threshold = fc * vj
+    return np.stack([
+        threshold, one_m, cj, 1.0 / vj, cj * vj / one_m, cj * f1, cj / f2,
+        1.0 - fc * (1.0 + m), m / (2.0 * vj), m / vj, threshold * threshold,
+    ])
 
-    All four BJT junction families (B-E, internal B-C, external B-C,
-    substrate) are stacked into one array so a single vectorized
-    :meth:`charge_cap` covers the whole group — per-op numpy overhead on
-    short arrays is what dominates small-circuit evaluation, so fewer,
-    longer operations win.
-    """
 
-    def __init__(self, cj, vj, m, fc):
-        cj = np.asarray(cj, dtype=float)
-        vj = np.asarray(vj, dtype=float)
-        m = np.asarray(m, dtype=float)
-        fc = np.asarray(fc, dtype=float)
-        self.cj = cj
-        self.threshold = fc * vj
-        self.one_m = 1.0 - m
-        f1 = vj / self.one_m * (1.0 - (1.0 - fc) ** self.one_m)
-        f2 = (1.0 - fc) ** (1.0 + m)
-        self.f3 = 1.0 - fc * (1.0 + m)
-        self.inv_vj = 1.0 / vj
-        self.coef_b = cj * vj / self.one_m
-        self.cj_f1 = cj * f1
-        self.cj_over_f2 = cj / f2
-        self.m_over_2vj = m / (2.0 * vj)
-        self.m_over_vj = m / vj
-        self.thr2 = self.threshold * self.threshold
+def _depletion(v: np.ndarray, constants: np.ndarray):
+    """Vectorized SPICE depletion Q(v), C(v); ``cj == 0`` lanes are 0."""
+    (threshold, one_m, cj, inv_vj, coef_b, cj_f1, cj_over_f2, f3,
+     m_over_2vj, m_over_vj, thr2) = constants
+    below = v < threshold
+    arg = np.where(below, 1.0 - v * inv_vj, 1.0)
+    pow_one_m = arg ** one_m
+    charge_b = coef_b * (1.0 - pow_one_m)
+    cap_b = cj * pow_one_m / arg  # arg^(1-m)/arg == arg^-m
+    dv = v - threshold
+    charge_a = cj_f1 + cj_over_f2 * (
+        f3 * dv + m_over_2vj * (v * v - thr2)
+    )
+    cap_a = cj_over_f2 * (f3 + m_over_vj * v)
+    return np.where(below, charge_b, charge_a), np.where(below, cap_b, cap_a)
 
-    def charge_cap(
-        self, v: np.ndarray, lanes: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized SPICE depletion Q(v), C(v); ``cj == 0`` lanes are 0.
 
-        ``lanes`` restricts the evaluation to a subset of the stacked
-        junction batch (device-bypass partial evaluation); ``v`` must
-        then already be gathered to those lanes.
-        """
-        if lanes is None:
-            threshold, one_m, cj = self.threshold, self.one_m, self.cj
-            inv_vj, coef_b = self.inv_vj, self.coef_b
-            cj_f1, cj_over_f2, f3 = self.cj_f1, self.cj_over_f2, self.f3
-            m_over_2vj, m_over_vj = self.m_over_2vj, self.m_over_vj
-            thr2 = self.thr2
-        else:
-            threshold, one_m, cj = (
-                self.threshold[lanes], self.one_m[lanes], self.cj[lanes]
-            )
-            inv_vj, coef_b = self.inv_vj[lanes], self.coef_b[lanes]
-            cj_f1, cj_over_f2, f3 = (
-                self.cj_f1[lanes], self.cj_over_f2[lanes], self.f3[lanes]
-            )
-            m_over_2vj, m_over_vj = (
-                self.m_over_2vj[lanes], self.m_over_vj[lanes]
-            )
-            thr2 = self.thr2[lanes]
-        below = v < threshold
-        arg = np.where(below, 1.0 - v * inv_vj, 1.0)
-        pow_one_m = arg ** one_m
-        charge_b = coef_b * (1.0 - pow_one_m)
-        cap_b = cj * pow_one_m / arg  # arg^(1-m)/arg == arg^-m
-        dv = v - threshold
-        charge_a = cj_f1 + cj_over_f2 * (
-            f3 * dv + m_over_2vj * (v * v - thr2)
-        )
-        cap_a = cj_over_f2 * (f3 + m_over_vj * v)
-        return (
-            np.where(below, charge_b, charge_a),
-            np.where(below, cap_b, cap_a),
-        )
+# Row layout of BJTGroup's parameter block (one column per device).  The
+# junction diodes run as one (B-E, B-C, B-E leakage, B-C leakage) batch,
+# whose first two thermal voltages also drive pnjlim.
+_P_ISAT = slice(0, 4)  # IS, IS, ISE, ISC
+_P_NVT = slice(4, 8)  # NF, NR, NE, NC times vt
+_P_VT = slice(4, 6)  # the two that limit vbe, vbc
+_P_VCRIT = slice(8, 10)  # B-E, B-C critical voltages
+# VAF, VAR, IKF, IKR, BF, BR, ITF, 1/(1.44 VTF), TF, XTF, TR, RBM, RB:
+_P_GP = slice(10, 23)
+_P_DEP = slice(23, 67)  # 11 depletion constants x (B-E, B-C', B-C, S-C)
+_P_SIGN = slice(67, 113)  # the stamp sign table below
+
+# The 46 stamp rows -- 5 I, 13 G, 8 Q, 20 C, in scatter-index order --
+# each gather one base quantity of the kernel and multiply it by a
+# constant +-1, times the device polarity on the junction current and
+# charge rows (``_STAMP_POLAR``).
+_I, _G, _Q, _C = slice(0, 5), slice(5, 18), slice(18, 26), slice(26, 46)
+_STAMP_BASE = np.array(
+    [0, 0, 1, 2, 3]  # I: irb, -irb, ic, ib, -(ic + ib)
+    + [4, 4, 4, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13]  # G: rb, dIc, dIb, dIe
+    + [14, 14, 15, 15, 16, 16, 17, 17]  # Q: qbe, qbc, qbx, qjs pairs
+    + [18] * 4 + [19] * 4 + [20] * 4 + [21] * 4 + [22] * 4  # C quads
+)
+_STAMP_SIGN = np.array(
+    [1, -1, 1, 1, -1]
+    + [1, -1, -1, 1, 1, -1, -1, 1, -1, -1, 1, 1, 1]
+    + [1, -1] * 4
+    + [1, -1, -1, 1] * 5,
+    dtype=float,
+)
+_STAMP_POLAR = np.array([0, 0, 1, 1, 1] + [0] * 13 + [1] * 8 + [0] * 20,
+                        dtype=bool)
 
 
 class BJTGroup:
     """All plain :class:`~repro.spice.elements.bjt.BJT` instances of a
     circuit, evaluated as one vectorized numpy pass.
 
-    Compile time gathers per-device parameter arrays and builds the
-    scatter-index arrays; :meth:`load` then reproduces the scalar
-    ``BJT.load_dynamic`` stamps for every device at once.  Ground (-1)
+    Compile time stacks every per-device constant — the Gummel-Poon
+    parameters, the depletion constants and the stamp sign table — into
+    one ``(rows, n)`` block, and builds the scatter-index arrays.  One
+    kernel (:meth:`_stamp`) then reproduces the scalar
+    ``BJT.load_dynamic`` for any device subset and any number of leading
+    lane axes: :meth:`load` runs it over one solution (with device
+    bypass), :meth:`load_stacked` over a stack of them.  Ground (-1)
     terminal indices are mapped to a dummy slot ``size`` — the engine's
     buffers carry one extra row/column that is never read.
+
+    The pnjlim history is one ``(2, n)`` array of limited (vbe, vbc),
+    columns in :attr:`names` order, stored in the analysis' ``limits``
+    dict under the group itself.  Each evaluation stores a new array
+    and never writes the stored one, so ``dict(limits)`` is a snapshot;
+    NaN columns are devices with no history yet.
     """
 
     def __init__(self, devices, size, i_full, q_full, xg):
-        self.devices = list(devices)
-        self.names = [d.name for d in self.devices]
-        n = len(self.devices)
+        devices = list(devices)
+        self.names = [d.name for d in devices]
+        n = len(devices)
         self.n = n
         self._i_full = i_full
         self._q_full = q_full
@@ -709,85 +714,47 @@ class BJTGroup:
         self._xg = xg
         self.size = size
 
-        def gather(values, dtype=float):
-            return np.asarray(list(values), dtype=dtype)
-
-        def nodes(index):
-            a = gather((d.node_index[index] for d in self.devices), np.intp)
-            a[a < 0] = size
-            return a
-
-        b_ext = nodes(1)
-        s_ext = nodes(3)
-        internal = [d._internal_indices() for d in self.devices]
-        ci = gather((t[0] for t in internal), np.intp)
-        bi = gather((t[1] for t in internal), np.intp)
-        ei = gather((t[2] for t in internal), np.intp)
-        ci[ci < 0] = size
-        bi[bi < 0] = size
-        ei[ei < 0] = size
-        self.b_ext, self.s_ext = b_ext, s_ext
-        self.ci, self.bi, self.ei = ci, bi, ei
-
-        def param(attr):
-            return gather(getattr(d.params, attr) for d in self.devices)
-
-        self.sign = param("sign")
-        vt = gather(d._vt for d in self.devices)
-        self.nf_vt = param("NF") * vt
-        self.nr_vt = param("NR") * vt
-        self.ne_vt = param("NE") * vt
-        self.nc_vt = param("NC") * vt
-        self.vcrit_be = gather(d._vcrit_be for d in self.devices)
-        self.vcrit_bc = gather(d._vcrit_bc for d in self.devices)
-        self.IS = param("IS")
-        self.ISE = param("ISE")
-        self.ISC = param("ISC")
-        self.BF = param("BF")
-        self.BR = param("BR")
-        self.VAF = param("VAF")
-        self.VAR = param("VAR")
-        self.IKF = param("IKF")
-        self.IKR = param("IKR")
-        self.TF = param("TF")
-        self.XTF = param("XTF")
-        self.ITF = param("ITF")
-        self.TR = param("TR")
-        self.RB = param("RB")
-        self.rbm = gather(d.params.rbm_effective for d in self.devices)
-        self.has_rb = gather((d._has_rb for d in self.devices), bool)
-        vtf = param("VTF")
+        nodes = np.array(
+            [(d.node_index[1], d.node_index[3], *d._internal_indices())
+             for d in devices], dtype=np.intp,
+        ).reshape(n, 5).T
+        nodes[nodes < 0] = size
+        b_ext, s_ext, ci, bi, ei = nodes
+        (sign, vt, vcrit_be, vcrit_bc, rbm, IS, ISE, ISC, NF, NR, NE, NC,
+         BF, BR, VAF, VAR, IKF, IKR, TF, XTF, VTF, ITF, TR, RB, CJE, VJE,
+         MJE, CJC, VJC, MJC, XCJC, CJS, VJS, MJS, FC) = np.array(
+            [(p.sign, d._vt, d._vcrit_be, d._vcrit_bc, p.rbm_effective,
+              p.IS, p.ISE, p.ISC, p.NF, p.NR, p.NE, p.NC, p.BF, p.BR,
+              p.VAF, p.VAR, p.IKF, p.IKR, p.TF, p.XTF, p.VTF, p.ITF, p.TR,
+              p.RB, p.CJE, p.VJE, p.MJE, p.CJC, p.VJC, p.MJC, p.XCJC,
+              p.CJS, p.VJS, p.MJS, p.FC)
+             for d in devices for p in (d.params,)], dtype=float,
+        ).reshape(n, 35).T
         #: 1/(1.44*VTF); infinite VTF collapses to 0 so exp(0)=1, d=0 — the
         #: same result as the scalar isfinite branch.
         with np.errstate(divide="ignore"):
-            self.inv_vtf144 = np.where(
-                np.isfinite(vtf), 1.0 / (1.44 * vtf), 0.0
-            )
-        self.itf_pos = self.ITF > 0.0
+            inv_vtf144 = np.where(np.isfinite(VTF), 1.0 / (1.44 * VTF), 0.0)
+        polar = np.where(_STAMP_POLAR[:, None], sign, 1.0)
+        self._params = np.concatenate([
+            [IS, IS, ISE, ISC, NF * vt, NR * vt, NE * vt, NC * vt,
+             vcrit_be, vcrit_bc, VAF, VAR, IKF, IKR, BF, BR, ITF,
+             inv_vtf144, TF, XTF, TR, rbm, RB],
+            # Zero-CJ junctions (XCJC == 1, CJS == 0) contribute 0.
+            _depletion_constants(
+                np.stack([CJE, CJC * XCJC, CJC * (1.0 - XCJC), CJS]),
+                np.stack([VJE, VJC, VJC, VJS]),
+                np.stack([MJE, MJC, MJC, MJS]),
+                np.stack([FC, FC, FC, FC]),
+            ).reshape(44, n),
+            _STAMP_SIGN[:, None] * polar,
+        ])
+        # Control voltages (vbe, vbc, vbx, vsc, vrb) are
+        # sign * (x[plus] - x[minus]); the base-spreading drop is unsigned.
+        self._plus = np.stack([bi, bi, b_ext, s_ext, b_ext])
+        self._minus = np.stack([ei, ci, ci, ci, bi])
+        self._polarity = np.stack([sign, sign, sign, sign, np.ones(n)])
 
-        cat = np.concatenate
-        # The four junction diodes (BE ideal, BE leakage, BC ideal, BC
-        # leakage) are evaluated as one stacked exp over 4n lanes.
-        self._diode_isat = cat([self.IS, self.ISE, self.IS, self.ISC])
-        self._diode_nvt = cat([self.nf_vt, self.ne_vt, self.nr_vt, self.nc_vt])
-        # pnjlim for (vbe, vbc) runs as one stacked call over 2n lanes.
-        self._lim_vt = cat([self.nf_vt, self.nr_vt])
-        self._lim_vcrit = cat([self.vcrit_be, self.vcrit_bc])
-
-        fc = param("FC")
-        xcjc = param("XCJC")
-        cjc = param("CJC")
-        vjc, mjc = param("VJC"), param("MJC")
-        # One stacked depletion batch: [B-E, internal B-C, external B-C,
-        # substrate] — zero-CJ lanes (XCJC == 1, CJS == 0) contribute 0.
-        self.junctions = _DepletionJunction(
-            cat([param("CJE"), cjc * xcjc, cjc * (1.0 - xcjc), param("CJS")]),
-            cat([param("VJE"), vjc, vjc, param("VJS")]),
-            cat([param("MJE"), mjc, mjc, param("MJS")]),
-            cat([fc, fc, fc, fc]),
-        )
-
-        # -- scatter index arrays (C-order ravel of the (slots, n) buffers) --
+        # -- scatter index arrays (C-order ravel of the (slots, n) rows) --
         cat = np.concatenate
         self._i_rows = cat([b_ext, bi, ci, bi, ei])
         self._q_rows = cat([bi, ei, bi, ci, b_ext, ci, s_ext, ci])
@@ -822,19 +789,16 @@ class BJTGroup:
         self._g_lane = np.arange(13)[:, None] * n
         self._c_lane = np.arange(20)[:, None] * n
 
-        self._i_vals = np.empty((5, n))
-        self._q_vals = np.empty((8, n))
-        self._g_vals = np.empty((13, n))
-        self._c_vals = np.empty((20, n))
+        #: The last evaluated stamp values, rows as in ``_STAMP_BASE``.
+        self._vals = np.zeros((46, n))
+        #: The history of a group never evaluated; read, never written.
+        self._no_history = np.full((2, n), np.nan)
 
         # -- device-bypass cache ------------------------------------------------
-        # Last-evaluated control voltages per device (vbe, vbc, vbx, vsc
-        # and the base-spreading drop); a device whose controls all moved
-        # less than the bypass tolerance replays its cached stamp values
-        # (the columns of the ``*_vals`` buffers above) untouched.
+        # Last-evaluated control voltages per device; a device whose
+        # controls all moved less than the bypass tolerance replays its
+        # cached stamp column of ``_vals`` untouched.
         self._bypass_v = np.full((5, n), np.inf)
-        self._v_now = np.empty((5, n))
-        self._v_diff = np.empty((5, n))
         self._bypass_gmin: float | None = None
         #: The limits dict the cache was built against — compared by
         #: identity, so a fresh per-call dict never falsely bypasses.
@@ -867,51 +831,42 @@ class BJTGroup:
 
     # -- evaluation -----------------------------------------------------------
 
-    def _evaluate(self, vbe, vbc, gmin, qje, cje, qjc, cjc, idx=None):
-        """Vectorized port of :func:`repro.devices.gummel_poon.evaluate`.
+    def _controls(self, xg: np.ndarray) -> np.ndarray:
+        """``(..., 5, n)`` control voltages at node voltages ``xg``."""
+        return (xg[..., self._plus] - xg[..., self._minus]) * self._polarity
 
-        The depletion contributions ``qje``/``cje`` (B-E) and ``qjc``/
-        ``cjc`` (internal B-C) are computed by the caller as part of the
-        stacked four-junction batch.  ``idx`` restricts the evaluation to
-        a subset of devices (bypass partial evaluation); the voltage and
-        depletion inputs must already be gathered to those lanes.
+    def _stamp(self, v, history, gmin, idx=None):
+        """The one device kernel: a vectorized ``BJT.load_dynamic``.
+
+        ``v`` holds ``(..., 5, m)`` control voltages (vbe, vbc, vbx,
+        vsc, vrb) of the devices ``idx`` (all when ``None``), ``history``
+        their ``(..., 2, m)`` limiting history.  Returns the limited
+        ``(..., 2, m)`` junction voltages and the ``(..., 46, m)`` stamp
+        values.  Purely elementwise, so every lane and device computes
+        exactly what a one-device scalar call would.
         """
-        n = self.n if idx is None else len(idx)
-        if idx is None:
-            VAF, VAR, IKF, IKR = self.VAF, self.VAR, self.IKF, self.IKR
-            BF, BR, ITF, itf_pos = self.BF, self.BR, self.ITF, self.itf_pos
-            inv_vtf144, TF, XTF, TR = (
-                self.inv_vtf144, self.TF, self.XTF, self.TR
-            )
-            rbm, RB = self.rbm, self.RB
-            diode_isat, diode_nvt = self._diode_isat, self._diode_nvt
-        else:
-            VAF, VAR, IKF, IKR = (
-                self.VAF[idx], self.VAR[idx], self.IKF[idx], self.IKR[idx]
-            )
-            BF, BR, ITF, itf_pos = (
-                self.BF[idx], self.BR[idx], self.ITF[idx], self.itf_pos[idx]
-            )
-            inv_vtf144, TF, XTF, TR = (
-                self.inv_vtf144[idx], self.TF[idx], self.XTF[idx],
-                self.TR[idx],
-            )
-            rbm, RB = self.rbm[idx], self.RB[idx]
-            idx4 = np.concatenate(
-                [idx, idx + self.n, idx + 2 * self.n, idx + 3 * self.n]
-            )
-            diode_isat = self._diode_isat[idx4]
-            diode_nvt = self._diode_nvt[idx4]
-        # Last-axis slicing so a lane-stacked (L, m) call flows through
-        # the identical elementwise arithmetic as the scalar (m,) call.
-        v4 = np.concatenate([vbe, vbe, vbc, vbc], axis=-1)
-        i4, g4 = _diode_current_vec(diode_isat, v4, diode_nvt)
-        ibe1 = i4[..., :n] + gmin * vbe
-        gbe1 = g4[..., :n] + gmin
-        ibe2, gbe2 = i4[..., n : 2 * n], g4[..., n : 2 * n]
-        ibc1 = i4[..., 2 * n : 3 * n] + gmin * vbc
-        gbc1 = g4[..., 2 * n : 3 * n] + gmin
-        ibc2, gbc2 = i4[..., 3 * n :], g4[..., 3 * n :]
+        p = self._params if idx is None else self._params[:, idx]
+        v_raw = v[..., :2, :]
+        v_lim = _pnjlim_vec(v_raw, history, p[_P_VT], p[_P_VCRIT])
+        vbe, vbc = v_lim[..., 0, :], v_lim[..., 1, :]
+        (VAF, VAR, IKF, IKR, BF, BR, ITF, inv_vtf144, TF, XTF, TR, rbm,
+         RB) = p[_P_GP]
+
+        # Depletion batch: B-E and internal B-C at the limited voltages,
+        # external B-C and substrate at the raw ones.
+        qdep, cdep = _depletion(
+            np.concatenate([v_lim, v[..., 2:4, :]], axis=-2),
+            p[_P_DEP].reshape(11, 4, -1),
+        )
+        i4, g4 = _diode_current_vec(
+            p[_P_ISAT], np.concatenate([v_lim, v_lim], axis=-2), p[_P_NVT]
+        )
+        i1 = i4[..., :2, :] + gmin * v_lim
+        g1 = g4[..., :2, :] + gmin
+        ibe1, ibc1 = i1[..., 0, :], i1[..., 1, :]
+        gbe1, gbc1 = g1[..., 0, :], g1[..., 1, :]
+        ibe2, ibc2 = i4[..., 2, :], i4[..., 3, :]
+        gbe2, gbc2 = g4[..., 2, :], g4[..., 3, :]
 
         inv_early = 1.0 - vbc / VAF - vbe / VAR
         np.maximum(inv_early, 1e-4, out=inv_early)
@@ -928,18 +883,18 @@ class BJTGroup:
         dqb_dvbc = dq1_dvbc * (1.0 + sqarg) / 2.0 + q1 * dq2_dvbc / sqarg
 
         it = (ibe1 - ibc1) / qb
-        dit_dvbe = (gbe1 - it * dqb_dvbe) / qb
+        dic_e = (gbe1 - it * dqb_dvbe) / qb
         dit_dvbc = (-gbc1 - it * dqb_dvbc) / qb
 
         ic = it - ibc1 / BR - ibc2
         ib = ibe1 / BF + ibe2 + ibc1 / BR + ibc2
-        dic_dvbe = dit_dvbe
-        dic_dvbc = dit_dvbc - gbc1 / BR - gbc2
-        dib_dvbe = gbe1 / BF + gbe2
-        dib_dvbc = gbc1 / BR + gbc2
+        dic_c = dit_dvbc - gbc1 / BR - gbc2
+        dib_e = gbe1 / BF + gbe2
+        dib_c = gbc1 / BR + gbc2
 
         # Bias-dependent forward transit time: TF == 0 or XTF == 0 lanes
         # reduce to tf_eff = TF, dtf = 0 without needing an explicit mask.
+        itf_pos = ITF > 0.0
         ibe_pos = np.maximum(ibe1, 0.0)
         denom = ibe_pos + ITF
         denom_safe = np.where(denom > 0.0, denom, 1.0)
@@ -957,26 +912,28 @@ class BJTGroup:
 
         qde = tf_eff * ibe1 / qb
         dqde_dvbe = (dtf_dvbe * ibe1 + tf_eff * gbe1 - qde * dqb_dvbe) / qb
-        dqde_dvbc = (dtf_dvbc * ibe1 - qde * dqb_dvbc) / qb
+        cx = (dtf_dvbc * ibe1 - qde * dqb_dvbc) / qb
+        cpi = dqde_dvbe + cdep[..., 0, :]
+        cmu = TR * gbc1 + cdep[..., 1, :]
 
-        qdc = TR * ibc1
-
+        # Residual-consistent companion form around the limited voltages.
+        d = v_raw - v_lim
+        dbe, dbc = d[..., 0, :], d[..., 1, :]
         rbb = rbm + (RB - rbm) / qb
-
-        return {
-            "ic": ic,
-            "ib": ib,
-            "dic_dvbe": dic_dvbe,
-            "dic_dvbc": dic_dvbc,
-            "dib_dvbe": dib_dvbe,
-            "dib_dvbc": dib_dvbc,
-            "qbe": qde + qje,
-            "qbc": qdc + qjc,
-            "dqbe_dvbe": dqde_dvbe + cje,
-            "dqbe_dvbc": dqde_dvbc,
-            "dqbc_dvbc": TR * gbc1 + cjc,
-            "rbb": rbb,
-        }
+        grb = np.where(RB > 0.0, 1.0 / np.maximum(rbb, 1e-3), 0.0)
+        ic = ic + dic_e * dbe + dic_c * dbc
+        ib = ib + dib_e * dbe + dib_c * dbc
+        qbe = qde + qdep[..., 0, :] + cpi * dbe + cx * dbc
+        qbc = TR * ibc1 + qdep[..., 1, :] + cmu * dbc
+        sum_e, sum_c = dic_e + dib_e, dic_c + dib_c
+        base = np.stack([
+            grb * v[..., 4, :], ic, ib, ic + ib,
+            grb, dic_e + dic_c, dic_e, dic_c, dib_e + dib_c, dib_e, dib_c,
+            -sum_e - sum_c, sum_e, sum_c,
+            qbe, qbc, qdep[..., 2, :], qdep[..., 3, :],
+            cpi, cx, cmu, cdep[..., 2, :], cdep[..., 3, :],
+        ], axis=-2)
+        return v_lim, base[..., _STAMP_BASE, :] * p[_P_SIGN]
 
     def _replay(
         self,
@@ -984,7 +941,7 @@ class BJTGroup:
         jac_alpha: float | None = None,
         q_only: bool = False,
     ) -> None:
-        """Scatter the cached stamp value buffers without re-evaluating.
+        """Scatter the cached stamp values without re-evaluating.
 
         When ``xg`` is given (bypass mode) the current and charge stamps
         are extrapolated to the present solution with the cached
@@ -1003,32 +960,26 @@ class BJTGroup:
         (charges-only assembly) scatters just the charge stamps and
         their extrapolation.
         """
+        vals = self._vals
+        g_vals = vals[_G].reshape(-1)
+        c_vals = vals[_C].reshape(-1)
         if not q_only:
-            np.add.at(
-                self._i_full, self._i_rows, self._i_vals.reshape(-1)
-            )
-            np.add.at(self._g_flat, self._g_idx, self._g_vals.reshape(-1))
+            np.add.at(self._i_full, self._i_rows, vals[_I].reshape(-1))
+            np.add.at(self._g_flat, self._g_idx, g_vals)
             if jac_alpha is not None:
-                np.add.at(
-                    self._g_flat, self._c_idx,
-                    self._c_vals.reshape(-1) * jac_alpha,
-                )
+                np.add.at(self._g_flat, self._c_idx, c_vals * jac_alpha)
             else:
-                np.add.at(
-                    self._c_flat, self._c_idx, self._c_vals.reshape(-1)
-                )
-        np.add.at(self._q_full, self._q_rows, self._q_vals.reshape(-1))
+                np.add.at(self._c_flat, self._c_idx, c_vals)
+        np.add.at(self._q_full, self._q_rows, vals[_Q].reshape(-1))
         if xg is not None:
             if not q_only:
                 np.add.at(
                     self._i_full, self._g_rows_arr,
-                    self._g_vals.reshape(-1)
-                    * (xg[self._g_cols_arr] - self._g_anchor),
+                    g_vals * (xg[self._g_cols_arr] - self._g_anchor),
                 )
             np.add.at(
                 self._q_full, self._c_rows_arr,
-                self._c_vals.reshape(-1)
-                * (xg[self._c_cols_arr] - self._c_anchor),
+                c_vals * (xg[self._c_cols_arr] - self._c_anchor),
             )
 
     def load(
@@ -1049,194 +1000,54 @@ class BJTGroup:
         xg = self._xg
         xg[:size] = ctx.x
         xg[size] = 0.0
-        jac_alpha = ctx.jac_alpha
-        v_b = xg[self.b_ext]
-        v_s = xg[self.s_ext]
-        v_ci = xg[self.ci]
-        v_bi = xg[self.bi]
-        v_ei = xg[self.ei]
-        sign = self.sign
-
+        v = self._controls(xg)
         n = self.n
-        vbe_raw = sign * (v_bi - v_ei)
-        vbc_raw = sign * (v_bi - v_ci)
-        vbx = sign * (v_b - v_ci)
-        vsc = sign * (v_s - v_ci)
-        vrb = v_b - v_bi
+        limits = ctx.limits
 
         idx = None
         if bypass_tol > 0.0:
-            v_now = self._v_now
-            v_now[0] = vbe_raw
-            v_now[1] = vbc_raw
-            v_now[2] = vbx
-            v_now[3] = vsc
-            v_now[4] = vrb
             # A fresh limits dict (new analysis, retry with different
             # limiting history) or a different gmin invalidates the
             # cached stamps; identity comparison is safe because the
             # cache holds a strong reference to the dict it saw.
-            if (self._bypass_limits is ctx.limits
+            if (self._bypass_limits is limits
                     and self._bypass_gmin == ctx.gmin):
-                diff = self._v_diff
-                np.subtract(v_now, self._bypass_v, out=diff)
-                np.abs(diff, out=diff)
-                moved = (diff > bypass_tol).any(axis=0)
+                moved = (np.abs(v - self._bypass_v) > bypass_tol).any(axis=0)
                 if not moved.any():
                     # Keep the cached anchor voltages: bypassed devices
                     # always compare against their last *evaluated*
                     # point so sub-tolerance drift cannot accumulate.
-                    self._replay(xg, jac_alpha, q_only=q_only)
+                    self._replay(xg, ctx.jac_alpha, q_only=q_only)
                     return n
-                # The partial path gathers every parameter array per
-                # lane; for a vectorized group that only pays off when
-                # few lanes moved (the whole-vector math is nearly flat
-                # in n).  Mostly-moved calls just evaluate everything.
-                count_moved = int(np.count_nonzero(moved))
-                if count_moved <= max(1, n // 4):
+                # Few moved devices take one gather of the parameter
+                # block; mostly-moved calls just evaluate everything.
+                if np.count_nonzero(moved) <= max(1, n // 4):
                     idx = np.flatnonzero(moved)
-                    self._bypass_v[:, idx] = v_now[:, idx]
-                else:
-                    self._bypass_v[...] = v_now
+            if idx is None:
+                self._bypass_v[...] = v
             else:
-                self._bypass_v[...] = v_now
+                self._bypass_v[:, idx] = v[:, idx]
             self._bypass_gmin = ctx.gmin
-            self._bypass_limits = ctx.limits
+            self._bypass_limits = limits
         elif self._bypass_limits is not None:
             # A tolerance-zero evaluation rewrites the shared value
-            # buffers without tracking anchors — drop the cache so a
+            # buffer without tracking anchors — drop the cache so a
             # later bypassed call cannot replay mismatched stamps.
             self._bypass_limits = None
             self._bypass_gmin = None
             self._bypass_v.fill(np.inf)
 
+        history = limits.get(self, self._no_history)
         if idx is None:
-            m = n
-            vbe_a, vbc_a = vbe_raw, vbc_raw
-            vbx_a, vsc_a, vrb_a = vbx, vsc, vrb
-            sign_a, has_rb = sign, self.has_rb
-            names_a = self.names
-            lim_vt, lim_vcrit = self._lim_vt, self._lim_vcrit
-            lanes = None
+            limits[self], self._vals = self._stamp(v, history, ctx.gmin)
         else:
-            m = len(idx)
-            vbe_a, vbc_a = vbe_raw[idx], vbc_raw[idx]
-            vbx_a, vsc_a, vrb_a = vbx[idx], vsc[idx], vrb[idx]
-            sign_a, has_rb = sign[idx], self.has_rb[idx]
-            names_a = [self.names[k] for k in idx]
-            idx2 = np.concatenate([idx, idx + n])
-            lim_vt, lim_vcrit = self._lim_vt[idx2], self._lim_vcrit[idx2]
-            lanes = np.concatenate(
-                [idx, idx + n, idx + 2 * n, idx + 3 * n]
+            v_lim, self._vals[:, idx] = self._stamp(
+                v[:, idx], history[:, idx], ctx.gmin, idx
             )
+            history = history.copy()
+            history[:, idx] = v_lim
+            limits[self] = history
 
-        limits = ctx.limits
-        v_raw = np.concatenate([vbe_a, vbc_a])
-        v_old = v_raw.copy()
-        for k, name in enumerate(names_a):
-            old = limits.get(name)
-            if old is not None:
-                v_old[k], v_old[m + k] = old
-        v_lim = _pnjlim_vec(v_raw, v_old, lim_vt, lim_vcrit)
-        vbe = v_lim[:m]
-        vbc = v_lim[m:]
-        for name, lim_be, lim_bc in zip(
-            names_a, vbe.tolist(), vbc.tolist()
-        ):
-            limits[name] = (lim_be, lim_bc)
-
-        # Stacked depletion batch: B-E and internal B-C at the limited
-        # voltages, external B-C and substrate at the raw ones.
-        qdep, cdep = self.junctions.charge_cap(
-            np.concatenate([vbe, vbc, vbx_a, vsc_a]), lanes=lanes
-        )
-        qbx, cbx = qdep[2 * m : 3 * m], cdep[2 * m : 3 * m]
-        qjs, cjs = qdep[3 * m :], cdep[3 * m :]
-
-        op = self._evaluate(
-            vbe, vbc, ctx.gmin, qdep[:m], cdep[:m],
-            qdep[m : 2 * m], cdep[m : 2 * m], idx=idx,
-        )
-        dbe = vbe_a - vbe
-        dbc = vbc_a - vbc
-
-        grb = np.where(
-            has_rb, 1.0 / np.maximum(op["rbb"], 1e-3), 0.0
-        )
-        irb = grb * vrb_a
-
-        ic = op["ic"] + op["dic_dvbe"] * dbe + op["dic_dvbc"] * dbc
-        ib = op["ib"] + op["dib_dvbe"] * dbe + op["dib_dvbc"] * dbc
-        if idx is None:
-            iv, gv = self._i_vals, self._g_vals
-            qv, cv = self._q_vals, self._c_vals
-        else:
-            iv, gv = np.empty((5, m)), np.empty((13, m))
-            qv, cv = np.empty((8, m)), np.empty((20, m))
-        iv[0] = irb
-        iv[1] = -irb
-        iv[2] = sign_a * ic
-        iv[3] = sign_a * ib
-        iv[4] = -sign_a * (ic + ib)
-
-        dic_e, dic_c = op["dic_dvbe"], op["dic_dvbc"]
-        dib_e, dib_c = op["dib_dvbe"], op["dib_dvbc"]
-        gv[0] = grb
-        gv[1] = -grb
-        gv[2] = -grb
-        gv[3] = grb
-        gv[4] = dic_e + dic_c
-        gv[5] = -dic_e
-        gv[6] = -dic_c
-        gv[7] = dib_e + dib_c
-        gv[8] = -dib_e
-        gv[9] = -dib_c
-        gv[10] = -(dic_e + dib_e) - (dic_c + dib_c)
-        gv[11] = dic_e + dib_e
-        gv[12] = dic_c + dib_c
-
-        # Charges: B'-E', B'-C' in companion form (their voltages are
-        # limited); B-C' and S-C' at the raw external voltages.
-        qbe = op["qbe"] + op["dqbe_dvbe"] * dbe + op["dqbe_dvbc"] * dbc
-        qbc = op["qbc"] + op["dqbc_dvbc"] * dbc
-        qv[0] = sign_a * qbe
-        qv[1] = -sign_a * qbe
-        qv[2] = sign_a * qbc
-        qv[3] = -sign_a * qbc
-        qv[4] = sign_a * qbx
-        qv[5] = -sign_a * qbx
-        qv[6] = sign_a * qjs
-        qv[7] = -sign_a * qjs
-
-        cpi = op["dqbe_dvbe"]
-        cx = op["dqbe_dvbc"]
-        cmu = op["dqbc_dvbc"]
-        cv[0] = cpi
-        cv[1] = -cpi
-        cv[2] = -cpi
-        cv[3] = cpi
-        cv[4] = cx
-        cv[5] = -cx
-        cv[6] = -cx
-        cv[7] = cx
-        cv[8] = cmu
-        cv[9] = -cmu
-        cv[10] = -cmu
-        cv[11] = cmu
-        cv[12] = cbx
-        cv[13] = -cbx
-        cv[14] = -cbx
-        cv[15] = cbx
-        cv[16] = cjs
-        cv[17] = -cjs
-        cv[18] = -cjs
-        cv[19] = cjs
-
-        if idx is not None:
-            self._i_vals[:, idx] = iv
-            self._g_vals[:, idx] = gv
-            self._q_vals[:, idx] = qv
-            self._c_vals[:, idx] = cv
         if bypass_tol > 0.0:
             if idx is None:
                 self._g_anchor[...] = xg[self._g_cols_arr]
@@ -1246,16 +1057,16 @@ class BJTGroup:
                 pos_c = (self._c_lane + idx).reshape(-1)
                 self._g_anchor[pos_g] = xg[self._g_cols_arr[pos_g]]
                 self._c_anchor[pos_c] = xg[self._c_cols_arr[pos_c]]
-            self._replay(xg, jac_alpha)
+            self._replay(xg, ctx.jac_alpha)
         else:
-            self._replay(None, jac_alpha)
-        return n - m
+            self._replay(None, ctx.jac_alpha)
+        return 0 if idx is None else n - len(idx)
 
     def load_stacked(
         self,
         x_stack: np.ndarray,
         gmin: float,
-        limits_list: list,
+        history: np.ndarray | None,
         i_full: np.ndarray,
         q_full: np.ndarray,
         g_flat: np.ndarray,
@@ -1263,142 +1074,33 @@ class BJTGroup:
     ) -> None:
         """Stamp every device for a ``(L, n)`` stack of solutions at once.
 
-        The lane-stacked twin of :meth:`load` at ``bypass_tol == 0``: the
-        per-device math is purely elementwise, so adding a leading lane
-        axis runs the identical arithmetic per lane — each lane's stamps
-        are bit-identical to a scalar :meth:`load` at that lane's ``x``.
+        The same kernel as :meth:`load` at ``bypass_tol == 0`` with a
+        leading lane axis, so each lane's stamps are bit-identical to a
+        scalar :meth:`load` at that lane's ``x``.  ``history`` is the
+        ``(L, 2, n)`` pnjlim history (NaN: none yet), overwritten in
+        place with this evaluation's limited voltages, or ``None``.
         Scatter targets are per-lane flats (``i_full``/``q_full`` are
         ``(L, size+1)``, ``g_flat``/``c_flat`` are ``(L, flat)``); the
         ``np.add.at`` broadcast iterates lane-major, preserving each
         lane's scalar accumulation order over duplicate slots.  The
-        shared ``*_vals`` buffers and the device-bypass cache are never
+        cached stamp values and the device-bypass cache are never
         touched, so interleaved scalar bypassing stays coherent.
         """
         L = x_stack.shape[0]
-        size = self.size
-        n = self.n
-        xg = np.zeros((L, size + 1))
-        xg[:, :size] = x_stack
-        v_b = xg[:, self.b_ext]
-        v_s = xg[:, self.s_ext]
-        v_ci = xg[:, self.ci]
-        v_bi = xg[:, self.bi]
-        v_ei = xg[:, self.ei]
-        sign = self.sign
-
-        vbe_raw = sign * (v_bi - v_ei)
-        vbc_raw = sign * (v_bi - v_ci)
-        vbx = sign * (v_b - v_ci)
-        vsc = sign * (v_s - v_ci)
-        vrb = v_b - v_bi
-
-        v_raw = np.concatenate([vbe_raw, vbc_raw], axis=1)
-        v_old = v_raw.copy()
-        names = self.names
-        for li, limits in enumerate(limits_list):
-            row = v_old[li]
-            for k, name in enumerate(names):
-                old = limits.get(name)
-                if old is not None:
-                    row[k], row[n + k] = old
-        v_lim = _pnjlim_vec(v_raw, v_old, self._lim_vt, self._lim_vcrit)
-        vbe = v_lim[:, :n]
-        vbc = v_lim[:, n:]
-        for li, limits in enumerate(limits_list):
-            for name, lim_be, lim_bc in zip(
-                names, vbe[li].tolist(), vbc[li].tolist()
-            ):
-                limits[name] = (lim_be, lim_bc)
-
-        qdep, cdep = self.junctions.charge_cap(
-            np.concatenate([vbe, vbc, vbx, vsc], axis=1)
+        xg = np.zeros((L, self.size + 1))
+        xg[:, : self.size] = x_stack
+        v_lim, vals = self._stamp(
+            self._controls(xg),
+            self._no_history if history is None else history, gmin,
         )
-        qbx, cbx = qdep[:, 2 * n : 3 * n], cdep[:, 2 * n : 3 * n]
-        qjs, cjs = qdep[:, 3 * n :], cdep[:, 3 * n :]
-
-        op = self._evaluate(
-            vbe, vbc, gmin, qdep[:, :n], cdep[:, :n],
-            qdep[:, n : 2 * n], cdep[:, n : 2 * n],
-        )
-        dbe = vbe_raw - vbe
-        dbc = vbc_raw - vbc
-
-        grb = np.where(
-            self.has_rb, 1.0 / np.maximum(op["rbb"], 1e-3), 0.0
-        )
-        irb = grb * vrb
-
-        ic = op["ic"] + op["dic_dvbe"] * dbe + op["dic_dvbc"] * dbc
-        ib = op["ib"] + op["dib_dvbe"] * dbe + op["dib_dvbc"] * dbc
-        iv = np.empty((L, 5, n))
-        gv = np.empty((L, 13, n))
-        qv = np.empty((L, 8, n))
-        cv = np.empty((L, 20, n))
-        iv[:, 0] = irb
-        iv[:, 1] = -irb
-        iv[:, 2] = sign * ic
-        iv[:, 3] = sign * ib
-        iv[:, 4] = -sign * (ic + ib)
-
-        dic_e, dic_c = op["dic_dvbe"], op["dic_dvbc"]
-        dib_e, dib_c = op["dib_dvbe"], op["dib_dvbc"]
-        gv[:, 0] = grb
-        gv[:, 1] = -grb
-        gv[:, 2] = -grb
-        gv[:, 3] = grb
-        gv[:, 4] = dic_e + dic_c
-        gv[:, 5] = -dic_e
-        gv[:, 6] = -dic_c
-        gv[:, 7] = dib_e + dib_c
-        gv[:, 8] = -dib_e
-        gv[:, 9] = -dib_c
-        gv[:, 10] = -(dic_e + dib_e) - (dic_c + dib_c)
-        gv[:, 11] = dic_e + dib_e
-        gv[:, 12] = dic_c + dib_c
-
-        qbe = op["qbe"] + op["dqbe_dvbe"] * dbe + op["dqbe_dvbc"] * dbc
-        qbc = op["qbc"] + op["dqbc_dvbc"] * dbc
-        qv[:, 0] = sign * qbe
-        qv[:, 1] = -sign * qbe
-        qv[:, 2] = sign * qbc
-        qv[:, 3] = -sign * qbc
-        qv[:, 4] = sign * qbx
-        qv[:, 5] = -sign * qbx
-        qv[:, 6] = sign * qjs
-        qv[:, 7] = -sign * qjs
-
-        cpi = op["dqbe_dvbe"]
-        cx = op["dqbe_dvbc"]
-        cmu = op["dqbc_dvbc"]
-        cv[:, 0] = cpi
-        cv[:, 1] = -cpi
-        cv[:, 2] = -cpi
-        cv[:, 3] = cpi
-        cv[:, 4] = cx
-        cv[:, 5] = -cx
-        cv[:, 6] = -cx
-        cv[:, 7] = cx
-        cv[:, 8] = cmu
-        cv[:, 9] = -cmu
-        cv[:, 10] = -cmu
-        cv[:, 11] = cmu
-        cv[:, 12] = cbx
-        cv[:, 13] = -cbx
-        cv[:, 14] = -cbx
-        cv[:, 15] = cbx
-        cv[:, 16] = cjs
-        cv[:, 17] = -cjs
-        cv[:, 18] = -cjs
-        cv[:, 19] = cjs
-
+        if history is not None:
+            history[...] = v_lim
         lane = np.arange(L)[:, None]
-        np.add.at(i_full, (lane, self._i_rows[None, :]), iv.reshape(L, -1))
-        np.add.at(g_flat, (lane, self._g_idx[None, :]), gv.reshape(L, -1))
+        np.add.at(i_full, (lane, self._i_rows), vals[:, _I].reshape(L, -1))
+        np.add.at(g_flat, (lane, self._g_idx), vals[:, _G].reshape(L, -1))
         if c_flat is not None:
-            np.add.at(
-                c_flat, (lane, self._c_idx[None, :]), cv.reshape(L, -1)
-            )
-        np.add.at(q_full, (lane, self._q_rows[None, :]), qv.reshape(L, -1))
+            np.add.at(c_flat, (lane, self._c_idx), vals[:, _C].reshape(L, -1))
+        np.add.at(q_full, (lane, self._q_rows), vals[:, _Q].reshape(L, -1))
 
 
 class _RecordingContext:
@@ -1458,7 +1160,7 @@ class _ScalarBypass:
 
     Only used for element classes whose ``load_dynamic`` is a pure
     function of the voltages it reads, ``gmin`` and its ``limits``
-    entry (diodes and BJT subclasses outside the vectorized group).
+    entry (diodes; every BJT belongs to the vectorized group).
     """
 
     def __init__(self, element):
@@ -1604,7 +1306,8 @@ class StackedContext:
     size)`` dense stacks or ``(L, nnz)`` pattern-value stacks depending
     on the engine's assembly backend (``c`` is ``None`` unless requested).
     Row ``k`` holds exactly what a scalar ``evaluate`` at lane ``k``'s
-    solution would have produced.
+    solution and limiting history would have produced: both paths run
+    the same device kernel (:meth:`BJTGroup._stamp`).
     """
 
     __slots__ = ("i", "g", "q", "c")
@@ -1681,7 +1384,7 @@ class CompiledCircuit:
         #: element classes whose ``load_dynamic`` is not known to be a
         #: pure function of its voltage reads, gmin and limits entry.
         self._scalar_bypass = [
-            _ScalarBypass(e) if isinstance(e, (Diode, BJT)) else None
+            _ScalarBypass(e) if isinstance(e, Diode) else None
             for e in self._scalar_dynamic
         ]
         self._eval_cost = len(sources) + len(nonlinear)
@@ -1941,11 +1644,19 @@ class CompiledCircuit:
         """
         return not self._scalar_dynamic
 
+    def new_history(self, lanes: int) -> np.ndarray:
+        """A ``(lanes, 2, n)`` BJT limiting history for
+        :meth:`evaluate_stacked` in which no lane has been evaluated yet
+        (all NaN) — the stacked form of one fresh ``limits`` dict per
+        lane."""
+        n = 0 if self._bjt_group is None else self._bjt_group.n
+        return np.full((lanes, 2, n), np.nan)
+
     def evaluate_stacked(
         self,
         x_stack: np.ndarray,
         gmin: float = 1e-12,
-        limits_list: list | None = None,
+        history: np.ndarray | None = None,
         source_scale: float = 1.0,
         with_c: bool = False,
     ) -> "StackedContext":
@@ -1955,18 +1666,20 @@ class CompiledCircuit:
         The lane-stacked twin of :meth:`evaluate` at its DC defaults
         (``time=None``, ``bypass_tol=0``): every lane's arrays are
         bit-identical to a scalar :meth:`evaluate` at that lane's ``x``
-        with that lane's ``limits`` dict.  The base-stamp matvecs stay
-        per-lane (matching the scalar BLAS/CSR call exactly); everything
-        device-side runs stacked through
-        :meth:`BJTGroup.load_stacked`.  Buffers are freshly allocated
-        per call — unlike :meth:`evaluate`, the returned views survive
-        subsequent calls.
+        with that lane's limiting history.  ``history`` is a
+        ``(L, 2, n)`` array from :meth:`new_history`, read and then
+        overwritten in place with this evaluation's limited junction
+        voltages; ``None`` evaluates every lane without history and
+        keeps none.  The base-stamp matvecs stay per-lane (matching the
+        scalar BLAS/CSR call exactly); everything device-side runs
+        stacked through :meth:`BJTGroup.load_stacked`, the kernel the
+        scalar path runs.  Buffers are freshly allocated per call —
+        unlike :meth:`evaluate`, the returned views survive subsequent
+        calls.
         """
         size = self.size
         n1 = size + 1
         L = x_stack.shape[0]
-        if limits_list is None:
-            limits_list = [dict() for _ in range(L)]
         sparse = self.assembly == "sparse"
         i_full = np.zeros((L, n1))
         q_full = np.zeros((L, n1))
@@ -2011,7 +1724,7 @@ class CompiledCircuit:
                 g_flat = g_buf.reshape(L, -1)
                 c_flat = c_buf.reshape(L, -1) if with_c else None
             self._bjt_group.load_stacked(
-                x_stack, gmin, limits_list, i_full, q_full, g_flat, c_flat
+                x_stack, gmin, history, i_full, q_full, g_flat, c_flat
             )
 
         self.stats.assemblies += L

@@ -412,10 +412,7 @@ class _BlockedDeckSweep:
         if engine.supports_stacked_evaluate:
             # One lane-stacked linearization; each lane's G/C is
             # bit-identical to a scalar small_signal at that point.
-            sctx = engine.evaluate_stacked(
-                x, gmin=self._gmin, limits_list=[{} for _ in x],
-                with_c=True,
-            )
+            sctx = engine.evaluate_stacked(x, gmin=self._gmin, with_c=True)
             g_stack, c_stack = np.array(sctx.g), np.array(sctx.c)
         else:
             pairs = [small_signal(engine, lane, self._gmin, {})

@@ -422,9 +422,11 @@ class ProcessExecutor(Executor):
     def map_chunks(self, fn, chunks: list) -> list:
         if len(chunks) <= 1 or self.workers <= 1:
             return self._serial_fallback(fn, chunks)
-        workers = min(self.workers, len(chunks))
+        # One pool per requested worker count, whatever the chunk count:
+        # the planner's pool_is_warm(workers) then checks the pool that
+        # runs, and a short dispatch never leaves a second pool behind.
+        workers = self.workers
         state, reused = _get_pool(workers, lease=True)
-        self._last_pool_size = workers
         self._last_pool_state = state
         stats = DispatchStats(
             spinup_seconds=0.0 if reused else state.spinup_seconds,
@@ -476,12 +478,11 @@ class ProcessExecutor(Executor):
             self.dispatch = stats
         return results
 
-    _last_pool_size: int | None = None
     _last_pool_state: _PoolState | None = None
 
     def discard_pool(self) -> None:
-        if self._last_pool_size is not None:
-            _discard_pool(self._last_pool_size, self._last_pool_state)
+        if self._last_pool_state is not None:
+            _discard_pool(self.workers, self._last_pool_state)
 
 
 class AutoExecutor(Executor):

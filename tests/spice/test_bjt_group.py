@@ -1,0 +1,171 @@
+"""Differential fuzzing of the vectorized BJT group against its stamp
+reference.
+
+A ``hypothesis`` strategy draws groups of one to six BJTs, each with its
+own model card — npn or pnp, with or without RB, an external B-C
+fraction (``XCJC < 1``), a substrate junction, finite or infinite Early
+voltages, a bias-dependent transit time or none — wired to a small
+shared node pool (every emitter is private), plus a few successive
+random solutions.  Over evaluations that share one limits dict, as an
+analysis does:
+
+* ``CompiledCircuit.evaluate`` matches the per-element reference
+  :func:`~repro.spice.mna.load_circuit`, stamps and per-device limiting
+  history, at ``TestStampingEquivalence``'s tolerances;
+* a partial-bypass evaluation (one device moved past ``bypass_tol``)
+  matches a full evaluation of the same point;
+* every lane of ``evaluate_stacked`` is scalar ``evaluate``, bit for
+  bit, history included.
+
+The decks alone exercise one-BJT groups, the 20-BJT ring and a single
+pnp, which leaves most columns of the stamp gather table's rarer rows
+(external B-C, substrate, base resistance) on one parameter set.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from repro.devices import GummelPoonParameters
+from repro.spice import Circuit, compile_circuit
+from repro.spice.elements import BJT, Resistor
+from repro.spice.engine import BJTGroup
+from repro.spice.mna import load_circuit
+
+from .test_engine import assert_contexts_match, by_device
+
+#: Collector, base and substrate nodes are drawn from this pool.
+NODES = ("0", "a", "b", "c", "d")
+TOL = 1e-3
+
+
+def _bits(x) -> np.ndarray:
+    values = getattr(x, "values", x)
+    return np.ascontiguousarray(values, dtype=float).view(np.uint64)
+
+
+@st.composite
+def models(draw):
+    either = lambda off, on: draw(st.sampled_from((off, on)))  # noqa: E731
+    return GummelPoonParameters(
+        name="QF",
+        polarity=either("npn", "pnp"),
+        IS=draw(st.floats(1e-17, 1e-15)),
+        BF=draw(st.floats(20.0, 200.0)),
+        BR=draw(st.floats(0.5, 5.0)),
+        NF=draw(st.floats(0.95, 1.1)),
+        NR=draw(st.floats(0.95, 1.1)),
+        ISE=either(0.0, 5e-15), NE=2.0,
+        ISC=either(0.0, 1e-14), NC=2.0,
+        VAF=either(math.inf, draw(st.floats(10.0, 80.0))),
+        VAR=either(math.inf, draw(st.floats(2.0, 10.0))),
+        IKF=either(math.inf, 8e-3), IKR=either(math.inf, 1e-2),
+        RB=either(0.0, draw(st.floats(20.0, 200.0))),
+        RBM=either(None, 10.0),
+        RE=either(0.0, 3.0), RC=either(0.0, 60.0),
+        CJE=45e-15, VJE=0.9, MJE=0.35,
+        CJC=30e-15, VJC=0.7, MJC=0.33,
+        XCJC=either(1.0, draw(st.floats(0.2, 0.95))),
+        CJS=either(0.0, 70e-15), VJS=0.6, MJS=0.4,
+        TF=either(0.0, 9e-12), XTF=either(0.0, 2.0),
+        VTF=either(math.inf, 2.0), ITF=either(0.0, 8e-3),
+        TR=either(0.0, 1e-9),
+    )
+
+
+@st.composite
+def groups(draw):
+    """``(circuit, mode, seed, scale)``: a BJT group with one load
+    resistor to ground, and the recipe for its random solutions."""
+    circuit = Circuit("bjt_group")
+    circuit.add(Resistor("RL", ("a", "0"), 1e3))
+    for k in range(draw(st.integers(1, 6))):
+        collector, base = draw(st.lists(st.sampled_from(NODES), min_size=2,
+                                        max_size=2, unique=True))
+        substrate = draw(st.sampled_from(NODES))
+        circuit.add(BJT(f"Q{k}", (collector, base, f"e{k}", substrate),
+                        draw(models())))
+    return (circuit, draw(st.sampled_from(("dense", "sparse"))),
+            draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from((0.3, 0.9))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=groups(), evaluations=st.integers(3, 4))
+def test_group_matches_stamp_reference(case, evaluations):
+    circuit, mode, seed, scale = case
+    size = circuit.assign_indices()
+    engine = compile_circuit(circuit, mode=mode)
+    rng = np.random.default_rng(seed)
+    limits_ref, limits = {}, {}
+    for _ in range(evaluations):
+        x = scale * rng.standard_normal(size)
+        ref = load_circuit(circuit, x, limits=limits_ref)
+        ctx = engine.evaluate(x, limits=limits)
+        assert_contexts_match(ref, ctx)
+        named = by_device(limits)
+        assert named.keys() == limits_ref.keys()
+        for name, history in limits_ref.items():
+            np.testing.assert_allclose(history, named[name],
+                                       rtol=1e-12, atol=1e-15)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=groups(), data=st.data())
+def test_partial_bypass_matches_full_evaluation(case, data):
+    circuit, mode, seed, scale = case
+    size = circuit.assign_indices()
+    bypassing = compile_circuit(circuit, mode=mode)
+    full = compile_circuit(circuit, mode=mode)
+    x0 = scale * np.random.default_rng(seed).standard_normal(size)
+    limits_bypass, limits_full = {}, {}
+    bypassing.evaluate(x0, limits=limits_bypass, bypass_tol=TOL)
+    full.evaluate(x0, limits=limits_full)
+
+    # Move one device alone: its internal emitter is read by no other.
+    devices = [e for e in circuit if isinstance(e, BJT)]
+    moved = data.draw(st.sampled_from(devices))
+    x1 = x0.copy()
+    x1[moved._internal_indices()[2]] += 50 * TOL
+    before = bypassing.stats.bypassed_evals
+    ctx = bypassing.evaluate(x1, limits=limits_bypass, bypass_tol=TOL)
+    assert bypassing.stats.bypassed_evals - before == len(devices) - 1
+    ref = full.evaluate(x1, limits=limits_full)
+    # TestBypassMask's tolerances: replayed devices add their cached
+    # Jacobian times an exactly-zero move.
+    for attr, atol in (("i_vec", 1e-15), ("g_mat", 1e-15), ("q_vec", 1e-18),
+                       ("c_mat", 1e-20)):
+        np.testing.assert_allclose(np.asarray(getattr(ctx, attr)),
+                                   np.asarray(getattr(ref, attr)),
+                                   rtol=1e-12, atol=atol, err_msg=attr)
+    named, named_ref = by_device(limits_bypass), by_device(limits_full)
+    for name in named_ref:
+        np.testing.assert_array_equal(named[name], named_ref[name],
+                                      err_msg=name)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=groups(), lanes=st.integers(1, 4), evaluations=st.integers(3, 4))
+def test_stacked_lanes_are_scalar_bit_for_bit(case, lanes, evaluations):
+    circuit, mode, seed, scale = case
+    size = circuit.assign_indices()
+    engine = compile_circuit(circuit, mode=mode)
+    assert engine.supports_stacked_evaluate
+    rng = np.random.default_rng(seed)
+    history = engine.new_history(lanes)
+    limits = [{} for _ in range(lanes)]
+    for _ in range(evaluations):
+        x_stack = scale * rng.standard_normal((lanes, size))
+        stacked = engine.evaluate_stacked(x_stack, history=history,
+                                          with_c=True)
+        for k in range(lanes):
+            ctx = engine.evaluate(x_stack[k], limits=limits[k])
+            for name, lane, scalar in (
+                ("i", stacked.i[k], ctx.i_vec), ("g", stacked.g[k], ctx.g_mat),
+                ("q", stacked.q[k], ctx.q_vec), ("c", stacked.c[k], ctx.c_mat),
+            ):
+                np.testing.assert_array_equal(_bits(lane), _bits(scalar),
+                                              err_msg=name)
+            [group] = [key for key in limits[k] if isinstance(key, BJTGroup)]
+            np.testing.assert_array_equal(_bits(history[k]),
+                                          _bits(limits[k][group]))

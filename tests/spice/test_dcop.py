@@ -10,6 +10,7 @@ from repro.devices import thermal_voltage
 from repro.errors import ConvergenceError
 from repro.spice import Circuit, Simulator, solve_dc
 from repro.spice.dcop import Tolerances
+from repro.spice.engine import BJTGroup
 from repro.spice.elements import (
     BJT,
     CCCS,
@@ -300,7 +301,10 @@ class TestHomotopies:
         ckt.add(BJT("Q1", ("b", "b", "0"), hf_model))
         limits = {}
         solve_dc(ckt, limits=limits)
-        assert "Q1" in limits
+        [group] = [key for key in limits if isinstance(key, BJTGroup)]
+        named = dict(zip(group.names, limits[group].T))
+        assert "Q1" in named
+        assert np.isfinite(named["Q1"]).all()
 
 
 class TestWeightedMaxError:

@@ -22,7 +22,7 @@ from repro.spice.elements import (
     Resistor,
     VoltageSource,
 )
-from repro.spice.engine import GLOBAL_STATS, compile_circuit
+from repro.spice.engine import GLOBAL_STATS, BJTGroup, compile_circuit
 from repro.spice.transient import _collect_breakpoints
 
 
@@ -222,6 +222,62 @@ class TestBypassMask:
         engine.evaluate(x0, limits=limits, bypass_tol=0.0)
         engine.evaluate(x0, limits=limits, bypass_tol=0.0)
         assert engine.stats.bypassed_evals == 0
+
+
+class TestHistorySnapshot:
+    """``dict(limits)`` is a snapshot of the BJT limiting history.
+
+    ``solve_transient`` and ``solve_dc`` roll a rejected step back by
+    restoring such a copy, which only works if an evaluation replaces the
+    group's history entry instead of writing into it.
+    """
+
+    @staticmethod
+    def _arrays(ctx):
+        return [np.array(getattr(ctx, attr), copy=True)
+                for attr in ("i_vec", "g_mat", "q_vec", "c_mat")]
+
+    @pytest.mark.parametrize("bypass_tol", [0.0, 1e-3])
+    def test_restored_snapshot_replays_the_evaluation(self, hf_model,
+                                                      bypass_tol):
+        ckt = _two_stage_circuit(hf_model)
+        size = ckt.assign_indices()
+        engine = compile_circuit(ckt)
+        base_q2 = ckt.element("Q2")._internal_indices()[1]
+        limits = {}
+        x0 = np.zeros(size)
+        engine.evaluate(x0, limits=limits, bypass_tol=bypass_tol)
+        snapshot = dict(limits)
+        [group] = [key for key in limits if isinstance(key, BJTGroup)]
+        kept = snapshot[group].copy()
+
+        # Q2 alone jumps far past its critical voltage, so pnjlim limits
+        # it from the history; with bypass on, Q1 replays (partial path).
+        x1 = x0.copy()
+        x1[base_q2] = 1.2
+        before = engine.stats.bypassed_evals
+        first = self._arrays(engine.evaluate(x1, limits=limits,
+                                             bypass_tol=bypass_tol))
+        assert engine.stats.bypassed_evals - before == (
+            1 if bypass_tol else 0)
+        q2 = group.names.index("Q2")
+        assert limits[group][0, q2] < 0.5  # limited, not the raw 1.2 V
+        history = limits[group].copy()
+        np.testing.assert_array_equal(snapshot[group], kept)
+
+        # A rejected step: evaluate elsewhere, restore, evaluate again.
+        x2 = x1.copy()
+        x2[base_q2] = 1.6
+        engine.evaluate(x2, limits=limits, bypass_tol=bypass_tol)
+        np.testing.assert_array_equal(snapshot[group], kept)
+        limits.clear()
+        limits.update(snapshot)
+        again = self._arrays(engine.evaluate(x1, limits=limits,
+                                             bypass_tol=bypass_tol))
+        for a, b in zip(first, again):
+            np.testing.assert_array_equal(a.view(np.uint64),
+                                          b.view(np.uint64))
+        np.testing.assert_array_equal(limits[group], history)
 
 
 class TestTransientArgumentValidation:

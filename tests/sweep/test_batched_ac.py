@@ -288,7 +288,7 @@ class TestStackedEvaluate:
 
     @pytest.mark.parametrize("mode", ENGINES)
     def test_stacked_matches_scalar_per_lane(self, mode):
-        from repro.spice.engine import get_engine
+        from repro.spice.engine import BJTGroup, get_engine
         from repro.spice.dcop import solve_dc
 
         circuit = parse_deck(DECK_TEXT).circuit
@@ -298,9 +298,9 @@ class TestStackedEvaluate:
         rng = np.random.default_rng(11)
         x_stack = x_op + rng.normal(0.0, 0.05, (6, x_op.size))
         limits_scalar = [dict() for _ in range(6)]
-        limits_stacked = [dict() for _ in range(6)]
+        history = engine.new_history(6)
         ctx = engine.evaluate_stacked(
-            x_stack, gmin=1e-12, limits_list=limits_stacked, with_c=True
+            x_stack, gmin=1e-12, history=history, with_c=True
         )
         for k in range(6):
             ref = engine.evaluate(x_stack[k], gmin=1e-12,
@@ -313,7 +313,16 @@ class TestStackedEvaluate:
             else:
                 np.testing.assert_array_equal(ctx.g[k], ref.g_mat)
                 np.testing.assert_array_equal(ctx.c[k], ref.c_mat)
-        assert limits_stacked == limits_scalar
+        # The stacked history, device by device in the group's name
+        # order, is the scalar limits dicts' history bit for bit.
+        for k in range(6):
+            [group] = [key for key in limits_scalar[k]
+                       if isinstance(key, BJTGroup)]
+            for j, name in enumerate(group.names):
+                np.testing.assert_array_equal(
+                    history[k][:, j], limits_scalar[k][group][:, j],
+                    err_msg=name,
+                )
 
     def test_newton_batched_uses_stacked_assembly(self):
         from repro.spice.engine import GLOBAL_STATS, get_engine

@@ -24,6 +24,7 @@ from repro.sweep import (
     run_sweep,
     shutdown_pools,
 )
+from repro.sweep import executors
 from repro.sweep.executors import worker_fn_loads
 
 
@@ -132,6 +133,22 @@ class TestPersistentPool:
         loads = backend.map_chunks(_chunk_loads, chunks)
         # Each worker has loaded at most the two functions sent so far.
         assert max(loads) <= 2
+
+    def test_one_pool_per_requested_worker_count(self):
+        # A dispatch with fewer chunks than workers must not register a
+        # smaller pool of its own: the registry holds one pool, sized by
+        # the requested count, whatever the chunk counts were.
+        shutdown_pools()
+        backend = ProcessExecutor(3)
+        try:
+            assert backend.map_chunks(_chunk_sum, [[1], [2]]) == [1, 2]
+            assert backend.map_chunks(
+                _chunk_sum, [[i] for i in range(5)]) == list(range(5))
+            assert list(executors._POOLS) == [3]
+            assert backend.dispatch.pool_reused is True
+            assert pool_is_warm(3)
+        finally:
+            shutdown_pools()
 
     def test_serial_fallback_for_single_chunk(self):
         shutdown_pools()

@@ -16,6 +16,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -46,6 +47,42 @@ def test_every_target_patches_something(bench):
             unwired.append(target.where)
         probe.uninstall()
     assert unwired == []
+
+
+def test_device_layer_is_never_nested(bench):
+    """The benchmark counts ``device.evals`` per ``BJTGroup.load`` (n)
+    and per ``BJTGroup.load_stacked`` (n per lane) call.  Were one of the
+    two to call the other, the count would double and the device layer's
+    self time would split across nested spans."""
+    from repro.geometry import ModelParameterGenerator, default_reference
+    from repro.rfsystems import RingOscillatorSpec, build_ring_oscillator
+    from repro.spice import compile_circuit
+    from repro.spice.elements import BJT
+
+    layers, tracer = bench
+    generator = ModelParameterGenerator(reference=default_reference())
+    ring = build_ring_oscillator(
+        generator.generate("N1.2-12D"),
+        follower_model=generator.generate("N1.2-6D"),
+        spec=RingOscillatorSpec(stages=5),
+    )
+    engine = compile_circuit(ring)
+    devices = sum(type(element) is BJT for element in ring)
+    assert devices == 20
+    lanes = 3
+    x = np.full(engine.size, 0.1)
+    probe = tracer.Tracer()
+    probe.install(layers.TARGETS)
+    try:
+        engine.evaluate(x)
+        engine.evaluate_stacked(np.tile(x, (lanes, 1)))
+    finally:
+        probe.uninstall()
+    assert probe.counters["device.evals"] == devices + devices * lanes
+    spans = [span for span in probe.spans
+             if span[2] == "spice.engine.device"]
+    assert len(spans) == 2
+    assert probe.layers["spice.engine.device"][0] == 2
 
 
 def test_sweep_type_names_match_the_frozen_choices(bench):
