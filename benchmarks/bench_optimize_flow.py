@@ -13,7 +13,7 @@ import time
 from repro.optimize import derive_image_rejection_specs, run_optimize_flow
 from repro.rfsystems import fig5_sweep_result
 
-from conftest import record_optimize, report
+from conftest import record, report
 
 JOBS = 4
 PHASES = tuple(0.25 * k for k in range(1, 17))
@@ -31,7 +31,7 @@ def bench_fig5_spec_derivation():
     derivation, t_derive = _timed(
         lambda: derive_image_rejection_specs(sweep, 30.0, 0.01)
     )
-    record_optimize("fig5_spec_derivation", {
+    record("optimize", "fig5_spec_derivation", {
         "sweep_points": len(sweep.points),
         "sweep_seconds": round(t_sweep, 6),
         "derive_seconds": round(t_derive, 6),
@@ -67,7 +67,7 @@ def bench_sizing_serial_vs_parallel_population():
 
     result = serial.sizing.result
     speedup = t_serial / t_parallel if t_parallel > 0 else 0.0
-    record_optimize("sizing_flow", {
+    record("optimize", "sizing_flow", {
         "population": SIZING["population"],
         "generations": SIZING["generations"],
         "evaluations": result.evaluations,

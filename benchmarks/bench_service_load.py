@@ -21,7 +21,7 @@ import time
 import urllib.request
 from pathlib import Path
 
-from conftest import record_service, report
+from conftest import record, report
 
 from repro.service import SimulationService
 from repro.service.http import ServiceHTTPServer
@@ -102,7 +102,7 @@ def test_service_inprocess_load():
         "recompiles": stats["circuits"]["recompiles"],
         "rejected": stats["jobs"]["rejected"],
     }
-    record_service("service_inprocess_load", payload)
+    record("service", "service_inprocess_load", payload)
     report("service_inprocess_load", json.dumps(payload, indent=2))
 
 
@@ -166,5 +166,5 @@ def test_service_http_load():
         "recompiles": stats["circuits"]["recompiles"],
         "rejected": stats["jobs"]["rejected"],
     }
-    record_service("service_http_load", payload)
+    record("service", "service_http_load", payload)
     report("service_http_load", json.dumps(payload, indent=2))

@@ -28,10 +28,10 @@ import numpy as np
 
 from repro.geometry import ModelParameterGenerator, default_reference
 from repro.rfsystems import RingOscillatorSpec, build_ring_oscillator
-from repro.spice.engine import GLOBAL_STATS, get_engine
+from repro.spice.engine import get_engine
 from repro.spice.transient import solve_transient
 
-from conftest import record_sparse, report
+from conftest import record, report
 
 #: Short window: enough accepted steps (~40) to amortize compile and DC,
 #: small enough that the 101-stage dense arm stays CI-feasible.
@@ -61,14 +61,12 @@ def _run(stages, backend):
     """One timed transient on a fresh circuit; returns result + counters."""
     circuit = _ring(stages)
     engine = get_engine(circuit, backend)
-    snapshot = GLOBAL_STATS.copy()
     t0 = time.perf_counter()
     result = solve_transient(
         circuit, stop_time=STOP_TIME, max_step=MAX_STEP, engine=engine
     )
     wall = time.perf_counter() - t0
-    delta = GLOBAL_STATS.since(snapshot)
-    return result, wall, delta.as_dict(), engine
+    return result, wall, result.stats.as_dict(), engine
 
 
 def _best_of(stages, backend):
@@ -122,7 +120,7 @@ def bench_sparse_scaling():
             f"{stages} stages"
         )
 
-        record_sparse(f"ring_oscillator_{stages}_stage", {
+        record("sparse", f"ring_oscillator_{stages}_stage", {
             "stages": stages,
             "unknowns": n,
             "pattern_nnz": nnz,

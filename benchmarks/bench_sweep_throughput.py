@@ -43,7 +43,7 @@ from repro.sweep import (
     run_sweep,
 )
 
-from conftest import record_sweep, report
+from conftest import record, report
 
 DECKS = Path(__file__).resolve().parent.parent / "examples" / "decks"
 
@@ -89,7 +89,7 @@ def bench_monte_carlo_parallel_dispatch():
     assert parallel.passed == serial.passed
 
     speedup = t_serial / t_parallel if t_parallel > 0 else 0.0
-    record_sweep("monte_carlo_irr", {
+    record("sweep", "monte_carlo_irr", {
         "points": MC_SAMPLES,
         "jobs": JOBS,
         "serial_seconds": round(t_serial, 6),
@@ -118,7 +118,7 @@ def bench_fig5_grid_parallel_dispatch():
     )
     assert parallel == serial
     points = len(phases) * len(gains)
-    record_sweep("fig5_grid", {
+    record("sweep", "fig5_grid", {
         "points": points,
         "jobs": JOBS,
         "serial_seconds": round(t_serial, 6),
@@ -143,7 +143,7 @@ def bench_cache_eliminates_reevaluation():
     assert warm == cold
     points = len(phases) * len(gains)
     assert cache.hits >= points  # the whole second sweep was served
-    record_sweep("fig5_cache_reuse", {
+    record("sweep", "fig5_cache_reuse", {
         "points": points,
         "cold_seconds": round(t_cold, 6),
         "cached_seconds": round(t_warm, 6),
@@ -169,7 +169,7 @@ def bench_batched_ac_throughput():
     np.testing.assert_allclose(batched.solutions, loop.solutions,
                                rtol=1e-12, atol=1e-15)
     speedup = t_loop / t_batched if t_batched > 0 else 0.0
-    record_sweep("batched_ac_ce_stage", {
+    record("sweep", "batched_ac_ce_stage", {
         "frequencies": len(freqs),
         "unknowns": deck.circuit.num_unknowns,
         "batched_seconds": round(t_batched, 6),
@@ -226,7 +226,7 @@ def bench_monte_carlo_dc_500():
 
     speedup = t_scalar / t_parallel if t_parallel > 0 else 0.0
     blocked_speedup = t_scalar / t_blocked if t_blocked > 0 else 0.0
-    record_sweep("monte_carlo_dc_500", {
+    record("sweep", "monte_carlo_dc_500", {
         "points": MC_DC_POINTS,
         "jobs": DC_JOBS,
         "serial_seconds": round(t_scalar, 6),
@@ -289,7 +289,7 @@ def bench_monte_carlo_ac():
 
     speedup = t_scalar / t_parallel if t_parallel > 0 else 0.0
     blocked_speedup = t_scalar / t_blocked if t_blocked > 0 else 0.0
-    record_sweep("monte_carlo_ac", {
+    record("sweep", "monte_carlo_ac", {
         "points": MC_AC_POINTS,
         "frequencies": freq_count,
         "jobs": DC_JOBS,
@@ -369,5 +369,5 @@ def bench_dispatch_cost_model_table():
             "plan": auto.stats.plan,
             "bit_identical": True,
         }
-    record_sweep("dispatch_cost_model", table)
+    record("sweep", "dispatch_cost_model", table)
     report("sweep_dispatch_cost_model", "\n".join(rows))

@@ -29,7 +29,7 @@ from repro.verify import (
     temperature_axis,
 )
 
-from conftest import record_verify, report
+from conftest import record, report
 
 JOBS = 2
 
@@ -109,7 +109,7 @@ def bench_corner_qualification():
         stress_corner = _stress_seconds_per_corner(deck)
         stress_fraction = (stress_corner * len(corners) / t_blocked
                            if t_blocked > 0 else 0.0)
-        record_verify(f"qualify_{cell_name}", {
+        record("verify", f"qualify_{cell_name}", {
             "corners": len(corners),
             "measurements": len(measurements),
             "corner_decks": scalar_ev.prime(),

@@ -21,153 +21,60 @@ from repro.geometry import (
     ProcessData,
     default_reference,
 )
-from repro.spice.engine import GLOBAL_STATS
+from repro.spice.engine import CompiledCircuit, EngineStats
 
 OUTPUT_DIR = Path(__file__).parent / "out"
 
-#: per-benchmark {name, wall_seconds, engine: <EngineStats delta>}
-#: accumulated by the autouse fixture, dumped to BENCH_engine.json.
-_ENGINE_RECORDS: list[dict] = []
+#: Rows per area, written to ``BENCH_<area>.json`` at session end.
+_RECORDS: dict[str, list[dict]] = {}
 
-#: sweep-throughput measurements pushed via :func:`record_sweep`,
-#: dumped to BENCH_sweep.json alongside the engine counters.
-_SWEEP_RECORDS: list[dict] = []
-
-#: transient hot-path measurements pushed via :func:`record_transient`,
-#: dumped to BENCH_transient.json alongside the other artifacts.
-_TRANSIENT_RECORDS: list[dict] = []
-
-#: optimization-flow measurements pushed via :func:`record_optimize`,
-#: dumped to BENCH_optimize.json alongside the other artifacts.
-_OPTIMIZE_RECORDS: list[dict] = []
-
-#: dense-vs-sparse assembly crossover measurements pushed via
-#: :func:`record_sparse`, dumped to BENCH_sparse.json.
-_SPARSE_RECORDS: list[dict] = []
-
-#: job-server load-test measurements pushed via :func:`record_service`,
-#: dumped to BENCH_service.json (requests/s, p50/p99, cache hit rate).
-_SERVICE_RECORDS: list[dict] = []
-
-#: corner-qualification measurements pushed via :func:`record_verify`,
-#: dumped to BENCH_verify.json (corners/s scalar vs blocked, overhead).
-_VERIFY_RECORDS: list[dict] = []
+#: The :class:`EngineStats` fields summed over a benchmark's engines;
+#: the gauges (solver, assembly, pattern and fill-in) describe a single
+#: engine and are left out.
+_SUMMED = ("wall_seconds",) + EngineStats._COUNTERS
 
 
-def record_sweep(name: str, payload: dict) -> None:
-    """Archive one sweep-throughput measurement into BENCH_sweep.json."""
-    _SWEEP_RECORDS.append({"benchmark": name, **payload})
-
-
-def record_transient(name: str, payload: dict) -> None:
-    """Archive one hot-path measurement into BENCH_transient.json."""
-    _TRANSIENT_RECORDS.append({"benchmark": name, **payload})
-
-
-def record_optimize(name: str, payload: dict) -> None:
-    """Archive one optimize-flow measurement into BENCH_optimize.json."""
-    _OPTIMIZE_RECORDS.append({"benchmark": name, **payload})
-
-
-def record_sparse(name: str, payload: dict) -> None:
-    """Archive one sparse-crossover measurement into BENCH_sparse.json."""
-    _SPARSE_RECORDS.append({"benchmark": name, **payload})
-
-
-def record_service(name: str, payload: dict) -> None:
-    """Archive one service load-test measurement into BENCH_service.json."""
-    _SERVICE_RECORDS.append({"benchmark": name, **payload})
-
-
-def record_verify(name: str, payload: dict) -> None:
-    """Archive one corner-qualification measurement into BENCH_verify.json."""
-    _VERIFY_RECORDS.append({"benchmark": name, **payload})
+def record(area: str, name: str, payload: dict) -> None:
+    """Archive one measurement as a row of ``BENCH_<area>.json``."""
+    _RECORDS.setdefault(area, []).append({"benchmark": name, **payload})
 
 
 @pytest.fixture(autouse=True)
-def _engine_counters(request):
-    """Record wall time and engine work (solves, factorizations, element
-    evaluations...) performed during each benchmark."""
-    snapshot = GLOBAL_STATS.copy()
+def _engine_counters(request, monkeypatch):
+    """Record wall time and the engine work (solves, factorizations,
+    element evaluations...) of every engine compiled during each
+    benchmark, into ``BENCH_engine.json``."""
+    compiled: list[EngineStats] = []
+    compile_engine = CompiledCircuit.__init__
+
+    def init(self, *args, **kwargs):
+        compile_engine(self, *args, **kwargs)
+        compiled.append(self.stats)
+
+    monkeypatch.setattr(CompiledCircuit, "__init__", init)
     t0 = time.perf_counter()
     yield
     wall = time.perf_counter() - t0
-    delta = GLOBAL_STATS.since(snapshot)
-    _ENGINE_RECORDS.append({
-        "benchmark": request.node.name,
+    record("engine", request.node.name, {
         "wall_seconds": round(wall, 6),
-        "engine": delta.as_dict(),
+        "engine": {
+            name: sum(getattr(stats, name) for stats in compiled)
+            for name in _SUMMED
+        },
     })
 
 
 def pytest_sessionfinish(session, exitstatus):
-    if _ENGINE_RECORDS:
+    for area, rows in _RECORDS.items():
         OUTPUT_DIR.mkdir(exist_ok=True)
         payload = {
-            "schema": "bench-engine-v1",
-            "benchmarks": _ENGINE_RECORDS,
-        }
-        (OUTPUT_DIR / "BENCH_engine.json").write_text(
-            json.dumps(payload, indent=2) + "\n"
-        )
-    if _SWEEP_RECORDS:
-        OUTPUT_DIR.mkdir(exist_ok=True)
-        payload = {
-            "schema": "bench-sweep-v1",
+            "schema": f"bench-{area}-v1",
             # Speedups only mean anything relative to the cores the
             # runner actually had; record it with the numbers.
             "cpu_count": os.cpu_count(),
-            "benchmarks": _SWEEP_RECORDS,
+            "benchmarks": rows,
         }
-        (OUTPUT_DIR / "BENCH_sweep.json").write_text(
-            json.dumps(payload, indent=2) + "\n"
-        )
-    if _TRANSIENT_RECORDS:
-        OUTPUT_DIR.mkdir(exist_ok=True)
-        payload = {
-            "schema": "bench-transient-v1",
-            "benchmarks": _TRANSIENT_RECORDS,
-        }
-        (OUTPUT_DIR / "BENCH_transient.json").write_text(
-            json.dumps(payload, indent=2) + "\n"
-        )
-    if _OPTIMIZE_RECORDS:
-        OUTPUT_DIR.mkdir(exist_ok=True)
-        payload = {
-            "schema": "bench-optimize-v1",
-            "cpu_count": os.cpu_count(),
-            "benchmarks": _OPTIMIZE_RECORDS,
-        }
-        (OUTPUT_DIR / "BENCH_optimize.json").write_text(
-            json.dumps(payload, indent=2) + "\n"
-        )
-    if _SPARSE_RECORDS:
-        OUTPUT_DIR.mkdir(exist_ok=True)
-        payload = {
-            "schema": "bench-sparse-v1",
-            "benchmarks": _SPARSE_RECORDS,
-        }
-        (OUTPUT_DIR / "BENCH_sparse.json").write_text(
-            json.dumps(payload, indent=2) + "\n"
-        )
-    if _SERVICE_RECORDS:
-        OUTPUT_DIR.mkdir(exist_ok=True)
-        payload = {
-            "schema": "bench-service-v1",
-            "cpu_count": os.cpu_count(),
-            "benchmarks": _SERVICE_RECORDS,
-        }
-        (OUTPUT_DIR / "BENCH_service.json").write_text(
-            json.dumps(payload, indent=2) + "\n"
-        )
-    if _VERIFY_RECORDS:
-        OUTPUT_DIR.mkdir(exist_ok=True)
-        payload = {
-            "schema": "bench-verify-v1",
-            "cpu_count": os.cpu_count(),
-            "benchmarks": _VERIFY_RECORDS,
-        }
-        (OUTPUT_DIR / "BENCH_verify.json").write_text(
+        (OUTPUT_DIR / f"BENCH_{area}.json").write_text(
             json.dumps(payload, indent=2) + "\n"
         )
 

@@ -7,8 +7,8 @@ the stats lock — requests land from the HTTP front end's handler
 threads, job completions from the worker threads, all concurrently.
 
 The latency reservoir keeps the most recent ``latency_window`` samples
-(submit-to-finish seconds per completed job); p50/p99 use the same
-nearest-rank convention as
+(submit-to-finish seconds per completed job); p50/p99 come from the
+same :func:`~repro.sweep.executors.nearest_rank` function as
 :meth:`repro.sweep.DispatchStats.chunk_percentile`, so the numbers in
 ``BENCH_service.json`` and ``BENCH_sweep.json`` are comparable.
 """
@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import threading
 from collections import deque
+
+from ..sweep.executors import nearest_rank
 
 __all__ = ["ServiceStats"]
 
@@ -105,11 +107,8 @@ class ServiceStats:
     def latency_percentile(self, q: float) -> float:
         """Nearest-rank percentile of recent job latencies (seconds)."""
         with self._lock:
-            samples = sorted(self._latencies)
-        if not samples:
-            return 0.0
-        rank = min(len(samples) - 1, max(0, round(q * (len(samples) - 1))))
-        return samples[rank]
+            samples = list(self._latencies)
+        return nearest_rank(samples, q)
 
     def as_dict(self, queue_depth: int = 0,
                 cache_hits: int = 0, cache_misses: int = 0) -> dict:

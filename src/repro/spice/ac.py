@@ -249,8 +249,7 @@ def solve_ac(
     """
     frequencies = np.asarray(list(frequencies), dtype=float)
     engine = resolve_engine(circuit, engine)
-    snapshot = engine.stats.copy()
-    with engine.timed():
+    with engine.measured() as stats:
         limits: dict = {}
         if dc_solution is None:
             dc_solution = solve_dc(
@@ -269,12 +268,10 @@ def solve_ac(
         solutions = solve_ac_lanes(
             engine, g_arr[None], c_arr[None], omegas, rhs, batched=batched
         )[0]
-    result = ACResult(
+    return ACResult(
         circuit=circuit,
         frequencies=frequencies,
         solutions=solutions,
         dc_solution=dc_solution,
-        stats=None,
+        stats=stats,
     )
-    result.stats = engine.stats.since(snapshot)
-    return result

@@ -145,8 +145,7 @@ def transfer_function(
         raise AnalysisError("output node cannot be ground")
 
     engine = resolve_engine(circuit, engine)
-    snapshot = engine.stats.copy()
-    with engine.timed():
+    with engine.measured() as stats:
         limits: dict = {}
         x_op = solve_dc(circuit, gmin=gmin, limits=limits, engine=engine)
         ctx = engine.evaluate(x_op, gmin=gmin, limits=limits)
@@ -196,7 +195,7 @@ def transfer_function(
         gain=gain,
         input_resistance=input_resistance,
         output_resistance=output_resistance,
-        stats=engine.stats.since(snapshot),
+        stats=stats,
     )
 
 
@@ -228,15 +227,12 @@ class Simulator:
     def operating_point(self) -> OperatingPointResult:
         """Solve the DC operating point (Newton with homotopies)."""
         engine = self._engine()
-        snapshot = engine.stats.copy()
-        with engine.timed():
+        with engine.measured() as stats:
             x = solve_dc(
                 self.circuit, tolerances=self.tolerances, gmin=self.gmin,
                 engine=engine,
             )
-        self._last_op = OperatingPointResult(
-            self.circuit, x, stats=engine.stats.since(snapshot)
-        )
+        self._last_op = OperatingPointResult(self.circuit, x, stats=stats)
         return self._last_op
 
     def dc_sweep(self, source_name: str, values) -> DCSweepResult:
@@ -252,9 +248,8 @@ class Simulator:
         x = None
         limits: dict = {}
         engine = self._engine()
-        snapshot = engine.stats.copy()
         try:
-            with engine.timed():
+            with engine.measured() as stats:
                 for value in values:
                     # Swapping the waveform only changes the source RHS,
                     # which engines re-read per evaluation — no recompile.
@@ -267,8 +262,7 @@ class Simulator:
         finally:
             element.waveform = original
         return DCSweepResult(
-            self.circuit, values, np.array(states),
-            stats=engine.stats.since(snapshot),
+            self.circuit, values, np.array(states), stats=stats,
         )
 
     def ac(

@@ -124,13 +124,6 @@ DIAG_GSHUNT = 1e-12
 CHORD_CONTRACTION = 0.5
 
 
-def _count_refactorization(engine) -> None:
-    from .engine import GLOBAL_STATS
-
-    engine.stats.refactorizations += 1
-    GLOBAL_STATS.refactorizations += 1
-
-
 def newton_solve(
     circuit: Circuit,
     x0: np.ndarray,
@@ -263,7 +256,7 @@ def newton_solve(
                 # A stale factorization produced garbage — rebuild it and
                 # retry this iteration instead of failing outright.
                 engine.invalidate_factorization()
-                _count_refactorization(engine)
+                engine.stats.refactorizations += 1
                 refactor_next = True
                 continue
             worst = int(np.argmax(~np.isfinite(dx)))
@@ -311,7 +304,7 @@ def newton_solve(
             # The frozen Jacobian is no longer contracting the error —
             # refactorize at the next iteration.
             engine.invalidate_factorization()
-            _count_refactorization(engine)
+            engine.stats.refactorizations += 1
             refactor_next = True
         prev_error = last_error
     raise ConvergenceError(

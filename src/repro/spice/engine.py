@@ -36,15 +36,17 @@ the caller passes the same ``token`` — which the analyses do for chord
 iterations and for linear circuits (transient steps at a fixed step
 size, DC sweeps of linear networks).
 
-Engine work is counted in :class:`EngineStats`, both per engine and into
-the module-level :data:`GLOBAL_STATS` accumulator that the benchmark
-harness snapshots.
+Engine work is counted once, in the engine's own :class:`EngineStats`;
+each analysis measures its block with :meth:`CompiledCircuit.measured`
+and stores that block's delta on its result.
 """
 
 from __future__ import annotations
 
 import math
 import time as _time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -71,10 +73,10 @@ from .sparse import DEFAULT_ORDERING, PatternMatrix, SparsityPattern
 class EngineStats:
     """Counters for the work an engine performed.
 
-    Every analysis stores a snapshot-delta of these on its result object;
-    the module-level :data:`GLOBAL_STATS` accumulates across all engines
-    for whole-process profiling (benchmark harness, ``repro run
-    --profile``).
+    Each engine keeps one record of all its work; every analysis stores
+    the delta of its own block on its result object (see
+    :meth:`CompiledCircuit.measured`), which ``repro run --profile``
+    prints.
     """
 
     #: Individual element evaluations (nonlinear devices + source values);
@@ -88,20 +90,10 @@ class EngineStats:
     solves: int = 0
     #: Circuit compilations (matrix partitioning passes).
     compilations: int = 0
-    #: Wall-clock seconds (filled in by analysis-level deltas).
+    #: Wall-clock seconds: the compile plus every measured analysis block.
     wall_seconds: float = 0.0
     #: Name of the linear-solver backend in use.
     solver: str = ""
-    #: Sweep points orchestrated through :mod:`repro.sweep`.
-    sweep_points: int = 0
-    #: Sweep points served from the content-hash result cache.
-    sweep_cache_hits: int = 0
-    #: Summed per-point evaluation wall time across sweeps.
-    sweep_point_seconds: float = 0.0
-    #: Peak sweep worker count (a gauge, not a counter).
-    sweep_workers: int = 0
-    #: Sweep points that failed under a skip/retry on_error policy.
-    sweep_failures: int = 0
     #: Nonlinear device evaluations skipped because their terminal
     #: voltages moved less than the bypass tolerance (cached stamps
     #: were replayed instead).
@@ -138,9 +130,6 @@ class EngineStats:
         "factorizations",
         "solves",
         "compilations",
-        "sweep_points",
-        "sweep_cache_hits",
-        "sweep_failures",
         "bypassed_evals",
         "jacobian_reuses",
         "refactorizations",
@@ -160,9 +149,6 @@ class EngineStats:
         for name in self._COUNTERS:
             setattr(delta, name, getattr(self, name) - getattr(snapshot, name))
         delta.wall_seconds = self.wall_seconds - snapshot.wall_seconds
-        delta.sweep_point_seconds = (
-            self.sweep_point_seconds - snapshot.sweep_point_seconds
-        )
         return delta
 
     def as_dict(self) -> dict:
@@ -195,37 +181,7 @@ class EngineStats:
             )
             if fill:
                 text += f", fill-in {fill:.1f}x"
-        if self.sweep_points:
-            text += (
-                f"; {self.sweep_points} sweep points "
-                f"({self.sweep_cache_hits} cached, "
-                f"{self.sweep_workers} worker(s), "
-                f"{self.sweep_point_seconds * 1e3:.2f} ms point time)"
-            )
-            if self.sweep_failures:
-                text += f"; {self.sweep_failures} failed sweep point(s)"
         return text
-
-
-#: Process-wide accumulator; engines bump it alongside their own counters.
-GLOBAL_STATS = EngineStats()
-
-
-class _timed_stats:
-    """Context manager adding elapsed wall time to one or more stat sinks."""
-
-    def __init__(self, *sinks: EngineStats):
-        self.sinks = sinks
-
-    def __enter__(self):
-        self._t0 = _time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        elapsed = _time.perf_counter() - self._t0
-        for sink in self.sinks:
-            sink.wall_seconds += elapsed
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -243,24 +199,15 @@ class LinearSolver:
     iteration).  Singular systems raise
     :class:`numpy.linalg.LinAlgError` so callers keep their existing
     convergence-failure handling.
+
+    Work is counted into :attr:`stats`; a compiled engine replaces it
+    with its own record.
     """
 
     def __init__(self):
-        self._sinks: tuple[EngineStats, ...] = ()
+        self.stats = EngineStats()
         self._token = None
         self._factor = None
-
-    def bind(self, *sinks: EngineStats) -> None:
-        """Attach stat accumulators (engine stats + global stats)."""
-        self._sinks = sinks
-
-    def _count(self, attr: str, n: int = 1) -> None:
-        for sink in self._sinks:
-            setattr(sink, attr, getattr(sink, attr) + n)
-
-    def _gauge(self, attr: str, value) -> None:
-        for sink in self._sinks:
-            setattr(sink, attr, value)
 
     def invalidate(self) -> None:
         """Drop the cached factorization."""
@@ -326,8 +273,8 @@ class DenseLUSolver(LinearSolver):
     def solve_cached(self, b: np.ndarray) -> np.ndarray:
         if self._factor is None:
             raise AnalysisError("no cached LU factorization to reuse")
-        self._count("solves")
-        self._count("jacobian_reuses")
+        self.stats.solves += 1
+        self.stats.jacobian_reuses += 1
         lu, piv, getrs = self._factor
         x, _info = getrs(lu, piv, b)
         return x
@@ -338,7 +285,7 @@ class DenseLUSolver(LinearSolver):
             and self._factor is not None
             and token == self._token
         ):
-            self._count("solves")
+            self.stats.solves += 1
             lu, piv, getrs = self._factor
             x, _info = getrs(lu, piv, b)
             return x
@@ -358,8 +305,8 @@ class DenseLUSolver(LinearSolver):
         # caller that owns the token.
         if info > 0 or not np.all(np.isfinite(lu)):
             raise np.linalg.LinAlgError("singular matrix in LU factorization")
-        self._count("factorizations")
-        self._count("solves")
+        self.stats.factorizations += 1
+        self.stats.solves += 1
         if token is not None:
             self._token, self._factor = token, (lu, piv, getrs)
         x, _info = getrs(lu, piv, b)
@@ -387,8 +334,8 @@ class DenseLUSolver(LinearSolver):
                 continue
             out[k], _info = getrs(lu, piv, rhs[k])
             solved += 1
-        self._count("factorizations", solved)
-        self._count("solves", solved)
+        self.stats.factorizations += solved
+        self.stats.solves += solved
         return out
 
     def solve_batched(self, systems: np.ndarray,
@@ -405,8 +352,8 @@ class DenseLUSolver(LinearSolver):
         """
         systems = np.asarray(systems)
         count = systems.shape[0]
-        self._count("factorizations", count)
-        self._count("solves", count)
+        self.stats.factorizations += count
+        self.stats.solves += count
         rhs = np.asarray(rhs)
         if rhs.ndim == 1:
             rhs = np.broadcast_to(rhs, (count, rhs.shape[0]))
@@ -483,7 +430,7 @@ class SparseLUSolver(LinearSolver):
         the factorization (and the order reuse) and gauges the fill-in.
         Singularity surfaces as ``LinAlgError`` like the dense backend."""
         if self._ordering in pattern.orders:
-            self._count("pattern_reuses")
+            self.stats.pattern_reuses += 1
         order = pattern.ordered(self._ordering)
         try:
             lu = _spla.splu(
@@ -492,16 +439,16 @@ class SparseLUSolver(LinearSolver):
             )
         except RuntimeError as exc:  # "Factor is exactly singular"
             raise np.linalg.LinAlgError(str(exc)) from exc
-        self._count("factorizations")
-        self._gauge("factor_nnz", int(lu.nnz))
-        self._gauge("fill_ratio", lu.nnz / max(pattern.nnz, 1))
+        self.stats.factorizations += 1
+        self.stats.factor_nnz = int(lu.nnz)
+        self.stats.fill_ratio = lu.nnz / max(pattern.nnz, 1)
         return _OrderedLU(lu, order)
 
     def solve_cached(self, b: np.ndarray) -> np.ndarray:
         if self._factor is None:
             raise AnalysisError("no cached LU factorization to reuse")
-        self._count("solves")
-        self._count("jacobian_reuses")
+        self.stats.solves += 1
+        self.stats.jacobian_reuses += 1
         return self._factor.solve(b)
 
     def solve(self, a: PatternMatrix, b: np.ndarray,
@@ -511,10 +458,10 @@ class SparseLUSolver(LinearSolver):
             and self._factor is not None
             and token == self._token
         ):
-            self._count("solves")
+            self.stats.solves += 1
             return self._factor.solve(b)
         factor = self._factorize(a.pattern, a.data)
-        self._count("solves")
+        self.stats.solves += 1
         if token is not None:
             self._token, self._factor = token, factor
         # token=None leaves any token-cached factorization alone, as a
@@ -545,7 +492,7 @@ class SparseLUSolver(LinearSolver):
         trans = "T" if transpose else "N"
         for k in range(batch):
             factor = self._factorize(pattern, data[k])
-            self._count("solves")
+            self.stats.solves += 1
             out[k] = factor.solve(rhs if shared else rhs[k], trans=trans)
         return out
 
@@ -1469,7 +1416,6 @@ class CompiledCircuit:
                     pattern, self._g_data, self._c_data
                 )
             self.stats.pattern_nnz = pattern.nnz
-            GLOBAL_STATS.pattern_nnz = pattern.nnz
         else:
             self._g0 = _CooContext.densify(
                 size, probe.g_rows, probe.g_cols, probe.g_vals
@@ -1485,16 +1431,11 @@ class CompiledCircuit:
         self.solver = make_solver(
             size, backend, permc_spec=getattr(circuit, "_permc_spec", None)
         )
-        self.solver.bind(self.stats, GLOBAL_STATS)
+        self.solver.stats = self.stats
         self.stats.solver = self.solver.name
         self.stats.assembly = backend
-        GLOBAL_STATS.solver = self.solver.name
-        GLOBAL_STATS.assembly = backend
         self.stats.compilations += 1
-        GLOBAL_STATS.compilations += 1
-        elapsed = _time.perf_counter() - t0
-        self.stats.wall_seconds += elapsed
-        GLOBAL_STATS.wall_seconds += elapsed
+        self.stats.wall_seconds += _time.perf_counter() - t0
 
     # -- evaluation -----------------------------------------------------------
 
@@ -1619,18 +1560,13 @@ class CompiledCircuit:
                 element.load_dynamic(ctx)
 
         self.stats.assemblies += 1
-        GLOBAL_STATS.assemblies += 1
         if sparse:
             self.stats.sparse_assemblies += 1
-            GLOBAL_STATS.sparse_assemblies += 1
         else:
             self.stats.dense_assemblies += 1
-            GLOBAL_STATS.dense_assemblies += 1
         self.stats.element_evals += self._eval_cost - bypassed
-        GLOBAL_STATS.element_evals += self._eval_cost - bypassed
         if bypassed:
             self.stats.bypassed_evals += bypassed
-            GLOBAL_STATS.bypassed_evals += bypassed
         return ctx
 
     @property
@@ -1728,19 +1664,15 @@ class CompiledCircuit:
             )
 
         self.stats.assemblies += L
-        GLOBAL_STATS.assemblies += L
         if sparse:
             self.stats.sparse_assemblies += L
-            GLOBAL_STATS.sparse_assemblies += L
             g_view = g_buf[:, : self.pattern.nnz]
             c_view = c_buf[:, : self.pattern.nnz] if with_c else None
         else:
             self.stats.dense_assemblies += L
-            GLOBAL_STATS.dense_assemblies += L
             g_view = g_buf[:, :size, :size]
             c_view = c_buf[:, :size, :size] if with_c else None
         self.stats.element_evals += self._eval_cost * L
-        GLOBAL_STATS.element_evals += self._eval_cost * L
         return StackedContext(
             i_full[:, :size], g_view, q_full[:, :size], c_view
         )
@@ -1807,9 +1739,22 @@ class CompiledCircuit:
             self.pattern, data, rhs, transpose=transpose
         )
 
-    def timed(self) -> _timed_stats:
-        """Context manager charging elapsed wall time to this engine."""
-        return _timed_stats(self.stats, GLOBAL_STATS)
+    @contextmanager
+    def measured(self) -> Iterator[EngineStats]:
+        """Measure one analysis block.
+
+        Charges the block's wall time to this engine and, on exit, fills
+        the yielded record with the block's delta of every counter; its
+        gauges (solver, pattern, fill-in) read as they stand at exit.
+        """
+        snapshot = self.stats.copy()
+        block = EngineStats()
+        t0 = _time.perf_counter()
+        try:
+            yield block
+        finally:
+            self.stats.wall_seconds += _time.perf_counter() - t0
+            vars(block).update(vars(self.stats.since(snapshot)))
 
     def invalidate_factorization(self) -> None:
         self.solver.invalidate()

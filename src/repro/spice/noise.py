@@ -231,13 +231,12 @@ def solve_noise(
     if len(frequencies) == 0:
         raise AnalysisError("noise analysis needs at least one frequency")
     engine = resolve_engine(circuit, engine)
-    snapshot = engine.stats.copy()
-    with engine.timed():
+    with engine.measured() as stats:
         result = _solve_noise(
             circuit, engine, output_node, frequencies, input_source, gmin,
             batched,
         )
-    result.stats = engine.stats.since(snapshot)
+    result.stats = stats
     return result
 
 

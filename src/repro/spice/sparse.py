@@ -77,10 +77,6 @@ class SparsityPattern:
         self.indptr = np.searchsorted(
             self._keys // size, np.arange(size + 1)
         ).astype(np.int32)
-        #: Data positions of the diagonal (present for every unknown; the
-        #: engine seeds the pattern with the full diagonal so gshunt
-        #: regularization always has a slot).
-        self._diag_positions: np.ndarray | None = None
         self._scalar_cache: dict[tuple[int, int], int] = {}
         #: The orders computed so far, keyed by ordering name (see
         #: :meth:`ordered`).
@@ -120,14 +116,6 @@ class SparsityPattern:
             pos = int(self.positions(np.array([row]), np.array([col]))[0])
             self._scalar_cache[key] = pos
         return pos
-
-    @property
-    def diag_positions(self) -> np.ndarray:
-        """Data positions of the full diagonal ``(i, i)``."""
-        if self._diag_positions is None:
-            diag = np.arange(self.size, dtype=np.intp)
-            self._diag_positions = self.positions(diag, diag)
-        return self._diag_positions
 
     def ordered(self, permc_spec: str | None = None) -> "PatternOrder":
         """The pattern's fill-reducing symmetric order for SuperLU's

@@ -192,14 +192,13 @@ def solve_transient(
         chord = True
     circuit.assign_indices()
     engine = resolve_engine(circuit, engine)
-    snapshot = engine.stats.copy()
-    with engine.timed():
+    with engine.measured() as stats:
         result = _solve_transient(
             circuit, engine, stop_time, max_step, initial_step, x0,
             method, tolerances, gmin, lte_reltol, lte_abstol, max_points,
             bypass_tol, chord,
         )
-    result.stats = engine.stats.since(snapshot)
+    result.stats = stats
     return result
 
 

@@ -17,9 +17,8 @@ through:
   points, and a content-hash :class:`ResultCache` so repeated points are
   never re-simulated,
 * :class:`SweepStats` — per-sweep counters (points evaluated, cache
-  hits, failures, retries, workers used, per-point wall time), also
-  mirrored into :data:`repro.spice.engine.GLOBAL_STATS` for the
-  benchmark harness,
+  hits, failures, retries, workers used, per-point wall time), returned
+  on each :class:`SweepResult`,
 * fault tolerance — :func:`run_sweep`'s ``on_error="raise"|"skip"|
   "retry"`` policy captures failing points as picklable
   :class:`FailedPoint` records (with the solver's

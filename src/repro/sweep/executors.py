@@ -119,11 +119,19 @@ class DispatchStats:
 
     def chunk_percentile(self, q: float) -> float:
         """Nearest-rank percentile of the per-chunk latencies (seconds)."""
-        if not self.chunk_seconds:
-            return 0.0
-        ordered = sorted(self.chunk_seconds)
-        rank = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-        return ordered[rank]
+        return nearest_rank(self.chunk_seconds, q)
+
+
+def nearest_rank(samples, q: float) -> float:
+    """The nearest-rank ``q``-quantile of ``samples`` (0.0 when empty).
+
+    The one percentile convention of the sweep and service statistics.
+    """
+    if not samples:
+        return 0.0
+    ordered = sorted(samples)
+    rank = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
+    return ordered[rank]
 
 
 # ---------------------------------------------------------------------------

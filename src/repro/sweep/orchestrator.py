@@ -62,13 +62,12 @@ import inspect
 import math
 import pickle
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from ..errors import AnalysisError, ConvergenceError, ConvergenceReport, \
     SweepError
-from ..spice.engine import GLOBAL_STATS
 from . import costmodel
 from .cache import ResultCache, content_key
 from .executors import (
@@ -130,7 +129,11 @@ class FailedPoint:
 
 @dataclass
 class SweepStats:
-    """Counters for one sweep run (mirrored into engine GLOBAL_STATS)."""
+    """Counters for one sweep run, returned on :attr:`SweepResult.stats`.
+
+    A sweep counts its work here only; the engines its points compile
+    keep their own :class:`~repro.spice.engine.EngineStats`.
+    """
 
     points: int = 0  #: total points in the sweep
     evaluated: int = 0  #: points actually evaluated (not cache-served)
@@ -156,25 +159,7 @@ class SweepStats:
         return self.points / self.wall_seconds
 
     def as_dict(self) -> dict:
-        return {
-            "points": self.points,
-            "evaluated": self.evaluated,
-            "cache_hits": self.cache_hits,
-            "chunks": self.chunks,
-            "workers": self.workers,
-            "executor": self.executor,
-            "wall_seconds": self.wall_seconds,
-            "point_seconds": self.point_seconds,
-            "failures": self.failures,
-            "retries": self.retries,
-            "executor_faults": self.executor_faults,
-            "on_error": self.on_error,
-            "payload_bytes": self.payload_bytes,
-            "spinup_seconds": self.spinup_seconds,
-            "chunk_p50_seconds": self.chunk_p50_seconds,
-            "chunk_p99_seconds": self.chunk_p99_seconds,
-            "plan": self.plan,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def summary(self) -> str:
         text = (
@@ -828,13 +813,6 @@ def run_sweep(
         stats.spinup_seconds = dispatch.spinup_seconds
         stats.chunk_p50_seconds = dispatch.chunk_percentile(0.5)
         stats.chunk_p99_seconds = dispatch.chunk_percentile(0.99)
-    GLOBAL_STATS.sweep_points += stats.points
-    GLOBAL_STATS.sweep_cache_hits += stats.cache_hits
-    GLOBAL_STATS.sweep_point_seconds += stats.point_seconds
-    GLOBAL_STATS.sweep_failures += stats.failures
-    GLOBAL_STATS.sweep_workers = max(
-        GLOBAL_STATS.sweep_workers, stats.workers
-    )
     return SweepResult(
         points=points, values=values, stats=stats, point_seconds=seconds,
         failures=failures,

@@ -69,6 +69,10 @@ class TestJobLifecycle:
         cid = service.create_circuit(ce_deck)["circuit_id"]
         submitted = service.run_dc(cid)
         assert submitted["state"] == "queued"
+        # Synchronous mode runs nothing until step() pops the job.
+        queued = service.poll(submitted["job_id"])
+        assert queued["state"] == "queued"
+        assert "result" not in queued
         polled = _run(service, submitted)
         assert polled["state"] == "done"
         assert polled["result"]["nodes"]["v(vcc)"] == pytest.approx(5.0)
@@ -120,17 +124,21 @@ class TestJobLifecycle:
         assert "stop_time" in polled["error"]["error"]
 
     def test_unknown_circuit_and_kind_are_rejected_at_submit(self, service):
-        missing = service.run_dc("deadbeef")
-        assert missing["status"] == "error"
-        assert missing["code"] == 404
+        for verb in (service.run_dc, service.run_ac, service.run_transient,
+                     service.run_sweep, service.run_optimize,
+                     service.run_verify):
+            missing = verb("deadbeef")
+            assert missing["status"] == "error", verb.__name__
+            assert missing["code"] == 404, verb.__name__
         bogus = service.submit("noise", "deadbeef")
         assert bogus["status"] == "error"
         assert bogus["code"] == 400
 
     def test_poll_unknown_job(self, service):
-        payload = service.poll("job-junk")
-        assert payload["status"] == "error"
-        assert payload["code"] == 404
+        for verb in (service.poll, service.wait, service.cancel_job):
+            payload = verb("job-junk")
+            assert payload["status"] == "error", verb.__name__
+            assert payload["code"] == 404, verb.__name__
 
 
 class TestSweepAndOptimizeJobs:

@@ -274,8 +274,7 @@ class TestLinearSolvers:
         rng = np.random.default_rng(1)
         a = rng.standard_normal((5, 5)) + 5.0 * np.eye(5)
         solver = DenseLUSolver()
-        stats = EngineStats()
-        solver.bind(stats)
+        stats = solver.stats
         solver.solve(a, rng.standard_normal(5), token=("t",))
         solver.solve(a, rng.standard_normal(5), token=("t",))
         solver.solve(a, rng.standard_normal(5), token=("t",))
@@ -289,8 +288,7 @@ class TestLinearSolvers:
         rng = np.random.default_rng(2)
         a = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
         solver = DenseLUSolver()
-        stats = EngineStats()
-        solver.bind(stats)
+        stats = solver.stats
         solver.solve(a, rng.standard_normal(4), token=("a",))
         solver.solve(2.0 * a, rng.standard_normal(4), token=("b",))
         assert stats.factorizations == 2

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.sparse import linalg as spla
 
-from repro.spice.engine import EngineStats, SparseLUSolver
+from repro.spice.engine import SparseLUSolver
 from repro.spice.sparse import SparsityPattern
 
 EXAMPLES = settings(max_examples=25, deadline=None)
@@ -133,9 +133,8 @@ def test_transposed_solves(system):
 def test_value_sets_on_one_pattern_share_one_order(system):
     # Both value sets are solved through the order computed for the
     # first; the second factorization counts as its reuse.
-    stats = EngineStats()
     solver = SparseLUSolver()
-    solver.bind(stats)
+    stats = solver.stats
     b = _rhs(system.size)
     for data in (system.g, system.complex_data):
         _close(solver.solve(system.pattern.matrix(data), b),

@@ -22,7 +22,7 @@ from repro.spice.elements import (
     Resistor,
     VoltageSource,
 )
-from repro.spice.engine import GLOBAL_STATS, BJTGroup, compile_circuit
+from repro.spice.engine import BJTGroup, compile_circuit
 from repro.spice.transient import _collect_breakpoints
 
 
@@ -108,20 +108,16 @@ class TestHotPathParity:
         assert _deviation(ref, hot, self.STOP) < 0.05
 
     def test_hot_counters_move_only_when_enabled(self):
-        snapshot = GLOBAL_STATS.copy()
-        solve_transient(
+        off = solve_transient(
             _ring(), stop_time=self.STOP, max_step=self.MAX_STEP,
             bypass_tol=0.0, chord=False,
-        )
-        off = GLOBAL_STATS.since(snapshot)
+        ).stats
         assert off.bypassed_evals == 0
         assert off.jacobian_reuses == 0
 
-        snapshot = GLOBAL_STATS.copy()
-        solve_transient(
+        on = solve_transient(
             _ring(), stop_time=self.STOP, max_step=self.MAX_STEP,
-        )
-        on = GLOBAL_STATS.since(snapshot)
+        ).stats
         assert on.bypassed_evals > 0
         assert on.jacobian_reuses > 0
         assert on.factorizations < off.factorizations

@@ -324,22 +324,32 @@ class TestStackedEvaluate:
                     err_msg=name,
                 )
 
-    def test_newton_batched_uses_stacked_assembly(self):
-        from repro.spice.engine import GLOBAL_STATS, get_engine
+    def test_newton_batched_uses_stacked_assembly(self, monkeypatch):
+        from repro.spice.engine import get_engine
         from repro.spice.dcop import Tolerances, newton_solve_batched, solve_dc
 
         circuit = parse_deck(DECK_TEXT).circuit
         engine = get_engine(circuit, mode="dense")
         x_op = solve_dc(circuit, engine=engine)
         x0 = np.tile(x_op, (8, 1))
-        before = GLOBAL_STATS.assemblies
+        before = engine.stats.assemblies
+        scalar_calls = []
+        scalar_evaluate = engine.evaluate
+
+        def evaluate(*args, **kwargs):
+            scalar_calls.append(args)
+            return scalar_evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "evaluate", evaluate)
         x, converged = newton_solve_batched(
             circuit, x0, Tolerances(), gmin=1e-12, engine=engine
         )
         assert converged.all()
-        # One stacked assembly per iteration covers all lanes: far fewer
-        # evaluate dispatches than lanes x iterations.
-        assert GLOBAL_STATS.assemblies - before >= 8
+        # One stacked assembly per iteration covers all lanes: no scalar
+        # evaluate dispatch runs, and every lane still counts as one
+        # assembly.
+        assert scalar_calls == []
+        assert engine.stats.assemblies - before >= 8
         for k in range(8):
             np.testing.assert_array_equal(x[k], x[0])
 

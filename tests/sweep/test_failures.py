@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.errors import AnalysisError, ConvergenceError, ConvergenceReport
-from repro.spice.engine import GLOBAL_STATS
 from repro.sweep import (
     FailedPoint,
     MonteCarloSampler,
@@ -140,11 +139,6 @@ class TestPolicies:
         assert failure.error_type == "ValueError"
         assert failure.attempts == 1  # deterministic errors are not retried
         assert result.stats.retries == 0
-
-    def test_global_stats_mirror(self):
-        before = GLOBAL_STATS.sweep_failures
-        run_sweep(_flaky, POINTS, on_error="skip")
-        assert GLOBAL_STATS.sweep_failures == before + len(FAIL_XS)
 
 
 class TestRetries:

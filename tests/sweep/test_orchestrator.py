@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import AnalysisError
-from repro.spice.engine import GLOBAL_STATS
 from repro.sweep import (
     MonteCarloSampler,
     ParameterGrid,
@@ -226,20 +225,6 @@ class TestStats:
             "payload_bytes", "spinup_seconds", "chunk_p50_seconds",
             "chunk_p99_seconds", "plan",
         }
-
-    def test_global_engine_counters_accumulate(self):
-        snapshot = GLOBAL_STATS.copy()
-        cache = ResultCache()
-        run_sweep(_square, [{"x": i} for i in range(4)], cache=cache)
-        run_sweep(_square, [{"x": i} for i in range(4)], cache=cache)
-        delta = GLOBAL_STATS.since(snapshot)
-        assert delta.sweep_points == 8
-        assert delta.sweep_cache_hits == 4
-
-    def test_sweep_line_in_engine_summary(self):
-        stats = GLOBAL_STATS.copy()
-        stats.sweep_points = max(stats.sweep_points, 1)
-        assert "sweep points" in stats.summary()
 
 
 class TestExecutorResolution:
