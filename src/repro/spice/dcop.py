@@ -470,12 +470,15 @@ def newton_solve_batched(
     ``rhs_deltas``, when given, is a per-lane sequence of residual
     offsets (entries may be ``None``); see :func:`newton_solve`.
 
-    Each lane carries its own ``pnjlim`` history, as a fresh ``limits``
-    dict would in the scalar path: engines with stacked evaluation keep
-    it as one ``(B, 2, n)`` array
+    Every iteration assembles the active lanes in one
+    :meth:`~repro.spice.engine.CompiledCircuit.evaluate_stacked` pass,
+    which raises :class:`~repro.errors.AnalysisError` on a circuit with
+    a diode; :func:`solve_dc_batched` sends such circuits down the
+    scalar ladder instead.  Each lane carries its own ``pnjlim``
+    history, as a fresh ``limits`` dict would in the scalar path, held
+    as one ``(B, 2, n)`` array
     (:meth:`~repro.spice.engine.CompiledCircuit.new_history`) that every
-    stacked assembly reads and rewrites for the active lanes; the
-    per-lane fallback keeps one dict per lane.
+    stacked assembly reads and rewrites for the active lanes.
 
     Returns ``(x, converged)``: the ``(B, n)`` solution stack and a
     boolean mask.  Lanes that hit a singular Jacobian, a non-finite step
@@ -509,41 +512,21 @@ def newton_solve_batched(
     # the scalar Newton uses, so lanes stay bit-identical to solve_dc.
     pattern = engine.pattern if engine.assembly == "sparse" else None
     diag_pos = pattern.positions(diag, diag) if pattern is not None else None
-    # Engines whose nonlinear devices are all group-vectorized assemble
-    # every active lane in one stacked pass — the same device kernel
-    # lane-by-lane, so residuals and Jacobians stay bit-identical to the
-    # per-lane evaluate loop they replace.  Their limiting history is one
-    # (B, 2, n) array; the per-lane loop keeps a limits dict per lane.
-    stacked = engine.supports_stacked_evaluate
-    if stacked:
-        history = engine.new_history(batch)
-    else:
-        limits = [dict() for _ in range(batch)]
+    # One stacked pass assembles every active lane — the scalar device
+    # kernel with a lane axis, so residuals and Jacobians stay
+    # bit-identical to a scalar evaluate per lane.
+    history = engine.new_history(batch)
     active = np.arange(batch)
     for _iteration in range(tolerances.max_iterations):
         if active.size == 0:
             break
         xa = x[active]
-        if stacked:
-            lane_history = history[active]
-            sctx = engine.evaluate_stacked(
-                xa, gmin=gmin, history=lane_history,
-                source_scale=source_scale,
-            )
-            history[active] = lane_history
-            res, jac = sctx.i, sctx.g
-        else:
-            res = np.empty((active.size, size))
-            jac = np.empty((active.size,) + (
-                (pattern.nnz,) if pattern is not None else (size, size)))
-            for j, k in enumerate(active):
-                ctx = engine.evaluate(
-                    x[k], gmin=gmin, limits=limits[k],
-                    source_scale=source_scale,
-                )
-                res[j] = ctx.i_vec
-                jac[j] = (ctx.g_mat.values if pattern is not None
-                          else ctx.g_mat)
+        lane_history = history[active]
+        sctx = engine.evaluate_stacked(
+            xa, gmin=gmin, history=lane_history, source_scale=source_scale,
+        )
+        history[active] = lane_history
+        res, jac = sctx.i, sctx.g
         # The scalar iteration's regularization, in its order, on every
         # active lane at once: re-bias, Jacobian diagonal, residual.
         rebias = has_delta[active]
@@ -614,7 +597,10 @@ def solve_dc_batched(
     then the identical gmin/source-stepping homotopies, so values,
     :class:`~repro.errors.ConvergenceError` messages and
     :class:`~repro.errors.ConvergenceReport` forensics all match the
-    scalar path lane for lane.
+    scalar path lane for lane.  An engine without stacked evaluation
+    (:attr:`~repro.spice.engine.CompiledCircuit.supports_stacked_evaluate`
+    is false: the circuit has a diode) skips stage 1: every lane is
+    solved with scalar :func:`solve_dc`.
 
     Returns ``(x, errors)``: the ``(B, n)`` solution stack and a
     per-lane list of ``None`` (success) or the lane's
@@ -635,7 +621,7 @@ def solve_dc_batched(
     x0 = np.asarray(x0, dtype=float)
     stack = np.broadcast_to(x0, (batch, size)) if x0.ndim == 1 else x0
     errors: list = [None] * batch
-    if attempt == 0:
+    if attempt == 0 and engine.supports_stacked_evaluate:
         x, converged = newton_solve_batched(
             circuit, stack, tolerances, gmin,
             rhs_deltas=rhs_deltas, engine=engine,

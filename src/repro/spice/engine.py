@@ -56,7 +56,6 @@ from scipy.sparse import linalg as _spla
 from ..devices.gummel_poon import EXP_LIMIT
 from ..errors import AnalysisError
 from .elements.bjt import BJT
-from .elements.diode import Diode
 from .elements.sources import DC as DCWaveform
 from .mna import LoadContext
 from .netlist import Circuit
@@ -1050,136 +1049,6 @@ class BJTGroup:
         np.add.at(q_full, (lane, self._q_rows), vals[:, _Q].reshape(L, -1))
 
 
-class _RecordingContext:
-    """Proxy over a :class:`LoadContext` that records one element's
-    voltage reads and stamps so they can be replayed on bypass.
-
-    Everything not intercepted (``limits``, ``gmin``, ``x_prev``, ...)
-    delegates to the wrapped context, so the element behaves exactly as
-    if it had been handed the real accumulator.
-    """
-
-    def __init__(self, ctx: LoadContext):
-        self._ctx = ctx
-        self.watch: list[int] = []
-        self.stamps_i: list[tuple[int, float]] = []
-        self.stamps_q: list[tuple[int, float]] = []
-        self.stamps_g: list[tuple[int, int, float]] = []
-        self.stamps_c: list[tuple[int, int, float]] = []
-
-    def __getattr__(self, name):
-        return getattr(self._ctx, name)
-
-    def voltage(self, index: int) -> float:
-        if index < 0:
-            return 0.0
-        self.watch.append(index)
-        return self._ctx.x[index]
-
-    def add_i(self, row: int, value: float) -> None:
-        if row >= 0:
-            self.stamps_i.append((row, value))
-            self._ctx.i_vec[row] += value
-
-    def add_q(self, row: int, value: float) -> None:
-        if row >= 0:
-            self.stamps_q.append((row, value))
-            self._ctx.q_vec[row] += value
-
-    def add_g(self, row: int, col: int, value: float) -> None:
-        if row >= 0 and col >= 0:
-            self.stamps_g.append((row, col, value))
-            self._ctx.g_mat[row, col] += value
-
-    def add_c(self, row: int, col: int, value: float) -> None:
-        if row >= 0 and col >= 0:
-            self.stamps_c.append((row, col, value))
-            self._ctx.add_c(row, col, value)
-
-    # The stamp helpers re-route through the recording accessors above.
-    stamp_conductance = LoadContext.stamp_conductance
-    stamp_capacitance = LoadContext.stamp_capacitance
-    stamp_current_source = LoadContext.stamp_current_source
-
-
-class _ScalarBypass:
-    """Record/replay device bypass for one scalar nonlinear element.
-
-    Only used for element classes whose ``load_dynamic`` is a pure
-    function of the voltages it reads, ``gmin`` and its ``limits``
-    entry (diodes; every BJT belongs to the vectorized group).
-    """
-
-    def __init__(self, element):
-        self.element = element
-        self.watch: list[int] = []
-        self.values: list[float] = []
-        self.stamps = None
-        self.anchor: dict[int, float] = {}
-        self.gmin: float | None = None
-        self.limits: dict | None = None
-
-    def invalidate(self) -> None:
-        self.stamps = None
-        self.limits = None
-
-    def load(self, ctx: LoadContext, bypass_tol: float) -> int:
-        """Stamp the element, replaying the cache when every watched
-        voltage moved less than ``bypass_tol``; returns 1 on bypass."""
-        if (
-            bypass_tol > 0.0
-            and self.stamps is not None
-            and self.limits is ctx.limits
-            and self.gmin == ctx.gmin
-        ):
-            x = ctx.x
-            for j, vj in zip(self.watch, self.values):
-                if abs(x[j] - vj) > bypass_tol:
-                    break
-            else:
-                si, sq, sg, sc = self.stamps
-                i_vec, q_vec = ctx.i_vec, ctx.q_vec
-                g_mat, c_mat = ctx.g_mat, ctx.c_mat
-                jac_alpha = ctx.jac_alpha
-                anchor = self.anchor
-                for row, val in si:
-                    i_vec[row] += val
-                for row, val in sq:
-                    q_vec[row] += val
-                # Extrapolate I and Q to the present solution with the
-                # cached Jacobian entries so the bypassed element acts as
-                # its linearization at the anchor (see BJTGroup._replay).
-                for row, col, val in sg:
-                    g_mat[row, col] += val
-                    i_vec[row] += val * (x[col] - anchor[col])
-                for row, col, val in sc:
-                    if jac_alpha is not None:
-                        g_mat[row, col] += val * jac_alpha
-                    else:
-                        c_mat[row, col] += val
-                    q_vec[row] += val * (x[col] - anchor[col])
-                return 1
-        if bypass_tol > 0.0:
-            rec = _RecordingContext(ctx)
-            self.element.load_dynamic(rec)
-            x = ctx.x
-            self.watch = rec.watch
-            self.values = [x[j] for j in rec.watch]
-            self.stamps = (
-                rec.stamps_i, rec.stamps_q, rec.stamps_g, rec.stamps_c
-            )
-            self.anchor = {
-                col: x[col]
-                for _, col, _ in rec.stamps_g + rec.stamps_c
-            }
-            self.gmin = ctx.gmin
-            self.limits = ctx.limits
-        else:
-            self.invalidate()
-            self.element.load_dynamic(ctx)
-        return 0
-
-
 class _CooContext(LoadContext):
     """Probe context recording linear Jacobian stamps as COO triples.
 
@@ -1327,13 +1196,6 @@ class CompiledCircuit:
                 self._source_rows.append((element, rows))
         bjts = [e for e in nonlinear if type(e) is BJT]
         self._scalar_dynamic = [e for e in nonlinear if type(e) is not BJT]
-        #: Bypass wrappers, aligned with ``_scalar_dynamic``; ``None`` for
-        #: element classes whose ``load_dynamic`` is not known to be a
-        #: pure function of its voltage reads, gmin and limits entry.
-        self._scalar_bypass = [
-            _ScalarBypass(e) if isinstance(e, Diode) else None
-            for e in self._scalar_dynamic
-        ]
         self._eval_cost = len(sources) + len(nonlinear)
         self.has_constant_jacobian = not nonlinear
 
@@ -1444,7 +1306,6 @@ class CompiledCircuit:
         x: np.ndarray,
         time: float | None = None,
         gmin: float = 1e-12,
-        x_prev: np.ndarray | None = None,
         limits: dict | None = None,
         source_scale: float = 1.0,
         bypass_tol: float = 0.0,
@@ -1455,11 +1316,13 @@ class CompiledCircuit:
         """Assemble I, G, Q, C at candidate ``x``; returns a LoadContext
         whose arrays are views into the engine's reusable buffers.
 
-        ``bypass_tol > 0`` enables device bypass: nonlinear devices whose
-        terminal voltages all moved less than the tolerance since their
-        last actual evaluation replay cached stamps instead of
-        re-evaluating (counted in ``stats.bypassed_evals``).  At 0 the
-        assembly is bit-identical to the non-bypassing path.
+        ``bypass_tol > 0`` enables device bypass in the BJT group:
+        transistors whose terminal voltages all moved less than the
+        tolerance since their last actual evaluation replay cached
+        stamps instead of re-evaluating (counted in
+        ``stats.bypassed_evals``).  At 0 the assembly is bit-identical to
+        the non-bypassing path.  Scalar devices (diodes) are evaluated
+        on every call.
 
         ``jac_alpha`` (transient hot path) fuses the integration formula
         into assembly: ``g_mat`` is built directly as ``G + alpha*C``
@@ -1533,7 +1396,6 @@ class CompiledCircuit:
         ctx = LoadContext(
             size, x, time, gmin, source_scale, buffers=(i, g, q, c)
         )
-        ctx.x_prev = x_prev
         if not charges_only:
             ctx.jac_alpha = jac_alpha
         if limits is not None:
@@ -1541,23 +1403,11 @@ class CompiledCircuit:
 
         bypassed = 0
         if self._bjt_group is not None:
-            bypassed += self._bjt_group.load(
+            bypassed = self._bjt_group.load(
                 ctx, bypass_tol, q_only=charges_only
             )
-        if bypass_tol > 0.0:
-            for element, wrapper in zip(
-                self._scalar_dynamic, self._scalar_bypass
-            ):
-                if wrapper is None:
-                    element.load_dynamic(ctx)
-                else:
-                    bypassed += wrapper.load(ctx, bypass_tol)
-        else:
-            for wrapper in self._scalar_bypass:
-                if wrapper is not None:
-                    wrapper.invalidate()
-            for element in self._scalar_dynamic:
-                element.load_dynamic(ctx)
+        for element in self._scalar_dynamic:
+            element.load_dynamic(ctx)
 
         self.stats.assemblies += 1
         if sparse:
@@ -1574,9 +1424,8 @@ class CompiledCircuit:
         """Whether :meth:`evaluate_stacked` covers this circuit.
 
         True when every nonlinear device belongs to the vectorized BJT
-        group — scalar-dynamic elements (diodes, behavioral elements)
-        would need a per-lane Python loop, which is exactly what the
-        stacked path exists to avoid.
+        group.  A circuit with a scalar device (a diode) has no stacked
+        assembly: its blocked solves take the scalar path lane by lane.
         """
         return not self._scalar_dynamic
 
@@ -1611,8 +1460,14 @@ class CompiledCircuit:
         stacked through :meth:`BJTGroup.load_stacked`, the kernel the
         scalar path runs.  Buffers are freshly allocated per call —
         unlike :meth:`evaluate`, the returned views survive subsequent
-        calls.
+        calls.  Raises :class:`~repro.errors.AnalysisError` on a circuit
+        with scalar devices (see :attr:`supports_stacked_evaluate`).
         """
+        if self._scalar_dynamic:
+            raise AnalysisError(
+                "stacked evaluation covers BJT-group devices only; "
+                f"{self._scalar_dynamic[0].name!r} is a scalar device"
+            )
         size = self.size
         n1 = size + 1
         L = x_stack.shape[0]

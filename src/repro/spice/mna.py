@@ -72,11 +72,12 @@ class LoadContext:
             # arrive pre-filled with the cached linear contributions and
             # are overwritten on the engine's next evaluation.
             self.i_vec, self.g_mat, self.q_vec, self.c_mat = buffers
-        #: Solution of the previous Newton iterate, used by devices for
-        #: junction-voltage limiting.  ``None`` on the first iteration.
-        self.x_prev: np.ndarray | None = None
-        #: Per-device limited-voltage memory (device name -> tuple).
-        self.limits: dict[str, tuple] = {}
+        #: Junction-limiting memory carried across Newton iterations:
+        #: each diode's limited voltage (a float) under its name, and the
+        #: compiled BJT group's ``(2, n)`` limited (vbe, vbc) array under
+        #: the group itself (the per-element walk, :func:`load_circuit`,
+        #: keeps each BJT's (vbe, vbc) tuple under its name instead).
+        self.limits: dict = {}
         #: Fused-Jacobian mode (transient hot path): when set, capacitive
         #: stamps are folded directly into ``g_mat`` scaled by this
         #: integration coefficient (``g_mat`` then holds ``G + alpha*C``)
@@ -162,7 +163,6 @@ def load_circuit(
     x: np.ndarray,
     time: float | None = None,
     gmin: float = 1e-12,
-    x_prev: np.ndarray | None = None,
     limits: dict | None = None,
     source_scale: float = 1.0,
 ) -> LoadContext:
@@ -172,7 +172,6 @@ def load_circuit(
     """
     size = circuit.assign_indices()
     ctx = LoadContext(size, x, time, gmin, source_scale)
-    ctx.x_prev = x_prev
     if limits is not None:
         ctx.limits = limits
     for element in circuit:

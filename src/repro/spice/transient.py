@@ -113,7 +113,7 @@ def _collect_breakpoints(
 
 
 #: Default device-bypass voltage tolerance for the transient hot path.
-#: Devices whose terminal voltages all moved less than this between
+#: BJTs whose terminal voltages all moved less than this between
 #: Newton evaluations replay their cached stamps, extrapolated to the
 #: current solution with the cached Jacobians (see
 #: :meth:`repro.spice.engine.CompiledCircuit.evaluate`); the replay

@@ -55,6 +55,14 @@ from ..errors import AnalysisError, SweepError
 #: per point by the orchestrator's on_error policy).
 TRANSIENT_EXECUTOR_FAULTS = (BrokenExecutor,)
 
+#: Fresh-pool retries :func:`map_chunks_with_retries` makes after a pool
+#: fault before it re-raises.
+EXECUTOR_RETRIES = 2
+
+#: Seconds before the first such retry; each later one waits twice as
+#: long as the one before.
+RETRY_BACKOFF_SECONDS = 0.25
+
 #: A persistent pool untouched for this long is shut down on the next
 #: pool-registry access (workers holding compiled circuits are not free).
 POOL_IDLE_REAP_SECONDS = 300.0
@@ -330,17 +338,16 @@ def map_chunks_with_retries(
     backend: "Executor",
     fn,
     chunks: list,
-    retries: int = 2,
-    backoff: float = 0.25,
 ) -> tuple[list, int]:
     """``backend.map_chunks`` with exponential backoff on pool faults.
 
     A ``BrokenProcessPool`` poisons the persistent pool, so the backend's
     :meth:`Executor.discard_pool` hook is invoked before each retry —
     the next ``map_chunks`` call then genuinely starts on a fresh pool.
-    Waits ``backoff * 2**k`` seconds before retry ``k``; re-raises once
-    ``retries`` attempts are exhausted.  Returns ``(results, faults)``
-    where ``faults`` counts the recovered failures.
+    Waits ``RETRY_BACKOFF_SECONDS * 2**k`` seconds before retry ``k``;
+    re-raises once :data:`EXECUTOR_RETRIES` retries are exhausted.
+    Returns ``(results, faults)`` where ``faults`` counts the recovered
+    failures.
     """
     faults = 0
     while True:
@@ -348,9 +355,9 @@ def map_chunks_with_retries(
             return backend.map_chunks(fn, chunks), faults
         except TRANSIENT_EXECUTOR_FAULTS:
             backend.discard_pool()
-            if faults >= retries:
+            if faults >= EXECUTOR_RETRIES:
                 raise
-            time.sleep(backoff * (2.0 ** faults))
+            time.sleep(RETRY_BACKOFF_SECONDS * (2.0 ** faults))
             faults += 1
 
 

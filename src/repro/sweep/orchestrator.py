@@ -609,8 +609,6 @@ def run_sweep(
     cache_tag: str | None = None,
     on_error: str = "raise",
     retries: int = 2,
-    executor_retries: int = 2,
-    retry_backoff: float = 0.25,
     batch: bool | str = "auto",
 ) -> SweepResult:
     """Evaluate ``fn`` over ``points`` with the configured executor.
@@ -626,9 +624,10 @@ def run_sweep(
 
     ``on_error`` selects the failure policy (``"raise"``, ``"skip"`` or
     ``"retry"`` — see the module docstring); ``retries`` bounds
-    per-point re-evaluations under ``"retry"``; ``executor_retries`` and
-    ``retry_backoff`` govern recovery from transient pool faults
-    (``BrokenProcessPool``), which applies under every policy.
+    per-point re-evaluations under ``"retry"``.  Recovery from transient
+    pool faults (``BrokenProcessPool``) applies under every policy, with
+    the retry count and backoff of
+    :func:`~repro.sweep.executors.map_chunks_with_retries`.
 
     ``batch`` controls the blocked-evaluation fast path for functions
     exposing ``supports_batch``/``evaluate_batch`` (e.g.
@@ -760,9 +759,7 @@ def run_sweep(
             to_dispatch = pending_chunks
         if to_dispatch:
             results, executor_faults = map_chunks_with_retries(
-                backend, work, to_dispatch,
-                retries=executor_retries, backoff=retry_backoff,
-            )
+                backend, work, to_dispatch)
         else:
             results = []
         results = probe_results + results

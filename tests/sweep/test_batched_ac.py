@@ -42,6 +42,19 @@ PASSIVE_DECK = DECK_TEXT.replace(
 
 VB_LEVELS = [0.55, 0.62, 0.68, 0.72, 0.75, 0.78, 0.80, 0.82]
 
+#: The CE stage with a clamp diode on its collector: a scalar device, so
+#: the engine has no stacked assembly.
+DIODE_DECK = DECK_TEXT.replace(
+    ".OP",
+    "DCL c 0 DCLAMP\n.MODEL DCLAMP D(IS=1e-15 RS=5 CJO=2p TT=1n)\n.OP",
+    1,
+)
+
+DIODE_POINTS = [{"VB": level} for level in VB_LEVELS] + [
+    {"VB": float("nan")}, {"VB": 0.75, "VCC": 3.0}, {"VCC": 1.0},
+    {"VB": 0.78, "RC": 2.2e3}, {"RC": 300.0},
+]
+
 EXECUTOR_MATRIX = (
     {"executor": "serial"},
     {"executor": "process", "jobs": 2},
@@ -323,6 +336,38 @@ class TestStackedEvaluate:
                     history[k][:, j], limits_scalar[k][group][:, j],
                     err_msg=name,
                 )
+
+    @pytest.mark.parametrize("mode", ENGINES)
+    def test_stacked_refuses_scalar_devices(self, mode):
+        from repro.spice.dcop import Tolerances, newton_solve_batched
+        from repro.spice.engine import get_engine
+
+        circuit = parse_deck(DIODE_DECK).circuit
+        engine = get_engine(circuit, mode=mode)
+        assert not engine.supports_stacked_evaluate
+        x = np.zeros((2, engine.size))
+        with pytest.raises(AnalysisError, match="'DCL' is a scalar device"):
+            engine.evaluate_stacked(x)
+        with pytest.raises(AnalysisError, match="scalar device"):
+            newton_solve_batched(circuit, x, Tolerances(), gmin=1e-12,
+                                 engine=engine)
+
+    @pytest.mark.parametrize("mode", ENGINES)
+    def test_diode_deck_blocked_equals_scalar(self, mode):
+        fn = BlockedACSweep(DIODE_DECK, measure=ac_node_voltage("c"),
+                            frequencies=[1e6, 1e8, 1e10], engine=mode)
+        failed = []
+        for point, (value, error) in zip(DIODE_POINTS,
+                                         fn.evaluate_batch(DIODE_POINTS)):
+            try:
+                expected = fn(point)
+            except ConvergenceError as exc:
+                failed.append(point)
+                assert value is None and str(error) == str(exc)
+            else:
+                assert error is None
+                np.testing.assert_array_equal(value, expected)
+        assert len(failed) == 1 and np.isnan(failed[0]["VB"])
 
     def test_newton_batched_uses_stacked_assembly(self, monkeypatch):
         from repro.spice.engine import get_engine

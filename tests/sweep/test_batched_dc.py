@@ -38,6 +38,22 @@ DECK_TEXT = (DECKS / "ce_stage.cir").read_text()
 #: from near-off through active so lanes converge on different paths.
 VB_LEVELS = [0.55, 0.62, 0.68, 0.72, 0.75, 0.78, 0.80, 0.82]
 
+#: The CE stage with a clamp diode on its collector: a scalar device, so
+#: the engine has no stacked assembly and blocked lanes take the scalar
+#: ladder.
+DIODE_DECK = DECK_TEXT.replace(
+    ".OP",
+    "DCL c 0 DCLAMP\n.MODEL DCLAMP D(IS=1e-15 RS=5 CJO=2p TT=1n)\n.OP",
+    1,
+)
+
+#: Diode-deck points: base levels, a NaN lane, supply re-biases and
+#: collector-resistor variants.
+DIODE_POINTS = [{"VB": level} for level in VB_LEVELS] + [
+    {"VB": float("nan")}, {"VB": 0.75, "VCC": 3.0}, {"VCC": 1.0},
+    {"VB": 0.78, "RC": 2.2e3}, {"RC": 300.0},
+]
+
 EXECUTOR_MATRIX = (
     {"executor": "serial"},
     {"executor": "process", "jobs": 2},
@@ -118,6 +134,22 @@ class TestBlockedSolverParity:
             solve_dc(circuit, rhs_delta=deltas[1])
         assert str(excinfo.value) == str(errors[1])
         assert excinfo.value.report.stage == errors[1].report.stage
+
+    @pytest.mark.parametrize("engine", ("dense", "sparse"))
+    def test_diode_deck_blocked_equals_scalar(self, engine):
+        fn = BlockedDCSweep(DIODE_DECK, measure=node_voltage("c"),
+                            engine=engine)
+        failed = []
+        for point, (value, error) in zip(DIODE_POINTS,
+                                         fn.evaluate_batch(DIODE_POINTS)):
+            try:
+                expected = fn(point)
+            except ConvergenceError as exc:
+                failed.append(point)
+                assert value is None and str(error) == str(exc)
+            else:
+                assert error is None and value == expected
+        assert len(failed) == 1 and np.isnan(failed[0]["VB"])
 
     @staticmethod
     def _systems(solver_cls, systems, as_pattern):

@@ -9,7 +9,9 @@ worker count validation introduced with :class:`~repro.errors.SweepError`
 copies onto its stats.
 """
 
+import os
 import pickle
+from concurrent.futures import BrokenExecutor
 
 import pytest
 
@@ -36,6 +38,20 @@ def _chunk_loads(chunk):
     # Runs worker-side: reports how many function payloads this worker
     # has deserialized so far (the once-per-worker cache contract).
     return worker_fn_loads()
+
+
+def _die_once(params):
+    # The first point to create the marker file kills its worker, as the
+    # OS would; every later evaluation, on any worker, runs normally.
+    try:
+        os.close(os.open(params["marker"], os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return 2 * params["x"]
+    os._exit(1)
+
+
+def _die_always(params):
+    os._exit(1)
 
 
 class TestWorkerValidation:
@@ -194,3 +210,32 @@ class TestOrderPreservation:
         backend = make()
         chunks = [[i] for i in range(10)]
         assert backend.map_chunks(_chunk_sum, chunks) == list(range(10))
+
+
+class TestExecutorFaults:
+    """A worker that dies takes its pool with it; the whole map is
+    retried on a fresh pool, with backoff, a fixed number of times."""
+
+    def test_worker_death_is_retried_on_a_fresh_pool(self, tmp_path):
+        shutdown_pools()
+        points = [{"x": x, "marker": str(tmp_path / "died")}
+                  for x in range(6)]
+        run = run_sweep(_die_once, points, executor="process", jobs=2,
+                        chunk_size=2)
+        assert (tmp_path / "died").exists()
+        assert run.stats.executor_faults == 1
+        serial = run_sweep(_die_once, points, executor="serial")
+        assert run.values == serial.values == [2 * x for x in range(6)]
+
+    def test_persistent_fault_raises_after_the_retries(self, monkeypatch):
+        shutdown_pools()
+        waits = []
+        monkeypatch.setattr(executors.time, "sleep", waits.append)
+        with pytest.raises(BrokenExecutor):
+            run_sweep(_die_always, [{"x": x} for x in range(4)],
+                      executor="process", jobs=2, chunk_size=2)
+        assert waits == [
+            executors.RETRY_BACKOFF_SECONDS * 2.0 ** k
+            for k in range(executors.EXECUTOR_RETRIES)
+        ] == [0.25, 0.5]
+        assert not pool_is_warm(2)
