@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import AnalysisError
 from .gummel_poon import (
     BJTOperatingPoint,
     evaluate,
@@ -72,34 +73,41 @@ def ft_at_ic(
     )
 
 
-def _ft_sweep_point(
-    point_params: dict,
-    warm=None,
-    attempt: int = 0,
+def _ft_chain(
+    params: dict,
     *,
     device: GummelPoonParameters,
     vce: float,
-) -> tuple[FTPoint, tuple[float, float]]:
-    """One fT point under the sweep engine's warm-start protocol.
+    on_error: str,
+) -> list[FTPoint | None]:
+    """fT over one warm chain of currents, ``params["ics"]``, in order.
 
-    ``warm`` is the previous point's ``(ic, vbe)``; the new bias solve
-    starts from that Vbe shifted by the ideal-diode increment
+    The first current is solved cold.  Each later bias solve starts from
+    the last solved Vbe shifted by the ideal-diode increment
     ``NF*vt*ln(ic/ic_prev)`` — on the usual monotone Ic grid that lands
     within a fraction of kT/q of the solution, so Newton converges in a
-    step or two.  ``attempt`` is the sweep engine's retry hint: a retry
-    discards the warm start (the most likely culprit when the bias solve
-    diverges) and solves cold.  Module-level so it pickles for the
-    process executor.
+    step or two.  Under ``on_error="raise"`` a failed bias solve
+    propagates; otherwise that current yields ``None`` and the chain
+    carries the last solved point past it.  Module-level so it pickles
+    for the process executor.
     """
-    ic = float(point_params["ic"])
-    vbe0 = None
-    if warm is not None and attempt == 0:
-        ic_prev, vbe_prev = warm
-        if ic_prev > 0.0 and ic > 0.0:
-            n_vt = device.NF * thermal_voltage(device.TNOM)
-            vbe0 = vbe_prev + n_vt * math.log(ic / ic_prev)
-    point = ft_at_ic(device, ic, vce, vbe0=vbe0)
-    return point, (ic, point.vbe)
+    n_vt = device.NF * thermal_voltage(device.TNOM)
+    chain = []
+    last = None
+    for ic in params["ics"]:
+        vbe0 = None
+        if last is not None and ic > 0.0:
+            vbe0 = last.vbe + n_vt * math.log(ic / last.ic)
+        try:
+            point = ft_at_ic(device, ic, vce, vbe0=vbe0)
+        except ValueError:  # the bias solve's only failure
+            if on_error == "raise":
+                raise
+            point = None
+        else:
+            last = point
+        chain.append(point)
+    return chain
 
 
 def ft_curve(
@@ -111,38 +119,41 @@ def ft_curve(
     cache=None,
     chunk_size: int = 32,
     on_error: str = "raise",
-    retries: int = 2,
-) -> list[FTPoint]:
+) -> list[FTPoint | None]:
     """fT over a sweep of collector currents (the paper's Fig. 9 sweep).
 
-    Runs through :func:`repro.sweep.run_sweep` with warm-start
-    continuation: within each chunk of ``chunk_size`` consecutive
-    currents the bias solve is seeded from the previous point's Vbe
-    (see :func:`_ft_sweep_point`).  Chunks start cold and are the unit
-    of parallel dispatch, so serial and parallel sweeps are
+    The currents form warm chains of ``chunk_size`` consecutive values:
+    within a chain each bias solve is seeded from the previous point's
+    Vbe (see :func:`_ft_chain`), and every chain starts cold.  Each
+    chain is one point of :func:`repro.sweep.run_sweep`, so chains are
+    dispatched and cached whole, and serial and parallel sweeps are
     bit-identical.
 
     ``on_error="skip"``/``"retry"`` degrades gracefully: a bias point
-    that cannot be solved leaves ``None`` in the returned list (retries
-    re-solve it cold, without the warm-start seed) instead of killing
-    the whole curve.
+    that cannot be solved leaves ``None`` in the returned list instead
+    of killing the whole curve.
     """
     import functools
 
     from ..sweep import run_sweep
 
+    if (isinstance(chunk_size, bool) or not isinstance(chunk_size, int)
+            or chunk_size < 1):
+        raise AnalysisError(
+            f"chunk_size must be a positive integer, got {chunk_size!r}"
+        )
+    ics = [float(ic) for ic in ic_values]
     result = run_sweep(
-        functools.partial(_ft_sweep_point, device=params, vce=vce),
-        [{"ic": float(ic)} for ic in ic_values],
+        functools.partial(_ft_chain, device=params, vce=vce,
+                          on_error=on_error),
+        [{"ics": ics[i:i + chunk_size]}
+         for i in range(0, len(ics), chunk_size)],
         executor=executor,
         jobs=jobs,
         cache=cache,
-        chunk_size=chunk_size,
-        warm_start=True,
         on_error=on_error,
-        retries=retries,
     )
-    return list(result.values)
+    return [point for chain in result.values for point in chain]
 
 
 def peak_ft(

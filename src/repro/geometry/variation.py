@@ -128,7 +128,6 @@ def monte_carlo_models(
     jobs: int | None = None,
     cache=None,
     on_error: str = "raise",
-    retries: int = 2,
 ) -> MonteCarloModels:
     """Generate ``samples`` varied device models for a shape.
 
@@ -166,7 +165,6 @@ def monte_carlo_models(
         jobs=jobs,
         cache=cache,
         on_error=on_error,
-        retries=retries,
     )
     failed = set(result.failed_indices())
     return MonteCarloModels(
@@ -231,7 +229,6 @@ def monte_carlo_image_rejection(
     jobs: int | None = None,
     cache=None,
     on_error: str = "raise",
-    retries: int = 2,
 ) -> YieldReport:
     """Monte-Carlo yield of the Fig. 4 mixer against an IRR spec.
 
@@ -259,7 +256,6 @@ def monte_carlo_image_rejection(
         jobs=jobs,
         cache=cache,
         on_error=on_error,
-        retries=retries,
     )
     values = [float(v) for v in result.values if v is not None]
     passed = sum(1 for v in values if v >= irr_spec_db)

@@ -187,7 +187,7 @@ class _BatchEvaluator:
     def __init__(self, fn, parameters, *, executor=None, jobs=None,
                  cache=None, cache_tag=None,
                  failure_penalty=DEFAULT_FAILURE_PENALTY,
-                 eval_seed_root=None, batch="auto"):
+                 eval_seed_root=None):
         self.fn = fn
         self.parameters = tuple(parameters)
         if not self.parameters:
@@ -197,7 +197,6 @@ class _BatchEvaluator:
             raise DesignError(f"duplicate parameter names in {names}")
         self.executor = executor
         self.jobs = jobs
-        self.batch = batch
         self.cache = cache
         self.cache_tag = cache_tag
         if cache is not None and cache_tag is None:
@@ -235,7 +234,7 @@ class _BatchEvaluator:
             self.fn, points,
             executor=self.executor, jobs=self.jobs,
             cache=self.cache, cache_tag=self.cache_tag,
-            on_error="skip", batch=self.batch,
+            on_error="skip",
         )
         self.evaluations += result.stats.evaluated
         self.cache_hits += result.stats.cache_hits
@@ -278,7 +277,6 @@ def coordinate_search(
     cache=None,
     cache_tag: str | None = None,
     failure_penalty: float = DEFAULT_FAILURE_PENALTY,
-    batch: bool | str = "auto",
 ) -> OptimizeResult:
     """Deterministic compass/coordinate pattern search.
 
@@ -295,7 +293,7 @@ def coordinate_search(
         raise DesignError("initial_step must be positive")
     evaluator = _BatchEvaluator(
         fn, parameters, executor=executor, jobs=jobs, cache=cache,
-        cache_tag=cache_tag, failure_penalty=failure_penalty, batch=batch,
+        cache_tag=cache_tag, failure_penalty=failure_penalty,
     )
     dims = len(evaluator.parameters)
     current = np.array([p.initial_unit() for p in evaluator.parameters])
@@ -339,7 +337,6 @@ def nelder_mead(
     cache=None,
     cache_tag: str | None = None,
     failure_penalty: float = DEFAULT_FAILURE_PENALTY,
-    batch: bool | str = "auto",
 ) -> OptimizeResult:
     """Downhill simplex (Nelder-Mead) within the parameter box.
 
@@ -353,7 +350,7 @@ def nelder_mead(
         raise DesignError("initial_spread must be positive")
     evaluator = _BatchEvaluator(
         fn, parameters, executor=executor, jobs=jobs, cache=cache,
-        cache_tag=cache_tag, failure_penalty=failure_penalty, batch=batch,
+        cache_tag=cache_tag, failure_penalty=failure_penalty,
     )
     dims = len(evaluator.parameters)
     base = np.array([p.initial_unit() for p in evaluator.parameters])
@@ -427,7 +424,6 @@ def differential_evolution(
     cache=None,
     cache_tag: str | None = None,
     failure_penalty: float = DEFAULT_FAILURE_PENALTY,
-    batch: bool | str = "auto",
 ) -> OptimizeResult:
     """DE/rand/1/bin differential evolution over the parameter box.
 
@@ -458,7 +454,7 @@ def differential_evolution(
     evaluator = _BatchEvaluator(
         fn, parameters, executor=executor, jobs=jobs, cache=cache,
         cache_tag=cache_tag, failure_penalty=failure_penalty,
-        eval_seed_root=eval_seed, batch=batch,
+        eval_seed_root=eval_seed,
     )
     dims = len(evaluator.parameters)
 

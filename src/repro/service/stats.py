@@ -90,13 +90,16 @@ class ServiceStats:
         """Fold one job's :class:`~repro.sweep.SweepStats` into the totals.
 
         Pool reuse is read off the dispatch record the sweep layer
-        already keeps: a process dispatch that paid no spin-up rode an
+        already keeps.  Only a sweep that shipped chunks to the pool
+        serialized anything: a process sweep of one chunk runs
+        in-process and a fully cached one runs nothing, so neither is a
+        pool dispatch.  A pool dispatch that paid no spin-up rode an
         already-warm persistent pool.
         """
         with self._lock:
             self.sweep_points += sweep_stats.points
             self.sweep_cache_hits += sweep_stats.cache_hits
-            if sweep_stats.executor == "process":
+            if sweep_stats.payload_bytes > 0:
                 self.pool_dispatches += 1
                 if sweep_stats.spinup_seconds == 0.0:
                     self.pool_reuses += 1

@@ -294,7 +294,6 @@ def run_decks(
     executor=None,
     jobs=None,
     on_error: str = "raise",
-    retries: int = 2,
     stats_sink: dict | None = None,
     cache=None,
 ) -> list[DeckSummary]:
@@ -329,7 +328,6 @@ def run_decks(
         cache=cache,
         cache_tag=f"repro.run_decks#{engine or 'default'}",
         on_error=on_error,
-        retries=retries,
     )
     if stats_sink is not None:
         stats_sink["sweep"] = result.stats

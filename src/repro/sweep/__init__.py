@@ -11,11 +11,10 @@ through:
   with a deterministic per-point random stream
   (:class:`numpy.random.SeedSequence` spawning, so parallel and serial
   runs consume bit-identical streams),
-* :func:`run_sweep` — execute an evaluation function over the points
-  with a pluggable executor (serial, or a process pool with chunked
-  dispatch), optional warm-start continuation between adjacent
-  points, and a content-hash :class:`ResultCache` so repeated points are
-  never re-simulated,
+* :func:`run_sweep` — execute an evaluation function over independent
+  points with a pluggable executor (serial, or a process pool with
+  chunked dispatch) and a content-hash :class:`ResultCache` so repeated
+  points are never re-simulated,
 * :class:`SweepStats` — per-sweep counters (points evaluated, cache
   hits, failures, retries, workers used, per-point wall time), returned
   on each :class:`SweepResult`,

@@ -8,8 +8,8 @@ function (``fn(params)``) with a second, faster personality:
 stacked linear algebra instead of one scalar analysis per point.
 :func:`repro.sweep.run_sweep` detects the ``supports_batch`` attribute
 and routes chunks through the batch path automatically (under every
-executor), falling back to scalar calls for warm-start sweeps, seeded
-points, and per-lane retries.
+executor), falling back to scalar calls for seeded points and
+per-lane retries.
 
 The evaluator is built from **deck text**, not a live circuit: pickled
 to a persistent pool worker it ships as a couple of kilobytes of

@@ -2,8 +2,8 @@
 
 An executor's only job is ``map_chunks(fn, chunks)``: apply ``fn`` to
 every chunk and return the results *in submission order*.  All sweep
-semantics — chunk formation, per-point seeding, warm-start chains,
-caching — live in the orchestrator and are identical across executors,
+semantics — chunk formation, per-point seeding, retries, caching —
+live in the orchestrator and are identical across executors,
 which is what makes the backends interchangeable and their results
 bit-identical.
 

@@ -2,26 +2,22 @@
 
 Execution model (see ``docs/sweeps.md`` for the full contract):
 
-1. The point list is split into **chunks** of ``chunk_size`` consecutive
-   points.  Scalar and warm-start chunking depends only on the point
-   count and ``chunk_size`` — never on the executor or worker count — so
-   any two runs of the same warm sweep form identical chains.  A
-   batch-capable evaluation (``evaluate_batch``) without a warm chain
-   follows the executor instead: one chunk on the serial executor, the
-   cost model's chunks on a pool (see :func:`_chunk_size`).
-2. Chunks are dispatched through the executor.  A chunk is the dispatch
-   unit (amortizing process-pool IPC) *and* the warm-start unit: with
-   ``warm_start=True`` each chunk evaluates its points in order,
-   threading the previous point's returned state into the next call,
-   and every chunk starts cold.  Serial and parallel runs therefore
-   execute bit-identical warm chains.
+1. Points are independent: an evaluation sees its own point and nothing
+   else, so every value is a function of the point alone.  A
+   computation whose steps share solver state runs as one point (the
+   warm Vbe chains of :func:`repro.devices.ft.ft_curve`).
+2. The point list is split into **chunks** of consecutive points, the
+   unit of dispatch (amortizing process-pool IPC).  A scalar sweep
+   takes ~32 chunks whatever the executor; a batch-capable evaluation
+   (``evaluate_batch``) runs as one chunk on the serial executor and in
+   the cost model's chunks on a pool (see :func:`_chunk_size`).
+   Chunking never changes a value.
 3. Stochastic points carry their own :class:`~numpy.random.SeedSequence`
    child (see :mod:`repro.sweep.grid`); the evaluator receives a fresh
    generator per point, so the sample stream is a function of the point
    index alone.
-4. With a :class:`~repro.sweep.cache.ResultCache`, points (chunks, in
-   warm mode) whose content key is already present are never
-   re-evaluated.
+4. With a :class:`~repro.sweep.cache.ResultCache`, points whose content
+   key is already present are never re-evaluated.
 
 Fault tolerance — the ``on_error`` policy:
 
@@ -47,11 +43,11 @@ on a fresh pool regardless of ``on_error``; see
 Evaluation-function convention — ``fn(params)`` plus, when applicable:
 
 * ``fn(params, rng=generator)`` for seeded points,
-* ``fn(params, warm=state) -> (value, state)`` with ``warm_start=True``
-  (``warm`` is ``None`` at the start of each chunk), and both keywords
-  together when both features are active,
 * ``fn(params, attempt=k)`` on the ``k``-th retry when the function
-  opts in by declaring the keyword.
+  opts in by declaring the keyword,
+* ``fn.evaluate_batch([params, ...]) -> [(value, error_or_None), ...]``
+  for the first attempt of an unseeded chunk's points when the function
+  sets ``supports_batch`` (see :mod:`repro.sweep.batched`).
 """
 
 from __future__ import annotations
@@ -66,8 +62,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ..errors import AnalysisError, ConvergenceError, ConvergenceReport, \
-    SweepError
+from ..errors import AnalysisError, ConvergenceError, ConvergenceReport
 from . import costmodel
 from .cache import ResultCache, content_key
 from .executors import (
@@ -261,28 +256,19 @@ class SweepResult:
         return "\n".join(lines)
 
 
-def _default_chunk_size(count: int) -> int:
-    """Deterministic default: ~32 chunks, at least 1 point each.
-
-    Depends only on the point count — never on the executor — so serial
-    and parallel runs of one sweep always form the same chunks.
-    """
-    return max(1, math.ceil(count / 32))
-
-
 def _chunk_size(backend: Executor, count: int, blocked: bool) -> int:
     """The default chunk size of a sweep of ``count`` points.
 
-    Scalar and warm-start chunks take :func:`_default_chunk_size`.  A
-    blocked sweep (``evaluate_batch``, no warm chain) pays its stacked
+    A scalar sweep takes ~32 chunks of at least one point each, whatever
+    the executor.  A blocked sweep (``evaluate_batch``) pays its stacked
     solver's fixed cost once per chunk, so it runs as one chunk on the
     serial executor and in :func:`~repro.sweep.costmodel.chunk_size_for`
     chunks on a pool (the ``auto`` probe included); the evaluator bounds
-    a chunk's memory by its byte budget.  Blocked values are
-    bit-identical under any chunking.
+    a chunk's memory by its byte budget.  Values are bit-identical under
+    any chunking.
     """
     if not blocked:
-        return _default_chunk_size(count)
+        return max(1, math.ceil(count / 32))
     if isinstance(backend, SerialExecutor):
         return count
     return costmodel.chunk_size_for(count, backend.workers)
@@ -367,65 +353,8 @@ def _accepts_keyword(fn, name: str) -> bool:
     return False
 
 
-def _evaluate_chunk_batched(
-    fn,
-    on_error: str,
-    retries: int,
-    pass_attempt: bool,
-    chunk: list[SweepPoint],
-):
-    """Evaluate one chunk through ``fn.evaluate_batch`` (blocked solve).
-
-    Lane semantics mirror the scalar path exactly: ``evaluate_batch``
-    returns ``[(value, error_or_None), ...]`` where each lane's error —
-    produced by the batched solver's scalar fallback — is the *same*
-    exception the scalar path would have raised.  Under ``raise`` the
-    first failed lane (chunk order) re-raises it; under ``retry``,
-    failed convergence lanes are re-run through the scalar ``fn(params,
-    attempt=k)`` escalation, identical to a scalar chunk's retry chain.
-
-    Per-point timings are the batch wall time spread evenly across the
-    lanes (a blocked solve has no per-lane clock), plus any scalar retry
-    time a lane actually spent.
-    """
-    t0 = _time.perf_counter()
-    outcomes = fn.evaluate_batch([point.params for point in chunk])
-    per_lane = (_time.perf_counter() - t0) / max(1, len(chunk))
-    values = []
-    seconds = []
-    failures: list[FailedPoint] = []
-    retries_used = 0
-    max_attempts = retries + 1 if on_error == "retry" else 1
-    for point, (value, error) in zip(chunk, outcomes):
-        spent = per_lane
-        attempts = 1
-        if error is not None and on_error == "raise":
-            raise error
-        while (error is not None and isinstance(error, ConvergenceError)
-               and attempts < max_attempts):
-            retries_used += 1
-            kwargs = {"attempt": attempts} if pass_attempt else {}
-            t1 = _time.perf_counter()
-            try:
-                value = fn(point.params, **kwargs)
-                error = None
-            except Exception as exc:
-                error = exc
-            spent += _time.perf_counter() - t1
-            attempts += 1
-        if error is not None:
-            failures.append(
-                FailedPoint.from_exception(point, error, attempts)
-            )
-            value = None
-        values.append(value)
-        seconds.append(spent)
-    return values, seconds, failures, retries_used
-
-
 def _evaluate_chunk(
     fn,
-    warm_start: bool,
     on_error: str,
     retries: int,
     pass_attempt: bool,
@@ -438,73 +367,64 @@ def _evaluate_chunk(
     the chunk's points (``values[i]`` is None for failed points).
     Module-level (not a closure) so it pickles for the process executor.
 
-    ``use_batch`` routes the chunk through ``fn.evaluate_batch`` — one
-    blocked solve for the whole chunk — when the chunk qualifies: no
-    warm chain and no seeded points (a batched solver cannot thread
-    per-point generators).
+    With ``use_batch`` and no seeded point in the chunk (a batched
+    solver cannot thread per-point generators), one
+    ``fn.evaluate_batch`` call supplies every point's first attempt:
+    ``[(value, error_or_None), ...]``, each lane's error the very
+    exception ``fn(params)`` would have raised.  A blocked solve has no
+    per-lane clock, so each lane is charged the batch wall time divided
+    by the lane count.  Every later attempt is a scalar call.
 
-    Failure semantics: under ``skip``/``retry`` an exception is captured
-    as a :class:`FailedPoint` and the chunk continues; a warm chain
-    carries the last *successful* state past a failed point.  Retries
+    Failure semantics: under ``raise`` the first failed point (chunk
+    order) re-raises its error; under ``skip``/``retry`` the error is
+    captured as a :class:`FailedPoint` and the chunk continues.  Retries
     apply to :class:`~repro.errors.ConvergenceError` only — other
     exceptions are deterministic and re-running them is wasted work.
     """
-    if (use_batch and not warm_start
-            and all(point.seed is None for point in chunk)):
-        return _evaluate_chunk_batched(
-            fn, on_error, retries, pass_attempt, chunk
-        )
+    outcomes = None
+    if use_batch and all(point.seed is None for point in chunk):
+        t0 = _time.perf_counter()
+        outcomes = fn.evaluate_batch([point.params for point in chunk])
+        per_lane = (_time.perf_counter() - t0) / len(chunk)
     values = []
     seconds = []
     failures: list[FailedPoint] = []
     retries_used = 0
-    warm = None
     max_attempts = retries + 1 if on_error == "retry" else 1
-    for point in chunk:
-        base_kwargs = {}
+    for i, point in enumerate(chunk):
         rng = point.rng()
-        if rng is not None:
-            base_kwargs["rng"] = rng
-        if warm_start:
-            base_kwargs["warm"] = warm
         spent = 0.0
-        value = None
         for attempt in range(max_attempts):
-            kwargs = dict(base_kwargs)
-            if attempt > 0:
-                if pass_attempt:
+            if attempt == 0 and outcomes is not None:
+                value, error = outcomes[i]
+                spent += per_lane
+            else:
+                kwargs = {}
+                if attempt > 0 and pass_attempt:
                     kwargs["attempt"] = attempt
                 if rng is not None:
-                    # A fresh generator per attempt: the first draw of a
+                    # A fresh generator per retry: the first draw of a
                     # retried point must match a clean run's, not resume
                     # mid-stream where the failed attempt stopped.
-                    kwargs["rng"] = point.rng()
-            t0 = _time.perf_counter()
-            try:
-                result = fn(point.params, **kwargs)
-            except Exception as exc:
-                spent += _time.perf_counter() - t0
-                if on_error == "raise":
-                    raise
-                if (isinstance(exc, ConvergenceError)
-                        and attempt + 1 < max_attempts):
-                    retries_used += 1
-                    continue
-                failures.append(
-                    FailedPoint.from_exception(point, exc, attempt + 1)
-                )
-                break
-            spent += _time.perf_counter() - t0
-            if warm_start:
+                    kwargs["rng"] = rng if attempt == 0 else point.rng()
+                t0 = _time.perf_counter()
                 try:
-                    value, warm = result
-                except (TypeError, ValueError):
-                    raise AnalysisError(
-                        "warm_start evaluation functions must return "
-                        "(value, warm_state) tuples"
-                    ) from None
-            else:
-                value = result
+                    value, error = fn(point.params, **kwargs), None
+                except Exception as exc:
+                    value, error = None, exc
+                spent += _time.perf_counter() - t0
+            if error is None:
+                break
+            if on_error == "raise":
+                raise error
+            if (isinstance(error, ConvergenceError)
+                    and attempt + 1 < max_attempts):
+                retries_used += 1
+                continue
+            failures.append(
+                FailedPoint.from_exception(point, error, attempt + 1)
+            )
+            value = None
             break
         values.append(value)
         seconds.append(spent)
@@ -529,72 +449,50 @@ def _materialize_points(points) -> list[SweepPoint]:
     return materialized
 
 
-def _plan_auto_dispatch(
-    auto: AutoExecutor,
-    work,
-    pending_chunks: list,
-    pending_keys: list,
-    warm_start: bool,
-):
+def _plan_auto_dispatch(auto: AutoExecutor, work, chunks: list):
     """Probe-then-plan for the ``auto`` executor.
 
-    Evaluates the first pending chunk in-process — those points must be
+    Evaluates the first chunk in-process — those points must be
     evaluated regardless, so the probe is free — and feeds the measured
     per-point cost plus pickled payload sizes to the dispatch cost
     model, which picks the real backend and chunk size for the rest.
 
-    Returns ``(backend, plan_text, probe_results, chunks, keys)`` where
-    ``chunks``/``keys`` are the *remaining* work, re-chunked to the
-    plan's size — one chunk when the plan stays serial — unless the
-    sweep is warm (warm chunks are semantic units, and regrouping them
-    would change results).  Re-chunking only regroups whole points, so
-    evaluation order within the sweep — and therefore every value — is
-    unchanged.
+    Returns ``(backend, plan_text, probe_result, rest)`` where ``rest``
+    is the *remaining* work, re-chunked to the plan's size — one chunk
+    when the plan stays serial.  Re-chunking only regroups whole
+    points, so every value is unchanged.
     """
+    probe = chunks[0]
     t0 = _time.perf_counter()
-    probe_results = [work(pending_chunks[0])]
-    probe_seconds = _time.perf_counter() - t0
-    point_seconds = probe_seconds / max(1, len(pending_chunks[0]))
-    chunks = pending_chunks[1:]
-    keys = pending_keys[1:]
-    remaining = sum(len(chunk) for chunk in chunks)
-    if remaining == 0:
+    probe_result = work(probe)
+    point_seconds = (_time.perf_counter() - t0) / len(probe)
+    rest = [point for chunk in chunks[1:] for point in chunk]
+    if not rest:
         return (SerialExecutor(), "serial x1: probe consumed the sweep",
-                probe_results, chunks, keys)
+                probe_result, [])
     try:
         fn_bytes = len(pickle.dumps(work, protocol=pickle.HIGHEST_PROTOCOL))
         point_bytes = (
-            len(pickle.dumps(pending_chunks[0],
-                             protocol=pickle.HIGHEST_PROTOCOL))
-            / max(1, len(pending_chunks[0]))
+            len(pickle.dumps(probe, protocol=pickle.HIGHEST_PROTOCOL))
+            / len(probe)
         )
     except Exception:
         # Unpicklable evaluation: the process pool is off the table.
         backend, plan_text = (SerialExecutor(),
                               "serial x1: evaluation is not picklable")
-        size = remaining
+        size = len(rest)
     else:
         workers = auto.workers
         plan = costmodel.plan(
-            remaining, point_seconds, point_bytes=point_bytes,
+            len(rest), point_seconds, point_bytes=point_bytes,
             fn_bytes=fn_bytes, workers=workers,
             pool_warm=pool_is_warm(workers),
         )
         backend = (ProcessExecutor(plan.jobs) if plan.backend == "process"
                    else SerialExecutor())
         plan_text, size = plan.summary(), max(1, plan.chunk_size)
-    if not warm_start:
-        flat_points = [point for chunk in chunks for point in chunk]
-        rechunked = [flat_points[i:i + size]
-                     for i in range(0, len(flat_points), size)]
-        if all(key is None for key in keys):
-            keys = [None] * len(rechunked)
-        else:
-            flat_keys = [key for chunk_keys in keys for key in chunk_keys]
-            keys = [flat_keys[i:i + size]
-                    for i in range(0, len(flat_keys), size)]
-        chunks = rechunked
-    return backend, plan_text, probe_results, chunks, keys
+    rest = [rest[i:i + size] for i in range(0, len(rest), size)]
+    return backend, plan_text, probe_result, rest
 
 
 def run_sweep(
@@ -604,7 +502,6 @@ def run_sweep(
     executor=None,
     jobs: int | None = None,
     chunk_size: int | None = None,
-    warm_start: bool = False,
     cache: ResultCache | None = None,
     cache_tag: str | None = None,
     on_error: str = "raise",
@@ -617,10 +514,9 @@ def run_sweep(
     or iterable of :class:`SweepPoint`/parameter dicts.  ``executor`` /
     ``jobs`` select the backend (see
     :func:`~repro.sweep.executors.resolve_executor`); ``cache`` enables
-    content-hash result reuse; ``warm_start`` switches to the
-    ``(value, state)`` continuation protocol.  ``chunk_size`` must be a
-    positive integer; ``None`` picks one from the point count and, for
-    blocked sweeps, the executor (see :func:`_chunk_size`).
+    content-hash result reuse.  ``chunk_size`` must be a positive
+    integer; ``None`` picks one from the point count and, for blocked
+    sweeps, the executor (see :func:`_chunk_size`).
 
     ``on_error`` selects the failure policy (``"raise"``, ``"skip"`` or
     ``"retry"`` — see the module docstring); ``retries`` bounds
@@ -632,10 +528,9 @@ def run_sweep(
     ``batch`` controls the blocked-evaluation fast path for functions
     exposing ``supports_batch``/``evaluate_batch`` (e.g.
     :class:`~repro.sweep.batched.BlockedDCSweep`): ``"auto"`` (default)
-    uses it whenever a chunk qualifies — no warm chain, no seeded
-    points; ``False`` forces scalar calls; ``True`` insists the
-    function is batch-capable and raises otherwise.  Batched and scalar
-    chunks produce bit-identical values and identical failure records.
+    uses it for every chunk without seeded points; ``False`` forces
+    scalar calls.  Batched and scalar chunks produce bit-identical
+    values and identical failure records.
 
     With ``executor="auto"`` (or ``jobs="auto"``), the first pending
     chunk is timed in-process and the dispatch cost model picks the
@@ -644,11 +539,11 @@ def run_sweep(
     plan is recorded on ``result.stats.plan``.
 
     Results are returned in point order and are identical — bit for bit
-    — for every executor, because chunking, seeding and warm chains are
-    all independent of how chunks are scheduled.  Failed points hold
-    ``None`` in ``result.values`` and are described by
-    ``result.failures``; successful points are cached even when others
-    in the same sweep fail.
+    — for every executor, because chunking and seeding are independent
+    of how chunks are scheduled.  Failed points hold ``None`` in
+    ``result.values`` and are described by ``result.failures``;
+    successful points are cached even when others in the same sweep
+    fail.
     """
     if on_error not in ON_ERROR_POLICIES:
         raise AnalysisError(
@@ -657,19 +552,13 @@ def run_sweep(
         )
     if retries < 0:
         raise AnalysisError("retries must be >= 0")
-    if batch not in ("auto", True, False):
+    if batch not in ("auto", False):
         raise AnalysisError(
-            f"batch must be 'auto', True or False, got {batch!r}"
+            f"batch must be 'auto' or False, got {batch!r}"
         )
-    batch_capable = bool(getattr(fn, "supports_batch", False)) \
-        and callable(getattr(fn, "evaluate_batch", None))
-    if batch is True and not batch_capable:
-        raise SweepError(
-            "batch=True requires an evaluation function with "
-            "supports_batch=True and an evaluate_batch method "
-            "(see repro.sweep.batched.BlockedDCSweep)"
-        )
-    use_batch = batch is not False and batch_capable
+    use_batch = (batch == "auto"
+                 and bool(getattr(fn, "supports_batch", False))
+                 and callable(getattr(fn, "evaluate_batch", None)))
     backend = resolve_executor(executor, jobs)
     points = _materialize_points(points)
     count = len(points)
@@ -678,7 +567,7 @@ def run_sweep(
             executor=backend.name, workers=backend.workers,
             on_error=on_error))
     if chunk_size is None:
-        size = _chunk_size(backend, count, use_batch and not warm_start)
+        size = _chunk_size(backend, count, use_batch)
     elif (isinstance(chunk_size, bool) or not isinstance(chunk_size, int)
           or chunk_size < 1):
         raise AnalysisError(
@@ -696,104 +585,65 @@ def run_sweep(
     seconds = [0.0] * count
     failures: list[FailedPoint] = []
     cache_hits = 0
-    evaluated = 0
     retries_used = 0
 
-    # Cache pass: per-point granularity for independent points, whole
-    # chunks in warm mode (a chunk's values depend on every point in it).
-    pending_chunks: list[list[SweepPoint]] = []
-    pending_keys: list = []  # chunk key (warm) or per-point keys
-    for chunk in chunks:
-        if cache is None:
-            pending_chunks.append(chunk)
-            pending_keys.append(None)
-            continue
-        if warm_start:
-            key = content_key(
-                tag, {"chain": [(p.params, p.seed) for p in chunk]}
-            )
-            hit = cache.get(key, default=_MISS)
-            if hit is not _MISS:
-                for point, value in zip(chunk, hit):
-                    values[point.index] = value
-                cache_hits += len(chunk)
-            else:
-                pending_chunks.append(chunk)
-                pending_keys.append(key)
-        else:
+    # Cache pass: each chunk keeps its misses, keyed by point index.
+    keys: dict[int, str] = {}
+    if cache is not None:
+        pending = []
+        for chunk in chunks:
             misses = []
-            miss_keys = []
             for point in chunk:
                 key = content_key(tag, point.params, point.seed)
                 hit = cache.get(key, default=_MISS)
-                if hit is not _MISS:
+                if hit is _MISS:
+                    keys[point.index] = key
+                    misses.append(point)
+                else:
                     values[point.index] = hit
                     cache_hits += 1
-                else:
-                    misses.append(point)
-                    miss_keys.append(key)
             if misses:
-                pending_chunks.append(misses)
-                pending_keys.append(miss_keys)
+                pending.append(misses)
+        chunks = pending
 
     executor_faults = 0
     plan_text = ""
-    dispatched_chunks = 0
-    if pending_chunks:
+    to_dispatch: list = []
+    if chunks:
         pass_attempt = on_error == "retry" and _accepts_keyword(fn, "attempt")
         work = functools.partial(
-            _evaluate_chunk, fn, warm_start, on_error, retries, pass_attempt,
-            use_batch,
+            _evaluate_chunk, fn, on_error, retries, pass_attempt, use_batch,
         )
-        probe_results: list = []
+        results = []
+        to_dispatch = chunks
         if isinstance(backend, AutoExecutor):
-            probe_chunks = pending_chunks[:1]
-            probe_keys = pending_keys[:1]
-            (backend, plan_text, probe_results, rest_chunks,
-             rest_keys) = _plan_auto_dispatch(
-                backend, work, pending_chunks, pending_keys, warm_start)
-            pending_chunks = probe_chunks + rest_chunks
-            pending_keys = probe_keys + rest_keys
-            to_dispatch = rest_chunks
-        else:
-            to_dispatch = pending_chunks
+            backend, plan_text, probe_result, to_dispatch = \
+                _plan_auto_dispatch(backend, work, chunks)
+            results.append(probe_result)
+            chunks = chunks[:1] + to_dispatch
         if to_dispatch:
-            results, executor_faults = map_chunks_with_retries(
+            dispatched, executor_faults = map_chunks_with_retries(
                 backend, work, to_dispatch)
-        else:
-            results = []
-        results = probe_results + results
-        dispatched_chunks = len(to_dispatch)
-        for chunk, keys, (chunk_values, chunk_seconds, chunk_failures,
-                          chunk_retries) in zip(
-            pending_chunks, pending_keys, results
-        ):
-            evaluated += len(chunk)
+            results.extend(dispatched)
+        for chunk, (chunk_values, chunk_seconds, chunk_failures,
+                    chunk_retries) in zip(chunks, results):
             retries_used += chunk_retries
             failures.extend(chunk_failures)
-            failed_in_chunk = {f.index for f in chunk_failures}
+            failed = {failure.index for failure in chunk_failures}
             for point, value, spent in zip(
                 chunk, chunk_values, chunk_seconds
             ):
                 values[point.index] = value
                 seconds[point.index] = spent
-            if cache is not None:
-                if warm_start:
-                    # A broken chain is not reusable: caching it would
-                    # replay the failure's None values as real results.
-                    if not failed_in_chunk:
-                        cache.put(keys, list(chunk_values))
-                else:
-                    for point, key, value in zip(chunk, keys, chunk_values):
-                        if point.index not in failed_in_chunk:
-                            cache.put(key, value)
+                if cache is not None and point.index not in failed:
+                    cache.put(keys[point.index], value)
 
     failures.sort(key=lambda failure: failure.index)
     stats = SweepStats(
         points=count,
-        evaluated=evaluated,
+        evaluated=count - cache_hits,
         cache_hits=cache_hits,
-        chunks=len(pending_chunks),
+        chunks=len(chunks),
         workers=backend.workers,
         executor=backend.name,
         wall_seconds=_time.perf_counter() - t0,
@@ -804,7 +654,7 @@ def run_sweep(
         on_error=on_error,
         plan=plan_text,
     )
-    dispatch = backend.dispatch if dispatched_chunks else None
+    dispatch = backend.dispatch if to_dispatch else None
     if dispatch is not None:
         stats.payload_bytes = dispatch.payload_bytes
         stats.spinup_seconds = dispatch.spinup_seconds

@@ -262,6 +262,38 @@ class TestSweepAndOptimizeJobs:
             assert polled["state"] == "done", dispatch
             assert polled["result"]["sweep_stats"]["executor"] == "serial"
 
+    def test_only_sweeps_that_reach_the_pool_count_as_dispatches(
+            self, ce_deck):
+        """A process sweep of one chunk runs in-process and a cached
+        repeat runs nothing: neither is a pool dispatch.  Two 8-value
+        sweeps ship chunks to the pool; the second rides it warm."""
+        svc = SimulationService(workers=0, sweep_jobs=2)
+        try:
+            cid = svc.create_circuit(ce_deck)["circuit_id"]
+
+            def pools():
+                sweep = svc.stats_payload()["stats"]["sweep"]
+                return sweep["pool_dispatches"], sweep["pool_reuses"]
+
+            one = dict(source="VB", values=[0.8], output="c")
+            for _ in range(2):
+                polled = _run(svc, svc.run_sweep(cid, **one))
+                assert polled["result"]["sweep_stats"]["executor"] \
+                    == "process"
+                assert pools() == (0, 0)
+            assert polled["result"]["sweep_stats"]["cache_hits"] == 1
+
+            eight = dict(source="VB", output="c",
+                         values=[0.72 + 0.02 * i for i in range(8)])
+            _run(svc, svc.run_sweep(cid, **eight))
+            assert pools()[0] == 1
+            _run(svc, svc.run_sweep(cid, tenant="other", **eight))
+            dispatches, reuses = pools()
+            assert dispatches == 2
+            assert reuses >= 1
+        finally:
+            svc.close()
+
     def test_optimize_job_hits_the_target(self, service, ce_deck):
         cid = service.create_circuit(ce_deck)["circuit_id"]
         polled = _run(service, service.run_optimize(

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.errors import ConvergenceError, SweepError
+from repro.errors import AnalysisError, ConvergenceError, SweepError
 from repro.spice.dcop import (
     Tolerances,
     newton_solve,
@@ -245,9 +245,13 @@ class TestSweepParityMatrix:
 
 
 class TestBatchOptIn:
-    def test_batch_true_requires_capability(self):
-        with pytest.raises(SweepError, match="supports_batch"):
-            run_sweep(lambda p: p["x"], [{"x": 1}], batch=True)
+    def test_batch_true_is_an_unknown_value(self):
+        # "auto" and False are the only settings: True is refused like
+        # any other value, whether or not the function can batch.
+        for fn in (lambda p: p["VB"], BlockedDCSweep(DECK_TEXT)):
+            for value in (True, "yes"):
+                with pytest.raises(AnalysisError, match="'auto' or False"):
+                    run_sweep(fn, [{"VB": 0.8}], batch=value)
 
     def test_batch_false_uses_scalar_path(self):
         calls = []

@@ -58,6 +58,35 @@ def _heals_on_attempt(params, attempt=0):
     return params["x"] + 0.5
 
 
+class _BlockedHealsOnAttempt:
+    """Batch-capable twin of :func:`_heals_on_attempt`.
+
+    Every first attempt comes from ``evaluate_batch``, whose lanes fail
+    with the very error the scalar call would raise; every retry is a
+    scalar call, which refuses to serve a first attempt.
+    """
+
+    supports_batch = True
+
+    def __call__(self, params, attempt=0):
+        if attempt == 0:
+            raise RuntimeError("a first attempt bypassed evaluate_batch")
+        return _heals_on_attempt(params, attempt)
+
+    def evaluate_batch(self, chunk_params):
+        outcomes = []
+        for params in chunk_params:
+            try:
+                outcomes.append((_heals_on_attempt(params), None))
+            except ConvergenceError as exc:
+                outcomes.append((None, exc))
+        return outcomes
+
+
+#: The plain escalating function and its blocked twin.
+HEALERS = (_heals_on_attempt, _BlockedHealsOnAttempt())
+
+
 def _never_heals(params):
     if params["x"] % 4 == 0:
         raise ConvergenceError("hopeless", report=_report())
@@ -142,9 +171,15 @@ class TestPolicies:
 
 
 class TestRetries:
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_retry_heals_with_attempt_escalation(self, executor):
-        result = run_sweep(_heals_on_attempt, POINTS, executor=executor,
+    @pytest.mark.parametrize("executor, fn", [
+        pytest.param(executor, fn, id=executor + suffix)
+        for fn, suffix in zip(HEALERS, ("", "-blocked"))
+        for executor in EXECUTORS
+    ])
+    def test_retry_heals_with_attempt_escalation(self, executor, fn):
+        # The blocked twin fails its first attempts inside evaluate_batch
+        # and heals in the same scalar retries as the plain function.
+        result = run_sweep(fn, POINTS, executor=executor,
                            jobs=2, on_error="retry", retries=2)
         assert result.ok
         assert result.values == [x + 0.5 for x in range(40)]
@@ -162,10 +197,16 @@ class TestRetries:
         assert result.stats.failures == len(flaky)
 
     def test_insufficient_retries_still_fail(self):
-        result = run_sweep(_heals_on_attempt, POINTS, on_error="retry",
-                           retries=1)
-        assert result.failed_indices() == list(range(0, 40, 4))
-        assert all(f.attempts == 2 for f in result.failures)
+        scalar, blocked = (
+            run_sweep(fn, POINTS, on_error="retry", retries=1)
+            for fn in HEALERS
+        )
+        for result in (scalar, blocked):
+            assert result.failed_indices() == list(range(0, 40, 4))
+            assert all(f.attempts == 2 for f in result.failures)
+        assert blocked.values == scalar.values
+        assert blocked.failures == scalar.failures
+        assert blocked.stats.retries == scalar.stats.retries == 10
 
     def test_functions_without_attempt_kwarg_still_retry(self):
         # _never_heals declares no ``attempt``: retries re-run it as-is.

@@ -1,4 +1,4 @@
-"""The sweep orchestrator: chunking, warm chains, caching, stats."""
+"""The sweep orchestrator: chunking, caching, stats."""
 
 import numpy as np
 import pytest
@@ -28,13 +28,8 @@ def _draw(params, rng):
     return float(rng.standard_normal())
 
 
-def _chain(params, warm=None):
-    total = (warm or 0.0) + params["x"]
-    return total, total
-
-
-def _bad_warm(params, warm=None):
-    return params["x"]  # violates the (value, state) protocol
+def _shifted(params, shift=0.0):
+    return params["x"] + shift
 
 
 class TestRunSweepBasics:
@@ -86,26 +81,6 @@ class TestRunSweepBasics:
             result.param_array("extra")
 
 
-class TestWarmStart:
-    def test_chains_restart_at_chunk_boundaries(self):
-        points = [{"x": 1.0}] * 6
-        result = run_sweep(_chain, points, warm_start=True, chunk_size=3)
-        # Two chunks of three: each runs 1, 2, 3 from a cold start.
-        assert result.values == [1.0, 2.0, 3.0, 1.0, 2.0, 3.0]
-
-    def test_chunking_ignores_executor(self):
-        points = [{"x": 1.0}] * 6
-        serial = run_sweep(_chain, points, warm_start=True, chunk_size=2,
-                           executor="serial")
-        parallel = run_sweep(_chain, points, warm_start=True, chunk_size=2,
-                             executor="process", jobs=2)
-        assert serial.values == parallel.values
-
-    def test_protocol_violation_raises(self):
-        with pytest.raises(AnalysisError, match="warm_start"):
-            run_sweep(_bad_warm, [{"x": 1.0}], warm_start=True)
-
-
 class TestCaching:
     def test_second_run_served_from_cache(self):
         cache = ResultCache()
@@ -149,26 +124,12 @@ class TestCaching:
                           cache=cache)
         assert third.stats.cache_hits == 0
 
-    def test_warm_sweeps_cache_whole_chunks(self):
-        cache = ResultCache()
-        points = [{"x": float(i)} for i in range(6)]
-        first = run_sweep(_chain, points, warm_start=True, chunk_size=3,
-                          cache=cache)
-        second = run_sweep(_chain, points, warm_start=True, chunk_size=3,
-                           cache=cache)
-        assert second.values == first.values
-        assert second.stats.cache_hits == 6
-        # A different chunking forms different chains -> no reuse.
-        third = run_sweep(_chain, points, warm_start=True, chunk_size=2,
-                          cache=cache)
-        assert third.stats.cache_hits == 0
-
     def test_partial_bound_arguments_distinguish_tags(self):
         import functools
 
         cache = ResultCache()
-        run_sweep(functools.partial(_chain, ), [{"x": 1.0}], cache=cache)
-        result = run_sweep(functools.partial(_chain, warm=2.0),
+        run_sweep(functools.partial(_shifted), [{"x": 1.0}], cache=cache)
+        result = run_sweep(functools.partial(_shifted, shift=2.0),
                            [{"x": 1.0}], cache=cache)
         assert result.stats.cache_hits == 0
 
