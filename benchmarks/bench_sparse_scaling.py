@@ -13,7 +13,7 @@ Gates (CI enforces them on the artifact as well):
 
 * at the 101-stage point the sparse backend must be >= 3x faster;
 * the sparse runs must report **zero** dense assemblies — the flat
-  scatter path handles every stamp, including device bypass replay and
+  scatter path handles every stamp, including the charge replay and
   the fused ``G + alpha*C`` transient Jacobian;
 * the pattern's fill-reducing order must actually be reused across
   factorizations (``pattern_reuses`` > 0), and both backends must land

@@ -1,20 +1,20 @@
-"""Transient hot-path speedup: device bypass + chord-Newton reuse.
+"""Transient hot-path speedup: chord-Newton reuse + charge replay.
 
 Times the Fig. 11 ring-oscillator transient twice — once with the hot
-path pinned off (``bypass_tol=0, chord=False``, the seed-equivalent
-reference) and once with the defaults on — at two sizes:
+path pinned off (``chord=False``, the seed-equivalent reference) and
+once with the defaults on — at two sizes:
 
 * the paper's 5-stage oscillator (Table 1 topology, 87 unknowns), and
 * the same topology scaled to 25 stages (427 unknowns), the headline
   measurement: at this size the dense LU factorization dominates a
-  reference step, which is exactly the cost chord-Newton amortizes,
-  while the many quiescent followers/tails are what device bypass
-  skips.
+  reference step, which is exactly the cost chord-Newton amortizes.
 
-The step ceiling (3 ps against a ~100 ps stage delay) keeps the
-waveform well resolved, the regime the mixed-level verification loops
-run in: most accepted steps sit at ``max_step``, so the chord token
-repeats and bypassed devices barely move between steps.
+At each converged step the hot path replays the last evaluation's
+charges, linearized to the converged point, instead of re-evaluating
+the BJT group (counted in ``bypassed_evals``).  The step ceiling (3 ps
+against a ~100 ps stage delay) keeps the waveform well resolved, the
+regime the mixed-level verification loops run in: most accepted steps
+sit at ``max_step``, so the chord token repeats.
 
 Each measurement is best-of-N wall clock, the reference and hot runs
 alternating inside every round so that machine drift lands on both
@@ -67,7 +67,7 @@ def _best_of_interleaved(stages):
     """Best-of-ROUNDS ``(result, seconds, counters)`` for the reference
     and the hot arm, the two alternating (in swapped order every other
     round) instead of timing all reference rounds first."""
-    arms = {"ref": {"bypass_tol": 0.0, "chord": False}, "hot": {}}
+    arms = {"ref": {"chord": False}, "hot": {}}
     best = {}
     for round_ in range(ROUNDS):
         for arm in (("ref", "hot") if round_ % 2 == 0 else ("hot", "ref")):
@@ -97,7 +97,7 @@ def bench_transient_hotpath():
     ]
     headline = None
     for stages in (5, 25):
-        _run(stages, bypass_tol=0.0, chord=False)  # warm caches
+        _run(stages, chord=False)  # warm caches
         (ref, t_ref, d_ref), (hot, t_hot, d_hot) = _best_of_interleaved(
             stages)
 
@@ -105,7 +105,7 @@ def bench_transient_hotpath():
         deviation = _early_window_deviation(ref, hot)
 
         # The observability contract: the hot path must actually have
-        # bypassed devices and reused factorizations, the reference
+        # replayed charges and reused factorizations, the reference
         # must have done neither, and the waveforms must agree.
         assert d_hot["bypassed_evals"] > 0
         assert d_hot["jacobian_reuses"] > 0

@@ -4,7 +4,7 @@ A ``pytest benchmarks/`` run writes the artifacts; this script re-reads
 them so a silently skipped benchmark cannot pass.  Name the gate groups
 to check::
 
-    python benchmarks/gates.py sweep sparse verify
+    python benchmarks/gates.py sweep sparse verify transient
     python benchmarks/gates.py service
 
 Every gate prints one line per row it reads.  The first row that
@@ -24,7 +24,7 @@ OUT = Path(__file__).resolve().parent / "out"
 
 #: A check fails its row when ``FAILS[op](value, threshold)`` is true.
 FAILS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
-         "!=": operator.ne}
+         ">=": operator.ge, "!=": operator.ne}
 
 #: ``rows`` value selecting every row of the artifact, in file order.
 EVERY_ROW = "every row"
@@ -185,6 +185,42 @@ GATES = {
             ),
         ),
     ),
+    "transient": (
+        # bench_transient_hotpath.py asserts these inline before it
+        # records a row; this re-checks the shipped artifact.  The hot
+        # path must beat the chord=False reference, must actually have
+        # replayed charges and reused factorizations, and must stay on
+        # the reference waveform over the early window.
+        Gate(
+            "BENCH_transient.json",
+            ("ring_oscillator_5_stage", "ring_oscillator_25_stage"),
+            "{name}: ref={ref_seconds}s hot={hot_seconds}s "
+            "speedup={speedup}x replayed={bypassed_evals} "
+            "reuses={jacobian_reuses} "
+            "deviation={early_window_deviation_v}V",
+            (
+                Check("speedup", "<=", 1.0,
+                      "{name}: hot path slower ({speedup}x)"),
+                Check("bypassed_evals", "<=", 0,
+                      "{name}: hot path replayed no charges"),
+                Check("jacobian_reuses", "<=", 0,
+                      "{name}: hot path reused no factorization"),
+                Check("early_window_deviation_v", ">=", 0.2,
+                      "{name}: waveforms diverged by "
+                      "{early_window_deviation_v}V"),
+            ),
+        ),
+        # The headline: chord-Newton amortizes the 25-stage ring's
+        # dense LU.  The bench asserts the same 1.5x floor.
+        Gate(
+            "BENCH_transient.json", ("ring_oscillator_25_stage",),
+            "{name}: headline speedup {speedup}x",
+            (
+                Check("speedup", "<", 1.5,
+                      "{name}: headline speedup {speedup}x < 1.5x"),
+            ),
+        ),
+    ),
     "service": (
         # Repeated identical requests must be served from the tenant
         # cache, and no job may recompile a circuit after its
@@ -245,6 +281,9 @@ def _fields(data: dict, name: str, row: dict) -> dict:
     if "corner_decks" in row:
         fields["compiles_minus_variants"] = (
             row["compilations"] - row["corner_decks"])
+    if "hot_counters" in row:
+        for key in ("bypassed_evals", "jacobian_reuses"):
+            fields[key] = row["hot_counters"][key]
     return fields
 
 

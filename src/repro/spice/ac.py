@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import AnalysisError
-from .dcop import solve_dc
+from .dcop import Tolerances, solve_dc
 from .elements.sources import CurrentSource, VoltageSource
 from .engine import EngineStats, resolve_engine
 from .netlist import Circuit
@@ -230,12 +230,16 @@ def solve_ac(
     circuit: Circuit,
     frequencies,
     dc_solution: np.ndarray | None = None,
+    tolerances: Tolerances | None = None,
     gmin: float = 1e-12,
     engine=None,
     batched: bool = True,
 ) -> ACResult:
     """Run an AC sweep over the given frequencies (Hz).
 
+    Without ``dc_solution`` the bias is solved here, under
+    ``tolerances`` (default :class:`~repro.spice.dcop.Tolerances`) and
+    ``gmin``, as :func:`~repro.spice.dcop.solve_dc` does.
     ``G`` and ``C`` are assembled once at the operating point; the sweep
     then solves ``(G + j*omega*C) dx = b`` through
     :func:`solve_ac_lanes` with a single lane.  With ``batched=True``
@@ -253,7 +257,8 @@ def solve_ac(
         limits: dict = {}
         if dc_solution is None:
             dc_solution = solve_dc(
-                circuit, gmin=gmin, limits=limits, engine=engine
+                circuit, tolerances=tolerances, gmin=gmin, limits=limits,
+                engine=engine,
             )
         size = circuit.num_unknowns
         # One evaluation at the operating point gives both Jacobians.  The

@@ -219,7 +219,6 @@ class Simulator:
         #: ``"auto"`` (that engine with its backend pinned) or an engine
         #: object (see :func:`repro.spice.engine.resolve_engine`).
         self.engine = engine
-        self._last_op: OperatingPointResult | None = None
 
     def _engine(self):
         return resolve_engine(self.circuit, self.engine)
@@ -232,8 +231,7 @@ class Simulator:
                 self.circuit, tolerances=self.tolerances, gmin=self.gmin,
                 engine=engine,
             )
-        self._last_op = OperatingPointResult(self.circuit, x, stats=stats)
-        return self._last_op
+        return OperatingPointResult(self.circuit, x, stats=stats)
 
     def dc_sweep(self, source_name: str, values) -> DCSweepResult:
         """Sweep the DC level of a V or I source, warm-starting each point."""
@@ -272,11 +270,12 @@ class Simulator:
         points_per_decade: int = 10,
         sweep: str = "dec",
     ) -> ACResult:
-        """AC sweep from start to stop Hz, reusing the last .OP if any."""
-        grid = frequency_grid(start, stop, points_per_decade, sweep)
-        dc = self._last_op.x if self._last_op is not None else None
+        """AC sweep from start to stop Hz about a bias solved under the
+        Simulator's tolerances and gmin, whatever ran before it."""
         return solve_ac(
-            self.circuit, grid, dc_solution=dc, gmin=self.gmin,
+            self.circuit,
+            frequency_grid(start, stop, points_per_decade, sweep),
+            tolerances=self.tolerances, gmin=self.gmin,
             engine=self._engine(),
         )
 

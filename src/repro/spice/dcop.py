@@ -136,7 +136,6 @@ def newton_solve(
     engine=None,
     jacobian_token=None,
     chord: bool = False,
-    bypass_tol: float = 0.0,
     jac_alpha: float | None = None,
     return_context=False,
     rhs_delta: np.ndarray | None = None,
@@ -156,16 +155,16 @@ def newton_solve(
     carrying the same token, while the weighted error must contract by
     :data:`CHORD_CONTRACTION` per chord step — otherwise the factorization
     is declared stale and rebuilt.  If the chord loop exhausts the
-    iteration budget it falls back to one full-Newton pass (with device
-    bypass disabled) before raising.  ``bypass_tol`` is forwarded to
-    ``engine.evaluate`` for device bypass.
+    iteration budget it falls back to one full-Newton pass before
+    raising.
 
     ``return_context=True`` returns ``(x, ctx)`` where ``ctx`` is a
-    :class:`~repro.spice.mna.LoadContext` evaluated at (or, with
-    bypass/chord enabled, within Newton tolerance of) the converged
-    solution — transient analysis reads its charge vector instead of
-    re-assembling.  Raises :class:`~repro.errors.ConvergenceError` if the
-    iteration limit is hit or the Jacobian goes singular.
+    :class:`~repro.spice.mna.LoadContext` holding the charges at the
+    converged solution — transient analysis reads its charge vector
+    instead of re-assembling.  Full Newton evaluates them there; a
+    chord run replays the last evaluation's charges, linearized to the
+    converged point.  Raises :class:`~repro.errors.ConvergenceError` if
+    the iteration limit is hit or the Jacobian goes singular.
 
     ``jac_alpha``, when the engine supports fused assembly, makes
     ``evaluate`` build ``g_mat = G + jac_alpha*C`` directly; the
@@ -193,7 +192,6 @@ def newton_solve(
     # The chord loop gets the normal budget; the full-Newton fallback the
     # same again, so a stale-Jacobian stall can never mask a solvable step.
     max_iterations = tolerances.max_iterations * (2 if chord_ok else 1)
-    eff_bypass = bypass_tol
     refactor_next = False
     last_error = math.nan
     prev_error = math.inf
@@ -201,10 +199,9 @@ def newton_solve(
     iterations = 0
     for iterations in range(1, max_iterations + 1):
         if not full_newton and iterations > tolerances.max_iterations:
-            # Chord budget exhausted: refactorize every iteration and
-            # re-evaluate every device from here on.
+            # Chord budget exhausted: refactorize every iteration from
+            # here on.
             full_newton = True
-            eff_bypass = 0.0
             engine.invalidate_factorization()
         use_cached = (
             not full_newton
@@ -213,8 +210,7 @@ def newton_solve(
         )
         ctx = engine.evaluate(
             x, time=time, gmin=gmin, limits=limits,
-            source_scale=source_scale, bypass_tol=eff_bypass,
-            jac_alpha=jac_alpha,
+            source_scale=source_scale, jac_alpha=jac_alpha,
             # A chord-reuse iteration never reads the Jacobian, so skip
             # its dense assembly entirely.
             residual_only=use_cached,
@@ -281,24 +277,16 @@ def newton_solve(
             # charge vector feeds the integrator's history, where any
             # final-iterate offset would be amplified by 1/h and ring
             # through the trapezoidal rule — so this is never skipped.
-            # With bypass on, an infinite tolerance forces every device
-            # onto the replay path (cached stamps extrapolated with the
-            # cached Jacobians to the converged x — second-order accurate
-            # in the final Newton step) and only the charge vector is
-            # assembled, since the integrator's accept path reads nothing
-            # else.  At bypass_tol=0 it matches the seed's post-accept
-            # re-evaluation stamp for stamp.
-            if eff_bypass > 0.0:
-                ctx = engine.evaluate(
-                    x, time=time, gmin=gmin, limits=limits,
-                    source_scale=source_scale,
-                    bypass_tol=math.inf, charges_only=True,
-                )
-            else:
-                ctx = engine.evaluate(
-                    x, time=time, gmin=gmin, limits=limits,
-                    source_scale=source_scale,
-                )
+            # A chord run replays the last evaluation's charges,
+            # linearized to the converged x (second-order accurate in
+            # the final Newton step), and assembles only the charge
+            # vector, since the integrator's accept path reads nothing
+            # else.  Full Newton re-evaluates every device, matching the
+            # seed's post-accept re-evaluation stamp for stamp.
+            ctx = engine.evaluate(
+                x, time=time, gmin=gmin, limits=limits,
+                source_scale=source_scale, charges_only=not full_newton,
+            )
             return x, ctx
         if use_cached and last_error >= prev_error * CHORD_CONTRACTION:
             # The frozen Jacobian is no longer contracting the error —

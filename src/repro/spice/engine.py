@@ -93,9 +93,9 @@ class EngineStats:
     wall_seconds: float = 0.0
     #: Name of the linear-solver backend in use.
     solver: str = ""
-    #: Nonlinear device evaluations skipped because their terminal
-    #: voltages moved less than the bypass tolerance (cached stamps
-    #: were replayed instead).
+    #: Device evaluations replaced by a charge replay: a charges-only
+    #: assembly that linearized the last evaluation's charges to the
+    #: new solution instead of re-evaluating the BJT group.
     bypassed_evals: int = 0
     #: Linear solves served from a previously factorized Jacobian by the
     #: chord (modified Newton) iteration.
@@ -630,9 +630,9 @@ class BJTGroup:
     parameters, the depletion constants and the stamp sign table — into
     one ``(rows, n)`` block, and builds the scatter-index arrays.  One
     kernel (:meth:`_stamp`) then reproduces the scalar
-    ``BJT.load_dynamic`` for any device subset and any number of leading
-    lane axes: :meth:`load` runs it over one solution (with device
-    bypass), :meth:`load_stacked` over a stack of them.  Ground (-1)
+    ``BJT.load_dynamic`` for any number of leading lane axes:
+    :meth:`load` runs it over one solution, :meth:`load_stacked` over a
+    stack of them.  Ground (-1)
     terminal indices are mapped to a dummy slot ``size`` — the engine's
     buffers carry one extra row/column that is never read.
 
@@ -719,36 +719,25 @@ class BJTGroup:
             (s_ext, s_ext), (s_ext, ci), (ci, s_ext), (ci, ci),  # cjs
         ]
         # Row/column node indices of the Jacobian entries, kept unflattened
-        # for the bypass extrapolation terms G_cached @ dx / C_cached @ dx
-        # and for seeding the compiled sparsity pattern.
+        # for the charge replay's C @ dx and for seeding the compiled
+        # sparsity pattern.
         self._g_rows_arr = cat([r for r, _ in g_pairs])
         self._g_cols_arr = cat([c for _, c in g_pairs])
         self._c_rows_arr = cat([r for r, _ in c_pairs])
         self._c_cols_arr = cat([c for _, c in c_pairs])
-        #: Node voltages each Jacobian entry's column had at the owning
-        #: device's last evaluation — the linearization point bypassed
-        #: devices extrapolate from.  Freshly-evaluated lanes have their
-        #: anchors synced to the current solution, so their extrapolation
-        #: term is exactly zero.
-        self._g_anchor = np.zeros(13 * n)
-        self._c_anchor = np.zeros(20 * n)
-        self._g_lane = np.arange(13)[:, None] * n
-        self._c_lane = np.arange(20)[:, None] * n
 
         #: The last evaluated stamp values, rows as in ``_STAMP_BASE``.
         self._vals = np.zeros((46, n))
         #: The history of a group never evaluated; read, never written.
         self._no_history = np.full((2, n), np.nan)
 
-        # -- device-bypass cache ------------------------------------------------
-        # Last-evaluated control voltages per device; a device whose
-        # controls all moved less than the bypass tolerance replays its
-        # cached stamp column of ``_vals`` untouched.
-        self._bypass_v = np.full((5, n), np.inf)
-        self._bypass_gmin: float | None = None
-        #: The limits dict the cache was built against — compared by
-        #: identity, so a fresh per-call dict never falsely bypasses.
-        self._bypass_limits: dict | None = None
+        # -- the last evaluation: the point a charge replay linearizes at --
+        #: Node voltages (ground slot included) ``_vals`` was evaluated at.
+        self._x_eval = np.zeros(size + 1)
+        #: The limits dict and gmin it ran under.  The dict is compared
+        #: by identity and held, so a fresh dict never matches.
+        self._eval_limits: dict | None = None
+        self._eval_gmin: float | None = None
 
     # -- scatter-target binding -------------------------------------------------
 
@@ -781,17 +770,16 @@ class BJTGroup:
         """``(..., 5, n)`` control voltages at node voltages ``xg``."""
         return (xg[..., self._plus] - xg[..., self._minus]) * self._polarity
 
-    def _stamp(self, v, history, gmin, idx=None):
+    def _stamp(self, v, history, gmin):
         """The one device kernel: a vectorized ``BJT.load_dynamic``.
 
-        ``v`` holds ``(..., 5, m)`` control voltages (vbe, vbc, vbx,
-        vsc, vrb) of the devices ``idx`` (all when ``None``), ``history``
-        their ``(..., 2, m)`` limiting history.  Returns the limited
-        ``(..., 2, m)`` junction voltages and the ``(..., 46, m)`` stamp
-        values.  Purely elementwise, so every lane and device computes
-        exactly what a one-device scalar call would.
+        ``v`` holds ``(..., 5, n)`` control voltages (vbe, vbc, vbx,
+        vsc, vrb), ``history`` the ``(..., 2, n)`` limiting history.
+        Returns the limited ``(..., 2, n)`` junction voltages and the
+        ``(..., 46, n)`` stamp values.  Purely elementwise, so every lane
+        and device computes exactly what a one-device scalar call would.
         """
-        p = self._params if idx is None else self._params[:, idx]
+        p = self._params
         v_raw = v[..., :2, :]
         v_lim = _pnjlim_vec(v_raw, history, p[_P_VT], p[_P_VCRIT])
         vbe, vbc = v_lim[..., 0, :], v_lim[..., 1, :]
@@ -881,132 +869,61 @@ class BJTGroup:
         ], axis=-2)
         return v_lim, base[..., _STAMP_BASE, :] * p[_P_SIGN]
 
-    def _replay(
-        self,
-        xg: np.ndarray | None = None,
-        jac_alpha: float | None = None,
-        q_only: bool = False,
-    ) -> None:
-        """Scatter the cached stamp values without re-evaluating.
-
-        When ``xg`` is given (bypass mode) the current and charge stamps
-        are extrapolated to the present solution with the cached
-        Jacobians: ``i += G_cached @ (x - x_anchor)`` and
-        ``q += C_cached @ (x - x_anchor)``.  Bypassed devices then act as
-        their exact linearization at the anchor point, which keeps the
-        Newton residual continuous in ``x`` (a frozen replay makes the
-        branch-current unknowns absorb the ``gm * dv`` discrepancy and
-        can lock Newton into an evaluate/replay limit cycle).  Lanes
-        evaluated this call have their anchors synced to ``xg`` so their
-        correction is exactly zero.
+    def _scatter(self, jac_alpha: float | None) -> None:
+        """Scatter the last evaluation's stamps into the bound buffers.
 
         With ``jac_alpha`` set (fused-Jacobian assembly) the capacitive
         stamps scatter into the conductance buffer scaled by alpha
-        instead of into the (unmaintained) C buffer.  ``q_only=True``
-        (charges-only assembly) scatters just the charge stamps and
-        their extrapolation.
+        instead of into the (unmaintained) C buffer.
         """
         vals = self._vals
-        g_vals = vals[_G].reshape(-1)
+        np.add.at(self._i_full, self._i_rows, vals[_I].reshape(-1))
+        np.add.at(self._g_flat, self._g_idx, vals[_G].reshape(-1))
         c_vals = vals[_C].reshape(-1)
-        if not q_only:
-            np.add.at(self._i_full, self._i_rows, vals[_I].reshape(-1))
-            np.add.at(self._g_flat, self._g_idx, g_vals)
-            if jac_alpha is not None:
-                np.add.at(self._g_flat, self._c_idx, c_vals * jac_alpha)
-            else:
-                np.add.at(self._c_flat, self._c_idx, c_vals)
+        if jac_alpha is not None:
+            np.add.at(self._g_flat, self._c_idx, c_vals * jac_alpha)
+        else:
+            np.add.at(self._c_flat, self._c_idx, c_vals)
         np.add.at(self._q_full, self._q_rows, vals[_Q].reshape(-1))
-        if xg is not None:
-            if not q_only:
-                np.add.at(
-                    self._i_full, self._g_rows_arr,
-                    g_vals * (xg[self._g_cols_arr] - self._g_anchor),
-                )
-            np.add.at(
-                self._q_full, self._c_rows_arr,
-                c_vals * (xg[self._c_cols_arr] - self._c_anchor),
-            )
 
-    def load(
-        self,
-        ctx: LoadContext,
-        bypass_tol: float = 0.0,
-        q_only: bool = False,
-    ) -> int:
+    def _scatter_charges(self, xg: np.ndarray) -> None:
+        """Add the last evaluation's charges, linearized to ``xg``:
+        ``q += Q + C @ (x - x_eval)``."""
+        vals = self._vals
+        np.add.at(self._q_full, self._q_rows, vals[_Q].reshape(-1))
+        np.add.at(
+            self._q_full, self._c_rows_arr,
+            vals[_C].reshape(-1) * (xg - self._x_eval)[self._c_cols_arr],
+        )
+
+    def load(self, ctx: LoadContext, charges_only: bool = False) -> int:
         """Stamp every device of the group; mirrors ``BJT.load_dynamic``.
 
-        With ``bypass_tol > 0`` each device compares its control voltages
-        (vbe, vbc, vbx, vsc and the base-spreading drop) against the last
-        point it was actually evaluated at; devices that all moved less
-        than the tolerance replay their cached stamp columns untouched.
-        Returns the number of bypassed devices.
+        ``charges_only=True`` right after an evaluation under the same
+        limits dict and gmin is a charge replay: the group adds that
+        evaluation's charges, linearized to ``ctx.x`` with its
+        capacitances, evaluates nothing and returns ``n``, the number of
+        device evaluations replayed.  Every other call evaluates every
+        device, scatters all its stamps and returns 0.
         """
         size = self.size
         xg = self._xg
         xg[:size] = ctx.x
         xg[size] = 0.0
-        v = self._controls(xg)
-        n = self.n
         limits = ctx.limits
-
-        idx = None
-        if bypass_tol > 0.0:
-            # A fresh limits dict (new analysis, retry with different
-            # limiting history) or a different gmin invalidates the
-            # cached stamps; identity comparison is safe because the
-            # cache holds a strong reference to the dict it saw.
-            if (self._bypass_limits is limits
-                    and self._bypass_gmin == ctx.gmin):
-                moved = (np.abs(v - self._bypass_v) > bypass_tol).any(axis=0)
-                if not moved.any():
-                    # Keep the cached anchor voltages: bypassed devices
-                    # always compare against their last *evaluated*
-                    # point so sub-tolerance drift cannot accumulate.
-                    self._replay(xg, ctx.jac_alpha, q_only=q_only)
-                    return n
-                # Few moved devices take one gather of the parameter
-                # block; mostly-moved calls just evaluate everything.
-                if np.count_nonzero(moved) <= max(1, n // 4):
-                    idx = np.flatnonzero(moved)
-            if idx is None:
-                self._bypass_v[...] = v
-            else:
-                self._bypass_v[:, idx] = v[:, idx]
-            self._bypass_gmin = ctx.gmin
-            self._bypass_limits = limits
-        elif self._bypass_limits is not None:
-            # A tolerance-zero evaluation rewrites the shared value
-            # buffer without tracking anchors — drop the cache so a
-            # later bypassed call cannot replay mismatched stamps.
-            self._bypass_limits = None
-            self._bypass_gmin = None
-            self._bypass_v.fill(np.inf)
-
-        history = limits.get(self, self._no_history)
-        if idx is None:
-            limits[self], self._vals = self._stamp(v, history, ctx.gmin)
-        else:
-            v_lim, self._vals[:, idx] = self._stamp(
-                v[:, idx], history[:, idx], ctx.gmin, idx
-            )
-            history = history.copy()
-            history[:, idx] = v_lim
-            limits[self] = history
-
-        if bypass_tol > 0.0:
-            if idx is None:
-                self._g_anchor[...] = xg[self._g_cols_arr]
-                self._c_anchor[...] = xg[self._c_cols_arr]
-            else:
-                pos_g = (self._g_lane + idx).reshape(-1)
-                pos_c = (self._c_lane + idx).reshape(-1)
-                self._g_anchor[pos_g] = xg[self._g_cols_arr[pos_g]]
-                self._c_anchor[pos_c] = xg[self._c_cols_arr[pos_c]]
-            self._replay(xg, ctx.jac_alpha)
-        else:
-            self._replay(None, ctx.jac_alpha)
-        return 0 if idx is None else n - len(idx)
+        if (charges_only and self._eval_limits is limits
+                and self._eval_gmin == ctx.gmin):
+            self._scatter_charges(xg)
+            return self.n
+        limits[self], self._vals = self._stamp(
+            self._controls(xg), limits.get(self, self._no_history),
+            ctx.gmin,
+        )
+        np.copyto(self._x_eval, xg)
+        self._eval_limits = limits
+        self._eval_gmin = ctx.gmin
+        self._scatter(ctx.jac_alpha)
+        return 0
 
     def load_stacked(
         self,
@@ -1020,17 +937,17 @@ class BJTGroup:
     ) -> None:
         """Stamp every device for a ``(L, n)`` stack of solutions at once.
 
-        The same kernel as :meth:`load` at ``bypass_tol == 0`` with a
-        leading lane axis, so each lane's stamps are bit-identical to a
-        scalar :meth:`load` at that lane's ``x``.  ``history`` is the
+        The same kernel as an evaluating :meth:`load` with a leading
+        lane axis, so each lane's stamps are bit-identical to a scalar
+        :meth:`load` at that lane's ``x``.  ``history`` is the
         ``(L, 2, n)`` pnjlim history (NaN: none yet), overwritten in
         place with this evaluation's limited voltages, or ``None``.
         Scatter targets are per-lane flats (``i_full``/``q_full`` are
         ``(L, size+1)``, ``g_flat``/``c_flat`` are ``(L, flat)``); the
         ``np.add.at`` broadcast iterates lane-major, preserving each
         lane's scalar accumulation order over duplicate slots.  The
-        cached stamp values and the device-bypass cache are never
-        touched, so interleaved scalar bypassing stays coherent.
+        last scalar evaluation (stamps and anchor) is never touched, so
+        an interleaved scalar charge replay stays coherent.
         """
         L = x_stack.shape[0]
         xg = np.zeros((L, self.size + 1))
@@ -1308,21 +1225,12 @@ class CompiledCircuit:
         gmin: float = 1e-12,
         limits: dict | None = None,
         source_scale: float = 1.0,
-        bypass_tol: float = 0.0,
         jac_alpha: float | None = None,
         charges_only: bool = False,
         residual_only: bool = False,
     ) -> LoadContext:
         """Assemble I, G, Q, C at candidate ``x``; returns a LoadContext
         whose arrays are views into the engine's reusable buffers.
-
-        ``bypass_tol > 0`` enables device bypass in the BJT group:
-        transistors whose terminal voltages all moved less than the
-        tolerance since their last actual evaluation replay cached
-        stamps instead of re-evaluating (counted in
-        ``stats.bypassed_evals``).  At 0 the assembly is bit-identical to
-        the non-bypassing path.  Scalar devices (diodes) are evaluated
-        on every call.
 
         ``jac_alpha`` (transient hot path) fuses the integration formula
         into assembly: ``g_mat`` is built directly as ``G + alpha*C``
@@ -1331,7 +1239,12 @@ class CompiledCircuit:
         untouched.  ``charges_only=True`` assembles just ``q_vec`` — the
         contract for the converged-point context handed back to the
         integrator, whose accept path reads nothing else; ``i_vec``,
-        ``g_mat`` and ``c_mat`` are stale buffers in that mode.
+        ``g_mat`` and ``c_mat`` are stale buffers in that mode.  Right
+        after an evaluation under the same ``limits`` dict and ``gmin``
+        the BJT group then replays its charges, linearized to ``x``
+        (see :meth:`BJTGroup.load`), instead of re-evaluating; those
+        device evaluations are counted in ``stats.bypassed_evals``.
+        Scalar devices (diodes) are evaluated on every call.
         ``residual_only=True`` skips the dense Jacobian build (``g_mat``
         and ``c_mat`` are stale) while assembling ``i_vec``/``q_vec`` in
         full — the contract for chord-Newton iterations that will reuse
@@ -1403,9 +1316,7 @@ class CompiledCircuit:
 
         bypassed = 0
         if self._bjt_group is not None:
-            bypassed = self._bjt_group.load(
-                ctx, bypass_tol, q_only=charges_only
-            )
+            bypassed = self._bjt_group.load(ctx, charges_only)
         for element in self._scalar_dynamic:
             element.load_dynamic(ctx)
 
@@ -1449,7 +1360,7 @@ class CompiledCircuit:
         stack in one vectorized pass.
 
         The lane-stacked twin of :meth:`evaluate` at its DC defaults
-        (``time=None``, ``bypass_tol=0``): every lane's arrays are
+        (``time=None``): every lane's arrays are
         bit-identical to a scalar :meth:`evaluate` at that lane's ``x``
         with that lane's limiting history.  ``history`` is a
         ``(L, 2, n)`` array from :meth:`new_history`, read and then

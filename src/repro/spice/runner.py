@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import AnalysisError
-from .ac import ACResult, frequency_grid, solve_ac
+from .ac import ACResult, frequency_grid
 from .analysis import (
     DCSweepResult,
     OperatingPointResult,
@@ -154,7 +154,9 @@ def run_deck(deck: Deck | str, engine=None, lint: bool = True) -> DeckRun:
     LU alike — with ``"auto"`` the shape-based choice of
     :func:`repro.spice.solvercost.choose`.
     Recognized ``.OPTIONS`` settings (RELTOL/VNTOL/ABSTOL/ITL1/GMIN)
-    configure the Newton tolerances.
+    configure the Newton tolerances of ``.OP``, ``.DC``, ``.AC`` and
+    ``.TRAN``; ``.TF`` and ``.NOISE`` take GMIN alone, their bias solves
+    run at the default tolerances.
 
     Unless ``lint=False``, the circuit first passes the connectivity
     lint (:func:`repro.spice.lint.lint_circuit`): structurally broken
@@ -191,11 +193,9 @@ def run_deck(deck: Deck | str, engine=None, lint: bool = True) -> DeckRun:
                 simulator.dc_sweep(card.args["source"], values)
             )
         elif card.kind == "ac":
-            run.results.append(solve_ac(
-                deck.circuit,
-                frequency_grid(card.args["start"], card.args["stop"],
-                               card.args["points"], card.args["sweep"]),
-                engine=simulator._engine(),
+            run.results.append(simulator.ac(
+                card.args["start"], card.args["stop"],
+                card.args["points"], card.args["sweep"],
             ))
         elif card.kind == "tran":
             run.results.append(simulator.transient(
@@ -205,14 +205,14 @@ def run_deck(deck: Deck | str, engine=None, lint: bool = True) -> DeckRun:
         elif card.kind == "tf":
             run.results.append(transfer_function(
                 deck.circuit, card.args["source"], card.args["output"],
-                engine=simulator._engine(),
+                gmin=gmin, engine=simulator._engine(),
             ))
         elif card.kind == "noise":
             run.results.append(solve_noise(
                 deck.circuit, card.args["output"],
                 frequency_grid(card.args["start"], card.args["stop"],
                                card.args["points"], card.args["sweep"]),
-                input_source=card.args["source"],
+                input_source=card.args["source"], gmin=gmin,
                 engine=simulator._engine(),
             ))
         elif card.kind == "four":

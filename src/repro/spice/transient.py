@@ -112,14 +112,6 @@ def _collect_breakpoints(
     return merged
 
 
-#: Default device-bypass voltage tolerance for the transient hot path.
-#: BJTs whose terminal voltages all moved less than this between
-#: Newton evaluations replay their cached stamps, extrapolated to the
-#: current solution with the cached Jacobians (see
-#: :meth:`repro.spice.engine.CompiledCircuit.evaluate`); the replay
-#: error is second order in this tolerance.
-DEFAULT_BYPASS_TOL = 1e-3
-
 #: Maximum relative drift of ``alpha = 1/h`` (or ``2/h``) tolerated
 #: before a chord-Newton jacobian token is re-anchored.  Within the
 #: window, steps share one factorization even though the continuous step
@@ -151,7 +143,6 @@ def solve_transient(
     lte_abstol: float = 1e-6,
     max_points: int = 2_000_000,
     engine=None,
-    bypass_tol: float | None = None,
     chord: bool | None = None,
 ) -> TransientResult:
     """Integrate the circuit from t=0 to ``stop_time``.
@@ -159,12 +150,12 @@ def solve_transient(
     ``x0`` provides initial conditions; when omitted the DC operating
     point at t=0 is used.  ``method`` is ``"trap"`` (default) or ``"be"``.
 
-    ``bypass_tol`` and ``chord`` control the transient hot path: device
-    bypass (skip re-evaluating devices whose voltages barely moved) and
+    ``chord`` switches the transient hot path, on by default:
     chord-Newton (reuse the factorized Jacobian across iterations and
-    steps sharing a token).  Both default on (``bypass_tol=None`` means
-    :data:`DEFAULT_BYPASS_TOL`); pass ``bypass_tol=0`` and
-    ``chord=False`` to force the exact reference stepping path.
+    steps sharing a token), fused ``G + alpha*C`` assembly and, at each
+    converged step, a replay of the last evaluation's charges instead
+    of a device re-evaluation.  ``chord=False`` forces the exact
+    reference stepping path.
     """
     if stop_time <= 0:
         raise AnalysisError("transient stop_time must be positive")
@@ -182,12 +173,6 @@ def solve_transient(
         )
     if method not in ("trap", "be"):
         raise AnalysisError(f"unknown integration method {method!r}")
-    if bypass_tol is None:
-        bypass_tol = DEFAULT_BYPASS_TOL
-    elif bypass_tol < 0:
-        raise AnalysisError(
-            f"transient bypass_tol must be non-negative, got {bypass_tol!r}"
-        )
     if chord is None:
         chord = True
     circuit.assign_indices()
@@ -196,7 +181,7 @@ def solve_transient(
         result = _solve_transient(
             circuit, engine, stop_time, max_step, initial_step, x0,
             method, tolerances, gmin, lte_reltol, lte_abstol, max_points,
-            bypass_tol, chord,
+            chord,
         )
     result.stats = stats
     return result
@@ -204,8 +189,7 @@ def solve_transient(
 
 def _solve_transient(
     circuit, engine, stop_time, max_step, initial_step, x0,
-    method, tolerances, gmin, lte_reltol, lte_abstol, max_points,
-    bypass_tol, chord,
+    method, tolerances, gmin, lte_reltol, lte_abstol, max_points, chord,
 ) -> TransientResult:
     if tolerances is None:
         tolerances = Tolerances()
@@ -214,14 +198,6 @@ def _solve_transient(
     if initial_step is None:
         initial_step = max_step / 10.0
     num_nodes = engine.num_nodes
-
-    # Hot-path mode keeps one canonical limits dict for the whole run
-    # (saved/restored around rejected steps) so the device-bypass cache,
-    # which is keyed on dict identity, survives from step to step.  The
-    # reference mode copies the dict per step exactly like the seed code.
-    # Hot mode also fuses G + alpha*C into one assembly pass inside the
-    # engine; the integrator callback then touches only the residual.
-    hot = chord or bypass_tol > 0.0
 
     limits: dict = {}
     if x0 is None:
@@ -232,9 +208,9 @@ def _solve_transient(
     ctx0 = engine.evaluate(x, time=0.0, gmin=gmin, limits=dict(limits))
     q_prev = ctx0.q_vec.copy()
     qdot_prev = np.zeros_like(q_prev)
-    # Accept-path scratch (hot mode): charges are copied out of the
-    # engine-owned context buffers into these, then ping-ponged into
-    # q_prev/qdot_prev, so the accept path allocates nothing per step.
+    # Accept-path scratch: charges are copied out of the engine-owned
+    # context buffers into these, then ping-ponged into q_prev/qdot_prev,
+    # so the accept path allocates nothing per step.
     q_scratch = np.empty_like(q_prev)
     qdot_scratch = np.empty_like(q_prev)
 
@@ -280,25 +256,19 @@ def _solve_transient(
         use_be = use_be_next or method == "be"
         alpha = (1.0 / h) if use_be else (2.0 / h)
 
-        if hot:
-            # The engine already assembled jacobian = G + alpha*C.
-            def dynamic(ctx, residual, jacobian):
-                qdot = alpha * (ctx.q_vec - q_prev)
-                if not use_be:
-                    qdot -= qdot_prev
-                residual += qdot
-
-            step_limits = limits
-            saved_limits = dict(limits)
-        else:
-            def dynamic(ctx, residual, jacobian):
-                qdot = alpha * (ctx.q_vec - q_prev)
-                if not use_be:
-                    qdot -= qdot_prev
-                residual += qdot
+        def dynamic(ctx, residual, jacobian):
+            qdot = alpha * (ctx.q_vec - q_prev)
+            if not use_be:
+                qdot -= qdot_prev
+            residual += qdot
+            if not chord:
+                # The hot path fuses jacobian = G + alpha*C into the
+                # engine's assembly pass instead.
                 jacobian += alpha * ctx.c_mat
 
-            step_limits = dict(limits)
+        # Each step runs on a copy of the accepted limiting history and
+        # replaces it only when the step is accepted.
+        step_limits = dict(limits)
         try:
             if chord:
                 # Hysteresis: keep the token anchored at the alpha the
@@ -318,18 +288,14 @@ def _solve_transient(
             x_new, ctx = newton_solve(
                 circuit, x_pred, tolerances, gmin,
                 time=t_new, limits=step_limits, dynamic=dynamic,
-                engine=engine, jacobian_token=token,
-                chord=chord, bypass_tol=bypass_tol,
-                jac_alpha=alpha if hot else None,
+                engine=engine, jacobian_token=token, chord=chord,
+                jac_alpha=alpha if chord else None,
                 return_context=True,
             )
         except ConvergenceError as exc:
             newton_failures += 1
             h /= 8.0
             use_be_next = True
-            if hot:
-                limits.clear()
-                limits.update(saved_limits)
             if h < min_step:
                 report = replace(
                     exc.report or ConvergenceReport(),
@@ -354,15 +320,11 @@ def _solve_transient(
             error = 0.5  # no history yet: accept and grow slowly
         if error > 10.0 and h > min_step * 8:
             rejected += 1
-            if hot:
-                limits.clear()
-                limits.update(saved_limits)
             h = max(h * (1.0 / error) ** (1.0 / 3.0) * 0.9, h / 8.0)
             continue
 
         # Accept the step.  ``ctx`` already holds the charges at (or,
-        # with bypass/chord on, within Newton tolerance of) x_new — the
-        # seed's separate post-accept re-evaluation is gone.
+        # replayed on the hot path, within Newton tolerance of) x_new.
         np.copyto(q_scratch, ctx.q_vec)
         np.subtract(q_scratch, q_prev, out=qdot_scratch)
         qdot_scratch *= alpha
@@ -373,8 +335,7 @@ def _solve_transient(
 
         t = t_new
         x = x_new
-        if not hot:
-            limits = step_limits
+        limits = step_limits
         if count == capacity:
             capacity *= 2
             new_times = np.empty(capacity)

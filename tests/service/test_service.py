@@ -115,6 +115,18 @@ class TestJobLifecycle:
         assert result["points"] == len(result["times_s"])
         assert len(result["voltages"]) == result["points"]
 
+    def test_ac_payload_does_not_depend_on_an_earlier_dc_job(self, service,
+                                                             ce_deck):
+        deck = ce_deck.replace(".OP", ".OPTIONS RELTOL=1e-6 GMIN=1e-9\n.OP",
+                               1)
+        cid = service.create_circuit(deck)["circuit_id"]
+        request = {"start": 1e3, "stop": 1e9, "output": "c"}
+        fresh = _run(service, service.run_ac(cid, tenant="a", **request))
+        _run(service, service.run_dc(cid, tenant="b"))
+        after_dc = _run(service, service.run_ac(cid, tenant="b", **request))
+        assert "cached" not in after_dc["result"]
+        assert after_dc["result"] == fresh["result"]
+
     def test_transient_without_stop_time_fails_structured(self, service,
                                                           ce_deck):
         cid = service.create_circuit(ce_deck)["circuit_id"]

@@ -12,8 +12,11 @@ analysis does:
 * ``CompiledCircuit.evaluate`` matches the per-element reference
   :func:`~repro.spice.mna.load_circuit`, stamps and per-device limiting
   history, at ``TestStampingEquivalence``'s tolerances;
-* a partial-bypass evaluation (one device moved past ``bypass_tol``)
-  matches a full evaluation of the same point;
+* a charges-only evaluation right after a full one, under the same
+  limits dict and gmin, is that evaluation's charges linearized to the
+  new point, ``q(x0) + C(x0) (x1 - x0)``, and leaves the limiting
+  history alone; under another limits dict or another gmin it is a
+  full evaluation, bit for bit;
 * every lane of ``evaluate_stacked`` is scalar ``evaluate``, bit for
   bit, history included.
 
@@ -37,7 +40,6 @@ from .test_engine import assert_contexts_match, by_device
 
 #: Collector, base and substrate nodes are drawn from this pool.
 NODES = ("0", "a", "b", "c", "d")
-TOL = 1e-3
 
 
 def _bits(x) -> np.ndarray:
@@ -111,37 +113,40 @@ def test_group_matches_stamp_reference(case, evaluations):
 
 
 @settings(max_examples=30, deadline=None)
-@given(case=groups(), data=st.data())
-def test_partial_bypass_matches_full_evaluation(case, data):
+@given(case=groups())
+def test_charge_replay_is_the_last_evaluation_linearized(case):
     circuit, mode, seed, scale = case
     size = circuit.assign_indices()
-    bypassing = compile_circuit(circuit, mode=mode)
-    full = compile_circuit(circuit, mode=mode)
-    x0 = scale * np.random.default_rng(seed).standard_normal(size)
-    limits_bypass, limits_full = {}, {}
-    bypassing.evaluate(x0, limits=limits_bypass, bypass_tol=TOL)
-    full.evaluate(x0, limits=limits_full)
+    engine = compile_circuit(circuit, mode=mode)
+    n = sum(isinstance(e, BJT) for e in circuit)
+    x0, x1 = scale * np.random.default_rng(seed).standard_normal((2, size))
+    limits = {}
+    full = engine.evaluate(x0, limits=limits)
+    expected = np.array(full.q_vec) + np.asarray(full.c_mat) @ (x1 - x0)
+    snapshot = dict(limits)
 
-    # Move one device alone: its internal emitter is read by no other.
-    devices = [e for e in circuit if isinstance(e, BJT)]
-    moved = data.draw(st.sampled_from(devices))
-    x1 = x0.copy()
-    x1[moved._internal_indices()[2]] += 50 * TOL
-    before = bypassing.stats.bypassed_evals
-    ctx = bypassing.evaluate(x1, limits=limits_bypass, bypass_tol=TOL)
-    assert bypassing.stats.bypassed_evals - before == len(devices) - 1
-    ref = full.evaluate(x1, limits=limits_full)
-    # TestBypassMask's tolerances: replayed devices add their cached
-    # Jacobian times an exactly-zero move.
-    for attr, atol in (("i_vec", 1e-15), ("g_mat", 1e-15), ("q_vec", 1e-18),
-                       ("c_mat", 1e-20)):
-        np.testing.assert_allclose(np.asarray(getattr(ctx, attr)),
-                                   np.asarray(getattr(ref, attr)),
-                                   rtol=1e-12, atol=atol, err_msg=attr)
-    named, named_ref = by_device(limits_bypass), by_device(limits_full)
-    for name in named_ref:
-        np.testing.assert_array_equal(named[name], named_ref[name],
-                                      err_msg=name)
+    # Under the last evaluation's limits dict and gmin: a replay.
+    before = engine.stats.bypassed_evals
+    replay = engine.evaluate(x1, limits=limits, charges_only=True)
+    np.testing.assert_allclose(replay.q_vec, expected, rtol=1e-12,
+                               atol=1e-24)
+    assert engine.stats.bypassed_evals - before == n
+    assert limits.keys() == snapshot.keys()
+    for key, history in snapshot.items():
+        assert limits[key] is history
+
+    # Under another limits dict (a copy of the last one), or another
+    # gmin: a full evaluation.
+    for copied, gmin in ((True, 1e-12), (False, 1e-9)):
+        anchored = {}
+        engine.evaluate(x0, limits=anchored)
+        other = dict(anchored) if copied else anchored
+        before = engine.stats.bypassed_evals
+        got = np.array(engine.evaluate(x1, limits=other, gmin=gmin,
+                                       charges_only=True).q_vec)
+        assert engine.stats.bypassed_evals == before
+        ref = engine.evaluate(x1, limits=dict(snapshot), gmin=gmin)
+        np.testing.assert_array_equal(_bits(got), _bits(ref.q_vec))
 
 
 @settings(max_examples=30, deadline=None)

@@ -228,8 +228,7 @@ class TestGoldenAnalyses:
         stop = 2e-9
         # Exact-parity golden test: hot-path shortcuts pinned off.
         r_compiled = solve_transient(build(), stop_time=stop,
-                                     max_step=stop / 100,
-                                     bypass_tol=0.0, chord=False)
+                                     max_step=stop / 100, chord=False)
         grid = np.linspace(0.0, stop, 60)
         v_compiled = np.interp(grid, r_compiled.times,
                                r_compiled.voltage("c"))
@@ -243,7 +242,7 @@ class TestGoldenAnalyses:
         # Exact-parity golden test: hot-path shortcuts pinned off.
         r_compiled = solve_transient(
             deck_circuit(DECK_DIR / "ring_oscillator.cir"),
-            stop_time=stop, max_step=5e-12, bypass_tol=0.0, chord=False,
+            stop_time=stop, max_step=5e-12, chord=False,
         )
         grid = np.linspace(0.0, stop, 40)
         v_compiled = np.interp(grid, r_compiled.times,

@@ -1,5 +1,7 @@
 """Deck-runner and CLI tests."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.errors import AnalysisError
@@ -11,6 +13,8 @@ from repro.spice import (
     run_deck,
 )
 from repro.spice.analysis import DCSweepResult
+
+DECK_DIR = Path(__file__).resolve().parents[2] / "examples" / "decks"
 
 FULL_DECK = """runner exercise
 V1 in 0 DC 5 AC 1
@@ -147,6 +151,18 @@ R2 out 0 1k
         tf = run.first(TransferFunction)
         assert tf.gain == pytest.approx(0.25, rel=1e-6)
         assert "Rin" in run.summary()
+
+    def test_tf_card_takes_the_deck_gmin(self):
+        from repro.spice import parse_deck
+        from repro.spice.analysis import TransferFunction, transfer_function
+
+        deck = (DECK_DIR / "ce_stage.cir").read_text().replace(
+            ".OP", ".OPTIONS GMIN=1e-6\n.OP", 1)
+        gain = run_deck(deck).first(TransferFunction).gain
+        assert gain == transfer_function(
+            parse_deck(deck).circuit, "VB", "c", gmin=1e-6).gain
+        assert gain != transfer_function(
+            parse_deck(deck).circuit, "VB", "c").gain
 
     def test_noise_card(self):
         run = run_deck("""noise card

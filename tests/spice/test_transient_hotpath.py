@@ -1,10 +1,13 @@
-"""Transient hot path: device bypass, chord-Newton, integration order.
+"""Transient hot path: chord-Newton with its charge replay, integration
+order.
 
-The hot path must be invisible in the waveforms: bypass and chord are
-approximations held below the Newton/LTE tolerances, so on-vs-off runs
-agree to millivolts, and with both pinned off the stepping is exactly
-the seed path (that stronger bit-level claim is the golden equivalence
-test in ``test_engine.py``).
+The hot path must be invisible in the waveforms: chord-Newton and the
+charge replay at each converged step are approximations held below the
+Newton/LTE tolerances, so on-vs-off runs agree to millivolts, and with
+``chord=False`` the stepping is exactly the seed path (that stronger
+bit-level claim is the golden equivalence test in ``test_engine.py``).
+The replay itself is held to its linearization on generated BJT groups
+in ``test_bjt_group.py``.
 """
 
 import math
@@ -42,8 +45,7 @@ def _rc_decay_error(method, n_steps):
         x0=np.array([1.0]), method=method,
         # Huge LTE tolerance pins h at max_step: every accepted step is
         # exactly h, which is what an order measurement needs.
-        lte_reltol=1e6, lte_abstol=1e6,
-        bypass_tol=0.0, chord=False,
+        lte_reltol=1e6, lte_abstol=1e6, chord=False,
     )
     exact = math.exp(-stop / _RC_TAU)
     return abs(result.voltage("a")[-1] - exact)
@@ -92,7 +94,7 @@ def _deviation(a, b, t_end):
 
 
 class TestHotPathParity:
-    """Bypass/chord on-vs-off waveform agreement on the Fig. 11 ring."""
+    """Hot path on-vs-off waveform agreement on the Fig. 11 ring."""
 
     STOP = 0.4e-9
     MAX_STEP = 5e-12
@@ -100,7 +102,7 @@ class TestHotPathParity:
     def test_on_vs_off_waveforms_agree(self):
         ref = solve_transient(
             _ring(), stop_time=self.STOP, max_step=self.MAX_STEP,
-            bypass_tol=0.0, chord=False,
+            chord=False,
         )
         hot = solve_transient(
             _ring(), stop_time=self.STOP, max_step=self.MAX_STEP,
@@ -110,7 +112,7 @@ class TestHotPathParity:
     def test_hot_counters_move_only_when_enabled(self):
         off = solve_transient(
             _ring(), stop_time=self.STOP, max_step=self.MAX_STEP,
-            bypass_tol=0.0, chord=False,
+            chord=False,
         ).stats
         assert off.bypassed_evals == 0
         assert off.jacobian_reuses == 0
@@ -121,30 +123,6 @@ class TestHotPathParity:
         assert on.bypassed_evals > 0
         assert on.jacobian_reuses > 0
         assert on.factorizations < off.factorizations
-
-    def test_chord_alone_still_converges(self):
-        ref = solve_transient(
-            _ring(), stop_time=self.STOP, max_step=self.MAX_STEP,
-            bypass_tol=0.0, chord=False,
-        )
-        chord = solve_transient(
-            _ring(), stop_time=self.STOP, max_step=self.MAX_STEP,
-            bypass_tol=0.0, chord=True,
-        )
-        assert _deviation(ref, chord, self.STOP) < 0.05
-
-    def test_bypass_alone_matches_tightly(self):
-        ref = solve_transient(
-            _ring(), stop_time=self.STOP, max_step=self.MAX_STEP,
-            bypass_tol=0.0, chord=False,
-        )
-        bypass = solve_transient(
-            _ring(), stop_time=self.STOP, max_step=self.MAX_STEP,
-            bypass_tol=None, chord=False,
-        )
-        # Bypass replays exact linearizations below the tolerance; the
-        # waveform error is second order in it.
-        assert _deviation(ref, bypass, self.STOP) < 5e-3
 
 
 def _two_stage_circuit(hf_model):
@@ -159,73 +137,13 @@ def _two_stage_circuit(hf_model):
     return ckt
 
 
-class TestBypassMask:
-    """The vectorized mask must bypass exactly the unmoved devices."""
-
-    TOL = 1e-3
-
-    def test_single_device_toggles(self, hf_model):
-        ckt = _two_stage_circuit(hf_model)
-        size = ckt.assign_indices()
-        engine = compile_circuit(ckt)
-        limits = {}
-        rng = np.random.default_rng(21)
-        x0 = 0.3 * rng.standard_normal(size)
-
-        engine.evaluate(x0, limits=limits, bypass_tol=self.TOL)
-        before = engine.stats.bypassed_evals
-
-        # Nudge only Q2's base node, well past the tolerance: Q1 must
-        # be bypassed (its terminal voltages are untouched), Q2 not.
-        x1 = x0.copy()
-        x1[ckt.node_index("b2")] += 0.05
-        ctx = engine.evaluate(x1, limits=limits, bypass_tol=self.TOL)
-        assert engine.stats.bypassed_evals - before == 1
-
-        # The mixed bypassed/evaluated assembly must equal a full
-        # evaluation with the same limiting history.
-        engine_full = compile_circuit(ckt)
-        limits_full = {}
-        engine_full.evaluate(x0, limits=limits_full)
-        full = engine_full.evaluate(x1, limits=limits_full)
-        np.testing.assert_allclose(ctx.i_vec, full.i_vec,
-                                   rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(ctx.q_vec, full.q_vec,
-                                   rtol=1e-12, atol=1e-18)
-        np.testing.assert_allclose(ctx.g_mat, full.g_mat,
-                                   rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(ctx.c_mat, full.c_mat,
-                                   rtol=1e-12, atol=1e-20)
-
-    def test_sub_tolerance_move_bypasses_all(self, hf_model):
-        ckt = _two_stage_circuit(hf_model)
-        size = ckt.assign_indices()
-        engine = compile_circuit(ckt)
-        limits = {}
-        rng = np.random.default_rng(22)
-        x0 = 0.3 * rng.standard_normal(size)
-        engine.evaluate(x0, limits=limits, bypass_tol=self.TOL)
-        before = engine.stats.bypassed_evals
-        engine.evaluate(x0 + 1e-7, limits=limits, bypass_tol=self.TOL)
-        assert engine.stats.bypassed_evals - before == 2
-
-    def test_zero_tolerance_never_bypasses(self, hf_model):
-        ckt = _two_stage_circuit(hf_model)
-        size = ckt.assign_indices()
-        engine = compile_circuit(ckt)
-        limits = {}
-        x0 = np.zeros(size)
-        engine.evaluate(x0, limits=limits, bypass_tol=0.0)
-        engine.evaluate(x0, limits=limits, bypass_tol=0.0)
-        assert engine.stats.bypassed_evals == 0
-
-
 class TestHistorySnapshot:
     """``dict(limits)`` is a snapshot of the BJT limiting history.
 
-    ``solve_transient`` and ``solve_dc`` roll a rejected step back by
-    restoring such a copy, which only works if an evaluation replaces the
-    group's history entry instead of writing into it.
+    ``solve_transient`` runs each step on such a copy and drops it when
+    the step fails or is rejected, and ``solve_dc`` rolls back the same
+    way; both only work if an evaluation replaces the group's history
+    entry instead of writing into it.
     """
 
     @staticmethod
@@ -233,29 +151,23 @@ class TestHistorySnapshot:
         return [np.array(getattr(ctx, attr), copy=True)
                 for attr in ("i_vec", "g_mat", "q_vec", "c_mat")]
 
-    @pytest.mark.parametrize("bypass_tol", [0.0, 1e-3])
-    def test_restored_snapshot_replays_the_evaluation(self, hf_model,
-                                                      bypass_tol):
+    def test_restored_snapshot_replays_the_evaluation(self, hf_model):
         ckt = _two_stage_circuit(hf_model)
         size = ckt.assign_indices()
         engine = compile_circuit(ckt)
         base_q2 = ckt.element("Q2")._internal_indices()[1]
         limits = {}
         x0 = np.zeros(size)
-        engine.evaluate(x0, limits=limits, bypass_tol=bypass_tol)
+        engine.evaluate(x0, limits=limits)
         snapshot = dict(limits)
         [group] = [key for key in limits if isinstance(key, BJTGroup)]
         kept = snapshot[group].copy()
 
         # Q2 alone jumps far past its critical voltage, so pnjlim limits
-        # it from the history; with bypass on, Q1 replays (partial path).
+        # it from the history.
         x1 = x0.copy()
         x1[base_q2] = 1.2
-        before = engine.stats.bypassed_evals
-        first = self._arrays(engine.evaluate(x1, limits=limits,
-                                             bypass_tol=bypass_tol))
-        assert engine.stats.bypassed_evals - before == (
-            1 if bypass_tol else 0)
+        first = self._arrays(engine.evaluate(x1, limits=limits))
         q2 = group.names.index("Q2")
         assert limits[group][0, q2] < 0.5  # limited, not the raw 1.2 V
         history = limits[group].copy()
@@ -264,12 +176,11 @@ class TestHistorySnapshot:
         # A rejected step: evaluate elsewhere, restore, evaluate again.
         x2 = x1.copy()
         x2[base_q2] = 1.6
-        engine.evaluate(x2, limits=limits, bypass_tol=bypass_tol)
+        engine.evaluate(x2, limits=limits)
         np.testing.assert_array_equal(snapshot[group], kept)
         limits.clear()
         limits.update(snapshot)
-        again = self._arrays(engine.evaluate(x1, limits=limits,
-                                             bypass_tol=bypass_tol))
+        again = self._arrays(engine.evaluate(x1, limits=limits))
         for a, b in zip(first, again):
             np.testing.assert_array_equal(a.view(np.uint64),
                                           b.view(np.uint64))

@@ -48,6 +48,14 @@ PASSING = {
          "corner_decks": 9, "bit_identical": True}
         for cell in ("UPMIX", "IF")
     ]},
+    "BENCH_transient.json": {"cpu_count": 2, "benchmarks": [
+        {"benchmark": f"ring_oscillator_{stages}_stage", "ref_seconds": ref,
+         "hot_seconds": hot, "speedup": speedup,
+         "early_window_deviation_v": 0.01,
+         "hot_counters": {"bypassed_evals": 1, "jacobian_reuses": 1}}
+        for stages, ref, hot, speedup in ((5, 0.3, 0.25, 1.2),
+                                          (25, 0.9, 0.6, 1.5))
+    ]},
     "BENCH_service.json": {"cpu_count": 2, "benchmarks": [
         {"benchmark": name, "requests_per_second": 100.0,
          "p50_seconds": 0.001, "p99_seconds": 0.01,
@@ -70,6 +78,13 @@ PASSING_LINES = {
         *(f"qualify_{cell}: 81 corners scalar=240.1/s blocked=646.9/s "
           "speedup=1.0x stress_overhead=0.03 compiles=9 variants=9"
           for cell in ("UPMIX", "IF")),
+    ],
+    ("transient",): [
+        "ring_oscillator_5_stage: ref=0.3s hot=0.25s speedup=1.2x "
+        "replayed=1 reuses=1 deviation=0.01V",
+        "ring_oscillator_25_stage: ref=0.9s hot=0.6s speedup=1.5x "
+        "replayed=1 reuses=1 deviation=0.01V",
+        "ring_oscillator_25_stage: headline speedup 1.5x",
     ],
     ("service",): [
         f"{name}: 100.0 req/s p50=0.001s p99=0.01s cache_hit_rate=0.5 "
@@ -112,6 +127,20 @@ VIOLATIONS = [
      "qualify_IF: 10 engine compiles for 9 corner variants"),
     ("verify", "BENCH_verify.json", "qualify_IF", "compilations", 8,
      "qualify_IF: 8 engine compiles for 9 corner variants"),
+    ("transient", "BENCH_transient.json", "ring_oscillator_5_stage",
+     "speedup", 1.0, "ring_oscillator_5_stage: hot path slower (1.0x)"),
+    ("transient", "BENCH_transient.json", "ring_oscillator_5_stage",
+     "hot_counters", {"bypassed_evals": 0, "jacobian_reuses": 1},
+     "ring_oscillator_5_stage: hot path replayed no charges"),
+    ("transient", "BENCH_transient.json", "ring_oscillator_25_stage",
+     "hot_counters", {"bypassed_evals": 1, "jacobian_reuses": 0},
+     "ring_oscillator_25_stage: hot path reused no factorization"),
+    ("transient", "BENCH_transient.json", "ring_oscillator_25_stage",
+     "early_window_deviation_v", 0.2,
+     "ring_oscillator_25_stage: waveforms diverged by 0.2V"),
+    ("transient", "BENCH_transient.json", "ring_oscillator_25_stage",
+     "speedup", 1.49,
+     "ring_oscillator_25_stage: headline speedup 1.49x < 1.5x"),
     ("service", "BENCH_service.json", "service_http_load", "cache_hit_rate",
      0.0, "service_http_load: cache hit rate not positive"),
     ("service", "BENCH_service.json", "service_http_load", "recompiles", 1,
