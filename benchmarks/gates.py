@@ -4,7 +4,7 @@ A ``pytest benchmarks/`` run writes the artifacts; this script re-reads
 them so a silently skipped benchmark cannot pass.  Name the gate groups
 to check::
 
-    python benchmarks/gates.py sweep sparse verify transient
+    python benchmarks/gates.py sweep sparse verify transient device
     python benchmarks/gates.py service
 
 Every gate prints one line per row it reads.  The first row that
@@ -218,6 +218,23 @@ GATES = {
             (
                 Check("speedup", "<", 1.5,
                       "{name}: headline speedup {speedup}x < 1.5x"),
+            ),
+        ),
+    ),
+    "device": (
+        # bench_bjt_kernel.py times BJTGroup.load (20 and 404 BJTs) and
+        # a 64-lane load_stacked in fixed rounds.  Times depend on the
+        # runner, so none is gated: every row must exist and carry the
+        # bench's own check against the reference (load_circuit at rtol
+        # 1e-12; stacked lanes against scalar evaluations, bit for bit).
+        Gate(
+            "BENCH_device.json",
+            ("load_20_bjt", "load_404_bjt", "load_stacked_20_bjt_64_lanes"),
+            "{name}: {us_per_call} us/call (IQR {iqr_us}) "
+            "matches_reference={matches_reference}",
+            (
+                Check("matches_reference", "!=", True,
+                      "{name}: stamps diverged from the reference"),
             ),
         ),
     ),

@@ -128,12 +128,16 @@ def transfer_function(
     output_node: str,
     gmin: float = 1e-12,
     engine=None,
+    tolerances: Tolerances | None = None,
 ) -> TransferFunction:
     """Small-signal DC transfer function (SPICE ``.TF``).
 
     Linearizes at the operating point and computes the gain from
     ``input_source`` (V or I) to ``output_node``, the resistance the
-    source sees, and the output resistance at the node.
+    source sees, and the output resistance at the node.  The bias is
+    solved under ``tolerances`` (default
+    :class:`~repro.spice.dcop.Tolerances`) and ``gmin``, as
+    :func:`~repro.spice.dcop.solve_dc` does.
     """
     element = circuit.element(input_source)
     if not isinstance(element, (VoltageSource, CurrentSource)):
@@ -147,7 +151,8 @@ def transfer_function(
     engine = resolve_engine(circuit, engine)
     with engine.measured() as stats:
         limits: dict = {}
-        x_op = solve_dc(circuit, gmin=gmin, limits=limits, engine=engine)
+        x_op = solve_dc(circuit, tolerances=tolerances, gmin=gmin,
+                        limits=limits, engine=engine)
         ctx = engine.evaluate(x_op, gmin=gmin, limits=limits)
         g_mat = ctx.g_mat.copy()
         size = circuit.num_unknowns

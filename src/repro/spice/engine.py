@@ -519,35 +519,52 @@ def make_solver(size: int, prefer: str, nnz: int | None = None,
 # vectorized Gummel-Poon group
 # ---------------------------------------------------------------------------
 
+# The kernel's cost is numpy's per-call dispatch, not arithmetic: on the
+# group sizes this package compiles every elementwise call costs about
+# the same.  A 0-d array operand dispatches about twice as fast as a
+# Python float, and operands of one shape faster than broadcast ones.
+_ZERO, _HALF, _ONE, _FOUR = (np.array(c) for c in (0.0, 0.5, 1.0, 4.0))
+_EXP_LIMIT = np.array(EXP_LIMIT)
+_RBB_FLOOR = np.array(1e-3)
+
 
 def _limited_exp_vec(arg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`repro.devices.gummel_poon.limited_exp`."""
+    """Vectorized :func:`repro.devices.gummel_poon.limited_exp`.
+
+    Where ``arg`` stays at or below ``EXP_LIMIT`` the value and the
+    derivative are both ``exp(arg)``, so when no element exceeds it one
+    ``np.exp`` returns the general path's bits.
+    """
+    over = arg > _EXP_LIMIT
+    if not np.count_nonzero(over):
+        value = np.exp(arg)
+        return value, value
     anchor = math.exp(EXP_LIMIT)
-    over = arg > EXP_LIMIT
-    base = np.exp(np.minimum(arg, EXP_LIMIT))
+    base = np.exp(np.minimum(arg, _EXP_LIMIT))
     value = np.where(over, anchor * (1.0 + (arg - EXP_LIMIT)), base)
     deriv = np.where(over, anchor, base)
     return value, deriv
 
 
-def _diode_current_vec(
-    i_sat: np.ndarray, v: np.ndarray, n_vt: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ideal-diode current; ``i_sat == 0`` lanes yield (0, 0)."""
-    exp_value, exp_deriv = _limited_exp_vec(v / n_vt)
-    return i_sat * (exp_value - 1.0), i_sat * exp_deriv / n_vt
-
-
-def _pnjlim_vec(
-    v_new: np.ndarray, v_old: np.ndarray, vt: np.ndarray, v_crit: np.ndarray
-) -> np.ndarray:
+def _pnjlim_vec(v_new, v_old, vt, two_vt, v_crit):
     """Vectorized SPICE pnjlim junction-voltage limiting.
 
-    A NaN ``v_old`` (no history) leaves ``v_new`` unlimited, exactly as
-    ``v_old == v_new`` does.
+    Returns the limited voltages and the mask of limited junctions.  A
+    NaN ``v_old`` (no history) leaves ``v_new`` unlimited, exactly as
+    ``v_old == v_new`` does.  When no junction is limited it returns
+    ``v_new`` itself and ``None``: the general path keeps ``v_new``
+    wherever the mask is false, so these are its bits.  Only a junction
+    above its critical voltage can be limited, which most evaluations
+    settle with one comparison.
     """
-    limit = (v_new > v_crit) & (np.abs(v_new - v_old) > 2.0 * vt)
-    arg = 1.0 + (v_new - v_old) / vt
+    above = v_new > v_crit
+    if not np.count_nonzero(above):
+        return v_new, None
+    step = v_new - v_old
+    limit = above & (np.abs(step) > two_vt)
+    if not np.count_nonzero(limit):
+        return v_new, None
+    arg = 1.0 + step / vt
     arg_pos = arg > 0.0
     branch_pos = np.where(
         arg_pos, v_old + vt * np.log(np.where(arg_pos, arg, 1.0)), v_crit
@@ -556,64 +573,101 @@ def _pnjlim_vec(
     ratio_pos = ratio > 0.0
     branch_neg = vt * np.log(np.where(ratio_pos, ratio, 1.0))
     limited = np.where(v_old > 0.0, branch_pos, branch_neg)
-    return np.where(limit, limited, v_new)
+    return np.where(limit, limited, v_new), limit
 
 
 def _depletion_constants(cj, vj, m, fc) -> np.ndarray:
-    """The 11 per-junction constants of :func:`_depletion`, stacked."""
+    """The 10 per-junction constants of :func:`_depletion`, stacked."""
     one_m = 1.0 - m
     f1 = vj / one_m * (1.0 - (1.0 - fc) ** one_m)
     f2 = (1.0 - fc) ** (1.0 + m)
+    f3 = 1.0 - fc * (1.0 + m)
     threshold = fc * vj
+    # Above the threshold SPICE extends C linearly: C = c1 + c2 v and
+    # Q = q0 + v (c1 + c2 v / 2), continuous with the power law below.
+    c1 = cj / f2 * f3
+    c2 = cj / f2 * m / vj
+    q0 = cj * f1 - threshold * (c1 + 0.5 * c2 * threshold)
     return np.stack([
-        threshold, one_m, cj, 1.0 / vj, cj * vj / one_m, cj * f1, cj / f2,
-        1.0 - fc * (1.0 + m), m / (2.0 * vj), m / vj, threshold * threshold,
+        threshold, 1.0 - fc, one_m, 1.0 / vj, cj * vj / one_m, cj,
+        q0, c1, 0.5 * c2, c2,
     ])
 
 
-def _depletion(v: np.ndarray, constants: np.ndarray):
-    """Vectorized SPICE depletion Q(v), C(v); ``cj == 0`` lanes are 0."""
-    (threshold, one_m, cj, inv_vj, coef_b, cj_f1, cj_over_f2, f3,
-     m_over_2vj, m_over_vj, thr2) = constants
-    below = v < threshold
-    arg = np.where(below, 1.0 - v * inv_vj, 1.0)
+def _depletion(v: np.ndarray, constants: np.ndarray,
+               out: np.ndarray) -> None:
+    """Vectorized SPICE depletion charge and capacitance of ``(4, ...,
+    n)`` junction voltages, written to ``out[0]`` and ``out[1]``;
+    ``cj == 0`` junctions are 0."""
+    (threshold, floor, one_m, inv_vj, coef_b, cj, q0, c1, c2_half,
+     c2) = constants
+    np.add(q0, v * (c1 + c2_half * v), out=out[0])
+    np.add(c1, c2 * v, out=out[1])
+    # Below the threshold 1 - v/vj exceeds 1 - fc; flooring it there
+    # keeps the power finite on the junctions the mask then discards.
+    arg = np.maximum(_ONE - v * inv_vj, floor)
     pow_one_m = arg ** one_m
-    charge_b = coef_b * (1.0 - pow_one_m)
-    cap_b = cj * pow_one_m / arg  # arg^(1-m)/arg == arg^-m
-    dv = v - threshold
-    charge_a = cj_f1 + cj_over_f2 * (
-        f3 * dv + m_over_2vj * (v * v - thr2)
-    )
-    cap_a = cj_over_f2 * (f3 + m_over_vj * v)
-    return np.where(below, charge_b, charge_a), np.where(below, cap_b, cap_a)
+    below = np.empty_like(out)
+    np.multiply(coef_b, _ONE - pow_one_m, out=below[0])
+    np.divide(cj * pow_one_m, arg, out=below[1])  # cj arg^-m
+    np.copyto(out, below, where=v < threshold)
 
 
-# Row layout of BJTGroup's parameter block (one column per device).  The
-# junction diodes run as one (B-E, B-C, B-E leakage, B-C leakage) batch,
-# whose first two thermal voltages also drive pnjlim.
-_P_ISAT = slice(0, 4)  # IS, IS, ISE, ISC
-_P_NVT = slice(4, 8)  # NF, NR, NE, NC times vt
-_P_VT = slice(4, 6)  # the two that limit vbe, vbc
+# Row layout of BJTGroup's parameter block: one column per device, and
+# every term that depends on the model parameters alone.  A pair holds
+# the B-E then the B-C value of a quantity.
+_P_NVT = slice(0, 6)  # exponent divisors: NF, NR, NE, NC x vt; inf; 1.44 VTF
+_P_TWO_NVT = slice(6, 8)  # pnjlim's step threshold 2 NF vt, 2 NR vt
 _P_VCRIT = slice(8, 10)  # B-E, B-C critical voltages
-# VAF, VAR, IKF, IKR, BF, BR, ITF, 1/(1.44 VTF), TF, XTF, TR, RBM, RB:
-_P_GP = slice(10, 23)
-_P_DEP = slice(23, 67)  # 11 depletion constants x (B-E, B-C', B-C, S-C)
-_P_SIGN = slice(67, 113)  # the stamp sign table below
+_P_ISAT = slice(10, 14)  # IS, IS, ISE, ISC
+_P_VA = slice(14, 16)  # VAR, VAF
+_P_IK = slice(16, 18)  # IKF, IKR
+_P_BETA = slice(18, 20)  # BF, BR
+_P_GSIGN = slice(20, 22)  # +1, -1
+# The 1e-4 and -0.2499 clamps of the base charge, two rows each: the
+# clamp broadcasts a per-device value onto a pair of equal rows.
+_P_EARLY_FLOOR = slice(22, 24)
+_P_Q2_FLOOR = slice(24, 26)
+# ITF; 1 where ITF == 0, else 0; ITF where ITF > 0, else 1; TF; XTF;
+# TF XTF; 2 TF XTF; TR; RBM; RB - RBM; 1 where RB > 0, else 0:
+_P_SINGLE = slice(26, 37)
+_P_DEP = slice(37, 77)  # 10 depletion constants x (B-E, B-C', B-C, S-C)
+_P_SIGN = slice(77, 123)  # the stamp sign table below
 
+
+def _kernel_rows(p: np.ndarray) -> tuple:
+    """:meth:`BJTGroup._stamp`'s views of a ``(rows, n)`` parameter
+    block, or of its lane-broadcast ``(rows, 1, n)`` form."""
+    return (p[_P_NVT], p[_P_TWO_NVT], p[_P_VCRIT], p[_P_ISAT],
+            p[_P_VA], p[_P_IK], p[_P_BETA], p[_P_GSIGN],
+            p[_P_EARLY_FLOOR], p[_P_Q2_FLOOR], *p[_P_SINGLE],
+            p[_P_DEP].reshape(10, 4, *p.shape[1:]), p[_P_SIGN])
+
+
+# The kernel's 23 base quantities, in the rows of its ``base`` buffer:
+#   0 irb             1 grb             2 ic              3 ib
+#   4 ic + ib         5 dic_e           6 dic_c           7 dib_e
+#   8 dib_c           9 sum_e          10 sum_c          11 dic_e + dic_c
+#  12 dib_e + dib_c  13 sum_e + sum_c  14 qbe            15 qbc
+#  16 qbx            17 qjs            18 cpi            19 cmu
+#  20 cbx            21 cjs            22 cx
+# where sum_x = dic_x + dib_x.  Pairs sit in adjacent rows, and the
+# depletion batch writes rows 14:22 as one (2, 4) block.
+#
 # The 46 stamp rows -- 5 I, 13 G, 8 Q, 20 C, in scatter-index order --
-# each gather one base quantity of the kernel and multiply it by a
-# constant +-1, times the device polarity on the junction current and
-# charge rows (``_STAMP_POLAR``).
+# each gather one base quantity and multiply it by a constant +-1, times
+# the device polarity on the junction current and charge rows
+# (``_STAMP_POLAR``).
 _I, _G, _Q, _C = slice(0, 5), slice(5, 18), slice(18, 26), slice(26, 46)
 _STAMP_BASE = np.array(
-    [0, 0, 1, 2, 3]  # I: irb, -irb, ic, ib, -(ic + ib)
-    + [4, 4, 4, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13]  # G: rb, dIc, dIb, dIe
+    [0, 0, 2, 3, 4]  # I: irb, -irb, ic, ib, -(ic + ib)
+    + [1, 1, 1, 1, 11, 5, 6, 12, 7, 8, 13, 9, 10]  # G: rb, dIc, dIb, dIe
     + [14, 14, 15, 15, 16, 16, 17, 17]  # Q: qbe, qbc, qbx, qjs pairs
-    + [18] * 4 + [19] * 4 + [20] * 4 + [21] * 4 + [22] * 4  # C quads
+    + [18] * 4 + [22] * 4 + [19] * 4 + [20] * 4 + [21] * 4  # C quads
 )
 _STAMP_SIGN = np.array(
     [1, -1, 1, 1, -1]
-    + [1, -1, -1, 1, 1, -1, -1, 1, -1, -1, 1, 1, 1]
+    + [1, -1, -1, 1, 1, -1, -1, 1, -1, -1, -1, 1, 1]
     + [1, -1] * 4
     + [1, -1, -1, 1] * 5,
     dtype=float,
@@ -627,14 +681,14 @@ class BJTGroup:
     circuit, evaluated as one vectorized numpy pass.
 
     Compile time stacks every per-device constant — the Gummel-Poon
-    parameters, the depletion constants and the stamp sign table — into
-    one ``(rows, n)`` block, and builds the scatter-index arrays.  One
-    kernel (:meth:`_stamp`) then reproduces the scalar
-    ``BJT.load_dynamic`` for any number of leading lane axes:
-    :meth:`load` runs it over one solution, :meth:`load_stacked` over a
-    stack of them.  Ground (-1)
-    terminal indices are mapped to a dummy slot ``size`` — the engine's
-    buffers carry one extra row/column that is never read.
+    parameters and the terms derived from them alone, the depletion
+    constants and the stamp sign table — into one ``(rows, n)`` block,
+    and builds the scatter-index arrays.  One kernel (:meth:`_stamp`)
+    then reproduces the scalar ``BJT.load_dynamic`` for any number of
+    lane axes: :meth:`load` runs it over one solution, :meth:`load_stacked`
+    over a stack of them.  Ground (-1) terminal indices are mapped to a
+    dummy slot ``size`` — the engine's buffers carry one extra
+    row/column that is never read.
 
     The pnjlim history is one ``(2, n)`` array of limited (vbe, vbc),
     columns in :attr:`names` order, stored in the analysis' ``limits``
@@ -676,29 +730,42 @@ class BJTGroup:
               p.CJS, p.VJS, p.MJS, p.FC)
              for d in devices for p in (d.params,)], dtype=float,
         ).reshape(n, 35).T
-        #: 1/(1.44*VTF); infinite VTF collapses to 0 so exp(0)=1, d=0 — the
-        #: same result as the scalar isfinite branch.
-        with np.errstate(divide="ignore"):
-            inv_vtf144 = np.where(np.isfinite(VTF), 1.0 / (1.44 * VTF), 0.0)
         polar = np.where(_STAMP_POLAR[:, None], sign, 1.0)
+        itf_pos = ITF > 0.0
+        nvt_be, nvt_bc = NF * vt, NR * vt
         self._params = np.concatenate([
-            [IS, IS, ISE, ISC, NF * vt, NR * vt, NE * vt, NC * vt,
-             vcrit_be, vcrit_bc, VAF, VAR, IKF, IKR, BF, BR, ITF,
-             inv_vtf144, TF, XTF, TR, rbm, RB],
+            # An infinite VTF divides vbc to 0, so exp = 1 and its
+            # derivative 0 -- the scalar isfinite branch's result.
+            [nvt_be, nvt_bc, NE * vt, NC * vt, np.full(n, np.inf),
+             1.44 * VTF, 2.0 * nvt_be, 2.0 * nvt_bc, vcrit_be, vcrit_bc,
+             IS, IS, ISE, ISC, VAR, VAF, IKF, IKR, BF, BR, np.ones(n),
+             -np.ones(n)],
+            np.full((2, n), 1e-4), np.full((2, n), -0.2499),
+            # An ITF == 0 device gets w = (ibe + 1) / (ibe + 1) = 1 and
+            # dw = 0, a TF == 0 or XTF == 0 one tf_eff = TF and dtf = 0:
+            # the scalar branches' results without a mask.
+            [ITF, np.where(itf_pos, 0.0, 1.0), np.where(itf_pos, ITF, 1.0),
+             TF, XTF, TF * XTF, TF * XTF * 2.0, TR, rbm, RB - rbm,
+             np.where(RB > 0.0, 1.0, 0.0)],
             # Zero-CJ junctions (XCJC == 1, CJS == 0) contribute 0.
             _depletion_constants(
                 np.stack([CJE, CJC * XCJC, CJC * (1.0 - XCJC), CJS]),
                 np.stack([VJE, VJC, VJC, VJS]),
                 np.stack([MJE, MJC, MJC, MJS]),
                 np.stack([FC, FC, FC, FC]),
-            ).reshape(44, n),
+            ).reshape(40, n),
             _STAMP_SIGN[:, None] * polar,
         ])
-        # Control voltages (vbe, vbc, vbx, vsc, vrb) are
-        # sign * (x[plus] - x[minus]); the base-spreading drop is unsigned.
-        self._plus = np.stack([bi, bi, b_ext, s_ext, b_ext])
-        self._minus = np.stack([ei, ci, ci, ci, bi])
-        self._polarity = np.stack([sign, sign, sign, sign, np.ones(n)])
+        self._rows = _kernel_rows(self._params)
+        self._lane_rows = _kernel_rows(self._params[:, None, :])
+        # Control voltages are x[plus] - x[minus]; a pnp's junction rows
+        # swap the terminals, which negates exactly.  The base-spreading
+        # drop is unsigned.  See _controls for the rows.
+        plus = np.stack([bi] * 6 + [b_ext, s_ext, b_ext])
+        minus = np.stack([ei, ci] * 3 + [ci, ci, bi])
+        pnp = np.stack([sign < 0.0] * 8 + [np.zeros(n, dtype=bool)])
+        self._plus = np.where(pnp, minus, plus)
+        self._minus = np.where(pnp, plus, minus)
 
         # -- scatter index arrays (C-order ravel of the (slots, n) rows) --
         cat = np.concatenate
@@ -726,8 +793,15 @@ class BJTGroup:
         self._c_rows_arr = cat([r for r, _ in c_pairs])
         self._c_cols_arr = cat([c for _, c in c_pairs])
 
-        #: The last evaluated stamp values, rows as in ``_STAMP_BASE``.
+        #: The kernel's base quantities and stamp values (rows as in
+        #: ``_STAMP_BASE``) of the last evaluation, rewritten in place by
+        #: the next: per-call buffers this size would cross the
+        #: allocator's mmap threshold on large groups.
+        self._base = np.zeros((23, n))
         self._vals = np.zeros((46, n))
+        #: Flat views of the I, G, Q and C rows of ``_vals``.
+        self._flat = tuple(self._vals[rows].reshape(-1)
+                           for rows in (_I, _G, _Q, _C))
         #: The history of a group never evaluated; read, never written.
         self._no_history = np.full((2, n), np.nan)
 
@@ -767,133 +841,148 @@ class BJTGroup:
     # -- evaluation -----------------------------------------------------------
 
     def _controls(self, xg: np.ndarray) -> np.ndarray:
-        """``(..., 5, n)`` control voltages at node voltages ``xg``."""
-        return (xg[..., self._plus] - xg[..., self._minus]) * self._polarity
+        """The ``(9, ..., n)`` control voltages at node voltages ``xg``
+        (``(size + 1,)``, or ``(L, size + 1)`` for a stack): (vbe, vbc)
+        three times -- for pnjlim, the exponents and the depletion batch
+        -- then vbx, vsc and the base-spreading drop vrb."""
+        if xg.ndim == 1:
+            return xg[self._plus] - xg[self._minus]
+        v = xg[:, self._plus] - xg[:, self._minus]
+        return np.ascontiguousarray(v.transpose(1, 0, 2))
 
-    def _stamp(self, v, history, gmin):
+    def _stamp(self, v, history, gmin, base, vals):
         """The one device kernel: a vectorized ``BJT.load_dynamic``.
 
-        ``v`` holds ``(..., 5, n)`` control voltages (vbe, vbc, vbx,
-        vsc, vrb), ``history`` the ``(..., 2, n)`` limiting history.
-        Returns the limited ``(..., 2, n)`` junction voltages and the
-        ``(..., 46, n)`` stamp values.  Purely elementwise, so every lane
-        and device computes exactly what a one-device scalar call would.
+        Arrays hold the quantity first, then any lane axes, then the
+        devices.  ``v`` holds the ``(9, ..., n)`` control voltages
+        (:meth:`_controls`), ``history`` the ``(2, ..., n)`` limiting
+        history.  Writes the ``(23, ..., n)`` base quantities (layout
+        above ``_STAMP_BASE``) to ``base`` and the ``(46, ..., n)``
+        stamp values to ``vals``, and returns the limited ``(2, ...,
+        n)`` junction voltages.  Purely elementwise, so every lane and
+        device computes exactly what a one-device scalar call would; the
+        two shortcuts on the data (no junction limited, no exponent above
+        ``EXP_LIMIT``) return the general path's bits.
         """
-        p = self._params
-        v_raw = v[..., :2, :]
-        v_lim = _pnjlim_vec(v_raw, history, p[_P_VT], p[_P_VCRIT])
-        vbe, vbc = v_lim[..., 0, :], v_lim[..., 1, :]
-        (VAF, VAR, IKF, IKR, BF, BR, ITF, inv_vtf144, TF, XTF, TR, rbm,
-         RB) = p[_P_GP]
+        (nvt, two_nvt, vcrit, isat, va, ik, beta, gsign,
+         early_floor, q2_floor, itf, itf_num, itf_den, tf, xtf, tf_xtf,
+         tf_xtf2, tr, rbm, rb_diff, rb_on, dep, sign) = (
+            self._rows if v.ndim == 2 else self._lane_rows)
+        gmin = np.array(gmin)
+        v_raw = v[:2]
+        v_lim, limit = _pnjlim_vec(v_raw, history, nvt[:2], two_nvt, vcrit)
+        if limit is not None:
+            v = v.copy()
+            v[0:2] = v[2:4] = v[4:6] = v_lim
 
-        # Depletion batch: B-E and internal B-C at the limited voltages,
-        # external B-C and substrate at the raw ones.
-        qdep, cdep = _depletion(
-            np.concatenate([v_lim, v[..., 2:4, :]], axis=-2),
-            p[_P_DEP].reshape(11, 4, -1),
-        )
-        i4, g4 = _diode_current_vec(
-            p[_P_ISAT], np.concatenate([v_lim, v_lim], axis=-2), p[_P_NVT]
-        )
-        i1 = i4[..., :2, :] + gmin * v_lim
-        g1 = g4[..., :2, :] + gmin
-        ibe1, ibc1 = i1[..., 0, :], i1[..., 1, :]
-        gbe1, gbc1 = g1[..., 0, :], g1[..., 1, :]
-        ibe2, ibc2 = i4[..., 2, :], i4[..., 3, :]
-        gbe2, gbc2 = g4[..., 2, :], g4[..., 3, :]
+        # One exp: the B-E, B-C, B-E leakage and B-C leakage diodes, a
+        # zero (vbe / inf) and the transit-time term vbc / (1.44 VTF).
+        value, deriv = _limited_exp_vec(v[:6] / nvt)
+        i4 = isat * (value[:4] - _ONE)
+        g4 = isat * deriv[:4] / nvt[:4]
+        i1 = i4[:2] + gmin * v_lim
+        g1 = g4[:2] + gmin
+        ibe1, ibc1 = i1
+        gbe1, gbc1 = g1
 
-        inv_early = 1.0 - vbc / VAF - vbe / VAR
-        np.maximum(inv_early, 1e-4, out=inv_early)
-        q1 = 1.0 / inv_early
-        q2 = ibe1 / IKF + ibc1 / IKR
-        sqarg = np.sqrt(1.0 + 4.0 * np.maximum(q2, -0.2499))
-        qb = q1 * (1.0 + sqarg) / 2.0
-
-        dq1_dvbe = q1 * q1 / VAR
-        dq1_dvbc = q1 * q1 / VAF
-        dq2_dvbe = gbe1 / IKF
-        dq2_dvbc = gbc1 / IKR
-        dqb_dvbe = dq1_dvbe * (1.0 + sqarg) / 2.0 + q1 * dq2_dvbe / sqarg
-        dqb_dvbc = dq1_dvbc * (1.0 + sqarg) / 2.0 + q1 * dq2_dvbc / sqarg
-
+        # Base charge.  q1, sqarg and qb are one value per device, held
+        # as two equal rows so that they meet the B-E/B-C pairs without
+        # broadcasting; the clamps broadcast them onto the pair.
+        t = v_lim / va  # (vbe / VAR, vbc / VAF)
+        q1 = _ONE / np.maximum(_ONE - t[1] - t[0], early_floor)
+        q2 = i1 / ik  # (ibe1 / IKF, ibc1 / IKR)
+        sqarg = np.sqrt(_ONE + _FOUR * np.maximum(q2[0] + q2[1], q2_floor))
+        half = (_ONE + sqarg) * _HALF
+        qb = q1 * half
+        dqb = q1 * q1 / va * half + q1 * (g1 / ik) / sqarg
         it = (ibe1 - ibc1) / qb
-        dic_e = (gbe1 - it * dqb_dvbe) / qb
-        dit_dvbc = (-gbc1 - it * dqb_dvbc) / qb
 
-        ic = it - ibc1 / BR - ibc2
-        ib = ibe1 / BF + ibe2 + ibc1 / BR + ibc2
-        dic_c = dit_dvbc - gbc1 / BR - gbc2
-        dib_e = gbe1 / BF + gbe2
-        dib_c = gbc1 / BR + gbc2
+        # Terminal currents and their derivatives.
+        np.divide(g1 * gsign - it * dqb, qb, out=base[5:7])
+        g_beta = g1 / beta  # (gbe1 / BF, gbc1 / BR)
+        np.add(g_beta, g4[2:], out=base[7:9])
+        dic_c = base[6]
+        dic_c -= g_beta[1]
+        dic_c -= g4[3]
+        i_beta = i1 / beta
+        ic, ib = base[2], base[3]
+        np.subtract(it[0], i_beta[1], out=ic)
+        ic -= i4[3]
+        np.add(i_beta[0], i4[2], out=ib)
+        ib += i_beta[1]
+        ib += i4[3]
+        np.add(base[5:7], base[7:9], out=base[9:11])
+        np.add(base[5:9:2], base[6:9:2], out=base[11:13])
+        np.add(base[9], base[10], out=base[13])
 
-        # Bias-dependent forward transit time: TF == 0 or XTF == 0 lanes
-        # reduce to tf_eff = TF, dtf = 0 without needing an explicit mask.
-        itf_pos = ITF > 0.0
-        ibe_pos = np.maximum(ibe1, 0.0)
-        denom = ibe_pos + ITF
-        denom_safe = np.where(denom > 0.0, denom, 1.0)
-        w = np.where(itf_pos, ibe_pos / denom_safe, 1.0)
-        dw_dvbe = np.where(
-            itf_pos & (ibe1 > 0.0),
-            gbe1 * ITF / (denom_safe * denom_safe),
-            0.0,
-        )
-        exp_vbc = np.exp(np.minimum(vbc * inv_vtf144, EXP_LIMIT))
-        dexp_dvbc = exp_vbc * inv_vtf144
-        tf_eff = TF * (1.0 + XTF * w * w * exp_vbc)
-        dtf_dvbe = TF * XTF * 2.0 * w * dw_dvbe * exp_vbc
-        dtf_dvbc = TF * XTF * w * w * dexp_dvbc
+        # Bias-dependent forward transit time.
+        ibe_pos = np.maximum(ibe1, _ZERO)
+        denom = ibe_pos + itf_den
+        w = (ibe_pos + itf_num) / denom
+        exp_vbc = deriv[5]
+        tf_eff = tf * (_ONE + xtf * w * w * exp_vbc)
+        dtf_dvbe = tf_xtf2 * w * (gbe1 * itf / (denom * denom)) * exp_vbc
+        dtf_dvbc = tf_xtf * w * w * (exp_vbc / nvt[5])
 
+        # Charges: depletion (rows 14:22), then diffusion on top.
+        qb = qb[0]
+        dqb_dvbe, dqb_dvbc = dqb
         qde = tf_eff * ibe1 / qb
-        dqde_dvbe = (dtf_dvbe * ibe1 + tf_eff * gbe1 - qde * dqb_dvbe) / qb
-        cx = (dtf_dvbc * ibe1 - qde * dqb_dvbc) / qb
-        cpi = dqde_dvbe + cdep[..., 0, :]
-        cmu = TR * gbc1 + cdep[..., 1, :]
+        np.divide(dtf_dvbc * ibe1 - qde * dqb_dvbc, qb, out=base[22])
+        _depletion(v[4:8], dep, base[14:22].reshape(2, 4, *base.shape[1:]))
+        qbe, qbc, cpi, cmu = base[14], base[15], base[18], base[19]
+        qbe += qde
+        qbc += tr * ibc1
+        cpi += (dtf_dvbe * ibe1 + tf_eff * gbe1 - qde * dqb_dvbe) / qb
+        cmu += tr * gbc1
 
-        # Residual-consistent companion form around the limited voltages.
-        d = v_raw - v_lim
-        dbe, dbc = d[..., 0, :], d[..., 1, :]
-        rbb = rbm + (RB - rbm) / qb
-        grb = np.where(RB > 0.0, 1.0 / np.maximum(rbb, 1e-3), 0.0)
-        ic = ic + dic_e * dbe + dic_c * dbc
-        ib = ib + dib_e * dbe + dib_c * dbc
-        qbe = qde + qdep[..., 0, :] + cpi * dbe + cx * dbc
-        qbc = TR * ibc1 + qdep[..., 1, :] + cmu * dbc
-        sum_e, sum_c = dic_e + dib_e, dic_c + dib_c
-        base = np.stack([
-            grb * v[..., 4, :], ic, ib, ic + ib,
-            grb, dic_e + dic_c, dic_e, dic_c, dib_e + dib_c, dib_e, dib_c,
-            -sum_e - sum_c, sum_e, sum_c,
-            qbe, qbc, qdep[..., 2, :], qdep[..., 3, :],
-            cpi, cx, cmu, cdep[..., 2, :], cdep[..., 3, :],
-        ], axis=-2)
-        return v_lim, base[..., _STAMP_BASE, :] * p[_P_SIGN]
+        rbb = rbm + rb_diff / qb
+        np.divide(rb_on, np.maximum(rbb, _RBB_FLOOR), out=base[1])
+        np.multiply(base[1], v[8], out=base[0])
 
-    def _scatter(self, jac_alpha: float | None) -> None:
+        if limit is not None:
+            # Residual-consistent companion form around the limited
+            # voltages, on each lane whose own evaluation limited a
+            # junction (a lane on its own takes the shortcut otherwise).
+            dbe, dbc = v_raw - v_lim
+            lanes = np.any(limit, axis=(0, -1))[..., None]
+            cur = base[2:4]
+            np.copyto(cur, cur + base[5:8:2] * dbe + base[6:9:2] * dbc,
+                      where=lanes)
+            np.copyto(qbe, qbe + cpi * dbe + base[22] * dbc, where=lanes)
+            np.copyto(qbc, qbc + cmu * dbc, where=lanes)
+        np.add(ic, ib, out=base[4])
+
+        np.take(base, _STAMP_BASE, axis=0, out=vals, mode="clip")
+        vals *= sign
+        return v_lim
+
+    def _scatter(self, jac_alpha: float | None, jacobian: bool) -> None:
         """Scatter the last evaluation's stamps into the bound buffers.
 
         With ``jac_alpha`` set (fused-Jacobian assembly) the capacitive
         stamps scatter into the conductance buffer scaled by alpha
-        instead of into the (unmaintained) C buffer.
+        instead of into the (unmaintained) C buffer; without
+        ``jacobian`` only the I and Q stamps scatter.
         """
-        vals = self._vals
-        np.add.at(self._i_full, self._i_rows, vals[_I].reshape(-1))
-        np.add.at(self._g_flat, self._g_idx, vals[_G].reshape(-1))
-        c_vals = vals[_C].reshape(-1)
-        if jac_alpha is not None:
-            np.add.at(self._g_flat, self._c_idx, c_vals * jac_alpha)
-        else:
-            np.add.at(self._c_flat, self._c_idx, c_vals)
-        np.add.at(self._q_full, self._q_rows, vals[_Q].reshape(-1))
+        i_vals, g_vals, q_vals, c_vals = self._flat
+        np.add.at(self._i_full, self._i_rows, i_vals)
+        if jacobian:
+            np.add.at(self._g_flat, self._g_idx, g_vals)
+            if jac_alpha is not None:
+                np.add.at(self._g_flat, self._c_idx, c_vals * jac_alpha)
+            else:
+                np.add.at(self._c_flat, self._c_idx, c_vals)
+        np.add.at(self._q_full, self._q_rows, q_vals)
 
     def _scatter_charges(self, xg: np.ndarray) -> None:
         """Add the last evaluation's charges, linearized to ``xg``:
         ``q += Q + C @ (x - x_eval)``."""
-        vals = self._vals
-        np.add.at(self._q_full, self._q_rows, vals[_Q].reshape(-1))
+        _, _, q_vals, c_vals = self._flat
+        np.add.at(self._q_full, self._q_rows, q_vals)
         np.add.at(
             self._q_full, self._c_rows_arr,
-            vals[_C].reshape(-1) * (xg - self._x_eval)[self._c_cols_arr],
+            c_vals * (xg - self._x_eval)[self._c_cols_arr],
         )
 
     def load(self, ctx: LoadContext, charges_only: bool = False) -> int:
@@ -904,7 +993,8 @@ class BJTGroup:
         evaluation's charges, linearized to ``ctx.x`` with its
         capacitances, evaluates nothing and returns ``n``, the number of
         device evaluations replayed.  Every other call evaluates every
-        device, scatters all its stamps and returns 0.
+        device, scatters its stamps -- only the I and Q stamps when
+        ``ctx.residual_only`` -- and returns 0.
         """
         size = self.size
         xg = self._xg
@@ -915,14 +1005,18 @@ class BJTGroup:
                 and self._eval_gmin == ctx.gmin):
             self._scatter_charges(xg)
             return self.n
-        limits[self], self._vals = self._stamp(
+        v_lim = self._stamp(
             self._controls(xg), limits.get(self, self._no_history),
-            ctx.gmin,
+            ctx.gmin, self._base, self._vals,
         )
-        np.copyto(self._x_eval, xg)
+        # A compact copy: the kernel's own may be a view that would keep
+        # the whole (9, n) controls array alive for as long as the
+        # history is kept.
+        limits[self] = v_lim.copy()
+        self._x_eval[:] = xg
         self._eval_limits = limits
         self._eval_gmin = ctx.gmin
-        self._scatter(ctx.jac_alpha)
+        self._scatter(ctx.jac_alpha, not ctx.residual_only)
         return 0
 
     def load_stacked(
@@ -937,27 +1031,31 @@ class BJTGroup:
     ) -> None:
         """Stamp every device for a ``(L, n)`` stack of solutions at once.
 
-        The same kernel as an evaluating :meth:`load` with a leading
-        lane axis, so each lane's stamps are bit-identical to a scalar
-        :meth:`load` at that lane's ``x``.  ``history`` is the
-        ``(L, 2, n)`` pnjlim history (NaN: none yet), overwritten in
-        place with this evaluation's limited voltages, or ``None``.
-        Scatter targets are per-lane flats (``i_full``/``q_full`` are
-        ``(L, size+1)``, ``g_flat``/``c_flat`` are ``(L, flat)``); the
-        ``np.add.at`` broadcast iterates lane-major, preserving each
-        lane's scalar accumulation order over duplicate slots.  The
-        last scalar evaluation (stamps and anchor) is never touched, so
-        an interleaved scalar charge replay stays coherent.
+        The same kernel as an evaluating :meth:`load` with a lane axis,
+        so each lane's stamps are bit-identical to a scalar :meth:`load`
+        at that lane's ``x``.  ``history`` is the ``(L, 2, n)`` pnjlim
+        history (NaN: none yet), overwritten in place with this
+        evaluation's limited voltages, or ``None``.  Scatter targets are
+        per-lane flats (``i_full``/``q_full`` are ``(L, size+1)``,
+        ``g_flat``/``c_flat`` are ``(L, flat)``); the ``np.add.at``
+        broadcast iterates lane-major, preserving each lane's scalar
+        accumulation order over duplicate slots.  The last scalar
+        evaluation (stamps and anchor) is never touched, so an
+        interleaved scalar charge replay stays coherent.
         """
-        L = x_stack.shape[0]
+        L, n = x_stack.shape[0], self.n
         xg = np.zeros((L, self.size + 1))
         xg[:, : self.size] = x_stack
-        v_lim, vals = self._stamp(
+        vals = np.empty((46, L, n))
+        v_lim = self._stamp(
             self._controls(xg),
-            self._no_history if history is None else history, gmin,
+            (self._no_history[:, None, :] if history is None
+             else history.transpose(1, 0, 2)),
+            gmin, np.empty((23, L, n)), vals,
         )
         if history is not None:
-            history[...] = v_lim
+            history[...] = v_lim.transpose(1, 0, 2)
+        vals = vals.transpose(1, 0, 2)
         lane = np.arange(L)[:, None]
         np.add.at(i_full, (lane, self._i_rows), vals[:, _I].reshape(L, -1))
         np.add.at(g_flat, (lane, self._g_idx), vals[:, _G].reshape(L, -1))
@@ -1245,10 +1343,10 @@ class CompiledCircuit:
         (see :meth:`BJTGroup.load`), instead of re-evaluating; those
         device evaluations are counted in ``stats.bypassed_evals``.
         Scalar devices (diodes) are evaluated on every call.
-        ``residual_only=True`` skips the dense Jacobian build (``g_mat``
-        and ``c_mat`` are stale) while assembling ``i_vec``/``q_vec`` in
-        full — the contract for chord-Newton iterations that will reuse
-        a cached factorization.
+        ``residual_only=True`` assembles ``i_vec``/``q_vec`` in full and
+        leaves ``g_mat`` and ``c_mat`` stale: no base copy, and the BJT
+        group scatters no Jacobian stamp — the contract for chord-Newton
+        iterations that will reuse a cached factorization.
         """
         size = self.size
         i = self._i_full[:size]
@@ -1267,14 +1365,8 @@ class CompiledCircuit:
             c = self._c_full[:size, :size]
             np.dot(self._c0, x, out=q)
             q += self._q0
-        if not charges_only:
-            if residual_only:
-                # Caller will reuse a cached factorization: leave the
-                # stale g/c buffers alone.  Device stamps still land in
-                # them, which is harmless — nothing reads the Jacobian
-                # on a chord-reuse iteration.
-                pass
-            elif sparse:
+        if not (charges_only or residual_only):
+            if sparse:
                 if jac_alpha is not None:
                     np.multiply(self._base_c, jac_alpha, out=self._g_data)
                     self._g_data += self._base_g
@@ -1287,6 +1379,7 @@ class CompiledCircuit:
             else:
                 np.copyto(g, self._g0)
                 np.copyto(c, self._c0)
+        if not charges_only:
             if sparse:
                 i[:] = self._g0_csr.dot(x)
                 i += self._i0
@@ -1311,6 +1404,7 @@ class CompiledCircuit:
         )
         if not charges_only:
             ctx.jac_alpha = jac_alpha
+            ctx.residual_only = residual_only
         if limits is not None:
             ctx.limits = limits
 

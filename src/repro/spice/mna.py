@@ -83,6 +83,10 @@ class LoadContext:
         #: integration coefficient (``g_mat`` then holds ``G + alpha*C``)
         #: and ``c_mat`` is not maintained.
         self.jac_alpha: float | None = None
+        #: Residual-only mode (chord-Newton reuse): the caller reads
+        #: ``i_vec`` and ``q_vec`` alone, so the compiled BJT group
+        #: scatters no Jacobian stamp into the stale ``g_mat``/``c_mat``.
+        self.residual_only = False
 
     # -- reading the candidate solution ---------------------------------------
 

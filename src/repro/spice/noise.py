@@ -29,7 +29,7 @@ import numpy as np
 
 from ..errors import AnalysisError
 from .ac import small_signal, solve_ac_lanes
-from .dcop import solve_dc
+from .dcop import Tolerances, solve_dc
 from .elements.bjt import BJT
 from .elements.diode import Diode
 from .elements.resistor import Resistor
@@ -217,11 +217,15 @@ def solve_noise(
     gmin: float = 1e-12,
     engine=None,
     batched: bool = True,
+    tolerances: Tolerances | None = None,
 ) -> NoiseResult:
     """Run a noise analysis at the DC operating point.
 
     ``output_node`` is where the output noise is summed; ``input_source``
-    (a V or I source name) enables input-referred quantities.  With
+    (a V or I source name) enables input-referred quantities.  The bias
+    is solved under ``tolerances`` (default
+    :class:`~repro.spice.dcop.Tolerances`) and ``gmin``, as
+    :func:`~repro.spice.dcop.solve_dc` does.  With
     ``batched=True`` the adjoint systems of a whole frequency block are
     solved as one stacked call (see
     :func:`repro.spice.ac.solve_ac_lanes`);
@@ -234,17 +238,19 @@ def solve_noise(
     with engine.measured() as stats:
         result = _solve_noise(
             circuit, engine, output_node, frequencies, input_source, gmin,
-            batched,
+            batched, tolerances,
         )
     result.stats = stats
     return result
 
 
 def _solve_noise(
-    circuit, engine, output_node, frequencies, input_source, gmin, batched
+    circuit, engine, output_node, frequencies, input_source, gmin, batched,
+    tolerances,
 ) -> NoiseResult:
     limits: dict = {}
-    x_op = solve_dc(circuit, gmin=gmin, limits=limits, engine=engine)
+    x_op = solve_dc(circuit, tolerances=tolerances, gmin=gmin, limits=limits,
+                    engine=engine)
     g_arr, c_arr = small_signal(engine, x_op, gmin, limits)
 
     out_index = circuit.node_index(output_node)

@@ -154,9 +154,7 @@ def run_deck(deck: Deck | str, engine=None, lint: bool = True) -> DeckRun:
     LU alike — with ``"auto"`` the shape-based choice of
     :func:`repro.spice.solvercost.choose`.
     Recognized ``.OPTIONS`` settings (RELTOL/VNTOL/ABSTOL/ITL1/GMIN)
-    configure the Newton tolerances of ``.OP``, ``.DC``, ``.AC`` and
-    ``.TRAN``; ``.TF`` and ``.NOISE`` take GMIN alone, their bias solves
-    run at the default tolerances.
+    configure the Newton tolerances of every analysis.
 
     Unless ``lint=False``, the circuit first passes the connectivity
     lint (:func:`repro.spice.lint.lint_circuit`): structurally broken
@@ -206,6 +204,7 @@ def run_deck(deck: Deck | str, engine=None, lint: bool = True) -> DeckRun:
             run.results.append(transfer_function(
                 deck.circuit, card.args["source"], card.args["output"],
                 gmin=gmin, engine=simulator._engine(),
+                tolerances=tolerances,
             ))
         elif card.kind == "noise":
             run.results.append(solve_noise(
@@ -213,7 +212,7 @@ def run_deck(deck: Deck | str, engine=None, lint: bool = True) -> DeckRun:
                 frequency_grid(card.args["start"], card.args["stop"],
                                card.args["points"], card.args["sweep"]),
                 input_source=card.args["source"], gmin=gmin,
-                engine=simulator._engine(),
+                engine=simulator._engine(), tolerances=tolerances,
             ))
         elif card.kind == "four":
             transients = [r for r in run.results

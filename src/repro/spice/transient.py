@@ -201,7 +201,8 @@ def _solve_transient(
 
     limits: dict = {}
     if x0 is None:
-        x = solve_dc(circuit, gmin=gmin, limits=limits, engine=engine)
+        x = solve_dc(circuit, tolerances=tolerances, gmin=gmin,
+                     limits=limits, engine=engine)
     else:
         x = np.array(x0, dtype=float)
 

@@ -18,7 +18,9 @@ analysis does:
   history alone; under another limits dict or another gmin it is a
   full evaluation, bit for bit;
 * every lane of ``evaluate_stacked`` is scalar ``evaluate``, bit for
-  bit, history included.
+  bit, history included, while each stack mixes lanes that take the
+  kernel's shortcuts (no junction limited, no exponent above
+  ``EXP_LIMIT``) with lanes that do not.
 
 The decks alone exercise one-BJT groups, the 20-BJT ring and a single
 pnp, which leaves most columns of the stamp gather table's rarer rows
@@ -31,6 +33,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.devices import GummelPoonParameters
+from repro.devices.gummel_poon import EXP_LIMIT
 from repro.spice import Circuit, compile_circuit
 from repro.spice.elements import BJT, Resistor
 from repro.spice.engine import BJTGroup
@@ -149,20 +152,43 @@ def test_charge_replay_is_the_last_evaluation_linearized(case):
         np.testing.assert_array_equal(_bits(got), _bits(ref.q_vec))
 
 
+#: The forward bias the stacked test puts on the first device's B-E
+#: junction: ``HOT / (NF vt)`` exceeds ``EXP_LIMIT`` for every drawn NF.
+HOT = 3.0
+
+
 @settings(max_examples=30, deadline=None)
 @given(case=groups(), lanes=st.integers(1, 4), evaluations=st.integers(3, 4))
 def test_stacked_lanes_are_scalar_bit_for_bit(case, lanes, evaluations):
+    """Three fixed lanes ride in every stack, so each one mixes the
+    kernel's two shortcuts with its general paths: a quiet lane (all
+    zero: nothing limited, ordinary exponents), a held lane (the first
+    device at ``vbe = HOT`` throughout: its exponent above
+    ``EXP_LIMIT``, never limited) and a jumping lane (the same point,
+    from a zero history: limited at every evaluation)."""
     circuit, mode, seed, scale = case
     size = circuit.assign_indices()
     engine = compile_circuit(circuit, mode=mode)
     assert engine.supports_stacked_evaluate
+    first = next(e for e in circuit if isinstance(e, BJT))
+    assert HOT / (first.params.NF * first._vt) > EXP_LIMIT
+    hot = np.zeros(size)  # its emitter (never ground) HOT below the base
+    hot[first._internal_indices()[2]] = -first.params.sign * HOT
+    quiet, held, jump = range(3)
+    lanes += 3
     rng = np.random.default_rng(seed)
     history = engine.new_history(lanes)
+    history[jump] = 0.0
     limits = [{} for _ in range(lanes)]
+    limits[jump][engine._bjt_group] = np.zeros_like(history[jump])
     for _ in range(evaluations):
         x_stack = scale * rng.standard_normal((lanes, size))
+        x_stack[quiet] = 0.0
+        x_stack[held] = x_stack[jump] = hot
         stacked = engine.evaluate_stacked(x_stack, history=history,
                                           with_c=True)
+        assert history[held][0, 0] == HOT
+        assert history[jump][0, 0] < 1.0
         for k in range(lanes):
             ctx = engine.evaluate(x_stack[k], limits=limits[k])
             for name, lane, scalar in (

@@ -164,6 +164,27 @@ R2 out 0 1k
         assert gain != transfer_function(
             parse_deck(deck).circuit, "VB", "c").gain
 
+    def test_tf_and_noise_cards_take_the_deck_tolerances(self):
+        from repro.spice import NoiseResult, Tolerances, parse_deck
+        from repro.spice.analysis import TransferFunction, transfer_function
+        from repro.spice.noise import solve_noise
+
+        deck = (DECK_DIR / "ce_stage.cir").read_text().replace(
+            ".OP", ".OPTIONS RELTOL=1e-6\n.OP", 1).replace(
+            ".AC", ".NOISE V(c) VB DEC 2 1MEG 10MEG\n.AC", 1)
+        run = run_deck(deck)
+        tight = Tolerances(reltol=1e-6)
+        circuit = parse_deck(deck).circuit
+        gain = run.first(TransferFunction).gain
+        assert gain == transfer_function(circuit, "VB", "c",
+                                         tolerances=tight).gain
+        assert gain != transfer_function(circuit, "VB", "c").gain
+        noise = run.first(NoiseResult).output_density
+        freqs = [1e6, 10 ** 6.5, 1e7]
+        assert noise.tobytes() == solve_noise(
+            circuit, "c", freqs, input_source="VB",
+            tolerances=tight).output_density.tobytes()
+
     def test_noise_card(self):
         run = run_deck("""noise card
 V1 in 0 DC 0 AC 1

@@ -1,12 +1,14 @@
 """Transient-analysis tests against closed-form time responses."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.errors import AnalysisError
-from repro.spice import Circuit, Simulator, solve_transient
+from repro.spice import (Circuit, Simulator, Tolerances, parse_deck,
+                         solve_dc, solve_transient)
 from repro.spice.elements import (
     BJT,
     Capacitor,
@@ -20,6 +22,8 @@ from repro.spice.elements import (
     Sine,
     VoltageSource,
 )
+
+DECK_DIR = Path(__file__).resolve().parents[2] / "examples" / "decks"
 
 
 def step_rc(r=1e3, c=1e-6, v=1.0):
@@ -188,6 +192,18 @@ class TestNonlinearTransient:
         v = result.voltage("c")
         assert v[0] == pytest.approx(5.0, abs=0.01)  # off before the pulse
         assert result.sample("c", 9e-9) < 1.0  # switched on
+
+    def test_initial_bias_takes_the_tolerances(self):
+        """The t=0 operating point is solved under the transient's own
+        tolerances, bit for bit, like every later step."""
+        deck = (DECK_DIR / "ce_stage.cir").read_text()
+        circuit = parse_deck(deck).circuit
+        tight = Tolerances(reltol=1e-6)
+        result = Simulator(circuit, tolerances=tight).transient(
+            stop_time=1e-9)
+        bias = solve_dc(circuit, tolerances=tight)
+        assert result.states[0].tobytes() == bias.tobytes()
+        assert bias.tobytes() != solve_dc(circuit).tobytes()
 
 
 class TestTransientValidation:

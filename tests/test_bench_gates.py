@@ -56,6 +56,12 @@ PASSING = {
         for stages, ref, hot, speedup in ((5, 0.3, 0.25, 1.2),
                                           (25, 0.9, 0.6, 1.5))
     ]},
+    "BENCH_device.json": {"cpu_count": 2, "benchmarks": [
+        {"benchmark": name, "us_per_call": us, "iqr_us": 1.5,
+         "matches_reference": True}
+        for name, us in (("load_20_bjt", 150.0), ("load_404_bjt", 380.0),
+                         ("load_stacked_20_bjt_64_lanes", 2300.0))
+    ]},
     "BENCH_service.json": {"cpu_count": 2, "benchmarks": [
         {"benchmark": name, "requests_per_second": 100.0,
          "p50_seconds": 0.001, "p99_seconds": 0.01,
@@ -85,6 +91,11 @@ PASSING_LINES = {
         "ring_oscillator_25_stage: ref=0.9s hot=0.6s speedup=1.5x "
         "replayed=1 reuses=1 deviation=0.01V",
         "ring_oscillator_25_stage: headline speedup 1.5x",
+    ],
+    ("device",): [
+        f"{name}: {us} us/call (IQR 1.5) matches_reference=True"
+        for name, us in (("load_20_bjt", 150.0), ("load_404_bjt", 380.0),
+                         ("load_stacked_20_bjt_64_lanes", 2300.0))
     ],
     ("service",): [
         f"{name}: 100.0 req/s p50=0.001s p99=0.01s cache_hit_rate=0.5 "
@@ -141,6 +152,11 @@ VIOLATIONS = [
     ("transient", "BENCH_transient.json", "ring_oscillator_25_stage",
      "speedup", 1.49,
      "ring_oscillator_25_stage: headline speedup 1.49x < 1.5x"),
+    ("device", "BENCH_device.json", "load_404_bjt", "matches_reference",
+     False, "load_404_bjt: stamps diverged from the reference"),
+    ("device", "BENCH_device.json", "load_stacked_20_bjt_64_lanes",
+     "matches_reference", False,
+     "load_stacked_20_bjt_64_lanes: stamps diverged from the reference"),
     ("service", "BENCH_service.json", "service_http_load", "cache_hit_rate",
      0.0, "service_http_load: cache hit rate not positive"),
     ("service", "BENCH_service.json", "service_http_load", "recompiles", 1,
@@ -210,6 +226,16 @@ def test_single_core_runner_skips_only_the_process_speedup(gates, tmp_path,
     _write(tmp_path, artifacts)
     with pytest.raises(SystemExit, match="ran as 2 chunks"):
         gates.run(["sweep"])
+
+
+def test_a_missing_row_exits_nonzero(gates, tmp_path):
+    artifacts = copy.deepcopy(PASSING)
+    rows = artifacts["BENCH_device.json"]["benchmarks"]
+    rows[:] = [row for row in rows if row["benchmark"] != "load_404_bjt"]
+    _write(tmp_path, artifacts)
+    with pytest.raises(SystemExit) as exc:
+        gates.run(["device"])
+    assert exc.value.code == "load_404_bjt: no such row"
 
 
 @pytest.mark.parametrize("groups", ([], ["sweep", "bogus"]),
