@@ -551,8 +551,9 @@ class SimulationService:
     def _evaluator(self, entry: _CircuitEntry, key: tuple, build):
         """The entry's cached deck evaluator under ``key``.
 
-        Built by ``build()`` and primed (every kept variant compiled)
-        on first use, then reused across jobs, so repeated sweeps and
+        Built by ``build()`` and primed (the deck's engine compiled,
+        every kept variant's lane stamps built on it) on first use,
+        then reused across jobs, so repeated sweeps and
         qualifications of one circuit id pay the parse + compile once.
         Jobs count the evaluator's :meth:`compilations` around their run
         as ``recompiles``.  The evaluator serializes its own solves, so

@@ -439,6 +439,7 @@ def newton_solve_batched(
     source_scale: float = 1.0,
     rhs_deltas=None,
     engine=None,
+    lanes=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Newton iterations over a ``(B, n)`` stack of operating points.
 
@@ -457,6 +458,11 @@ def newton_solve_batched(
 
     ``rhs_deltas``, when given, is a per-lane sequence of residual
     offsets (entries may be ``None``); see :func:`newton_solve`.
+    ``lanes``, when given, is one lane of
+    :class:`~repro.spice.engine.LaneStamps` per point: each lane then
+    solves its own circuit variant (its temperature, its passive
+    values) on the one engine, bit-identical to a scalar
+    :func:`newton_solve` on an engine compiled from that variant.
 
     Every iteration assembles the active lanes in one
     :meth:`~repro.spice.engine.CompiledCircuit.evaluate_stacked` pass,
@@ -512,6 +518,8 @@ def newton_solve_batched(
         lane_history = history[active]
         sctx = engine.evaluate_stacked(
             xa, gmin=gmin, history=lane_history, source_scale=source_scale,
+            lanes=(lanes if lanes is None or active.size == batch
+                   else lanes.take(active)),
         )
         history[active] = lane_history
         res, jac = sctx.i, sctx.g
@@ -525,10 +533,13 @@ def newton_solve_batched(
         else:
             jac[:, diag, diag] += DIAG_GSHUNT
         res[:, :num_nodes] += DIAG_GSHUNT * xa[:, :num_nodes]
-        if engine.has_constant_jacobian:
+        if engine.has_constant_jacobian and lanes is None:
             # The scalar path factorizes this (lane-independent) matrix
             # once under the ("dc",) token and back-substitutes for every
             # later point; reuse the very same cached factorization.
+            # Lanes with their own stamps have their own matrices: each
+            # is factorized below, which is what the cached factor of
+            # that identical matrix holds.
             dx = np.empty((active.size, size))
             for j in range(active.size):
                 try:
@@ -570,6 +581,8 @@ def solve_dc_batched(
     gmin: float = 1e-12,
     engine=None,
     attempt: int = 0,
+    lanes=None,
+    fallback=None,
 ) -> tuple[np.ndarray, list]:
     """Blocked DC operating points: one batched Newton, scalar escalation.
 
@@ -597,6 +610,12 @@ def solve_dc_batched(
     With ``attempt > 0`` (a sweep retry) the blocked stage is skipped
     outright: the retry contract is scalar ``solve_dc(attempt=k)`` with
     its perturbed guess and heavier ladder, applied per failing lane.
+
+    ``lanes`` gives each lane its own circuit variant on the one engine
+    (see :func:`newton_solve_batched`); ``fallback(k)`` then returns
+    lane ``k``'s own ``(circuit, engine)`` -- compiled from its variant
+    -- for the scalar ladder, which by default runs on ``(circuit,
+    engine)``.  It is called only for the lanes the ladder solves.
     """
     circuit.assign_indices()
     engine = resolve_engine(circuit, engine)
@@ -612,16 +631,18 @@ def solve_dc_batched(
     if attempt == 0 and engine.supports_stacked_evaluate:
         x, converged = newton_solve_batched(
             circuit, stack, tolerances, gmin,
-            rhs_deltas=rhs_deltas, engine=engine,
+            rhs_deltas=rhs_deltas, engine=engine, lanes=lanes,
         )
     else:
         x = np.array(stack, dtype=float)
         converged = np.zeros(batch, dtype=bool)
     for k in np.flatnonzero(~converged):
+        lane_circuit, lane_engine = (
+            (circuit, engine) if fallback is None else fallback(k))
         try:
             x[k] = solve_dc(
-                circuit, x0=np.array(x0 if x0.ndim == 1 else x0[k]),
-                tolerances=tolerances, gmin=gmin, engine=engine,
+                lane_circuit, x0=np.array(x0 if x0.ndim == 1 else x0[k]),
+                tolerances=tolerances, gmin=gmin, engine=lane_engine,
                 attempt=attempt, rhs_delta=rhs_deltas[k],
             )
         except ConvergenceError as exc:

@@ -637,11 +637,62 @@ _P_SIGN = slice(77, 123)  # the stamp sign table below
 
 def _kernel_rows(p: np.ndarray) -> tuple:
     """:meth:`BJTGroup._stamp`'s views of a ``(rows, n)`` parameter
-    block, or of its lane-broadcast ``(rows, 1, n)`` form."""
+    block, of its lane-broadcast ``(rows, 1, n)`` form, or of a per-lane
+    ``(rows, L, n)`` block."""
     return (p[_P_NVT], p[_P_TWO_NVT], p[_P_VCRIT], p[_P_ISAT],
             p[_P_VA], p[_P_IK], p[_P_BETA], p[_P_GSIGN],
             p[_P_EARLY_FLOOR], p[_P_Q2_FLOOR], *p[_P_SINGLE],
             p[_P_DEP].reshape(10, 4, *p.shape[1:]), p[_P_SIGN])
+
+
+def _bjt_columns(devices: list, size: int) -> tuple:
+    """The per-device columns of a BJT group, in ``devices`` order: the
+    ``(5, n)`` terminal indices (external base, substrate, then the
+    internal collector, base and emitter; ground mapped to ``size``),
+    the polarity signs and the ``(rows, n)`` parameter block."""
+    n = len(devices)
+    nodes = np.array(
+        [(d.node_index[1], d.node_index[3], *d._internal_indices())
+         for d in devices], dtype=np.intp,
+    ).reshape(n, 5).T
+    nodes[nodes < 0] = size
+    (sign, vt, vcrit_be, vcrit_bc, rbm, IS, ISE, ISC, NF, NR, NE, NC,
+     BF, BR, VAF, VAR, IKF, IKR, TF, XTF, VTF, ITF, TR, RB, CJE, VJE,
+     MJE, CJC, VJC, MJC, XCJC, CJS, VJS, MJS, FC) = np.array(
+        [(p.sign, d._vt, d._vcrit_be, d._vcrit_bc, p.rbm_effective,
+          p.IS, p.ISE, p.ISC, p.NF, p.NR, p.NE, p.NC, p.BF, p.BR,
+          p.VAF, p.VAR, p.IKF, p.IKR, p.TF, p.XTF, p.VTF, p.ITF, p.TR,
+          p.RB, p.CJE, p.VJE, p.MJE, p.CJC, p.VJC, p.MJC, p.XCJC,
+          p.CJS, p.VJS, p.MJS, p.FC)
+         for d in devices for p in (d.params,)], dtype=float,
+    ).reshape(n, 35).T
+    polar = np.where(_STAMP_POLAR[:, None], sign, 1.0)
+    itf_pos = ITF > 0.0
+    nvt_be, nvt_bc = NF * vt, NR * vt
+    params = np.concatenate([
+        # An infinite VTF divides vbc to 0, so exp = 1 and its
+        # derivative 0 -- the scalar isfinite branch's result.
+        [nvt_be, nvt_bc, NE * vt, NC * vt, np.full(n, np.inf),
+         1.44 * VTF, 2.0 * nvt_be, 2.0 * nvt_bc, vcrit_be, vcrit_bc,
+         IS, IS, ISE, ISC, VAR, VAF, IKF, IKR, BF, BR, np.ones(n),
+         -np.ones(n)],
+        np.full((2, n), 1e-4), np.full((2, n), -0.2499),
+        # An ITF == 0 device gets w = (ibe + 1) / (ibe + 1) = 1 and
+        # dw = 0, a TF == 0 or XTF == 0 one tf_eff = TF and dtf = 0:
+        # the scalar branches' results without a mask.
+        [ITF, np.where(itf_pos, 0.0, 1.0), np.where(itf_pos, ITF, 1.0),
+         TF, XTF, TF * XTF, TF * XTF * 2.0, TR, rbm, RB - rbm,
+         np.where(RB > 0.0, 1.0, 0.0)],
+        # Zero-CJ junctions (XCJC == 1, CJS == 0) contribute 0.
+        _depletion_constants(
+            np.stack([CJE, CJC * XCJC, CJC * (1.0 - XCJC), CJS]),
+            np.stack([VJE, VJC, VJC, VJS]),
+            np.stack([MJE, MJC, MJC, MJS]),
+            np.stack([FC, FC, FC, FC]),
+        ).reshape(40, n),
+        _STAMP_SIGN[:, None] * polar,
+    ])
+    return nodes, sign, params
 
 
 # The kernel's 23 base quantities, in the rows of its ``base`` buffer:
@@ -714,48 +765,10 @@ class BJTGroup:
         self._xg = xg
         self.size = size
 
-        nodes = np.array(
-            [(d.node_index[1], d.node_index[3], *d._internal_indices())
-             for d in devices], dtype=np.intp,
-        ).reshape(n, 5).T
-        nodes[nodes < 0] = size
+        nodes, sign, self._params = _bjt_columns(devices, size)
         b_ext, s_ext, ci, bi, ei = nodes
-        (sign, vt, vcrit_be, vcrit_bc, rbm, IS, ISE, ISC, NF, NR, NE, NC,
-         BF, BR, VAF, VAR, IKF, IKR, TF, XTF, VTF, ITF, TR, RB, CJE, VJE,
-         MJE, CJC, VJC, MJC, XCJC, CJS, VJS, MJS, FC) = np.array(
-            [(p.sign, d._vt, d._vcrit_be, d._vcrit_bc, p.rbm_effective,
-              p.IS, p.ISE, p.ISC, p.NF, p.NR, p.NE, p.NC, p.BF, p.BR,
-              p.VAF, p.VAR, p.IKF, p.IKR, p.TF, p.XTF, p.VTF, p.ITF, p.TR,
-              p.RB, p.CJE, p.VJE, p.MJE, p.CJC, p.VJC, p.MJC, p.XCJC,
-              p.CJS, p.VJS, p.MJS, p.FC)
-             for d in devices for p in (d.params,)], dtype=float,
-        ).reshape(n, 35).T
-        polar = np.where(_STAMP_POLAR[:, None], sign, 1.0)
-        itf_pos = ITF > 0.0
-        nvt_be, nvt_bc = NF * vt, NR * vt
-        self._params = np.concatenate([
-            # An infinite VTF divides vbc to 0, so exp = 1 and its
-            # derivative 0 -- the scalar isfinite branch's result.
-            [nvt_be, nvt_bc, NE * vt, NC * vt, np.full(n, np.inf),
-             1.44 * VTF, 2.0 * nvt_be, 2.0 * nvt_bc, vcrit_be, vcrit_bc,
-             IS, IS, ISE, ISC, VAR, VAF, IKF, IKR, BF, BR, np.ones(n),
-             -np.ones(n)],
-            np.full((2, n), 1e-4), np.full((2, n), -0.2499),
-            # An ITF == 0 device gets w = (ibe + 1) / (ibe + 1) = 1 and
-            # dw = 0, a TF == 0 or XTF == 0 one tf_eff = TF and dtf = 0:
-            # the scalar branches' results without a mask.
-            [ITF, np.where(itf_pos, 0.0, 1.0), np.where(itf_pos, ITF, 1.0),
-             TF, XTF, TF * XTF, TF * XTF * 2.0, TR, rbm, RB - rbm,
-             np.where(RB > 0.0, 1.0, 0.0)],
-            # Zero-CJ junctions (XCJC == 1, CJS == 0) contribute 0.
-            _depletion_constants(
-                np.stack([CJE, CJC * XCJC, CJC * (1.0 - XCJC), CJS]),
-                np.stack([VJE, VJC, VJC, VJS]),
-                np.stack([MJE, MJC, MJC, MJS]),
-                np.stack([FC, FC, FC, FC]),
-            ).reshape(40, n),
-            _STAMP_SIGN[:, None] * polar,
-        ])
+        #: The polarities, which a lane's parameter block must share.
+        self._sign = sign
         self._rows = _kernel_rows(self._params)
         self._lane_rows = _kernel_rows(self._params[:, None, :])
         # Control voltages are x[plus] - x[minus]; a pnp's junction rows
@@ -850,13 +863,15 @@ class BJTGroup:
         v = xg[:, self._plus] - xg[:, self._minus]
         return np.ascontiguousarray(v.transpose(1, 0, 2))
 
-    def _stamp(self, v, history, gmin, base, vals):
+    def _stamp(self, v, history, gmin, base, vals, rows=None):
         """The one device kernel: a vectorized ``BJT.load_dynamic``.
 
         Arrays hold the quantity first, then any lane axes, then the
         devices.  ``v`` holds the ``(9, ..., n)`` control voltages
         (:meth:`_controls`), ``history`` the ``(2, ..., n)`` limiting
-        history.  Writes the ``(23, ..., n)`` base quantities (layout
+        history, ``rows`` the kernel's views of a per-lane parameter
+        block (default: the group's own, broadcast over the lanes).
+        Writes the ``(23, ..., n)`` base quantities (layout
         above ``_STAMP_BASE``) to ``base`` and the ``(46, ..., n)``
         stamp values to ``vals``, and returns the limited ``(2, ...,
         n)`` junction voltages.  Purely elementwise, so every lane and
@@ -866,7 +881,7 @@ class BJTGroup:
         """
         (nvt, two_nvt, vcrit, isat, va, ik, beta, gsign,
          early_floor, q2_floor, itf, itf_num, itf_den, tf, xtf, tf_xtf,
-         tf_xtf2, tr, rbm, rb_diff, rb_on, dep, sign) = (
+         tf_xtf2, tr, rbm, rb_diff, rb_on, dep, sign) = rows or (
             self._rows if v.ndim == 2 else self._lane_rows)
         gmin = np.array(gmin)
         v_raw = v[:2]
@@ -1028,6 +1043,7 @@ class BJTGroup:
         q_full: np.ndarray,
         g_flat: np.ndarray,
         c_flat: np.ndarray | None = None,
+        params: np.ndarray | None = None,
     ) -> None:
         """Stamp every device for a ``(L, n)`` stack of solutions at once.
 
@@ -1035,7 +1051,10 @@ class BJTGroup:
         so each lane's stamps are bit-identical to a scalar :meth:`load`
         at that lane's ``x``.  ``history`` is the ``(L, 2, n)`` pnjlim
         history (NaN: none yet), overwritten in place with this
-        evaluation's limited voltages, or ``None``.  Scatter targets are
+        evaluation's limited voltages, or ``None``.  ``params``, when
+        given, is a ``(rows, L, n)`` parameter block, one per lane (see
+        :meth:`CompiledCircuit.lane_stamps`); lane ``k`` then stamps what
+        a group compiled from lane ``k``'s devices would.  Scatter targets are
         per-lane flats (``i_full``/``q_full`` are ``(L, size+1)``,
         ``g_flat``/``c_flat`` are ``(L, flat)``); the ``np.add.at``
         broadcast iterates lane-major, preserving each lane's scalar
@@ -1052,6 +1071,7 @@ class BJTGroup:
             (self._no_history[:, None, :] if history is None
              else history.transpose(1, 0, 2)),
             gmin, np.empty((23, L, n)), vals,
+            None if params is None else _kernel_rows(params),
         )
         if history is not None:
             history[...] = v_lim.transpose(1, 0, 2)
@@ -1077,9 +1097,10 @@ class _CooContext(LoadContext):
     """
 
     def __init__(self, size: int):
-        super().__init__(size, np.zeros(size), None, 0.0, source_scale=0.0)
-        self.g_mat = None
-        self.c_mat = None
+        # Residual and charge vectors only: G/C stamps never reach a
+        # matrix, so the probe costs O(stamps), not O(size^2).
+        super().__init__(size, np.zeros(size), None, 0.0, source_scale=0.0,
+                         buffers=(np.zeros(size), None, np.zeros(size), None))
         self.g_rows: list[int] = []
         self.g_cols: list[int] = []
         self.g_vals: list[float] = []
@@ -1124,9 +1145,79 @@ class _CooContext(LoadContext):
         return out
 
 
+
 # ---------------------------------------------------------------------------
 # engines
 # ---------------------------------------------------------------------------
+
+
+def _topology(circuit: Circuit, probe: _CooContext) -> tuple:
+    """Each element's kind, name and bound unknowns, in circuit order,
+    and the probe's stamp slots in recorded order: what a lane's circuit
+    must share with the engine it rides on."""
+    elements = tuple((type(e), e.name, tuple(e.node_index),
+                      tuple(e.branch_index)) for e in circuit)
+    return (elements, tuple(probe.g_rows), tuple(probe.g_cols),
+            tuple(probe.c_rows), tuple(probe.c_cols))
+
+
+class LaneStamps:
+    """Per-lane constant parts of a lane-stacked evaluation.
+
+    Lane ``k`` carries its own linear stamps -- ``g0``/``c0`` in the
+    engine's assembly form (``(L, size, size)`` dense matrices or
+    ``(L, nnz + 1)`` pattern values; on a sparse engine ``csr`` adds
+    each lane's ``(G0, C0)`` CSR pair for the matvecs), the ``(L,
+    size)`` constant residual and charge vectors ``i0``/``q0`` -- and
+    its ``(rows, L, n)`` BJT parameter block (``None`` without BJTs).
+    :meth:`CompiledCircuit.lane_stamps` builds one lane per circuit,
+    :meth:`concat` joins lanes and :meth:`take` selects them; lane ``k``
+    holds exactly what compiling its own circuit would have built.
+    """
+
+    __slots__ = ("g0", "c0", "csr", "i0", "q0", "params")
+
+    def __init__(self, g0, c0, csr, i0, q0, params):
+        self.g0 = g0
+        self.c0 = c0
+        self.csr = csr
+        self.i0 = i0
+        self.q0 = q0
+        self.params = params
+
+    def __len__(self) -> int:
+        return len(self.i0)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the per-lane arrays (a lane's CSR pair shares the
+        size of its pattern values)."""
+        return sum(a.nbytes for a in (self.g0, self.c0, self.i0, self.q0,
+                                      self.params) if a is not None)
+
+    def take(self, index) -> "LaneStamps":
+        """The lanes at ``index`` (an integer array), in that order."""
+        return LaneStamps(
+            self.g0[index], self.c0[index],
+            None if self.csr is None else [self.csr[k] for k in index],
+            self.i0[index], self.q0[index],
+            None if self.params is None else self.params[:, index],
+        )
+
+    @staticmethod
+    def concat(stamps: list) -> "LaneStamps":
+        """The lanes of every element of ``stamps``, in order."""
+        first = stamps[0]
+        return LaneStamps(
+            np.concatenate([s.g0 for s in stamps]),
+            np.concatenate([s.c0 for s in stamps]),
+            None if first.csr is None
+            else [pair for s in stamps for pair in s.csr],
+            np.concatenate([s.i0 for s in stamps]),
+            np.concatenate([s.q0 for s in stamps]),
+            None if first.params is None
+            else np.concatenate([s.params for s in stamps], axis=1),
+        )
 
 
 class StackedContext:
@@ -1224,6 +1315,9 @@ class CompiledCircuit:
             element.load_static(probe)
         self._i0 = probe.i_vec
         self._q0 = probe.q_vec
+        # What a lane's circuit must share with this one (lane_stamps).
+        self._sources = tuple(sources)
+        self._topology = _topology(circuit, probe)
 
         # Evaluation buffers carry a dummy slot (row/col ``size``) that
         # absorbs ground stamps from the vectorized group.
@@ -1270,23 +1364,14 @@ class CompiledCircuit:
             backend = mode
         self.assembly = backend
 
+        self._g0, self._c0, self._g0_dot, self._c0_dot = (
+            self._linear_stamps(probe))
         if backend == "sparse":
             pattern = self.pattern
-            self._base_g = _CooContext.scatter(
-                pattern, probe.g_rows, probe.g_cols, probe.g_vals
-            )
-            self._base_c = _CooContext.scatter(
-                pattern, probe.c_rows, probe.c_cols, probe.c_vals
-            )
-            # CSR copies of the constant stamps for the residual/charge
-            # matvecs G0 @ x and C0 @ x.
-            self._g0_csr = pattern.csc(self._base_g).tocsr()
-            self._c0_csr = pattern.csc(self._base_c).tocsr()
             self._g_data = np.zeros(pattern.nnz + 1)
             self._c_data = np.zeros(pattern.nnz + 1)
             self._g_pm = PatternMatrix(pattern, self._g_data)
             self._c_pm = PatternMatrix(pattern, self._c_data)
-            self._g0 = self._c0 = None
             self._g_full = self._c_full = None
             if self._bjt_group is not None:
                 self._bjt_group.bind_sparse(
@@ -1294,12 +1379,6 @@ class CompiledCircuit:
                 )
             self.stats.pattern_nnz = pattern.nnz
         else:
-            self._g0 = _CooContext.densify(
-                size, probe.g_rows, probe.g_cols, probe.g_vals
-            )
-            self._c0 = _CooContext.densify(
-                size, probe.c_rows, probe.c_cols, probe.c_vals
-            )
             self._g_full = np.zeros((n1, n1))
             self._c_full = np.zeros((n1, n1))
             if self._bjt_group is not None:
@@ -1313,6 +1392,76 @@ class CompiledCircuit:
         self.stats.assembly = backend
         self.stats.compilations += 1
         self.stats.wall_seconds += _time.perf_counter() - t0
+
+    def _linear_stamps(self, probe: _CooContext) -> tuple:
+        """``(g0, c0, g_dot, c_dot)``: a probe's G/C stamps in this
+        engine's assembly form -- dense ``(size, size)`` matrices, or
+        ``nnz + 1`` pattern values whose CSR copies serve the residual
+        and charge matvecs ``G0 @ x`` and ``C0 @ x`` -- accumulated in
+        the probe's recorded order."""
+        g = (probe.g_rows, probe.g_cols, probe.g_vals)
+        c = (probe.c_rows, probe.c_cols, probe.c_vals)
+        if self.assembly == "sparse":
+            g0 = _CooContext.scatter(self.pattern, *g)
+            c0 = _CooContext.scatter(self.pattern, *c)
+            return (g0, c0, self.pattern.csc(g0).tocsr(),
+                    self.pattern.csc(c0).tocsr())
+        g0 = _CooContext.densify(self.size, *g)
+        c0 = _CooContext.densify(self.size, *c)
+        return g0, c0, g0, c0
+
+    def lane_stamps(self, circuit: Circuit) -> LaneStamps:
+        """``circuit`` as one lane of :class:`LaneStamps` for
+        :meth:`evaluate_stacked`.
+
+        The lane's linear stamps come from the compile's own probe and
+        accumulation (:meth:`_linear_stamps`), its parameter block from
+        the compile's own :func:`_bjt_columns`, so the lane evaluates
+        bit for bit as an engine compiled from ``circuit`` would.
+        ``circuit`` may differ from the engine's in linear element
+        values and device model parameters only -- a temperature or
+        passive-value variant: the same elements (kind and name) on the
+        same unknowns in the same order, the engine's own source
+        elements and BJT polarities.  Anything else raises
+        :class:`~repro.errors.AnalysisError`, as does an engine with a
+        scalar device (see :attr:`supports_stacked_evaluate`).
+        """
+        if self._scalar_dynamic:
+            raise AnalysisError(
+                "lane stamps cover BJT-group devices only; "
+                f"{self._scalar_dynamic[0].name!r} is a scalar device"
+            )
+        size = circuit.assign_indices()
+        probe = _CooContext(size)
+        for element in circuit:
+            element.load_static(probe)
+        sources = [e for e in circuit if e.has_time_varying_rhs()]
+        if (size != self.size
+                or _topology(circuit, probe) != self._topology
+                or len(sources) != len(self._sources)
+                or any(a is not b for a, b in zip(sources, self._sources))):
+            raise AnalysisError(
+                f"circuit {circuit.title!r} does not share the engine's "
+                "topology: a lane needs the same elements on the same "
+                "unknowns in the same order, and the engine's sources"
+            )
+        params = None
+        group = self._bjt_group
+        if group is not None:
+            bjts = [e for e in circuit if e.is_nonlinear() and type(e) is BJT]
+            _, sign, params = _bjt_columns(bjts, size)
+            if not np.array_equal(sign, group._sign):
+                raise AnalysisError(
+                    f"circuit {circuit.title!r} changes a BJT's polarity; "
+                    "a lane needs the engine's npn/pnp devices"
+                )
+            params = params[:, None, :]
+        g0, c0, g_dot, c_dot = self._linear_stamps(probe)
+        return LaneStamps(
+            g0[None], c0[None],
+            [(g_dot, c_dot)] if self.assembly == "sparse" else None,
+            probe.i_vec[None], probe.q_vec[None], params,
+        )
 
     # -- evaluation -----------------------------------------------------------
 
@@ -1358,7 +1507,7 @@ class CompiledCircuit:
             # (O(nnz)) and base-value copies into the pattern data.
             g = self._g_pm
             c = self._c_pm
-            q[:] = self._c0_csr.dot(x)
+            q[:] = self._c0_dot.dot(x)
             q += self._q0
         else:
             g = self._g_full[:size, :size]
@@ -1368,11 +1517,11 @@ class CompiledCircuit:
         if not (charges_only or residual_only):
             if sparse:
                 if jac_alpha is not None:
-                    np.multiply(self._base_c, jac_alpha, out=self._g_data)
-                    self._g_data += self._base_g
+                    np.multiply(self._c0, jac_alpha, out=self._g_data)
+                    self._g_data += self._g0
                 else:
-                    np.copyto(self._g_data, self._base_g)
-                    np.copyto(self._c_data, self._base_c)
+                    np.copyto(self._g_data, self._g0)
+                    np.copyto(self._c_data, self._c0)
             elif jac_alpha is not None:
                 np.multiply(self._c0, jac_alpha, out=g)
                 g += self._g0
@@ -1381,7 +1530,7 @@ class CompiledCircuit:
                 np.copyto(c, self._c0)
         if not charges_only:
             if sparse:
-                i[:] = self._g0_csr.dot(x)
+                i[:] = self._g0_dot.dot(x)
                 i += self._i0
             else:
                 np.dot(self._g0, x, out=i)
@@ -1449,6 +1598,7 @@ class CompiledCircuit:
         history: np.ndarray | None = None,
         source_scale: float = 1.0,
         with_c: bool = False,
+        lanes: LaneStamps | None = None,
     ) -> "StackedContext":
         """Assemble I, G (and optionally C, Q) for a ``(L, n)`` solution
         stack in one vectorized pass.
@@ -1460,10 +1610,15 @@ class CompiledCircuit:
         ``(L, 2, n)`` array from :meth:`new_history`, read and then
         overwritten in place with this evaluation's limited junction
         voltages; ``None`` evaluates every lane without history and
-        keeps none.  The base-stamp matvecs stay per-lane (matching the
-        scalar BLAS/CSR call exactly); everything device-side runs
-        stacked through :meth:`BJTGroup.load_stacked`, the kernel the
-        scalar path runs.  Buffers are freshly allocated per call —
+        keeps none.  ``lanes``, when given, is one lane of
+        :class:`LaneStamps` per row of ``x_stack`` (see
+        :meth:`lane_stamps`): lane ``k`` then assembles with its own
+        linear stamps and BJT parameters, bit-identical to an engine
+        compiled from lane ``k``'s circuit.  The base-stamp matvecs stay
+        per-lane (matching the scalar BLAS/CSR call exactly); everything
+        device-side runs stacked through :meth:`BJTGroup.load_stacked`,
+        the kernel the scalar path runs.  Buffers are freshly allocated
+        per call —
         unlike :meth:`evaluate`, the returned views survive subsequent
         calls.  Raises :class:`~repro.errors.AnalysisError` on a circuit
         with scalar devices (see :attr:`supports_stacked_evaluate`).
@@ -1477,29 +1632,38 @@ class CompiledCircuit:
         n1 = size + 1
         L = x_stack.shape[0]
         sparse = self.assembly == "sparse"
+        if lanes is None:
+            g0, c0, i0, q0, params = (self._g0, self._c0, self._i0,
+                                      self._q0, None)
+            dots = [(self._g0_dot, self._c0_dot)] * L
+        else:
+            if len(lanes) != L:
+                raise AnalysisError(
+                    f"{len(lanes)} lane stamps for {L} stacked solutions"
+                )
+            g0, c0, i0, q0, params = (lanes.g0, lanes.c0, lanes.i0,
+                                      lanes.q0, lanes.params)
+            dots = lanes.csr if sparse else zip(g0, c0)
         i_full = np.zeros((L, n1))
         q_full = np.zeros((L, n1))
         c_buf = None
         if sparse:
             g_buf = np.empty((L, self.pattern.nnz + 1))
-            g_buf[:] = self._base_g
+            g_buf[:] = g0
             if with_c:
                 c_buf = np.empty((L, self.pattern.nnz + 1))
-                c_buf[:] = self._base_c
-            for k in range(L):
-                i_full[k, :size] = self._g0_csr.dot(x_stack[k])
-                q_full[k, :size] = self._c0_csr.dot(x_stack[k])
+                c_buf[:] = c0
         else:
             g_buf = np.zeros((L, n1, n1))
-            g_buf[:, :size, :size] = self._g0
+            g_buf[:, :size, :size] = g0
             if with_c:
                 c_buf = np.zeros((L, n1, n1))
-                c_buf[:, :size, :size] = self._c0
-            for k in range(L):
-                i_full[k, :size] = np.dot(self._g0, x_stack[k])
-                q_full[k, :size] = np.dot(self._c0, x_stack[k])
-        i_full[:, :size] += self._i0
-        q_full[:, :size] += self._q0
+                c_buf[:, :size, :size] = c0
+        for k, (g_dot, c_dot) in enumerate(dots):
+            i_full[k, :size] = g_dot.dot(x_stack[k])
+            q_full[k, :size] = c_dot.dot(x_stack[k])
+        i_full[:, :size] += i0
+        q_full[:, :size] += q0
 
         if source_scale != 0.0:
             if self._has_src_dc:
@@ -1520,7 +1684,8 @@ class CompiledCircuit:
                 g_flat = g_buf.reshape(L, -1)
                 c_flat = c_buf.reshape(L, -1) if with_c else None
             self._bjt_group.load_stacked(
-                x_stack, gmin, history, i_full, q_full, g_flat, c_flat
+                x_stack, gmin, history, i_full, q_full, g_flat, c_flat,
+                params,
             )
 
         self.stats.assemblies += L
@@ -1623,6 +1788,14 @@ class CompiledCircuit:
 # ---------------------------------------------------------------------------
 # engine resolution / caching
 # ---------------------------------------------------------------------------
+
+
+def stackable(circuit: Circuit) -> bool:
+    """Whether an engine compiled from ``circuit`` has stacked
+    evaluation (:attr:`CompiledCircuit.supports_stacked_evaluate`): every
+    nonlinear device is a plain BJT.  Asked of a circuit, it needs no
+    compile."""
+    return all(type(e) is BJT for e in circuit.nonlinear_elements())
 
 
 def compile_circuit(circuit: Circuit,

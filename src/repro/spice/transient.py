@@ -225,9 +225,8 @@ def _solve_transient(
     # predictor reads its (up to 3-point) window straight out of these
     # buffers via ``hist_start`` instead of shuffling a Python list.
     size = len(x)
-    capacity = 256
-    times = np.empty(capacity)
-    states = np.empty((capacity, size))
+    times = np.empty(256)
+    states = np.empty((256, size))
     times[0] = 0.0
     states[0] = x
     count = 1
@@ -337,14 +336,8 @@ def _solve_transient(
         t = t_new
         x = x_new
         limits = step_limits
-        if count == capacity:
-            capacity *= 2
-            new_times = np.empty(capacity)
-            new_times[:count] = times
-            times = new_times
-            new_states = np.empty((capacity, size))
-            new_states[:count] = states
-            states = new_states
+        if count == len(times):
+            times, states = _grown(times), _grown(states)
         times[count] = t
         states[count] = x
         count += 1
@@ -376,13 +369,27 @@ def _solve_transient(
             factor = 1.0
         h *= factor
 
+    # Trim in place: a copy of the used rows would be the run's largest
+    # allocation, made while the buffer it copies is still alive.  The
+    # buffers are referenced by these two names alone.
+    times.resize(count, refcheck=True)
+    states.resize((count, size), refcheck=True)
     return TransientResult(
         circuit=circuit,
-        times=times[:count].copy(),
-        states=states[:count].copy(),
+        times=times,
+        states=states,
         rejected_steps=rejected,
         newton_failures=newton_failures,
     )
+
+
+def _grown(buffer: np.ndarray) -> np.ndarray:
+    """A buffer of twice ``buffer``'s rows holding its contents; the
+    trajectory's amortized doubling.  Built here so that no name in the
+    transient loop holds the old buffer once it is replaced."""
+    grown = np.empty((2 * len(buffer),) + buffer.shape[1:])
+    grown[: len(buffer)] = buffer
+    return grown
 
 
 def _predict(

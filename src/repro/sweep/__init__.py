@@ -38,8 +38,9 @@ Execution is structured for *positive* parallel scaling:
 * :class:`BlockedACSweep` does the same for AC sweeps: one stacked
   Newton bias solve for the chunk, then every ``lane x frequency``
   system solved through a handful of batched complex solves — with
-  per-lane source re-bias, and R/L/C values set through compiled
-  variants of the deck (both evaluators, and the qualification
+  per-lane source re-bias, and R/L/C values set through variants of
+  the deck that ride as lanes of its one engine (both evaluators, and
+  the qualification
   harness's ``CornerEvaluator``, are configurations of one deck
   evaluator),
 * ``executor="auto"`` / ``jobs="auto"`` consults the dispatch cost

@@ -26,18 +26,31 @@ Every point splits into a deck *variant* and a source re-bias:
 * Parameters naming linear R/L/C elements (``{"RC": 1.5e3}``), and a
   corner's temperature and passive-scale levels, change the matrix:
   they select a variant, a :class:`~repro.spice.netlist.Circuit`
-  derived from the parsed deck and compiled directly, with the deck's
-  ``.OPTIONS SOLVER=`` and ``PERMC=`` applied.  The deck as written and
-  the variants of corner levels are compiled once and kept; a variant
-  named by a sweep point's passive values is dropped after the call
-  that built it.
+  derived from the parsed deck.  The deck as written and the variants
+  of corner levels are kept; a variant named by a sweep point's passive
+  values is dropped after the call that built it.
 
-Each point gets one bias solve — :func:`~repro.spice.dcop.solve_dc` on
-the scalar path, :func:`~repro.spice.dcop.solve_dc_batched` per variant
-on the blocked one — and that one solution feeds the DC measure, the
-small-signal AC solve and the corner outcome.  Both paths apply the
-identical arithmetic at the identical point of the solve, which is what
-makes blocked results bit-identical to scalar ones.
+Both paths solve a variant exactly as an engine compiled from it would,
+but they get there differently:
+
+* the **blocked** path compiles the deck once and runs every variant as
+  lanes of that one engine: each lane carries the variant's own linear
+  stamps and BJT parameter block
+  (:meth:`~repro.spice.engine.CompiledCircuit.lane_stamps`), so a chunk
+  of points is one :func:`~repro.spice.dcop.solve_dc_batched` lane block
+  (several, past the stacked-block byte budget) and one stacked AC
+  solve, whatever its variants;
+* the **scalar** path -- :meth:`_BlockedDeckSweep._evaluate`, retries,
+  seeded points, the escalation of a lane the stacked Newton leaves
+  unconverged, and every point of a deck with a diode (which has no
+  stacked assembly) -- compiles each variant into its own engine, with
+  the deck's ``.OPTIONS SOLVER=`` and ``PERMC=`` applied, and is the
+  bitwise reference.
+
+Each point gets one bias solve, and that one solution feeds the DC
+measure, the small-signal AC solve and the corner outcome.  Both paths
+apply the identical arithmetic at the identical point of the solve,
+which is what makes blocked results bit-identical to scalar ones.
 """
 
 from __future__ import annotations
@@ -60,7 +73,7 @@ from ..spice.ac import (
 )
 from ..spice.dcop import Tolerances, solve_dc, solve_dc_batched
 from ..spice.elements import DC, Capacitor, Inductor, Resistor
-from ..spice.engine import compile_circuit
+from ..spice.engine import LaneStamps, compile_circuit, stackable
 from ..spice.netlist import Circuit
 from ..spice.temperature import circuit_at_temperature
 
@@ -176,15 +189,31 @@ def _derive(circuit: Circuit, key: tuple) -> Circuit:
     return circuit
 
 
-def _lane_block(engine, lanes: int) -> int:
-    """Lanes per stacked block of one variant: as many real Jacobians
-    (``8 n^2`` bytes each on a dense engine, ``8 nnz`` on a sparse one)
-    as the stacked-block byte budget
-    (:data:`repro.spice.ac.MAX_BLOCK_BYTES`) holds, at least one."""
+def _lane_block(engine, lanes: int, stamps: LaneStamps | None) -> int:
+    """Lanes per stacked block: as many as the stacked-block byte budget
+    (:data:`repro.spice.ac.MAX_BLOCK_BYTES`) holds, at least one.  A
+    lane costs its real Jacobian (``8 n^2`` bytes on a dense engine,
+    ``8 nnz`` on a sparse one), plus one lane of ``stamps`` when the
+    lanes carry their own."""
     per_lane = 8 * (engine.pattern.nnz if engine.assembly == "sparse"
                     else engine.size * engine.size)
+    if stamps is not None:
+        per_lane += stamps.nbytes
     lane_block, _ = ac_lane_blocks(lanes, 1, per_lane)
     return lane_block
+
+
+class _Variant:
+    """One deck variant: its derived circuit and, each built on first
+    use, its own compiled engine (the scalar path) and its lane stamps
+    on the deck's engine (the blocked path)."""
+
+    __slots__ = ("circuit", "engine", "stamps")
+
+    def __init__(self, circuit: Circuit):
+        self.circuit = circuit
+        self.engine = None
+        self.stamps = None
 
 
 class _BlockedDeckSweep:
@@ -224,7 +253,7 @@ class _BlockedDeckSweep:
         self._engine_arg = engine
         self._deck = None
         self._params: dict[str, tuple] = {}
-        self._variants: dict[tuple, tuple] = {}
+        self._variants: dict[tuple, _Variant] = {}
         self._compiles = 0
         # The compiled circuits' evaluation buffers are shared state:
         # the service shares one cached evaluator across its job threads
@@ -287,6 +316,8 @@ class _BlockedDeckSweep:
         self._permc = deck.options.get("permc")
         circuit = deck.circuit
         circuit.assign_indices()
+        # Variants keep the deck's device kinds, so they share its answer.
+        self._stacked = stackable(circuit)
         if self._with_ac:
             if self._frequencies_arg is not None:
                 self._frequencies = np.asarray(self._frequencies_arg)
@@ -309,34 +340,56 @@ class _BlockedDeckSweep:
             self._rhs = ac_stimulus_rhs(circuit, circuit.num_unknowns)
         self._deck = deck
 
-    def _variant(self, key: tuple) -> tuple:
-        """``(circuit, engine)`` of variant ``key``, compiled on first
-        use.  Variants without per-element passive values are kept; the
-        others live as long as the call that asked for them."""
+    def _variant(self, key: tuple) -> _Variant:
+        """Variant ``key``, derived on first use.  Variants without
+        per-element passive values are kept; the others live as long as
+        the call that asked for them."""
         variant = self._variants.get(key)
         if variant is None:
             circuit = _derive(self._deck.circuit, key)
             if self._permc is not None:
                 circuit._permc_spec = self._permc
             circuit.assign_indices()
-            variant = (circuit, compile_circuit(circuit, self._mode))
-            self._compiles += 1
+            variant = _Variant(circuit)
             if not key[1]:
                 self._variants[key] = variant
         return variant
 
+    def _compiled(self, variant: _Variant):
+        """The variant's own engine, compiled on first use."""
+        if variant.engine is None:
+            variant.engine = compile_circuit(variant.circuit, self._mode)
+            self._compiles += 1
+        return variant.engine
+
+    def _stamped(self, variant: _Variant) -> LaneStamps:
+        """The variant as one lane of the deck's engine, built on first
+        use."""
+        if variant.stamps is None:
+            engine = self._compiled(self._variant(_BASE))
+            variant.stamps = engine.lane_stamps(variant.circuit)
+        return variant.stamps
+
     def _kept_keys(self) -> list:
-        """The variants :meth:`prime` compiles up front."""
+        """The variants :meth:`prime` prepares up front."""
         return [_BASE]
 
     def prime(self) -> int:
-        """Compile every kept variant up front (the service's
-        compile-once contract); returns how many are kept."""
+        """Prepare every kept variant up front (the service's
+        compile-once contract): compile the deck's engine and build each
+        kept variant's lane stamps on it -- or, on a deck whose points
+        all take the scalar path (one with a diode), compile each kept
+        variant's own engine.  Returns how many variants it prepared."""
         with self._lock:
             self._resolve()
-            for key in self._kept_keys():
-                self._variant(key)
-            return len(self._variants)
+            keys = self._kept_keys()
+            for key in keys:
+                variant = self._variant(key)
+                if self._stacked:
+                    self._stamped(variant)
+                else:
+                    self._compiled(variant)
+            return len(keys)
 
     def compilations(self) -> int:
         """Engines compiled so far, kept or dropped — the service's
@@ -406,13 +459,15 @@ class _BlockedDeckSweep:
                 values.append((target, level))
         return (edits, tuple(sorted(values))), delta
 
-    def _ac_solutions(self, engine, x: np.ndarray) -> np.ndarray:
+    def _ac_solutions(self, engine, x: np.ndarray,
+                      lanes: LaneStamps | None = None) -> np.ndarray:
         """``(lanes, freqs, n)`` small-signal solutions linearized at
-        each row of ``x``."""
+        each row of ``x`` (each with its own stamps, given ``lanes``)."""
         if engine.supports_stacked_evaluate:
             # One lane-stacked linearization; each lane's G/C is
             # bit-identical to a scalar small_signal at that point.
-            sctx = engine.evaluate_stacked(x, gmin=self._gmin, with_c=True)
+            sctx = engine.evaluate_stacked(x, gmin=self._gmin, with_c=True,
+                                           lanes=lanes)
             g_stack, c_stack = np.array(sctx.g), np.array(sctx.c)
         else:
             pairs = [small_signal(engine, lane, self._gmin, {})
@@ -422,86 +477,123 @@ class _BlockedDeckSweep:
         return solve_ac_lanes(engine, g_stack, c_stack, self._omegas,
                               self._rhs)
 
+    def _solve_point(self, variant: _Variant, delta, attempt: int) -> tuple:
+        """The scalar path's ``(x, solutions)`` of one point: its bias
+        through the full :func:`~repro.spice.dcop.solve_dc` homotopy
+        ladder on the variant's own engine (``attempt`` picks the retry
+        rung), then its AC sweep as a single lane."""
+        engine = self._compiled(variant)
+        x = solve_dc(
+            variant.circuit, tolerances=self._tolerances, gmin=self._gmin,
+            engine=engine, attempt=attempt, rhs_delta=delta,
+        )
+        solutions = None
+        if self._with_ac:
+            if not np.any(self._rhs):
+                raise AnalysisError(_NO_STIMULUS)
+            solutions = self._ac_solutions(engine, x[None])[0]
+        return x, solutions
+
+    def _reduced(self, circuit, x, solutions) -> tuple:
+        """``(value, None)``, or ``(None, error)`` when the reduction
+        raises (a bad measurement node, ...): the error the scalar path
+        raises for that point."""
+        try:
+            return self._reduce(circuit, x, solutions), None
+        except Exception as error:  # noqa: BLE001
+            return None, error
+
     def _evaluate(self, params: dict, attempt: int):
-        """Scalar path: the point's bias through the full
-        :func:`~repro.spice.dcop.solve_dc` homotopy ladder (``attempt``
-        picks the retry rung), then its AC sweep as a single lane."""
+        """Scalar path: one point on its variant's own engine (see
+        :meth:`_solve_point`), reduced to its value."""
         with self._lock:
             self._resolve()
             key, delta = self._lane(params)
-            circuit, engine = self._variant(key)
-            x = solve_dc(
-                circuit, tolerances=self._tolerances, gmin=self._gmin,
-                engine=engine, attempt=attempt, rhs_delta=delta,
-            )
-            solutions = None
-            if self._with_ac:
-                if not np.any(self._rhs):
-                    raise AnalysisError(_NO_STIMULUS)
-                solutions = self._ac_solutions(engine, x[None])[0]
-            return self._reduce(circuit, x, solutions)
+            variant = self._variant(key)
+            return self._reduce(variant.circuit,
+                                *self._solve_point(variant, delta, attempt))
 
     def _evaluate_batch(self, chunk_params: list) -> list:
-        """Blocked path: lanes grouped by variant, each group solved in
-        lane blocks whose stacked Jacobians fit the byte budget
-        (:func:`_lane_block`).  Returns ``[(value, error), ...]``
-        aligned with the chunk; a failed lane carries the identical
-        error the scalar path raises for that point, and never disturbs
-        its neighbours."""
+        """Blocked path: every point a lane of the deck's one engine,
+        solved in lane blocks whose stacked Jacobians and lane stamps fit
+        the byte budget (:func:`_lane_block`).  Returns ``[(value,
+        error), ...]`` aligned with the chunk; a failed lane carries the
+        identical error the scalar path raises for that point, and never
+        disturbs its neighbours."""
         with self._lock:
             self._resolve()
             results: list = [None] * len(chunk_params)
-            groups: dict[tuple, tuple[list, list]] = {}
+            points, variants = [], {}
             for k, params in enumerate(chunk_params):
                 try:
                     key, delta = self._lane(params)
                 except ReproError as error:
                     results[k] = (None, error)
                     continue
-                lanes, deltas = groups.setdefault(key, ([], []))
-                lanes.append(k)
-                deltas.append(delta)
-            for key, (lanes, deltas) in groups.items():
-                circuit, engine = self._variant(key)
-                block = _lane_block(engine, len(lanes))
-                for start in range(0, len(lanes), block):
-                    self._solve_block(
-                        circuit, engine, lanes[start:start + block],
-                        deltas[start:start + block], results,
-                    )
+                variant = variants.get(key)
+                if variant is None:
+                    variant = variants[key] = self._variant(key)
+                points.append((k, variant, delta))
+            if not self._stacked:
+                # A deck with a diode has no stacked assembly: each point
+                # takes the scalar path.
+                for k, variant, delta in points:
+                    try:
+                        solved = self._solve_point(variant, delta, 0)
+                    except ReproError as error:
+                        results[k] = (None, error)
+                        continue
+                    results[k] = self._reduced(variant.circuit, *solved)
+                return results
+            base = self._variant(_BASE)
+            engine = self._compiled(base)
+            other = next((v for v in variants.values() if v is not base),
+                         None)
+            block = _lane_block(engine, len(points),
+                                None if other is None
+                                else self._stamped(other))
+            for start in range(0, len(points), block):
+                self._solve_block(engine, points[start:start + block],
+                                  results)
             return results
 
-    def _solve_block(self, circuit, engine, lanes: list, deltas: list,
-                     results: list) -> None:
-        """One lane block of one variant: a stacked Newton bias solve,
-        then one run of ``(lanes x freq_block)`` stacked complex solves;
-        fills ``results`` at the block's chunk positions ``lanes``."""
+    def _solve_block(self, engine, points: list, results: list) -> None:
+        """One lane block: a stacked Newton bias solve, then one run of
+        ``(lanes x freq_block)`` stacked complex solves; fills
+        ``results`` at the points' chunk positions.  Lanes of variants
+        other than the deck carry their own stamps; a lane the stacked
+        Newton leaves unconverged escalates to the scalar ladder on its
+        variant's own engine."""
+        positions, variants, deltas = zip(*points)
+        base = self._variant(_BASE)
+        lanes = None
+        if any(variant is not base for variant in variants):
+            lanes = LaneStamps.concat([self._stamped(v) for v in variants])
         x, errors = solve_dc_batched(
-            circuit, deltas, tolerances=self._tolerances,
-            gmin=self._gmin, engine=engine,
+            base.circuit, deltas, tolerances=self._tolerances,
+            gmin=self._gmin, engine=engine, lanes=lanes,
+            fallback=lambda i: (variants[i].circuit,
+                                self._compiled(variants[i])),
         )
         solved = []
         for i, error in enumerate(errors):
             if error is None:
                 solved.append(i)
             else:
-                results[lanes[i]] = (None, error)
+                results[positions[i]] = (None, error)
         solutions = [None] * len(solved)
         if self._with_ac and solved:
             if not np.any(self._rhs):
                 for i in solved:
-                    results[lanes[i]] = (None, AnalysisError(_NO_STIMULUS))
+                    results[positions[i]] = (None,
+                                             AnalysisError(_NO_STIMULUS))
                 return
-            solutions = self._ac_solutions(engine, x[solved])
+            solutions = self._ac_solutions(
+                engine, x[solved],
+                None if lanes is None else lanes.take(solved))
         for i, lane_solutions in zip(solved, solutions):
-            # Per-lane capture keeps a reduction error (a bad
-            # measurement node, ...) identical to what the scalar path
-            # raises for that point.
-            try:
-                results[lanes[i]] = (
-                    self._reduce(circuit, x[i], lane_solutions), None)
-            except Exception as error:  # noqa: BLE001
-                results[lanes[i]] = (None, error)
+            results[positions[i]] = self._reduced(
+                variants[i].circuit, x[i], lane_solutions)
 
 
 class BlockedDCSweep(_BlockedDeckSweep):
@@ -531,10 +623,10 @@ class BlockedDCSweep(_BlockedDeckSweep):
         return self._evaluate(params, attempt)
 
     def evaluate_batch(self, chunk_params: list) -> list:
-        """Blocked path: every point of the chunk in one stacked Newton
-        run per variant.  Returns ``[(value, error), ...]`` aligned with
-        the chunk — ``error`` is ``None`` on success, else the lane's
-        error (value ``None``)."""
+        """Blocked path: every point of the chunk a lane of one stacked
+        Newton run per lane block.  Returns ``[(value, error), ...]``
+        aligned with the chunk — ``error`` is ``None`` on success, else
+        the lane's error (value ``None``)."""
         return self._evaluate_batch(chunk_params)
 
     def _reduce(self, circuit, x, solutions):
@@ -552,13 +644,13 @@ class BlockedACSweep(_BlockedDeckSweep):
     :func:`ac_gain_db`.
 
     Point parameters are those of :class:`BlockedDCSweep`: source levels
-    re-bias through ``rhs_delta``, and an R/L/C value selects a compiled
-    variant of the deck, so the bias and the small-signal matrices both
-    see it — exactly as simulating the edited deck would.
+    re-bias through ``rhs_delta``, and an R/L/C value selects a variant
+    of the deck, so the bias and the small-signal matrices both see it —
+    exactly as simulating the edited deck would.
 
     ``frequencies`` is the grid in Hz; ``None`` adopts the deck's
-    ``.AC`` card.  ``evaluate_batch(chunk)`` bias-solves the lanes of
-    each variant through :func:`~repro.spice.dcop.solve_dc_batched`,
+    ``.AC`` card.  ``evaluate_batch(chunk)`` bias-solves the chunk's
+    lanes through :func:`~repro.spice.dcop.solve_dc_batched`,
     linearizes them in one lane-stacked evaluation, and solves them as
     ``(lanes x freq_block)`` stacked complex systems through the
     engine's batched entry points — a handful of batched solves instead
@@ -591,7 +683,7 @@ class BlockedACSweep(_BlockedDeckSweep):
         return self._evaluate(params, attempt)
 
     def evaluate_batch(self, chunk_params: list) -> list:
-        """Blocked path: one stacked Newton bias solve per variant,
+        """Blocked path: one stacked Newton bias solve per lane block,
         then one run of ``(lanes x freq_block)`` stacked complex solves.
         Returns ``[(value, error), ...]`` aligned with the chunk."""
         return self._evaluate_batch(chunk_params)

@@ -12,16 +12,18 @@ pickling, content-hashed cache tag (``__cache_tag__``), executor matrix,
 result cache, ``on_error`` policies and bit-identity contract as every
 other sweep in the repo.
 
-Corner mechanics: axes that change the compiled matrix (temperature,
-passive scale) select a deck *variant* — a circuit derived from the
-parsed deck and compiled directly, once per distinct combination of
-their levels and kept for every corner sharing it — while source axes
-re-bias lanes of that variant through ``rhs_delta``.  Each corner gets
-one bias solve, and that one operating point feeds the DC measurements,
-the small-signal AC sweep and the stress checks.  A 27-corner set over 3
-temperatures x 3 resistor scales x 3 supply levels therefore parses the
-deck once, compiles 9 engines and solves 3 stacked bias lanes through
-each.
+Corner mechanics: axes that change the matrix (temperature, passive
+scale) select a deck *variant* — a circuit derived from the parsed
+deck, once per distinct combination of their levels and kept for every
+corner sharing it — while source axes re-bias each corner's lane through
+``rhs_delta``.  On the blocked path every corner is a lane of the deck's
+one compiled engine, carrying its variant's linear stamps and BJT
+parameters; the scalar path compiles each variant into its own engine
+and is the bitwise reference.  Each corner gets one bias solve, and
+that one operating point feeds the DC measurements, the small-signal AC
+sweep and the stress checks.  A 27-corner set over 3 temperatures x 3
+resistor scales x 3 supply levels therefore parses the deck once,
+compiles 1 engine and solves its 27 biases in one stacked Newton run.
 
 :func:`qualify_deck` / :func:`qualify_cell` wrap the whole flow and
 return a :class:`~repro.verify.report.QualificationReport`.
@@ -268,14 +270,15 @@ class CornerEvaluator(_BlockedDeckSweep):
         }
 
     def __call__(self, params: dict, attempt: int = 0) -> dict:
-        """Scalar path: one corner through its variant's full bias
-        solve (and AC sweep), reduced to the corner outcome."""
+        """Scalar path: one corner through the full bias solve (and AC
+        sweep) on its variant's own engine, reduced to the corner
+        outcome."""
         return self._evaluate(params, attempt)
 
     def evaluate_batch(self, chunk_params: list) -> list:
-        """Blocked path: lanes grouped by corner variant, one stacked
-        bias solve per variant feeding the DC measurements, the AC
-        sweep and the stress checks.  Returns ``[(outcome, error),
+        """Blocked path: every corner a lane of the deck's one engine,
+        one stacked bias solve per lane block feeding the DC
+        measurements, the AC sweep and the stress checks.  Returns ``[(outcome, error),
         ...]`` aligned with the chunk — per-lane errors identical to
         what the scalar path raises."""
         return self._evaluate_batch(chunk_params)
@@ -313,8 +316,8 @@ def qualify_deck(
     """Qualify one deck: every corner through the sweep engine.
 
     ``evaluator`` lets a caller (the service) supply a pre-compiled
-    :class:`CornerEvaluator` so repeated qualifications reuse the
-    per-corner compiled engines; otherwise one is built from the
+    :class:`CornerEvaluator` so repeated qualifications reuse its
+    compiled engine and lane stamps; otherwise one is built from the
     arguments.  A supplied evaluator must have been built from the same
     ``deck``, ``corners``, ``measurements``, ``rules``, ``frequencies``
     and ``engine`` (its cache tag must match), else

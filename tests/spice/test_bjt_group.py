@@ -20,7 +20,11 @@ analysis does:
 * every lane of ``evaluate_stacked`` is scalar ``evaluate``, bit for
   bit, history included, while each stack mixes lanes that take the
   kernel's shortcuts (no junction limited, no exponent above
-  ``EXP_LIMIT``) with lanes that do not.
+  ``EXP_LIMIT``) with lanes that do not;
+* with lane stamps, each lane carrying its own temperature and
+  resistor scale, every lane of ``evaluate_stacked`` is the scalar
+  ``evaluate`` of an engine compiled from that lane's circuit, bit for
+  bit, with history and without.
 
 The decks alone exercise one-BJT groups, the 20-BJT ring and a single
 pnp, which leaves most columns of the stamp gather table's rarer rows
@@ -32,11 +36,15 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import pytest
+
 from repro.devices import GummelPoonParameters
 from repro.devices.gummel_poon import EXP_LIMIT
+from repro.devices.temperature import at_temperature
+from repro.errors import AnalysisError
 from repro.spice import Circuit, compile_circuit
-from repro.spice.elements import BJT, Resistor
-from repro.spice.engine import BJTGroup
+from repro.spice.elements import BJT, Diode, DiodeModel, Resistor
+from repro.spice.engine import BJTGroup, LaneStamps
 from repro.spice.mna import load_circuit
 
 from .test_engine import assert_contexts_match, by_device
@@ -200,3 +208,90 @@ def test_stacked_lanes_are_scalar_bit_for_bit(case, lanes, evaluations):
             [group] = [key for key in limits[k] if isinstance(key, BJTGroup)]
             np.testing.assert_array_equal(_bits(history[k]),
                                           _bits(limits[k][group]))
+
+
+def _lane_circuit(circuit: Circuit, temp: float, r_scale: float) -> Circuit:
+    """``circuit`` with every BJT re-modelled at ``temp`` (K) and every
+    resistor scaled by ``r_scale``: a temperature x R-scale corner."""
+    lane = Circuit(f"{circuit.title} @ {temp:.2f} K x {r_scale}")
+    for element in circuit:
+        if isinstance(element, BJT):
+            lane.add(BJT(element.name, element.nodes,
+                         at_temperature(element.model, temp),
+                         area=element.area))
+        else:
+            lane.add(Resistor(element.name, element.nodes,
+                              element.resistance * r_scale))
+    return lane
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=groups(),
+       corners=st.lists(st.tuples(st.floats(233.15, 398.15),
+                                  st.floats(0.5, 2.0)),
+                        min_size=1, max_size=4),
+       with_history=st.booleans(), evaluations=st.integers(2, 3))
+def test_lane_stamps_are_each_lanes_own_engine(case, corners, with_history,
+                                               evaluations):
+    circuit, mode, seed, scale = case
+    size = circuit.assign_indices()
+    engine = compile_circuit(circuit, mode=mode)
+    circuits = [_lane_circuit(circuit, temp, r_scale)
+                for temp, r_scale in corners]
+    lanes = LaneStamps.concat([engine.lane_stamps(c) for c in circuits])
+    # Each lane's reference: an engine compiled from its own circuit.
+    own = [compile_circuit(c, mode=mode) for c in circuits]
+    assert len(lanes) == len(own)
+    history = engine.new_history(len(own)) if with_history else None
+    limits = [{} for _ in own]
+    rng = np.random.default_rng(seed)
+    for _ in range(evaluations):
+        x_stack = scale * rng.standard_normal((len(own), size))
+        stacked = engine.evaluate_stacked(x_stack, history=history,
+                                          with_c=True, lanes=lanes)
+        for k, lane_engine in enumerate(own):
+            ctx = lane_engine.evaluate(
+                x_stack[k], limits=limits[k] if with_history else {})
+            for name, lane, scalar in (
+                ("i", stacked.i[k], ctx.i_vec), ("g", stacked.g[k], ctx.g_mat),
+                ("q", stacked.q[k], ctx.q_vec), ("c", stacked.c[k], ctx.c_mat),
+            ):
+                np.testing.assert_array_equal(_bits(lane), _bits(scalar),
+                                              err_msg=name)
+            if with_history:
+                [group] = [key for key in limits[k]
+                           if isinstance(key, BJTGroup)]
+                np.testing.assert_array_equal(_bits(history[k]),
+                                              _bits(limits[k][group]))
+
+
+def _pair(model: GummelPoonParameters) -> Circuit:
+    circuit = Circuit("pair")
+    circuit.add(Resistor("RL", ("a", "0"), 1e3))
+    circuit.add(BJT("Q0", ("a", "b", "e0", "0"), model))
+    circuit.add(BJT("Q1", ("b", "a", "e1", "0"), model))
+    return circuit
+
+
+def test_lane_stamps_need_the_engines_topology():
+    npn = GummelPoonParameters(name="QN")
+    engine = compile_circuit(_pair(npn))
+    # A corner of the same circuit is a lane; the reindexed, the
+    # reordered, the grown and the re-polarized are not.
+    assert len(engine.lane_stamps(_lane_circuit(_pair(npn), 350.0, 1.2))) == 1
+    moved = _pair(npn)
+    moved.remove("RL")
+    moved.add(Resistor("RL", ("b", "0"), 1e3))
+    swapped = Circuit("swapped")
+    for name in ("Q1", "Q0", "RL"):
+        swapped.add(_pair(npn).element(name))
+    grown = _pair(npn)
+    grown.add(Resistor("R2", ("a", "b"), 1e3))
+    flipped = _pair(GummelPoonParameters(name="QP", polarity="pnp"))
+    for circuit in (moved, swapped, grown, flipped):
+        with pytest.raises(AnalysisError):
+            engine.lane_stamps(circuit)
+    clamped = _pair(npn)
+    clamped.add(Diode("D1", ("a", "0"), DiodeModel(name="DC")))
+    with pytest.raises(AnalysisError, match="scalar device"):
+        compile_circuit(clamped).lane_stamps(clamped)

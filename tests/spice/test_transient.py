@@ -56,6 +56,22 @@ class TestRCStep:
             1 - math.exp(-1), abs=1e-2
         )
 
+    def test_trajectory_is_trimmed_in_place(self):
+        """A run long enough to double its 256-row buffers twice hands
+        back the buffers themselves, trimmed to the accepted points."""
+        tau = 1e-3
+        result = solve_transient(step_rc(), stop_time=5 * tau,
+                                 max_step=tau / 200)
+        count = len(result.times)
+        assert count > 512
+        assert result.states.shape == (count, 3)
+        for array in (result.times, result.states):
+            assert array.flags.owndata and array.base is None
+        assert np.all(np.diff(result.times) > 0.0)
+        assert result.times[-1] == pytest.approx(5 * tau)
+        assert result.sample("out", tau) == pytest.approx(
+            1.0 - math.exp(-1.0), abs=5e-3)
+
     def test_final_value(self):
         ckt = step_rc(v=3.3)
         result = solve_transient(ckt, stop_time=10e-3, max_step=1e-4)

@@ -375,12 +375,14 @@ class TestPassiveValues:
         fn = BlockedDCSweep(DIVIDER, measure=node_voltage("out"))
         assert fn.prime() == 1
         fn.evaluate_batch(self.POINTS)
-        # The deck as written plus one variant per distinct R2 value
-        # other than its deck value; only the deck itself is kept.
-        assert fn.compilations() == len(compile_log) == 4
+        # Blocked: every R2 value rides as a lane of the deck's engine.
+        assert fn.compilations() == len(compile_log) == 1
         assert fn.prime() == 1
+        # Scalar: a point's passive values compile a variant of their
+        # own, dropped after the call that built it.
         fn({"R2": 500.0})
-        assert fn.compilations() == 5
+        fn({"R2": 500.0})
+        assert fn.compilations() == len(compile_log) == 3
 
     @pytest.mark.parametrize("value", (0.0, -1.0, float("nan")))
     def test_invalid_resistance_fails_its_lane_only(self, value):
@@ -416,8 +418,10 @@ class TestDeckOptions:
             self.DECK, corners_from_tolerances({"VCC": (5.0, 0.1)},
                                                passive_tols={"R": 0.1}),
             (dc_voltage("v_c", "c"),))
+        # The scalar calls compile the deck and one R variant each; the
+        # corners compile the deck once and ride every variant as lanes.
         assert corners.prime() == 9
-        assert len(compile_log) == 4 + 9
+        assert len(compile_log) == 4 + 1
         assert set(compile_log) == {("sparse", "NATURAL")}
 
     def test_engine_argument_overrides_the_deck(self, compile_log):

@@ -185,8 +185,9 @@ class TestCornerEvaluator:
         evaluator = CornerEvaluator(DECK, _corners(), MEASUREMENTS)
         assert evaluator.prime() == 9  # 3 temps x 3 R scales
         compiled = evaluator.compilations()
-        # One engine per variant serves its DC and AC measurements.
-        assert compiled == 9
+        # One engine serves every variant as lanes, for its DC and AC
+        # measurements alike.
+        assert compiled == 1
         # Evaluating after prime never recompiles: the service's
         # recompile guard watches exactly this invariant.
         qualify_deck(DECK, _corners(), MEASUREMENTS,
@@ -247,9 +248,10 @@ class TestCornerEvaluator:
                                                        monkeypatch):
         """A default 27-corner qualification with AC measurements parses
         the deck at most three times (corner defaults, measurement
-        defaults, evaluator), compiles one engine per temperature x
-        R-scale variant, and solves each corner's bias once for its DC
-        and AC measurements alike."""
+        defaults, evaluator), compiles one engine whose lanes carry the
+        nine temperature x R-scale variants, and solves every corner's
+        bias in one stacked Newton run, once for its DC and AC
+        measurements alike."""
         from repro.celldb.seed import seed_database
         from repro.spice import dcop, parser
 
@@ -272,9 +274,9 @@ class TestCornerEvaluator:
         assert len(report) == 27 and report.stats["failures"] == 0
         assert any(name.startswith("gain_db_")
                    for name in report.outcomes[0].measurements)
-        assert len(compile_log) == 9
+        assert len(compile_log) == 1
         assert len(parses) <= 3
-        assert sum(lanes) == 27
+        assert lanes == [27]
 
 
 class TestDefaults:

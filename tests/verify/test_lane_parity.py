@@ -1,0 +1,74 @@
+"""Corner variants as lanes: blocked qualifications equal scalar ones.
+
+The blocked path runs every corner variant (temperature, resistor
+scale) as a lane of the deck's one compiled engine; the scalar path
+(``batch=False``) compiles each variant into its own engine and is the
+reference.  Every corner outcome must be equal between the two, on all
+seeded cells and on the two decks whose blocked solves leave the usual
+path: a deck with a diode, whose points take the scalar ladder one by
+one, and a BJT-free deck, whose constant Jacobian differs per R lane.
+"""
+
+import pytest
+
+from repro.celldb.seed import seed_database
+from repro.verify import (
+    corners_from_tolerances,
+    dc_voltage,
+    qualify_cell,
+    qualify_deck,
+)
+
+#: A clamp diode on the supply of a one-transistor stage.
+DIODE_DECK = """* common-emitter stage with a clamp diode
+.MODEL QN NPN(IS=1e-16 BF=100 VAF=50 CJE=20f CJC=15f TF=8p)
+.MODEL DCL D(IS=1e-14 CJO=5f)
+VCC vcc 0 DC 5
+RC vcc out 2k
+RB vcc b 200k
+Q1 out b 0 QN
+D1 out vcc DCL
+.END
+"""
+
+#: A resistive divider: no nonlinear device at all.
+DIVIDER_DECK = """* resistive divider
+V1 in 0 DC 10
+R1 in out 1k
+R2 out 0 3k
+.END
+"""
+
+
+def _outcomes(report) -> list:
+    return [outcome.to_dict() for outcome in report.outcomes]
+
+
+@pytest.mark.parametrize(
+    "cell", [c for c in seed_database().cells() if (c.schematic or "").strip()],
+    ids=lambda cell: cell.name)
+def test_seeded_cell_corners_match_the_scalar_path(cell, compile_log):
+    blocked = qualify_cell(cell, executor="serial")
+    compiles = len(compile_log)
+    scalar = qualify_cell(cell, executor="serial", batch=False)
+    assert len(blocked) == 27 and blocked.stats["failures"] == 0
+    assert _outcomes(blocked) == _outcomes(scalar)
+    assert compiles == 1  # the scalar path compiles every variant
+    assert len(compile_log) == 1 + 9
+
+
+@pytest.mark.parametrize("deck, supply, level, compiles", (
+    (DIODE_DECK, "VCC", 5.0, 9),  # each variant's own
+    (DIVIDER_DECK, "V1", 10.0, 1),
+))
+def test_decks_off_the_stacked_path_match(deck, supply, level, compiles,
+                                          compile_log):
+    corners = corners_from_tolerances({supply: (level, 0.1)},
+                                      passive_tols={"R": 0.1})
+    measurements = (dc_voltage("v_out", "out"),)
+    blocked = qualify_deck(deck, corners, measurements, executor="serial")
+    assert len(compile_log) == compiles
+    scalar = qualify_deck(deck, corners, measurements, executor="serial",
+                          batch=False)
+    assert len(blocked) == 27 and blocked.stats["failures"] == 0
+    assert _outcomes(blocked) == _outcomes(scalar)
