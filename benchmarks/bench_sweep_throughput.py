@@ -34,6 +34,7 @@ from repro.geometry import MismatchSpec, monte_carlo_image_rejection
 from repro.rfsystems import fig5_sweep
 from repro.spice.ac import frequency_grid, solve_ac
 from repro.spice.parser import parse_deck
+from repro.sweep import costmodel
 from repro.sweep import (
     BlockedACSweep,
     BlockedDCSweep,
@@ -51,6 +52,10 @@ MC_SAMPLES = 800
 JOBS = 4
 MC_DC_POINTS = 500
 MC_AC_POINTS = 200
+#: The dispatch table's two largest sizes: mc_corners' blocked DC sweep,
+#: inside auto's one-block rule, and one past the rule.
+DISPATCH_SERIAL_POINTS = 1000
+DISPATCH_PROBED_POINTS = 2 * costmodel.BLOCKED_SERIAL_POINTS
 # The CI speedup gate compares against serial, so its worker count must
 # not oversubscribe the runner: 4 workers on a 2-core box lose to serial
 # through sheer contention, which says nothing about the dispatch layer.
@@ -332,15 +337,21 @@ def bench_dispatch_cost_model_table():
     on serial, process x ``DC_JOBS`` and auto (``jobs=DC_JOBS``) across
     sweep sizes, best of three alternating rounds each, on a warm pool.
     The baseline is the same blocked evaluation, so the columns differ
-    in dispatch alone; CI checks that auto never loses to both fixed
-    backends."""
+    in dispatch alone.  The sizes run up to
+    ``costmodel.BLOCKED_SERIAL_POINTS``, where auto keeps a blocked
+    sweep serial and in one chunk, and one size past it, where auto
+    probes; CI checks both that rule and that auto never loses to both
+    fixed backends."""
     fn = BlockedDCSweep((DECKS / "ce_stage.cir").read_text(),
                         measure=node_voltage("c"))
     spinup = _warm_pool(DC_JOBS)
     rows = [f"jobs {DC_JOBS}, pool spin-up {spinup * 1e3:.1f} ms "
             "(outside the timed runs)"]
-    table = {"jobs": DC_JOBS, "pool_spinup_seconds": round(spinup, 6)}
-    for count in (8, 64, MC_DC_POINTS):
+    limit = costmodel.BLOCKED_SERIAL_POINTS
+    table = {"jobs": DC_JOBS, "pool_spinup_seconds": round(spinup, 6),
+             "blocked_serial_points": limit}
+    for count in (8, 64, MC_DC_POINTS, DISPATCH_SERIAL_POINTS,
+                  DISPATCH_PROBED_POINTS):
         points = _mc_dc_points(count)
         best = _best_of({
             "serial": lambda: run_sweep(fn, points),
@@ -358,7 +369,7 @@ def bench_dispatch_cost_model_table():
             f"{count:5d} points: serial {t_serial * 1e3:8.2f} ms, "
             f"process {t_process * 1e3:8.2f} ms, "
             f"auto {t_auto * 1e3:8.2f} ms -> {auto.stats.executor} "
-            f"x{auto.stats.workers}"
+            f"x{auto.stats.workers} in {auto.stats.chunks} chunks"
         )
         table[str(count)] = {
             "serial_seconds": round(t_serial, 6),
@@ -366,6 +377,8 @@ def bench_dispatch_cost_model_table():
             "auto_seconds": round(t_auto, 6),
             "chosen_backend": auto.stats.executor,
             "workers": auto.stats.workers,
+            "chunks": auto.stats.chunks,
+            "one_block_rule": count <= limit,
             "plan": auto.stats.plan,
             "bit_identical": True,
         }

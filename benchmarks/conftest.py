@@ -43,7 +43,15 @@ def record(area: str, name: str, payload: dict) -> None:
 def _engine_counters(request, monkeypatch):
     """Record wall time and the engine work (solves, factorizations,
     element evaluations...) of every engine compiled during each
-    benchmark, into ``BENCH_engine.json``."""
+    benchmark, into ``BENCH_engine.json``.
+
+    A benchmark timed through pytest-benchmark's ``benchmark`` fixture
+    runs its function as many rounds as that fixture picks from elapsed
+    time, so its counters scale with them: its row also records
+    ``rounds``, and rows of two runs compare per round.  Rows of other
+    benchmarks have no ``rounds``."""
+    timer = (request.getfixturevalue("benchmark")
+             if "benchmark" in request.fixturenames else None)
     compiled: list[EngineStats] = []
     compile_engine = CompiledCircuit.__init__
 
@@ -55,13 +63,16 @@ def _engine_counters(request, monkeypatch):
     t0 = time.perf_counter()
     yield
     wall = time.perf_counter() - t0
-    record("engine", request.node.name, {
+    row = {
         "wall_seconds": round(wall, 6),
         "engine": {
             name: sum(getattr(stats, name) for stats in compiled)
             for name in _SUMMED
         },
-    })
+    }
+    if getattr(timer, "stats", None) is not None:
+        row["rounds"] = timer.stats.stats.rounds
+    record("engine", request.node.name, row)
 
 
 def pytest_sessionfinish(session, exitstatus):

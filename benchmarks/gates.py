@@ -65,6 +65,11 @@ class Gate:
     checks: tuple
 
 
+#: The dispatch table's rows: sizes up to the one-block rule's bound
+#: (1000, mc_corners' blocked DC sweep) and one past it.
+DISPATCH_ROWS = tuple(f"dispatch_cost_model/{count}"
+                      for count in (8, 64, 500, 1000, 2000))
+
 #: (artifact, row, condition, threshold) per gate group.
 GATES = {
     "sweep": (
@@ -117,9 +122,7 @@ GATES = {
         # recording.  At every size auto may take at most 1.25x the
         # slower of serial and process.
         Gate(
-            "BENCH_sweep.json",
-            ("dispatch_cost_model/8", "dispatch_cost_model/64",
-             "dispatch_cost_model/500"),
+            "BENCH_sweep.json", DISPATCH_ROWS,
             "{name} points: serial={serial_seconds} "
             "process={process_seconds} auto={auto_seconds} -> "
             "{chosen_backend} x{workers} "
@@ -128,6 +131,20 @@ GATES = {
                 Check("auto_over_slower", ">", 1.25,
                       "auto took {auto_over_slower:.2f}x the slower "
                       "fixed backend at {name} points"),
+            ),
+        ),
+        # The same rows, a deterministic check of the plan: a row at or
+        # below costmodel.BLOCKED_SERIAL_POINTS (one_block_rule) must
+        # have run serially in one chunk, with no probe.
+        Gate(
+            "BENCH_sweep.json", DISPATCH_ROWS,
+            "{name} points: one-block rule {one_block_rule} -> "
+            "{chosen_backend} in {chunks} chunks",
+            (
+                Check("off_rule", "!=", False,
+                      "auto ran {name} blocked points, inside the "
+                      "one-block rule, on {chosen_backend} in {chunks} "
+                      "chunks, not serial in one"),
             ),
         ),
     ),
@@ -292,6 +309,9 @@ def _fields(data: dict, name: str, row: dict) -> dict:
     if "auto_seconds" in row:
         fields["auto_over_slower"] = row["auto_seconds"] / max(
             row["serial_seconds"], row["process_seconds"])
+    if "one_block_rule" in row:
+        fields["off_rule"] = bool(row["one_block_rule"]) and (
+            row["chosen_backend"], row["chunks"]) != ("serial", 1)
     if "sparse_counters" in row:
         fields["dense_assemblies"] = (
             row["sparse_counters"]["dense_assemblies"])

@@ -701,11 +701,12 @@ class SimulationService:
         passive_tol = float(params.get("passive_tol", 0.1))
         rules = (load_stress_rules(params["rules"])
                  if params.get("rules") else DEFAULT_STRESS_RULES)
+        # The entry's create-time parse serves the defaults.
         corners = default_corners(
-            entry.deck_text, temperatures_c=temps,
+            entry.deck, temperatures_c=temps,
             supply_tol=supply_tol, passive_tol=passive_tol,
         )
-        measurements = default_measurements(entry.deck_text)
+        measurements = default_measurements(entry.deck)
         # The executor/jobs knobs are absent from the cache key on
         # purpose: corner results are bit-identical across executors,
         # so one tenant's serial and parallel runs share rows.

@@ -314,25 +314,41 @@ class DenseLUSolver(LinearSolver):
     def solve_batched_exact(self, systems: np.ndarray,
                             rhs: np.ndarray) -> np.ndarray:
         """:meth:`solve`'s ``getrf``/``getrs`` pair per lane of a
-        ``(batch, n, n)`` stack, without its per-call overhead: the
-        complex check runs once per stack and the counters are bumped
-        once, for the lanes that solved.  The same LAPACK calls on the
-        same inputs, so every lane is bit-identical to :meth:`solve`; a
-        singular lane comes back NaN."""
+        ``(batch, n, n)`` stack and a ``(batch, n)`` right-hand-side
+        stack, without its per-call overhead.
+
+        One copy lays every lane out in Fortran order, so each ``getrf``
+        factors its lane in place instead of copying it, and one copy of
+        the right-hand sides is solved in place by ``getrs``; the
+        complex check and the finiteness test run once per stack, and
+        the counters are bumped once, for the lanes that solved.  The
+        same LAPACK calls on the same inputs, so every lane is
+        bit-identical to :meth:`solve`; a singular or non-finite lane
+        comes back NaN.
+        """
         rhs = np.asarray(rhs)
         if np.iscomplexobj(systems):
             getrf, getrs = _lapack.zgetrf, _lapack.zgetrs
         else:
             getrf, getrs = _lapack.dgetrf, _lapack.dgetrs
-        out = np.empty_like(rhs, dtype=np.result_type(systems.dtype, rhs))
-        solved = 0
-        for k in range(len(systems)):
-            lu, piv, info = getrf(systems[k])
-            if info > 0 or not np.isfinite(lu).all():
-                out[k] = np.nan
+        # (batch, n, n) with every lane column-major: the transposed
+        # stack's C-order copy, viewed back.
+        factors = np.swapaxes(systems, 1, 2).copy()
+        factors = np.swapaxes(factors, 1, 2)
+        # Contiguous lanes, which getrs can overwrite (a broadcast rhs
+        # would otherwise copy to Fortran order).
+        out = np.array(rhs, dtype=np.result_type(systems.dtype, rhs),
+                       order="C")
+        failed = np.zeros(len(factors), dtype=bool)
+        for k in range(len(factors)):
+            lu, piv, info = getrf(factors[k], overwrite_a=1)
+            if info > 0:
+                failed[k] = True
                 continue
-            out[k], _info = getrs(lu, piv, rhs[k])
-            solved += 1
+            getrs(lu, piv, out[k], overwrite_b=1)
+        failed |= ~np.isfinite(factors).all(axis=(1, 2))
+        out[failed] = np.nan
+        solved = len(factors) - int(failed.sum())
         self.stats.factorizations += solved
         self.stats.solves += solved
         return out
@@ -1151,6 +1167,12 @@ class _CooContext(LoadContext):
 # ---------------------------------------------------------------------------
 
 
+#: BJT parameter blocks an engine keeps for :meth:`CompiledCircuit.
+#: lane_stamps`, oldest dropped first: one per distinct device list (a
+#: default qualification has three temperatures).
+_BJT_BLOCKS_KEPT = 16
+
+
 def _topology(circuit: Circuit, probe: _CooContext) -> tuple:
     """Each element's kind, name and bound unknowns, in circuit order,
     and the probe's stamp slots in recorded order: what a lane's circuit
@@ -1318,6 +1340,7 @@ class CompiledCircuit:
         # What a lane's circuit must share with this one (lane_stamps).
         self._sources = tuple(sources)
         self._topology = _topology(circuit, probe)
+        self._bjt_blocks: dict[tuple, tuple] = {}
 
         # Evaluation buffers carry a dummy slot (row/col ``size``) that
         # absorbs ground stamps from the vectorized group.
@@ -1416,8 +1439,9 @@ class CompiledCircuit:
 
         The lane's linear stamps come from the compile's own probe and
         accumulation (:meth:`_linear_stamps`), its parameter block from
-        the compile's own :func:`_bjt_columns`, so the lane evaluates
-        bit for bit as an engine compiled from ``circuit`` would.
+        the compile's own :func:`_bjt_columns` (built once per device
+        list, see :meth:`_bjt_block`), so the lane evaluates bit for bit
+        as an engine compiled from ``circuit`` would.
         ``circuit`` may differ from the engine's in linear element
         values and device model parameters only -- a temperature or
         passive-value variant: the same elements (kind and name) on the
@@ -1448,20 +1472,37 @@ class CompiledCircuit:
         params = None
         group = self._bjt_group
         if group is not None:
-            bjts = [e for e in circuit if e.is_nonlinear() and type(e) is BJT]
-            _, sign, params = _bjt_columns(bjts, size)
+            sign, params = self._bjt_block(tuple(
+                e for e in circuit if e.is_nonlinear() and type(e) is BJT))
             if not np.array_equal(sign, group._sign):
                 raise AnalysisError(
                     f"circuit {circuit.title!r} changes a BJT's polarity; "
                     "a lane needs the engine's npn/pnp devices"
                 )
-            params = params[:, None, :]
         g0, c0, g_dot, c_dot = self._linear_stamps(probe)
         return LaneStamps(
             g0[None], c0[None],
             [(g_dot, c_dot)] if self.assembly == "sparse" else None,
             probe.i_vec[None], probe.q_vec[None], params,
         )
+
+    def _bjt_block(self, devices: tuple) -> tuple:
+        """``(sign, params)`` of ``devices`` for :meth:`lane_stamps`,
+        the parameter block read-only and lane-broadcast ``(rows, 1,
+        n)``: :func:`_bjt_columns`, run once per device list.  Variants
+        that share their BJT objects (a temperature's passive-scale
+        variants) share one block.  The cache is keyed by the devices
+        themselves and keeps them alive, so a block is never served to
+        other objects that reuse a dropped device's id."""
+        block = self._bjt_blocks.get(devices)
+        if block is None:
+            _, sign, params = _bjt_columns(list(devices), self.size)
+            params = params[:, None, :]
+            params.flags.writeable = False
+            if len(self._bjt_blocks) >= _BJT_BLOCKS_KEPT:
+                del self._bjt_blocks[next(iter(self._bjt_blocks))]
+            block = self._bjt_blocks[devices] = (sign, params)
+        return block
 
     # -- evaluation -----------------------------------------------------------
 
@@ -1614,13 +1655,14 @@ class CompiledCircuit:
         :class:`LaneStamps` per row of ``x_stack`` (see
         :meth:`lane_stamps`): lane ``k`` then assembles with its own
         linear stamps and BJT parameters, bit-identical to an engine
-        compiled from lane ``k``'s circuit.  The base-stamp matvecs stay
-        per-lane (matching the scalar BLAS/CSR call exactly); everything
-        device-side runs stacked through :meth:`BJTGroup.load_stacked`,
-        the kernel the scalar path runs.  Buffers are freshly allocated
-        per call —
-        unlike :meth:`evaluate`, the returned views survive subsequent
-        calls.  Raises :class:`~repro.errors.AnalysisError` on a circuit
+        compiled from lane ``k``'s circuit.  On a dense engine the
+        base-stamp matvecs ``G0 @ x`` and ``C0 @ x`` are one stacked
+        ``np.matmul`` each, a matrix-vector product per lane like the
+        scalar ``np.dot``; a sparse engine runs its CSR matvecs per lane.
+        Everything device-side runs stacked through
+        :meth:`BJTGroup.load_stacked`, the kernel the scalar path runs.
+        Buffers are freshly allocated per call — unlike
+        :meth:`evaluate`, the returned views survive subsequent calls.  Raises :class:`~repro.errors.AnalysisError` on a circuit
         with scalar devices (see :attr:`supports_stacked_evaluate`).
         """
         if self._scalar_dynamic:
@@ -1635,7 +1677,7 @@ class CompiledCircuit:
         if lanes is None:
             g0, c0, i0, q0, params = (self._g0, self._c0, self._i0,
                                       self._q0, None)
-            dots = [(self._g0_dot, self._c0_dot)] * L
+            dots = [(self._g0_dot, self._c0_dot)] * L if sparse else None
         else:
             if len(lanes) != L:
                 raise AnalysisError(
@@ -1643,25 +1685,31 @@ class CompiledCircuit:
                 )
             g0, c0, i0, q0, params = (lanes.g0, lanes.c0, lanes.i0,
                                       lanes.q0, lanes.params)
-            dots = lanes.csr if sparse else zip(g0, c0)
+            dots = lanes.csr
         i_full = np.zeros((L, n1))
         q_full = np.zeros((L, n1))
         c_buf = None
         if sparse:
+            for k, (g_dot, c_dot) in enumerate(dots):
+                i_full[k, :size] = g_dot.dot(x_stack[k])
+                q_full[k, :size] = c_dot.dot(x_stack[k])
             g_buf = np.empty((L, self.pattern.nnz + 1))
             g_buf[:] = g0
             if with_c:
                 c_buf = np.empty((L, self.pattern.nnz + 1))
                 c_buf[:] = c0
         else:
+            # A (size, 1) column per lane makes matmul run one gemv per
+            # lane, bit-identical to np.dot; x_stack @ g0.T would be one
+            # gemm, which rounds differently.
+            columns = x_stack[..., None]
+            i_full[:, :size] = np.matmul(g0, columns)[..., 0]
+            q_full[:, :size] = np.matmul(c0, columns)[..., 0]
             g_buf = np.zeros((L, n1, n1))
             g_buf[:, :size, :size] = g0
             if with_c:
                 c_buf = np.zeros((L, n1, n1))
                 c_buf[:, :size, :size] = c0
-        for k, (g_dot, c_dot) in enumerate(dots):
-            i_full[k, :size] = g_dot.dot(x_stack[k])
-            q_full[k, :size] = c_dot.dot(x_stack[k])
         i_full[:, :size] += i0
         q_full[:, :size] += q0
 

@@ -371,9 +371,16 @@ def _solve_transient(
 
     # Trim in place: a copy of the used rows would be the run's largest
     # allocation, made while the buffer it copies is still alive.  The
-    # buffers are referenced by these two names alone.
-    times.resize(count, refcheck=True)
-    states.resize((count, size), refcheck=True)
+    # buffers are referenced by these two names alone -- unless a
+    # profiler or debugger (sys.setprofile / sys.settrace) holds the
+    # frame's locals too, when resize refuses and the used rows are
+    # copied instead.
+    try:
+        times.resize(count, refcheck=True)
+        states.resize((count, size), refcheck=True)
+    except ValueError:
+        times = times[:count].copy()
+        states = states[:count].copy()
     return TransientResult(
         circuit=circuit,
         times=times,

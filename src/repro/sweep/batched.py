@@ -15,7 +15,9 @@ The evaluator is built from **deck text**, not a live circuit: pickled
 to a persistent pool worker it ships as a couple of kilobytes of
 netlist, and the parse happens once per worker (the executor caches the
 deserialized function by content hash) — after that only point chunks
-cross the pipe.
+cross the pipe.  A caller that has parsed the text already can hand
+that parse over (``_share``), as :func:`repro.verify.qualify_cell`
+does, so its process parses the deck once.
 
 Every point splits into a deck *variant* and a source re-bias:
 
@@ -26,9 +28,11 @@ Every point splits into a deck *variant* and a source re-bias:
 * Parameters naming linear R/L/C elements (``{"RC": 1.5e3}``), and a
   corner's temperature and passive-scale levels, change the matrix:
   they select a variant, a :class:`~repro.spice.netlist.Circuit`
-  derived from the parsed deck.  The deck as written and the variants
-  of corner levels are kept; a variant named by a sweep point's passive
-  values is dropped after the call that built it.
+  derived from the parsed deck through its prefix (the variant one
+  edit shorter), so each temperature re-models the deck once and its
+  passive-scale variants share its devices.  The deck as written and
+  the variants of corner levels are kept; a variant named by a sweep
+  point's passive values is dropped after the call that built it.
 
 Both paths solve a variant exactly as an engine compiled from it would,
 but they get there differently:
@@ -39,7 +43,8 @@ but they get there differently:
   (:meth:`~repro.spice.engine.CompiledCircuit.lane_stamps`), so a chunk
   of points is one :func:`~repro.spice.dcop.solve_dc_batched` lane block
   (several, past the stacked-block byte budget) and one stacked AC
-  solve, whatever its variants;
+  solve, whatever its variants; variants sharing their BJT objects
+  share one parameter block;
 * the **scalar** path -- :meth:`_BlockedDeckSweep._evaluate`, retries,
   seeded points, the escalation of a lane the stacked Newton leaves
   unconverged, and every point of a deck with a diode (which has no
@@ -174,19 +179,14 @@ def _edit_passives(circuit: Circuit, scales: dict, values: dict) -> Circuit:
     return edited
 
 
-def _derive(circuit: Circuit, key: tuple) -> Circuit:
-    """The circuit of variant ``key``: the corner edits in order
-    (``("temperature", celsius)`` or ``(kind, scale)``), then the
-    per-element passive values."""
-    edits, values = key
-    for target, level in edits:
-        if target == "temperature":
-            circuit = circuit_at_temperature(circuit, celsius(level))
-        else:
-            circuit = _edit_passives(circuit, {target: level}, {})
-    if values:
-        circuit = _edit_passives(circuit, {}, dict(values))
-    return circuit
+def _edited(circuit: Circuit, edit: tuple) -> Circuit:
+    """``circuit`` with one corner edit applied: ``("temperature",
+    celsius)`` re-models its devices, ``(kind, scale)`` scales its
+    passives of that kind."""
+    target, level = edit
+    if target == "temperature":
+        return circuit_at_temperature(circuit, celsius(level))
+    return _edit_passives(circuit, {target: level}, {})
 
 
 def _lane_block(engine, lanes: int, stamps: LaneStamps | None) -> int:
@@ -252,6 +252,7 @@ class _BlockedDeckSweep:
         self._gmin_arg = gmin
         self._engine_arg = engine
         self._deck = None
+        self._given = None
         self._params: dict[str, tuple] = {}
         self._variants: dict[tuple, _Variant] = {}
         self._compiles = 0
@@ -298,14 +299,25 @@ class _BlockedDeckSweep:
 
     # -- the parsed deck and its variants -------------------------------------
 
+    def _share(self, deck) -> "_BlockedDeckSweep":
+        """Resolve from ``deck``, a parse of this evaluator's deck text
+        that the caller holds already, instead of parsing it again
+        (pickling still ships the text).  Returns the evaluator."""
+        self._given = deck
+        return self
+
     def _resolve(self) -> None:
-        """Parse the deck once: tolerances, options and AC grid."""
+        """Parse the deck once (or take the shared parse): tolerances,
+        options and AC grid."""
         if self._deck is not None:
             return
         from ..spice.parser import parse_deck
         from ..spice.runner import _deck_tolerances
 
-        deck = parse_deck(self._deck_text)
+        deck = self._given
+        if deck is None:
+            deck = parse_deck(self._deck_text)
+        self._given = None
         tolerances, gmin = _deck_tolerances(deck)
         self._tolerances = (self._tolerances_arg
                             if self._tolerances_arg is not None
@@ -341,12 +353,23 @@ class _BlockedDeckSweep:
         self._deck = deck
 
     def _variant(self, key: tuple) -> _Variant:
-        """Variant ``key``, derived on first use.  Variants without
-        per-element passive values are kept; the others live as long as
-        the call that asked for them."""
+        """Variant ``key``, derived on first use from its prefix: the
+        variant without its passive values, or without its last corner
+        edit.  Variants without per-element passive values are kept (the
+        prefixes included), so each temperature is applied once and the
+        passive-scale variants of one temperature share its devices; the
+        others live as long as the call that asked for them."""
         variant = self._variants.get(key)
         if variant is None:
-            circuit = _derive(self._deck.circuit, key)
+            edits, values = key
+            if values:
+                circuit = _edit_passives(self._variant((edits, ())).circuit,
+                                         {}, dict(values))
+            elif edits:
+                circuit = _edited(self._variant((edits[:-1], ())).circuit,
+                                  edits[-1])
+            else:
+                circuit = self._deck.circuit
             if self._permc is not None:
                 circuit._permc_spec = self._permc
             circuit.assign_indices()

@@ -11,6 +11,8 @@ margin so a near-tie resolves to serial (the predictable choice).
 :func:`repro.sweep.run_sweep` consults the model when given the ``auto``
 executor (``--jobs auto``): it times the first chunk in-process — those
 points must be evaluated anyway — then plans the remaining dispatch.
+A blocked sweep of at most :data:`BLOCKED_SERIAL_POINTS` points skips
+the probe and runs serially as one lane block.
 The model's terms are module constants, so a plan depends on its own
 sweep's probe, payload sizes, worker count and pool warmth alone, never
 on the sweeps that ran before it.
@@ -40,6 +42,14 @@ MIN_SPEEDUP = 1.2
 #: Target chunks per worker — enough slack for load balancing without
 #: drowning in per-chunk overhead.
 CHUNKS_PER_WORKER = 4
+#: Under ``auto``, a blocked sweep (``evaluate_batch``) of at most this
+#: many points runs serially as one lane block, unprobed.  A probe chunk
+#: would split the block, paying the stacked solver's fixed cost twice,
+#: and price the rest per point from a smaller block that costs more
+#: per lane.  Set from the dispatch bench
+#: (``bench_dispatch_cost_model_table``): on 2 cores serial leads or
+#: stays within :data:`MIN_SPEEDUP` of process x2 up to 1000 points.
+BLOCKED_SERIAL_POINTS = 1000
 
 
 @dataclass(frozen=True)

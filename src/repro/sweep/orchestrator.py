@@ -9,9 +9,10 @@ Execution model (see ``docs/sweeps.md`` for the full contract):
 2. The point list is split into **chunks** of consecutive points, the
    unit of dispatch (amortizing process-pool IPC).  A scalar sweep
    takes ~32 chunks whatever the executor; a batch-capable evaluation
-   (``evaluate_batch``) runs as one chunk on the serial executor and in
-   the cost model's chunks on a pool (see :func:`_chunk_size`).
-   Chunking never changes a value.
+   (``evaluate_batch``) runs as one chunk on the serial executor (and
+   under ``auto`` up to :data:`~repro.sweep.costmodel.
+   BLOCKED_SERIAL_POINTS` points) and in the cost model's chunks on a
+   pool (see :func:`_chunk_size`).  Chunking never changes a value.
 3. Stochastic points carry their own :class:`~numpy.random.SeedSequence`
    child (see :mod:`repro.sweep.grid`); the evaluator receives a fresh
    generator per point, so the sample stream is a function of the point
@@ -263,9 +264,10 @@ def _chunk_size(backend: Executor, count: int, blocked: bool) -> int:
     the executor.  A blocked sweep (``evaluate_batch``) pays its stacked
     solver's fixed cost once per chunk, so it runs as one chunk on the
     serial executor and in :func:`~repro.sweep.costmodel.chunk_size_for`
-    chunks on a pool (the ``auto`` probe included); the evaluator bounds
-    a chunk's memory by its byte budget.  Values are bit-identical under
-    any chunking.
+    chunks on a pool (the probe of an ``auto`` sweep past
+    :data:`~repro.sweep.costmodel.BLOCKED_SERIAL_POINTS` included); the
+    evaluator bounds a chunk's memory by its byte budget.  Values are
+    bit-identical under any chunking.
     """
     if not blocked:
         return max(1, math.ceil(count / 32))
@@ -535,8 +537,10 @@ def run_sweep(
     With ``executor="auto"`` (or ``jobs="auto"``), the first pending
     chunk is timed in-process and the dispatch cost model picks the
     backend and chunk size for the rest — small sweeps never pay the
-    process-pool tax; see :mod:`repro.sweep.costmodel`.  The chosen
-    plan is recorded on ``result.stats.plan``.
+    process-pool tax; see :mod:`repro.sweep.costmodel`.  A blocked
+    sweep of at most :data:`~repro.sweep.costmodel.BLOCKED_SERIAL_POINTS`
+    points skips the probe and runs serially as one lane block.  The
+    chosen plan is recorded on ``result.stats.plan``.
 
     Results are returned in point order and are identical — bit for bit
     — for every executor, because chunking and seeding are independent
@@ -566,6 +570,15 @@ def run_sweep(
         return SweepResult(points=[], values=[], stats=SweepStats(
             executor=backend.name, workers=backend.workers,
             on_error=on_error))
+    plan_text = ""
+    if (use_batch and isinstance(backend, AutoExecutor)
+            and count <= costmodel.BLOCKED_SERIAL_POINTS):
+        # A probe would split the sweep's one lane block in two.
+        backend = SerialExecutor()
+        plan_text = (f"serial x1: a blocked sweep of {count} <= "
+                     f"BLOCKED_SERIAL_POINTS "
+                     f"({costmodel.BLOCKED_SERIAL_POINTS}) points runs "
+                     "as one lane block")
     if chunk_size is None:
         size = _chunk_size(backend, count, use_batch)
     elif (isinstance(chunk_size, bool) or not isinstance(chunk_size, int)
@@ -607,7 +620,6 @@ def run_sweep(
         chunks = pending
 
     executor_faults = 0
-    plan_text = ""
     to_dispatch: list = []
     if chunks:
         pass_attempt = on_error == "retry" and _accepts_keyword(fn, "attempt")

@@ -23,7 +23,11 @@ and is the bitwise reference.  Each corner gets one bias solve, and
 that one operating point feeds the DC measurements, the small-signal AC
 sweep and the stress checks.  A 27-corner set over 3 temperatures x 3
 resistor scales x 3 supply levels therefore parses the deck once,
-compiles 1 engine and solves its 27 biases in one stacked Newton run.
+compiles 1 engine, re-models the deck once per temperature (each
+temperature's resistor-scale variants share its devices, and so one
+BJT parameter block) and solves its 27 biases in one stacked Newton
+run.  :func:`qualify_cell` parses the schematic once for its default
+corners, its default measurements and its evaluator.
 
 :func:`qualify_deck` / :func:`qualify_cell` wrap the whole flow and
 return a :class:`~repro.verify.report.QualificationReport`.
@@ -394,17 +398,26 @@ def qualify_deck(
     )
 
 
-def default_corners(deck: str,
+def _parsed(deck):
+    """``deck`` parsed, unless it is a parsed deck already."""
+    if isinstance(deck, str):
+        from ..spice.parser import parse_deck
+
+        return parse_deck(deck)
+    return deck
+
+
+def default_corners(deck,
                     temperatures_c=(-20.0, 27.0, 85.0),
                     supply_tol: float = 0.1,
                     passive_tol: float = 0.1) -> CornerSet:
     """A sensible corner set derived from the deck itself: temperature,
     resistor-scale, and a min/nom/max axis on the supply (the
-    independent DC voltage source with the largest magnitude)."""
+    independent DC voltage source with the largest magnitude).
+    ``deck`` is deck text or its :class:`~repro.spice.parser.Deck`."""
     from ..spice.elements.sources import DC, VoltageSource
-    from ..spice.parser import parse_deck
 
-    circuit = parse_deck(deck).circuit
+    circuit = _parsed(deck).circuit
     supply = None
     for element in circuit:
         if isinstance(element, VoltageSource) \
@@ -422,15 +435,15 @@ def default_corners(deck: str,
     )
 
 
-def default_measurements(deck: str) -> tuple:
+def default_measurements(deck) -> tuple:
     """Default measurement set derived from the deck: DC voltage of the
     conventional output nodes (``out``/``outp``/``outn``, else every
     node), plus low-frequency gain and -3 dB bandwidth of the first
-    output when the deck carries an AC stimulus and an ``.AC`` card."""
+    output when the deck carries an AC stimulus and an ``.AC`` card.
+    ``deck`` is deck text or its :class:`~repro.spice.parser.Deck`."""
     from ..spice.ac import ac_stimulus_rhs
-    from ..spice.parser import parse_deck
 
-    parsed = parse_deck(deck)
+    parsed = _parsed(deck)
     circuit = parsed.circuit
     circuit.assign_indices()
     names = [n for n in circuit.nodes() if n != "0"]
@@ -459,19 +472,29 @@ def qualify_cell(
 
     Defaults are derived from the schematic (:func:`default_corners`,
     :func:`default_measurements`); keyword arguments pass through to
-    :func:`qualify_deck`.  Store the result with
-    :meth:`repro.celldb.Cell.record_qualification` to make the re-use
-    lookup rank this cell by worst-corner headroom.
+    :func:`qualify_deck`.  The schematic is parsed once: the defaults
+    and the evaluator (unless one is passed) share that parse.  Store
+    the result with :meth:`repro.celldb.Cell.record_qualification` to
+    make the re-use lookup rank this cell by worst-corner headroom.
     """
+    from ..spice.parser import parse_deck
+
     deck = getattr(cell, "schematic", "") or ""
     if not deck.strip():
         raise VerificationError(
             f"cell {getattr(cell, 'name', cell)!r} has no "
             "transistor-level schematic to qualify"
         )
+    parsed = parse_deck(deck)
     if corners is None:
-        corners = default_corners(deck)
+        corners = default_corners(parsed)
     if measurements is None:
-        measurements = default_measurements(deck)
+        measurements = default_measurements(parsed)
     kwargs.setdefault("name", getattr(cell, "name", "cell"))
+    if kwargs.get("evaluator") is None:
+        kwargs["evaluator"] = CornerEvaluator(
+            deck, corners, measurements,
+            **{key: kwargs[key] for key in ("rules", "frequencies", "engine")
+               if key in kwargs},
+        )._share(parsed)
     return qualify_deck(deck, corners, measurements, **kwargs)

@@ -1,6 +1,7 @@
 """Transient-analysis tests against closed-form time responses."""
 
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +72,26 @@ class TestRCStep:
         assert result.times[-1] == pytest.approx(5 * tau)
         assert result.sample("out", tau) == pytest.approx(
             1.0 - math.exp(-1.0), abs=5e-3)
+
+    def test_trajectory_under_a_profiler_matches_untraced(self):
+        """A profile hook holds the transient frame's locals, so the
+        in-place trim refuses; the run then copies the used rows and
+        returns the untraced trajectory bit for bit."""
+        deck = (DECK_DIR / "ring_oscillator.cir").read_text()
+
+        def run():
+            return solve_transient(parse_deck(deck).circuit,
+                                   stop_time=1e-10, max_step=1e-12)
+
+        untraced = run()
+        previous = sys.getprofile()
+        sys.setprofile(lambda frame, event, arg: None)
+        try:
+            profiled = run()
+        finally:
+            sys.setprofile(previous)
+        np.testing.assert_array_equal(profiled.times, untraced.times)
+        np.testing.assert_array_equal(profiled.states, untraced.states)
 
     def test_final_value(self):
         ckt = step_rc(v=3.3)

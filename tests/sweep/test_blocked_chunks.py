@@ -2,8 +2,10 @@
 
 A blocked sweep pays its stacked solver's fixed cost once per chunk, so
 ``run_sweep`` runs a batch-capable evaluation as one chunk on the
-serial executor, and an ``auto`` sweep whose plan stays serial as its
-probe plus one chunk.  Memory is bounded by the deck evaluator instead:
+serial executor, and under ``auto`` up to
+:data:`repro.sweep.costmodel.BLOCKED_SERIAL_POINTS` points, with no
+probe; a larger ``auto`` sweep is probed, then planned.  Memory is
+bounded by the deck evaluator instead:
 each variant group is solved in lane blocks whose stacked Jacobians fit
 :data:`repro.spice.ac.MAX_BLOCK_BYTES`.  Values are bit-identical under
 every chunking and every budget.
@@ -18,6 +20,7 @@ import repro.spice.ac as spice_ac
 import repro.spice.dcop as dcop
 from repro.spice.engine import CompiledCircuit, compile_circuit
 from repro.spice.parser import parse_deck
+from repro.sweep import costmodel
 from repro.sweep import (
     BlockedACSweep,
     BlockedDCSweep,
@@ -96,14 +99,34 @@ class TestOneBlockPerSweep:
         assert result.stats.chunks == 1
         _assert_same_values(result.values, reference.values)
 
-    def test_auto_plan_that_stays_serial_runs_probe_plus_one(
-            self, kind, batch_calls):
+    @pytest.mark.parametrize("limit", (None, len(POINTS)))
+    def test_auto_runs_a_small_blocked_sweep_as_one_serial_block(
+            self, kind, batch_calls, monkeypatch, limit):
+        if limit is not None:  # the rule includes its bound
+            monkeypatch.setattr(costmodel, "BLOCKED_SERIAL_POINTS", limit)
+        assert len(POINTS) <= costmodel.BLOCKED_SERIAL_POINTS
         reference = run_sweep(_evaluator(kind), POINTS, chunk_size=3)
         evaluator = _evaluator(kind)
         calls = batch_calls(evaluator)
-        # One worker: the cost model can only plan serial.
+        # Two workers: only the rule keeps the sweep serial and unprobed.
+        result = run_sweep(evaluator, POINTS, executor="auto", jobs=2)
+        assert calls == [len(POINTS)]
+        assert result.stats.executor == "serial"
+        assert result.stats.chunks == 1
+        assert "BLOCKED_SERIAL_POINTS" in result.stats.plan
+        _assert_same_values(result.values, reference.values)
+
+    def test_auto_probes_a_blocked_sweep_past_the_rule(
+            self, kind, batch_calls, monkeypatch):
+        monkeypatch.setattr(costmodel, "BLOCKED_SERIAL_POINTS",
+                            len(POINTS) - 1)
+        reference = run_sweep(_evaluator(kind), POINTS, chunk_size=3)
+        evaluator = _evaluator(kind)
+        calls = batch_calls(evaluator)
+        # One worker: the plan after the probe can only be serial.
         result = run_sweep(evaluator, POINTS, executor="auto", jobs=1)
         assert result.stats.plan.startswith("serial")
+        assert "BLOCKED_SERIAL_POINTS" not in result.stats.plan
         assert len(calls) == 2 and sum(calls) == len(POINTS)
         _assert_same_values(result.values, reference.values)
 

@@ -31,8 +31,11 @@ PASSING = {
         {"benchmark": "dispatch_cost_model", **{
             count: {"serial_seconds": 0.5, "process_seconds": 1.0,
                     "auto_seconds": 1.25, "chosen_backend": "serial",
-                    "workers": 1}
-            for count in ("8", "64", "500")}},
+                    "workers": 1, "chunks": 1, "one_block_rule": True}
+            for count in ("8", "64", "500", "1000")},
+            "2000": {"serial_seconds": 0.5, "process_seconds": 1.0,
+                     "auto_seconds": 1.25, "chosen_backend": "process",
+                     "workers": 2, "chunks": 9, "one_block_rule": False}},
     ]},
     "BENCH_sparse.json": {"cpu_count": 2, "benchmarks": [
         {"benchmark": "ring_oscillator_5_stage", "fill_in": 3.0},
@@ -77,7 +80,12 @@ PASSING_LINES = {
         "points=200 frequencies=51 blocked_speedup=1.01 blocked_chunks=1 "
         "bit_identical=True",
         *(f"{count} points: serial=0.5 process=1.0 auto=1.25 -> serial x1 "
-          "(auto / slower = 1.25)" for count in ("8", "64", "500")),
+          "(auto / slower = 1.25)" for count in ("8", "64", "500", "1000")),
+        "2000 points: serial=0.5 process=1.0 auto=1.25 -> process x2 "
+        "(auto / slower = 1.25)",
+        *(f"{count} points: one-block rule True -> serial in 1 chunks"
+          for count in ("8", "64", "500", "1000")),
+        "2000 points: one-block rule False -> process in 9 chunks",
         "unknowns=1719 nnz=7781 speedup=3.0x",
         "ring_oscillator_101_stage: fill-in 2.05x",
         "ring_oscillator_5_stage: fill-in 3.0x",
@@ -123,6 +131,18 @@ VIOLATIONS = [
      {"serial_seconds": 0.5, "process_seconds": 1.0, "auto_seconds": 1.3,
       "chosen_backend": "process", "workers": 2},
      "auto took 1.30x the slower fixed backend at 500 points"),
+    ("sweep", "BENCH_sweep.json", "dispatch_cost_model", "1000",
+     {"serial_seconds": 0.5, "process_seconds": 1.0, "auto_seconds": 1.0,
+      "chosen_backend": "process", "workers": 2, "chunks": 8,
+      "one_block_rule": True},
+     "auto ran 1000 blocked points, inside the one-block rule, on process "
+     "in 8 chunks, not serial in one"),
+    ("sweep", "BENCH_sweep.json", "dispatch_cost_model", "8",
+     {"serial_seconds": 0.5, "process_seconds": 1.0, "auto_seconds": 1.0,
+      "chosen_backend": "serial", "workers": 1, "chunks": 2,
+      "one_block_rule": True},
+     "auto ran 8 blocked points, inside the one-block rule, on serial "
+     "in 2 chunks, not serial in one"),
     ("sparse", "BENCH_sparse.json", "ring_oscillator_101_stage", "speedup",
      2.9, "sparse speedup 2.9x < 3x at 1719 unknowns"),
     ("sparse", "BENCH_sparse.json", "ring_oscillator_101_stage",
@@ -221,7 +241,8 @@ def test_single_core_runner_skips_only_the_process_speedup(gates, tmp_path,
         "cpu_count=1 speedup=0.5 blocked_speedup=9.0 blocked_chunks=1",
         "single-core runner: speedup gate skipped",
     ]
-    assert len(lines) == 2 + 4
+    # The AC row, then the dispatch rows under both of their gates.
+    assert len(lines) == 2 + 1 + 2 * len(gates.DISPATCH_ROWS)
     sweep["benchmarks"][1]["blocked_chunks"] = 2
     _write(tmp_path, artifacts)
     with pytest.raises(SystemExit, match="ran as 2 chunks"):

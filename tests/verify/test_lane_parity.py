@@ -72,3 +72,32 @@ def test_decks_off_the_stacked_path_match(deck, supply, level, compiles,
                           batch=False)
     assert len(blocked) == 27 and blocked.stats["failures"] == 0
     assert _outcomes(blocked) == _outcomes(scalar)
+
+
+def test_default_qualification_sets_up_once_per_temperature(monkeypatch):
+    """A default qualification parses its deck once, re-models the deck
+    once per temperature and builds one BJT parameter block per
+    temperature: the passive-scale variants of a temperature share its
+    devices, and so its block."""
+    import repro.spice.engine as engine_module
+    import repro.spice.parser as parser_module
+    import repro.sweep.batched as batched_module
+
+    calls = {"parse_deck": [], "circuit_at_temperature": [],
+             "_bjt_columns": []}
+    for module in (parser_module, batched_module, engine_module):
+        for name in calls.keys() & vars(module).keys():
+            def spy(*args, _name=name, _original=getattr(module, name)):
+                calls[_name].append(args)
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, spy)
+
+    report = qualify_cell(seed_database().get("PHASE90-IF"),
+                          executor="serial")
+    assert len(report) == 27 and report.stats["failures"] == 0
+    assert len(calls["parse_deck"]) == 1
+    temperatures = [args[1] for args in calls["circuit_at_temperature"]]
+    assert len(temperatures) == len(set(temperatures)) == 3
+    # The compile's own block, then one lane block per temperature.
+    assert len(calls["_bjt_columns"]) == 1 + 3
