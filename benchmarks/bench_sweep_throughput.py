@@ -319,14 +319,18 @@ def bench_monte_carlo_ac():
     ))
 
 
-def _best_of(runs: dict, rounds: int = 3) -> dict:
+def _best_of(runs: dict, rounds: int = 5) -> dict:
     """Each callable's value and fastest wall time over ``rounds``
-    rounds; the callables alternate within a round, so all of them see
-    the same machine state."""
+    rounds.  The callables alternate within a round, so all of them see
+    the same machine state, and the order rotates by one each round, so
+    no callable always runs right after the same other one (on two
+    cores the run after a process-pool round pays for its wind-down)."""
+    names = list(runs)
     best: dict = {}
-    for _ in range(rounds):
-        for name, fn in runs.items():
-            value, seconds = _timed(fn)
+    for round_ in range(rounds):
+        shift = round_ % len(names)
+        for name in names[shift:] + names[:shift]:
+            value, seconds = _timed(runs[name])
             if name not in best or seconds < best[name][1]:
                 best[name] = (value, seconds)
     return best
@@ -335,7 +339,8 @@ def _best_of(runs: dict, rounds: int = 3) -> dict:
 def bench_dispatch_cost_model_table():
     """The "when does parallel win" table: one blocked evaluator timed
     on serial, process x ``DC_JOBS`` and auto (``jobs=DC_JOBS``) across
-    sweep sizes, best of three alternating rounds each, on a warm pool.
+    sweep sizes, best of five rounds each in a rotating order, on a
+    warm pool.
     The baseline is the same blocked evaluation, so the columns differ
     in dispatch alone.  The sizes run up to
     ``costmodel.BLOCKED_SERIAL_POINTS``, where auto keeps a blocked

@@ -117,7 +117,8 @@ GATES = {
             ),
         ),
         # bench_dispatch_cost_model_table times one blocked evaluator on
-        # serial, process and auto (best of three each, on a warm pool)
+        # serial, process and auto (best of five rounds each, in an order
+        # that rotates every round, on a warm pool)
         # and asserts the three value lists are identical before
         # recording.  At every size auto may take at most 1.25x the
         # slower of serial and process.

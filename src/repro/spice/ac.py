@@ -132,6 +132,27 @@ def ac_stimulus_rhs(circuit: Circuit, size: int) -> np.ndarray:
     return rhs
 
 
+def unit_excitation_rhs(element, size: int) -> np.ndarray:
+    """The right-hand side of a unit excitation at an independent
+    source: 1 on a V source's branch row, or 1 A from an I source's
+    ``p`` node to its ``n`` node.  ``.TF`` and ``.NOISE``'s input
+    transfer solve against it."""
+    rhs = np.zeros(size)
+    if isinstance(element, VoltageSource):
+        rhs[element.branch_index[0]] = 1.0
+    elif isinstance(element, CurrentSource):
+        p, n = element.node_index
+        if p >= 0:
+            rhs[p] -= 1.0
+        if n >= 0:
+            rhs[n] += 1.0
+    else:
+        raise AnalysisError(
+            f"input source {element.name!r} is not an independent source"
+        )
+    return rhs
+
+
 def stack_ac_systems(g_stack: np.ndarray, c_stack: np.ndarray,
                      omegas: np.ndarray) -> np.ndarray:
     """Form ``G_l + j*omega_f*C_l`` for every (lane, frequency) pair.
@@ -174,9 +195,10 @@ def solve_ac_lanes(engine, g_stack: np.ndarray, c_stack: np.ndarray,
 
     One unified block iterator covers every case — single frequency,
     single lane, or a full ``chunk x grid`` product: blocks are sized by
-    :func:`ac_lane_blocks` and handed to the engine's batched entry
-    points (``solve_pattern_batched`` over the shared CSC pattern for
-    sparse value stacks, ``solve_batched`` for dense stacks).
+    :func:`ac_lane_blocks` and handed to the batched entry points of
+    the engine's LU (``solve_pattern_batched`` over the shared CSC
+    pattern for sparse value stacks, ``solve_batched`` for dense
+    stacks), all against the one shared ``(n,)`` vector ``rhs``.
     ``batched=False`` is the reference loop instead: one solve per
     system.  Both paths, and any block size, produce the same solutions
     to rounding: systems are formed elementwise and solved
@@ -191,15 +213,16 @@ def solve_ac_lanes(engine, g_stack: np.ndarray, c_stack: np.ndarray,
     nfreq = omegas.size
     size = np.asarray(rhs).shape[-1]
     sparse = g_stack.ndim == 2
+    solver = engine.solver
     out = np.zeros((lanes, nfreq, size), dtype=complex)
 
     def solve_stack(data):
         if sparse:
-            return engine.solve_pattern_batched(data, rhs,
+            return solver.solve_pattern_batched(engine.pattern, data, rhs,
                                                 transpose=transpose)
         if transpose:
             data = data.transpose(0, 2, 1)
-        return engine.solve_batched(data, rhs)
+        return solver.solve_batched(data, rhs)
 
     if batched:
         per_system = 16 * (g_stack.shape[-1] if sparse else size * size)
@@ -220,7 +243,7 @@ def solve_ac_lanes(engine, g_stack: np.ndarray, c_stack: np.ndarray,
             if sparse:
                 out[lane, k] = solve_stack(system[None])[0]
             else:
-                out[lane, k] = engine.solve(
+                out[lane, k] = solver.solve(
                     system.T if transpose else system, rhs
                 )
     return out

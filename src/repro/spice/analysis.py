@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import AnalysisError, NetlistError
-from .ac import ACResult, frequency_grid, solve_ac
+from .ac import ACResult, frequency_grid, solve_ac, unit_excitation_rhs
 from .dcop import Tolerances, solve_dc
 from .elements.sources import CurrentSource, VoltageSource, DC
 from .engine import EngineStats, resolve_engine
@@ -158,19 +158,12 @@ def transfer_function(
         size = circuit.num_unknowns
 
         # Unit input excitation.  Both solves share one factorization of
-        # the small-signal conductance matrix.
-        rhs = np.zeros(size)
-        if isinstance(element, VoltageSource):
-            rhs[element.branch_index[0]] = 1.0
-        else:
-            p, n = element.node_index
-            if p >= 0:
-                rhs[p] -= 1.0
-            if n >= 0:
-                rhs[n] += 1.0
-        token = ("tf", id(g_mat))
+        # the small-signal conductance matrix: the second back-substitutes
+        # against the one the first keeps.
+        solver = engine.solver
         try:
-            response = engine.solver.solve(g_mat, rhs, token=token)
+            response = solver.solve(
+                g_mat, unit_excitation_rhs(element, size), token=("tf",))
         except np.linalg.LinAlgError as exc:
             raise AnalysisError(
                 f"singular small-signal system: {exc}"
@@ -192,9 +185,9 @@ def transfer_function(
         # keeps the node pinned), exactly as SPICE computes .TF.
         rhs_out = np.zeros(size)
         rhs_out[out_index] = 1.0
-        response_out = engine.solver.solve(g_mat, rhs_out, token=token)
+        response_out = solver.solve_cached(rhs_out)
         output_resistance = float(response_out[out_index])
-        engine.solver.invalidate()
+        solver.invalidate()
 
     return TransferFunction(
         gain=gain,

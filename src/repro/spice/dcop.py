@@ -135,7 +135,6 @@ def newton_solve(
     dynamic=None,
     engine=None,
     jacobian_token=None,
-    chord: bool = False,
     jac_alpha: float | None = None,
     return_context=False,
     rhs_delta: np.ndarray | None = None,
@@ -145,18 +144,17 @@ def newton_solve(
     ``dynamic``, when given, is a callable ``(ctx, F, J) -> None`` that adds
     the integration-formula terms (used by transient analysis).  ``engine``
     selects the evaluation engine (see
-    :func:`repro.spice.engine.resolve_engine`); ``jacobian_token``, when
-    the circuit has a constant Jacobian, lets the linear solver reuse its
-    factorization across iterations and calls carrying the same token.
+    :func:`repro.spice.engine.resolve_engine`).
 
-    ``chord=True`` extends that reuse to nonlinear circuits
-    (chord / Newton-Richardson iteration): the Jacobian factorized under
-    ``jacobian_token`` is kept across iterations *and* across calls
-    carrying the same token, while the weighted error must contract by
-    :data:`CHORD_CONTRACTION` per chord step — otherwise the factorization
-    is declared stale and rebuilt.  If the chord loop exhausts the
-    iteration budget it falls back to one full-Newton pass before
-    raising.
+    Without a ``jacobian_token`` every iteration factorizes its own
+    Jacobian (full Newton).  A ``jacobian_token`` turns on chord
+    (Newton-Richardson) iteration, the one user of factorization reuse:
+    the Jacobian factorized under the token is kept across iterations
+    *and* across calls carrying the same token, while the weighted error
+    must contract by :data:`CHORD_CONTRACTION` per chord step —
+    otherwise the factorization is declared stale and rebuilt.  If the
+    chord loop exhausts the iteration budget it falls back to one
+    full-Newton pass, which keeps no factorization, before raising.
 
     ``return_context=True`` returns ``(x, ctx)`` where ``ctx`` is a
     :class:`~repro.spice.mna.LoadContext` holding the charges at the
@@ -182,16 +180,16 @@ def newton_solve(
     same arithmetic, which is what keeps them bit-identical.
     """
     engine = resolve_engine(circuit, engine)
+    solver = engine.solver
     num_nodes = engine.num_nodes
     x = np.array(x0, dtype=float)
     if limits is None:
         limits = {}
     diag = np.arange(num_nodes)
-    chord_ok = chord and jacobian_token is not None
-    full_newton = not chord_ok
+    full_newton = jacobian_token is None
     # The chord loop gets the normal budget; the full-Newton fallback the
     # same again, so a stale-Jacobian stall can never mask a solvable step.
-    max_iterations = tolerances.max_iterations * (2 if chord_ok else 1)
+    max_iterations = tolerances.max_iterations * (1 if full_newton else 2)
     refactor_next = False
     last_error = math.nan
     prev_error = math.inf
@@ -202,11 +200,11 @@ def newton_solve(
             # Chord budget exhausted: refactorize every iteration from
             # here on.
             full_newton = True
-            engine.invalidate_factorization()
+            solver.invalidate()
         use_cached = (
             not full_newton
             and not refactor_next
-            and engine.has_factorization(jacobian_token)
+            and solver.has_factorization(jacobian_token)
         )
         ctx = engine.evaluate(
             x, time=time, gmin=gmin, limits=limits,
@@ -231,11 +229,11 @@ def newton_solve(
         residual[:num_nodes] += DIAG_GSHUNT * x[:num_nodes]
         try:
             if use_cached:
-                dx = engine.solve_cached(-residual)
+                dx = solver.solve_cached(-residual)
             else:
-                dx = engine.solve(
-                    jacobian, -residual, token=jacobian_token,
-                    chord=not full_newton and chord_ok,
+                dx = solver.solve(
+                    jacobian, -residual,
+                    token=None if full_newton else jacobian_token,
                 )
                 refactor_next = False
                 prev_error = math.inf
@@ -251,7 +249,7 @@ def newton_solve(
             if use_cached:
                 # A stale factorization produced garbage — rebuild it and
                 # retry this iteration instead of failing outright.
-                engine.invalidate_factorization()
+                solver.invalidate()
                 engine.stats.refactorizations += 1
                 refactor_next = True
                 continue
@@ -291,7 +289,7 @@ def newton_solve(
         if use_cached and last_error >= prev_error * CHORD_CONTRACTION:
             # The frozen Jacobian is no longer contracting the error —
             # refactorize at the next iteration.
-            engine.invalidate_factorization()
+            solver.invalidate()
             engine.stats.refactorizations += 1
             refactor_next = True
         prev_error = last_error
@@ -334,7 +332,10 @@ def solve_dc(
 ) -> np.ndarray:
     """DC operating point with the full homotopy ladder.
 
-    Returns the solution vector (node voltages then branch currents).
+    Every rung runs full Newton (:func:`newton_solve` without a
+    ``jacobian_token``): each iteration factorizes its own Jacobian and
+    keeps nothing for later solves.  Returns the solution vector (node
+    voltages then branch currents).
     On failure raises :class:`~repro.errors.ConvergenceError` carrying a
     :class:`~repro.errors.ConvergenceReport` whose ``stage`` records the
     last homotopy rung attempted and whose ``history`` lists every rung
@@ -365,7 +366,7 @@ def solve_dc(
     try:
         return newton_solve(
             circuit, x0, tolerances, gmin, limits=limits,
-            engine=engine, jacobian_token=("dc",), rhs_delta=rhs_delta,
+            engine=engine, rhs_delta=rhs_delta,
         )
     except ConvergenceError as exc:
         history.append(f"newton: {exc}")
@@ -443,13 +444,13 @@ def newton_solve_batched(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Newton iterations over a ``(B, n)`` stack of operating points.
 
-    Every lane runs the **same iteration protocol** as
-    :func:`newton_solve` — identical assembly, identical
-    :data:`DIAG_GSHUNT` regularization, identical per-backend linear
-    solves (:meth:`~repro.spice.engine.LinearSolver.solve_batched_exact`
-    or, for constant-Jacobian circuits, the same token-cached
-    factorization the scalar path reuses), identical weighted-error
-    convergence test — so a converged lane is bit-identical to a scalar
+    Every lane runs the **same iteration protocol** as a full-Newton
+    :func:`newton_solve` (no ``jacobian_token``) — identical assembly,
+    identical :data:`DIAG_GSHUNT` regularization, identical per-backend
+    linear solves (every lane factorized by
+    :meth:`~repro.spice.engine.LinearSolver.solve_batched_exact`, the
+    scalar ``solve``'s arithmetic), identical weighted-error convergence
+    test — so a converged lane is bit-identical to a scalar
     :func:`newton_solve` on that point.  The blocking win is per-point
     convergence masking (finished lanes drop out of the stack) and array
     operations over every active lane per iteration — re-bias,
@@ -504,6 +505,7 @@ def newton_solve_batched(
     # vectors over the compiled pattern — (B, nnz) instead of (B, n, n)
     # — and solve each lane through the identical pattern-wrapped path
     # the scalar Newton uses, so lanes stay bit-identical to solve_dc.
+    solver = engine.solver
     pattern = engine.pattern if engine.assembly == "sparse" else None
     diag_pos = pattern.positions(diag, diag) if pattern is not None else None
     # One stacked pass assembles every active lane — the scalar device
@@ -533,26 +535,9 @@ def newton_solve_batched(
         else:
             jac[:, diag, diag] += DIAG_GSHUNT
         res[:, :num_nodes] += DIAG_GSHUNT * xa[:, :num_nodes]
-        if engine.has_constant_jacobian and lanes is None:
-            # The scalar path factorizes this (lane-independent) matrix
-            # once under the ("dc",) token and back-substitutes for every
-            # later point; reuse the very same cached factorization.
-            # Lanes with their own stamps have their own matrices: each
-            # is factorized below, which is what the cached factor of
-            # that identical matrix holds.
-            dx = np.empty((active.size, size))
-            for j in range(active.size):
-                try:
-                    if engine.has_factorization(("dc",)):
-                        dx[j] = engine.solve_cached(-res[j])
-                    else:
-                        system = (pattern.matrix(jac[j])
-                                  if pattern is not None else jac[j])
-                        dx[j] = engine.solve(system, -res[j], token=("dc",))
-                except np.linalg.LinAlgError:
-                    dx[j] = np.nan
-        else:
-            dx = engine.solve_batched_exact(jac, -res)
+        systems = ([pattern.matrix(values) for values in jac]
+                   if pattern is not None else jac)
+        dx = solver.solve_batched_exact(systems, -res)
         # A singular or non-finite step ends its lane unconverged.
         finite = np.isfinite(dx).all(axis=1)
         stepped = active[finite]

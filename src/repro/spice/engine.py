@@ -31,10 +31,11 @@ unless ``mode=`` pins it.  The assembly and the :class:`LinearSolver`
 both follow it: dense assembly fills ``(n, n)`` buffers for the dense LU
 backend, sparse assembly fills flat value arrays over the compiled
 :class:`~repro.spice.sparse.SparsityPattern` for the ``scipy.sparse`` LU
-backend.  Both backends keep their last factorization and reuse it when
-the caller passes the same ``token`` — which the analyses do for chord
-iterations and for linear circuits (transient steps at a fixed step
-size, DC sweeps of linear networks).
+backend.  Every solve factorizes the matrix it is given; a solve that
+passes a ``token`` also keeps that factorization under the token, and
+only chord Newton (:func:`repro.spice.dcop.newton_solve`) and ``.TF``'s
+second solve back-substitute against it.  Analyses call the engine's one
+LU object, :attr:`CompiledCircuit.solver`, directly.
 
 Engine work is counted once, in the engine's own :class:`EngineStats`;
 each analysis measures its block with :meth:`CompiledCircuit.measured`
@@ -97,8 +98,9 @@ class EngineStats:
     #: assembly that linearized the last evaluation's charges to the
     #: new solution instead of re-evaluating the BJT group.
     bypassed_evals: int = 0
-    #: Linear solves served from a previously factorized Jacobian by the
-    #: chord (modified Newton) iteration.
+    #: Back-substitutions against a kept factorization
+    #: (:meth:`LinearSolver.solve_cached`): the chord (modified Newton)
+    #: iteration's frozen Jacobians, and ``.TF``'s second solve.
     jacobian_reuses: int = 0
     #: Chord-Newton refactorizations forced by degraded convergence.
     refactorizations: int = 0
@@ -163,8 +165,8 @@ class EngineStats:
             text += f"; {self.bypassed_evals} bypassed device evals"
         if self.jacobian_reuses or self.refactorizations:
             text += (
-                f"; chord: {self.jacobian_reuses} jacobian reuses, "
-                f"{self.refactorizations} refactorizations"
+                f"; {self.jacobian_reuses} jacobian reuses, "
+                f"{self.refactorizations} chord refactorizations"
             )
         if self.assembly:
             text += f"; assembly: {self.assembly}"
@@ -191,13 +193,13 @@ class EngineStats:
 class LinearSolver:
     """Base of the dense and sparse LU backends.
 
-    ``solve(a, b, token=...)`` solves ``a @ x = b``.  A non-``None``
-    ``token`` promises that ``a`` is identical to the previous call that
-    passed the same token, allowing the backend to reuse the
-    factorization it keeps under that token (chord / Newton-Richardson
-    iteration).  Singular systems raise
-    :class:`numpy.linalg.LinAlgError` so callers keep their existing
-    convergence-failure handling.
+    ``solve(a, b, token=...)`` factorizes ``a`` and solves ``a @ x = b``,
+    always.  A non-``None`` ``token`` only names the factorization the
+    backend then keeps, for :meth:`has_factorization` and
+    :meth:`solve_cached` (chord / Newton-Richardson iteration); a
+    ``token=None`` solve leaves the kept one alone.  Singular systems
+    raise :class:`numpy.linalg.LinAlgError` so callers keep their
+    existing convergence-failure handling.
 
     Work is counted into :attr:`stats`; a compiled engine replaces it
     with its own record.
@@ -222,16 +224,16 @@ class LinearSolver:
         )
 
     def solve(self, a, b: np.ndarray, token=None) -> np.ndarray:
-        """Solve ``a @ x = b``, reusing the factorization kept under
-        ``token`` when there is one."""
+        """Factorize ``a`` and solve ``a @ x = b``; keep the
+        factorization under ``token`` when one is given."""
         raise NotImplementedError
 
     def solve_cached(self, b: np.ndarray) -> np.ndarray:
-        """Back-substitute against the live factorization.
+        """Back-substitute against the kept factorization.
 
-        Only valid immediately after :meth:`has_factorization` returned
-        True; chord-Newton uses this to skip refactorizing an unchanged
-        (or deliberately frozen) Jacobian.
+        Only valid while :meth:`has_factorization` is True for the
+        token that kept it; chord-Newton uses this to skip
+        refactorizing a deliberately frozen Jacobian.
         """
         raise NotImplementedError
 
@@ -265,7 +267,7 @@ class LinearSolver:
 
 
 class DenseLUSolver(LinearSolver):
-    """Dense LU via LAPACK ``getrf``/``getrs`` with factorization reuse."""
+    """Dense LU via LAPACK ``getrf``/``getrs``."""
 
     name = "dense-lu"
 
@@ -279,15 +281,6 @@ class DenseLUSolver(LinearSolver):
         return x
 
     def solve(self, a: np.ndarray, b: np.ndarray, token=None) -> np.ndarray:
-        if (
-            token is not None
-            and self._factor is not None
-            and token == self._token
-        ):
-            self.stats.solves += 1
-            lu, piv, getrs = self._factor
-            x, _info = getrs(lu, piv, b)
-            return x
         # Raw LAPACK getrf/getrs: identical math to lu_factor/lu_solve
         # minus scipy's per-call python wrapper overhead, which is
         # measurable at this call rate.  ``piv`` stays in LAPACK's
@@ -298,10 +291,9 @@ class DenseLUSolver(LinearSolver):
             getrf, getrs = _lapack.dgetrf, _lapack.dgetrs
         lu, piv, info = getrf(a)
         # A failed or anonymous (token=None) factorization leaves the
-        # cache alone: the cached factor still belongs to the matrix its
-        # token names (a solve carrying that token reuses it instead of
-        # factorizing), and dropping it would defeat chord reuse for the
-        # caller that owns the token.
+        # kept one alone: it still belongs to the matrix its token names,
+        # and dropping it would defeat chord reuse for the caller that
+        # owns the token.
         if info > 0 or not np.all(np.isfinite(lu)):
             raise np.linalg.LinAlgError("singular matrix in LU factorization")
         self.stats.factorizations += 1
@@ -355,26 +347,21 @@ class DenseLUSolver(LinearSolver):
 
     def solve_batched(self, systems: np.ndarray,
                       rhs: np.ndarray) -> np.ndarray:
-        """Solve a stack of systems ``systems[k] @ x[k] = rhs[k]``.
+        """Solve a stack of systems ``systems[k] @ x[k] = rhs``.
 
-        ``systems`` has shape ``(batch, n, n)``; ``rhs`` is either one
-        shared vector ``(n,)``, a per-system vector stack ``(batch, n)``
-        or a multi-RHS stack ``(batch, n, k)``.  One broadcast LAPACK
-        call covers the whole batch — one C-level dispatch instead of a
-        Python loop — which is what makes blocked AC/noise sweeps fast.
-        Counters tally one factorization and one solve per system so
-        batched and per-frequency paths report comparable work.
+        ``systems`` has shape ``(batch, n, n)``; ``rhs`` is one shared
+        vector ``(n,)``.  One broadcast LAPACK call covers the whole
+        batch — one C-level dispatch instead of a Python loop — which is
+        what makes blocked AC/noise sweeps fast.  Counters tally one
+        factorization and one solve per system so batched and
+        per-frequency paths report comparable work.
         """
         systems = np.asarray(systems)
         count = systems.shape[0]
         self.stats.factorizations += count
         self.stats.solves += count
-        rhs = np.asarray(rhs)
-        if rhs.ndim == 1:
-            rhs = np.broadcast_to(rhs, (count, rhs.shape[0]))
-        if rhs.ndim == 2:
-            return np.linalg.solve(systems, rhs[:, :, None])[:, :, 0]
-        return np.linalg.solve(systems, rhs)
+        rhs = np.broadcast_to(rhs, (count, len(rhs)))
+        return np.linalg.solve(systems, rhs[:, :, None])[:, :, 0]
 
 
 #: SPICE's relative pivot threshold (``PIVREL``): the sparse LU keeps a
@@ -468,19 +455,12 @@ class SparseLUSolver(LinearSolver):
 
     def solve(self, a: PatternMatrix, b: np.ndarray,
               token=None) -> np.ndarray:
-        if (
-            token is not None
-            and self._factor is not None
-            and token == self._token
-        ):
-            self.stats.solves += 1
-            return self._factor.solve(b)
         factor = self._factorize(a.pattern, a.data)
         self.stats.solves += 1
         if token is not None:
             self._token, self._factor = token, factor
-        # token=None leaves any token-cached factorization alone, as a
-        # singular system does (see DenseLUSolver.solve).
+        # token=None leaves the kept factorization alone, as a singular
+        # system does (see DenseLUSolver.solve).
         return factor.solve(b)
 
     def solve_pattern_batched(self, pattern: SparsityPattern,
@@ -490,40 +470,31 @@ class SparseLUSolver(LinearSolver):
 
         ``data`` has shape ``(batch, nnz)`` (one value vector per
         system over the compiled pattern — e.g. ``G + j*omega_k*C`` per
-        frequency); ``rhs`` is ``(n,)`` shared, ``(batch, n)`` or
-        ``(batch, n, k)``.  ``transpose=True`` solves ``A.T x = b``
-        (noise adjoint systems) with the same factor of ``A``.  Every
-        lane reuses the pattern's order — no dense staging array is
-        ever built.
+        frequency); ``rhs`` is one shared vector ``(n,)``.
+        ``transpose=True`` solves ``A.T x = b`` (noise adjoint systems)
+        with the same factor of ``A``.  Every lane reuses the pattern's
+        order — no dense staging array is ever built.
         """
         data = np.asarray(data)
         rhs = np.asarray(rhs)
         batch = data.shape[0]
-        shared = rhs.ndim == 1
-        out = np.empty(
-            (batch, pattern.size) + rhs.shape[2:],
-            dtype=np.result_type(data.dtype, rhs.dtype),
-        )
+        out = np.empty((batch, pattern.size),
+                       dtype=np.result_type(data.dtype, rhs.dtype))
         trans = "T" if transpose else "N"
         for k in range(batch):
             factor = self._factorize(pattern, data[k])
             self.stats.solves += 1
-            out[k] = factor.solve(rhs if shared else rhs[k], trans=trans)
+            out[k] = factor.solve(rhs, trans=trans)
         return out
 
 
-def make_solver(size: int, prefer: str, nnz: int | None = None,
-                permc_spec: str | None = None) -> LinearSolver:
-    """The LU backend for a system of ``size`` unknowns.
-
-    ``prefer`` is ``"dense"``, ``"sparse"`` or ``"auto"``, which asks
-    :func:`repro.spice.solvercost.choose` and so needs the pattern's
-    ``nnz``.  ``permc_spec`` configures the sparse backend's
-    fill-reducing order (e.g. ``"COLAMD"`` or ``"NATURAL"``; see
-    :class:`SparseLUSolver`) and is ignored by the dense one.
+def make_solver(prefer: str, permc_spec: str | None = None) -> LinearSolver:
+    """The LU backend a compile chose: ``prefer`` is ``"dense"`` or
+    ``"sparse"`` (see :func:`repro.spice.solvercost.choose`).
+    ``permc_spec`` configures the sparse backend's fill-reducing order
+    (e.g. ``"COLAMD"`` or ``"NATURAL"``; see :class:`SparseLUSolver`)
+    and is ignored by the dense one.
     """
-    if prefer == "auto":
-        prefer = choose_backend(size, nnz)
     if prefer == "sparse":
         return SparseLUSolver(permc_spec=permc_spec)
     if prefer == "dense":
@@ -1325,7 +1296,6 @@ class CompiledCircuit:
         bjts = [e for e in nonlinear if type(e) is BJT]
         self._scalar_dynamic = [e for e in nonlinear if type(e) is not BJT]
         self._eval_cost = len(sources) + len(nonlinear)
-        self.has_constant_jacobian = not nonlinear
 
         # Constant linear stamps, captured by probing load_static with
         # x = 0 and source_scale = 0: every linear element then stamps
@@ -1407,8 +1377,9 @@ class CompiledCircuit:
             if self._bjt_group is not None:
                 self._bjt_group.bind_dense(self._g_full, self._c_full)
 
+        #: The engine's one LU object; every analysis solves through it.
         self.solver = make_solver(
-            size, backend, permc_spec=getattr(circuit, "_permc_spec", None)
+            backend, permc_spec=getattr(circuit, "_permc_spec", None)
         )
         self.solver.stats = self.stats
         self.stats.solver = self.solver.name
@@ -1750,68 +1721,6 @@ class CompiledCircuit:
             i_full[:, :size], g_view, q_full[:, :size], c_view
         )
 
-    def solve(self, a: np.ndarray, b: np.ndarray, token=None,
-              chord: bool = False) -> np.ndarray:
-        """Solve ``a @ x = b`` through the pluggable backend.
-
-        ``token``-based factorization reuse is only honoured for circuits
-        with a constant Jacobian — for nonlinear circuits every Newton
-        matrix differs and reuse would silently turn Newton into a chord
-        method with a stale Jacobian.  ``chord=True`` opts in to exactly
-        that: the caller (``newton_solve``) deliberately freezes the
-        Jacobian under ``token`` and watches residual contraction itself.
-        """
-        if token is not None and not chord and not self.has_constant_jacobian:
-            token = None
-        return self.solver.solve(a, b, token=token)
-
-    def has_factorization(self, token) -> bool:
-        return self.solver.has_factorization(token)
-
-    def solve_cached(self, b: np.ndarray) -> np.ndarray:
-        return self.solver.solve_cached(b)
-
-    def solve_batched(self, systems: np.ndarray,
-                      rhs: np.ndarray) -> np.ndarray:
-        """Solve a ``(batch, n, n)`` stack on a dense-assembly engine.
-
-        Used by the blocked AC/noise frequency sweeps: every system in
-        the stack is distinct (``G + j*omega_k*C``), so there is no
-        factorization reuse — the win is one vectorized LAPACK dispatch
-        instead of a per-frequency Python loop.  Sparse-assembly
-        engines take :meth:`solve_pattern_batched` instead.
-        """
-        return self.solver.solve_batched(systems, rhs)
-
-    def solve_batched_exact(self, systems: np.ndarray,
-                            rhs: np.ndarray) -> np.ndarray:
-        """Per-lane solves bit-identical to this engine's scalar
-        :meth:`solve` — the blocked DC Newton path (see
-        :func:`repro.spice.dcop.newton_solve_batched`).  ``systems`` is
-        the ``(batch, n, n)`` or ``(batch, nnz)`` Jacobian stack of this
-        engine's assembly.  Singular lanes return NaN instead of
-        raising."""
-        if self.assembly == "sparse":
-            systems = [self.pattern.matrix(values) for values in systems]
-        return self.solver.solve_batched_exact(systems, rhs)
-
-    def solve_pattern_batched(self, data: np.ndarray, rhs: np.ndarray,
-                              transpose: bool = False) -> np.ndarray:
-        """Solve a ``(batch, nnz)`` stack over the compiled pattern.
-
-        The sparse-assembly analogue of :meth:`solve_batched`: blocked
-        AC/noise build per-frequency value vectors over the fixed
-        pattern instead of dense ``(batch, n, n)`` stacks.  Only
-        meaningful on a sparse-assembly engine.
-        """
-        if self.assembly != "sparse":
-            raise AnalysisError(
-                "solve_pattern_batched requires a sparse-assembly engine"
-            )
-        return self.solver.solve_pattern_batched(
-            self.pattern, data, rhs, transpose=transpose
-        )
-
     @contextmanager
     def measured(self) -> Iterator[EngineStats]:
         """Measure one analysis block.
@@ -1828,9 +1737,6 @@ class CompiledCircuit:
         finally:
             self.stats.wall_seconds += _time.perf_counter() - t0
             vars(block).update(vars(self.stats.since(snapshot)))
-
-    def invalidate_factorization(self) -> None:
-        self.solver.invalidate()
 
 
 # ---------------------------------------------------------------------------

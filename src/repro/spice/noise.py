@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import AnalysisError
-from .ac import small_signal, solve_ac_lanes
+from .ac import small_signal, solve_ac_lanes, unit_excitation_rhs
 from .dcop import Tolerances, solve_dc
 from .elements.bjt import BJT
 from .elements.diode import Diode
@@ -281,7 +281,7 @@ def _solve_noise(
 
     gain_squared = None
     if input_source is not None:
-        rhs_in = _input_rhs(circuit.element(input_source), size)
+        rhs_in = unit_excitation_rhs(circuit.element(input_source), size)
         solutions = solve_ac_lanes(engine, g_arr[None], c_arr[None],
                                    omegas, rhs_in, batched=batched)[0]
         gain_squared = np.abs(solutions[:, out_index]) ** 2
@@ -295,22 +295,3 @@ def _solve_noise(
         gain_squared=gain_squared,
     )
 
-
-def _input_rhs(element, size: int) -> np.ndarray:
-    """Unit-excitation RHS of the designated input source."""
-    from .elements.sources import CurrentSource, VoltageSource
-
-    rhs = np.zeros(size, dtype=complex)
-    if isinstance(element, VoltageSource):
-        rhs[element.branch_index[0]] = 1.0
-    elif isinstance(element, CurrentSource):
-        p, n = element.node_index
-        if p >= 0:
-            rhs[p] -= 1.0
-        if n >= 0:
-            rhs[n] += 1.0
-    else:
-        raise AnalysisError(
-            f"input source {element.name!r} is not an independent source"
-        )
-    return rhs

@@ -155,7 +155,8 @@ def solve_transient(
     steps sharing a token), fused ``G + alpha*C`` assembly and, at each
     converged step, a replay of the last evaluation's charges instead
     of a device re-evaluation.  ``chord=False`` forces the exact
-    reference stepping path.
+    reference stepping path: full Newton with no token, so every
+    iteration factorizes its own Jacobian.
     """
     if stop_time <= 0:
         raise AnalysisError("transient stop_time must be positive")
@@ -270,6 +271,9 @@ def _solve_transient(
         # replaces it only when the step is accepted.
         step_limits = dict(limits)
         try:
+            # A token turns chord Newton on; the reference path passes
+            # none, so every iteration factorizes its own Jacobian.
+            token = None
             if chord:
                 # Hysteresis: keep the token anchored at the alpha the
                 # jacobian was last factorized for until the controller
@@ -283,12 +287,10 @@ def _solve_transient(
                     token_anchor = log_alpha
                     token_use_be = use_be
                 token = ("tran", use_be, token_anchor)
-            else:
-                token = ("tran", use_be, alpha)
             x_new, ctx = newton_solve(
                 circuit, x_pred, tolerances, gmin,
                 time=t_new, limits=step_limits, dynamic=dynamic,
-                engine=engine, jacobian_token=token, chord=chord,
+                engine=engine, jacobian_token=token,
                 jac_alpha=alpha if chord else None,
                 return_context=True,
             )

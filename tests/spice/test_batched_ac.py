@@ -108,19 +108,6 @@ class TestBatchedSolver:
                 rtol=1e-10, atol=1e-12,
             )
 
-    @pytest.mark.parametrize("solver_cls", [DenseLUSolver, SparseLUSolver])
-    def test_multi_rhs(self, solver_cls, as_pattern):
-        systems, rng = self._stack(4, 5, seed=1)
-        rhs = (rng.standard_normal((4, 5, 3))
-               + 1j * rng.standard_normal((4, 5, 3)))
-        batched = _solve_stack(solver_cls(), systems, rhs, as_pattern)
-        assert batched.shape == (4, 5, 3)
-        for k in range(4):
-            np.testing.assert_allclose(
-                batched[k], np.linalg.solve(systems[k], rhs[k]),
-                rtol=1e-10, atol=1e-12,
-            )
-
     def test_batched_solves_are_counted(self):
         systems, rng = self._stack(3, 4, seed=2)
         rhs = rng.standard_normal(4).astype(complex)

@@ -30,6 +30,7 @@ from repro.spice import (
     solve_transient,
     transfer_function,
 )
+from repro.spice.dcop import Tolerances, newton_solve, solve_dc_batched
 from repro.spice.elements import (
     BJT,
     CCCS,
@@ -272,16 +273,46 @@ class TestLinearSolvers:
     def test_dense_factorization_reuse(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((5, 5)) + 5.0 * np.eye(5)
+        b = rng.standard_normal((3, 5))
         solver = DenseLUSolver()
         stats = solver.stats
-        solver.solve(a, rng.standard_normal(5), token=("t",))
-        solver.solve(a, rng.standard_normal(5), token=("t",))
-        solver.solve(a, rng.standard_normal(5), token=("t",))
-        assert stats.factorizations == 1
-        assert stats.solves == 3
+        solver.solve(a, b[0], token=("t",))
+        assert solver.has_factorization(("t",))
+        reused = [solver.solve_cached(b[k]) for k in (1, 2)]
+        assert (stats.factorizations, stats.solves) == (1, 3)
+        assert stats.jacobian_reuses == 2
+        for k, x in zip((1, 2), reused):
+            np.testing.assert_array_equal(x, DenseLUSolver().solve(a, b[k]))
         solver.invalidate()
-        solver.solve(a, rng.standard_normal(5), token=("t",))
+        assert not solver.has_factorization(("t",))
+        solver.solve(a, b[0], token=("t",))
         assert stats.factorizations == 2
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_a_token_never_stands_in_for_the_matrix(self, backend,
+                                                     as_pattern):
+        """A solve factorizes the matrix it is given, whatever token
+        it carries; the token only names the factorization kept."""
+        rng = np.random.default_rng(4)
+        a1 = rng.standard_normal((6, 6)) + 6.0 * np.eye(6)
+        a2 = a1 + np.diag(rng.uniform(1.0, 2.0, 6))
+        b = rng.standard_normal(6)
+        if backend == "sparse":
+            pattern, values = as_pattern(np.stack([a1, a2]))
+            solver = SparseLUSolver()
+            systems = [pattern.matrix(v) for v in values]
+        else:
+            solver = DenseLUSolver()
+            systems = [a1, a2]
+        solver.solve(systems[0], b, token=("t",))
+        x = solver.solve(systems[1], b, token=("t",))
+        np.testing.assert_allclose(x, np.linalg.solve(a2, b), rtol=1e-12)
+        # The kept factorization is the last one's, a2's, and
+        # solve_cached back-substitutes against it without factorizing.
+        np.testing.assert_array_equal(solver.solve_cached(b), x)
+        stats = solver.stats
+        assert (stats.factorizations, stats.solves) == (2, 3)
+        assert stats.jacobian_reuses == 1
 
     def test_dense_token_change_refactorizes(self):
         rng = np.random.default_rng(2)
@@ -364,16 +395,82 @@ class TestInstrumentation:
         assert stats.wall_seconds > 0.0
 
     def test_linear_circuit_factorizes_once_per_token(self):
-        circuit = Circuit("rc")
-        circuit.add(VoltageSource("V1", ("in", "0"), dc=1.0))
-        circuit.add(Resistor("R1", ("in", "out"), 1e3))
-        circuit.add(Resistor("R2", ("out", "0"), 1e3))
+        """A BJT-free circuit gets no constant-Jacobian shortcut: a DC
+        solve factorizes every Newton iteration, a blocked DC lane every
+        iteration, and ``.TF`` once for its token, back-substituting its
+        second solve.  The values are the ones the former reuse of the
+        DC factorization produced, bit for bit; only the counts moved
+        (DC 1 -> 2 factorizations per solve, ``.TF`` 1 -> 3, four
+        blocked lanes 1 -> 8)."""
+        for mode in ("dense", "sparse"):
+            circuit = Circuit("rc")
+            circuit.add(VoltageSource("V1", ("in", "0"), dc=1.0))
+            circuit.add(Resistor("R1", ("in", "out"), 1e3))
+            circuit.add(Resistor("R2", ("out", "0"), 1e3))
+            engine = get_engine(circuit, mode)
+            op = ["0x1.0000000000000p+0", "0x1.fffffffbb47d0p-2",
+                  "-0x1.0624dd3a195fbp-11"]
+            for _ in range(2):
+                before = engine.stats.copy()
+                x = solve_dc(circuit, engine=engine)
+                delta = engine.stats.since(before)
+                assert [v.hex() for v in x] == op
+                assert (delta.factorizations, delta.solves) == (2, 2)
+                assert delta.jacobian_reuses == 0
+
+            tf = transfer_function(circuit, "V1", "out", engine=engine)
+            assert [float(v).hex() for v in (tf.gain, tf.input_resistance,
+                                             tf.output_resistance)] == [
+                "0x1.0000000000000p-1", "0x1.f400000000000p+10",
+                "0x1.f400000000000p+8"]
+            stats = tf.stats
+            assert (stats.factorizations, stats.solves) == (3, 4)
+            assert stats.jacobian_reuses == 1
+
+            row = circuit.branch_index("V1")
+            deltas = [None] + [-level * np.eye(circuit.num_unknowns)[row]
+                               for level in (0.5, 1.0, 2.0)]
+            before = engine.stats.copy()
+            blocked, errors = solve_dc_batched(circuit, deltas, engine=engine)
+            delta = engine.stats.since(before)
+            assert errors == [None] * 4
+            assert [[v.hex() for v in lane] for lane in blocked] == [
+                op,
+                ["0x1.8000000000000p+0", "0x1.7ffffffcc75dcp-1",
+                 "-0x1.89374bd7260f9p-11"],
+                ["0x1.0000000000000p+1", "0x1.fffffffbb47d0p-1",
+                 "-0x1.0624dd3a195fbp-10"],
+                ["0x1.8000000000000p+1", "0x1.7ffffffcc75dcp+0",
+                 "-0x1.89374bd7260f9p-10"],
+            ]
+            assert (delta.factorizations, delta.solves) == (8, 8)
+            assert delta.jacobian_reuses == 0
+
+    def test_newton_runs_chord_exactly_when_given_a_token(self):
+        circuit = deck_circuit(DECK_DIR / "ce_stage.cir")
+        size = circuit.assign_indices()
         engine = get_engine(circuit)
-        solve_dc(circuit, engine=engine)
-        first = engine.stats.factorizations
-        solve_dc(circuit, engine=engine)
-        # Linear circuit + same ("dc",) token: the LU factors are reused.
-        assert engine.stats.factorizations == first
+        tolerances = Tolerances()
+        solutions = {}
+        for token in (None, ("chord",)):
+            engine.solver.invalidate()
+            before = engine.stats.copy()
+            solutions[token] = newton_solve(
+                circuit, np.zeros(size), tolerances, 1e-12,
+                engine=engine, jacobian_token=token)
+            delta = engine.stats.since(before)
+            if token is None:
+                assert delta.jacobian_reuses == 0
+                assert delta.factorizations == delta.solves
+                assert not engine.solver.has_factorization(("chord",))
+            else:
+                assert delta.jacobian_reuses > 0
+                assert delta.factorizations < delta.solves
+                assert engine.solver.has_factorization(token)
+        # Both runs stop at the same Newton tolerances.
+        np.testing.assert_allclose(solutions[None], solutions[("chord",)],
+                                   rtol=tolerances.reltol,
+                                   atol=tolerances.vntol)
 
     def test_element_evals_exclude_cached_linear_part(self, hf_model):
         circuit = Circuit("amp")

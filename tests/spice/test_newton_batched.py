@@ -89,7 +89,7 @@ def test_stacked_newton_matches_scalar_lanes(decks, stack):
     for k in np.flatnonzero(converged):
         scalar = newton_solve(
             circuit, np.zeros(size), tolerances, 1e-12, engine=engine,
-            jacobian_token=("dc",), rhs_delta=deltas[k],
+            rhs_delta=deltas[k],
         )
         np.testing.assert_array_equal(_bits(x[k]), _bits(scalar))
 

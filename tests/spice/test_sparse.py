@@ -190,17 +190,14 @@ class TestBackendChoice:
 
 
 class TestMakeSolver:
-    def test_prefer_auto_small_is_dense(self):
-        assert isinstance(make_solver(10, prefer="auto", nnz=40),
-                          DenseLUSolver)
-
-    def test_prefer_auto_large_sparse_pattern(self):
-        solver = make_solver(2000, prefer="auto", nnz=8000)
-        assert isinstance(solver, SparseLUSolver)
-
     def test_explicit_prefer_wins(self):
-        assert isinstance(make_solver(10, prefer="sparse"), SparseLUSolver)
-        assert isinstance(make_solver(5000, prefer="dense"), DenseLUSolver)
+        # The compile's solvercost.choose is the one dense/sparse
+        # decision; make_solver builds what it chose and nothing else.
+        assert isinstance(make_solver("sparse"), SparseLUSolver)
+        assert isinstance(make_solver("dense"), DenseLUSolver)
+        for prefer in ("auto", "superlu"):
+            with pytest.raises(AnalysisError, match="unknown solver"):
+                make_solver(prefer)
 
 
 class TestPermcSpecAndFill:
@@ -219,7 +216,7 @@ class TestPermcSpecAndFill:
             SparseLUSolver(permc_spec="BOGUS")
 
     def test_make_solver_threads_the_spec(self):
-        solver = make_solver(500, prefer="sparse", permc_spec="colamd")
+        solver = make_solver("sparse", permc_spec="colamd")
         assert solver.permc_spec == "COLAMD"
 
     def test_options_card_reaches_the_engine(self):

@@ -105,7 +105,7 @@ class TestBlockedSolverParity:
         for delta, lane in zip(deltas, stack):
             scalar = newton_solve(
                 circuit, np.zeros(size), tolerances, 1e-12,
-                engine=engine, jacobian_token=("dc",), rhs_delta=delta,
+                engine=engine, rhs_delta=delta,
             )
             np.testing.assert_array_equal(lane, scalar)
 

@@ -18,7 +18,7 @@ import pytest
 
 import repro.spice.ac as spice_ac
 import repro.spice.dcop as dcop
-from repro.spice.engine import CompiledCircuit, compile_circuit
+from repro.spice.engine import DenseLUSolver, SparseLUSolver, compile_circuit
 from repro.spice.parser import parse_deck
 from repro.sweep import costmodel
 from repro.sweep import (
@@ -168,14 +168,16 @@ def test_byte_budget_splits_lanes_and_frequencies(kind, engine, monkeypatch,
     # blocks, and a complex frequency block holds at most 6 systems.
     monkeypatch.setattr(spice_ac, "MAX_BLOCK_BYTES", 13 * per_lane)
     stacks = []
-    for name in ("solve_batched", "solve_pattern_batched"):
-        original = getattr(CompiledCircuit, name)
+    # (owner, method, position of the system stack among its arguments)
+    for owner, name, at in ((DenseLUSolver, "solve_batched", 0),
+                            (SparseLUSolver, "solve_pattern_batched", 1)):
+        original = getattr(owner, name)
 
-        def spy(self, data, *args, _original=original, **kwargs):
-            stacks.append(len(data))
-            return _original(self, data, *args, **kwargs)
+        def spy(self, *args, _original=original, _at=at, **kwargs):
+            stacks.append(len(args[_at]))
+            return _original(self, *args, **kwargs)
 
-        monkeypatch.setattr(CompiledCircuit, name, spy)
+        monkeypatch.setattr(owner, name, spy)
     newton_calls.clear()
     result = run_sweep(_evaluator(kind, engine), POINTS)
     assert result.stats.chunks == 1
