@@ -179,7 +179,7 @@ GATES = {
         # qualification is bit-identical to the scalar serial reference
         # before recording.  The win is algorithmic (lane-stacked corner
         # solves), so it must hold even on a single-core runner where
-        # auto resolves to serial.  The blocked evaluator compiles one
+        # auto resolves to serial.  Each arm's evaluator compiles one
         # engine, whose lanes carry every corner variant for the DC and
         # AC measurements of all corners.
         Gate(
@@ -189,7 +189,8 @@ GATES = {
             "blocked={blocked_corners_per_second}/s "
             "speedup={speedup}x "
             "stress_overhead={stress_overhead_fraction} "
-            "compiles={compilations} variants={corner_decks}",
+            "compiles={compilations} scalar_compiles={scalar_compilations} "
+            "variants={corner_decks}",
             (
                 Check("bit_identical", "!=", True,
                       "{name}: blocked outcomes diverged from the scalar "
@@ -200,6 +201,10 @@ GATES = {
                 Check("compilations", "!=", 1,
                       "{name}: {compilations} engine compiles for "
                       "{corner_decks} corner variants, not 1"),
+                Check("scalar_compilations", ">", 1,
+                      "{name}: the scalar arm compiled "
+                      "{scalar_compilations} engines for {corner_decks} "
+                      "corner variants, not 1"),
             ),
         ),
     ),

@@ -11,7 +11,7 @@ import numpy as np
 from ..errors import AnalysisError, NetlistError
 from .ac import ACResult, frequency_grid, solve_ac, unit_excitation_rhs
 from .dcop import Tolerances, solve_dc
-from .elements.sources import CurrentSource, VoltageSource, DC
+from .elements.sources import CurrentSource, VoltageSource
 from .engine import EngineStats, resolve_engine
 from .netlist import Circuit
 from .transient import TransientResult, solve_transient
@@ -232,31 +232,31 @@ class Simulator:
         return OperatingPointResult(self.circuit, x, stats=stats)
 
     def dc_sweep(self, source_name: str, values) -> DCSweepResult:
-        """Sweep the DC level of a V or I source, warm-starting each point."""
+        """Sweep the DC level of a V or I source, warm-starting each point.
+        Each level re-biases the source through ``rhs_delta``, as
+        :class:`~repro.sweep.BlockedDCSweep` does."""
         element = self.circuit.element(source_name)
         if not isinstance(element, (VoltageSource, CurrentSource)):
             raise AnalysisError(
                 f"dc_sweep target {source_name!r} is not an independent source"
             )
         values = np.asarray(list(values), dtype=float)
-        original = element.waveform
+        engine = self._engine()
+        base = element.source_value(None)
         states = []
         x = None
         limits: dict = {}
-        engine = self._engine()
-        try:
-            with engine.measured() as stats:
-                for value in values:
-                    # Swapping the waveform only changes the source RHS,
-                    # which engines re-read per evaluation — no recompile.
-                    element.waveform = DC(value)
-                    x = solve_dc(
-                        self.circuit, x0=x, tolerances=self.tolerances,
-                        gmin=self.gmin, limits=limits, engine=engine,
-                    )
-                    states.append(x.copy())
-        finally:
-            element.waveform = original
+        with engine.measured() as stats:
+            for value in values:
+                delta = np.zeros(engine.size)
+                for row, coeff in element.rhs_rows():
+                    delta[row] += coeff * (value - base)
+                x = solve_dc(
+                    self.circuit, x0=x, tolerances=self.tolerances,
+                    gmin=self.gmin, limits=limits, engine=engine,
+                    rhs_delta=delta,
+                )
+                states.append(x.copy())
         return DCSweepResult(
             self.circuit, values, np.array(states), stats=stats,
         )

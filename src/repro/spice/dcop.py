@@ -138,6 +138,7 @@ def newton_solve(
     jac_alpha: float | None = None,
     return_context=False,
     rhs_delta: np.ndarray | None = None,
+    stamps=None,
 ):
     """Run Newton iterations on F(x) = I(x) [+ dynamic terms] until converged.
 
@@ -178,6 +179,10 @@ def newton_solve(
     rows instead (see :class:`repro.sweep.batched.BlockedDCSweep`).  The
     scalar and blocked Newton paths apply it at the same point with the
     same arithmetic, which is what keeps them bit-identical.
+
+    ``stamps``, one lane of :class:`~repro.spice.engine.LaneStamps`,
+    solves that lane's circuit variant (its temperature, its passive
+    values) on the engine (see ``CompiledCircuit.evaluate``).
     """
     engine = resolve_engine(circuit, engine)
     solver = engine.solver
@@ -211,7 +216,7 @@ def newton_solve(
             source_scale=source_scale, jac_alpha=jac_alpha,
             # A chord-reuse iteration never reads the Jacobian, so skip
             # its dense assembly entirely.
-            residual_only=use_cached,
+            residual_only=use_cached, stamps=stamps,
         )
         # The context arrays are engine-owned buffers, free to mutate:
         # the next evaluation rebuilds them.
@@ -284,6 +289,7 @@ def newton_solve(
             ctx = engine.evaluate(
                 x, time=time, gmin=gmin, limits=limits,
                 source_scale=source_scale, charges_only=not full_newton,
+                stamps=stamps,
             )
             return x, ctx
         if use_cached and last_error >= prev_error * CHORD_CONTRACTION:
@@ -329,6 +335,7 @@ def solve_dc(
     engine=None,
     attempt: int = 0,
     rhs_delta: np.ndarray | None = None,
+    stamps=None,
 ) -> np.ndarray:
     """DC operating point with the full homotopy ladder.
 
@@ -349,7 +356,8 @@ def solve_dc(
 
     ``rhs_delta`` re-biases the independent sources without recompiling
     (see :func:`newton_solve`); it rides through every homotopy stage,
-    scaled with the sources during source stepping.
+    scaled with the sources during source stepping; so do ``stamps``
+    (see :func:`newton_solve`).
     """
     circuit.assign_indices()
     engine = resolve_engine(circuit, engine)
@@ -366,7 +374,7 @@ def solve_dc(
     try:
         return newton_solve(
             circuit, x0, tolerances, gmin, limits=limits,
-            engine=engine, rhs_delta=rhs_delta,
+            engine=engine, rhs_delta=rhs_delta, stamps=stamps,
         )
     except ConvergenceError as exc:
         history.append(f"newton: {exc}")
@@ -383,12 +391,12 @@ def solve_dc(
         for step_gmin in relax_gmins:
             x = newton_solve(
                 circuit, x, tolerances, step_gmin, limits=step_limits,
-                engine=engine, rhs_delta=rhs_delta,
+                engine=engine, rhs_delta=rhs_delta, stamps=stamps,
             )
         if relax_gmins[-1] != gmin:
             x = newton_solve(
                 circuit, x, tolerances, gmin, limits=step_limits,
-                engine=engine, rhs_delta=rhs_delta,
+                engine=engine, rhs_delta=rhs_delta, stamps=stamps,
             )
         limits.update(step_limits)
         return x
@@ -409,7 +417,7 @@ def solve_dc(
             x = newton_solve(
                 circuit, x, tolerances, gmin,
                 source_scale=target, limits=step_limits, engine=engine,
-                rhs_delta=rhs_delta,
+                rhs_delta=rhs_delta, stamps=stamps,
             )
             scale = target
             step = min(step * 1.5, 0.25)
@@ -463,7 +471,7 @@ def newton_solve_batched(
     :class:`~repro.spice.engine.LaneStamps` per point: each lane then
     solves its own circuit variant (its temperature, its passive
     values) on the one engine, bit-identical to a scalar
-    :func:`newton_solve` on an engine compiled from that variant.
+    :func:`newton_solve` under that lane's ``stamps``.
 
     Every iteration assembles the active lanes in one
     :meth:`~repro.spice.engine.CompiledCircuit.evaluate_stacked` pass,
@@ -567,20 +575,22 @@ def solve_dc_batched(
     engine=None,
     attempt: int = 0,
     lanes=None,
-    fallback=None,
 ) -> tuple[np.ndarray, list]:
     """Blocked DC operating points: one batched Newton, scalar escalation.
 
     ``rhs_deltas`` is a per-lane sequence of residual offsets (entries
     may be ``None``) — one operating point per lane, typically source
-    re-biases from a sweep (:class:`repro.sweep.batched.BlockedDCSweep`).
+    re-biases from a sweep (:class:`repro.sweep.batched.BlockedDCSweep`);
+    ``lanes`` gives each lane its own circuit variant on the one engine
+    (see :func:`newton_solve_batched`).
 
     Stage 1 runs every lane through :func:`newton_solve_batched`.  Lanes
     that converge there are done — bit-identical to what scalar
     :func:`solve_dc` would have produced, because its first ladder rung
     is exactly this Newton run.  Lanes that do not are re-solved with
-    scalar :func:`solve_dc`, re-living the identical Newton failure and
-    then the identical gmin/source-stepping homotopies, so values,
+    scalar :func:`solve_dc` on the same engine under the lane's own
+    stamps, re-living the identical Newton failure and then the
+    identical gmin/source-stepping homotopies, so values,
     :class:`~repro.errors.ConvergenceError` messages and
     :class:`~repro.errors.ConvergenceReport` forensics all match the
     scalar path lane for lane.  An engine without stacked evaluation
@@ -595,12 +605,6 @@ def solve_dc_batched(
     With ``attempt > 0`` (a sweep retry) the blocked stage is skipped
     outright: the retry contract is scalar ``solve_dc(attempt=k)`` with
     its perturbed guess and heavier ladder, applied per failing lane.
-
-    ``lanes`` gives each lane its own circuit variant on the one engine
-    (see :func:`newton_solve_batched`); ``fallback(k)`` then returns
-    lane ``k``'s own ``(circuit, engine)`` -- compiled from its variant
-    -- for the scalar ladder, which by default runs on ``(circuit,
-    engine)``.  It is called only for the lanes the ladder solves.
     """
     circuit.assign_indices()
     engine = resolve_engine(circuit, engine)
@@ -622,13 +626,12 @@ def solve_dc_batched(
         x = np.array(stack, dtype=float)
         converged = np.zeros(batch, dtype=bool)
     for k in np.flatnonzero(~converged):
-        lane_circuit, lane_engine = (
-            (circuit, engine) if fallback is None else fallback(k))
         try:
             x[k] = solve_dc(
-                lane_circuit, x0=np.array(x0 if x0.ndim == 1 else x0[k]),
-                tolerances=tolerances, gmin=gmin, engine=lane_engine,
+                circuit, x0=np.array(x0 if x0.ndim == 1 else x0[k]),
+                tolerances=tolerances, gmin=gmin, engine=engine,
                 attempt=attempt, rhs_delta=rhs_deltas[k],
+                stamps=None if lanes is None else lanes.take([k]),
             )
         except ConvergenceError as exc:
             errors[k] = exc

@@ -14,9 +14,10 @@ iteration to the next.
   matrices ``G0``/``C0``; per evaluation their residual contribution is
   the matrix-vector product ``G0 @ x`` (and ``C0 @ x`` for charges),
 * **independent sources** reduce to a handful of precomputed
-  ``(row, coeff)`` entries whose values are refreshed from the waveform
-  every evaluation (so in-place waveform mutation, as done by DC sweeps,
-  keeps working),
+  ``(row, coeff)`` entries: DC levels are folded into one vector at
+  compile time (a changed level needs ``Circuit.invalidate()``, or a
+  re-bias through ``rhs_delta``), other waveforms are read every
+  evaluation,
 * **nonlinear elements** are evaluated per iteration into preallocated
   buffers.  Gummel-Poon BJTs — by far the dominant cost in this package's
   benchmarks — are evaluated as a single vectorized group
@@ -24,6 +25,12 @@ iteration to the next.
   the matrices with ``np.add.at`` through index arrays built at compile
   time.  Any other nonlinear element (diodes) falls back to its scalar
   :meth:`~repro.spice.netlist.Element.load_dynamic`.
+
+An engine is its topology; its values are one lane of
+:class:`LaneStamps`, :attr:`CompiledCircuit.stamps`.  Any circuit of the
+same topology (a temperature or passive-value variant) is another lane
+(:meth:`CompiledCircuit.lane_stamps`), which ``evaluate(stamps=)`` and
+``evaluate_stacked(lanes=)`` assemble as an engine compiled from it.
 
 Compilation makes one backend decision, dense or sparse, as a pure
 function of the system's shape (:func:`repro.spice.solvercost.choose`)
@@ -720,8 +727,9 @@ class BJTGroup:
 
     Compile time stacks every per-device constant — the Gummel-Poon
     parameters and the terms derived from them alone, the depletion
-    constants and the stamp sign table — into one ``(rows, n)`` block,
-    and builds the scatter-index arrays.  One kernel (:meth:`_stamp`)
+    constants and the stamp sign table — into one ``(rows, 1, n)``
+    block (``block``, see :meth:`CompiledCircuit._bjt_block`), and
+    builds the scatter-index arrays.  One kernel (:meth:`_stamp`)
     then reproduces the scalar ``BJT.load_dynamic`` for any number of
     lane axes: :meth:`load` runs it over one solution, :meth:`load_stacked`
     over a stack of them.  Ground (-1) terminal indices are mapped to a
@@ -735,7 +743,7 @@ class BJTGroup:
     NaN columns are devices with no history yet.
     """
 
-    def __init__(self, devices, size, i_full, q_full, xg):
+    def __init__(self, devices, size, i_full, q_full, xg, block):
         devices = list(devices)
         self.names = [d.name for d in devices]
         n = len(devices)
@@ -752,12 +760,12 @@ class BJTGroup:
         self._xg = xg
         self.size = size
 
-        nodes, sign, self._params = _bjt_columns(devices, size)
+        # Terminals, the polarities a lane's block must share, and the
+        # parameter block: the engine's lane 0.
+        nodes, sign, self.params = block
         b_ext, s_ext, ci, bi, ei = nodes
-        #: The polarities, which a lane's parameter block must share.
         self._sign = sign
-        self._rows = _kernel_rows(self._params)
-        self._lane_rows = _kernel_rows(self._params[:, None, :])
+        self._rows = _kernel_rows(self.params[:, 0])
         # Control voltages are x[plus] - x[minus]; a pnp's junction rows
         # swap the terminals, which negates exactly.  The base-spreading
         # drop is unsigned.  See _controls for the rows.
@@ -808,10 +816,11 @@ class BJTGroup:
         # -- the last evaluation: the point a charge replay linearizes at --
         #: Node voltages (ground slot included) ``_vals`` was evaluated at.
         self._x_eval = np.zeros(size + 1)
-        #: The limits dict and gmin it ran under.  The dict is compared
-        #: by identity and held, so a fresh dict never matches.
+        #: The limits dict, gmin and stamps it ran under; the dict and
+        #: stamps are compared by identity and held, so new ones miss.
         self._eval_limits: dict | None = None
         self._eval_gmin: float | None = None
+        self._eval_stamps: LaneStamps | None = None
 
     # -- scatter-target binding -------------------------------------------------
 
@@ -856,20 +865,18 @@ class BJTGroup:
         Arrays hold the quantity first, then any lane axes, then the
         devices.  ``v`` holds the ``(9, ..., n)`` control voltages
         (:meth:`_controls`), ``history`` the ``(2, ..., n)`` limiting
-        history, ``rows`` the kernel's views of a per-lane parameter
-        block (default: the group's own, broadcast over the lanes).
-        Writes the ``(23, ..., n)`` base quantities (layout
-        above ``_STAMP_BASE``) to ``base`` and the ``(46, ..., n)``
-        stamp values to ``vals``, and returns the limited ``(2, ...,
-        n)`` junction voltages.  Purely elementwise, so every lane and
+        history, ``rows`` the kernel's views of a parameter block
+        (default: the group's own).  Writes the ``(23, ..., n)`` base
+        quantities (layout above ``_STAMP_BASE``) to ``base`` and the
+        ``(46, ..., n)`` stamp values to ``vals``, and returns the
+        limited ``(2, ..., n)`` junction voltages.  Purely elementwise, so every lane and
         device computes exactly what a one-device scalar call would; the
         two shortcuts on the data (no junction limited, no exponent above
         ``EXP_LIMIT``) return the general path's bits.
         """
         (nvt, two_nvt, vcrit, isat, va, ik, beta, gsign,
          early_floor, q2_floor, itf, itf_num, itf_den, tf, xtf, tf_xtf,
-         tf_xtf2, tr, rbm, rb_diff, rb_on, dep, sign) = rows or (
-            self._rows if v.ndim == 2 else self._lane_rows)
+         tf_xtf2, tr, rbm, rb_diff, rb_on, dep, sign) = rows or self._rows
         gmin = np.array(gmin)
         v_raw = v[:2]
         v_lim, limit = _pnjlim_vec(v_raw, history, nvt[:2], two_nvt, vcrit)
@@ -987,12 +994,15 @@ class BJTGroup:
             c_vals * (xg - self._x_eval)[self._c_cols_arr],
         )
 
-    def load(self, ctx: LoadContext, charges_only: bool = False) -> int:
+    def load(self, ctx: LoadContext, charges_only: bool = False,
+             stamps: LaneStamps | None = None) -> int:
         """Stamp every device of the group; mirrors ``BJT.load_dynamic``.
 
-        ``charges_only=True`` right after an evaluation under the same
-        limits dict and gmin is a charge replay: the group adds that
-        evaluation's charges, linearized to ``ctx.x`` with its
+        ``stamps``, when given, is a one-lane :class:`LaneStamps` whose
+        parameter block the devices evaluate with (default: the group's
+        own).  ``charges_only=True`` right after an evaluation under the
+        same limits dict, gmin and stamps is a charge replay: the group
+        adds that evaluation's charges, linearized to ``ctx.x`` with its
         capacitances, evaluates nothing and returns ``n``, the number of
         device evaluations replayed.  Every other call evaluates every
         device, scatters its stamps -- only the I and Q stamps when
@@ -1004,12 +1014,14 @@ class BJTGroup:
         xg[size] = 0.0
         limits = ctx.limits
         if (charges_only and self._eval_limits is limits
-                and self._eval_gmin == ctx.gmin):
+                and self._eval_gmin == ctx.gmin
+                and self._eval_stamps is stamps):
             self._scatter_charges(xg)
             return self.n
         v_lim = self._stamp(
             self._controls(xg), limits.get(self, self._no_history),
             ctx.gmin, self._base, self._vals,
+            None if stamps is None else _kernel_rows(stamps.params[:, 0]),
         )
         # A compact copy: the kernel's own may be a view that would keep
         # the whole (9, n) controls array alive for as long as the
@@ -1018,6 +1030,7 @@ class BJTGroup:
         self._x_eval[:] = xg
         self._eval_limits = limits
         self._eval_gmin = ctx.gmin
+        self._eval_stamps = stamps
         self._scatter(ctx.jac_alpha, not ctx.residual_only)
         return 0
 
@@ -1038,11 +1051,12 @@ class BJTGroup:
         so each lane's stamps are bit-identical to a scalar :meth:`load`
         at that lane's ``x``.  ``history`` is the ``(L, 2, n)`` pnjlim
         history (NaN: none yet), overwritten in place with this
-        evaluation's limited voltages, or ``None``.  ``params``, when
-        given, is a ``(rows, L, n)`` parameter block, one per lane (see
-        :meth:`CompiledCircuit.lane_stamps`); lane ``k`` then stamps what
-        a group compiled from lane ``k``'s devices would.  Scatter targets are
-        per-lane flats (``i_full``/``q_full`` are ``(L, size+1)``,
+        evaluation's limited voltages, or ``None``.  ``params`` is a
+        ``(rows, L, n)`` parameter block, one per lane (see
+        :meth:`CompiledCircuit.lane_stamps`), or a shared ``(rows, 1,
+        n)`` one (default: the group's own); lane ``k`` stamps what a
+        group compiled from lane ``k``'s devices would.  Scatter
+        targets are per-lane flats (``i_full``/``q_full`` are ``(L, size+1)``,
         ``g_flat``/``c_flat`` are ``(L, flat)``); the ``np.add.at``
         broadcast iterates lane-major, preserving each lane's scalar
         accumulation order over duplicate slots.  The last scalar
@@ -1058,7 +1072,7 @@ class BJTGroup:
             (self._no_history[:, None, :] if history is None
              else history.transpose(1, 0, 2)),
             gmin, np.empty((23, L, n)), vals,
-            None if params is None else _kernel_rows(params),
+            _kernel_rows(self.params if params is None else params),
         )
         if history is not None:
             history[...] = v_lim.transpose(1, 0, 2)
@@ -1155,28 +1169,31 @@ def _topology(circuit: Circuit, probe: _CooContext) -> tuple:
 
 
 class LaneStamps:
-    """Per-lane constant parts of a lane-stacked evaluation.
+    """The values a compiled engine evaluates with, one lane per circuit.
 
     Lane ``k`` carries its own linear stamps -- ``g0``/``c0`` in the
     engine's assembly form (``(L, size, size)`` dense matrices or
     ``(L, nnz + 1)`` pattern values; on a sparse engine ``csr`` adds
     each lane's ``(G0, C0)`` CSR pair for the matvecs), the ``(L,
-    size)`` constant residual and charge vectors ``i0``/``q0`` -- and
-    its ``(rows, L, n)`` BJT parameter block (``None`` without BJTs).
-    :meth:`CompiledCircuit.lane_stamps` builds one lane per circuit,
-    :meth:`concat` joins lanes and :meth:`take` selects them; lane ``k``
-    holds exactly what compiling its own circuit would have built.
+    size)`` constant residual and charge vectors ``i0``/``q0`` --, its
+    ``(rows, L, n)`` BJT parameter block (``None`` without BJTs) and
+    its tuple of scalar devices (``devices``; ``None`` without them).
+    :attr:`CompiledCircuit.stamps` is the engine's own one lane,
+    :meth:`CompiledCircuit.lane_stamps` builds one lane per circuit the
+    same way, :meth:`concat` joins lanes and :meth:`take` selects them;
+    lane ``k`` holds exactly what compiling its own circuit would build.
     """
 
-    __slots__ = ("g0", "c0", "csr", "i0", "q0", "params")
+    __slots__ = ("g0", "c0", "csr", "i0", "q0", "params", "devices")
 
-    def __init__(self, g0, c0, csr, i0, q0, params):
+    def __init__(self, g0, c0, csr, i0, q0, params, devices):
         self.g0 = g0
         self.c0 = c0
         self.csr = csr
         self.i0 = i0
         self.q0 = q0
         self.params = params
+        self.devices = devices
 
     def __len__(self) -> int:
         return len(self.i0)
@@ -1195,6 +1212,8 @@ class LaneStamps:
             None if self.csr is None else [self.csr[k] for k in index],
             self.i0[index], self.q0[index],
             None if self.params is None else self.params[:, index],
+            None if self.devices is None
+            else [self.devices[k] for k in index],
         )
 
     @staticmethod
@@ -1210,6 +1229,8 @@ class LaneStamps:
             np.concatenate([s.q0 for s in stamps]),
             None if first.params is None
             else np.concatenate([s.params for s in stamps], axis=1),
+            None if first.devices is None
+            else [lane for s in stamps for lane in s.devices],
         )
 
 
@@ -1238,9 +1259,10 @@ class CompiledCircuit:
     """Compile-once, evaluate-many circuit engine.
 
     Construction partitions the elements, stamps the linear part into
-    cached ``G0``/``C0`` matrices, precomputes source RHS rows and builds
-    the vectorized BJT group.  :meth:`evaluate` then assembles the full
-    system into preallocated buffers and returns a
+    cached ``G0``/``C0`` matrices (the one lane :attr:`stamps`),
+    precomputes source RHS rows and builds the vectorized BJT group.
+    :meth:`evaluate` then assembles the full system into preallocated
+    buffers and returns a
     :class:`~repro.spice.mna.LoadContext` over them — the same object
     the per-element stamp reference (:func:`~repro.spice.mna.load_circuit`)
     returns.
@@ -1294,7 +1316,7 @@ class CompiledCircuit:
             else:
                 self._source_rows.append((element, rows))
         bjts = [e for e in nonlinear if type(e) is BJT]
-        self._scalar_dynamic = [e for e in nonlinear if type(e) is not BJT]
+        scalar = [e for e in nonlinear if type(e) is not BJT]
         self._eval_cost = len(sources) + len(nonlinear)
 
         # Constant linear stamps, captured by probing load_static with
@@ -1305,12 +1327,9 @@ class CompiledCircuit:
         probe = _CooContext(size)
         for element in circuit:
             element.load_static(probe)
-        self._i0 = probe.i_vec
-        self._q0 = probe.q_vec
         # What a lane's circuit must share with this one (lane_stamps).
         self._sources = tuple(sources)
         self._topology = _topology(circuit, probe)
-        self._bjt_blocks: dict[tuple, tuple] = {}
 
         # Evaluation buffers carry a dummy slot (row/col ``size``) that
         # absorbs ground stamps from the vectorized group.
@@ -1319,8 +1338,10 @@ class CompiledCircuit:
         self._q_full = np.zeros(n1)
         self._xg = np.zeros(n1)
 
+        self._bjt_blocks: dict[tuple, tuple] = {}
         self._bjt_group = (
-            BJTGroup(bjts, size, self._i_full, self._q_full, self._xg)
+            BJTGroup(bjts, size, self._i_full, self._q_full, self._xg,
+                     self._bjt_block(tuple(bjts)))
             if bjts
             else None
         )
@@ -1334,7 +1355,7 @@ class CompiledCircuit:
             group = self._bjt_group
             slot_rows += [group._g_rows_arr, group._c_rows_arr]
             slot_cols += [group._g_cols_arr, group._c_cols_arr]
-        for element in self._scalar_dynamic:
+        for element in scalar:
             # Scalar nonlinear stamps depend on the operating point
             # (e.g. conditional cross terms), so the pattern takes the
             # full cross product of the element's unknowns — a superset
@@ -1356,9 +1377,9 @@ class CompiledCircuit:
         else:
             backend = mode
         self.assembly = backend
-
-        self._g0, self._c0, self._g0_dot, self._c0_dot = (
-            self._linear_stamps(probe))
+        #: The engine's own values: one lane, built as lane_stamps builds
+        #: any circuit's.
+        self.stamps = self._lane(circuit, probe)
         if backend == "sparse":
             pattern = self.pattern
             self._g_data = np.zeros(pattern.nnz + 1)
@@ -1405,27 +1426,18 @@ class CompiledCircuit:
         return g0, c0, g0, c0
 
     def lane_stamps(self, circuit: Circuit) -> LaneStamps:
-        """``circuit`` as one lane of :class:`LaneStamps` for
-        :meth:`evaluate_stacked`.
+        """``circuit`` as one lane of :class:`LaneStamps`, for
+        :meth:`evaluate` and :meth:`evaluate_stacked`.
 
-        The lane's linear stamps come from the compile's own probe and
-        accumulation (:meth:`_linear_stamps`), its parameter block from
-        the compile's own :func:`_bjt_columns` (built once per device
-        list, see :meth:`_bjt_block`), so the lane evaluates bit for bit
-        as an engine compiled from ``circuit`` would.
-        ``circuit`` may differ from the engine's in linear element
-        values and device model parameters only -- a temperature or
-        passive-value variant: the same elements (kind and name) on the
-        same unknowns in the same order, the engine's own source
-        elements and BJT polarities.  Anything else raises
-        :class:`~repro.errors.AnalysisError`, as does an engine with a
-        scalar device (see :attr:`supports_stacked_evaluate`).
+        The lane is built as the compile builds the engine's own
+        (:meth:`_lane`), so it evaluates bit for bit as an engine
+        compiled from ``circuit`` would.  ``circuit`` may differ from
+        the engine's in linear element values and device model
+        parameters only -- a temperature or passive-value variant: the
+        same elements (kind and name) on the same unknowns in the same
+        order, the engine's own source elements and BJT polarities.
+        Anything else raises :class:`~repro.errors.AnalysisError`.
         """
-        if self._scalar_dynamic:
-            raise AnalysisError(
-                "lane stamps cover BJT-group devices only; "
-                f"{self._scalar_dynamic[0].name!r} is a scalar device"
-            )
         size = circuit.assign_indices()
         probe = _CooContext(size)
         for element in circuit:
@@ -1440,39 +1452,48 @@ class CompiledCircuit:
                 "topology: a lane needs the same elements on the same "
                 "unknowns in the same order, and the engine's sources"
             )
+        return self._lane(circuit, probe)
+
+    def _lane(self, circuit: Circuit, probe: _CooContext) -> LaneStamps:
+        """``circuit``'s values (its ``probe``d linear stamps, BJT block
+        and scalar devices) as one lane in this engine's form."""
         params = None
         group = self._bjt_group
         if group is not None:
-            sign, params = self._bjt_block(tuple(
-                e for e in circuit if e.is_nonlinear() and type(e) is BJT))
+            _, sign, params = self._bjt_block(
+                tuple(e for e in circuit if type(e) is BJT))
             if not np.array_equal(sign, group._sign):
                 raise AnalysisError(
                     f"circuit {circuit.title!r} changes a BJT's polarity; "
                     "a lane needs the engine's npn/pnp devices"
                 )
+        devices = tuple(e for e in circuit
+                        if e.is_nonlinear() and type(e) is not BJT)
         g0, c0, g_dot, c_dot = self._linear_stamps(probe)
         return LaneStamps(
             g0[None], c0[None],
             [(g_dot, c_dot)] if self.assembly == "sparse" else None,
             probe.i_vec[None], probe.q_vec[None], params,
+            [devices] if devices else None,
         )
 
     def _bjt_block(self, devices: tuple) -> tuple:
-        """``(sign, params)`` of ``devices`` for :meth:`lane_stamps`,
-        the parameter block read-only and lane-broadcast ``(rows, 1,
-        n)``: :func:`_bjt_columns`, run once per device list.  Variants
+        """:func:`_bjt_columns` of ``devices``, the parameter block
+        read-only and lane-broadcast ``(rows, 1, n)``, run once per
+        device list: the compile's group and every lane (:meth:`_lane`)
+        take their block from here.  Variants
         that share their BJT objects (a temperature's passive-scale
         variants) share one block.  The cache is keyed by the devices
         themselves and keeps them alive, so a block is never served to
         other objects that reuse a dropped device's id."""
         block = self._bjt_blocks.get(devices)
         if block is None:
-            _, sign, params = _bjt_columns(list(devices), self.size)
+            nodes, sign, params = _bjt_columns(list(devices), self.size)
             params = params[:, None, :]
             params.flags.writeable = False
             if len(self._bjt_blocks) >= _BJT_BLOCKS_KEPT:
                 del self._bjt_blocks[next(iter(self._bjt_blocks))]
-            block = self._bjt_blocks[devices] = (sign, params)
+            block = self._bjt_blocks[devices] = (nodes, sign, params)
         return block
 
     # -- evaluation -----------------------------------------------------------
@@ -1487,9 +1508,14 @@ class CompiledCircuit:
         jac_alpha: float | None = None,
         charges_only: bool = False,
         residual_only: bool = False,
+        stamps: LaneStamps | None = None,
     ) -> LoadContext:
         """Assemble I, G, Q, C at candidate ``x``; returns a LoadContext
         whose arrays are views into the engine's reusable buffers.
+
+        ``stamps``, one lane from :meth:`lane_stamps`, evaluates that
+        lane's circuit bit for bit as an engine compiled from it would
+        (default: the engine's own, :attr:`stamps`).
 
         ``jac_alpha`` (transient hot path) fuses the integration formula
         into assembly: ``g_mat`` is built directly as ``G + alpha*C``
@@ -1499,16 +1525,24 @@ class CompiledCircuit:
         contract for the converged-point context handed back to the
         integrator, whose accept path reads nothing else; ``i_vec``,
         ``g_mat`` and ``c_mat`` are stale buffers in that mode.  Right
-        after an evaluation under the same ``limits`` dict and ``gmin``
-        the BJT group then replays its charges, linearized to ``x``
-        (see :meth:`BJTGroup.load`), instead of re-evaluating; those
-        device evaluations are counted in ``stats.bypassed_evals``.
-        Scalar devices (diodes) are evaluated on every call.
+        after an evaluation under the same ``limits`` dict, ``gmin``
+        and ``stamps`` the BJT group then replays its charges,
+        linearized to ``x`` (see :meth:`BJTGroup.load`), instead of
+        re-evaluating; those device evaluations are counted in
+        ``stats.bypassed_evals``.  Scalar devices (diodes) are
+        evaluated on every call.
         ``residual_only=True`` assembles ``i_vec``/``q_vec`` in full and
         leaves ``g_mat`` and ``c_mat`` stale: no base copy, and the BJT
         group scatters no Jacobian stamp — the contract for chord-Newton
         iterations that will reuse a cached factorization.
         """
+        own = stamps is None or stamps is self.stamps
+        if own:
+            stamps = self.stamps
+        elif len(stamps) != 1:
+            raise AnalysisError(
+                f"evaluate takes one lane of stamps, got {len(stamps)}")
+        g0, c0 = stamps.g0[0], stamps.c0[0]
         size = self.size
         i = self._i_full[:size]
         q = self._q_full[:size]
@@ -1519,34 +1553,33 @@ class CompiledCircuit:
             # (O(nnz)) and base-value copies into the pattern data.
             g = self._g_pm
             c = self._c_pm
-            q[:] = self._c0_dot.dot(x)
-            q += self._q0
+            g_dot, c_dot = stamps.csr[0]
+            q[:] = c_dot.dot(x)
         else:
             g = self._g_full[:size, :size]
             c = self._c_full[:size, :size]
-            np.dot(self._c0, x, out=q)
-            q += self._q0
+            np.dot(c0, x, out=q)
+        q += stamps.q0[0]
         if not (charges_only or residual_only):
             if sparse:
                 if jac_alpha is not None:
-                    np.multiply(self._c0, jac_alpha, out=self._g_data)
-                    self._g_data += self._g0
+                    np.multiply(c0, jac_alpha, out=self._g_data)
+                    self._g_data += g0
                 else:
-                    np.copyto(self._g_data, self._g0)
-                    np.copyto(self._c_data, self._c0)
+                    np.copyto(self._g_data, g0)
+                    np.copyto(self._c_data, c0)
             elif jac_alpha is not None:
-                np.multiply(self._c0, jac_alpha, out=g)
-                g += self._g0
+                np.multiply(c0, jac_alpha, out=g)
+                g += g0
             else:
-                np.copyto(g, self._g0)
-                np.copyto(c, self._c0)
+                np.copyto(g, g0)
+                np.copyto(c, c0)
         if not charges_only:
             if sparse:
-                i[:] = self._g0_dot.dot(x)
-                i += self._i0
+                i[:] = g_dot.dot(x)
             else:
-                np.dot(self._g0, x, out=i)
-                i += self._i0
+                np.dot(g0, x, out=i)
+            i += stamps.i0[0]
 
             if source_scale != 0.0:
                 if self._has_src_dc:
@@ -1571,9 +1604,11 @@ class CompiledCircuit:
 
         bypassed = 0
         if self._bjt_group is not None:
-            bypassed = self._bjt_group.load(ctx, charges_only)
-        for element in self._scalar_dynamic:
-            element.load_dynamic(ctx)
+            bypassed = self._bjt_group.load(ctx, charges_only,
+                                            None if own else stamps)
+        if stamps.devices is not None:
+            for element in stamps.devices[0]:
+                element.load_dynamic(ctx)
 
         self.stats.assemblies += 1
         if sparse:
@@ -1587,13 +1622,9 @@ class CompiledCircuit:
 
     @property
     def supports_stacked_evaluate(self) -> bool:
-        """Whether :meth:`evaluate_stacked` covers this circuit.
-
-        True when every nonlinear device belongs to the vectorized BJT
-        group.  A circuit with a scalar device (a diode) has no stacked
-        assembly: its blocked solves take the scalar path lane by lane.
-        """
-        return not self._scalar_dynamic
+        """Whether :meth:`evaluate_stacked` covers this circuit: every
+        nonlinear device is in the BJT group (a diode is not)."""
+        return self.stamps.devices is None
 
     def new_history(self, lanes: int) -> np.ndarray:
         """A ``(lanes, 2, n)`` BJT limiting history for
@@ -1622,67 +1653,63 @@ class CompiledCircuit:
         ``(L, 2, n)`` array from :meth:`new_history`, read and then
         overwritten in place with this evaluation's limited junction
         voltages; ``None`` evaluates every lane without history and
-        keeps none.  ``lanes``, when given, is one lane of
-        :class:`LaneStamps` per row of ``x_stack`` (see
-        :meth:`lane_stamps`): lane ``k`` then assembles with its own
-        linear stamps and BJT parameters, bit-identical to an engine
-        compiled from lane ``k``'s circuit.  On a dense engine the
+        keeps none.  ``lanes`` is one lane of :class:`LaneStamps` per
+        row of ``x_stack`` (see :meth:`lane_stamps`): lane ``k`` then
+        assembles with its own linear stamps and BJT parameters,
+        bit-identical to an engine compiled from lane ``k``'s circuit.
+        By default every row shares the engine's own one lane,
+        :attr:`stamps`, broadcast.  On a dense engine the
         base-stamp matvecs ``G0 @ x`` and ``C0 @ x`` are one stacked
         ``np.matmul`` each, a matrix-vector product per lane like the
         scalar ``np.dot``; a sparse engine runs its CSR matvecs per lane.
         Everything device-side runs stacked through
         :meth:`BJTGroup.load_stacked`, the kernel the scalar path runs.
         Buffers are freshly allocated per call — unlike
-        :meth:`evaluate`, the returned views survive subsequent calls.  Raises :class:`~repro.errors.AnalysisError` on a circuit
-        with scalar devices (see :attr:`supports_stacked_evaluate`).
+        :meth:`evaluate`, the returned views survive subsequent calls.
+        Raises :class:`~repro.errors.AnalysisError` on a circuit with
+        scalar devices (see :attr:`supports_stacked_evaluate`).
         """
-        if self._scalar_dynamic:
+        if not self.supports_stacked_evaluate:
             raise AnalysisError(
                 "stacked evaluation covers BJT-group devices only; "
-                f"{self._scalar_dynamic[0].name!r} is a scalar device"
+                f"{self.stamps.devices[0][0].name!r} is a scalar device"
             )
         size = self.size
         n1 = size + 1
         L = x_stack.shape[0]
         sparse = self.assembly == "sparse"
         if lanes is None:
-            g0, c0, i0, q0, params = (self._g0, self._c0, self._i0,
-                                      self._q0, None)
-            dots = [(self._g0_dot, self._c0_dot)] * L if sparse else None
-        else:
-            if len(lanes) != L:
-                raise AnalysisError(
-                    f"{len(lanes)} lane stamps for {L} stacked solutions"
-                )
-            g0, c0, i0, q0, params = (lanes.g0, lanes.c0, lanes.i0,
-                                      lanes.q0, lanes.params)
-            dots = lanes.csr
+            lanes = self.stamps
+        elif len(lanes) != L:
+            raise AnalysisError(
+                f"{len(lanes)} lane stamps for {L} stacked solutions")
         i_full = np.zeros((L, n1))
         q_full = np.zeros((L, n1))
         c_buf = None
         if sparse:
-            for k, (g_dot, c_dot) in enumerate(dots):
+            csr = lanes.csr if len(lanes) == L else lanes.csr * L
+            for k, (g_dot, c_dot) in enumerate(csr):
                 i_full[k, :size] = g_dot.dot(x_stack[k])
                 q_full[k, :size] = c_dot.dot(x_stack[k])
             g_buf = np.empty((L, self.pattern.nnz + 1))
-            g_buf[:] = g0
+            g_buf[:] = lanes.g0
             if with_c:
                 c_buf = np.empty((L, self.pattern.nnz + 1))
-                c_buf[:] = c0
+                c_buf[:] = lanes.c0
         else:
             # A (size, 1) column per lane makes matmul run one gemv per
             # lane, bit-identical to np.dot; x_stack @ g0.T would be one
             # gemm, which rounds differently.
             columns = x_stack[..., None]
-            i_full[:, :size] = np.matmul(g0, columns)[..., 0]
-            q_full[:, :size] = np.matmul(c0, columns)[..., 0]
+            i_full[:, :size] = np.matmul(lanes.g0, columns)[..., 0]
+            q_full[:, :size] = np.matmul(lanes.c0, columns)[..., 0]
             g_buf = np.zeros((L, n1, n1))
-            g_buf[:, :size, :size] = g0
+            g_buf[:, :size, :size] = lanes.g0
             if with_c:
                 c_buf = np.zeros((L, n1, n1))
-                c_buf[:, :size, :size] = c0
-        i_full[:, :size] += i0
-        q_full[:, :size] += q0
+                c_buf[:, :size, :size] = lanes.c0
+        i_full[:, :size] += lanes.i0
+        q_full[:, :size] += lanes.q0
 
         if source_scale != 0.0:
             if self._has_src_dc:
@@ -1704,7 +1731,7 @@ class CompiledCircuit:
                 c_flat = c_buf.reshape(L, -1) if with_c else None
             self._bjt_group.load_stacked(
                 x_stack, gmin, history, i_full, q_full, g_flat, c_flat,
-                params,
+                lanes.params,
             )
 
         self.stats.assemblies += L
@@ -1742,14 +1769,6 @@ class CompiledCircuit:
 # ---------------------------------------------------------------------------
 # engine resolution / caching
 # ---------------------------------------------------------------------------
-
-
-def stackable(circuit: Circuit) -> bool:
-    """Whether an engine compiled from ``circuit`` has stacked
-    evaluation (:attr:`CompiledCircuit.supports_stacked_evaluate`): every
-    nonlinear device is a plain BJT.  Asked of a circuit, it needs no
-    compile."""
-    return all(type(e) is BJT for e in circuit.nonlinear_elements())
 
 
 def compile_circuit(circuit: Circuit,

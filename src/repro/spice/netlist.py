@@ -163,9 +163,9 @@ class Circuit:
 
     def invalidate(self) -> None:
         """Mark cached compiled state stale after mutating an element value
-        in place (e.g. changing a resistance).  Waveform changes on
-        independent sources do *not* require this — source values are read
-        per evaluation."""
+        in place (e.g. changing a resistance, or giving a source another
+        waveform): the compile folds element values, DC source levels
+        included, into the engine."""
         self._generation += 1
 
     def element(self, name: str) -> Element:

@@ -34,23 +34,19 @@ Every point splits into a deck *variant* and a source re-bias:
   the variants of corner levels are kept; a variant named by a sweep
   point's passive values is dropped after the call that built it.
 
-Both paths solve a variant exactly as an engine compiled from it would,
-but they get there differently:
-
-* the **blocked** path compiles the deck once and runs every variant as
-  lanes of that one engine: each lane carries the variant's own linear
-  stamps and BJT parameter block
-  (:meth:`~repro.spice.engine.CompiledCircuit.lane_stamps`), so a chunk
-  of points is one :func:`~repro.spice.dcop.solve_dc_batched` lane block
-  (several, past the stacked-block byte budget) and one stacked AC
-  solve, whatever its variants; variants sharing their BJT objects
-  share one parameter block;
-* the **scalar** path -- :meth:`_BlockedDeckSweep._evaluate`, retries,
-  seeded points, the escalation of a lane the stacked Newton leaves
-  unconverged, and every point of a deck with a diode (which has no
-  stacked assembly) -- compiles each variant into its own engine, with
-  the deck's ``.OPTIONS SOLVER=`` and ``PERMC=`` applied, and is the
-  bitwise reference.
+The deck compiles once, with its ``.OPTIONS SOLVER=`` and ``PERMC=``,
+and that one engine serves every variant on both paths: a variant is a
+lane of it, carrying its own linear stamps, BJT parameter block and
+scalar devices (:meth:`~repro.spice.engine.CompiledCircuit.lane_stamps`),
+so it solves as an engine compiled from the variant would.  The
+**blocked** path solves a chunk of points as one
+:func:`~repro.spice.dcop.solve_dc_batched` lane block (several, past
+the stacked-block byte budget) and one stacked AC solve, whatever its
+variants.  The **scalar** path -- :meth:`_BlockedDeckSweep._evaluate`,
+retries, seeded points, the escalation of a lane the stacked Newton
+leaves unconverged, and every point of a deck with a diode (which has
+no stacked assembly) -- runs the full :func:`~repro.spice.dcop.solve_dc`
+ladder under the point's lane stamps.
 
 Each point gets one bias solve, and that one solution feeds the DC
 measure, the small-signal AC solve and the corner outcome.  Both paths
@@ -78,7 +74,7 @@ from ..spice.ac import (
 )
 from ..spice.dcop import Tolerances, solve_dc, solve_dc_batched
 from ..spice.elements import DC, Capacitor, Inductor, Resistor
-from ..spice.engine import LaneStamps, compile_circuit, stackable
+from ..spice.engine import LaneStamps, compile_circuit
 from ..spice.netlist import Circuit
 from ..spice.temperature import circuit_at_temperature
 
@@ -204,15 +200,13 @@ def _lane_block(engine, lanes: int, stamps: LaneStamps | None) -> int:
 
 
 class _Variant:
-    """One deck variant: its derived circuit and, each built on first
-    use, its own compiled engine (the scalar path) and its lane stamps
-    on the deck's engine (the blocked path)."""
+    """One deck variant: its derived circuit and its lane stamps on the
+    deck's engine, built on first use."""
 
-    __slots__ = ("circuit", "engine", "stamps")
+    __slots__ = ("circuit", "stamps")
 
     def __init__(self, circuit: Circuit):
         self.circuit = circuit
-        self.engine = None
         self.stamps = None
 
 
@@ -255,7 +249,7 @@ class _BlockedDeckSweep:
         self._given = None
         self._params: dict[str, tuple] = {}
         self._variants: dict[tuple, _Variant] = {}
-        self._compiles = 0
+        self._engine = None
         # The compiled circuits' evaluation buffers are shared state:
         # the service shares one cached evaluator across its job threads
         # (repro.service.server), which would race on them.  Solves are
@@ -325,11 +319,8 @@ class _BlockedDeckSweep:
         self._gmin = self._gmin_arg if self._gmin_arg is not None else gmin
         self._mode = (self._engine_arg if self._engine_arg is not None
                       else deck.options.get("solver"))
-        self._permc = deck.options.get("permc")
         circuit = deck.circuit
         circuit.assign_indices()
-        # Variants keep the deck's device kinds, so they share its answer.
-        self._stacked = stackable(circuit)
         if self._with_ac:
             if self._frequencies_arg is not None:
                 self._frequencies = np.asarray(self._frequencies_arg)
@@ -370,27 +361,26 @@ class _BlockedDeckSweep:
                                   edits[-1])
             else:
                 circuit = self._deck.circuit
-            if self._permc is not None:
-                circuit._permc_spec = self._permc
             circuit.assign_indices()
             variant = _Variant(circuit)
             if not key[1]:
                 self._variants[key] = variant
         return variant
 
-    def _compiled(self, variant: _Variant):
-        """The variant's own engine, compiled on first use."""
-        if variant.engine is None:
-            variant.engine = compile_circuit(variant.circuit, self._mode)
-            self._compiles += 1
-        return variant.engine
+    def _compiled(self):
+        """The deck's one engine, compiled on first use."""
+        if self._engine is None:
+            self._engine = compile_circuit(self._deck.circuit, self._mode)
+        return self._engine
 
     def _stamped(self, variant: _Variant) -> LaneStamps:
-        """The variant as one lane of the deck's engine, built on first
-        use."""
+        """The variant as one lane of the deck's engine (the deck as
+        written: the engine's own), built on first use."""
         if variant.stamps is None:
-            engine = self._compiled(self._variant(_BASE))
-            variant.stamps = engine.lane_stamps(variant.circuit)
+            engine = self._compiled()
+            variant.stamps = (
+                engine.stamps if variant.circuit is self._deck.circuit
+                else engine.lane_stamps(variant.circuit))
         return variant.stamps
 
     def _kept_keys(self) -> list:
@@ -400,25 +390,19 @@ class _BlockedDeckSweep:
     def prime(self) -> int:
         """Prepare every kept variant up front (the service's
         compile-once contract): compile the deck's engine and build each
-        kept variant's lane stamps on it -- or, on a deck whose points
-        all take the scalar path (one with a diode), compile each kept
-        variant's own engine.  Returns how many variants it prepared."""
+        kept variant's lane stamps on it.  Returns how many variants it
+        prepared."""
         with self._lock:
             self._resolve()
             keys = self._kept_keys()
             for key in keys:
-                variant = self._variant(key)
-                if self._stacked:
-                    self._stamped(variant)
-                else:
-                    self._compiled(variant)
+                self._stamped(self._variant(key))
             return len(keys)
 
     def compilations(self) -> int:
-        """Engines compiled so far, kept or dropped — the service's
-        recompile guard watches this stay flat."""
-        with self._lock:
-            return self._compiles
+        """Engines compiled so far: 1 once the deck's engine exists --
+        the service's recompile guard watches this stay flat."""
+        return 0 if self._engine is None else 1
 
     # -- points -----------------------------------------------------------------
 
@@ -482,10 +466,11 @@ class _BlockedDeckSweep:
                 values.append((target, level))
         return (edits, tuple(sorted(values))), delta
 
-    def _ac_solutions(self, engine, x: np.ndarray,
-                      lanes: LaneStamps | None = None) -> np.ndarray:
+    def _ac_solutions(self, x: np.ndarray,
+                      lanes: LaneStamps | None) -> np.ndarray:
         """``(lanes, freqs, n)`` small-signal solutions linearized at
-        each row of ``x`` (each with its own stamps, given ``lanes``)."""
+        each row of ``x``, under its own stamps given ``lanes``."""
+        engine = self._compiled()
         if engine.supports_stacked_evaluate:
             # One lane-stacked linearization; each lane's G/C is
             # bit-identical to a scalar small_signal at that point.
@@ -493,8 +478,9 @@ class _BlockedDeckSweep:
                                            lanes=lanes)
             g_stack, c_stack = np.array(sctx.g), np.array(sctx.c)
         else:
-            pairs = [small_signal(engine, lane, self._gmin, {})
-                     for lane in x]
+            pairs = [small_signal(engine, lane, self._gmin, {},
+                                  None if lanes is None else lanes.take([k]))
+                     for k, lane in enumerate(x)]
             g_stack = np.stack([g for g, _ in pairs])
             c_stack = np.stack([c for _, c in pairs])
         return solve_ac_lanes(engine, g_stack, c_stack, self._omegas,
@@ -503,18 +489,19 @@ class _BlockedDeckSweep:
     def _solve_point(self, variant: _Variant, delta, attempt: int) -> tuple:
         """The scalar path's ``(x, solutions)`` of one point: its bias
         through the full :func:`~repro.spice.dcop.solve_dc` homotopy
-        ladder on the variant's own engine (``attempt`` picks the retry
+        ladder under the variant's stamps (``attempt`` picks the retry
         rung), then its AC sweep as a single lane."""
-        engine = self._compiled(variant)
+        stamps = self._stamped(variant)
         x = solve_dc(
-            variant.circuit, tolerances=self._tolerances, gmin=self._gmin,
-            engine=engine, attempt=attempt, rhs_delta=delta,
+            self._deck.circuit, tolerances=self._tolerances,
+            gmin=self._gmin, engine=self._compiled(), attempt=attempt,
+            rhs_delta=delta, stamps=stamps,
         )
         solutions = None
         if self._with_ac:
             if not np.any(self._rhs):
                 raise AnalysisError(_NO_STIMULUS)
-            solutions = self._ac_solutions(engine, x[None])[0]
+            solutions = self._ac_solutions(x[None], stamps)[0]
         return x, solutions
 
     def _reduced(self, circuit, x, solutions) -> tuple:
@@ -527,7 +514,7 @@ class _BlockedDeckSweep:
             return None, error
 
     def _evaluate(self, params: dict, attempt: int):
-        """Scalar path: one point on its variant's own engine (see
+        """Scalar path: one point under its variant's stamps (see
         :meth:`_solve_point`), reduced to its value."""
         with self._lock:
             self._resolve()
@@ -557,36 +544,23 @@ class _BlockedDeckSweep:
                 if variant is None:
                     variant = variants[key] = self._variant(key)
                 points.append((k, variant, delta))
-            if not self._stacked:
-                # A deck with a diode has no stacked assembly: each point
-                # takes the scalar path.
-                for k, variant, delta in points:
-                    try:
-                        solved = self._solve_point(variant, delta, 0)
-                    except ReproError as error:
-                        results[k] = (None, error)
-                        continue
-                    results[k] = self._reduced(variant.circuit, *solved)
-                return results
             base = self._variant(_BASE)
-            engine = self._compiled(base)
             other = next((v for v in variants.values() if v is not base),
                          None)
-            block = _lane_block(engine, len(points),
+            block = _lane_block(self._compiled(), len(points),
                                 None if other is None
                                 else self._stamped(other))
             for start in range(0, len(points), block):
-                self._solve_block(engine, points[start:start + block],
-                                  results)
+                self._solve_block(points[start:start + block], results)
             return results
 
-    def _solve_block(self, engine, points: list, results: list) -> None:
+    def _solve_block(self, points: list, results: list) -> None:
         """One lane block: a stacked Newton bias solve, then one run of
         ``(lanes x freq_block)`` stacked complex solves; fills
         ``results`` at the points' chunk positions.  Lanes of variants
         other than the deck carry their own stamps; a lane the stacked
-        Newton leaves unconverged escalates to the scalar ladder on its
-        variant's own engine."""
+        Newton leaves unconverged, and every lane of a deck with a
+        diode, takes the scalar ladder under them."""
         positions, variants, deltas = zip(*points)
         base = self._variant(_BASE)
         lanes = None
@@ -594,9 +568,7 @@ class _BlockedDeckSweep:
             lanes = LaneStamps.concat([self._stamped(v) for v in variants])
         x, errors = solve_dc_batched(
             base.circuit, deltas, tolerances=self._tolerances,
-            gmin=self._gmin, engine=engine, lanes=lanes,
-            fallback=lambda i: (variants[i].circuit,
-                                self._compiled(variants[i])),
+            gmin=self._gmin, engine=self._compiled(), lanes=lanes,
         )
         solved = []
         for i, error in enumerate(errors):
@@ -612,8 +584,7 @@ class _BlockedDeckSweep:
                                              AnalysisError(_NO_STIMULUS))
                 return
             solutions = self._ac_solutions(
-                engine, x[solved],
-                None if lanes is None else lanes.take(solved))
+                x[solved], None if lanes is None else lanes.take(solved))
         for i, lane_solutions in zip(solved, solutions):
             results[positions[i]] = self._reduced(
                 variants[i].circuit, x[i], lane_solutions)

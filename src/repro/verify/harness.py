@@ -16,10 +16,9 @@ Corner mechanics: axes that change the matrix (temperature, passive
 scale) select a deck *variant* — a circuit derived from the parsed
 deck, once per distinct combination of their levels and kept for every
 corner sharing it — while source axes re-bias each corner's lane through
-``rhs_delta``.  On the blocked path every corner is a lane of the deck's
-one compiled engine, carrying its variant's linear stamps and BJT
-parameters; the scalar path compiles each variant into its own engine
-and is the bitwise reference.  Each corner gets one bias solve, and
+``rhs_delta``.  On both paths every corner is a lane of the deck's one
+compiled engine, carrying its variant's linear stamps and BJT
+parameters.  Each corner gets one bias solve, and
 that one operating point feeds the DC measurements, the small-signal AC
 sweep and the stress checks.  A 27-corner set over 3 temperatures x 3
 resistor scales x 3 supply levels therefore parses the deck once,
@@ -275,7 +274,7 @@ class CornerEvaluator(_BlockedDeckSweep):
 
     def __call__(self, params: dict, attempt: int = 0) -> dict:
         """Scalar path: one corner through the full bias solve (and AC
-        sweep) on its variant's own engine, reduced to the corner
+        sweep) under its variant's lane stamps, reduced to the corner
         outcome."""
         return self._evaluate(params, attempt)
 

@@ -83,6 +83,78 @@ def as_pattern():
     return build
 
 
+class _VariantOracle:
+    """What a deck evaluator's point solves to on the variant's own engine.
+
+    A deck evaluator (:class:`~repro.sweep.BlockedDCSweep`,
+    :class:`~repro.sweep.BlockedACSweep`,
+    :class:`~repro.verify.CornerEvaluator`) solves every point on the
+    deck's one engine, under the lane stamps of the point's variant.
+    ``oracle(params)`` solves the point the way those stamps stand in
+    for: it compiles the variant's own circuit (once per variant) with
+    the deck's options, runs the full ``solve_dc`` ladder on it, then
+    the small-signal AC sweep when the evaluator has one, and reduces
+    the result as the evaluator does.
+    """
+
+    def __init__(self, evaluator):
+        evaluator._resolve()
+        self.evaluator = evaluator
+        self.variants = {}
+
+    def __call__(self, params: dict):
+        from repro.errors import AnalysisError
+        from repro.spice.ac import small_signal, solve_ac_lanes
+        from repro.spice.dcop import solve_dc
+        from repro.spice.engine import compile_circuit
+
+        ev = self.evaluator
+        key, delta = ev._lane(params)
+        if key not in self.variants:
+            circuit = ev._variant(key).circuit
+            circuit._permc_spec = getattr(ev._deck.circuit, "_permc_spec",
+                                          None)
+            self.variants[key] = (circuit,
+                                  compile_circuit(circuit, ev._mode))
+        circuit, engine = self.variants[key]
+        x = solve_dc(circuit, tolerances=ev._tolerances, gmin=ev._gmin,
+                     engine=engine, rhs_delta=delta)
+        solutions = None
+        if ev._with_ac:
+            if not np.any(ev._rhs):
+                raise AnalysisError("AC analysis: no source has an AC "
+                                    "stimulus")
+            g, c = small_signal(engine, x, ev._gmin, {})
+            solutions = solve_ac_lanes(engine, g[None], c[None],
+                                       ev._omegas, ev._rhs)[0]
+        return ev._reduce(circuit, x, solutions)
+
+    def outcomes(self, corners) -> list:
+        """Every corner's outcome, as a qualification reports it."""
+        from repro.verify.report import CornerOutcome
+
+        outcomes = []
+        for corner in corners:
+            value = self(dict(corner.values))
+            outcomes.append(CornerOutcome(
+                corner=corner.name, values=dict(corner.values),
+                measurements=dict(value["measurements"]),
+                quantities=value["quantities"],
+                violations=tuple(value["violations"]),
+            ).to_dict())
+        return outcomes
+
+
+@pytest.fixture(scope="session")
+def variant_oracle():
+    """Factory ``evaluator -> oracle``: ``oracle(params)`` is the value
+    ``evaluator(params)`` must equal bit for bit, solved on an engine
+    compiled from the point's own deck variant; ``oracle.outcomes(
+    corners)`` the outcome dicts of a qualification over ``corners``.
+    Its compiles show in :func:`compile_log`."""
+    return _VariantOracle
+
+
 @pytest.fixture()
 def compile_log(monkeypatch):
     """Every engine compiled while the test runs, in order, as

@@ -24,9 +24,13 @@ analysis does:
   kernel's shortcuts (no junction limited, no exponent above
   ``EXP_LIMIT``) with lanes that do not;
 * with lane stamps, each lane carrying its own temperature and
-  resistor scale, every lane of ``evaluate_stacked`` is the scalar
-  ``evaluate`` of an engine compiled from that lane's circuit, bit for
-  bit, with history and without.
+  resistor scale, every lane of ``evaluate_stacked``, and the scalar
+  ``evaluate`` under that lane's stamps, is the ``evaluate`` of an
+  engine compiled from that lane's circuit, bit for bit, with history
+  and without; so is ``evaluate`` under a diode deck's temperature
+  variant, whose lane carries its own diode;
+* a charges-only evaluation under other stamps than the last full one
+  is a full evaluation, bit for bit.
 
 The decks alone exercise one-BJT groups, the 20-BJT ring and a single
 pnp, which leaves most columns of the stamp gather table's rarer rows
@@ -42,12 +46,13 @@ import pytest
 
 from repro.devices import GummelPoonParameters
 from repro.devices.gummel_poon import EXP_LIMIT
-from repro.devices.temperature import at_temperature
+from repro.devices.temperature import at_temperature, celsius
 from repro.errors import AnalysisError
 from repro.spice import Circuit, compile_circuit
 from repro.spice.elements import BJT, Diode, DiodeModel, Resistor
 from repro.spice.engine import BJTGroup, LaneStamps
 from repro.spice.mna import LoadContext, load_circuit
+from repro.spice.temperature import circuit_at_temperature
 
 from .test_engine import by_device
 
@@ -110,10 +115,24 @@ class _TermMagnitudes(LoadContext):
     magnitude: entry by entry, ``Σ|terms|`` of the sum the walk forms.
     A conductance or capacitance stamp counts its current or charge as
     ``|g|·(|vp|+|vn|)``: the engine's ``G0 @ x`` adds the two products
-    separately."""
+    separately.  A BJT's emitter current ``-sign·(ic + ib)`` counts as
+    ``|ic| + |ib|``, the terms it sums, which cancel where the emitter
+    current is small against the collector and base currents."""
+
+    def load(self, element) -> None:
+        """Walk ``element``'s stamps; its currents land once it is done."""
+        self._currents = []
+        element.load(self)
+        if isinstance(element, BJT):
+            # load_dynamic stamps ic and ib, then the emitter's
+            # -sign·(ic + ib), last of all its currents.
+            (_, ic), (_, ib), (emitter, _) = self._currents[-3:]
+            self._currents[-1] = (emitter, ic + ib)
+        for row, magnitude in self._currents:
+            super().add_i(row, magnitude)
 
     def add_i(self, row, value):
-        super().add_i(row, abs(value))
+        self._currents.append((row, abs(value)))
 
     def add_g(self, row, col, value):
         super().add_g(row, col, abs(value))
@@ -144,7 +163,7 @@ def _term_magnitudes(circuit, x, limits) -> LoadContext:
     ctx = _TermMagnitudes(circuit.assign_indices(), x, None, 1e-12)
     ctx.limits = limits
     for element in circuit:
-        element.load(ctx)
+        ctx.load(element)
     return ctx
 
 
@@ -207,6 +226,36 @@ def test_stamp_reference_where_device_currents_cancel(mode):
                     model(polarity="pnp", RB=100.0, RE=3.0, RC=60.0)))
     _assert_group_matches_stamp_reference(circuit, mode, seed=4, scale=0.9,
                                           evaluations=3)
+
+
+@pytest.mark.parametrize("mode", ["dense", "sparse"])
+def test_stamp_reference_where_the_emitter_sum_cancels(mode):
+    """A seeded group whose emitter stamp cancels: at the second
+    evaluation Q0's collector and base currents are -/+2.4e11 A and its
+    emitter current ``-(ic + ib)`` is 6.7e4 A.  The engine and the
+    reference round ``ic`` and ``ib`` differently, so their emitter
+    stamps differ by 458 times the bound of the stamp's magnitude
+    alone; counted by its terms, ``|ic| + |ib|``, the bound holds with
+    a wide margin."""
+    def model(**values):
+        return GummelPoonParameters(
+            name="QF", NE=2.0, IKR=0.01, RBM=10.0, CJE=45e-15, VJE=0.9,
+            MJE=0.35, CJC=30e-15, VJC=0.7, VJS=0.6, MJS=0.4, **values)
+
+    circuit = Circuit("bjt_group")
+    circuit.add(Resistor("RL", ("a", "0"), 1e3))
+    circuit.add(BJT("Q0", ("b", "0", "e0", "c"), model(
+        IS=2.4740874715502323e-16, BF=51.29705696048225,
+        NF=0.9939321043581433, VAF=40.95212232381178, IKF=8e-3,
+        BR=2.367160022048088, NR=1.0216595803665005,
+        VAR=4.638764623421113, ISC=1e-14, RB=199.35352255560514, RE=3.0,
+        CJS=70e-15, TF=9e-12, XTF=2.0, ITF=8e-3)))
+    circuit.add(BJT("Q1", ("c", "d", "e1", "b"), model(
+        IS=3.4666847753909195e-16, BF=198.6397806449565,
+        NF=1.0332988950223245, ISE=5e-15, BR=2.375634223708891,
+        NR=1.081518081088159, RB=90.55065987654474)))
+    _assert_group_matches_stamp_reference(circuit, mode, seed=2651459305,
+                                          scale=0.9, evaluations=2)
 
 
 @settings(max_examples=30, deadline=None)
@@ -330,6 +379,7 @@ def test_lane_stamps_are_each_lanes_own_engine(case, corners, with_history,
     assert len(lanes) == len(own)
     history = engine.new_history(len(own)) if with_history else None
     limits = [{} for _ in own]
+    stamped_limits = [{} for _ in own]
     rng = np.random.default_rng(seed)
     for _ in range(evaluations):
         x_stack = scale * rng.standard_normal((len(own), size))
@@ -338,17 +388,86 @@ def test_lane_stamps_are_each_lanes_own_engine(case, corners, with_history,
         for k, lane_engine in enumerate(own):
             ctx = lane_engine.evaluate(
                 x_stack[k], limits=limits[k] if with_history else {})
-            for name, lane, scalar in (
-                ("i", stacked.i[k], ctx.i_vec), ("g", stacked.g[k], ctx.g_mat),
-                ("q", stacked.q[k], ctx.q_vec), ("c", stacked.c[k], ctx.c_mat),
+            # The scalar path: the lane's stamps on the one engine.
+            stamped = engine.evaluate(
+                x_stack[k], limits=stamped_limits[k] if with_history else {},
+                stamps=lanes.take([k]))
+            for name, lane, scalar, under in (
+                ("i", stacked.i[k], ctx.i_vec, stamped.i_vec),
+                ("g", stacked.g[k], ctx.g_mat, stamped.g_mat),
+                ("q", stacked.q[k], ctx.q_vec, stamped.q_vec),
+                ("c", stacked.c[k], ctx.c_mat, stamped.c_mat),
             ):
                 np.testing.assert_array_equal(_bits(lane), _bits(scalar),
+                                              err_msg=name)
+                np.testing.assert_array_equal(_bits(under), _bits(scalar),
                                               err_msg=name)
             if with_history:
                 [group] = [key for key in limits[k]
                            if isinstance(key, BJTGroup)]
                 np.testing.assert_array_equal(_bits(history[k]),
                                               _bits(limits[k][group]))
+                np.testing.assert_array_equal(
+                    _bits(stamped_limits[k][engine._bjt_group]),
+                    _bits(limits[k][group]))
+
+
+@pytest.mark.parametrize("mode", ["dense", "sparse"])
+def test_diode_lane_stamps_are_the_variants_own_engine(mode):
+    """A diode deck's temperature variant under its lane stamps: the
+    lane carries the variant's re-modelled diode, which the one engine's
+    ``evaluate`` stamps in place of its own."""
+    circuit = _pair(GummelPoonParameters(name="QN", CJE=45e-15, TF=9e-12))
+    circuit.add(Diode("D1", ("a", "b"),
+                      DiodeModel(name="DC", IS=1e-14, CJO=5e-15, TT=1e-9)))
+    size = circuit.assign_indices()
+    engine = compile_circuit(circuit, mode=mode)
+    hot = circuit_at_temperature(circuit, celsius(85.0))
+    stamps = engine.lane_stamps(hot)
+    assert stamps.devices == [(hot.element("D1"),)]
+    own = compile_circuit(hot, mode=mode)
+    limits, stamped_limits = {}, {}
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        x = 0.9 * rng.standard_normal(size)
+        ctx = own.evaluate(x, limits=limits)
+        stamped = engine.evaluate(x, limits=stamped_limits, stamps=stamps)
+        for name in ("i_vec", "g_mat", "q_vec", "c_mat"):
+            np.testing.assert_array_equal(
+                _bits(getattr(stamped, name)), _bits(getattr(ctx, name)),
+                err_msg=name)
+        assert stamped_limits["D1"] == limits["D1"]
+    # The engine's own lane is untouched: its default evaluation is
+    # still the deck's own.
+    reference = compile_circuit(circuit, mode=mode).evaluate(x, limits={})
+    np.testing.assert_array_equal(
+        _bits(engine.evaluate(x, limits={}).i_vec), _bits(reference.i_vec))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=groups(), corner=st.tuples(st.floats(233.15, 398.15),
+                                       st.floats(0.5, 2.0)))
+def test_charge_replay_never_crosses_stamps(case, corner):
+    """A charges-only evaluation right after a full one, under the same
+    limits dict and gmin but other stamps, re-evaluates the devices:
+    its charges are that full evaluation's, bit for bit.  Either way
+    round: the engine's own stamps after a lane's, a lane's after the
+    engine's own."""
+    circuit, mode, seed, scale = case
+    size = circuit.assign_indices()
+    engine = compile_circuit(circuit, mode=mode)
+    lane = engine.lane_stamps(_lane_circuit(circuit, *corner))
+    x0, x1 = scale * np.random.default_rng(seed).standard_normal((2, size))
+    for first, then in ((lane, None), (None, lane)):
+        limits = {}
+        engine.evaluate(x0, limits=limits, stamps=first)
+        snapshot = dict(limits)
+        before = engine.stats.bypassed_evals
+        got = np.array(engine.evaluate(x1, limits=limits, stamps=then,
+                                       charges_only=True).q_vec)
+        assert engine.stats.bypassed_evals == before
+        ref = engine.evaluate(x1, limits=snapshot, stamps=then)
+        np.testing.assert_array_equal(_bits(got), _bits(ref.q_vec))
 
 
 def _pair(model: GummelPoonParameters) -> Circuit:
@@ -377,7 +496,8 @@ def test_lane_stamps_need_the_engines_topology():
     for circuit in (moved, swapped, grown, flipped):
         with pytest.raises(AnalysisError):
             engine.lane_stamps(circuit)
+    # A scalar device rides in its lane.
     clamped = _pair(npn)
     clamped.add(Diode("D1", ("a", "0"), DiodeModel(name="DC")))
-    with pytest.raises(AnalysisError, match="scalar device"):
-        compile_circuit(clamped).lane_stamps(clamped)
+    lane = compile_circuit(clamped).lane_stamps(clamped)
+    assert lane.devices == [(clamped.element("D1"),)]

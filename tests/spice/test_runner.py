@@ -2,6 +2,7 @@
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.errors import AnalysisError
@@ -12,7 +13,11 @@ from repro.spice import (
     TransientResult,
     run_deck,
 )
-from repro.spice.analysis import DCSweepResult
+from repro.spice.analysis import DCSweepResult, Simulator
+from repro.spice.dcop import solve_dc
+from repro.spice.elements import DC
+from repro.spice.engine import compile_circuit
+from repro.spice.parser import parse_deck
 
 DECK_DIR = Path(__file__).resolve().parents[2] / "examples" / "decks"
 
@@ -44,7 +49,10 @@ class TestRunDeck:
         run = run_deck(FULL_DECK)
         sweep = run.first(DCSweepResult)
         assert list(sweep.sweep_values) == [0, 1, 2, 3, 4, 5]
-        assert sweep.voltage("out")[-1] == pytest.approx(5.0, rel=1e-6)
+        # C1 is open at DC: V(out) follows V1 at every point.
+        np.testing.assert_allclose(sweep.voltage("out"),
+                                   sweep.sweep_values, rtol=1e-6,
+                                   atol=1e-9)
 
     def test_ac_pole(self):
         run = run_deck(FULL_DECK)
@@ -72,6 +80,77 @@ class TestRunDeck:
         assert ".AC sweep" in text
         assert ".TRAN" in text
         assert "V(out)" in text
+
+
+CE_DECK = (DECK_DIR / "ce_stage.cir").read_text()
+
+#: A resistive divider: V(out) = V1 * R2 / (R1 + R2).
+DIVIDER = """resistive divider
+V1 in 0 DC 10
+R1 in out 1k
+R2 out 0 3k
+{card}
+.END
+"""
+
+
+class TestDCSweep:
+    """``.DC`` re-biases its source on the compiled engine: every point
+    is the operating point of the deck written at that level."""
+
+    def test_every_point_is_the_deck_at_that_level(self):
+        """Each point against a fresh solve of the deck written at that
+        level, from the sweep's own warm start (the previous point), and
+        against that deck's residual."""
+        deck = CE_DECK.replace(".OP", ".DC VB 0.7 0.9 0.1", 1)
+        sweep = run_deck(deck).first(DCSweepResult)
+        assert len(sweep.sweep_values) == 3
+        np.testing.assert_allclose(sweep.voltage("b"), [0.7, 0.8, 0.9],
+                                   rtol=1e-12)
+        start = None
+        for level, state in zip(sweep.sweep_values, sweep.states):
+            written = CE_DECK.replace("VB b 0 DC 0.8",
+                                      f"VB b 0 DC {float(level)!r}")
+            assert written != CE_DECK
+            circuit = parse_deck(written).circuit
+            fresh = solve_dc(circuit, x0=start)
+            np.testing.assert_allclose(state, fresh, rtol=1e-6, atol=1e-9)
+            residual = compile_circuit(circuit).evaluate(state, limits={})
+            assert np.max(np.abs(residual.i_vec)) < 1e-6
+            start = state
+
+    def test_divider_sweep_matches_its_closed_form(self):
+        sweep = run_deck(DIVIDER.format(card=".DC V1 -5 20 5")).first(
+            DCSweepResult)
+        levels = sweep.sweep_values
+        assert list(levels) == [-5, 0, 5, 10, 15, 20]
+        # To the 1e-12 S node shunts' share, 1e-12 S x 750 ohm.
+        np.testing.assert_allclose(sweep.voltage("out"),
+                                   levels * 3e3 / (1e3 + 3e3), rtol=1e-8,
+                                   atol=1e-12)
+        np.testing.assert_allclose(sweep.voltage("in"), levels, rtol=1e-12,
+                                   atol=1e-12)
+
+    def test_sweep_leaves_the_source_and_engine_alone(self):
+        circuit = parse_deck(DIVIDER.format(card=".OP")).circuit
+        simulator = Simulator(circuit)
+        source = circuit.element("V1")
+        waveform = source.waveform
+        simulator.dc_sweep("V1", [1.0, 2.0])
+        assert source.waveform is waveform
+        assert simulator.operating_point().voltage("out") == \
+            pytest.approx(7.5, rel=1e-8)
+
+    def test_waveform_edit_answers_after_invalidate(self):
+        circuit = parse_deck(
+            DIVIDER.format(card=".OP").replace("3k", "1k")).circuit
+        simulator = Simulator(circuit)
+        assert simulator.operating_point().voltage("out") == \
+            pytest.approx(5.0, rel=1e-8)
+        circuit.element("V1").waveform = DC(20)
+        circuit.invalidate()
+        assert simulator.operating_point().voltage("out") == \
+            pytest.approx(10.0, rel=1e-8)
 
 
 class TestCLI:

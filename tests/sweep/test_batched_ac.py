@@ -7,7 +7,10 @@ per-point scalar AC analyses changes *nothing* observable — the
 ``(freqs,)`` measured vectors are bit-identical, failed points produce
 identical :class:`~repro.sweep.FailedPoint` records, and the contract
 holds under every executor, every ``on_error`` policy, and both the
-dense and sparse assembly backends.
+dense and sparse assembly backends.  Both paths solve every point on
+the deck's one engine; the oracle they are both held to compiles each
+point's deck variant into its own engine (the ``variant_oracle``
+fixture).
 
 The injected non-convergent lane is again a NaN source level: the bias
 solve fails deterministically and identically in scalar and batched
@@ -33,7 +36,8 @@ DECK_TEXT = (DECKS / "ce_stage.cir").read_text()
 
 #: The CE stage extended with linear passives for value sweeping: a
 #: load capacitor, an emitter-leg inductor and a second resistor, each
-#: of which a point may set (through a compiled variant of the deck).
+#: of which a point may set (through a variant of the deck, a lane of
+#: its engine).
 PASSIVE_DECK = DECK_TEXT.replace(
     ".OP",
     "CL c 0 0.5p\nLE e2 0 1n\nRE2 c e2 10k\n.OP",
@@ -147,20 +151,26 @@ class TestSweepParityMatrix:
 
     @pytest.mark.parametrize("backend", EXECUTOR_MATRIX,
                              ids=lambda kw: kw["executor"])
-    def test_clean_sweep_bit_identical(self, evaluator, backend):
+    def test_clean_sweep_bit_identical(self, evaluator, backend,
+                                       variant_oracle):
         reference = run_sweep(evaluator, _points(), batch=False,
                               chunk_size=3)
         run = run_sweep(evaluator, _points(), batch="auto", chunk_size=3,
                         **backend)
         _assert_values_equal(run.values, reference.values)
         assert run.ok
+        oracle = variant_oracle(evaluator)
+        _assert_values_equal(reference.values,
+                             [oracle(p) for p in _points()])
 
 
 class TestPassiveOverrides:
-    """R/L/C values set per point, through compiled deck variants."""
+    """R/L/C values set per point, through deck variants riding as lanes
+    of the deck's one engine."""
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_override_parity_scalar_vs_batch(self, engine):
+    def test_override_parity_scalar_vs_batch(self, engine, compile_log,
+                                             variant_oracle):
         fn = BlockedACSweep(PASSIVE_DECK, measure=ac_node_voltage("c"),
                             engine=engine)
         points = _passive_points()
@@ -169,6 +179,10 @@ class TestPassiveOverrides:
         assert all(err is None for _, err in batched)
         for got, expected in zip(batched, scalar):
             np.testing.assert_array_equal(got[0], expected)
+        assert fn.compilations() == len(compile_log) == 1
+        oracle = variant_oracle(fn)
+        for point, expected in zip(points, scalar):
+            np.testing.assert_array_equal(expected, oracle(point))
 
     def test_dense_and_sparse_agree_closely(self):
         points = _passive_points()
@@ -353,7 +367,8 @@ class TestStackedEvaluate:
                                  engine=engine)
 
     @pytest.mark.parametrize("mode", ENGINES)
-    def test_diode_deck_blocked_equals_scalar(self, mode):
+    def test_diode_deck_blocked_equals_scalar(self, mode, compile_log,
+                                              variant_oracle):
         fn = BlockedACSweep(DIODE_DECK, measure=ac_node_voltage("c"),
                             frequencies=[1e6, 1e8, 1e10], engine=mode)
         failed = []
@@ -368,6 +383,11 @@ class TestStackedEvaluate:
                 assert error is None
                 np.testing.assert_array_equal(value, expected)
         assert len(failed) == 1 and np.isnan(failed[0]["VB"])
+        assert fn.compilations() == len(compile_log) == 1
+        oracle = variant_oracle(fn)
+        for point in DIODE_POINTS:
+            if point is not failed[0]:
+                np.testing.assert_array_equal(fn(point), oracle(point))
 
     def test_newton_batched_uses_stacked_assembly(self, monkeypatch):
         from repro.spice.engine import get_engine

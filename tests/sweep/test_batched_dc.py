@@ -6,7 +6,10 @@ chunk) instead of per-point ``solve_dc`` calls changes *nothing*
 observable — values are bit-identical, failed points produce identical
 :class:`~repro.sweep.FailedPoint` records (same error repr, same
 :class:`~repro.errors.ConvergenceReport` forensics, same attempt
-counts), under every executor and every ``on_error`` policy.
+counts), under every executor and every ``on_error`` policy.  Both
+paths solve every point on the deck's one engine; the oracle they are
+both held to compiles each point's deck variant into its own engine
+(the ``variant_oracle`` fixture).
 
 The injected non-convergent lane is a NaN source level: a non-finite
 residual defeats Newton, every gmin rung and source stepping alike, so
@@ -40,7 +43,7 @@ VB_LEVELS = [0.55, 0.62, 0.68, 0.72, 0.75, 0.78, 0.80, 0.82]
 
 #: The CE stage with a clamp diode on its collector: a scalar device, so
 #: the engine has no stacked assembly and blocked lanes take the scalar
-#: ladder.
+#: ladder, under their own lane stamps.
 DIODE_DECK = DECK_TEXT.replace(
     ".OP",
     "DCL c 0 DCLAMP\n.MODEL DCLAMP D(IS=1e-15 RS=5 CJO=2p TT=1n)\n.OP",
@@ -136,7 +139,8 @@ class TestBlockedSolverParity:
         assert excinfo.value.report.stage == errors[1].report.stage
 
     @pytest.mark.parametrize("engine", ("dense", "sparse"))
-    def test_diode_deck_blocked_equals_scalar(self, engine):
+    def test_diode_deck_blocked_equals_scalar(self, engine, compile_log,
+                                              variant_oracle):
         fn = BlockedDCSweep(DIODE_DECK, measure=node_voltage("c"),
                             engine=engine)
         failed = []
@@ -150,6 +154,11 @@ class TestBlockedSolverParity:
             else:
                 assert error is None and value == expected
         assert len(failed) == 1 and np.isnan(failed[0]["VB"])
+        assert fn.compilations() == len(compile_log) == 1
+        oracle = variant_oracle(fn)
+        for point in DIODE_POINTS:
+            if point is not failed[0]:
+                assert fn(point) == oracle(point)
 
     @staticmethod
     def _systems(solver_cls, systems, as_pattern):
@@ -235,13 +244,16 @@ class TestSweepParityMatrix:
 
     @pytest.mark.parametrize("backend", EXECUTOR_MATRIX,
                              ids=lambda kw: kw["executor"])
-    def test_clean_sweep_bit_identical(self, evaluator, backend):
+    def test_clean_sweep_bit_identical(self, evaluator, backend,
+                                       variant_oracle):
         reference = run_sweep(evaluator, _points(), batch=False,
                               chunk_size=3)
         run = run_sweep(evaluator, _points(), batch="auto", chunk_size=3,
                         **backend)
         assert run.values == reference.values
         assert run.ok
+        oracle = variant_oracle(evaluator)
+        assert reference.values == [oracle(p) for p in _points()]
 
 
 class TestBatchOptIn:
@@ -349,8 +361,9 @@ R2 out 0 1k
 
 
 class TestPassiveValues:
-    """An R/L/C value in a DC point selects a compiled variant of the
-    deck, so the operating point is that of the edited circuit."""
+    """An R/L/C value in a DC point selects a variant of the deck, a
+    lane of its one engine, so the operating point is that of the
+    edited circuit."""
 
     POINTS = [{"R2": 500.0}, {"R2": 1e3}, {"R2": 4.7e3, "V1": 3.0},
               {"V1": 7.5}, {"R2": 2.2e3}]
@@ -360,29 +373,38 @@ class TestPassiveValues:
         v1, r2 = point.get("V1", 10.0), point.get("R2", 1e3)
         return v1 * r2 / (1e3 + r2)
 
-    def test_divider_matches_closed_form_both_paths(self):
+    def test_divider_matches_closed_form_both_paths(self, variant_oracle):
         fn = BlockedDCSweep(DIVIDER, measure=node_voltage("out"))
         scalar = [fn(point) for point in self.POINTS]
         batched = fn.evaluate_batch(self.POINTS)
+        oracle = variant_oracle(fn)
         for point, value, (lane, error) in zip(self.POINTS, scalar,
                                                batched):
             assert error is None
-            assert lane == value
+            assert lane == value == oracle(point)
             assert value == pytest.approx(self._closed_form(point),
                                           rel=1e-9)
 
-    def test_sweep_points_compile_dropped_variants(self, compile_log):
+    def test_sweep_points_compile_no_variant(self, compile_log):
         fn = BlockedDCSweep(DIVIDER, measure=node_voltage("out"))
         assert fn.prime() == 1
         fn.evaluate_batch(self.POINTS)
         # Blocked: every R2 value rides as a lane of the deck's engine.
         assert fn.compilations() == len(compile_log) == 1
         assert fn.prime() == 1
-        # Scalar: a point's passive values compile a variant of their
-        # own, dropped after the call that built it.
+        # Scalar: a point's passive values build a variant, dropped
+        # after the call that built it, and solve under its lane stamps
+        # on the same engine.
         fn({"R2": 500.0})
         fn({"R2": 500.0})
-        assert fn.compilations() == len(compile_log) == 3
+        assert fn.compilations() == len(compile_log) == 1
+
+    def test_scalar_points_with_distinct_values_compile_once(
+            self, compile_log):
+        fn = BlockedDCSweep(DECK_TEXT, measure=node_voltage("c"))
+        for k in range(20):
+            fn({"RC": 800.0 + 20.0 * k})
+        assert fn.compilations() == len(compile_log) == 1
 
     @pytest.mark.parametrize("value", (0.0, -1.0, float("nan")))
     def test_invalid_resistance_fails_its_lane_only(self, value):
@@ -395,8 +417,8 @@ class TestPassiveValues:
 
 
 class TestDeckOptions:
-    """``.OPTIONS SOLVER=`` and ``PERMC=`` reach every engine the deck
-    evaluators compile, the deck's own and every variant's."""
+    """``.OPTIONS SOLVER=`` and ``PERMC=`` reach the one engine each deck
+    evaluator compiles, which serves every variant."""
 
     DECK = DECK_TEXT.replace(
         ".OP", ".OPTIONS SOLVER=sparse PERMC=NATURAL\n.OP", 1)
@@ -418,10 +440,10 @@ class TestDeckOptions:
             self.DECK, corners_from_tolerances({"VCC": (5.0, 0.1)},
                                                passive_tols={"R": 0.1}),
             (dc_voltage("v_c", "c"),))
-        # The scalar calls compile the deck and one R variant each; the
-        # corners compile the deck once and ride every variant as lanes.
+        # Each evaluator compiles the deck once and rides every variant
+        # (the R variants of the scalar calls, the corners) as lanes.
         assert corners.prime() == 9
-        assert len(compile_log) == 4 + 1
+        assert len(compile_log) == 2 + 1
         assert set(compile_log) == {("sparse", "NATURAL")}
 
     def test_engine_argument_overrides_the_deck(self, compile_log):

@@ -48,7 +48,8 @@ PASSING = {
          "scalar_corners_per_second": 240.1,
          "blocked_corners_per_second": 646.9, "speedup": 1.0,
          "stress_overhead_fraction": 0.03, "compilations": 1,
-         "corner_decks": 9, "bit_identical": True}
+         "scalar_compilations": 1, "corner_decks": 9,
+         "bit_identical": True}
         for cell in ("UPMIX", "IF")
     ]},
     "BENCH_transient.json": {"cpu_count": 2, "benchmarks": [
@@ -90,7 +91,8 @@ PASSING_LINES = {
         "ring_oscillator_101_stage: fill-in 2.05x",
         "ring_oscillator_5_stage: fill-in 3.0x",
         *(f"qualify_{cell}: 81 corners scalar=240.1/s blocked=646.9/s "
-          "speedup=1.0x stress_overhead=0.03 compiles=1 variants=9"
+          "speedup=1.0x stress_overhead=0.03 compiles=1 scalar_compiles=1 "
+          "variants=9"
           for cell in ("UPMIX", "IF")),
     ],
     ("transient",): [
@@ -158,6 +160,9 @@ VIOLATIONS = [
      "qualify_IF: 10 engine compiles for 9 corner variants, not 1"),
     ("verify", "BENCH_verify.json", "qualify_IF", "compilations", 8,
      "qualify_IF: 8 engine compiles for 9 corner variants, not 1"),
+    ("verify", "BENCH_verify.json", "qualify_IF", "scalar_compilations", 9,
+     "qualify_IF: the scalar arm compiled 9 engines for 9 corner "
+     "variants, not 1"),
     ("transient", "BENCH_transient.json", "ring_oscillator_5_stage",
      "speedup", 1.0, "ring_oscillator_5_stage: hot path slower (1.0x)"),
     ("transient", "BENCH_transient.json", "ring_oscillator_5_stage",

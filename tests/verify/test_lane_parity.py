@@ -1,20 +1,26 @@
-"""Corner variants as lanes: blocked qualifications equal scalar ones.
+"""Corner variants as lanes: both paths equal a per-variant compile.
 
-The blocked path runs every corner variant (temperature, resistor
-scale) as a lane of the deck's one compiled engine; the scalar path
-(``batch=False``) compiles each variant into its own engine and is the
-reference.  Every corner outcome must be equal between the two, on all
-seeded cells and on the two decks whose blocked solves leave the usual
-path: a deck with a diode, whose points take the scalar ladder one by
-one, and a BJT-free deck, whose constant Jacobian differs per R lane.
+Each path runs every corner variant (temperature, resistor scale) as a
+lane of the deck's one compiled engine: the blocked path in stacked
+Newton blocks, the scalar path (``batch=False``) through the full
+ladder under the variant's lane stamps.  Each compiles that one engine
+and nothing else.  The oracle compiles every variant into its own
+engine (the ``variant_oracle`` fixture).  Every corner outcome must be
+equal across the three, on all seeded cells and on the two decks whose
+blocked solves leave the usual path: a deck with a diode, whose points
+take the scalar ladder one by one, and a BJT-free deck, whose constant
+Jacobian differs per R lane.
 """
 
 import pytest
 
 from repro.celldb.seed import seed_database
 from repro.verify import (
+    CornerEvaluator,
     corners_from_tolerances,
     dc_voltage,
+    default_corners,
+    default_measurements,
     qualify_cell,
     qualify_deck,
 )
@@ -47,31 +53,38 @@ def _outcomes(report) -> list:
 @pytest.mark.parametrize(
     "cell", [c for c in seed_database().cells() if (c.schematic or "").strip()],
     ids=lambda cell: cell.name)
-def test_seeded_cell_corners_match_the_scalar_path(cell, compile_log):
+def test_seeded_cell_corners_match_the_scalar_path(cell, compile_log,
+                                                   variant_oracle):
     blocked = qualify_cell(cell, executor="serial")
-    compiles = len(compile_log)
+    assert len(compile_log) == 1
     scalar = qualify_cell(cell, executor="serial", batch=False)
+    assert len(compile_log) == 1 + 1  # the scalar path's one engine
     assert len(blocked) == 27 and blocked.stats["failures"] == 0
     assert _outcomes(blocked) == _outcomes(scalar)
-    assert compiles == 1  # the scalar path compiles every variant
-    assert len(compile_log) == 1 + 9
+    corners = default_corners(cell.schematic)
+    oracle = variant_oracle(CornerEvaluator(
+        cell.schematic, corners, default_measurements(cell.schematic)))
+    assert _outcomes(scalar) == oracle.outcomes(corners)
 
 
-@pytest.mark.parametrize("deck, supply, level, compiles", (
-    (DIODE_DECK, "VCC", 5.0, 9),  # each variant's own
-    (DIVIDER_DECK, "V1", 10.0, 1),
+@pytest.mark.parametrize("deck, supply, level", (
+    (DIODE_DECK, "VCC", 5.0),
+    (DIVIDER_DECK, "V1", 10.0),
 ))
-def test_decks_off_the_stacked_path_match(deck, supply, level, compiles,
-                                          compile_log):
+def test_decks_off_the_stacked_path_match(deck, supply, level, compile_log,
+                                          variant_oracle):
     corners = corners_from_tolerances({supply: (level, 0.1)},
                                       passive_tols={"R": 0.1})
     measurements = (dc_voltage("v_out", "out"),)
     blocked = qualify_deck(deck, corners, measurements, executor="serial")
-    assert len(compile_log) == compiles
+    assert len(compile_log) == 1
     scalar = qualify_deck(deck, corners, measurements, executor="serial",
                           batch=False)
+    assert len(compile_log) == 1 + 1
     assert len(blocked) == 27 and blocked.stats["failures"] == 0
     assert _outcomes(blocked) == _outcomes(scalar)
+    oracle = variant_oracle(CornerEvaluator(deck, corners, measurements))
+    assert _outcomes(scalar) == oracle.outcomes(corners)
 
 
 def test_default_qualification_sets_up_once_per_temperature(monkeypatch):
