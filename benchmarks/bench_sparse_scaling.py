@@ -20,6 +20,13 @@ Gates (CI enforces them on the artifact as well):
   on the same waveform;
 * the sparse LU's fill-in (factor nnz over pattern nnz) must stay at or
   below :data:`MAX_FILL_IN` at every stage count.
+
+Every row also ledgers the factorization cost: ``factor_ms`` is the
+median and IQR, in milliseconds, of one :class:`SparseLUSolver`
+factorization of that stage count's fused transient Jacobian
+``G + alpha*C``, over fixed rounds (``FACTOR_WARMUP`` untimed calls,
+then ``FACTOR_ROUNDS`` rounds of ``FACTOR_CALLS`` calls).  It is not
+gated on time; CI only requires it in every row.
 """
 
 import time
@@ -28,7 +35,9 @@ import numpy as np
 
 from repro.geometry import ModelParameterGenerator, default_reference
 from repro.rfsystems import RingOscillatorSpec, build_ring_oscillator
-from repro.spice.engine import get_engine
+from repro.spice import solve_dc
+from repro.spice.dcop import DIAG_GSHUNT
+from repro.spice.engine import SparseLUSolver, get_engine
 from repro.spice.transient import solve_transient
 
 from conftest import record, report
@@ -46,6 +55,10 @@ PARITY_WINDOW = 0.1e-9
 #: Fill-in ceiling: the minimum-degree A+Aᵀ order measures ~2x at every
 #: stage count (an unsymmetric per-call COLAMD order gave 4-11x).
 MAX_FILL_IN = 3.0
+#: Fixed rounds of the factorization timing.
+FACTOR_WARMUP = 10
+FACTOR_ROUNDS = 15
+FACTOR_CALLS = 20
 
 
 def _ring(stages):
@@ -78,6 +91,30 @@ def _best_of(stages, backend):
     return best
 
 
+def _factor_ms(stages):
+    """``{"median", "iqr"}`` in ms of one sparse LU factorization of the
+    ring's fused transient Jacobian ``G + alpha*C`` (trapezoidal, at
+    ``MAX_STEP``) at its operating point, gshunt diagonal included, as
+    the Newton loop factors it."""
+    circuit = _ring(stages)
+    engine = get_engine(circuit, "sparse")
+    x = solve_dc(circuit, engine=engine)
+    jacobian = engine.evaluate(x, limits={},
+                               jac_alpha=2.0 / MAX_STEP).g_mat.copy()
+    jacobian.data[engine.node_diagonal] += DIAG_GSHUNT
+    solver = SparseLUSolver()
+    for _ in range(FACTOR_WARMUP):
+        solver._factorize(jacobian.pattern, jacobian.data)
+    rounds = []
+    for _ in range(FACTOR_ROUNDS):
+        t0 = time.perf_counter()
+        for _ in range(FACTOR_CALLS):
+            solver._factorize(jacobian.pattern, jacobian.data)
+        rounds.append((time.perf_counter() - t0) / FACTOR_CALLS * 1e3)
+    q1, median, q3 = np.percentile(rounds, [25, 50, 75])
+    return {"median": round(float(median), 4), "iqr": round(float(q3 - q1), 4)}
+
+
 def _waveform_deviation(ref, got):
     t_end = min(PARITY_WINDOW, ref.times[-1], got.times[-1])
     grid = np.linspace(0.0, t_end, 100)
@@ -92,7 +129,7 @@ def _waveform_deviation(ref, got):
 def bench_sparse_scaling():
     lines = [
         f"{'stages':>6} {'n':>6} {'nnz':>7} {'dense_s':>9} {'sparse_s':>9} "
-        f"{'speedup':>8} {'fill':>6} {'dev_V':>9}"
+        f"{'speedup':>8} {'fill':>6} {'lu_ms':>7} {'dev_V':>9}"
     ]
     headline = None
     for stages in STAGES:
@@ -104,6 +141,7 @@ def bench_sparse_scaling():
         n = int(dense_res.states.shape[1])
         nnz = int(engine.pattern.nnz)
         fill = (d_sparse["factor_nnz"] / nnz) if nnz else 0.0
+        factor_ms = _factor_ms(stages)
 
         # Observability contract: the sparse arm never touches a dense
         # (n, n) assembly, the dense arm never scatters, and the
@@ -126,6 +164,7 @@ def bench_sparse_scaling():
             "pattern_nnz": nnz,
             "factor_nnz": d_sparse["factor_nnz"],
             "fill_in": round(fill, 2),
+            "factor_ms": factor_ms,
             "stop_time": STOP_TIME,
             "max_step": MAX_STEP,
             "dense_seconds": round(t_dense, 6),
@@ -143,7 +182,8 @@ def bench_sparse_scaling():
         })
         lines.append(
             f"{stages:>6} {n:>6} {nnz:>7} {t_dense:>9.3f} {t_sparse:>9.3f} "
-            f"{speedup:>7.2f}x {fill:>5.1f}x {deviation:>9.2e}"
+            f"{speedup:>7.2f}x {fill:>5.1f}x {factor_ms['median']:>7.3f} "
+            f"{deviation:>9.2e}"
         )
         if stages == 101:
             headline = speedup

@@ -8,7 +8,8 @@ to check::
     python benchmarks/gates.py service
 
 Every gate prints one line per row it reads.  The first row that
-violates a condition ends the run with a message and exit status 1.
+violates a condition, or lacks a field its line prints, ends the run
+with a message and exit status 1.
 """
 
 from __future__ import annotations
@@ -165,9 +166,14 @@ GATES = {
                       "sparse arm performed dense assemblies"),
             ),
         ),
+        # Every row also ledgers one sparse LU factorization's cost
+        # (median and IQR, bench_sparse_scaling._factor_ms); a row
+        # without it fails.  Times depend on the runner, so none is
+        # bounded.
         Gate(
             "BENCH_sparse.json", EVERY_ROW_BY_NAME,
-            "{name}: fill-in {fill_in}x",
+            "{name}: fill-in {fill_in}x, factor {factor_ms[median]} ms "
+            "(IQR {factor_ms[iqr]})",
             (
                 Check("fill_in", ">", 3.0,
                       "{name}: sparse LU fill-in {fill_in}x > 3x"),
@@ -234,7 +240,8 @@ GATES = {
             ),
         ),
         # The headline: chord-Newton amortizes the 25-stage ring's
-        # dense LU.  The bench asserts the same 1.5x floor.
+        # sparse LU factorizations (the ring compiles sparse).  The
+        # bench asserts the same 1.5x floor.
         Gate(
             "BENCH_transient.json", ("ring_oscillator_25_stage",),
             "{name}: headline speedup {speedup}x",
@@ -337,7 +344,10 @@ def run(groups: list[str]) -> None:
             data = json.loads((OUT / gate.artifact).read_text())
             for name, row in _rows(data, gate.rows):
                 fields = _fields(data, name, row)
-                print(gate.line.format(**fields))
+                try:
+                    print(gate.line.format(**fields))
+                except KeyError as exc:
+                    sys.exit(f"{name}: no {exc.args[0]} recorded")
                 for check in gate.checks:
                     if check.multi_core and fields["cores"] < 2:
                         print("single-core runner: speedup gate skipped")

@@ -191,6 +191,7 @@ def newton_solve(
     if limits is None:
         limits = {}
     diag = np.arange(num_nodes)
+    diag_pos = engine.node_diagonal
     full_newton = jacobian_token is None
     # The chord loop gets the normal budget; the full-Newton fallback the
     # same again, so a stale-Jacobian stall can never mask a solvable step.
@@ -230,7 +231,10 @@ def newton_solve(
         if dynamic is not None:
             dynamic(ctx, residual, jacobian)
         if not use_cached:
-            jacobian[diag, diag] += DIAG_GSHUNT
+            if diag_pos is not None:
+                jacobian.data[diag_pos] += DIAG_GSHUNT
+            else:
+                jacobian[diag, diag] += DIAG_GSHUNT
         residual[:num_nodes] += DIAG_GSHUNT * x[:num_nodes]
         try:
             if use_cached:
@@ -515,7 +519,7 @@ def newton_solve_batched(
     # the scalar Newton uses, so lanes stay bit-identical to solve_dc.
     solver = engine.solver
     pattern = engine.pattern if engine.assembly == "sparse" else None
-    diag_pos = pattern.positions(diag, diag) if pattern is not None else None
+    diag_pos = engine.node_diagonal
     # One stacked pass assembles every active lane — the scalar device
     # kernel with a lane axis, so residuals and Jacobians stay
     # bit-identical to a scalar evaluate per lane.

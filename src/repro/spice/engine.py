@@ -116,9 +116,9 @@ class EngineStats:
     #: Assemblies that filled a dense ``(n, n)`` matrix buffer.
     dense_assemblies: int = 0
     #: Sparse factorizations that reused the fill-reducing order their
-    #: compiled pattern already held (no ordering, no symbolic
-    #: re-analysis, no dense scan: a gather into the permuted CSC and
-    #: a numeric-only factorization).
+    #: compiled pattern already held (no ordering and no dense scan: a
+    #: gather into the permuted CSC and a factorization in that
+    #: column order).
     pattern_reuses: int = 0
     #: Structural non-zeros of the compiled sparsity pattern (gauge).
     pattern_nnz: int = 0
@@ -375,6 +375,13 @@ class DenseLUSolver(LinearSolver):
 #: diagonal pivot while its magnitude is at least this fraction of the
 #: largest entry in its column, and only then pivots off the diagonal.
 PIVREL = 1e-3
+#: SuperLU's panel width, in columns, for every numeric factorization.
+#: The library's default (20) suits matrices with wide supernodes; the
+#: supernodes of circuit Jacobians span one or two columns, so a wide
+#: panel only adds work.  On the ring-oscillator transient Jacobians
+#: (427-1719 unknowns) widths 1 and 2 tie and factor in about 0.6x the
+#: default's time; back-substitution cost does not change.
+PANEL_SIZE = 1
 #: SuperLU options of every sparse factorization: symmetric mode, so the
 #: pivot search prefers the diagonal of the symmetrically ordered matrix.
 _SYMMETRIC_MODE = {"SymmetricMode": True}
@@ -404,8 +411,11 @@ class SparseLUSolver(LinearSolver):
     is ordered once, from its structure alone
     (:meth:`~repro.spice.sparse.SparsityPattern.ordered`); every
     factorization gathers its values into that permuted CSC and runs
-    SuperLU's numeric factorization only — ``NATURAL`` column order,
-    symmetric mode, diagonal pivoting at threshold :data:`PIVREL`.
+    SuperLU in that order — ``NATURAL`` column order, symmetric mode,
+    diagonal pivoting at threshold :data:`PIVREL`, panels of
+    :data:`PANEL_SIZE` columns.  Only the order is reused: SuperLU
+    interleaves its symbolic work (elimination tree, supernodes, L/U
+    structure) with the numeric elimination, so each call redoes it.
     Every factorization, the first included, takes that one path, so a
     result never depends on which systems were factorized before it.
 
@@ -435,9 +445,10 @@ class SparseLUSolver(LinearSolver):
 
     def _factorize(self, pattern: SparsityPattern,
                    data: np.ndarray) -> _OrderedLU:
-        """Numeric-only LU of one value vector over ``pattern``; counts
-        the factorization (and the order reuse) and gauges the fill-in.
-        Singularity surfaces as ``LinAlgError`` like the dense backend."""
+        """LU of one value vector over ``pattern`` in the pattern's
+        order; counts the factorization (and the order reuse) and
+        gauges the fill-in.  Singularity surfaces as ``LinAlgError``
+        like the dense backend."""
         if self._ordering in pattern.orders:
             self.stats.pattern_reuses += 1
         order = pattern.ordered(self._ordering)
@@ -445,6 +456,7 @@ class SparseLUSolver(LinearSolver):
             lu = _spla.splu(
                 order.csc(data), permc_spec="NATURAL",
                 options=_SYMMETRIC_MODE, diag_pivot_thresh=PIVREL,
+                panel_size=PANEL_SIZE,
             )
         except RuntimeError as exc:  # "Factor is exactly singular"
             raise np.linalg.LinAlgError(str(exc)) from exc
@@ -1391,8 +1403,14 @@ class CompiledCircuit:
                 self._bjt_group.bind_sparse(
                     pattern, self._g_data, self._c_data
                 )
+            nodes = np.arange(self.num_nodes)
+            #: Data positions of the node diagonal, where the Newton loops
+            #: add the gshunt conductance (``None`` on a dense engine,
+            #: whose Jacobian they index directly).
+            self.node_diagonal = pattern.positions(nodes, nodes)
             self.stats.pattern_nnz = pattern.nnz
         else:
+            self.node_diagonal = None
             self._g_full = np.zeros((n1, n1))
             self._c_full = np.zeros((n1, n1))
             if self._bjt_group is not None:

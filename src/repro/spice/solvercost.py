@@ -26,17 +26,22 @@ matrices).
 
 That ``splu`` column timed factorizations that each ordered their own
 matrix (SuperLU's per-call COLAMD, 9-21x fill-in).  The sparse LU now
-orders each compiled pattern once and factorizes numerically only
-(:class:`~repro.spice.engine.SparseLUSolver`, ~2x fill-in).  Re-measured
-on the same two Jacobians, all three columns interleaved on a 2-vCPU
-container (medians of 100 calls; 20 for ``getrf``):
+orders each compiled pattern once and reuses that order
+(:class:`~repro.spice.engine.SparseLUSolver`, ~2x fill-in); each call
+still derives the elimination tree and the L/U structure, which
+SuperLU interleaves with the numeric work, and it updates panels of
+one column (:data:`~repro.spice.engine.PANEL_SIZE`; SuperLU's default
+is 20).  Re-measured on the two rings' fused transient Jacobians
+``G + alpha*C`` at the operating point, every column interleaved on a
+2-vCPU container (medians of 15 rounds of 20 calls; 3 calls per round
+for ``getrf`` at 101 stages):
 
-========  =====================  ==================  ==========
-stages    splu, per-call order   splu, ordered once  getrf (ms)
-========  =====================  ==================  ==========
-25                  0.92 ms              0.55 ms           3.76
-101                 7.53 ms              1.87 ms          77.42
-========  =====================  ==================  ==========
+========  ==============  ===============  ==============  ==========
+stages    per-call order  once, panel 20   once, panel 1   getrf (ms)
+========  ==============  ===============  ==============  ==========
+25               0.29 ms          0.13 ms        0.085 ms        1.33
+101              1.91 ms          0.49 ms         0.29 ms       30.59
+========  ==============  ===============  ==============  ==========
 
 The constants are deliberately left as fitted, so no backend choice
 moved with the cheaper LU: refitting :data:`SPARSE_FACTOR_NS` to it

@@ -14,15 +14,17 @@ compile time and then fills a flat nnz-length data array per iteration:
   dense buffers play with their extra row/column.
 * :class:`PatternMatrix` is the nnz-length value array bound to a
   pattern.  It quacks like the small corner of ``ndarray`` the analyses
-  actually use (scalar and fancy ``[row, col]`` access, ``alpha * C``,
+  actually use (scalar ``[row, col]`` access, ``alpha * C``,
   ``G += ...``, ``copy``), so :class:`~repro.spice.mna.LoadContext` and
-  the Newton loops run unchanged on top of it.
+  the analyses run unchanged on top of it; the Newton loops add the
+  gshunt diagonal to its ``data`` at positions the engine finds once.
 * :class:`PatternOrder` is the pattern's fill-reducing symmetric
   permutation, computed once from the structure alone (never from a
   matrix's values), plus the gather map that turns a data array into
   the permuted matrix's CSC values.  The sparse LU factorizes that
-  permuted matrix numerically only — no ordering or symbolic analysis
-  per factorization.
+  permuted matrix in its given column order, so no factorization
+  computes an ordering; SuperLU still derives the elimination tree and
+  the L/U structure on every call, interleaved with the numeric work.
 
 Wrapping the data array back into ``scipy.sparse.csc_matrix`` is a
 zero-copy header operation, which is what lets
@@ -233,21 +235,17 @@ class PatternMatrix:
     def dtype(self):
         return self.data.dtype
 
-    # -- element access (LoadContext.add_g / gshunt diagonal) ------------------
+    # -- element access (LoadContext.add_g / add_c) ----------------------------
 
-    def _key_positions(self, key):
+    def _position(self, key) -> int:
         row, col = key
-        if isinstance(row, (int, np.integer)) and isinstance(
-            col, (int, np.integer)
-        ):
-            return self.pattern.position(int(row), int(col))
-        return self.pattern.positions(row, col)
+        return self.pattern.position(int(row), int(col))
 
     def __getitem__(self, key):
-        return self.data[self._key_positions(key)]
+        return self.data[self._position(key)]
 
     def __setitem__(self, key, value):
-        self.data[self._key_positions(key)] = value
+        self.data[self._position(key)] = value
 
     # -- whole-matrix arithmetic (transient integrator, AC combination) --------
 

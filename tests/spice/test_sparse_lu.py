@@ -5,6 +5,10 @@ voltage-source branch rows (zero diagonals), optional transconductances
 (unsymmetric stamps) and optional capacitances (complex ``G + jωC``),
 builds a :class:`SparsityPattern` from the stamp slots alone and holds
 :class:`SparseLUSolver` to ``numpy.linalg.solve``.
+
+Those systems are smaller than one SuperLU panel, so the Fig. 11 ring's
+own Jacobians at 25 and 101 stages (427 and 1719 unknowns) are held to
+the same reference as well.
 """
 
 from dataclasses import dataclass
@@ -14,6 +18,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.sparse import linalg as spla
 
+from repro.geometry import ModelParameterGenerator, default_reference
+from repro.rfsystems import RingOscillatorSpec, build_ring_oscillator
+from repro.spice import compile_circuit, solve_dc
+from repro.spice.dcop import DIAG_GSHUNT
 from repro.spice.engine import SparseLUSolver
 from repro.spice.sparse import SparsityPattern
 
@@ -166,3 +174,45 @@ def test_singular_system_raises_and_singular_lane_is_nan(system):
     out = solver.solve_batched_exact(lanes, np.stack([b, b]))
     _close(out[0], np.linalg.solve(system.dense(system.g), b))
     assert np.isnan(out[1]).all()
+
+
+@pytest.fixture(scope="module", params=(25, 101), ids=lambda s: f"{s}stage")
+def ring_jacobians(request):
+    """The ring's pattern and the Jacobians its analyses factor at the
+    operating point, gshunt diagonal included: DC ``G``, the trapezoidal
+    transient's fused ``G + alpha*C`` (3 ps step) and AC ``G + jωC``
+    (1 GHz)."""
+    generator = ModelParameterGenerator(reference=default_reference())
+    circuit = build_ring_oscillator(
+        generator.generate("N1.2-12D"),
+        follower_model=generator.generate("N1.2-6D"),
+        spec=RingOscillatorSpec(stages=request.param))
+    engine = compile_circuit(circuit, mode="sparse")
+    x = solve_dc(circuit, engine=engine)
+    ctx = engine.evaluate(x, limits={})
+    g, c = ctx.g_mat.data.copy(), ctx.c_mat.data.copy()
+    fused = engine.evaluate(x, limits={}, jac_alpha=2.0 / 3e-12).g_mat.data
+    jacobians = {"dc": g, "fused": fused.copy(),
+                 "ac": g + 2j * np.pi * 1e9 * c}
+    for data in jacobians.values():
+        data[engine.node_diagonal] += DIAG_GSHUNT
+    return engine.pattern, jacobians
+
+
+@pytest.mark.parametrize("kind", ("dc", "fused", "ac"))
+def test_ring_jacobians_solve_like_numpy(ring_jacobians, kind):
+    pattern, jacobians = ring_jacobians
+    data = jacobians[kind]
+    dense = pattern.matrix(data).toarray()
+    b = _rhs(pattern.size)
+    if np.iscomplexobj(data):
+        b = b + 1j * _rhs(pattern.size, seed=1)
+    solver = SparseLUSolver()
+    forward = solver.solve(pattern.matrix(data), b)
+    [transposed] = solver.solve_pattern_batched(pattern, data[None], b,
+                                                transpose=True)
+    for a, x in ((dense, forward), (dense.T, transposed)):
+        _close(x, np.linalg.solve(a, b))
+        # Backward stable: the residual is rounding of the matrix's size.
+        residual = np.abs(a @ x - b).max()
+        assert residual <= 1e-12 * np.linalg.norm(a, np.inf) * np.abs(x).max()

@@ -38,9 +38,11 @@ PASSING = {
                      "workers": 2, "chunks": 9, "one_block_rule": False}},
     ]},
     "BENCH_sparse.json": {"cpu_count": 2, "benchmarks": [
-        {"benchmark": "ring_oscillator_5_stage", "fill_in": 3.0},
+        {"benchmark": "ring_oscillator_5_stage", "fill_in": 3.0,
+         "factor_ms": {"median": 0.021, "iqr": 0.001}},
         {"benchmark": "ring_oscillator_101_stage", "unknowns": 1719,
          "pattern_nnz": 7781, "speedup": 3.0, "fill_in": 2.05,
+         "factor_ms": {"median": 0.29, "iqr": 0.004},
          "sparse_counters": {"dense_assemblies": 0}},
     ]},
     "BENCH_verify.json": {"cpu_count": 2, "benchmarks": [
@@ -88,8 +90,9 @@ PASSING_LINES = {
           for count in ("8", "64", "500", "1000")),
         "2000 points: one-block rule False -> process in 9 chunks",
         "unknowns=1719 nnz=7781 speedup=3.0x",
-        "ring_oscillator_101_stage: fill-in 2.05x",
-        "ring_oscillator_5_stage: fill-in 3.0x",
+        "ring_oscillator_101_stage: fill-in 2.05x, factor 0.29 ms "
+        "(IQR 0.004)",
+        "ring_oscillator_5_stage: fill-in 3.0x, factor 0.021 ms (IQR 0.001)",
         *(f"qualify_{cell}: 81 corners scalar=240.1/s blocked=646.9/s "
           "speedup=1.0x stress_overhead=0.03 compiles=1 scalar_compiles=1 "
           "variants=9"
@@ -115,7 +118,7 @@ PASSING_LINES = {
 }
 
 #: (group, artifact, row, field, violating value, message); a ``None``
-#: field deletes the row.
+#: value deletes the field.
 VIOLATIONS = [
     ("sweep", "BENCH_sweep.json", "monte_carlo_dc_500", "blocked_chunks", 2,
      "serial blocked sweep ran as 2 chunks, not 1"),
@@ -152,6 +155,8 @@ VIOLATIONS = [
      "sparse arm performed dense assemblies"),
     ("sparse", "BENCH_sparse.json", "ring_oscillator_5_stage", "fill_in",
      3.01, "ring_oscillator_5_stage: sparse LU fill-in 3.01x > 3x"),
+    ("sparse", "BENCH_sparse.json", "ring_oscillator_5_stage", "factor_ms",
+     None, "ring_oscillator_5_stage: no factor_ms recorded"),
     ("verify", "BENCH_verify.json", "qualify_IF", "bit_identical", False,
      "qualify_IF: blocked outcomes diverged from the scalar path"),
     ("verify", "BENCH_verify.json", "qualify_IF", "speedup", 0.99,
