@@ -232,29 +232,23 @@ class Simulator:
         return OperatingPointResult(self.circuit, x, stats=stats)
 
     def dc_sweep(self, source_name: str, values) -> DCSweepResult:
-        """Sweep the DC level of a V or I source, warm-starting each point.
-        Each level re-biases the source through ``rhs_delta``, as
-        :class:`~repro.sweep.BlockedDCSweep` does."""
-        element = self.circuit.element(source_name)
-        if not isinstance(element, (VoltageSource, CurrentSource)):
-            raise AnalysisError(
-                f"dc_sweep target {source_name!r} is not an independent source"
-            )
+        """Sweep the DC level of a DC source, warm-starting each point.
+        Each level is a lane of the engine, as in
+        :class:`~repro.sweep.BlockedDCSweep` (see
+        :meth:`~repro.spice.engine.CompiledCircuit.at_levels`)."""
         values = np.asarray(list(values), dtype=float)
         engine = self._engine()
-        base = element.source_value(None)
+        lanes = engine.at_levels(engine.stamps, self.circuit,
+                                 [{source_name: value} for value in values])
         states = []
         x = None
         limits: dict = {}
         with engine.measured() as stats:
-            for value in values:
-                delta = np.zeros(engine.size)
-                for row, coeff in element.rhs_rows():
-                    delta[row] += coeff * (value - base)
+            for k in range(len(values)):
                 x = solve_dc(
                     self.circuit, x0=x, tolerances=self.tolerances,
                     gmin=self.gmin, limits=limits, engine=engine,
-                    rhs_delta=delta,
+                    stamps=lanes.take([k]),
                 )
                 states.append(x.copy())
         return DCSweepResult(

@@ -137,7 +137,6 @@ def newton_solve(
     jacobian_token=None,
     jac_alpha: float | None = None,
     return_context=False,
-    rhs_delta: np.ndarray | None = None,
     stamps=None,
 ):
     """Run Newton iterations on F(x) = I(x) [+ dynamic terms] until converged.
@@ -170,19 +169,14 @@ def newton_solve(
     ``dynamic`` callback must then add only the residual's integration
     terms and leave the Jacobian alone.
 
-    ``rhs_delta``, when given, is a per-unknown residual offset added to
-    every assembly (scaled by ``source_scale``, like the sources it
-    stands in for).  It is how sweeps re-bias independent sources
-    without recompiling the engine: the compiled circuit folds DC
-    source values into its cached RHS at compile time, so an override
-    is expressed as ``coeff * (level - base)`` on the source's residual
-    rows instead (see :class:`repro.sweep.batched.BlockedDCSweep`).  The
-    scalar and blocked Newton paths apply it at the same point with the
-    same arithmetic, which is what keeps them bit-identical.
-
     ``stamps``, one lane of :class:`~repro.spice.engine.LaneStamps`,
     solves that lane's circuit variant (its temperature, its passive
-    values) on the engine (see ``CompiledCircuit.evaluate``).
+    values, its DC source levels) on the engine (see
+    ``CompiledCircuit.evaluate``).
+
+    A step converges when it passes the weighted step-size test and the
+    evaluation it was solved from limited no junction (SPICE's rule): a
+    small step from a limited evaluation is pnjlim's, not Newton's.
     """
     engine = resolve_engine(circuit, engine)
     solver = engine.solver
@@ -223,11 +217,6 @@ def newton_solve(
         # the next evaluation rebuilds them.
         residual = ctx.i_vec
         jacobian = ctx.g_mat
-        if rhs_delta is not None:
-            if source_scale == 1.0:
-                residual += rhs_delta
-            else:
-                residual += rhs_delta * source_scale
         if dynamic is not None:
             dynamic(ctx, residual, jacobian)
         if not use_cached:
@@ -277,7 +266,7 @@ def newton_solve(
         )
         worst = int(np.argmax(errors))
         last_error = float(errors[worst])
-        if last_error <= 1.0:
+        if last_error <= 1.0 and not ctx.limited:
             if not return_context:
                 return x
             # Hand back a context assembled at the converged point.  The
@@ -338,7 +327,6 @@ def solve_dc(
     limits: dict | None = None,
     engine=None,
     attempt: int = 0,
-    rhs_delta: np.ndarray | None = None,
     stamps=None,
 ) -> np.ndarray:
     """DC operating point with the full homotopy ladder.
@@ -358,10 +346,8 @@ def solve_dc(
     (:func:`retry_perturbation`) and walks a longer, heavier gmin
     ladder.  The converged solution is unchanged — only the path to it.
 
-    ``rhs_delta`` re-biases the independent sources without recompiling
-    (see :func:`newton_solve`); it rides through every homotopy stage,
-    scaled with the sources during source stepping; so do ``stamps``
-    (see :func:`newton_solve`).
+    ``stamps`` (see :func:`newton_solve`) ride through every homotopy
+    stage; source stepping scales their source levels.
     """
     circuit.assign_indices()
     engine = resolve_engine(circuit, engine)
@@ -378,7 +364,7 @@ def solve_dc(
     try:
         return newton_solve(
             circuit, x0, tolerances, gmin, limits=limits,
-            engine=engine, rhs_delta=rhs_delta, stamps=stamps,
+            engine=engine, stamps=stamps,
         )
     except ConvergenceError as exc:
         history.append(f"newton: {exc}")
@@ -395,12 +381,12 @@ def solve_dc(
         for step_gmin in relax_gmins:
             x = newton_solve(
                 circuit, x, tolerances, step_gmin, limits=step_limits,
-                engine=engine, rhs_delta=rhs_delta, stamps=stamps,
+                engine=engine, stamps=stamps,
             )
         if relax_gmins[-1] != gmin:
             x = newton_solve(
                 circuit, x, tolerances, gmin, limits=step_limits,
-                engine=engine, rhs_delta=rhs_delta, stamps=stamps,
+                engine=engine, stamps=stamps,
             )
         limits.update(step_limits)
         return x
@@ -421,7 +407,7 @@ def solve_dc(
             x = newton_solve(
                 circuit, x, tolerances, gmin,
                 source_scale=target, limits=step_limits, engine=engine,
-                rhs_delta=rhs_delta, stamps=stamps,
+                stamps=stamps,
             )
             scale = target
             step = min(step * 1.5, 0.25)
@@ -450,7 +436,6 @@ def newton_solve_batched(
     tolerances: Tolerances,
     gmin: float,
     source_scale: float = 1.0,
-    rhs_deltas=None,
     engine=None,
     lanes=None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -461,21 +446,19 @@ def newton_solve_batched(
     identical :data:`DIAG_GSHUNT` regularization, identical per-backend
     linear solves (every lane factorized by
     :meth:`~repro.spice.engine.LinearSolver.solve_batched_exact`, the
-    scalar ``solve``'s arithmetic), identical weighted-error convergence
-    test — so a converged lane is bit-identical to a scalar
+    scalar ``solve``'s arithmetic), identical convergence test and
+    limiting rule — so a converged lane is bit-identical to a scalar
     :func:`newton_solve` on that point.  The blocking win is per-point
     convergence masking (finished lanes drop out of the stack) and array
-    operations over every active lane per iteration — re-bias,
-    regularization, finiteness mask, update and error test — instead of
-    ``B`` of each.
+    operations over every active lane per iteration — regularization,
+    finiteness mask, update and error test — instead of ``B`` of each.
 
-    ``rhs_deltas``, when given, is a per-lane sequence of residual
-    offsets (entries may be ``None``); see :func:`newton_solve`.
     ``lanes``, when given, is one lane of
     :class:`~repro.spice.engine.LaneStamps` per point: each lane then
     solves its own circuit variant (its temperature, its passive
-    values) on the one engine, bit-identical to a scalar
-    :func:`newton_solve` under that lane's ``stamps``.
+    values, its DC source levels) on the one engine, bit-identical to a
+    scalar :func:`newton_solve` under that lane's ``stamps``.  By
+    default every lane solves the engine's own circuit.
 
     Every iteration assembles the active lanes in one
     :meth:`~repro.spice.engine.CompiledCircuit.evaluate_stacked` pass,
@@ -499,20 +482,9 @@ def newton_solve_batched(
     x = np.array(x0, dtype=float)
     if x.ndim != 2:
         raise ValueError("newton_solve_batched expects a (B, n) stack")
-    batch, size = x.shape
+    batch = x.shape[0]
     diag = np.arange(num_nodes)
     converged = np.zeros(batch, dtype=bool)
-    # Source re-biases, stacked once.  Lanes without one get no add at
-    # all: ``+= 0.0`` would turn a -0.0 residual entry into +0.0, which
-    # the scalar path never does.
-    has_delta = np.zeros(batch, dtype=bool)
-    deltas = np.zeros((batch, size))
-    for k, delta in enumerate(rhs_deltas if rhs_deltas is not None else ()):
-        if delta is not None:
-            has_delta[k] = True
-            deltas[k] = delta
-    if source_scale != 1.0:
-        deltas *= source_scale
     # Sparse-assembly engines keep per-lane Jacobians as flat value
     # vectors over the compiled pattern — (B, nnz) instead of (B, n, n)
     # — and solve each lane through the identical pattern-wrapped path
@@ -538,10 +510,7 @@ def newton_solve_batched(
         history[active] = lane_history
         res, jac = sctx.i, sctx.g
         # The scalar iteration's regularization, in its order, on every
-        # active lane at once: re-bias, Jacobian diagonal, residual.
-        rebias = has_delta[active]
-        if rebias.any():
-            res[rebias] += deltas[active[rebias]]
+        # active lane at once: Jacobian diagonal, then residual.
         if pattern is not None:
             jac[:, diag_pos] += DIAG_GSHUNT
         else:
@@ -559,12 +528,14 @@ def newton_solve_batched(
         x[stepped] += step
         # Vectorized convergence masking: one weighted-error evaluation
         # over every lane that stepped, elementwise-identical to the
-        # scalar test (which recomputes the pre-step iterate as x - dx).
+        # scalar test (which recomputes the pre-step iterate as x - dx),
+        # and the scalar limiting rule per lane.
         xs = x[stepped]
         scale = tolerances.reltol * np.maximum(np.abs(xs - step), np.abs(xs))
         scale[:, :num_nodes] += tolerances.vntol
         scale[:, num_nodes:] += tolerances.abstol
-        done = np.max(np.abs(step) / scale, axis=1) <= 1.0
+        done = ((np.max(np.abs(step) / scale, axis=1) <= 1.0)
+                & ~sctx.limited[finite])
         converged[stepped[done]] = True
         active = stepped[~done]
     return x, converged
@@ -572,30 +543,25 @@ def newton_solve_batched(
 
 def solve_dc_batched(
     circuit: Circuit,
-    rhs_deltas,
-    x0: np.ndarray | None = None,
+    lanes,
     tolerances: Tolerances | None = None,
     gmin: float = 1e-12,
     engine=None,
-    attempt: int = 0,
-    lanes=None,
 ) -> tuple[np.ndarray, list]:
     """Blocked DC operating points: one batched Newton, scalar escalation.
 
-    ``rhs_deltas`` is a per-lane sequence of residual offsets (entries
-    may be ``None``) — one operating point per lane, typically source
-    re-biases from a sweep (:class:`repro.sweep.batched.BlockedDCSweep`);
-    ``lanes`` gives each lane its own circuit variant on the one engine
-    (see :func:`newton_solve_batched`).
+    ``lanes`` is :class:`~repro.spice.engine.LaneStamps` on the one
+    engine, one operating point per lane: its circuit variant and
+    source levels (see :func:`newton_solve_batched`).
 
-    Stage 1 runs every lane through :func:`newton_solve_batched`.  Lanes
-    that converge there are done — bit-identical to what scalar
-    :func:`solve_dc` would have produced, because its first ladder rung
-    is exactly this Newton run.  Lanes that do not are re-solved with
-    scalar :func:`solve_dc` on the same engine under the lane's own
-    stamps, re-living the identical Newton failure and then the
-    identical gmin/source-stepping homotopies, so values,
-    :class:`~repro.errors.ConvergenceError` messages and
+    Stage 1 runs every lane from zero through
+    :func:`newton_solve_batched`.  Lanes that converge there are done —
+    bit-identical to what scalar :func:`solve_dc` would have produced,
+    because its first ladder rung is exactly this Newton run.  Lanes
+    that do not are re-solved with scalar :func:`solve_dc` on the same
+    engine under the lane's own stamps, re-living the identical Newton
+    failure and then the identical gmin/source-stepping homotopies, so
+    values, :class:`~repro.errors.ConvergenceError` messages and
     :class:`~repro.errors.ConvergenceReport` forensics all match the
     scalar path lane for lane.  An engine without stacked evaluation
     (:attr:`~repro.spice.engine.CompiledCircuit.supports_stacked_evaluate`
@@ -605,38 +571,22 @@ def solve_dc_batched(
     Returns ``(x, errors)``: the ``(B, n)`` solution stack and a
     per-lane list of ``None`` (success) or the lane's
     :class:`~repro.errors.ConvergenceError`.
-
-    With ``attempt > 0`` (a sweep retry) the blocked stage is skipped
-    outright: the retry contract is scalar ``solve_dc(attempt=k)`` with
-    its perturbed guess and heavier ladder, applied per failing lane.
     """
     circuit.assign_indices()
     engine = resolve_engine(circuit, engine)
     if tolerances is None:
         tolerances = Tolerances()
-    batch = len(rhs_deltas)
-    size = circuit.num_unknowns
-    if x0 is None:
-        x0 = np.zeros(size)
-    x0 = np.asarray(x0, dtype=float)
-    stack = np.broadcast_to(x0, (batch, size)) if x0.ndim == 1 else x0
-    errors: list = [None] * batch
-    if attempt == 0 and engine.supports_stacked_evaluate:
+    x = np.zeros((len(lanes), circuit.num_unknowns))
+    errors: list = [None] * len(lanes)
+    converged = np.zeros(len(lanes), dtype=bool)
+    if engine.supports_stacked_evaluate:
         x, converged = newton_solve_batched(
-            circuit, stack, tolerances, gmin,
-            rhs_deltas=rhs_deltas, engine=engine, lanes=lanes,
+            circuit, x, tolerances, gmin, engine=engine, lanes=lanes,
         )
-    else:
-        x = np.array(stack, dtype=float)
-        converged = np.zeros(batch, dtype=bool)
     for k in np.flatnonzero(~converged):
         try:
-            x[k] = solve_dc(
-                circuit, x0=np.array(x0 if x0.ndim == 1 else x0[k]),
-                tolerances=tolerances, gmin=gmin, engine=engine,
-                attempt=attempt, rhs_delta=rhs_deltas[k],
-                stamps=None if lanes is None else lanes.take([k]),
-            )
+            x[k] = solve_dc(circuit, tolerances=tolerances, gmin=gmin,
+                            engine=engine, stamps=lanes.take([k]))
         except ConvergenceError as exc:
             errors[k] = exc
             x[k] = np.nan

@@ -97,6 +97,8 @@ class Diode(Element):
         v_old = ctx.limits.get(self.name, v_raw)
         v_lim = pnjlim(v_raw, v_old, n_vt, self._vcrit)
         ctx.limits[self.name] = v_lim
+        if v_lim != v_raw:  # pnjlim moves the voltage only to limit it
+            ctx.limited = True
 
         current, conductance = diode_current(self.i_sat, v_lim, n_vt)
         current += ctx.gmin * v_lim
@@ -120,8 +122,3 @@ class Diode(Element):
         ctx.add_c(junction_p, cathode, -cap)
         ctx.add_c(cathode, junction_p, -cap)
         ctx.add_c(cathode, cathode, cap)
-
-    def junction_voltage(self, ctx_or_limits) -> float:
-        """Last limited junction voltage (diagnostic helper)."""
-        limits = getattr(ctx_or_limits, "limits", ctx_or_limits)
-        return limits.get(self.name, 0.0)

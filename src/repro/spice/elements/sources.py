@@ -1,8 +1,8 @@
 """Independent voltage and current sources with SPICE waveforms.
 
-Waveform objects provide the time-domain value (``value(t)``), the DC
-value used by operating-point analyses (``dc_value()``), and optionally an
-AC small-signal magnitude/phase used by AC analysis.
+Waveform objects provide the time-domain value (``value(t)``; at
+``t=None`` the DC value operating-point analyses use); a source adds an
+optional AC small-signal magnitude/phase used by AC analysis.
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ class Waveform:
 
     def value(self, time: float | None) -> float:
         raise NotImplementedError
-
-    def dc_value(self) -> float:
-        return self.value(None)
 
 
 class DC(Waveform):
@@ -169,6 +166,15 @@ def _as_waveform(value) -> Waveform:
     if isinstance(value, Waveform):
         return value
     return DC(float(value))
+
+
+def is_dc_source(element) -> bool:
+    """Whether ``element`` is an independent source with a constant (DC)
+    waveform: a source whose level a compiled lane carries
+    (:class:`~repro.spice.engine.LaneStamps`), and so one a sweep or a
+    ``.DC`` card may set."""
+    return (isinstance(element, _IndependentSource)
+            and type(element.waveform) is DC)
 
 
 class _IndependentSource(Element):

@@ -14,10 +14,10 @@ iteration to the next.
   matrices ``G0``/``C0``; per evaluation their residual contribution is
   the matrix-vector product ``G0 @ x`` (and ``C0 @ x`` for charges),
 * **independent sources** reduce to a handful of precomputed
-  ``(row, coeff)`` entries: DC levels are folded into one vector at
-  compile time (a changed level needs ``Circuit.invalidate()``, or a
-  re-bias through ``rhs_delta``), other waveforms are read every
-  evaluation,
+  ``(row, coeff)`` entries: DC levels are folded into one source vector
+  per lane (``LaneStamps.src``; another level is another lane, built by
+  :meth:`CompiledCircuit.at_levels`, and a level changed in place needs
+  ``Circuit.invalidate()``), other waveforms are read every evaluation,
 * **nonlinear elements** are evaluated per iteration into preallocated
   buffers.  Gummel-Poon BJTs — by far the dominant cost in this package's
   benchmarks — are evaluated as a single vectorized group
@@ -28,9 +28,10 @@ iteration to the next.
 
 An engine is its topology; its values are one lane of
 :class:`LaneStamps`, :attr:`CompiledCircuit.stamps`.  Any circuit of the
-same topology (a temperature or passive-value variant) is another lane
-(:meth:`CompiledCircuit.lane_stamps`), which ``evaluate(stamps=)`` and
-``evaluate_stacked(lanes=)`` assemble as an engine compiled from it.
+same topology (a temperature, passive-value or source-level variant) is
+another lane (:meth:`CompiledCircuit.lane_stamps`), which
+``evaluate(stamps=)`` and ``evaluate_stacked(lanes=)`` assemble as an
+engine compiled from it.
 
 Compilation makes one backend decision, dense or sparse, as a pure
 function of the system's shape (:func:`repro.spice.solvercost.choose`)
@@ -64,7 +65,7 @@ from scipy.sparse import linalg as _spla
 from ..devices.gummel_poon import EXP_LIMIT
 from ..errors import AnalysisError
 from .elements.bjt import BJT
-from .elements.sources import DC as DCWaveform
+from .elements.sources import is_dc_source
 from .mna import LoadContext
 from .netlist import Circuit
 from .solvercost import choose as choose_backend
@@ -881,10 +882,12 @@ class BJTGroup:
         (default: the group's own).  Writes the ``(23, ..., n)`` base
         quantities (layout above ``_STAMP_BASE``) to ``base`` and the
         ``(46, ..., n)`` stamp values to ``vals``, and returns the
-        limited ``(2, ..., n)`` junction voltages.  Purely elementwise, so every lane and
-        device computes exactly what a one-device scalar call would; the
-        two shortcuts on the data (no junction limited, no exponent above
-        ``EXP_LIMIT``) return the general path's bits.
+        limited ``(2, ..., n)`` junction voltages and the mask of lanes
+        (shape ``(...)``) on which pnjlim limited a junction, or
+        ``None`` when it limited none.  Purely elementwise, so every
+        lane and device computes exactly what a one-device scalar call
+        would; the two shortcuts on the data (no junction limited, no
+        exponent above ``EXP_LIMIT``) return the general path's bits.
         """
         (nvt, two_nvt, vcrit, isat, va, ik, beta, gsign,
          early_floor, q2_floor, itf, itf_num, itf_den, tf, xtf, tf_xtf,
@@ -961,12 +964,14 @@ class BJTGroup:
         np.divide(rb_on, np.maximum(rbb, _RBB_FLOOR), out=base[1])
         np.multiply(base[1], v[8], out=base[0])
 
+        limited = None
         if limit is not None:
             # Residual-consistent companion form around the limited
             # voltages, on each lane whose own evaluation limited a
             # junction (a lane on its own takes the shortcut otherwise).
             dbe, dbc = v_raw - v_lim
-            lanes = np.any(limit, axis=(0, -1))[..., None]
+            limited = np.any(limit, axis=(0, -1))
+            lanes = limited[..., None]
             cur = base[2:4]
             np.copyto(cur, cur + base[5:8:2] * dbe + base[6:9:2] * dbc,
                       where=lanes)
@@ -976,7 +981,7 @@ class BJTGroup:
 
         np.take(base, _STAMP_BASE, axis=0, out=vals, mode="clip")
         vals *= sign
-        return v_lim
+        return v_lim, limited
 
     def _scatter(self, jac_alpha: float | None, jacobian: bool) -> None:
         """Scatter the last evaluation's stamps into the bound buffers.
@@ -1018,7 +1023,8 @@ class BJTGroup:
         capacitances, evaluates nothing and returns ``n``, the number of
         device evaluations replayed.  Every other call evaluates every
         device, scatters its stamps -- only the I and Q stamps when
-        ``ctx.residual_only`` -- and returns 0.
+        ``ctx.residual_only`` --, sets ``ctx.limited`` if pnjlim limited
+        a junction, and returns 0.
         """
         size = self.size
         xg = self._xg
@@ -1030,11 +1036,13 @@ class BJTGroup:
                 and self._eval_stamps is stamps):
             self._scatter_charges(xg)
             return self.n
-        v_lim = self._stamp(
+        v_lim, limited = self._stamp(
             self._controls(xg), limits.get(self, self._no_history),
             ctx.gmin, self._base, self._vals,
             None if stamps is None else _kernel_rows(stamps.params[:, 0]),
         )
+        if limited is not None:
+            ctx.limited = True
         # A compact copy: the kernel's own may be a view that would keep
         # the whole (9, n) controls array alive for as long as the
         # history is kept.
@@ -1056,8 +1064,10 @@ class BJTGroup:
         g_flat: np.ndarray,
         c_flat: np.ndarray | None = None,
         params: np.ndarray | None = None,
-    ) -> None:
-        """Stamp every device for a ``(L, n)`` stack of solutions at once.
+    ) -> np.ndarray:
+        """Stamp every device for a ``(L, n)`` stack of solutions at once;
+        returns the ``(L,)`` mask of lanes on which pnjlim limited a
+        junction.
 
         The same kernel as an evaluating :meth:`load` with a lane axis,
         so each lane's stamps are bit-identical to a scalar :meth:`load`
@@ -1079,7 +1089,7 @@ class BJTGroup:
         xg = np.zeros((L, self.size + 1))
         xg[:, : self.size] = x_stack
         vals = np.empty((46, L, n))
-        v_lim = self._stamp(
+        v_lim, limited = self._stamp(
             self._controls(xg),
             (self._no_history[:, None, :] if history is None
              else history.transpose(1, 0, 2)),
@@ -1095,6 +1105,7 @@ class BJTGroup:
         if c_flat is not None:
             np.add.at(c_flat, (lane, self._c_idx), vals[:, _C].reshape(L, -1))
         np.add.at(q_full, (lane, self._q_rows), vals[:, _Q].reshape(L, -1))
+        return np.zeros(L, dtype=bool) if limited is None else limited
 
 
 class _CooContext(LoadContext):
@@ -1170,12 +1181,24 @@ class _CooContext(LoadContext):
 _BJT_BLOCKS_KEPT = 16
 
 
+def _waveform_key(element):
+    """What a lane's source shares with the engine's: DC (its level is a
+    lane value), or the type and fields of the waveform the engine reads
+    from its own source objects.  ``None`` for any other element."""
+    if is_dc_source(element):
+        return "DC"
+    waveform = getattr(element, "waveform", None)
+    return None if waveform is None else (type(waveform), vars(waveform))
+
+
 def _topology(circuit: Circuit, probe: _CooContext) -> tuple:
-    """Each element's kind, name and bound unknowns, in circuit order,
-    and the probe's stamp slots in recorded order: what a lane's circuit
-    must share with the engine it rides on."""
+    """Each element's kind, name, bound unknowns and source waveform
+    (:func:`_waveform_key`), in circuit order, and the probe's stamp
+    slots in recorded order: what a lane's circuit must share with the
+    engine it rides on."""
     elements = tuple((type(e), e.name, tuple(e.node_index),
-                      tuple(e.branch_index)) for e in circuit)
+                      tuple(e.branch_index), _waveform_key(e))
+                     for e in circuit)
     return (elements, tuple(probe.g_rows), tuple(probe.g_cols),
             tuple(probe.c_rows), tuple(probe.c_cols))
 
@@ -1186,43 +1209,49 @@ class LaneStamps:
     Lane ``k`` carries its own linear stamps -- ``g0``/``c0`` in the
     engine's assembly form (``(L, size, size)`` dense matrices or
     ``(L, nnz + 1)`` pattern values; on a sparse engine ``csr`` adds
-    each lane's ``(G0, C0)`` CSR pair for the matvecs), the ``(L,
-    size)`` constant residual and charge vectors ``i0``/``q0`` --, its
-    ``(rows, L, n)`` BJT parameter block (``None`` without BJTs) and
-    its tuple of scalar devices (``devices``; ``None`` without them).
+    each lane's ``(G0, C0)`` CSR pair for the matvecs) --, its ``(rows,
+    L, n)`` BJT parameter block (``None`` without BJTs), its tuple of
+    scalar devices (``devices``; ``None`` without them) and its ``(L,
+    size)`` DC source vector ``src``.  Lanes that differ in source
+    levels alone share one lane of everything but ``src``, broadcast.
     :attr:`CompiledCircuit.stamps` is the engine's own one lane,
     :meth:`CompiledCircuit.lane_stamps` builds one lane per circuit the
-    same way, :meth:`concat` joins lanes and :meth:`take` selects them;
-    lane ``k`` holds exactly what compiling its own circuit would build.
+    same way, :meth:`CompiledCircuit.at_levels` sets its source levels,
+    :meth:`concat` joins lanes and :meth:`take` selects them; lane ``k``
+    holds exactly what compiling its own circuit would build.
     """
 
-    __slots__ = ("g0", "c0", "csr", "i0", "q0", "params", "devices")
+    __slots__ = ("g0", "c0", "csr", "src", "params", "devices")
 
-    def __init__(self, g0, c0, csr, i0, q0, params, devices):
+    def __init__(self, g0, c0, csr, src, params, devices):
         self.g0 = g0
         self.c0 = c0
         self.csr = csr
-        self.i0 = i0
-        self.q0 = q0
+        self.src = src
         self.params = params
         self.devices = devices
 
     def __len__(self) -> int:
-        return len(self.i0)
+        return len(self.src)
 
     @property
     def nbytes(self) -> int:
         """Bytes of the per-lane arrays (a lane's CSR pair shares the
         size of its pattern values)."""
-        return sum(a.nbytes for a in (self.g0, self.c0, self.i0, self.q0,
+        return sum(a.nbytes for a in (self.g0, self.c0, self.src,
                                       self.params) if a is not None)
 
     def take(self, index) -> "LaneStamps":
         """The lanes at ``index`` (an integer array), in that order."""
+        src = self.src[index]
+        if len(self.g0) == 1:
+            # One lane of values, shared by every lane.
+            return LaneStamps(self.g0, self.c0, self.csr, src, self.params,
+                              self.devices)
         return LaneStamps(
             self.g0[index], self.c0[index],
             None if self.csr is None else [self.csr[k] for k in index],
-            self.i0[index], self.q0[index],
+            src,
             None if self.params is None else self.params[:, index],
             None if self.devices is None
             else [self.devices[k] for k in index],
@@ -1230,15 +1259,15 @@ class LaneStamps:
 
     @staticmethod
     def concat(stamps: list) -> "LaneStamps":
-        """The lanes of every element of ``stamps``, in order."""
+        """The lanes of every element of ``stamps`` (each a lane of its
+        own values), in order."""
         first = stamps[0]
         return LaneStamps(
             np.concatenate([s.g0 for s in stamps]),
             np.concatenate([s.c0 for s in stamps]),
             None if first.csr is None
             else [pair for s in stamps for pair in s.csr],
-            np.concatenate([s.i0 for s in stamps]),
-            np.concatenate([s.q0 for s in stamps]),
+            np.concatenate([s.src for s in stamps]),
             None if first.params is None
             else np.concatenate([s.params for s in stamps], axis=1),
             None if first.devices is None
@@ -1255,16 +1284,19 @@ class StackedContext:
     on the engine's assembly backend (``c`` is ``None`` unless requested).
     Row ``k`` holds exactly what a scalar ``evaluate`` at lane ``k``'s
     solution and limiting history would have produced: both paths run
-    the same device kernel (:meth:`BJTGroup._stamp`).
+    the same device kernel (:meth:`BJTGroup._stamp`).  ``limited`` is
+    the ``(L,)`` mask of lanes whose evaluation limited a junction, the
+    stacked form of ``LoadContext.limited``.
     """
 
-    __slots__ = ("i", "g", "q", "c")
+    __slots__ = ("i", "g", "q", "c", "limited")
 
-    def __init__(self, i, g, q, c=None):
+    def __init__(self, i, g, q, c, limited):
         self.i = i
         self.g = g
         self.q = q
         self.c = c
+        self.limited = limited
 
 
 class CompiledCircuit:
@@ -1310,23 +1342,17 @@ class CompiledCircuit:
                 sources.append(element)
             if element.is_nonlinear():
                 nonlinear.append(element)
-        #: (element, [(row, coeff), ...]) pairs; rows are fixed by the
-        #: topology, values are re-read from the waveform per evaluation.
-        #: Sources with a constant (DC) waveform are folded into a single
-        #: precomputed vector instead — their value never changes, so the
+        #: (element, [(row, coeff), ...]) pairs of the sources whose
+        #: value is re-read from the engine's own waveform per evaluation.
+        #: Sources with a constant (DC) waveform are folded into each
+        #: lane's source vector instead (``LaneStamps.src``), so the
         #: per-evaluation python loop only visits true waveform sources.
-        self._source_rows = []
-        self._src_dc = np.zeros(size)
-        self._has_src_dc = False
-        for element in sources:
-            rows = list(element.rhs_rows())
-            if type(getattr(element, "waveform", None)) is DCWaveform:
-                value = element.source_value(None)
-                for row, coeff in rows:
-                    self._src_dc[row] += coeff * value
-                    self._has_src_dc = True
-            else:
-                self._source_rows.append((element, rows))
+        self._source_rows = [(e, list(e.rhs_rows())) for e in sources
+                             if not is_dc_source(e)]
+        #: Each DC source's name and ``(row, coeff)`` entries, in
+        #: circuit order: where a lane's levels fold in (at_levels).
+        self._dc_sources = tuple((e.name, tuple(e.rhs_rows()))
+                                 for e in sources if is_dc_source(e))
         bjts = [e for e in nonlinear if type(e) is BJT]
         scalar = [e for e in nonlinear if type(e) is not BJT]
         self._eval_cost = len(sources) + len(nonlinear)
@@ -1340,7 +1366,6 @@ class CompiledCircuit:
         for element in circuit:
             element.load_static(probe)
         # What a lane's circuit must share with this one (lane_stamps).
-        self._sources = tuple(sources)
         self._topology = _topology(circuit, probe)
 
         # Evaluation buffers carry a dummy slot (row/col ``size``) that
@@ -1450,31 +1475,56 @@ class CompiledCircuit:
         The lane is built as the compile builds the engine's own
         (:meth:`_lane`), so it evaluates bit for bit as an engine
         compiled from ``circuit`` would.  ``circuit`` may differ from
-        the engine's in linear element values and device model
-        parameters only -- a temperature or passive-value variant: the
-        same elements (kind and name) on the same unknowns in the same
-        order, the engine's own source elements and BJT polarities.
+        the engine's in element values, device model parameters and DC
+        source levels only: the same elements (kind and name) on the
+        same unknowns in the same order, the engine's BJT polarities,
+        each source DC in both circuits or carrying an equal waveform.
         Anything else raises :class:`~repro.errors.AnalysisError`.
         """
         size = circuit.assign_indices()
         probe = _CooContext(size)
         for element in circuit:
             element.load_static(probe)
-        sources = [e for e in circuit if e.has_time_varying_rhs()]
-        if (size != self.size
-                or _topology(circuit, probe) != self._topology
-                or len(sources) != len(self._sources)
-                or any(a is not b for a, b in zip(sources, self._sources))):
+        if size != self.size or _topology(circuit, probe) != self._topology:
             raise AnalysisError(
                 f"circuit {circuit.title!r} does not share the engine's "
                 "topology: a lane needs the same elements on the same "
-                "unknowns in the same order, and the engine's sources"
+                "unknowns in the same order, and each source DC in both "
+                "circuits or carrying an equal waveform"
             )
         return self._lane(circuit, probe)
 
+    def at_levels(self, stamps: LaneStamps, circuit: Circuit,
+                  levels: list) -> LaneStamps:
+        """``len(levels)`` lanes of ``stamps``' values (one lane shared
+        by every lane, or one per lane), lane ``k`` at ``circuit``'s DC
+        source levels with those named in ``levels[k]`` (a dict, source
+        name to level) set: each evaluates bit for bit as an engine
+        compiled from its circuit written at those levels would.  The
+        one rule for which sources a sweep may set: a name that is not
+        an independent source with a DC waveform raises
+        :class:`~repro.errors.AnalysisError`."""
+        index = {name.upper(): j
+                 for j, (name, _) in enumerate(self._dc_sources)}
+        table = np.tile([circuit.element(name).source_value(None)
+                         for name, _ in self._dc_sources], (len(levels), 1))
+        for k, point in enumerate(levels):
+            for name, level in point.items():
+                if name.upper() not in index:
+                    raise AnalysisError(
+                        f"{name!r} is not an independent source with a DC "
+                        "waveform; a sweep sets DC source levels only")
+                table[k, index[name.upper()]] = level
+        src = np.zeros((len(levels), self.size))
+        for j, (_, rows) in enumerate(self._dc_sources):
+            for row, coeff in rows:
+                src[:, row] += coeff * table[:, j]
+        return LaneStamps(stamps.g0, stamps.c0, stamps.csr, src,
+                          stamps.params, stamps.devices)
+
     def _lane(self, circuit: Circuit, probe: _CooContext) -> LaneStamps:
-        """``circuit``'s values (its ``probe``d linear stamps, BJT block
-        and scalar devices) as one lane in this engine's form."""
+        """``circuit``'s values (its ``probe``d linear stamps, BJT block,
+        scalar devices, DC source levels) as one lane in this engine."""
         params = None
         group = self._bjt_group
         if group is not None:
@@ -1488,12 +1538,12 @@ class CompiledCircuit:
         devices = tuple(e for e in circuit
                         if e.is_nonlinear() and type(e) is not BJT)
         g0, c0, g_dot, c_dot = self._linear_stamps(probe)
-        return LaneStamps(
+        values = LaneStamps(
             g0[None], c0[None],
             [(g_dot, c_dot)] if self.assembly == "sparse" else None,
-            probe.i_vec[None], probe.q_vec[None], params,
-            [devices] if devices else None,
+            None, params, [devices] if devices else None,
         )
+        return self.at_levels(values, circuit, [{}])
 
     def _bjt_block(self, devices: tuple) -> tuple:
         """:func:`_bjt_columns` of ``devices``, the parameter block
@@ -1577,7 +1627,6 @@ class CompiledCircuit:
             g = self._g_full[:size, :size]
             c = self._c_full[:size, :size]
             np.dot(c0, x, out=q)
-        q += stamps.q0[0]
         if not (charges_only or residual_only):
             if sparse:
                 if jac_alpha is not None:
@@ -1597,19 +1646,7 @@ class CompiledCircuit:
                 i[:] = g_dot.dot(x)
             else:
                 np.dot(g0, x, out=i)
-            i += stamps.i0[0]
-
-            if source_scale != 0.0:
-                if self._has_src_dc:
-                    if source_scale == 1.0:
-                        i += self._src_dc
-                    else:
-                        i += self._src_dc * source_scale
-                for element, rows in self._source_rows:
-                    value = element.source_value(time) * source_scale
-                    if value != 0.0:
-                        for row, coeff in rows:
-                            i[row] += coeff * value
+            self._add_sources(i, stamps.src[0], time, source_scale)
 
         ctx = LoadContext(
             size, x, time, gmin, source_scale, buffers=(i, g, q, c)
@@ -1637,6 +1674,20 @@ class CompiledCircuit:
         if bypassed:
             self.stats.bypassed_evals += bypassed
         return ctx
+
+    def _add_sources(self, i, src, time, source_scale) -> None:
+        """Add the sources to the residual ``i`` (one lane's, or a
+        stack's): the lanes' DC source vectors ``src``, then every other
+        waveform's value at ``time``, scaled by ``source_scale`` (none
+        at 0)."""
+        if source_scale == 0.0:
+            return
+        i += src if source_scale == 1.0 else src * source_scale
+        for element, rows in self._source_rows:
+            value = element.source_value(time) * source_scale
+            if value != 0.0:
+                for row, coeff in rows:
+                    i[..., row] += coeff * value
 
     @property
     def supports_stacked_evaluate(self) -> bool:
@@ -1673,10 +1724,11 @@ class CompiledCircuit:
         voltages; ``None`` evaluates every lane without history and
         keeps none.  ``lanes`` is one lane of :class:`LaneStamps` per
         row of ``x_stack`` (see :meth:`lane_stamps`): lane ``k`` then
-        assembles with its own linear stamps and BJT parameters,
-        bit-identical to an engine compiled from lane ``k``'s circuit.
-        By default every row shares the engine's own one lane,
-        :attr:`stamps`, broadcast.  On a dense engine the
+        assembles with its own linear stamps, BJT parameters and source
+        vector, bit-identical to an engine compiled from lane ``k``'s
+        circuit.  One lane of values shared by source-level lanes
+        (:meth:`at_levels`) broadcasts, and by default every row shares
+        the engine's own one lane, :attr:`stamps`.  On a dense engine the
         base-stamp matvecs ``G0 @ x`` and ``C0 @ x`` are one stacked
         ``np.matmul`` each, a matrix-vector product per lane like the
         scalar ``np.dot``; a sparse engine runs its CSR matvecs per lane.
@@ -1705,7 +1757,7 @@ class CompiledCircuit:
         q_full = np.zeros((L, n1))
         c_buf = None
         if sparse:
-            csr = lanes.csr if len(lanes) == L else lanes.csr * L
+            csr = lanes.csr if len(lanes.csr) == L else lanes.csr * L
             for k, (g_dot, c_dot) in enumerate(csr):
                 i_full[k, :size] = g_dot.dot(x_stack[k])
                 q_full[k, :size] = c_dot.dot(x_stack[k])
@@ -1726,28 +1778,16 @@ class CompiledCircuit:
             if with_c:
                 c_buf = np.zeros((L, n1, n1))
                 c_buf[:, :size, :size] = lanes.c0
-        i_full[:, :size] += lanes.i0
-        q_full[:, :size] += lanes.q0
 
-        if source_scale != 0.0:
-            if self._has_src_dc:
-                if source_scale == 1.0:
-                    i_full[:, :size] += self._src_dc
-                else:
-                    i_full[:, :size] += self._src_dc * source_scale
-            for element, rows in self._source_rows:
-                value = element.source_value(None) * source_scale
-                if value != 0.0:
-                    for row, coeff in rows:
-                        i_full[:, row] += coeff * value
-
+        self._add_sources(i_full[:, :size], lanes.src, None, source_scale)
+        limited = np.zeros(L, dtype=bool)
         if self._bjt_group is not None:
             if sparse:
                 g_flat, c_flat = g_buf, c_buf
             else:
                 g_flat = g_buf.reshape(L, -1)
                 c_flat = c_buf.reshape(L, -1) if with_c else None
-            self._bjt_group.load_stacked(
+            limited = self._bjt_group.load_stacked(
                 x_stack, gmin, history, i_full, q_full, g_flat, c_flat,
                 lanes.params,
             )
@@ -1763,7 +1803,7 @@ class CompiledCircuit:
             c_view = c_buf[:, :size, :size] if with_c else None
         self.stats.element_evals += self._eval_cost * L
         return StackedContext(
-            i_full[:, :size], g_view, q_full[:, :size], c_view
+            i_full[:, :size], g_view, q_full[:, :size], c_view, limited
         )
 
     @contextmanager

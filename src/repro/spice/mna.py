@@ -87,6 +87,9 @@ class LoadContext:
         #: ``i_vec`` and ``q_vec`` alone, so the compiled BJT group
         #: scatters no Jacobian stamp into the stale ``g_mat``/``c_mat``.
         self.residual_only = False
+        #: Set by a device whose pnjlim limited a junction voltage in
+        #: this evaluation: Newton then accepts no step from it.
+        self.limited = False
 
     # -- reading the candidate solution ---------------------------------------
 

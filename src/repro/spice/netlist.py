@@ -67,9 +67,6 @@ class Element:
         """
         raise NotImplementedError
 
-    def initial_guess(self, ctx) -> None:
-        """Optionally bias the DC initial guess (e.g. junction voltages)."""
-
     def is_nonlinear(self) -> bool:
         """Whether the element's I or Q depends nonlinearly on ``x``."""
         return False
@@ -165,7 +162,9 @@ class Circuit:
         """Mark cached compiled state stale after mutating an element value
         in place (e.g. changing a resistance, or giving a source another
         waveform): the compile folds element values, DC source levels
-        included, into the engine."""
+        included, into the engine's own lane.  Sweeps leave the circuit
+        alone and solve other levels as other lanes of the engine
+        (:meth:`repro.spice.engine.CompiledCircuit.at_levels`)."""
         self._generation += 1
 
     def element(self, name: str) -> Element:

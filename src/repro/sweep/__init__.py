@@ -38,7 +38,7 @@ Execution is structured for *positive* parallel scaling:
 * :class:`BlockedACSweep` does the same for AC sweeps: one stacked
   Newton bias solve for the chunk, then every ``lane x frequency``
   system solved through a handful of batched complex solves — with
-  per-lane source re-bias, and R/L/C values set through variants of
+  per-lane source levels, and R/L/C values set through variants of
   the deck that ride as lanes of its one engine (both evaluators, and
   the qualification
   harness's ``CornerEvaluator``, are configurations of one deck

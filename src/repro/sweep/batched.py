@@ -19,12 +19,12 @@ cross the pipe.  A caller that has parsed the text already can hand
 that parse over (``_share``), as :func:`repro.verify.qualify_cell`
 does, so its process parses the deck once.
 
-Every point splits into a deck *variant* and a source re-bias:
+Every point splits into a deck *variant* and its source levels:
 
-* Parameters naming independent DC sources (``{"VB": 0.8}``) re-bias
-  as lanes: each level is a residual-row delta
-  ``coeff * (level - base)`` (see :func:`repro.spice.dcop.newton_solve`'s
-  ``rhs_delta``), so any number of levels share one compiled engine.
+* Parameters naming independent DC sources (``{"VB": 0.8}``) set the
+  levels the point's lane carries in its source vector
+  (:meth:`~repro.spice.engine.CompiledCircuit.at_levels`); the points
+  of one variant share all its other values.
 * Parameters naming linear R/L/C elements (``{"RC": 1.5e3}``), and a
   corner's temperature and passive-scale levels, change the matrix:
   they select a variant, a :class:`~repro.spice.netlist.Circuit`
@@ -35,10 +35,11 @@ Every point splits into a deck *variant* and a source re-bias:
   point's passive values is dropped after the call that built it.
 
 The deck compiles once, with its ``.OPTIONS SOLVER=`` and ``PERMC=``,
-and that one engine serves every variant on both paths: a variant is a
-lane of it, carrying its own linear stamps, BJT parameter block and
-scalar devices (:meth:`~repro.spice.engine.CompiledCircuit.lane_stamps`),
-so it solves as an engine compiled from the variant would.  The
+and that one engine serves every point on both paths: a point is a
+lane of it, carrying its variant's linear stamps, BJT parameter block
+and scalar devices (:meth:`~repro.spice.engine.CompiledCircuit.
+lane_stamps`) and its own source levels, so it solves as an engine
+compiled from the deck written at the point would.  The
 **blocked** path solves a chunk of points as one
 :func:`~repro.spice.dcop.solve_dc_batched` lane block (several, past
 the stacked-block byte budget) and one stacked AC solve, whatever its
@@ -46,7 +47,7 @@ variants.  The **scalar** path -- :meth:`_BlockedDeckSweep._evaluate`,
 retries, seeded points, the escalation of a lane the stacked Newton
 leaves unconverged, and every point of a deck with a diode (which has
 no stacked assembly) -- runs the full :func:`~repro.spice.dcop.solve_dc`
-ladder under the point's lane stamps.
+ladder under the point's lane.
 
 Each point gets one bias solve, and that one solution feeds the DC
 measure, the small-signal AC solve and the corner outcome.  Both paths
@@ -73,7 +74,8 @@ from ..spice.ac import (
     solve_ac_lanes,
 )
 from ..spice.dcop import Tolerances, solve_dc, solve_dc_batched
-from ..spice.elements import DC, Capacitor, Inductor, Resistor
+from ..spice.elements import Capacitor, Inductor, Resistor
+from ..spice.elements.sources import is_dc_source
 from ..spice.engine import LaneStamps, compile_circuit
 from ..spice.netlist import Circuit
 from ..spice.temperature import circuit_at_temperature
@@ -190,7 +192,7 @@ def _lane_block(engine, lanes: int, stamps: LaneStamps | None) -> int:
     (:data:`repro.spice.ac.MAX_BLOCK_BYTES`) holds, at least one.  A
     lane costs its real Jacobian (``8 n^2`` bytes on a dense engine,
     ``8 nnz`` on a sparse one), plus one lane of ``stamps`` when the
-    lanes carry their own."""
+    lanes carry their own values."""
     per_lane = 8 * (engine.pattern.nnz if engine.assembly == "sparse"
                     else engine.size * engine.size)
     if stamps is not None:
@@ -407,7 +409,7 @@ class _BlockedDeckSweep:
     # -- points -----------------------------------------------------------------
 
     def _param(self, name: str) -> tuple:
-        """Classify one parameter name (cached): ``("source", rows,
+        """Classify one parameter name (cached): ``("source", NAME,
         level)`` for an independent DC source, ``(kind, NAME, value)``
         for a linear R/L/C element."""
         info = self._params.get(name)
@@ -421,17 +423,16 @@ class _BlockedDeckSweep:
             )
         element = circuit.element(name)
         passive = _passive_value(element)
-        if getattr(element, "rhs_rows", None) is not None \
-                and type(getattr(element, "waveform", None)) is DC:
-            info = ("source", list(element.rhs_rows()),
+        if is_dc_source(element):
+            info = ("source", element.name.upper(),
                     float(element.source_value(None)))
         elif passive is not None:
             info = (passive[0], element.name.upper(), float(passive[1]))
         else:
             raise SweepError(
                 f"element {name!r} is not an independent DC source or a "
-                f"linear R/L/C; {type(self).__name__} can only re-bias "
-                "sources and set passive values"
+                f"linear R/L/C; {type(self).__name__} can only set DC "
+                "source levels and passive values"
             )
         self._params[name] = info
         return info
@@ -440,22 +441,19 @@ class _BlockedDeckSweep:
         """A point's corner edits and its element parameters."""
         return (), params
 
-    def _lane(self, params: dict) -> tuple[tuple, np.ndarray | None]:
-        """One point's variant key and source re-bias vector.  Raises
-        the point's :class:`~repro.errors.ReproError` here, so the
-        scalar and blocked paths reject a point identically."""
+    def _lane(self, params: dict) -> tuple[tuple, dict]:
+        """One point's variant key and source levels (source name to
+        level).  Raises the point's :class:`~repro.errors.ReproError`
+        here, so the scalar and blocked paths reject a point
+        identically."""
         edits, params = self._split(params)
-        delta = None
+        levels = {}
         values = []
         for name, level in params.items():
             kind, target, base = self._param(name)
             level = float(level)
             if kind == "source":
-                if delta is None:
-                    delta = np.zeros(self._deck.circuit.num_unknowns)
-                shift = level - base
-                for row, coeff in target:
-                    delta[row] += coeff * shift
+                levels[target] = level
             elif not math.isfinite(level) or level < 0.0 \
                     or (level == 0.0 and kind != "C"):
                 raise SweepError(
@@ -464,12 +462,11 @@ class _BlockedDeckSweep:
                 )
             elif level != base:
                 values.append((target, level))
-        return (edits, tuple(sorted(values))), delta
+        return (edits, tuple(sorted(values))), levels
 
-    def _ac_solutions(self, x: np.ndarray,
-                      lanes: LaneStamps | None) -> np.ndarray:
+    def _ac_solutions(self, x: np.ndarray, lanes: LaneStamps) -> np.ndarray:
         """``(lanes, freqs, n)`` small-signal solutions linearized at
-        each row of ``x``, under its own stamps given ``lanes``."""
+        each row of ``x``, under its lane of ``lanes``."""
         engine = self._compiled()
         if engine.supports_stacked_evaluate:
             # One lane-stacked linearization; each lane's G/C is
@@ -479,23 +476,27 @@ class _BlockedDeckSweep:
             g_stack, c_stack = np.array(sctx.g), np.array(sctx.c)
         else:
             pairs = [small_signal(engine, lane, self._gmin, {},
-                                  None if lanes is None else lanes.take([k]))
+                                  lanes.take([k]))
                      for k, lane in enumerate(x)]
             g_stack = np.stack([g for g, _ in pairs])
             c_stack = np.stack([c for _, c in pairs])
         return solve_ac_lanes(engine, g_stack, c_stack, self._omegas,
                               self._rhs)
 
-    def _solve_point(self, variant: _Variant, delta, attempt: int) -> tuple:
+    def _solve_point(self, variant: _Variant, levels: dict,
+                     attempt: int) -> tuple:
         """The scalar path's ``(x, solutions)`` of one point: its bias
         through the full :func:`~repro.spice.dcop.solve_dc` homotopy
-        ladder under the variant's stamps (``attempt`` picks the retry
-        rung), then its AC sweep as a single lane."""
+        ladder under its lane (``attempt`` picks the retry rung), then
+        its AC sweep as a single lane."""
         stamps = self._stamped(variant)
+        if levels:
+            stamps = self._compiled().at_levels(stamps, variant.circuit,
+                                                [levels])
         x = solve_dc(
             self._deck.circuit, tolerances=self._tolerances,
             gmin=self._gmin, engine=self._compiled(), attempt=attempt,
-            rhs_delta=delta, stamps=stamps,
+            stamps=stamps,
         )
         solutions = None
         if self._with_ac:
@@ -514,14 +515,14 @@ class _BlockedDeckSweep:
             return None, error
 
     def _evaluate(self, params: dict, attempt: int):
-        """Scalar path: one point under its variant's stamps (see
+        """Scalar path: one point under its lane (see
         :meth:`_solve_point`), reduced to its value."""
         with self._lock:
             self._resolve()
-            key, delta = self._lane(params)
+            key, levels = self._lane(params)
             variant = self._variant(key)
             return self._reduce(variant.circuit,
-                                *self._solve_point(variant, delta, attempt))
+                                *self._solve_point(variant, levels, attempt))
 
     def _evaluate_batch(self, chunk_params: list) -> list:
         """Blocked path: every point a lane of the deck's one engine,
@@ -536,20 +537,18 @@ class _BlockedDeckSweep:
             points, variants = [], {}
             for k, params in enumerate(chunk_params):
                 try:
-                    key, delta = self._lane(params)
+                    key, levels = self._lane(params)
                 except ReproError as error:
                     results[k] = (None, error)
                     continue
                 variant = variants.get(key)
                 if variant is None:
                     variant = variants[key] = self._variant(key)
-                points.append((k, variant, delta))
-            base = self._variant(_BASE)
-            other = next((v for v in variants.values() if v is not base),
-                         None)
-            block = _lane_block(self._compiled(), len(points),
-                                None if other is None
-                                else self._stamped(other))
+                points.append((k, variant, levels))
+            block = _lane_block(
+                self._compiled(), len(points),
+                None if len(variants) < 2
+                else self._stamped(next(iter(variants.values()))))
             for start in range(0, len(points), block):
                 self._solve_block(points[start:start + block], results)
             return results
@@ -557,18 +556,21 @@ class _BlockedDeckSweep:
     def _solve_block(self, points: list, results: list) -> None:
         """One lane block: a stacked Newton bias solve, then one run of
         ``(lanes x freq_block)`` stacked complex solves; fills
-        ``results`` at the points' chunk positions.  Lanes of variants
-        other than the deck carry their own stamps; a lane the stacked
-        Newton leaves unconverged, and every lane of a deck with a
-        diode, takes the scalar ladder under them."""
-        positions, variants, deltas = zip(*points)
-        base = self._variant(_BASE)
-        lanes = None
-        if any(variant is not base for variant in variants):
-            lanes = LaneStamps.concat([self._stamped(v) for v in variants])
+        ``results`` at the points' chunk positions.  Points of one
+        variant share its lane of values and carry their own source
+        levels; points of several variants each carry their variant's.
+        A lane the stacked Newton leaves unconverged, and every lane of
+        a deck with a diode, takes the scalar ladder under it."""
+        positions, variants, levels = zip(*points)
+        values = (self._stamped(variants[0])
+                  if all(variant is variants[0] for variant in variants)
+                  else LaneStamps.concat([self._stamped(v) for v in variants]))
+        # Variants share the deck's sources, so its levels are theirs.
+        engine = self._compiled()
+        lanes = engine.at_levels(values, self._deck.circuit, levels)
         x, errors = solve_dc_batched(
-            base.circuit, deltas, tolerances=self._tolerances,
-            gmin=self._gmin, engine=self._compiled(), lanes=lanes,
+            self._deck.circuit, lanes, tolerances=self._tolerances,
+            gmin=self._gmin, engine=engine,
         )
         solved = []
         for i, error in enumerate(errors):
@@ -583,8 +585,7 @@ class _BlockedDeckSweep:
                     results[positions[i]] = (None,
                                              AnalysisError(_NO_STIMULUS))
                 return
-            solutions = self._ac_solutions(
-                x[solved], None if lanes is None else lanes.take(solved))
+            solutions = self._ac_solutions(x[solved], lanes.take(solved))
         for i, lane_solutions in zip(solved, solutions):
             results[positions[i]] = self._reduced(
                 variants[i].circuit, x[i], lane_solutions)
@@ -638,8 +639,8 @@ class BlockedACSweep(_BlockedDeckSweep):
     :func:`ac_gain_db`.
 
     Point parameters are those of :class:`BlockedDCSweep`: source levels
-    re-bias through ``rhs_delta``, and an R/L/C value selects a variant
-    of the deck, so the bias and the small-signal matrices both see it —
+    ride in the point's lane, and an R/L/C value selects a variant of
+    the deck, so the bias and the small-signal matrices both see them —
     exactly as simulating the edited deck would.
 
     ``frequencies`` is the grid in Hz; ``None`` adopts the deck's

@@ -18,8 +18,8 @@ run — the property the sweep layer's bit-identity contract builds on.
 Axis kinds:
 
 ``"source"``
-    The level re-biases an independent V/I source through the blocked
-    sweep engine's ``rhs_delta`` path — no recompile per corner.
+    The level sets an independent V/I source's DC level, carried in the
+    corner's lane of the deck's one engine — no recompile per corner.
 ``"temperature"``
     The level is a die temperature in Celsius; the harness rebuilds the
     deck's semiconductor devices via
@@ -28,11 +28,10 @@ Axis kinds:
     The level multiplies every passive of one kind (``R``/``C``/``L``)
     — the classic process-tolerance corner on monolithic resistors.
 
-``temperature`` and ``scale`` change the compiled matrix, so the
-harness groups corners sharing those values into one derived deck each
-(compile once per group); ``source`` levels ride inside a group as
-sweep points.  Constructors therefore put deck-level axes first, which
-keeps same-deck corners adjacent in the expansion.
+``temperature`` and ``scale`` levels select a deck variant, ``source``
+levels ride in each corner's lane (see :mod:`repro.verify.harness`).
+Constructors put deck-level axes first, which keeps corners of one
+variant adjacent in the expansion.
 """
 
 from __future__ import annotations
@@ -154,7 +153,7 @@ class CornerAxis:
     @property
     def deck_level(self) -> bool:
         """True when the axis changes the compiled matrix (new deck per
-        level) rather than riding the source re-bias path."""
+        level) rather than the source levels a corner's lane carries."""
         return self.kind in ("temperature", "scale")
 
     def value_of(self, label: str) -> float:

@@ -15,10 +15,10 @@ other sweep in the repo.
 Corner mechanics: axes that change the matrix (temperature, passive
 scale) select a deck *variant* — a circuit derived from the parsed
 deck, once per distinct combination of their levels and kept for every
-corner sharing it — while source axes re-bias each corner's lane through
-``rhs_delta``.  On both paths every corner is a lane of the deck's one
-compiled engine, carrying its variant's linear stamps and BJT
-parameters.  Each corner gets one bias solve, and
+corner sharing it.  On both paths every corner is a lane of the deck's
+one compiled engine, carrying its variant's values and its own source
+levels, so it solves as the deck written at that corner would.  Each
+corner gets one bias solve, and
 that one operating point feeds the DC measurements, the small-signal AC
 sweep and the stress checks.  A 27-corner set over 3 temperatures x 3
 resistor scales x 3 supply levels therefore parses the deck once,
@@ -226,7 +226,7 @@ class CornerEvaluator(_BlockedDeckSweep):
 
     def _split(self, params: dict) -> tuple[tuple, dict]:
         """Corner levels -> deck edits (temperature, passive scales)
-        and source levels keyed by the source they re-bias."""
+        and source levels keyed by the source they set."""
         edits = []
         for axis in self._deck_axes:
             try:

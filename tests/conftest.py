@@ -83,24 +83,44 @@ def as_pattern():
     return build
 
 
+def _written(circuit, levels: dict):
+    """``circuit`` with each DC source named in ``levels`` replaced by an
+    edited copy at its level (the deck written at those levels); every
+    other element is shared with ``circuit``."""
+    from repro.spice.netlist import Circuit
+
+    if not levels:
+        return circuit
+    written = Circuit(circuit.title)
+    for element in circuit:
+        level = levels.get(element.name.upper())
+        if level is not None:
+            element = type(element)(element.name, element.nodes, dc=level,
+                                    ac_mag=element.ac_mag,
+                                    ac_phase_deg=element.ac_phase_deg)
+        written.add(element)
+    return written
+
+
 class _VariantOracle:
-    """What a deck evaluator's point solves to on the variant's own engine.
+    """What a deck evaluator's point solves to as the deck written at it.
 
     A deck evaluator (:class:`~repro.sweep.BlockedDCSweep`,
     :class:`~repro.sweep.BlockedACSweep`,
     :class:`~repro.verify.CornerEvaluator`) solves every point on the
-    deck's one engine, under the lane stamps of the point's variant.
-    ``oracle(params)`` solves the point the way those stamps stand in
-    for: it compiles the variant's own circuit (once per variant) with
-    the deck's options, runs the full ``solve_dc`` ladder on it, then
-    the small-signal AC sweep when the evaluator has one, and reduces
-    the result as the evaluator does.
+    deck's one engine, under a lane carrying the point's variant and
+    source levels.  ``oracle(params)`` solves the deck that lane stands
+    in for: the variant's own circuit with edited copies of the DC
+    sources the point sets, compiled on its own with the deck's options
+    (once per written deck), through the full ``solve_dc`` ladder, then
+    the small-signal AC sweep when the evaluator has one, reduced as the
+    evaluator reduces its points.
     """
 
     def __init__(self, evaluator):
         evaluator._resolve()
         self.evaluator = evaluator
-        self.variants = {}
+        self.decks = {}
 
     def __call__(self, params: dict):
         from repro.errors import AnalysisError
@@ -109,16 +129,16 @@ class _VariantOracle:
         from repro.spice.engine import compile_circuit
 
         ev = self.evaluator
-        key, delta = ev._lane(params)
-        if key not in self.variants:
-            circuit = ev._variant(key).circuit
+        key, levels = ev._lane(params)
+        deck = (key, tuple(sorted(levels.items())))
+        if deck not in self.decks:
+            circuit = _written(ev._variant(key).circuit, levels)
             circuit._permc_spec = getattr(ev._deck.circuit, "_permc_spec",
                                           None)
-            self.variants[key] = (circuit,
-                                  compile_circuit(circuit, ev._mode))
-        circuit, engine = self.variants[key]
+            self.decks[deck] = (circuit, compile_circuit(circuit, ev._mode))
+        circuit, engine = self.decks[deck]
         x = solve_dc(circuit, tolerances=ev._tolerances, gmin=ev._gmin,
-                     engine=engine, rhs_delta=delta)
+                     engine=engine)
         solutions = None
         if ev._with_ac:
             if not np.any(ev._rhs):
@@ -149,10 +169,34 @@ class _VariantOracle:
 def variant_oracle():
     """Factory ``evaluator -> oracle``: ``oracle(params)`` is the value
     ``evaluator(params)`` must equal bit for bit, solved on an engine
-    compiled from the point's own deck variant; ``oracle.outcomes(
+    compiled from the deck written at the point; ``oracle.outcomes(
     corners)`` the outcome dicts of a qualification over ``corners``.
     Its compiles show in :func:`compile_log`."""
     return _VariantOracle
+
+
+def _hexed(value):
+    """``value`` with every float spelled in hex, through arrays, dicts,
+    lists and tuples: equal exactly when bit for bit equal, signed
+    zeros included (NaN compares equal to NaN)."""
+    if isinstance(value, dict):
+        return {key: _hexed(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_hexed(item) for item in value]
+    if isinstance(value, np.ndarray):
+        return _hexed(value.tolist())
+    if isinstance(value, complex):
+        return (value.real.hex(), value.imag.hex())
+    if isinstance(value, float):
+        return value.hex()
+    return value
+
+
+@pytest.fixture(scope="session")
+def hexed():
+    """``hexed(value)``: ``value`` with its floats as hex strings, for
+    asserting bit-for-bit equality of nested results."""
+    return _hexed
 
 
 @pytest.fixture()

@@ -20,9 +20,9 @@ analysis does:
   history alone; under another limits dict or another gmin it is a
   full evaluation, bit for bit;
 * every lane of ``evaluate_stacked`` is scalar ``evaluate``, bit for
-  bit, history included, while each stack mixes lanes that take the
-  kernel's shortcuts (no junction limited, no exponent above
-  ``EXP_LIMIT``) with lanes that do not;
+  bit, history and limiting flag included, while each stack mixes
+  lanes that take the kernel's shortcuts (no junction limited, no
+  exponent above ``EXP_LIMIT``) with lanes that do not;
 * with lane stamps, each lane carrying its own temperature and
   resistor scale, every lane of ``evaluate_stacked``, and the scalar
   ``evaluate`` under that lane's stamps, is the ``evaluate`` of an
@@ -332,8 +332,10 @@ def test_stacked_lanes_are_scalar_bit_for_bit(case, lanes, evaluations):
                                           with_c=True)
         assert history[held][0, 0] == HOT
         assert history[jump][0, 0] < 1.0
+        assert stacked.limited[jump] and not stacked.limited[quiet]
         for k in range(lanes):
             ctx = engine.evaluate(x_stack[k], limits=limits[k])
+            assert ctx.limited == stacked.limited[k]
             for name, lane, scalar in (
                 ("i", stacked.i[k], ctx.i_vec), ("g", stacked.g[k], ctx.g_mat),
                 ("q", stacked.q[k], ctx.q_vec), ("c", stacked.c[k], ctx.c_mat),

@@ -427,11 +427,10 @@ class TestInstrumentation:
             assert (stats.factorizations, stats.solves) == (3, 4)
             assert stats.jacobian_reuses == 1
 
-            row = circuit.branch_index("V1")
-            deltas = [None] + [-level * np.eye(circuit.num_unknowns)[row]
-                               for level in (0.5, 1.0, 2.0)]
+            lanes = engine.at_levels(engine.stamps, circuit, [{}] + [
+                {"V1": level} for level in (1.5, 2.0, 3.0)])
             before = engine.stats.copy()
-            blocked, errors = solve_dc_batched(circuit, deltas, engine=engine)
+            blocked, errors = solve_dc_batched(circuit, lanes, engine=engine)
             delta = engine.stats.since(before)
             assert errors == [None] * 4
             assert [[v.hex() for v in lane] for lane in blocked] == [

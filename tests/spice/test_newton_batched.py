@@ -1,9 +1,10 @@
 """Differential fuzzing of the stacked Newton against the scalar one.
 
 A ``hypothesis`` strategy draws lane stacks over ``ce_stage.cir`` and
-one seeded cell, on the dense and the sparse engine: each lane's
-``rhs_delta`` is ``None`` or the re-bias of one independent source, at a
-level that may be NaN.  Every converged lane of
+one seeded cell, on the dense and the sparse engine: each lane sits at
+the deck's source levels or sets one independent source to another
+level, which may be NaN (:meth:`~repro.spice.engine.CompiledCircuit.
+at_levels`).  Every converged lane of
 :func:`~repro.spice.dcop.newton_solve_batched` must equal scalar
 :func:`~repro.spice.dcop.newton_solve` bit for bit (signed zeros
 included), and every lane of :func:`~repro.spice.dcop.solve_dc_batched`
@@ -31,7 +32,7 @@ from repro.spice.parser import parse_deck
 
 DECKS = Path(__file__).resolve().parents[2] / "examples" / "decks"
 
-#: The independent sources a lane may re-bias, per deck.
+#: The independent sources a lane may set, per deck.
 SOURCES = {"ce_stage": ("VB", "VCC"), "ACC1": ("VB1", "V1", "I1")}
 
 
@@ -41,15 +42,13 @@ def decks():
             "ACC1": seed_database().get("ACC1").schematic}
 
 
-def _delta(circuit, source: str, factor: float) -> np.ndarray:
-    """The residual offset re-biasing ``source`` to ``factor`` times its
-    deck level (NaN for a NaN factor)."""
-    element = circuit.element(source)
-    base = element.source_value(None)
-    delta = np.zeros(circuit.num_unknowns)
-    for row, coeff in element.rhs_rows():
-        delta[row] += coeff * (base * factor - base)
-    return delta
+def _levels(circuit, lane) -> dict:
+    """A lane's source levels: none set, or one source at ``factor``
+    times its deck level (NaN for a NaN factor)."""
+    if lane is None:
+        return {}
+    source, factor = lane
+    return {source: circuit.element(source).source_value(None) * factor}
 
 
 def _bits(x) -> np.ndarray:
@@ -79,26 +78,27 @@ def test_stacked_newton_matches_scalar_lanes(decks, stack):
     assert engine.assembly == mode
     size = circuit.num_unknowns
     tolerances = Tolerances()
-    deltas = [None if lane is None else _delta(circuit, *lane)
-              for lane in lanes]
+    stamps = engine.at_levels(engine.stamps, circuit,
+                              [_levels(circuit, lane) for lane in lanes])
 
     x, converged = newton_solve_batched(
-        circuit, np.zeros((len(deltas), size)), tolerances, 1e-12,
-        rhs_deltas=deltas, engine=engine,
+        circuit, np.zeros((len(lanes), size)), tolerances, 1e-12,
+        engine=engine, lanes=stamps,
     )
     for k in np.flatnonzero(converged):
         scalar = newton_solve(
             circuit, np.zeros(size), tolerances, 1e-12, engine=engine,
-            rhs_delta=deltas[k],
+            stamps=stamps.take([k]),
         )
         np.testing.assert_array_equal(_bits(x[k]), _bits(scalar))
 
-    x, errors = solve_dc_batched(circuit, deltas, engine=engine)
+    x, errors = solve_dc_batched(circuit, stamps, engine=engine)
     for k, error in enumerate(errors):
         if error is None:
-            scalar = solve_dc(circuit, engine=engine, rhs_delta=deltas[k])
+            scalar = solve_dc(circuit, engine=engine,
+                              stamps=stamps.take([k]))
             np.testing.assert_array_equal(_bits(x[k]), _bits(scalar))
         else:
             with pytest.raises(ConvergenceError) as excinfo:
-                solve_dc(circuit, engine=engine, rhs_delta=deltas[k])
+                solve_dc(circuit, engine=engine, stamps=stamps.take([k]))
             assert str(excinfo.value) == str(error)

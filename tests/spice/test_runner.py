@@ -95,8 +95,8 @@ R2 out 0 3k
 
 
 class TestDCSweep:
-    """``.DC`` re-biases its source on the compiled engine: every point
-    is the operating point of the deck written at that level."""
+    """``.DC`` solves each level as a lane of the compiled engine: every
+    point is the operating point of the deck written at that level."""
 
     def test_every_point_is_the_deck_at_that_level(self):
         """Each point against a fresh solve of the deck written at that
@@ -140,6 +140,18 @@ class TestDCSweep:
         assert source.waveform is waveform
         assert simulator.operating_point().voltage("out") == \
             pytest.approx(7.5, rel=1e-8)
+
+    def test_sweeps_set_dc_sources_only(self):
+        """The deck evaluators' rule: a sweep sets the level of an
+        independent source with a DC waveform, and nothing else."""
+        pulsed = DIVIDER.format(card=".DC V1 0 5 1").replace(
+            "V1 in 0 DC 10", "V1 in 0 PULSE(0 10 1n 1n 1n 5n 10n)")
+        with pytest.raises(AnalysisError, match="DC source levels only"):
+            run_deck(pulsed)
+        simulator = Simulator(parse_deck(DIVIDER.format(card=".OP")).circuit)
+        with pytest.raises(AnalysisError, match="'R1' is not an "
+                                                "independent source"):
+            simulator.dc_sweep("R1", [1.0])
 
     def test_waveform_edit_answers_after_invalidate(self):
         circuit = parse_deck(

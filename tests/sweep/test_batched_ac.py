@@ -8,9 +8,9 @@ per-point scalar AC analyses changes *nothing* observable — the
 identical :class:`~repro.sweep.FailedPoint` records, and the contract
 holds under every executor, every ``on_error`` policy, and both the
 dense and sparse assembly backends.  Both paths solve every point on
-the deck's one engine; the oracle they are both held to compiles each
-point's deck variant into its own engine (the ``variant_oracle``
-fixture).
+the deck's one engine; the oracle they are both held to, bit for bit,
+compiles the deck written at each point into its own engine (the
+``variant_oracle`` fixture).
 
 The injected non-convergent lane is again a NaN source level: the bias
 solve fails deterministically and identically in scalar and batched
@@ -94,12 +94,16 @@ def _failure_records(result):
 
 
 def _assert_values_equal(got, expected):
+    """Equal bit for bit, signed zeros included."""
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
         if a is None or b is None:
             assert a is None and b is None
         else:
-            np.testing.assert_array_equal(a, b)
+            a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+            assert a.shape == b.shape and a.dtype == b.dtype
+            np.testing.assert_array_equal(a.view(np.uint64),
+                                          b.view(np.uint64))
 
 
 class TestSweepParityMatrix:
@@ -177,12 +181,10 @@ class TestPassiveOverrides:
         scalar = [fn(p) for p in points]
         batched = fn.evaluate_batch(points)
         assert all(err is None for _, err in batched)
-        for got, expected in zip(batched, scalar):
-            np.testing.assert_array_equal(got[0], expected)
+        _assert_values_equal([value for value, _ in batched], scalar)
         assert fn.compilations() == len(compile_log) == 1
         oracle = variant_oracle(fn)
-        for point, expected in zip(points, scalar):
-            np.testing.assert_array_equal(expected, oracle(point))
+        _assert_values_equal(scalar, [oracle(point) for point in points])
 
     def test_dense_and_sparse_agree_closely(self):
         points = _passive_points()
@@ -381,13 +383,13 @@ class TestStackedEvaluate:
                 assert value is None and str(error) == str(exc)
             else:
                 assert error is None
-                np.testing.assert_array_equal(value, expected)
+                _assert_values_equal([value], [expected])
         assert len(failed) == 1 and np.isnan(failed[0]["VB"])
         assert fn.compilations() == len(compile_log) == 1
         oracle = variant_oracle(fn)
         for point in DIODE_POINTS:
             if point is not failed[0]:
-                np.testing.assert_array_equal(fn(point), oracle(point))
+                _assert_values_equal([fn(point)], [oracle(point)])
 
     def test_newton_batched_uses_stacked_assembly(self, monkeypatch):
         from repro.spice.engine import get_engine

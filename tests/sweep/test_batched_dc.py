@@ -8,8 +8,8 @@ observable — values are bit-identical, failed points produce identical
 :class:`~repro.errors.ConvergenceReport` forensics, same attempt
 counts), under every executor and every ``on_error`` policy.  Both
 paths solve every point on the deck's one engine; the oracle they are
-both held to compiles each point's deck variant into its own engine
-(the ``variant_oracle`` fixture).
+both held to, bit for bit, compiles the deck written at each point
+into its own engine (the ``variant_oracle`` fixture).
 
 The injected non-convergent lane is a NaN source level: a non-finite
 residual defeats Newton, every gmin rung and source stepping alike, so
@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.spice.dcop as dcop
 from repro.errors import AnalysisError, ConvergenceError, SweepError
 from repro.spice.dcop import (
     Tolerances,
@@ -91,24 +92,18 @@ class TestBlockedSolverParity:
         engine = resolve_engine(circuit, None)
         tolerances = Tolerances()
         size = circuit.num_unknowns
-
-        deltas = []
-        base = circuit.element("VB").source_value(None)
-        row, coeff = circuit.element("VB").rhs_rows()[0]
-        for level in VB_LEVELS:
-            delta = np.zeros(size)
-            delta[row] = coeff * (level - base)
-            deltas.append(delta)
+        lanes = engine.at_levels(engine.stamps, circuit,
+                                 [{"VB": level} for level in VB_LEVELS])
 
         stack, converged = newton_solve_batched(
-            circuit, np.zeros((len(deltas), size)), tolerances, 1e-12,
-            rhs_deltas=deltas, engine=engine,
+            circuit, np.zeros((len(VB_LEVELS), size)), tolerances, 1e-12,
+            engine=engine, lanes=lanes,
         )
         assert converged.all()
-        for delta, lane in zip(deltas, stack):
+        for k, lane in enumerate(stack):
             scalar = newton_solve(
                 circuit, np.zeros(size), tolerances, 1e-12,
-                engine=engine, rhs_delta=delta,
+                engine=engine, stamps=lanes.take([k]),
             )
             np.testing.assert_array_equal(lane, scalar)
 
@@ -116,31 +111,26 @@ class TestBlockedSolverParity:
         deck = parse_deck(DECK_TEXT)
         circuit = deck.circuit
         circuit.assign_indices()
-        size = circuit.num_unknowns
-        row, coeff = circuit.element("VB").rhs_rows()[0]
-        base = circuit.element("VB").source_value(None)
-        deltas = []
-        for level in [0.6, float("nan"), 0.8]:
-            delta = np.zeros(size)
-            delta[row] = coeff * (level - base)
-            deltas.append(delta)
+        engine = resolve_engine(circuit, None)
+        lanes = engine.at_levels(engine.stamps, circuit, [
+            {"VB": level} for level in [0.6, float("nan"), 0.8]])
 
-        x, errors = solve_dc_batched(circuit, deltas)
+        x, errors = solve_dc_batched(circuit, lanes)
         assert errors[0] is None and errors[2] is None
         assert isinstance(errors[1], ConvergenceError)
         assert np.isnan(x[1]).all()
         for k in (0, 2):
             np.testing.assert_array_equal(
-                x[k], solve_dc(circuit, rhs_delta=deltas[k])
+                x[k], solve_dc(circuit, stamps=lanes.take([k]))
             )
         with pytest.raises(ConvergenceError) as excinfo:
-            solve_dc(circuit, rhs_delta=deltas[1])
+            solve_dc(circuit, stamps=lanes.take([1]))
         assert str(excinfo.value) == str(errors[1])
         assert excinfo.value.report.stage == errors[1].report.stage
 
     @pytest.mark.parametrize("engine", ("dense", "sparse"))
     def test_diode_deck_blocked_equals_scalar(self, engine, compile_log,
-                                              variant_oracle):
+                                              variant_oracle, hexed):
         fn = BlockedDCSweep(DIODE_DECK, measure=node_voltage("c"),
                             engine=engine)
         failed = []
@@ -152,13 +142,13 @@ class TestBlockedSolverParity:
                 failed.append(point)
                 assert value is None and str(error) == str(exc)
             else:
-                assert error is None and value == expected
+                assert error is None and hexed(value) == hexed(expected)
         assert len(failed) == 1 and np.isnan(failed[0]["VB"])
         assert fn.compilations() == len(compile_log) == 1
         oracle = variant_oracle(fn)
         for point in DIODE_POINTS:
             if point is not failed[0]:
-                assert fn(point) == oracle(point)
+                assert hexed(fn(point)) == hexed(oracle(point))
 
     @staticmethod
     def _systems(solver_cls, systems, as_pattern):
@@ -245,15 +235,16 @@ class TestSweepParityMatrix:
     @pytest.mark.parametrize("backend", EXECUTOR_MATRIX,
                              ids=lambda kw: kw["executor"])
     def test_clean_sweep_bit_identical(self, evaluator, backend,
-                                       variant_oracle):
+                                       variant_oracle, hexed):
         reference = run_sweep(evaluator, _points(), batch=False,
                               chunk_size=3)
         run = run_sweep(evaluator, _points(), batch="auto", chunk_size=3,
                         **backend)
-        assert run.values == reference.values
+        assert hexed(run.values) == hexed(reference.values)
         assert run.ok
         oracle = variant_oracle(evaluator)
-        assert reference.values == [oracle(p) for p in _points()]
+        assert hexed(reference.values) == hexed([oracle(p)
+                                                 for p in _points()])
 
 
 class TestBatchOptIn:
@@ -373,7 +364,8 @@ class TestPassiveValues:
         v1, r2 = point.get("V1", 10.0), point.get("R2", 1e3)
         return v1 * r2 / (1e3 + r2)
 
-    def test_divider_matches_closed_form_both_paths(self, variant_oracle):
+    def test_divider_matches_closed_form_both_paths(self, variant_oracle,
+                                                    hexed):
         fn = BlockedDCSweep(DIVIDER, measure=node_voltage("out"))
         scalar = [fn(point) for point in self.POINTS]
         batched = fn.evaluate_batch(self.POINTS)
@@ -381,7 +373,7 @@ class TestPassiveValues:
         for point, value, (lane, error) in zip(self.POINTS, scalar,
                                                batched):
             assert error is None
-            assert lane == value == oracle(point)
+            assert hexed(lane) == hexed(value) == hexed(oracle(point))
             assert value == pytest.approx(self._closed_form(point),
                                           rel=1e-9)
 
@@ -449,3 +441,60 @@ class TestDeckOptions:
     def test_engine_argument_overrides_the_deck(self, compile_log):
         BlockedDCSweep(self.DECK, engine="dense")({"VB": 0.8})
         assert compile_log == [("dense", None)]
+
+
+#: The CE stage with no DC source at all: its supply and bias are
+#: PULSE waveforms held at their DC values, and a quiet input source
+#: stands from ground to a node.  The compile adds no source vector to
+#: its residual, so a -0.0 entry stays -0.0.
+NO_DC_DECK = DECK_TEXT.replace(
+    "VCC vcc 0 5", "VCC vcc 0 PULSE(5 5 0 1n 1n 1u 2u)").replace(
+    "VB b 0 DC 0.8 AC 1",
+    "VB b 0 PULSE(0.8 0.8 0 1n 1n 1u 2u) AC 1\n"
+    "VIN 0 in PULSE(0 1 1n 1n 1n 5n 10n)\nRIN in b 10k")
+
+
+class TestSignedZeros:
+    """Both paths and the oracle agree to the sign of every zero: a lane
+    whose DC levels are all 0 V adds its +0.0 source vector as the
+    deck written at 0 V does, and a deck with no DC source adds none."""
+
+    @pytest.mark.parametrize("deck, points", (
+        (DECK_TEXT, [{"VB": 0.0, "VCC": 0.0}, {"VB": -0.0, "VCC": 0.0},
+                     {"VB": 0.8}]),
+        (NO_DC_DECK, [{}, {"RC": 2e3}, {"RIN": 1e3}]),
+    ), ids=("zero-levels", "no-dc-source"))
+    @pytest.mark.parametrize("kind", ("dc", "ac"))
+    def test_both_paths_are_the_written_deck(self, deck, points, kind,
+                                             variant_oracle, hexed):
+        from repro.sweep import BlockedACSweep
+
+        fn = (BlockedDCSweep(deck) if kind == "dc"
+              else BlockedACSweep(deck, frequencies=[1e3, 1e9]))
+        oracle = variant_oracle(fn)
+        want = hexed([oracle(point) for point in points])
+        assert hexed([value for value, _ in fn.evaluate_batch(points)]) \
+            == want
+        assert hexed([fn(point) for point in points]) == want
+
+
+def test_source_lanes_share_one_lane_of_values(monkeypatch, hexed):
+    """A 1000-point VB sweep runs as one stacked Newton block whose
+    1000 lanes share the deck's one lane of values: only their source
+    vectors are their own."""
+    seen = []
+    original = dcop.newton_solve_batched
+
+    def spy(circuit, x0, *args, lanes=None, **kwargs):
+        seen.append((len(x0), len(lanes), len(lanes.g0)))
+        return original(circuit, x0, *args, lanes=lanes, **kwargs)
+
+    monkeypatch.setattr(dcop, "newton_solve_batched", spy)
+    fn = BlockedDCSweep(DECK_TEXT, measure=node_voltage("c"))
+    points = [{"VB": 0.6 + 0.25 * k / 999} for k in range(1000)]
+    result = run_sweep(fn, points)
+    assert result.ok and result.stats.chunks == 1
+    assert seen == [(1000, 1000, 1)]
+    assert fn.compilations() == 1
+    assert hexed([result.values[k] for k in (0, 500, 999)]) == hexed(
+        [fn(points[k]) for k in (0, 500, 999)])

@@ -1,20 +1,29 @@
-"""Corner variants as lanes: both paths equal a per-variant compile.
+"""Corners and sweep points as lanes: both paths equal the written deck.
 
-Each path runs every corner variant (temperature, resistor scale) as a
-lane of the deck's one compiled engine: the blocked path in stacked
-Newton blocks, the scalar path (``batch=False``) through the full
-ladder under the variant's lane stamps.  Each compiles that one engine
-and nothing else.  The oracle compiles every variant into its own
-engine (the ``variant_oracle`` fixture).  Every corner outcome must be
-equal across the three, on all seeded cells and on the two decks whose
-blocked solves leave the usual path: a deck with a diode, whose points
-take the scalar ladder one by one, and a BJT-free deck, whose constant
-Jacobian differs per R lane.
+Each path runs every corner (temperature, resistor scale, supply level)
+as a lane of the deck's one compiled engine: the blocked path in
+stacked Newton blocks, the scalar path (``batch=False``) through the
+full ladder under the corner's lane.  Each compiles that one engine and
+nothing else.  The oracle compiles the deck written at every corner
+into its own engine (the ``variant_oracle`` fixture).  Every corner
+outcome must be bit for bit equal across the three, signed zeros
+included, on ``ce_stage.cir``, on all seeded cells and on the two decks
+whose blocked solves leave the usual path: a deck with a diode, whose
+points take the scalar ladder one by one, and a BJT-free deck, whose
+constant Jacobian differs per R lane.  So must every point of DC and AC
+sweeps over the seeded cells' sources and resistors.
 """
+
+from pathlib import Path
 
 import pytest
 
 from repro.celldb.seed import seed_database
+from repro.errors import AnalysisError
+from repro.spice.elements import Resistor
+from repro.spice.elements.sources import is_dc_source
+from repro.spice.parser import parse_deck
+from repro.sweep import BlockedACSweep, BlockedDCSweep
 from repro.verify import (
     CornerEvaluator,
     corners_from_tolerances,
@@ -54,17 +63,63 @@ def _outcomes(report) -> list:
     "cell", [c for c in seed_database().cells() if (c.schematic or "").strip()],
     ids=lambda cell: cell.name)
 def test_seeded_cell_corners_match_the_scalar_path(cell, compile_log,
-                                                   variant_oracle):
+                                                   variant_oracle, hexed):
     blocked = qualify_cell(cell, executor="serial")
     assert len(compile_log) == 1
     scalar = qualify_cell(cell, executor="serial", batch=False)
     assert len(compile_log) == 1 + 1  # the scalar path's one engine
     assert len(blocked) == 27 and blocked.stats["failures"] == 0
-    assert _outcomes(blocked) == _outcomes(scalar)
+    assert hexed(_outcomes(blocked)) == hexed(_outcomes(scalar))
     corners = default_corners(cell.schematic)
     oracle = variant_oracle(CornerEvaluator(
         cell.schematic, corners, default_measurements(cell.schematic)))
-    assert _outcomes(scalar) == oracle.outcomes(corners)
+    assert hexed(_outcomes(scalar)) == hexed(oracle.outcomes(corners))
+
+
+def test_ce_stage_corners_match_the_scalar_path(variant_oracle, hexed):
+    deck = (Path(__file__).resolve().parents[2] / "examples" / "decks"
+            / "ce_stage.cir").read_text()
+    corners = default_corners(deck)
+    measurements = default_measurements(deck)
+    blocked = qualify_deck(deck, corners, measurements, executor="serial")
+    scalar = qualify_deck(deck, corners, measurements, executor="serial",
+                          batch=False)
+    assert len(blocked) == 27 and blocked.stats["failures"] == 0
+    assert hexed(_outcomes(blocked)) == hexed(_outcomes(scalar))
+    oracle = variant_oracle(CornerEvaluator(deck, corners, measurements))
+    assert hexed(_outcomes(scalar)) == hexed(oracle.outcomes(corners))
+
+
+@pytest.mark.parametrize(
+    "cell", [c for c in seed_database().cells() if (c.schematic or "").strip()],
+    ids=lambda cell: cell.name)
+def test_seeded_cell_sweeps_are_the_written_decks(cell, variant_oracle,
+                                                  hexed):
+    """DC and AC sweeps of each cell: its supply at its corner levels,
+    then every DC source at 0.9 times its level and every resistor at
+    1.5 times its value.  Every point of both paths is the deck written
+    at it."""
+    [axis] = default_corners(cell.schematic).source_axes()
+    points = [{axis.target: level} for _, level in axis.levels]
+    last = {}
+    for element in parse_deck(cell.schematic).circuit:
+        if is_dc_source(element):
+            last[element.name] = 0.9 * element.source_value(None)
+        elif isinstance(element, Resistor):
+            last[element.name] = 1.5 * element.resistance
+    points.append(last)
+    for fn in (BlockedDCSweep(cell.schematic),
+               BlockedACSweep(cell.schematic, frequencies=[1e6, 1e9])):
+        oracle = variant_oracle(fn)
+        try:
+            want = hexed([oracle(point) for point in points])
+        except AnalysisError:  # no AC stimulus: both paths say so too
+            assert all(isinstance(error, AnalysisError)
+                       for _, error in fn.evaluate_batch(points))
+            continue
+        assert hexed([value for value, _ in fn.evaluate_batch(points)]) \
+            == want
+        assert hexed([fn(point) for point in points]) == want
 
 
 @pytest.mark.parametrize("deck, supply, level", (
@@ -72,7 +127,7 @@ def test_seeded_cell_corners_match_the_scalar_path(cell, compile_log,
     (DIVIDER_DECK, "V1", 10.0),
 ))
 def test_decks_off_the_stacked_path_match(deck, supply, level, compile_log,
-                                          variant_oracle):
+                                          variant_oracle, hexed):
     corners = corners_from_tolerances({supply: (level, 0.1)},
                                       passive_tols={"R": 0.1})
     measurements = (dc_voltage("v_out", "out"),)
@@ -82,9 +137,9 @@ def test_decks_off_the_stacked_path_match(deck, supply, level, compile_log,
                           batch=False)
     assert len(compile_log) == 1 + 1
     assert len(blocked) == 27 and blocked.stats["failures"] == 0
-    assert _outcomes(blocked) == _outcomes(scalar)
+    assert hexed(_outcomes(blocked)) == hexed(_outcomes(scalar))
     oracle = variant_oracle(CornerEvaluator(deck, corners, measurements))
-    assert _outcomes(scalar) == oracle.outcomes(corners)
+    assert hexed(_outcomes(scalar)) == hexed(oracle.outcomes(corners))
 
 
 def test_default_qualification_sets_up_once_per_temperature(monkeypatch):
