@@ -171,17 +171,16 @@ def stack_ac_systems(g_stack: np.ndarray, c_stack: np.ndarray,
     return data.reshape((-1,) + data.shape[2:])
 
 
-def small_signal(engine, x: np.ndarray, gmin: float, limits: dict,
-                 stamps=None) -> tuple[np.ndarray, np.ndarray]:
-    """Fresh copies of ``G`` and ``C`` linearized at ``x`` (under
-    ``stamps``, one lane of :class:`~repro.spice.engine.LaneStamps`).
+def small_signal(engine, x: np.ndarray, gmin: float,
+                 limits: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh copies of ``G`` and ``C`` linearized at ``x``.
 
     ``(n, n)`` arrays on a dense-assembly engine, ``(nnz,)`` value
     vectors over the compiled pattern on a sparse one — one lane of the
     stacks :func:`solve_ac_lanes` takes.  Copied out of the engine
     buffers, so later evaluations cannot clobber them.
     """
-    ctx = engine.evaluate(x, gmin=gmin, limits=limits, stamps=stamps)
+    ctx = engine.evaluate(x, gmin=gmin, limits=limits)
     if engine.assembly == "sparse":
         return np.array(ctx.g_mat.values), np.array(ctx.c_mat.values)
     return np.array(ctx.g_mat), np.array(ctx.c_mat)

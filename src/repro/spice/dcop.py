@@ -461,12 +461,9 @@ def newton_solve_batched(
     default every lane solves the engine's own circuit.
 
     Every iteration assembles the active lanes in one
-    :meth:`~repro.spice.engine.CompiledCircuit.evaluate_stacked` pass,
-    which raises :class:`~repro.errors.AnalysisError` on a circuit with
-    a diode; :func:`solve_dc_batched` sends such circuits down the
-    scalar ladder instead.  Each lane carries its own ``pnjlim``
-    history, as a fresh ``limits`` dict would in the scalar path, held
-    as one ``(B, 2, n)`` array
+    :meth:`~repro.spice.engine.CompiledCircuit.evaluate_stacked` pass.
+    Each lane carries its own ``pnjlim`` history, as a fresh ``limits``
+    dict would in the scalar path, held as one ``(B, 2, n)`` array
     (:meth:`~repro.spice.engine.CompiledCircuit.new_history`) that every
     stacked assembly reads and rewrites for the active lanes.
 
@@ -493,7 +490,7 @@ def newton_solve_batched(
     pattern = engine.pattern if engine.assembly == "sparse" else None
     diag_pos = engine.node_diagonal
     # One stacked pass assembles every active lane — the scalar device
-    # kernel with a lane axis, so residuals and Jacobians stay
+    # kernels with a lane axis, so residuals and Jacobians stay
     # bit-identical to a scalar evaluate per lane.
     history = engine.new_history(batch)
     active = np.arange(batch)
@@ -563,10 +560,7 @@ def solve_dc_batched(
     failure and then the identical gmin/source-stepping homotopies, so
     values, :class:`~repro.errors.ConvergenceError` messages and
     :class:`~repro.errors.ConvergenceReport` forensics all match the
-    scalar path lane for lane.  An engine without stacked evaluation
-    (:attr:`~repro.spice.engine.CompiledCircuit.supports_stacked_evaluate`
-    is false: the circuit has a diode) skips stage 1: every lane is
-    solved with scalar :func:`solve_dc`.
+    scalar path lane for lane.
 
     Returns ``(x, errors)``: the ``(B, n)`` solution stack and a
     per-lane list of ``None`` (success) or the lane's
@@ -576,13 +570,10 @@ def solve_dc_batched(
     engine = resolve_engine(circuit, engine)
     if tolerances is None:
         tolerances = Tolerances()
-    x = np.zeros((len(lanes), circuit.num_unknowns))
     errors: list = [None] * len(lanes)
-    converged = np.zeros(len(lanes), dtype=bool)
-    if engine.supports_stacked_evaluate:
-        x, converged = newton_solve_batched(
-            circuit, x, tolerances, gmin, engine=engine, lanes=lanes,
-        )
+    x, converged = newton_solve_batched(
+        circuit, np.zeros((len(lanes), circuit.num_unknowns)), tolerances,
+        gmin, engine=engine, lanes=lanes)
     for k in np.flatnonzero(~converged):
         try:
             x[k] = solve_dc(circuit, tolerances=tolerances, gmin=gmin,

@@ -18,13 +18,13 @@ iteration to the next.
   per lane (``LaneStamps.src``; another level is another lane, built by
   :meth:`CompiledCircuit.at_levels`, and a level changed in place needs
   ``Circuit.invalidate()``), other waveforms are read every evaluation,
-* **nonlinear elements** are evaluated per iteration into preallocated
-  buffers.  Gummel-Poon BJTs — by far the dominant cost in this package's
-  benchmarks — are evaluated as a single vectorized group
-  (:class:`BJTGroup`): one numpy pass over all devices, scattered into
-  the matrices with ``np.add.at`` through index arrays built at compile
-  time.  Any other nonlinear element (diodes) falls back to its scalar
-  :meth:`~repro.spice.netlist.Element.load_dynamic`.
+* **nonlinear elements** — Gummel-Poon BJTs, by far the dominant cost
+  in this package's benchmarks, and junction diodes — are evaluated per
+  iteration as one vectorized device group (:class:`BJTGroup`): one
+  numpy pass per device kind, scattered into the matrices with
+  ``np.add.at`` through index arrays built at compile time.  Each
+  element's scalar :meth:`~repro.spice.netlist.Element.load_dynamic`
+  stays as the stamp reference the group is tested against.
 
 An engine is its topology; its values are one lane of
 :class:`LaneStamps`, :attr:`CompiledCircuit.stamps`.  Any circuit of the
@@ -65,6 +65,7 @@ from scipy.sparse import linalg as _spla
 from ..devices.gummel_poon import EXP_LIMIT
 from ..errors import AnalysisError
 from .elements.bjt import BJT
+from .elements.diode import Diode
 from .elements.sources import is_dc_source
 from .mna import LoadContext
 from .netlist import Circuit
@@ -733,27 +734,61 @@ _STAMP_SIGN = np.array(
 _STAMP_POLAR = np.array([0, 0, 1, 1, 1] + [0] * 13 + [1] * 8 + [0] * 20,
                         dtype=bool)
 
+# A diode column rides in the BJT layout: anode as the external base,
+# cathode as the internal base and collector, the rest on ground.  Its
+# 46 stamp rows (its current at rows 0-1, then the rb, qbx and cbx
+# slots) gather its (i, g, q, c, -i, -g, -q, -c, 0) values.
+_D_STAMP = np.array(
+    [0, 4] + [8] * 3 + [1, 5, 5, 1] + [8] * 13 + [2, 6] + [8] * 14
+    + [3, 7, 7, 3] + [8] * 4
+)
+#: The rows of a diode column of the parameter block: IS area, N vt,
+#: 2 N vt, the critical voltage, TT and the 10 depletion constants.
+_D_PARAMS = slice(0, 15)
+
+
+def _diode_columns(devices: list, size: int) -> tuple:
+    """:func:`_bjt_columns` of diodes: their terminals in the BJT layout
+    (``_D_STAMP``; the anode behind RS is the internal one) and their
+    parameter block, rows ``_D_PARAMS``."""
+    n = len(devices)
+    nodes = np.array(
+        [(d.branch_index[0] if d.rs > 0 else d.node_index[0], -1,
+          d.node_index[1], d.node_index[1], -1) for d in devices],
+        dtype=np.intp).reshape(n, 5).T
+    nodes[nodes < 0] = size
+    isat, nvt, vcrit, tt, cj, vj, m, fc = np.array(
+        [(d.i_sat, d.model.N * d._vt, d._vcrit, d.model.TT, d.cj0,
+          d.model.VJ, d.model.M, d.model.FC) for d in devices],
+        dtype=float).reshape(n, 8).T
+    return nodes, np.concatenate([
+        [isat, nvt, 2.0 * nvt, vcrit, tt], _depletion_constants(cj, vj, m, fc),
+        np.zeros((_P_SIGN.stop - _D_PARAMS.stop, n))])
+
 
 class BJTGroup:
-    """All plain :class:`~repro.spice.elements.bjt.BJT` instances of a
-    circuit, evaluated as one vectorized numpy pass.
+    """The device group: all plain :class:`~repro.spice.elements.bjt.BJT`,
+    then all plain :class:`~repro.spice.elements.diode.Diode` instances
+    of a circuit, evaluated as one vectorized numpy pass.
 
     Compile time stacks every per-device constant — the Gummel-Poon
     parameters and the terms derived from them alone, the depletion
-    constants and the stamp sign table — into one ``(rows, 1, n)``
-    block (``block``, see :meth:`CompiledCircuit._bjt_block`), and
-    builds the scatter-index arrays.  One kernel (:meth:`_stamp`)
-    then reproduces the scalar ``BJT.load_dynamic`` for any number of
-    lane axes: :meth:`load` runs it over one solution, :meth:`load_stacked`
+    constants and the stamp sign table; a diode's ``_D_PARAMS`` — into
+    one ``(rows, 1, n)`` block (``block``, see
+    :meth:`CompiledCircuit._bjt_block`), and builds the scatter-index
+    arrays.  One kernel per kind (:meth:`_stamp`, :meth:`_stamp_diodes`)
+    then reproduces the scalar ``load_dynamic`` for any number of lane
+    axes: :meth:`load` runs them over one solution, :meth:`load_stacked`
     over a stack of them.  Ground (-1) terminal indices are mapped to a
     dummy slot ``size`` — the engine's buffers carry one extra
     row/column that is never read.
 
-    The pnjlim history is one ``(2, n)`` array of limited (vbe, vbc),
-    columns in :attr:`names` order, stored in the analysis' ``limits``
-    dict under the group itself.  Each evaluation stores a new array
-    and never writes the stored one, so ``dict(limits)`` is a snapshot;
-    NaN columns are devices with no history yet.
+    The pnjlim history is one ``(2, n)`` array of a BJT's limited (vbe,
+    vbc) and a diode's limited junction voltage (in both rows), columns
+    in :attr:`names` order, stored in the analysis' ``limits`` dict
+    under the group itself.  Each evaluation stores a new array and
+    never writes the stored one, so ``dict(limits)`` is a snapshot; NaN
+    columns are devices with no history yet.
     """
 
     def __init__(self, devices, size, i_full, q_full, xg, block):
@@ -776,17 +811,21 @@ class BJTGroup:
         # Terminals, the polarities a lane's block must share, and the
         # parameter block: the engine's lane 0.
         nodes, sign, self.params = block
-        b_ext, s_ext, ci, bi, ei = nodes
+        #: BJT columns; the diodes' follow.
+        self.nb = nb = len(sign)
         self._sign = sign
-        self._rows = _kernel_rows(self.params[:, 0])
+        self._rows = self._views(self.params[:, 0])
         # Control voltages are x[plus] - x[minus]; a pnp's junction rows
         # swap the terminals, which negates exactly.  The base-spreading
         # drop is unsigned.  See _controls for the rows.
+        b_ext, s_ext, ci, bi, ei = nodes[:, :nb]
         plus = np.stack([bi] * 6 + [b_ext, s_ext, b_ext])
         minus = np.stack([ei, ci] * 3 + [ci, ci, bi])
-        pnp = np.stack([sign < 0.0] * 8 + [np.zeros(n, dtype=bool)])
+        pnp = np.stack([sign < 0.0] * 8 + [np.zeros(nb, dtype=bool)])
         self._plus = np.where(pnp, minus, plus)
         self._minus = np.where(pnp, plus, minus)
+        self._junctions = nodes[0, nb:], nodes[3, nb:]  # diode a, k
+        b_ext, s_ext, ci, bi, ei = nodes
 
         # -- scatter index arrays (C-order ravel of the (slots, n) rows) --
         cat = np.concatenate
@@ -814,11 +853,11 @@ class BJTGroup:
         self._c_rows_arr = cat([r for r, _ in c_pairs])
         self._c_cols_arr = cat([c for _, c in c_pairs])
 
-        #: The kernel's base quantities and stamp values (rows as in
-        #: ``_STAMP_BASE``) of the last evaluation, rewritten in place by
-        #: the next: per-call buffers this size would cross the
-        #: allocator's mmap threshold on large groups.
-        self._base = np.zeros((23, n))
+        #: The BJT kernel's base quantities and every device's stamp
+        #: values (rows as in ``_STAMP_BASE``) of the last evaluation,
+        #: rewritten in place by the next: per-call buffers this size
+        #: would cross the allocator's mmap threshold on large groups.
+        self._base = np.zeros((23, nb))
         self._vals = np.zeros((46, n))
         #: Flat views of the I, G, Q and C rows of ``_vals``.
         self._flat = tuple(self._vals[rows].reshape(-1)
@@ -862,8 +901,38 @@ class BJTGroup:
 
     # -- evaluation -----------------------------------------------------------
 
+    def _views(self, p: np.ndarray) -> tuple:
+        """The BJT (:func:`_kernel_rows`) and the diode kernel's views of
+        a ``(rows, ..., n)`` parameter block (``None``: no diodes)."""
+        nb = self.nb
+        if nb == self.n:
+            return _kernel_rows(p), None
+        return _kernel_rows(p[..., :nb]), p[_D_PARAMS, ..., nb:]
+
+    def _evaluate(self, xg, history, gmin, rows, base, vals):
+        """Both kernels at node voltages ``xg``, as :meth:`_stamp` (which
+        a BJT-only group runs alone) over every device."""
+        nb, (bjt_rows, diode_rows) = self.nb, rows
+        if diode_rows is None:
+            return self._stamp(self._controls(xg), history, gmin, base,
+                               vals, bjt_rows)
+        anode, cathode = self._junctions
+        v_lim, limited = self._stamp_diodes(
+            xg[..., anode] - xg[..., cathode], history[0, ..., nb:], gmin,
+            vals[..., nb:], diode_rows)
+        v_lim = np.broadcast_to(v_lim, (2, *v_lim.shape))
+        if nb:
+            bjt_lim, bjt_limited = self._stamp(
+                self._controls(xg), history[..., :nb], gmin, base,
+                vals[..., :nb], bjt_rows)
+            v_lim = np.concatenate([bjt_lim, v_lim], axis=-1)
+            if bjt_limited is not None:
+                limited = bjt_limited if limited is None else (
+                    limited | bjt_limited)
+        return v_lim, limited
+
     def _controls(self, xg: np.ndarray) -> np.ndarray:
-        """The ``(9, ..., n)`` control voltages at node voltages ``xg``
+        """The BJTs' ``(9, ..., n)`` control voltages at node voltages ``xg``
         (``(size + 1,)``, or ``(L, size + 1)`` for a stack): (vbe, vbc)
         three times -- for pnjlim, the exponents and the depletion batch
         -- then vbx, vsc and the base-spreading drop vrb."""
@@ -872,14 +941,14 @@ class BJTGroup:
         v = xg[:, self._plus] - xg[:, self._minus]
         return np.ascontiguousarray(v.transpose(1, 0, 2))
 
-    def _stamp(self, v, history, gmin, base, vals, rows=None):
-        """The one device kernel: a vectorized ``BJT.load_dynamic``.
+    def _stamp(self, v, history, gmin, base, vals, rows):
+        """The BJT kernel: a vectorized ``BJT.load_dynamic``.
 
         Arrays hold the quantity first, then any lane axes, then the
         devices.  ``v`` holds the ``(9, ..., n)`` control voltages
         (:meth:`_controls`), ``history`` the ``(2, ..., n)`` limiting
-        history, ``rows`` the kernel's views of a parameter block
-        (default: the group's own).  Writes the ``(23, ..., n)`` base
+        history, ``rows`` the kernel's views of a parameter block.
+        Writes the ``(23, ..., n)`` base
         quantities (layout above ``_STAMP_BASE``) to ``base`` and the
         ``(46, ..., n)`` stamp values to ``vals``, and returns the
         limited ``(2, ..., n)`` junction voltages and the mask of lanes
@@ -891,7 +960,7 @@ class BJTGroup:
         """
         (nvt, two_nvt, vcrit, isat, va, ik, beta, gsign,
          early_floor, q2_floor, itf, itf_num, itf_den, tf, xtf, tf_xtf,
-         tf_xtf2, tr, rbm, rb_diff, rb_on, dep, sign) = rows or self._rows
+         tf_xtf2, tr, rbm, rb_diff, rb_on, dep, sign) = rows
         gmin = np.array(gmin)
         v_raw = v[:2]
         v_lim, limit = _pnjlim_vec(v_raw, history, nvt[:2], two_nvt, vcrit)
@@ -983,6 +1052,33 @@ class BJTGroup:
         vals *= sign
         return v_lim, limited
 
+    def _stamp_diodes(self, v, history, gmin, vals, rows):
+        """The diode kernel: a vectorized ``Diode.load_dynamic`` of the
+        ``(..., n)`` junction voltages ``v``, as :meth:`_stamp` (stamp
+        rows as in ``_D_STAMP``)."""
+        isat, nvt, two_nvt, vcrit, tt = rows[:5]
+        v_lim, limit = _pnjlim_vec(v, history, nvt, two_nvt, vcrit)
+        value, deriv = _limited_exp_vec(v_lim / nvt)
+        base = np.zeros((9, *v.shape))
+        i, g, q, c = base[:4]
+        np.add(isat * (value - _ONE), gmin * v_lim, out=i)
+        np.add(isat * deriv / nvt, gmin, out=g)
+        # At v's shape: numpy's power takes a sqrt for a broadcast
+        # exponent of 0.5 (M = 0.5), which rounds unlike the scalar path.
+        _depletion(v_lim, np.broadcast_to(rows[5:], (10, *v.shape)).copy(),
+                   base[2:4])
+        q += tt * i
+        c += tt * g
+        limited = None
+        if limit is not None:
+            # The companion form on each lane that limited, as in _stamp.
+            limited = np.any(limit, axis=-1)
+            np.copyto(base[0:4:2], base[0:4:2] + base[1:4:2] * (v - v_lim),
+                      where=limited[..., None])
+        np.negative(base[:4], out=base[4:8])
+        np.take(base, _D_STAMP, axis=0, out=vals, mode="clip")
+        return v_lim, limited
+
     def _scatter(self, jac_alpha: float | None, jacobian: bool) -> None:
         """Scatter the last evaluation's stamps into the bound buffers.
 
@@ -1012,8 +1108,10 @@ class BJTGroup:
         )
 
     def load(self, ctx: LoadContext, charges_only: bool = False,
-             stamps: LaneStamps | None = None) -> int:
-        """Stamp every device of the group; mirrors ``BJT.load_dynamic``.
+             stamps: LaneStamps | None = None,
+             jac_alpha: float | None = None,
+             residual_only: bool = False) -> int:
+        """Stamp every device of the group; mirrors its ``load_dynamic``.
 
         ``stamps``, when given, is a one-lane :class:`LaneStamps` whose
         parameter block the devices evaluate with (default: the group's
@@ -1023,8 +1121,9 @@ class BJTGroup:
         capacitances, evaluates nothing and returns ``n``, the number of
         device evaluations replayed.  Every other call evaluates every
         device, scatters its stamps -- only the I and Q stamps when
-        ``ctx.residual_only`` --, sets ``ctx.limited`` if pnjlim limited
-        a junction, and returns 0.
+        ``residual_only``, the C stamps into G scaled by ``jac_alpha``
+        when that is set (see :meth:`CompiledCircuit.evaluate`) --, sets
+        ``ctx.limited`` if pnjlim limited a junction, and returns 0.
         """
         size = self.size
         xg = self._xg
@@ -1036,10 +1135,11 @@ class BJTGroup:
                 and self._eval_stamps is stamps):
             self._scatter_charges(xg)
             return self.n
-        v_lim, limited = self._stamp(
-            self._controls(xg), limits.get(self, self._no_history),
-            ctx.gmin, self._base, self._vals,
-            None if stamps is None else _kernel_rows(stamps.params[:, 0]),
+        v_lim, limited = self._evaluate(
+            xg, limits.get(self, self._no_history), ctx.gmin,
+            self._rows if stamps is None
+            else self._views(stamps.params[:, 0]),
+            self._base, self._vals,
         )
         if limited is not None:
             ctx.limited = True
@@ -1051,7 +1151,7 @@ class BJTGroup:
         self._eval_limits = limits
         self._eval_gmin = ctx.gmin
         self._eval_stamps = stamps
-        self._scatter(ctx.jac_alpha, not ctx.residual_only)
+        self._scatter(jac_alpha, not residual_only)
         return 0
 
     def load_stacked(
@@ -1069,7 +1169,7 @@ class BJTGroup:
         returns the ``(L,)`` mask of lanes on which pnjlim limited a
         junction.
 
-        The same kernel as an evaluating :meth:`load` with a lane axis,
+        The same kernels as an evaluating :meth:`load` with a lane axis,
         so each lane's stamps are bit-identical to a scalar :meth:`load`
         at that lane's ``x``.  ``history`` is the ``(L, 2, n)`` pnjlim
         history (NaN: none yet), overwritten in place with this
@@ -1089,12 +1189,12 @@ class BJTGroup:
         xg = np.zeros((L, self.size + 1))
         xg[:, : self.size] = x_stack
         vals = np.empty((46, L, n))
-        v_lim, limited = self._stamp(
-            self._controls(xg),
+        v_lim, limited = self._evaluate(
+            xg,
             (self._no_history[:, None, :] if history is None
              else history.transpose(1, 0, 2)),
-            gmin, np.empty((23, L, n)), vals,
-            _kernel_rows(self.params if params is None else params),
+            gmin, self._views(self.params if params is None else params),
+            np.empty((23, L, self.nb)), vals,
         )
         if history is not None:
             history[...] = v_lim.transpose(1, 0, 2)
@@ -1175,10 +1275,16 @@ class _CooContext(LoadContext):
 # ---------------------------------------------------------------------------
 
 
-#: BJT parameter blocks an engine keeps for :meth:`CompiledCircuit.
+#: Device parameter blocks an engine keeps for :meth:`CompiledCircuit.
 #: lane_stamps`, oldest dropped first: one per distinct device list (a
 #: default qualification has three temperatures).
 _BJT_BLOCKS_KEPT = 16
+
+
+def _group_devices(circuit: Circuit) -> tuple:
+    """``circuit``'s plain BJTs, then its plain diodes: group columns."""
+    return (tuple(e for e in circuit if type(e) is BJT)
+            + tuple(e for e in circuit if type(e) is Diode))
 
 
 def _waveform_key(element):
@@ -1210,10 +1316,10 @@ class LaneStamps:
     engine's assembly form (``(L, size, size)`` dense matrices or
     ``(L, nnz + 1)`` pattern values; on a sparse engine ``csr`` adds
     each lane's ``(G0, C0)`` CSR pair for the matvecs) --, its ``(rows,
-    L, n)`` BJT parameter block (``None`` without BJTs), its tuple of
-    scalar devices (``devices``; ``None`` without them) and its ``(L,
-    size)`` DC source vector ``src``.  Lanes that differ in source
-    levels alone share one lane of everything but ``src``, broadcast.
+    L, n)`` device parameter block (``None`` without BJTs and diodes)
+    and its ``(L, size)`` DC source vector ``src``.  Lanes that differ
+    in source levels alone share one lane of everything but ``src``,
+    broadcast.
     :attr:`CompiledCircuit.stamps` is the engine's own one lane,
     :meth:`CompiledCircuit.lane_stamps` builds one lane per circuit the
     same way, :meth:`CompiledCircuit.at_levels` sets its source levels,
@@ -1221,15 +1327,14 @@ class LaneStamps:
     holds exactly what compiling its own circuit would build.
     """
 
-    __slots__ = ("g0", "c0", "csr", "src", "params", "devices")
+    __slots__ = ("g0", "c0", "csr", "src", "params")
 
-    def __init__(self, g0, c0, csr, src, params, devices):
+    def __init__(self, g0, c0, csr, src, params):
         self.g0 = g0
         self.c0 = c0
         self.csr = csr
         self.src = src
         self.params = params
-        self.devices = devices
 
     def __len__(self) -> int:
         return len(self.src)
@@ -1246,15 +1351,12 @@ class LaneStamps:
         src = self.src[index]
         if len(self.g0) == 1:
             # One lane of values, shared by every lane.
-            return LaneStamps(self.g0, self.c0, self.csr, src, self.params,
-                              self.devices)
+            return LaneStamps(self.g0, self.c0, self.csr, src, self.params)
         return LaneStamps(
             self.g0[index], self.c0[index],
             None if self.csr is None else [self.csr[k] for k in index],
             src,
             None if self.params is None else self.params[:, index],
-            None if self.devices is None
-            else [self.devices[k] for k in index],
         )
 
     @staticmethod
@@ -1270,8 +1372,6 @@ class LaneStamps:
             np.concatenate([s.src for s in stamps]),
             None if first.params is None
             else np.concatenate([s.params for s in stamps], axis=1),
-            None if first.devices is None
-            else [lane for s in stamps for lane in s.devices],
         )
 
 
@@ -1335,13 +1435,11 @@ class CompiledCircuit:
                 "'dense' or 'sparse'"
             )
 
-        sources = []
-        nonlinear = []
-        for element in circuit:
-            if element.has_time_varying_rhs():
-                sources.append(element)
-            if element.is_nonlinear():
-                nonlinear.append(element)
+        sources = [e for e in circuit if e.has_time_varying_rhs()]
+        devices = _group_devices(circuit)
+        if len(devices) != sum(e.is_nonlinear() for e in circuit):
+            raise AnalysisError("the engine evaluates no nonlinear element "
+                                "but plain BJTs and diodes")
         #: (element, [(row, coeff), ...]) pairs of the sources whose
         #: value is re-read from the engine's own waveform per evaluation.
         #: Sources with a constant (DC) waveform are folded into each
@@ -1353,9 +1451,7 @@ class CompiledCircuit:
         #: circuit order: where a lane's levels fold in (at_levels).
         self._dc_sources = tuple((e.name, tuple(e.rhs_rows()))
                                  for e in sources if is_dc_source(e))
-        bjts = [e for e in nonlinear if type(e) is BJT]
-        scalar = [e for e in nonlinear if type(e) is not BJT]
-        self._eval_cost = len(sources) + len(nonlinear)
+        self._eval_cost = len(sources) + len(devices)
 
         # Constant linear stamps, captured by probing load_static with
         # x = 0 and source_scale = 0: every linear element then stamps
@@ -1377,9 +1473,9 @@ class CompiledCircuit:
 
         self._bjt_blocks: dict[tuple, tuple] = {}
         self._bjt_group = (
-            BJTGroup(bjts, size, self._i_full, self._q_full, self._xg,
-                     self._bjt_block(tuple(bjts)))
-            if bjts
+            BJTGroup(devices, size, self._i_full, self._q_full, self._xg,
+                     self._bjt_block(devices))
+            if devices
             else None
         )
 
@@ -1392,18 +1488,6 @@ class CompiledCircuit:
             group = self._bjt_group
             slot_rows += [group._g_rows_arr, group._c_rows_arr]
             slot_cols += [group._g_cols_arr, group._c_cols_arr]
-        for element in scalar:
-            # Scalar nonlinear stamps depend on the operating point
-            # (e.g. conditional cross terms), so the pattern takes the
-            # full cross product of the element's unknowns — a superset
-            # of anything load_dynamic can ever stamp.
-            own = np.asarray(
-                [k for k in (*element.node_index, *element.branch_index)
-                 if k >= 0],
-                dtype=np.intp,
-            )
-            slot_rows.append(np.repeat(own, own.size))
-            slot_cols.append(np.tile(own, own.size))
         self.pattern = SparsityPattern(
             size, np.concatenate(slot_rows), np.concatenate(slot_cols)
         )
@@ -1520,48 +1604,49 @@ class CompiledCircuit:
             for row, coeff in rows:
                 src[:, row] += coeff * table[:, j]
         return LaneStamps(stamps.g0, stamps.c0, stamps.csr, src,
-                          stamps.params, stamps.devices)
+                          stamps.params)
 
     def _lane(self, circuit: Circuit, probe: _CooContext) -> LaneStamps:
-        """``circuit``'s values (its ``probe``d linear stamps, BJT block,
-        scalar devices, DC source levels) as one lane in this engine."""
+        """``circuit``'s values (its ``probe``d linear stamps, device
+        block, DC source levels) as one lane in this engine."""
         params = None
         group = self._bjt_group
         if group is not None:
-            _, sign, params = self._bjt_block(
-                tuple(e for e in circuit if type(e) is BJT))
+            _, sign, params = self._bjt_block(_group_devices(circuit))
             if not np.array_equal(sign, group._sign):
                 raise AnalysisError(
                     f"circuit {circuit.title!r} changes a BJT's polarity; "
                     "a lane needs the engine's npn/pnp devices"
                 )
-        devices = tuple(e for e in circuit
-                        if e.is_nonlinear() and type(e) is not BJT)
         g0, c0, g_dot, c_dot = self._linear_stamps(probe)
         values = LaneStamps(
             g0[None], c0[None],
             [(g_dot, c_dot)] if self.assembly == "sparse" else None,
-            None, params, [devices] if devices else None,
+            None, params,
         )
         return self.at_levels(values, circuit, [{}])
 
     def _bjt_block(self, devices: tuple) -> tuple:
-        """:func:`_bjt_columns` of ``devices``, the parameter block
+        """:func:`_bjt_columns` and :func:`_diode_columns` of a device
+        group's ``devices`` (:func:`_group_devices`), the parameter block
         read-only and lane-broadcast ``(rows, 1, n)``, run once per
         device list: the compile's group and every lane (:meth:`_lane`)
         take their block from here.  Variants
-        that share their BJT objects (a temperature's passive-scale
+        that share their device objects (a temperature's passive-scale
         variants) share one block.  The cache is keyed by the devices
         themselves and keeps them alive, so a block is never served to
         other objects that reuse a dropped device's id."""
         block = self._bjt_blocks.get(devices)
         if block is None:
-            nodes, sign, params = _bjt_columns(list(devices), self.size)
-            params = params[:, None, :]
+            nb = sum(type(d) is BJT for d in devices)
+            nodes, sign, params = _bjt_columns(list(devices[:nb]), self.size)
+            d_nodes, d_params = _diode_columns(list(devices[nb:]), self.size)
+            params = np.concatenate([params, d_params], axis=1)[:, None, :]
             params.flags.writeable = False
             if len(self._bjt_blocks) >= _BJT_BLOCKS_KEPT:
                 del self._bjt_blocks[next(iter(self._bjt_blocks))]
-            block = self._bjt_blocks[devices] = (nodes, sign, params)
+            block = self._bjt_blocks[devices] = (
+                np.concatenate([nodes, d_nodes], axis=1), sign, params)
         return block
 
     # -- evaluation -----------------------------------------------------------
@@ -1594,14 +1679,13 @@ class CompiledCircuit:
         integrator, whose accept path reads nothing else; ``i_vec``,
         ``g_mat`` and ``c_mat`` are stale buffers in that mode.  Right
         after an evaluation under the same ``limits`` dict, ``gmin``
-        and ``stamps`` the BJT group then replays its charges,
+        and ``stamps`` the device group then replays its charges,
         linearized to ``x`` (see :meth:`BJTGroup.load`), instead of
         re-evaluating; those device evaluations are counted in
-        ``stats.bypassed_evals``.  Scalar devices (diodes) are
-        evaluated on every call.
+        ``stats.bypassed_evals``.
         ``residual_only=True`` assembles ``i_vec``/``q_vec`` in full and
-        leaves ``g_mat`` and ``c_mat`` stale: no base copy, and the BJT
-        group scatters no Jacobian stamp — the contract for chord-Newton
+        leaves ``g_mat`` and ``c_mat`` stale: no base copy, and the
+        device group scatters no Jacobian stamp — the contract for chord-Newton
         iterations that will reuse a cached factorization.
         """
         own = stamps is None or stamps is self.stamps
@@ -1626,7 +1710,7 @@ class CompiledCircuit:
         else:
             g = self._g_full[:size, :size]
             c = self._c_full[:size, :size]
-            np.dot(c0, x, out=q)
+            np.matmul(c0, x, out=q)  # as evaluate_stacked's (not np.dot)
         if not (charges_only or residual_only):
             if sparse:
                 if jac_alpha is not None:
@@ -1645,25 +1729,20 @@ class CompiledCircuit:
             if sparse:
                 i[:] = g_dot.dot(x)
             else:
-                np.dot(g0, x, out=i)
+                np.matmul(g0, x, out=i)
             self._add_sources(i, stamps.src[0], time, source_scale)
 
         ctx = LoadContext(
             size, x, time, gmin, source_scale, buffers=(i, g, q, c)
         )
-        if not charges_only:
-            ctx.jac_alpha = jac_alpha
-            ctx.residual_only = residual_only
         if limits is not None:
             ctx.limits = limits
 
         bypassed = 0
         if self._bjt_group is not None:
-            bypassed = self._bjt_group.load(ctx, charges_only,
-                                            None if own else stamps)
-        if stamps.devices is not None:
-            for element in stamps.devices[0]:
-                element.load_dynamic(ctx)
+            bypassed = self._bjt_group.load(
+                ctx, charges_only, None if own else stamps, jac_alpha,
+                residual_only)
 
         self.stats.assemblies += 1
         if sparse:
@@ -1689,14 +1768,8 @@ class CompiledCircuit:
                 for row, coeff in rows:
                     i[..., row] += coeff * value
 
-    @property
-    def supports_stacked_evaluate(self) -> bool:
-        """Whether :meth:`evaluate_stacked` covers this circuit: every
-        nonlinear device is in the BJT group (a diode is not)."""
-        return self.stamps.devices is None
-
     def new_history(self, lanes: int) -> np.ndarray:
-        """A ``(lanes, 2, n)`` BJT limiting history for
+        """A ``(lanes, 2, n)`` device limiting history for
         :meth:`evaluate_stacked` in which no lane has been evaluated yet
         (all NaN) — the stacked form of one fresh ``limits`` dict per
         lane."""
@@ -1724,26 +1797,19 @@ class CompiledCircuit:
         voltages; ``None`` evaluates every lane without history and
         keeps none.  ``lanes`` is one lane of :class:`LaneStamps` per
         row of ``x_stack`` (see :meth:`lane_stamps`): lane ``k`` then
-        assembles with its own linear stamps, BJT parameters and source
-        vector, bit-identical to an engine compiled from lane ``k``'s
+        assembles with its own linear stamps, device parameters and
+        source vector, bit-identical to an engine compiled from lane ``k``'s
         circuit.  One lane of values shared by source-level lanes
         (:meth:`at_levels`) broadcasts, and by default every row shares
         the engine's own one lane, :attr:`stamps`.  On a dense engine the
         base-stamp matvecs ``G0 @ x`` and ``C0 @ x`` are one stacked
         ``np.matmul`` each, a matrix-vector product per lane like the
-        scalar ``np.dot``; a sparse engine runs its CSR matvecs per lane.
+        scalar one; a sparse engine runs its CSR matvecs per lane.
         Everything device-side runs stacked through
-        :meth:`BJTGroup.load_stacked`, the kernel the scalar path runs.
+        :meth:`BJTGroup.load_stacked`, the kernels the scalar path runs.
         Buffers are freshly allocated per call — unlike
         :meth:`evaluate`, the returned views survive subsequent calls.
-        Raises :class:`~repro.errors.AnalysisError` on a circuit with
-        scalar devices (see :attr:`supports_stacked_evaluate`).
         """
-        if not self.supports_stacked_evaluate:
-            raise AnalysisError(
-                "stacked evaluation covers BJT-group devices only; "
-                f"{self.stamps.devices[0][0].name!r} is a scalar device"
-            )
         size = self.size
         n1 = size + 1
         L = x_stack.shape[0]

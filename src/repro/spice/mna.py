@@ -11,14 +11,12 @@ Jacobian ``G = dI/dx``, and charges/fluxes to ``Q`` and its Jacobian
 :mod:`repro.spice.ac` and :mod:`repro.spice.transient` combine these into
 the per-iteration linear systems.
 
-The matrix buffers are dense numpy arrays here (:func:`load_circuit`,
-the per-element stamp reference, and the compiled engine's dense
-assembly), but the accumulation protocol is backend-agnostic: the
-compiled engine's sparse assembly substitutes
-:class:`repro.spice.sparse.PatternMatrix` value arrays for ``g_mat`` /
-``c_mat`` and the same ``add_g`` / ``add_c`` calls scatter into the flat
-CSC data instead.  :mod:`repro.spice.solvercost` decides which backend a
-given circuit gets.
+The element walk (:func:`load_circuit`, the per-element stamp reference)
+stamps dense numpy arrays through ``add_g`` / ``add_c``.  A compiled
+engine (:mod:`repro.spice.engine`) fills its own buffers, dense or
+:class:`repro.spice.sparse.PatternMatrix` values, through its device
+group's compiled scatter tables instead; :mod:`repro.spice.solvercost`
+decides which backend a given circuit gets.
 """
 
 from __future__ import annotations
@@ -73,20 +71,10 @@ class LoadContext:
             # are overwritten on the engine's next evaluation.
             self.i_vec, self.g_mat, self.q_vec, self.c_mat = buffers
         #: Junction-limiting memory carried across Newton iterations:
-        #: each diode's limited voltage (a float) under its name, and the
-        #: compiled BJT group's ``(2, n)`` limited (vbe, vbc) array under
-        #: the group itself (the per-element walk, :func:`load_circuit`,
-        #: keeps each BJT's (vbe, vbc) tuple under its name instead).
+        #: each diode's limited voltage and each BJT's (vbe, vbc) under
+        #: its name, or a compiled engine's ``(2, n)`` device-group array
+        #: under the group itself (:class:`~repro.spice.engine.BJTGroup`).
         self.limits: dict = {}
-        #: Fused-Jacobian mode (transient hot path): when set, capacitive
-        #: stamps are folded directly into ``g_mat`` scaled by this
-        #: integration coefficient (``g_mat`` then holds ``G + alpha*C``)
-        #: and ``c_mat`` is not maintained.
-        self.jac_alpha: float | None = None
-        #: Residual-only mode (chord-Newton reuse): the caller reads
-        #: ``i_vec`` and ``q_vec`` alone, so the compiled BJT group
-        #: scatters no Jacobian stamp into the stale ``g_mat``/``c_mat``.
-        self.residual_only = False
         #: Set by a device whose pnjlim limited a junction voltage in
         #: this evaluation: Newton then accepts no step from it.
         self.limited = False
@@ -119,10 +107,7 @@ class LoadContext:
     def add_c(self, row: int, col: int, value: float) -> None:
         """Add ``dQ[row]/dx[col]``."""
         if row >= 0 and col >= 0:
-            if self.jac_alpha is not None:
-                self.g_mat[row, col] += value * self.jac_alpha
-            else:
-                self.c_mat[row, col] += value
+            self.c_mat[row, col] += value
 
     # -- common stamp patterns -------------------------------------------------
 

@@ -75,12 +75,11 @@ class Element:
     #
     # The compiled engine (:mod:`repro.spice.engine`) partitions elements at
     # compile time.  The default hooks classify any element by
-    # :meth:`is_nonlinear` / :meth:`has_time_varying_rhs` alone; elements
-    # mixing constant and bias-dependent stamps (BJT, diode with RS)
-    # override :meth:`load_static` / :meth:`load_dynamic` so their constant
-    # ohmic parasitics are stamped once into the cached matrices.  The
-    # invariant is ``load == load_static + load_dynamic`` (plus, for
-    # independent sources, the :meth:`rhs_rows` source-vector entries).
+    # :meth:`is_nonlinear` / :meth:`has_time_varying_rhs` alone; sources
+    # add :meth:`rhs_rows` source-vector entries.  The nonlinear elements
+    # (BJT, diode) split ``load`` into ``load_static``, their constant
+    # ohmic parasitics, stamped once into the cached matrices, and
+    # ``load_dynamic``, the stamp reference of the engine's device group.
 
     def is_linear(self) -> bool:
         """Whether I and Q are linear (affine) functions of ``x``."""
@@ -99,11 +98,6 @@ class Element:
         element (independent sources included) the plain :meth:`load`
         stamps exactly the constant Jacobian."""
         if self.is_linear():
-            self.load(ctx)
-
-    def load_dynamic(self, ctx) -> None:
-        """Stamp the per-iteration (bias-dependent) contributions."""
-        if self.is_nonlinear():
             self.load(ctx)
 
     # -- convenience ---------------------------------------------------------

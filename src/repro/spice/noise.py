@@ -27,13 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..devices.gummel_poon import diode_current
 from ..errors import AnalysisError
 from .ac import small_signal, solve_ac_lanes, unit_excitation_rhs
 from .dcop import Tolerances, solve_dc
 from .elements.bjt import BJT
 from .elements.diode import Diode
 from .elements.resistor import Resistor
-from .engine import EngineStats, resolve_engine
+from .engine import BJTGroup, EngineStats, resolve_engine
 from .netlist import Circuit
 
 #: Boltzmann constant (J/K) and electron charge (C).
@@ -79,7 +80,11 @@ def _flicker_psd(kf: float, af: float, current: float):
 
 def collect_noise_sources(circuit: Circuit, x_op: np.ndarray,
                           limits: dict) -> list[NoiseSource]:
-    """Enumerate every noise source at the DC operating point."""
+    """Enumerate every noise source at the DC operating point; a diode's
+    is priced at its limited voltage in the device group's history."""
+    junction = {name: v for key, history in limits.items()
+                if isinstance(key, BJTGroup)
+                for name, v in zip(key.names, history[0])}
     sources: list[NoiseSource] = []
     for element in circuit:
         if isinstance(element, Resistor):
@@ -95,8 +100,9 @@ def collect_noise_sources(circuit: Circuit, x_op: np.ndarray,
             anode, cathode = element.node_index
             junction_p = (element.branch_index[0]
                           if element.rs > 0 else anode)
-            v_lim = limits.get(element.name, 0.0)
-            current, _ = _diode_current_at(element, v_lim)
+            v_lim = junction.get(element.name, 0.0)
+            current, _ = diode_current(element.i_sat, v_lim,
+                                       element.model.N * element._vt)
             sources.append(NoiseSource(element.name, "shot", junction_p,
                                        cathode, _shot_psd(current)))
             if element.rs > 0:
@@ -107,19 +113,6 @@ def collect_noise_sources(circuit: Circuit, x_op: np.ndarray,
         elif isinstance(element, BJT):
             sources.extend(_bjt_sources(element, x_op))
     return sources
-
-
-def _diode_current_at(element: Diode, v: float) -> tuple[float, float]:
-    from ..devices.gummel_poon import diode_current
-
-    return diode_current(element.i_sat, v, element.model.N
-                         * _vt_of(element.model.TNOM))
-
-
-def _vt_of(tnom: float) -> float:
-    from ..devices.gummel_poon import thermal_voltage
-
-    return thermal_voltage(tnom)
 
 
 def _bjt_sources(element: BJT, x_op: np.ndarray) -> list[NoiseSource]:

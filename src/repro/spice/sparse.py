@@ -6,18 +6,17 @@ assembly path builds the *symbolic* sparsity structure exactly once at
 compile time and then fills a flat nnz-length data array per iteration:
 
 * :class:`SparsityPattern` deduplicates every stamp slot the compiled
-  circuit can ever touch (linear stamps, vectorized BJT-group lanes,
-  scalar nonlinear elements, the gshunt diagonal) into a fixed CSC
-  structure, and maps any ``(row, col)`` stamp slot to its position in
-  the shared ``data`` array.  Ground / dummy slots (index ``size``) map
-  to a trailing scratch position that is never read — the same trick the
-  dense buffers play with their extra row/column.
+  circuit can ever touch (linear stamps, the device group's scatter
+  tables, the gshunt diagonal) into a fixed CSC structure, and maps
+  ``(row, col)`` stamp slots to their positions in the shared ``data``
+  array, once, at compile time.  Ground / dummy slots (index ``size``)
+  map to a trailing scratch position that is never read — the same
+  trick the dense buffers play with their extra row/column.
 * :class:`PatternMatrix` is the nnz-length value array bound to a
   pattern.  It quacks like the small corner of ``ndarray`` the analyses
-  actually use (scalar ``[row, col]`` access, ``alpha * C``,
-  ``G += ...``, ``copy``), so :class:`~repro.spice.mna.LoadContext` and
-  the analyses run unchanged on top of it; the Newton loops add the
-  gshunt diagonal to its ``data`` at positions the engine finds once.
+  actually use (``alpha * C``, ``G += ...``, ``copy``), so the analyses
+  run unchanged on top of it; the Newton loops add the gshunt diagonal
+  to its ``data`` at positions the engine finds once.
 * :class:`PatternOrder` is the pattern's fill-reducing symmetric
   permutation, computed once from the structure alone (never from a
   matrix's values), plus the gather map that turns a data array into
@@ -79,7 +78,6 @@ class SparsityPattern:
         self.indptr = np.searchsorted(
             self._keys // size, np.arange(size + 1)
         ).astype(np.int32)
-        self._scalar_cache: dict[tuple[int, int], int] = {}
         #: The orders computed so far, keyed by ordering name (see
         #: :meth:`ordered`).
         self.orders: dict[str, PatternOrder] = {}
@@ -109,15 +107,6 @@ class SparsityPattern:
                 "the compiled sparsity pattern (circuit changed after compile?)"
             )
         return np.where(dummy, self.nnz, pos).astype(np.intp)
-
-    def position(self, row: int, col: int) -> int:
-        """Data position of one slot (cached scalar fast path)."""
-        key = (row, col)
-        pos = self._scalar_cache.get(key)
-        if pos is None:
-            pos = int(self.positions(np.array([row]), np.array([col]))[0])
-            self._scalar_cache[key] = pos
-        return pos
 
     def ordered(self, permc_spec: str | None = None) -> "PatternOrder":
         """The pattern's fill-reducing symmetric order for SuperLU's
@@ -234,18 +223,6 @@ class PatternMatrix:
     @property
     def dtype(self):
         return self.data.dtype
-
-    # -- element access (LoadContext.add_g / add_c) ----------------------------
-
-    def _position(self, key) -> int:
-        row, col = key
-        return self.pattern.position(int(row), int(col))
-
-    def __getitem__(self, key):
-        return self.data[self._position(key)]
-
-    def __setitem__(self, key, value):
-        self.data[self._position(key)] = value
 
     # -- whole-matrix arithmetic (transient integrator, AC combination) --------
 

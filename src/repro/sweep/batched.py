@@ -36,17 +36,16 @@ Every point splits into a deck *variant* and its source levels:
 
 The deck compiles once, with its ``.OPTIONS SOLVER=`` and ``PERMC=``,
 and that one engine serves every point on both paths: a point is a
-lane of it, carrying its variant's linear stamps, BJT parameter block
-and scalar devices (:meth:`~repro.spice.engine.CompiledCircuit.
-lane_stamps`) and its own source levels, so it solves as an engine
-compiled from the deck written at the point would.  The
+lane of it, carrying its variant's linear stamps and device parameter
+block (:meth:`~repro.spice.engine.CompiledCircuit.lane_stamps`) and its
+own source levels, so it solves as an engine compiled from the deck
+written at the point would.  The
 **blocked** path solves a chunk of points as one
 :func:`~repro.spice.dcop.solve_dc_batched` lane block (several, past
 the stacked-block byte budget) and one stacked AC solve, whatever its
 variants.  The **scalar** path -- :meth:`_BlockedDeckSweep._evaluate`,
-retries, seeded points, the escalation of a lane the stacked Newton
-leaves unconverged, and every point of a deck with a diode (which has
-no stacked assembly) -- runs the full :func:`~repro.spice.dcop.solve_dc`
+retries, seeded points and the escalation of a lane the stacked Newton
+leaves unconverged -- runs the full :func:`~repro.spice.dcop.solve_dc`
 ladder under the point's lane.
 
 Each point gets one bias solve, and that one solution feeds the DC
@@ -70,7 +69,6 @@ from ..spice.ac import (
     ac_lane_blocks,
     ac_stimulus_rhs,
     frequency_grid,
-    small_signal,
     solve_ac_lanes,
 )
 from ..spice.dcop import Tolerances, solve_dc, solve_dc_batched
@@ -219,7 +217,8 @@ class _BlockedDeckSweep:
     sets ``_args`` (pickled, and hashed into the cache tag), it may
     turn on the small-signal solve (``_with_ac``) and split corner
     points into deck edits (:meth:`_split`), and ``_reduce(circuit, x,
-    solutions)`` turns one solved point into its value.
+    solutions, levels)`` turns one solved point, with the source levels
+    its lane set, into its value.
     """
 
     #: run_sweep's opt-in marker for the ``evaluate_batch`` fast path.
@@ -468,20 +467,12 @@ class _BlockedDeckSweep:
         """``(lanes, freqs, n)`` small-signal solutions linearized at
         each row of ``x``, under its lane of ``lanes``."""
         engine = self._compiled()
-        if engine.supports_stacked_evaluate:
-            # One lane-stacked linearization; each lane's G/C is
-            # bit-identical to a scalar small_signal at that point.
-            sctx = engine.evaluate_stacked(x, gmin=self._gmin, with_c=True,
-                                           lanes=lanes)
-            g_stack, c_stack = np.array(sctx.g), np.array(sctx.c)
-        else:
-            pairs = [small_signal(engine, lane, self._gmin, {},
-                                  lanes.take([k]))
-                     for k, lane in enumerate(x)]
-            g_stack = np.stack([g for g, _ in pairs])
-            c_stack = np.stack([c for _, c in pairs])
-        return solve_ac_lanes(engine, g_stack, c_stack, self._omegas,
-                              self._rhs)
+        # One lane-stacked linearization; each lane's G/C is
+        # bit-identical to a scalar small_signal at that point.
+        sctx = engine.evaluate_stacked(x, gmin=self._gmin, with_c=True,
+                                       lanes=lanes)
+        return solve_ac_lanes(engine, np.array(sctx.g), np.array(sctx.c),
+                              self._omegas, self._rhs)
 
     def _solve_point(self, variant: _Variant, levels: dict,
                      attempt: int) -> tuple:
@@ -505,12 +496,12 @@ class _BlockedDeckSweep:
             solutions = self._ac_solutions(x[None], stamps)[0]
         return x, solutions
 
-    def _reduced(self, circuit, x, solutions) -> tuple:
+    def _reduced(self, circuit, x, solutions, levels) -> tuple:
         """``(value, None)``, or ``(None, error)`` when the reduction
         raises (a bad measurement node, ...): the error the scalar path
         raises for that point."""
         try:
-            return self._reduce(circuit, x, solutions), None
+            return self._reduce(circuit, x, solutions, levels), None
         except Exception as error:  # noqa: BLE001
             return None, error
 
@@ -522,7 +513,8 @@ class _BlockedDeckSweep:
             key, levels = self._lane(params)
             variant = self._variant(key)
             return self._reduce(variant.circuit,
-                                *self._solve_point(variant, levels, attempt))
+                                *self._solve_point(variant, levels, attempt),
+                                levels)
 
     def _evaluate_batch(self, chunk_params: list) -> list:
         """Blocked path: every point a lane of the deck's one engine,
@@ -559,8 +551,8 @@ class _BlockedDeckSweep:
         ``results`` at the points' chunk positions.  Points of one
         variant share its lane of values and carry their own source
         levels; points of several variants each carry their variant's.
-        A lane the stacked Newton leaves unconverged, and every lane of
-        a deck with a diode, takes the scalar ladder under it."""
+        A lane the stacked Newton leaves unconverged takes the scalar
+        ladder under it."""
         positions, variants, levels = zip(*points)
         values = (self._stamped(variants[0])
                   if all(variant is variants[0] for variant in variants)
@@ -588,7 +580,7 @@ class _BlockedDeckSweep:
             solutions = self._ac_solutions(x[solved], lanes.take(solved))
         for i, lane_solutions in zip(solved, solutions):
             results[positions[i]] = self._reduced(
-                variants[i].circuit, x[i], lane_solutions)
+                variants[i].circuit, x[i], lane_solutions, levels[i])
 
 
 class BlockedDCSweep(_BlockedDeckSweep):
@@ -624,7 +616,7 @@ class BlockedDCSweep(_BlockedDeckSweep):
         the lane's error (value ``None``)."""
         return self._evaluate_batch(chunk_params)
 
-    def _reduce(self, circuit, x, solutions):
+    def _reduce(self, circuit, x, solutions, levels):
         return (self._measure or solution_vector)(circuit, x)
 
 
@@ -683,5 +675,5 @@ class BlockedACSweep(_BlockedDeckSweep):
         Returns ``[(value, error), ...]`` aligned with the chunk."""
         return self._evaluate_batch(chunk_params)
 
-    def _reduce(self, circuit, x, solutions):
+    def _reduce(self, circuit, x, solutions, levels):
         return (self._measure or ac_solution_matrix)(circuit, solutions)

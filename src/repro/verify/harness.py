@@ -24,7 +24,7 @@ sweep and the stress checks.  A 27-corner set over 3 temperatures x 3
 resistor scales x 3 supply levels therefore parses the deck once,
 compiles 1 engine, re-models the deck once per temperature (each
 temperature's resistor-scale variants share its devices, and so one
-BJT parameter block) and solves its 27 biases in one stacked Newton
+device parameter block) and solves its 27 biases in one stacked Newton
 run.  :func:`qualify_cell` parses the schematic once for its default
 corners, its default measurements and its evaluator.
 
@@ -254,7 +254,7 @@ class CornerEvaluator(_BlockedDeckSweep):
         return sorted({(self._split(corner.values)[0], ())
                        for corner in self._corners})
 
-    def _reduce(self, circuit, x, solutions) -> dict:
+    def _reduce(self, circuit, x, solutions, levels) -> dict:
         measurements = {}
         for measurement in self._measurements:
             if measurement.analysis == "dc":
@@ -263,7 +263,7 @@ class CornerEvaluator(_BlockedDeckSweep):
             else:
                 measurements[measurement.name] = _ac_value(
                     measurement, circuit, self._frequencies, solutions)
-        quantities = device_quantities(circuit, x)
+        quantities = device_quantities(circuit, x, levels)
         violations = check_stress(circuit, x, self._rules,
                                   quantities=quantities)
         return {

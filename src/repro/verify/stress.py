@@ -200,12 +200,14 @@ def _voltage(x, index: int) -> float:
     return 0.0 if index < 0 else float(x[index])
 
 
-def device_quantities(circuit, x) -> dict:
+def device_quantities(circuit, x, levels=None) -> dict:
     """Stress-checkable quantities per device at a solved DC point.
 
     Returns ``{element name: {quantity: value}}`` in netlist order,
     covering every element kind named in :data:`DEVICE_QUANTITIES`.
     All values are magnitudes (ratings bound magnitude, not polarity).
+    ``levels`` maps upper-case source names to the DC levels the point
+    was solved at, where they differ from ``circuit``'s.
     """
     table: dict[str, dict[str, float]] = {}
     for element in circuit:
@@ -227,9 +229,9 @@ def device_quantities(circuit, x) -> dict:
             (branch,) = element.branch_index
             table[element.name] = {"current_a": abs(float(x[branch]))}
         elif isinstance(element, CurrentSource):
-            table[element.name] = {
-                "current_a": abs(float(element.source_value(None))),
-            }
+            level = (levels or {}).get(element.name.upper(),
+                                       element.source_value(None))
+            table[element.name] = {"current_a": abs(float(level))}
     return table
 
 

@@ -147,7 +147,8 @@ class _VariantOracle:
             g, c = small_signal(engine, x, ev._gmin, {})
             solutions = solve_ac_lanes(engine, g[None], c[None],
                                        ev._omegas, ev._rhs)[0]
-        return ev._reduce(circuit, x, solutions)
+        # The written deck carries the point's levels itself.
+        return ev._reduce(circuit, x, solutions, {})
 
     def outcomes(self, corners) -> list:
         """Every corner's outcome, as a qualification reports it."""

@@ -1,19 +1,22 @@
-"""Differential fuzzing of the vectorized BJT group against its stamp
+"""Differential fuzzing of the vectorized device group against its stamp
 reference.
 
-A ``hypothesis`` strategy draws groups of one to six BJTs, each with its
+A ``hypothesis`` strategy draws groups of up to six BJTs, each with its
 own model card — npn or pnp, with or without RB, an external B-C
 fraction (``XCJC < 1``), a substrate junction, finite or infinite Early
-voltages, a bias-dependent transit time or none — wired to a small
-shared node pool (every emitter is private), plus a few successive
-random solutions.  Over evaluations that share one limits dict, as an
-analysis does:
+voltages, a bias-dependent transit time or none — and up to three
+diodes, each with or without RS, CJO and TT, of its own N and area (a
+group has at least one device, and may hold diodes only), added in a
+drawn order and wired to a small shared node pool (every emitter and
+every diode anode is private), plus a few successive random solutions.
+Over evaluations that share one limits dict, as an analysis does:
 
 * ``CompiledCircuit.evaluate`` matches the per-element reference
   :func:`~repro.spice.mna.load_circuit`: its stamps within the error
   bound of a floating-point sum (the two add the same terms in
   different orders), its per-device limiting history at
-  ``TestStampingEquivalence``'s tolerances;
+  ``TestStampingEquivalence``'s tolerances, and a limiting diode flags
+  the evaluation as its reference does;
 * a charges-only evaluation right after a full one, under the same
   limits dict and gmin, is that evaluation's charges linearized to the
   new point, ``q(x0) + C(x0) (x1 - x0)``, and leaves the limiting
@@ -28,7 +31,7 @@ analysis does:
   ``evaluate`` under that lane's stamps, is the ``evaluate`` of an
   engine compiled from that lane's circuit, bit for bit, with history
   and without; so is ``evaluate`` under a diode deck's temperature
-  variant, whose lane carries its own diode;
+  variant, whose lane carries its own diode parameters;
 * a charges-only evaluation under other stamps than the last full one
   is a full evaluation, bit for bit.
 
@@ -50,9 +53,10 @@ from repro.devices.temperature import at_temperature, celsius
 from repro.errors import AnalysisError
 from repro.spice import Circuit, compile_circuit
 from repro.spice.elements import BJT, Diode, DiodeModel, Resistor
-from repro.spice.engine import BJTGroup, LaneStamps
+from repro.spice.engine import (
+    _D_PARAMS, BJTGroup, LaneStamps, _diode_columns)
 from repro.spice.mna import LoadContext, load_circuit
-from repro.spice.temperature import circuit_at_temperature
+from repro.spice.temperature import _diode_model_at, circuit_at_temperature
 
 from .test_engine import by_device
 
@@ -95,17 +99,39 @@ def models(draw):
 
 
 @st.composite
+def diode_models(draw):
+    either = lambda off, on: draw(st.sampled_from((off, on)))  # noqa: E731
+    return DiodeModel(
+        name="DF",
+        IS=draw(st.floats(1e-16, 1e-13)),
+        N=draw(st.floats(0.95, 1.3)),
+        RS=either(0.0, draw(st.floats(1.0, 50.0))),
+        CJO=either(0.0, draw(st.floats(1e-15, 2e-12))),
+        VJ=draw(st.floats(0.6, 1.0)), M=draw(st.floats(0.3, 0.5)),
+        TT=either(0.0, draw(st.floats(1e-12, 1e-9))),
+    )
+
+
+@st.composite
 def groups(draw):
-    """``(circuit, mode, seed, scale)``: a BJT group with one load
+    """``(circuit, mode, seed, scale)``: a device group with one load
     resistor to ground, and the recipe for its random solutions."""
     circuit = Circuit("bjt_group")
     circuit.add(Resistor("RL", ("a", "0"), 1e3))
-    for k in range(draw(st.integers(1, 6))):
+    devices = []
+    bjts = draw(st.integers(0, 6))
+    for k in range(bjts):
         collector, base = draw(st.lists(st.sampled_from(NODES), min_size=2,
                                         max_size=2, unique=True))
         substrate = draw(st.sampled_from(NODES))
-        circuit.add(BJT(f"Q{k}", (collector, base, f"e{k}", substrate),
-                        draw(models())))
+        devices.append(BJT(f"Q{k}", (collector, base, f"e{k}", substrate),
+                           draw(models())))
+    for k in range(draw(st.integers(0 if bjts else 1, 3))):
+        devices.append(Diode(f"D{k}", (f"p{k}", draw(st.sampled_from(NODES))),
+                             draw(diode_models()),
+                             area=draw(st.floats(0.5, 4.0))))
+    for device in draw(st.permutations(devices)):
+        circuit.add(device)
     return (circuit, draw(st.sampled_from(("dense", "sparse"))),
             draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from((0.3, 0.9))))
 
@@ -117,30 +143,49 @@ class _TermMagnitudes(LoadContext):
     ``|g|·(|vp|+|vn|)``: the engine's ``G0 @ x`` adds the two products
     separately.  A BJT's emitter current ``-sign·(ic + ib)`` counts as
     ``|ic| + |ib|``, the terms it sums, which cancel where the emitter
-    current is small against the collector and base currents."""
+    current is small against the collector and base currents.  A
+    diode's companion current ``current + g·(v_raw − v_lim)`` counts as
+    ``|current| + |g·(v_raw − v_lim)|``, and its charge the same way:
+    the terms cancel under limiting."""
 
     def load(self, element) -> None:
-        """Walk ``element``'s stamps; its currents land once it is done."""
-        self._currents = []
+        """Walk ``element``'s stamps; its currents and charges land once
+        it is done."""
+        self._currents, self._charges, self._g, self._c = [], [], [], []
         element.load(self)
         if isinstance(element, BJT):
             # load_dynamic stamps ic and ib, then the emitter's
             # -sign·(ic + ib), last of all its currents.
             (_, ic), (_, ib), (emitter, _) = self._currents[-3:]
-            self._currents[-1] = (emitter, ic + ib)
-        for row, magnitude in self._currents:
-            super().add_i(row, magnitude)
+            self._currents[-1] = (emitter, abs(ic) + abs(ib))
+        elif isinstance(element, Diode):
+            # load_dynamic stamps +-(current + g·dv) at the junction's
+            # rows, and the charge the same way with c, last of all.
+            (p, _), (n, _) = self._currents[-2:]
+            dv = (self.voltage(p) - self.voltage(n)
+                  - self.limits[element.name])
+            for stamps, slope in ((self._currents, self._g[-4]),
+                                  (self._charges, self._c[-4])):
+                term = slope * dv
+                magnitude = abs(stamps[-2][1] - term) + abs(term)
+                stamps[-2:] = [(p, magnitude), (n, magnitude)]
+        for row, value in self._currents:
+            super().add_i(row, abs(value))
+        for row, value in self._charges:
+            super().add_q(row, abs(value))
 
     def add_i(self, row, value):
-        self._currents.append((row, abs(value)))
+        self._currents.append((row, value))
 
     def add_g(self, row, col, value):
+        self._g.append(value)
         super().add_g(row, col, abs(value))
 
     def add_q(self, row, value):
-        super().add_q(row, abs(value))
+        self._charges.append((row, value))
 
     def add_c(self, row, col, value):
+        self._c.append(value)
         super().add_c(row, col, abs(value))
 
     def _stamp_pair(self, p, n, value, add_vec, add_mat):
@@ -191,6 +236,10 @@ def _assert_group_matches_stamp_reference(circuit, mode, seed, scale,
         terms = _term_magnitudes(circuit, x, limits_terms)
         ctx = engine.evaluate(x, limits=limits)
         _assert_within_sum_error(ref, ctx, terms)
+        # The BJT reference reports no limiting; a diode's does.
+        assert ctx.limited >= ref.limited
+        if not any(isinstance(e, BJT) for e in circuit):
+            assert ctx.limited == ref.limited
         named = by_device(limits)
         assert named.keys() == limits_ref.keys()
         for name, history in limits_ref.items():
@@ -264,7 +313,7 @@ def test_charge_replay_is_the_last_evaluation_linearized(case):
     circuit, mode, seed, scale = case
     size = circuit.assign_indices()
     engine = compile_circuit(circuit, mode=mode)
-    n = sum(isinstance(e, BJT) for e in circuit)
+    n = sum(isinstance(e, (BJT, Diode)) for e in circuit)
     x0, x1 = scale * np.random.default_rng(seed).standard_normal((2, size))
     limits = {}
     full = engine.evaluate(x0, limits=limits)
@@ -296,7 +345,8 @@ def test_charge_replay_is_the_last_evaluation_linearized(case):
 
 
 #: The forward bias the stacked test puts on the first device's B-E
-#: junction: ``HOT / (NF vt)`` exceeds ``EXP_LIMIT`` for every drawn NF.
+#: junction or diode junction: ``HOT / (NF vt)`` and ``HOT / (N vt)``
+#: exceed ``EXP_LIMIT`` for every drawn NF and N.
 HOT = 3.0
 
 
@@ -312,11 +362,16 @@ def test_stacked_lanes_are_scalar_bit_for_bit(case, lanes, evaluations):
     circuit, mode, seed, scale = case
     size = circuit.assign_indices()
     engine = compile_circuit(circuit, mode=mode)
-    assert engine.supports_stacked_evaluate
-    first = next(e for e in circuit if isinstance(e, BJT))
-    assert HOT / (first.params.NF * first._vt) > EXP_LIMIT
-    hot = np.zeros(size)  # its emitter (never ground) HOT below the base
-    hot[first._internal_indices()[2]] = -first.params.sign * HOT
+    hot = np.zeros(size)
+    first = circuit.element(engine._bjt_group.names[0])
+    if isinstance(first, BJT):
+        assert HOT / (first.params.NF * first._vt) > EXP_LIMIT
+        # Its emitter (never ground) HOT below the base.
+        hot[first._internal_indices()[2]] = -first.params.sign * HOT
+    else:
+        assert HOT / (first.model.N * first._vt) > EXP_LIMIT
+        # Its junction's anode (never ground) HOT above the cathode.
+        hot[(first.branch_index or first.node_index)[0]] = HOT
     quiet, held, jump = range(3)
     lanes += 3
     rng = np.random.default_rng(seed)
@@ -348,14 +403,19 @@ def test_stacked_lanes_are_scalar_bit_for_bit(case, lanes, evaluations):
 
 
 def _lane_circuit(circuit: Circuit, temp: float, r_scale: float) -> Circuit:
-    """``circuit`` with every BJT re-modelled at ``temp`` (K) and every
-    resistor scaled by ``r_scale``: a temperature x R-scale corner."""
+    """``circuit`` with every BJT and diode re-modelled at ``temp`` (K)
+    and every resistor scaled by ``r_scale``: a temperature x R-scale
+    corner."""
     lane = Circuit(f"{circuit.title} @ {temp:.2f} K x {r_scale}")
     for element in circuit:
         if isinstance(element, BJT):
             lane.add(BJT(element.name, element.nodes,
                          at_temperature(element.model, temp),
                          area=element.area))
+        elif isinstance(element, Diode):
+            lane.add(Diode(element.name, element.nodes,
+                           _diode_model_at(element.model, temp),
+                           area=element.area))
         else:
             lane.add(Resistor(element.name, element.nodes,
                               element.resistance * r_scale))
@@ -417,8 +477,8 @@ def test_lane_stamps_are_each_lanes_own_engine(case, corners, with_history,
 @pytest.mark.parametrize("mode", ["dense", "sparse"])
 def test_diode_lane_stamps_are_the_variants_own_engine(mode):
     """A diode deck's temperature variant under its lane stamps: the
-    lane carries the variant's re-modelled diode, which the one engine's
-    ``evaluate`` stamps in place of its own."""
+    lane carries the variant's re-modelled diode's parameters, which the
+    one engine's ``evaluate`` stamps in place of its own."""
     circuit = _pair(GummelPoonParameters(name="QN", CJE=45e-15, TF=9e-12))
     circuit.add(Diode("D1", ("a", "b"),
                       DiodeModel(name="DC", IS=1e-14, CJO=5e-15, TT=1e-9)))
@@ -426,7 +486,10 @@ def test_diode_lane_stamps_are_the_variants_own_engine(mode):
     engine = compile_circuit(circuit, mode=mode)
     hot = circuit_at_temperature(circuit, celsius(85.0))
     stamps = engine.lane_stamps(hot)
-    assert stamps.devices == [(hot.element("D1"),)]
+    _, diode = _diode_columns([hot.element("D1")], size)
+    np.testing.assert_array_equal(stamps.params[_D_PARAMS, 0, -1],
+                                  diode[_D_PARAMS, 0])
+    assert stamps.params[0, 0, -1] != engine.stamps.params[0, 0, -1]
     own = compile_circuit(hot, mode=mode)
     limits, stamped_limits = {}, {}
     rng = np.random.default_rng(5)
@@ -438,7 +501,9 @@ def test_diode_lane_stamps_are_the_variants_own_engine(mode):
             np.testing.assert_array_equal(
                 _bits(getattr(stamped, name)), _bits(getattr(ctx, name)),
                 err_msg=name)
-        assert stamped_limits["D1"] == limits["D1"]
+        np.testing.assert_array_equal(
+            _bits(stamped_limits[engine._bjt_group]),
+            _bits(limits[own._bjt_group]))
     # The engine's own lane is untouched: its default evaluation is
     # still the deck's own.
     reference = compile_circuit(circuit, mode=mode).evaluate(x, limits={})
@@ -498,8 +563,10 @@ def test_lane_stamps_need_the_engines_topology():
     for circuit in (moved, swapped, grown, flipped):
         with pytest.raises(AnalysisError):
             engine.lane_stamps(circuit)
-    # A scalar device rides in its lane.
+    # A diode rides in its lane: the group's last column.
     clamped = _pair(npn)
     clamped.add(Diode("D1", ("a", "0"), DiodeModel(name="DC")))
     lane = compile_circuit(clamped).lane_stamps(clamped)
-    assert lane.devices == [(clamped.element("D1"),)]
+    _, diode = _diode_columns([clamped.element("D1")],
+                              clamped.assign_indices())
+    np.testing.assert_array_equal(lane.params[:, 0, 2], diode[:, 0])

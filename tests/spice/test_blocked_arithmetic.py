@@ -8,8 +8,9 @@ Three stacked forms stand in for per-lane scalar calls:
   singular or non-finite lane NaN and left out of the counters;
 * a dense engine's ``evaluate_stacked`` forms the base-stamp matvecs
   ``G0 @ x`` and ``C0 @ x`` as one ``np.matmul`` per stack (a gemv per
-  lane, as the scalar ``np.dot``), with the engine's stamps or per-lane
-  :class:`~repro.spice.engine.LaneStamps`;
+  lane, as the scalar ``np.matmul``), with the engine's stamps or
+  per-lane :class:`~repro.spice.engine.LaneStamps`, signed zeros of a
+  one-unknown circuit included;
 * ``lane_stamps`` builds a BJT parameter block once per device list,
   and never serves it to other devices.
 """
@@ -22,8 +23,9 @@ import pytest
 
 import repro.spice.engine as engine_module
 from repro.devices.temperature import celsius
+from repro.spice import Circuit
 from repro.spice.dcop import solve_dc
-from repro.spice.elements import BJT
+from repro.spice.elements import BJT, Capacitor, CurrentSource, Resistor
 from repro.spice.engine import DenseLUSolver, LaneStamps, compile_circuit
 from repro.spice.parser import parse_deck
 from repro.spice.temperature import circuit_at_temperature
@@ -72,6 +74,26 @@ def _assert_lane_is_scalar(ctx, k, ref):
     np.testing.assert_array_equal(ctx.q[k], ref.q_vec)
     np.testing.assert_array_equal(ctx.g[k], ref.g_mat)
     np.testing.assert_array_equal(ctx.c[k], ref.c_mat)
+
+
+@pytest.mark.parametrize("source_scale", (0.0, 1.0))
+def test_one_unknown_rc_keeps_its_signed_zeros(source_scale, hexed):
+    """A 1 x 1 ``np.dot`` rounds ``c * -0.0`` to ``-0.0`` where the
+    stacked gemv gives ``+0.0``: both paths form the matvec alike."""
+    rc = Circuit("rc")
+    rc.add(CurrentSource("I1", ("0", "n"), dc=1e-3))
+    rc.add(Resistor("R1", ("n", "0"), 1e3))
+    rc.add(Capacitor("C1", ("n", "0"), 1e-12))
+    engine = compile_circuit(rc, "dense")
+    assert engine.size == 1
+    x_stack = np.array([[0.0], [-0.0]])
+    ctx = engine.evaluate_stacked(x_stack, source_scale=source_scale,
+                                  with_c=True)
+    for k, x in enumerate(x_stack):
+        ref = engine.evaluate(x, limits={}, source_scale=source_scale)
+        for lane, scalar in ((ctx.i[k], ref.i_vec), (ctx.q[k], ref.q_vec),
+                             (ctx.g[k], ref.g_mat), (ctx.c[k], ref.c_mat)):
+            assert hexed(np.asarray(lane)) == hexed(np.asarray(scalar))
 
 
 #: (deck, lanes): the 87-unknown ring stops at 27 lanes; at 1000 its

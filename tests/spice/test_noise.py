@@ -81,6 +81,19 @@ class TestDiodeShotNoise:
         assert result.output_density[0] == pytest.approx(expected, rel=0.01)
 
 
+def test_diode_shot_noise_reads_the_group_history():
+    """The diode's shot noise is priced at its junction voltage in the
+    device group's history: the density is ``2qI rd^2`` to 1 %, with no
+    absolute slack (``approx``'s default 1e-12 would pass a 0)."""
+    ckt = Circuit("shot")
+    ckt.add(CurrentSource("IB", ("0", "a"), dc=1e-3))
+    ckt.add(Diode("D1", ("a", "0"), DiodeModel(IS=1e-14)))
+    density = solve_noise(ckt, "a", [1e3]).output_density[0]
+    rd = thermal_voltage() / 1e-3
+    assert density == pytest.approx(2.0 * ELECTRON_CHARGE * 1e-3 * rd * rd,
+                                    rel=0.01, abs=0.0)
+
+
 class TestBJTNoise:
     @pytest.fixture()
     def amp(self):

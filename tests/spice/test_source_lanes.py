@@ -204,7 +204,9 @@ def test_a_limiting_diode_flags_its_evaluation():
     engine = compile_circuit(circuit)
     x = np.zeros(size)
     x[circuit.node_index("a")] = 5.0
-    limits = {"D1": 0.0}  # history far below: pnjlim limits the jump
+    # History far below (the device group's, one diode column): pnjlim
+    # limits the jump.
+    limits = {engine._bjt_group: np.zeros((2, 1))}
     assert engine.evaluate(x, limits=limits).limited
     assert engine.evaluate(np.zeros(size), limits={}).limited is False
     ctx = LoadContext(size, x, None, 1e-12)

@@ -56,8 +56,7 @@ class TestSparsityPattern:
     def test_positions_roundtrip(self):
         pattern = self._pattern()
         m = pattern.matrix()
-        m[0, 1] = 7.0
-        m[2, 2] = 3.0
+        m.data[pattern.positions([0, 2], [1, 2])] = [7.0, 3.0]
         dense = m.toarray()
         assert dense[0, 1] == 7.0 and dense[2, 2] == 3.0
         assert dense.sum() == 10.0
@@ -67,7 +66,7 @@ class TestSparsityPattern:
         pos = pattern.positions(np.array([3]), np.array([1]))
         assert pos[0] == pattern.nnz  # trailing scratch slot
         m = pattern.matrix()
-        m[3, 1] = 99.0  # swallowed, never visible in the matrix
+        m.data[pos] = 99.0  # swallowed, never visible in the matrix
         assert np.count_nonzero(m.toarray()) == 0
 
     def test_missing_slot_raises(self):

@@ -46,8 +46,8 @@ PASSIVE_DECK = DECK_TEXT.replace(
 
 VB_LEVELS = [0.55, 0.62, 0.68, 0.72, 0.75, 0.78, 0.80, 0.82]
 
-#: The CE stage with a clamp diode on its collector: a scalar device, so
-#: the engine has no stacked assembly.
+#: The CE stage with a clamp diode on its collector: the diode rides in
+#: the device group, so its blocked lanes run stacked.
 DIODE_DECK = DECK_TEXT.replace(
     ".OP",
     "DCL c 0 DCLAMP\n.MODEL DCLAMP D(IS=1e-15 RS=5 CJO=2p TT=1n)\n.OP",
@@ -322,7 +322,6 @@ class TestStackedEvaluate:
 
         circuit = parse_deck(DECK_TEXT).circuit
         engine = get_engine(circuit, mode=mode)
-        assert engine.supports_stacked_evaluate
         x_op = solve_dc(circuit, engine=engine)
         rng = np.random.default_rng(11)
         x_stack = x_op + rng.normal(0.0, 0.05, (6, x_op.size))
@@ -354,28 +353,69 @@ class TestStackedEvaluate:
                 )
 
     @pytest.mark.parametrize("mode", ENGINES)
-    def test_stacked_refuses_scalar_devices(self, mode):
-        from repro.spice.dcop import Tolerances, newton_solve_batched
+    def test_stacked_covers_diode_devices(self, mode, hexed):
+        """The clamp diode rides in the device group: every stacked lane
+        of its deck is a scalar ``evaluate``, limiting flag and history
+        included, and stacked Newton converges every VB lane to the
+        scalar ``solve_dc``, hex for hex."""
+        from repro.spice.dcop import (
+            Tolerances, newton_solve_batched, solve_dc)
         from repro.spice.engine import get_engine
 
         circuit = parse_deck(DIODE_DECK).circuit
         engine = get_engine(circuit, mode=mode)
-        assert not engine.supports_stacked_evaluate
-        x = np.zeros((2, engine.size))
-        with pytest.raises(AnalysisError, match="'DCL' is a scalar device"):
-            engine.evaluate_stacked(x)
-        with pytest.raises(AnalysisError, match="scalar device"):
-            newton_solve_batched(circuit, x, Tolerances(), gmin=1e-12,
-                                 engine=engine)
+        group = engine._bjt_group
+        assert group.names == ["Q1", "DCL"]
+        x_op = solve_dc(circuit, engine=engine)
+        rng = np.random.default_rng(3)
+        x_stack = x_op + rng.normal(0.0, 0.3, (6, x_op.size))
+        x_stack[0] = 0.0
+        # The clamp's junction (behind its RS) forward biased ...
+        x_stack[1, circuit.element("DCL").branch_index[0]] = 3.0
+        history = engine.new_history(6)
+        history[1] = 0.0  # ... from far below: limited
+        limits = [{group: np.array(h)} if k == 1 else {}
+                  for k, h in enumerate(history)]
+        sctx = engine.evaluate_stacked(x_stack, history=history,
+                                       with_c=True)
+        assert sctx.limited[1] and not sctx.limited[0]
+        for k in range(6):
+            ref = engine.evaluate(x_stack[k], limits=limits[k])
+            assert ref.limited == sctx.limited[k]
+            for lane, scalar in ((sctx.i[k], ref.i_vec),
+                                 (sctx.g[k], ref.g_mat),
+                                 (sctx.q[k], ref.q_vec),
+                                 (sctx.c[k], ref.c_mat)):
+                assert hexed(np.asarray(getattr(lane, "values", lane))) \
+                    == hexed(np.asarray(getattr(scalar, "values", scalar)))
+            assert hexed(history[k]) == hexed(limits[k][group])
+        lanes = engine.at_levels(engine.stamps, circuit,
+                                 [{"VB": level} for level in VB_LEVELS])
+        x, converged = newton_solve_batched(
+            circuit, np.zeros((len(VB_LEVELS), engine.size)), Tolerances(),
+            gmin=1e-12, engine=engine, lanes=lanes)
+        assert converged.all()
+        for k in range(len(VB_LEVELS)):
+            assert hexed(x[k]) == hexed(solve_dc(
+                circuit, engine=engine, stamps=lanes.take([k])))
 
     @pytest.mark.parametrize("mode", ENGINES)
     def test_diode_deck_blocked_equals_scalar(self, mode, compile_log,
-                                              variant_oracle):
+                                              variant_oracle, monkeypatch):
+        import repro.spice.dcop as dcop
+
         fn = BlockedACSweep(DIODE_DECK, measure=ac_node_voltage("c"),
                             frequencies=[1e6, 1e8, 1e10], engine=mode)
+        # Only the NaN lane, which stacked Newton cannot converge, takes
+        # the scalar ladder.
+        ladder, solve_dc = [], dcop.solve_dc
+        monkeypatch.setattr(dcop, "solve_dc", lambda *args, **kwargs: (
+            ladder.append(kwargs["stamps"]), solve_dc(*args, **kwargs))[1])
+        results = fn.evaluate_batch(DIODE_POINTS)
+        monkeypatch.setattr(dcop, "solve_dc", solve_dc)
+        assert [np.isnan(lane.src).any() for lane in ladder] == [True]
         failed = []
-        for point, (value, error) in zip(DIODE_POINTS,
-                                         fn.evaluate_batch(DIODE_POINTS)):
+        for point, (value, error) in zip(DIODE_POINTS, results):
             try:
                 expected = fn(point)
             except ConvergenceError as exc:

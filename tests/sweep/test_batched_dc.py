@@ -42,9 +42,8 @@ DECK_TEXT = (DECKS / "ce_stage.cir").read_text()
 #: from near-off through active so lanes converge on different paths.
 VB_LEVELS = [0.55, 0.62, 0.68, 0.72, 0.75, 0.78, 0.80, 0.82]
 
-#: The CE stage with a clamp diode on its collector: a scalar device, so
-#: the engine has no stacked assembly and blocked lanes take the scalar
-#: ladder, under their own lane stamps.
+#: The CE stage with a clamp diode on its collector: the diode rides in
+#: the device group, so its blocked lanes run stacked.
 DIODE_DECK = DECK_TEXT.replace(
     ".OP",
     "DCL c 0 DCLAMP\n.MODEL DCLAMP D(IS=1e-15 RS=5 CJO=2p TT=1n)\n.OP",
@@ -130,12 +129,20 @@ class TestBlockedSolverParity:
 
     @pytest.mark.parametrize("engine", ("dense", "sparse"))
     def test_diode_deck_blocked_equals_scalar(self, engine, compile_log,
-                                              variant_oracle, hexed):
+                                              variant_oracle, hexed,
+                                              monkeypatch):
         fn = BlockedDCSweep(DIODE_DECK, measure=node_voltage("c"),
                             engine=engine)
+        # Only the NaN lane, which stacked Newton cannot converge, takes
+        # the scalar ladder.
+        ladder = []
+        monkeypatch.setattr(dcop, "solve_dc", lambda *args, **kwargs: (
+            ladder.append(kwargs["stamps"]), solve_dc(*args, **kwargs))[1])
+        results = fn.evaluate_batch(DIODE_POINTS)
+        monkeypatch.setattr(dcop, "solve_dc", solve_dc)
+        assert [np.isnan(lane.src).any() for lane in ladder] == [True]
         failed = []
-        for point, (value, error) in zip(DIODE_POINTS,
-                                         fn.evaluate_batch(DIODE_POINTS)):
+        for point, (value, error) in zip(DIODE_POINTS, results):
             try:
                 expected = fn(point)
             except ConvergenceError as exc:

@@ -53,11 +53,12 @@ def test_device_layer_is_never_nested(bench):
     """The benchmark counts ``device.evals`` per ``BJTGroup.load`` (n)
     and per ``BJTGroup.load_stacked`` (n per lane) call.  Were one of the
     two to call the other, the count would double and the device layer's
-    self time would split across nested spans."""
+    self time would split across nested spans.  A diode is a device of
+    the group, so its time is the device layer's too, not assembly's."""
     from repro.geometry import ModelParameterGenerator, default_reference
     from repro.rfsystems import RingOscillatorSpec, build_ring_oscillator
-    from repro.spice import compile_circuit
-    from repro.spice.elements import BJT
+    from repro.spice import compile_circuit, parse_deck
+    from repro.spice.elements import BJT, Diode
 
     layers, tracer = bench
     generator = ModelParameterGenerator(reference=default_reference())
@@ -66,23 +67,29 @@ def test_device_layer_is_never_nested(bench):
         follower_model=generator.generate("N1.2-6D"),
         spec=RingOscillatorSpec(stages=5),
     )
-    engine = compile_circuit(ring)
-    devices = sum(type(element) is BJT for element in ring)
-    assert devices == 20
-    lanes = 3
-    x = np.full(engine.size, 0.1)
-    probe = tracer.Tracer()
-    probe.install(layers.TARGETS)
-    try:
-        engine.evaluate(x)
-        engine.evaluate_stacked(np.tile(x, (lanes, 1)))
-    finally:
-        probe.uninstall()
-    assert probe.counters["device.evals"] == devices + devices * lanes
-    spans = [span for span in probe.spans
-             if span[2] == "spice.engine.device"]
-    assert len(spans) == 2
-    assert probe.layers["spice.engine.device"][0] == 2
+    clamped = parse_deck(DECK.replace(
+        ".OP", "DCL c 0 DCLAMP\nDB b 0 DCLAMP\n"
+        ".MODEL DCLAMP D(IS=1e-15 RS=5 CJO=2p TT=1n)\n.OP", 1)).circuit
+    for circuit, expected in ((ring, (20, 0)), (clamped, (1, 2))):
+        engine = compile_circuit(circuit)
+        kinds = tuple(sum(type(element) is kind for element in circuit)
+                      for kind in (BJT, Diode))
+        assert kinds == expected
+        devices = sum(kinds)
+        lanes = 3
+        x = np.full(engine.size, 0.1)
+        probe = tracer.Tracer()
+        probe.install(layers.TARGETS)
+        try:
+            engine.evaluate(x)
+            engine.evaluate_stacked(np.tile(x, (lanes, 1)))
+        finally:
+            probe.uninstall()
+        assert probe.counters["device.evals"] == devices + devices * lanes
+        spans = [span for span in probe.spans
+                 if span[2] == "spice.engine.device"]
+        assert len(spans) == 2
+        assert probe.layers["spice.engine.device"][0] == 2
 
 
 def test_sweep_type_names_match_the_frozen_choices(bench):

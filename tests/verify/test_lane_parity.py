@@ -7,11 +7,12 @@ full ladder under the corner's lane.  Each compiles that one engine and
 nothing else.  The oracle compiles the deck written at every corner
 into its own engine (the ``variant_oracle`` fixture).  Every corner
 outcome must be bit for bit equal across the three, signed zeros
-included, on ``ce_stage.cir``, on all seeded cells and on the two decks
-whose blocked solves leave the usual path: a deck with a diode, whose
-points take the scalar ladder one by one, and a BJT-free deck, whose
-constant Jacobian differs per R lane.  So must every point of DC and AC
-sweeps over the seeded cells' sources and resistors.
+included, on ``ce_stage.cir``, on all seeded cells and on two decks
+off the BJT-only path: a deck with a diode, whose corners run stacked
+with the diode in the device group, no corner on the scalar ladder,
+and a BJT-free deck, whose constant Jacobian differs per R lane.  So
+must every point of DC and AC sweeps over the seeded cells' sources and
+resistors.
 """
 
 from pathlib import Path
@@ -43,6 +44,16 @@ RC vcc out 2k
 RB vcc b 200k
 Q1 out b 0 QN
 D1 out vcc DCL
+.END
+"""
+
+#: An emitter follower biased by a current source.
+FOLLOWER_DECK = """* emitter follower on a current-source bias
+.MODEL QN NPN(IS=1e-16 BF=100 VAF=50)
+VCC vcc 0 DC 5
+VB b 0 DC 2.5
+Q1 vcc b e QN
+IE e 0 DC 1m
 .END
 """
 
@@ -127,11 +138,19 @@ def test_seeded_cell_sweeps_are_the_written_decks(cell, variant_oracle,
     (DIVIDER_DECK, "V1", 10.0),
 ))
 def test_decks_off_the_stacked_path_match(deck, supply, level, compile_log,
-                                          variant_oracle, hexed):
+                                          variant_oracle, hexed,
+                                          monkeypatch):
+    import repro.spice.dcop as dcop
+
     corners = corners_from_tolerances({supply: (level, 0.1)},
                                       passive_tols={"R": 0.1})
     measurements = (dc_voltage("v_out", "out"),)
+    ladder, solve_dc = [], dcop.solve_dc
+    monkeypatch.setattr(dcop, "solve_dc", lambda *args, **kwargs: (
+        ladder.append(args), solve_dc(*args, **kwargs))[1])
     blocked = qualify_deck(deck, corners, measurements, executor="serial")
+    monkeypatch.setattr(dcop, "solve_dc", solve_dc)
+    assert ladder == []  # every corner converged on the stacked path
     assert len(compile_log) == 1
     scalar = qualify_deck(deck, corners, measurements, executor="serial",
                           batch=False)
@@ -140,6 +159,23 @@ def test_decks_off_the_stacked_path_match(deck, supply, level, compile_log,
     assert hexed(_outcomes(blocked)) == hexed(_outcomes(scalar))
     oracle = variant_oracle(CornerEvaluator(deck, corners, measurements))
     assert hexed(_outcomes(scalar)) == hexed(oracle.outcomes(corners))
+
+
+def test_stress_reports_each_corners_current_source_level(variant_oracle,
+                                                          hexed):
+    """A corner's current-source level is the one its stress table
+    reports, on both paths, as in the deck written at that corner."""
+    corners = corners_from_tolerances({"IE": (1e-3, 0.2)},
+                                      temperatures_c=(27.0,))
+    fn = CornerEvaluator(FOLLOWER_DECK, corners, (dc_voltage("v_e", "e"),))
+    points = [dict(corner.values) for corner in corners]
+    oracle = variant_oracle(fn)
+    want = [oracle(point) for point in points]
+    assert sorted(w["quantities"]["IE"]["current_a"] for w in want) \
+        == pytest.approx([0.8e-3, 1e-3, 1.2e-3])
+    assert hexed([value for value, _ in fn.evaluate_batch(points)]) \
+        == hexed(want)
+    assert hexed([fn(point) for point in points]) == hexed(want)
 
 
 def test_default_qualification_sets_up_once_per_temperature(monkeypatch):
