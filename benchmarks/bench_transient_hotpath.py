@@ -24,7 +24,10 @@ sit at ``max_step``, so the chord token repeats.
 Each measurement is best-of-N wall clock, the reference and hot runs
 alternating inside every round so that machine drift lands on both
 arms alike; engine counters come from the ``stats`` of each arm's best
-run (they are the same on every run).  Each row records the assembly
+run (they are the same on every run).  Beside the best-of ratio each
+arm reports the median and interquartile range of its rounds and its
+median cost per accepted step, which move with the step's own cost
+where the ratio, both arms sharing that step, may not.  Each row records the assembly
 and LU backend of both arms.  Results land in ``BENCH_transient.json``
 via :func:`conftest.record`.
 """
@@ -72,15 +75,27 @@ def _run(stages, **kwargs):
 def _best_of_interleaved(stages):
     """Best-of-ROUNDS ``(result, seconds, counters)`` for the reference
     and the hot arm, the two alternating (in swapped order every other
-    round) instead of timing all reference rounds first."""
+    round) instead of timing all reference rounds first, and every
+    round's seconds per arm."""
     arms = {"ref": {"chord": False}, "hot": {}}
     best = {}
+    walls = {"ref": [], "hot": []}
     for round_ in range(ROUNDS):
         for arm in (("ref", "hot") if round_ % 2 == 0 else ("hot", "ref")):
             result, wall, delta = _run(stages, **arms[arm])
+            walls[arm].append(wall)
             if arm not in best or wall < best[arm][1]:
                 best[arm] = (result, wall, delta)
-    return best["ref"], best["hot"]
+    return best["ref"], best["hot"], walls
+
+
+def _spread(walls, steps):
+    """Median and interquartile range of an arm's rounds, in seconds,
+    and its median microseconds per accepted step."""
+    q1, median, q3 = np.percentile(walls, [25, 50, 75])
+    return {"median_s": round(float(median), 6),
+            "iqr_s": round(float(q3 - q1), 6),
+            "us_per_step": round(float(median) / steps * 1e6, 2)}
 
 
 def _early_window_deviation(ref, hot):
@@ -99,13 +114,17 @@ def _early_window_deviation(ref, hot):
 def bench_transient_hotpath():
     lines = [
         f"{'stages':>6} {'ref_s':>8} {'hot_s':>8} {'speedup':>8} "
-        f"{'bypassed':>9} {'reuses':>7} {'refacts':>8} {'dev_V':>9}"
+        f"{'bypassed':>9} {'reuses':>7} {'refacts':>8} {'dev_V':>9} "
+        f"{'ref_med':>8} {'ref_iqr':>8} {'ref_us':>7} "
+        f"{'hot_med':>8} {'hot_iqr':>8} {'hot_us':>7}"
     ]
     headline = None
     for stages in (5, 25):
         _run(stages, chord=False)  # warm caches
-        (ref, t_ref, d_ref), (hot, t_hot, d_hot) = _best_of_interleaved(
-            stages)
+        (ref, t_ref, d_ref), (hot, t_hot, d_hot), walls = (
+            _best_of_interleaved(stages))
+        ref_spread = _spread(walls["ref"], len(ref.times) - 1)
+        hot_spread = _spread(walls["hot"], len(hot.times) - 1)
 
         speedup = t_ref / t_hot
         deviation = _early_window_deviation(ref, hot)
@@ -144,12 +163,18 @@ def bench_transient_hotpath():
                 )
             },
             "ref_factorizations": d_ref["factorizations"],
+            "ref_rounds": ref_spread,
+            "hot_rounds": hot_spread,
         }
         record("transient", f"ring_oscillator_{stages}_stage", payload)
         lines.append(
             f"{stages:>6} {t_ref:>8.3f} {t_hot:>8.3f} {speedup:>7.2f}x "
             f"{d_hot['bypassed_evals']:>9} {d_hot['jacobian_reuses']:>7} "
-            f"{d_hot['refactorizations']:>8} {deviation:>9.2e}"
+            f"{d_hot['refactorizations']:>8} {deviation:>9.2e} "
+            + " ".join(
+                f"{arm['median_s']:>8.3f} {arm['iqr_s']:>8.4f} "
+                f"{arm['us_per_step']:>7.0f}"
+                for arm in (ref_spread, hot_spread))
         )
         if stages == 25:
             headline = speedup

@@ -23,45 +23,34 @@ from .engine import resolve_engine
 from .netlist import Circuit
 
 
-def weighted_error_vector(
+def weighted_error(
     delta: np.ndarray,
     ref_a: np.ndarray,
     ref_b: np.ndarray,
-    num_nodes: int,
     reltol: float,
-    atol_nodes: float,
-    atol_branches: float,
+    atol,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Per-unknown |delta| in units of the per-unknown tolerance.
+    """Per-unknown ``|delta|`` in units of the per-unknown tolerance
+    ``reltol * max(|ref_a|, |ref_b|) + atol``; a step passes where every
+    entry is at most 1.
 
-    The tolerance for unknown ``i`` is
-    ``reltol * max(|ref_a[i]|, |ref_b[i]|) + atol``, with ``atol``
-    switching from the node (voltage) to the branch (current) value at
-    index ``num_nodes``.
+    The one step-size test: Newton's (scalar and stacked) and the
+    transient local-truncation-error estimate.  ``atol`` is a per-unknown
+    tolerance vector (:meth:`~repro.spice.engine.CompiledCircuit.
+    tolerance_vector`) or one value for every unknown; the arrays may
+    carry any leading lane axes.  The result is written to ``out`` and
+    the tolerance to ``work`` (fresh arrays when ``None``); ``work`` may
+    be ``ref_a`` itself, and neither may alias another input.
     """
-    scale = reltol * np.maximum(np.abs(ref_a), np.abs(ref_b))
-    scale[:num_nodes] += atol_nodes
-    scale[num_nodes:] += atol_branches
-    return np.abs(delta) / scale
-
-
-def weighted_max_error(
-    delta: np.ndarray,
-    ref_a: np.ndarray,
-    ref_b: np.ndarray,
-    num_nodes: int,
-    reltol: float,
-    atol_nodes: float,
-    atol_branches: float,
-) -> float:
-    """Largest entry of :func:`weighted_error_vector`.
-
-    Shared by the Newton step-size test and the transient
-    local-truncation-error estimate.
-    """
-    return float(np.max(weighted_error_vector(
-        delta, ref_a, ref_b, num_nodes, reltol, atol_nodes, atol_branches
-    )))
+    scale = np.abs(ref_a, out=work)
+    np.maximum(scale, np.abs(ref_b, out=out), out=scale)
+    scale *= reltol
+    scale += atol
+    error = np.abs(delta, out=out)
+    error /= scale
+    return error
 
 
 def _failure_report(
@@ -102,15 +91,24 @@ class Tolerances:
     abstol: float = 1e-12  #: absolute current tolerance
     max_iterations: int = 100
 
-    def converged(self, dx: np.ndarray, x: np.ndarray, num_nodes: int) -> bool:
-        """Per-unknown step-size test: voltages vs vntol, currents vs abstol."""
-        return (
-            weighted_max_error(
-                dx, x, x + dx, num_nodes,
-                self.reltol, self.vntol, self.abstol,
-            )
-            <= 1.0
-        )
+
+class Integration:
+    """A transient step's integration history, as :func:`newton_solve`
+    adds it to the residual: ``alpha (Q(x) - q_prev)``, less
+    ``qdot_prev`` under the trapezoidal rule (``trap``), with ``alpha``
+    ``1/h`` (backward Euler) or ``2/h``.
+
+    The transient keeps one and updates it in place from step to step.
+    """
+
+    __slots__ = ("alpha", "q_prev", "qdot_prev", "trap")
+
+    def __init__(self, alpha: float, q_prev: np.ndarray,
+                 qdot_prev: np.ndarray, trap: bool):
+        self.alpha = alpha
+        self.q_prev = q_prev
+        self.qdot_prev = qdot_prev
+        self.trap = trap
 
 
 #: Small conductance stamped from every node to ground to avoid floating
@@ -132,22 +130,22 @@ def newton_solve(
     source_scale: float = 1.0,
     time: float | None = None,
     limits: dict | None = None,
-    dynamic=None,
+    integration: Integration | None = None,
     engine=None,
     jacobian_token=None,
-    jac_alpha: float | None = None,
     return_context=False,
     stamps=None,
 ):
     """Run Newton iterations on F(x) = I(x) [+ dynamic terms] until converged.
 
-    ``dynamic``, when given, is a callable ``(ctx, F, J) -> None`` that adds
-    the integration-formula terms (used by transient analysis).  ``engine``
-    selects the evaluation engine (see
+    ``integration``, when given, is a transient step's
+    :class:`Integration`, whose term the residual adds at every
+    iteration.  ``engine`` selects the evaluation engine (see
     :func:`repro.spice.engine.resolve_engine`).
 
     Without a ``jacobian_token`` every iteration factorizes its own
-    Jacobian (full Newton).  A ``jacobian_token`` turns on chord
+    Jacobian (full Newton); a transient step then adds ``alpha * C`` to
+    it.  A ``jacobian_token`` turns on chord
     (Newton-Richardson) iteration, the one user of factorization reuse:
     the Jacobian factorized under the token is kept across iterations
     *and* across calls carrying the same token, while the weighted error
@@ -155,6 +153,8 @@ def newton_solve(
     otherwise the factorization is declared stale and rebuilt.  If the
     chord loop exhausts the iteration budget it falls back to one
     full-Newton pass, which keeps no factorization, before raising.
+    A chord transient step has the engine assemble ``G + alpha*C``
+    directly (``evaluate``'s ``jac_alpha``).
 
     ``return_context=True`` returns ``(x, ctx)`` where ``ctx`` is a
     :class:`~repro.spice.mna.LoadContext` holding the charges at the
@@ -164,11 +164,6 @@ def newton_solve(
     converged point.  Raises :class:`~repro.errors.ConvergenceError` if
     the iteration limit is hit or the Jacobian goes singular.
 
-    ``jac_alpha``, when the engine supports fused assembly, makes
-    ``evaluate`` build ``g_mat = G + jac_alpha*C`` directly; the
-    ``dynamic`` callback must then add only the residual's integration
-    terms and leave the Jacobian alone.
-
     ``stamps``, one lane of :class:`~repro.spice.engine.LaneStamps`,
     solves that lane's circuit variant (its temperature, its passive
     values, its DC source levels) on the engine (see
@@ -177,16 +172,30 @@ def newton_solve(
     A step converges when it passes the weighted step-size test and the
     evaluation it was solved from limited no junction (SPICE's rule): a
     small step from a limited evaluation is pnjlim's, not Newton's.
+
+    Every iteration is a fixed sequence of in-place calls over the
+    engine's buffers (:attr:`~repro.spice.engine.CompiledCircuit.
+    buffers`); only the solution and the solver's step are new arrays.
     """
     engine = resolve_engine(circuit, engine)
+    evaluate = engine.evaluate
     solver = engine.solver
     num_nodes = engine.num_nodes
     x = np.array(x0, dtype=float)
+    x_nodes = x[:num_nodes]
     if limits is None:
         limits = {}
-    diag = np.arange(num_nodes)
+    buffers = engine.buffers
+    rhs, term, scale, error = (buffers.rhs, buffers.term, buffers.scale,
+                               buffers.error)
+    jacobian_data = engine.jacobian_data
     diag_pos = engine.node_diagonal
+    reltol = tolerances.reltol
+    atol = engine.tolerance_vector(tolerances.vntol, tolerances.abstol)
     full_newton = jacobian_token is None
+    jac_alpha = None
+    if integration is not None and not full_newton:
+        jac_alpha = integration.alpha
     # The chord loop gets the normal budget; the full-Newton fallback the
     # same again, so a stale-Jacobian stall can never mask a solvable step.
     max_iterations = tolerances.max_iterations * (1 if full_newton else 2)
@@ -206,7 +215,7 @@ def newton_solve(
             and not refactor_next
             and solver.has_factorization(jacobian_token)
         )
-        ctx = engine.evaluate(
+        ctx = evaluate(
             x, time=time, gmin=gmin, limits=limits,
             source_scale=source_scale, jac_alpha=jac_alpha,
             # A chord-reuse iteration never reads the Jacobian, so skip
@@ -216,21 +225,25 @@ def newton_solve(
         # The context arrays are engine-owned buffers, free to mutate:
         # the next evaluation rebuilds them.
         residual = ctx.i_vec
-        jacobian = ctx.g_mat
-        if dynamic is not None:
-            dynamic(ctx, residual, jacobian)
+        if integration is not None:
+            np.subtract(ctx.q_vec, integration.q_prev, out=term)
+            term *= integration.alpha
+            if integration.trap:
+                term -= integration.qdot_prev
+            residual += term
+            if jac_alpha is None:
+                ctx.g_mat += integration.alpha * ctx.c_mat
         if not use_cached:
-            if diag_pos is not None:
-                jacobian.data[diag_pos] += DIAG_GSHUNT
-            else:
-                jacobian[diag, diag] += DIAG_GSHUNT
-        residual[:num_nodes] += DIAG_GSHUNT * x[:num_nodes]
+            jacobian_data[diag_pos] += DIAG_GSHUNT
+        residual[:num_nodes] += np.multiply(x_nodes, DIAG_GSHUNT,
+                                            out=term[:num_nodes])
+        np.negative(residual, out=rhs)
         try:
             if use_cached:
-                dx = solver.solve_cached(-residual)
+                dx = solver.solve_cached(rhs)
             else:
                 dx = solver.solve(
-                    jacobian, -residual,
+                    ctx.g_mat, rhs,
                     token=None if full_newton else jacobian_token,
                 )
                 refactor_next = False
@@ -243,7 +256,7 @@ def newton_solve(
                     gmin, source_scale, time,
                 ),
             ) from exc
-        if not np.all(np.isfinite(dx)):
+        if not np.isfinite(dx).all():
             if use_cached:
                 # A stale factorization produced garbage — rebuild it and
                 # retry this iteration instead of failing outright.
@@ -260,11 +273,10 @@ def newton_solve(
                 ),
             )
         x += dx
-        errors = weighted_error_vector(
-            dx, x - dx, x, num_nodes,
-            tolerances.reltol, tolerances.vntol, tolerances.abstol,
-        )
-        worst = int(np.argmax(errors))
+        # The test recomputes the pre-step iterate as x - dx.
+        errors = weighted_error(dx, np.subtract(x, dx, out=scale), x,
+                                reltol, atol, out=error, work=scale)
+        worst = int(errors.argmax())
         last_error = float(errors[worst])
         if last_error <= 1.0 and not ctx.limited:
             if not return_context:
@@ -279,7 +291,7 @@ def newton_solve(
             # vector, since the integrator's accept path reads nothing
             # else.  Full Newton re-evaluates every device, matching the
             # seed's post-accept re-evaluation stamp for stamp.
-            ctx = engine.evaluate(
+            ctx = evaluate(
                 x, time=time, gmin=gmin, limits=limits,
                 source_scale=source_scale, charges_only=not full_newton,
                 stamps=stamps,
@@ -489,6 +501,7 @@ def newton_solve_batched(
     solver = engine.solver
     pattern = engine.pattern if engine.assembly == "sparse" else None
     diag_pos = engine.node_diagonal
+    atol = engine.tolerance_vector(tolerances.vntol, tolerances.abstol)
     # One stacked pass assembles every active lane — the scalar device
     # kernels with a lane axis, so residuals and Jacobians stay
     # bit-identical to a scalar evaluate per lane.
@@ -523,16 +536,12 @@ def newton_solve_batched(
             break
         step = dx[finite]
         x[stepped] += step
-        # Vectorized convergence masking: one weighted-error evaluation
-        # over every lane that stepped, elementwise-identical to the
-        # scalar test (which recomputes the pre-step iterate as x - dx),
-        # and the scalar limiting rule per lane.
+        # Vectorized convergence masking: the scalar step-size test
+        # over every lane that stepped, and the scalar limiting rule per
+        # lane.
         xs = x[stepped]
-        scale = tolerances.reltol * np.maximum(np.abs(xs - step), np.abs(xs))
-        scale[:, :num_nodes] += tolerances.vntol
-        scale[:, num_nodes:] += tolerances.abstol
-        done = ((np.max(np.abs(step) / scale, axis=1) <= 1.0)
-                & ~sctx.limited[finite])
+        errors = weighted_error(step, xs - step, xs, tolerances.reltol, atol)
+        done = (errors.max(axis=-1) <= 1.0) & ~sctx.limited[finite]
         converged[stepped[done]] = True
         active = stepped[~done]
     return x, converged

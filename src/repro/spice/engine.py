@@ -303,7 +303,7 @@ class DenseLUSolver(LinearSolver):
         # kept one alone: it still belongs to the matrix its token names,
         # and dropping it would defeat chord reuse for the caller that
         # owns the token.
-        if info > 0 or not np.all(np.isfinite(lu)):
+        if info > 0 or not np.isfinite(lu).all():
             raise np.linalg.LinAlgError("singular matrix in LU factorization")
         self.stats.factorizations += 1
         self.stats.solves += 1
@@ -602,11 +602,12 @@ def _depletion_constants(cj, vj, m, fc) -> np.ndarray:
     ])
 
 
-def _depletion(v: np.ndarray, constants: np.ndarray,
-               out: np.ndarray) -> None:
+def _depletion(v: np.ndarray, constants: np.ndarray, out: np.ndarray,
+               below: np.ndarray | None = None) -> None:
     """Vectorized SPICE depletion charge and capacitance of ``(4, ...,
     n)`` junction voltages, written to ``out[0]`` and ``out[1]``;
-    ``cj == 0`` junctions are 0."""
+    ``cj == 0`` junctions are 0.  ``below`` is scratch of ``out``'s
+    shape (default: fresh)."""
     (threshold, floor, one_m, inv_vj, coef_b, cj, q0, c1, c2_half,
      c2) = constants
     np.add(q0, v * (c1 + c2_half * v), out=out[0])
@@ -615,7 +616,8 @@ def _depletion(v: np.ndarray, constants: np.ndarray,
     # keeps the power finite on the junctions the mask then discards.
     arg = np.maximum(_ONE - v * inv_vj, floor)
     pow_one_m = arg ** one_m
-    below = np.empty_like(out)
+    if below is None:
+        below = np.empty_like(out)
     np.multiply(coef_b, _ONE - pow_one_m, out=below[0])
     np.divide(cj * pow_one_m, arg, out=below[1])  # cj arg^-m
     np.copyto(out, below, where=v < threshold)
@@ -647,10 +649,23 @@ def _kernel_rows(p: np.ndarray) -> tuple:
     """:meth:`BJTGroup._stamp`'s views of a ``(rows, n)`` parameter
     block, of its lane-broadcast ``(rows, 1, n)`` form, or of a per-lane
     ``(rows, L, n)`` block."""
-    return (p[_P_NVT], p[_P_TWO_NVT], p[_P_VCRIT], p[_P_ISAT],
-            p[_P_VA], p[_P_IK], p[_P_BETA], p[_P_GSIGN],
+    nvt = p[_P_NVT]
+    return (nvt, nvt[:2], nvt[:4], nvt[5], p[_P_TWO_NVT], p[_P_VCRIT],
+            p[_P_ISAT], p[_P_VA], p[_P_IK], p[_P_BETA], p[_P_GSIGN],
             p[_P_EARLY_FLOOR], p[_P_Q2_FLOOR], *p[_P_SINGLE],
             p[_P_DEP].reshape(10, 4, *p.shape[1:]), p[_P_SIGN])
+
+
+def _base_views(base: np.ndarray) -> tuple:
+    """:meth:`BJTGroup._stamp`'s views of a ``(23, ..., n)`` base buffer
+    (rows as laid out above ``_STAMP_BASE``), and scratch for the
+    depletion batch."""
+    depletion = base[14:22].reshape(2, 4, *base.shape[1:])
+    return (base, base[0], base[1], base[2], base[3], base[4], base[6],
+            base[9], base[10], base[13], base[14], base[15], base[18],
+            base[19], base[22], base[2:4], base[5:7], base[7:9],
+            base[9:11], base[11:13], base[5:9:2], base[6:9:2], depletion,
+            np.empty_like(depletion))
 
 
 def _bjt_columns(devices: list, size: int) -> tuple:
@@ -780,8 +795,9 @@ class BJTGroup:
     then reproduces the scalar ``load_dynamic`` for any number of lane
     axes: :meth:`load` runs them over one solution, :meth:`load_stacked`
     over a stack of them.  Ground (-1) terminal indices are mapped to a
-    dummy slot ``size`` — the engine's buffers carry one extra
-    row/column that is never read.
+    dummy slot ``size`` — the engine's vectors carry one extra entry,
+    and its matrices one trailing slot (:func:`dense_buffer`), that no
+    reader sees.
 
     The pnjlim history is one ``(2, n)`` array of a BJT's limited (vbe,
     vbc) and a diode's limited junction voltage (in both rows), columns
@@ -853,15 +869,26 @@ class BJTGroup:
         self._c_rows_arr = cat([r for r, _ in c_pairs])
         self._c_cols_arr = cat([c for _, c in c_pairs])
 
-        #: The BJT kernel's base quantities and every device's stamp
+        #: The BJT kernel's base quantities (the views the kernel takes
+        #: of their buffer, :func:`_base_views`) and every device's stamp
         #: values (rows as in ``_STAMP_BASE``) of the last evaluation,
         #: rewritten in place by the next: per-call buffers this size
         #: would cross the allocator's mmap threshold on large groups.
-        self._base = np.zeros((23, nb))
+        self._base = _base_views(np.zeros((23, nb)))
         self._vals = np.zeros((46, n))
         #: Flat views of the I, G, Q and C rows of ``_vals``.
         self._flat = tuple(self._vals[rows].reshape(-1)
                            for rows in (_I, _G, _Q, _C))
+        #: A scalar evaluation's scratch, overwritten by the next: the
+        #: node voltages' view without the ground slot, the C stamps
+        #: times alpha, and the replay's voltage steps, gathered.
+        self._xg_nodes = xg[:size]
+        self._c_scaled = np.empty_like(self._flat[3])
+        self._dx_eval = np.empty(size + 1)
+        self._dx_cols = np.empty_like(self._flat[3])
+        #: gmin as the 0-d array the kernel takes, rebuilt when it moves.
+        self._gmin_value = math.nan
+        self._gmin = np.array(math.nan)
         #: The history of a group never evaluated; read, never written.
         self._no_history = np.full((2, n), np.nan)
 
@@ -876,13 +903,19 @@ class BJTGroup:
 
     # -- scatter-target binding -------------------------------------------------
 
-    def bind_dense(self, g_full: np.ndarray, c_full: np.ndarray) -> None:
-        """Scatter Jacobian stamps into raveled dense ``(n1, n1)`` buffers."""
-        n1 = self.size + 1
-        self._g_flat = g_full.reshape(-1)
-        self._c_flat = c_full.reshape(-1)
-        self._g_idx = self._g_rows_arr * n1 + self._g_cols_arr
-        self._c_idx = self._c_rows_arr * n1 + self._c_cols_arr
+    def bind_dense(self, g_flat: np.ndarray, c_flat: np.ndarray) -> None:
+        """Scatter Jacobian stamps into dense buffers laid out as
+        :func:`dense_buffer` lays them out: a C-order ``(size, size)``
+        matrix, then one slot that absorbs every ground stamp."""
+        self._g_flat = g_flat
+        self._c_flat = c_flat
+        self._g_idx = self._dense_index(self._g_rows_arr, self._g_cols_arr)
+        self._c_idx = self._dense_index(self._c_rows_arr, self._c_cols_arr)
+
+    def _dense_index(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        size = self.size
+        return np.where((rows == size) | (cols == size), size * size,
+                        rows * size + cols)
 
     def bind_sparse(self, pattern: SparsityPattern, g_data: np.ndarray,
                     c_data: np.ndarray) -> None:
@@ -947,10 +980,11 @@ class BJTGroup:
         Arrays hold the quantity first, then any lane axes, then the
         devices.  ``v`` holds the ``(9, ..., n)`` control voltages
         (:meth:`_controls`), ``history`` the ``(2, ..., n)`` limiting
-        history, ``rows`` the kernel's views of a parameter block.
-        Writes the ``(23, ..., n)`` base
-        quantities (layout above ``_STAMP_BASE``) to ``base`` and the
-        ``(46, ..., n)`` stamp values to ``vals``, and returns the
+        history, ``gmin`` a 0-d array, ``rows`` the kernel's views of a
+        parameter block (:func:`_kernel_rows`).  Writes the ``(23, ...,
+        n)`` base quantities (layout above ``_STAMP_BASE``) through
+        ``base``, the views :func:`_base_views` makes of their buffer,
+        and the ``(46, ..., n)`` stamp values to ``vals``, and returns the
         limited ``(2, ..., n)`` junction voltages and the mask of lanes
         (shape ``(...)``) on which pnjlim limited a junction, or
         ``None`` when it limited none.  Purely elementwise, so every
@@ -958,12 +992,14 @@ class BJTGroup:
         would; the two shortcuts on the data (no junction limited, no
         exponent above ``EXP_LIMIT``) return the general path's bits.
         """
-        (nvt, two_nvt, vcrit, isat, va, ik, beta, gsign,
+        (nvt, nvt2, nvt4, nvt_tf, two_nvt, vcrit, isat, va, ik, beta, gsign,
          early_floor, q2_floor, itf, itf_num, itf_den, tf, xtf, tf_xtf,
          tf_xtf2, tr, rbm, rb_diff, rb_on, dep, sign) = rows
-        gmin = np.array(gmin)
+        (base, irb, grb, ic, ib, ie, dic_c, sum_e, sum_c, sum_ec, qbe, qbc,
+         cpi, cmu, cx, cur, dic, dib, sums, dsum, d_e, d_c, depletion,
+         below) = base
         v_raw = v[:2]
-        v_lim, limit = _pnjlim_vec(v_raw, history, nvt[:2], two_nvt, vcrit)
+        v_lim, limit = _pnjlim_vec(v_raw, history, nvt2, two_nvt, vcrit)
         if limit is not None:
             v = v.copy()
             v[0:2] = v[2:4] = v[4:6] = v_lim
@@ -972,7 +1008,7 @@ class BJTGroup:
         # zero (vbe / inf) and the transit-time term vbc / (1.44 VTF).
         value, deriv = _limited_exp_vec(v[:6] / nvt)
         i4 = isat * (value[:4] - _ONE)
-        g4 = isat * deriv[:4] / nvt[:4]
+        g4 = isat * deriv[:4] / nvt4
         i1 = i4[:2] + gmin * v_lim
         g1 = g4[:2] + gmin
         ibe1, ibc1 = i1
@@ -991,22 +1027,20 @@ class BJTGroup:
         it = (ibe1 - ibc1) / qb
 
         # Terminal currents and their derivatives.
-        np.divide(g1 * gsign - it * dqb, qb, out=base[5:7])
+        np.divide(g1 * gsign - it * dqb, qb, out=dic)
         g_beta = g1 / beta  # (gbe1 / BF, gbc1 / BR)
-        np.add(g_beta, g4[2:], out=base[7:9])
-        dic_c = base[6]
+        np.add(g_beta, g4[2:], out=dib)
         dic_c -= g_beta[1]
         dic_c -= g4[3]
         i_beta = i1 / beta
-        ic, ib = base[2], base[3]
         np.subtract(it[0], i_beta[1], out=ic)
         ic -= i4[3]
         np.add(i_beta[0], i4[2], out=ib)
         ib += i_beta[1]
         ib += i4[3]
-        np.add(base[5:7], base[7:9], out=base[9:11])
-        np.add(base[5:9:2], base[6:9:2], out=base[11:13])
-        np.add(base[9], base[10], out=base[13])
+        np.add(dic, dib, out=sums)
+        np.add(d_e, d_c, out=dsum)
+        np.add(sum_e, sum_c, out=sum_ec)
 
         # Bias-dependent forward transit time.
         ibe_pos = np.maximum(ibe1, _ZERO)
@@ -1015,23 +1049,22 @@ class BJTGroup:
         exp_vbc = deriv[5]
         tf_eff = tf * (_ONE + xtf * w * w * exp_vbc)
         dtf_dvbe = tf_xtf2 * w * (gbe1 * itf / (denom * denom)) * exp_vbc
-        dtf_dvbc = tf_xtf * w * w * (exp_vbc / nvt[5])
+        dtf_dvbc = tf_xtf * w * w * (exp_vbc / nvt_tf)
 
         # Charges: depletion (rows 14:22), then diffusion on top.
         qb = qb[0]
         dqb_dvbe, dqb_dvbc = dqb
         qde = tf_eff * ibe1 / qb
-        np.divide(dtf_dvbc * ibe1 - qde * dqb_dvbc, qb, out=base[22])
-        _depletion(v[4:8], dep, base[14:22].reshape(2, 4, *base.shape[1:]))
-        qbe, qbc, cpi, cmu = base[14], base[15], base[18], base[19]
+        np.divide(dtf_dvbc * ibe1 - qde * dqb_dvbc, qb, out=cx)
+        _depletion(v[4:8], dep, depletion, below)
         qbe += qde
         qbc += tr * ibc1
         cpi += (dtf_dvbe * ibe1 + tf_eff * gbe1 - qde * dqb_dvbe) / qb
         cmu += tr * gbc1
 
         rbb = rbm + rb_diff / qb
-        np.divide(rb_on, np.maximum(rbb, _RBB_FLOOR), out=base[1])
-        np.multiply(base[1], v[8], out=base[0])
+        np.divide(rb_on, np.maximum(rbb, _RBB_FLOOR), out=grb)
+        np.multiply(grb, v[8], out=irb)
 
         limited = None
         if limit is not None:
@@ -1041,14 +1074,12 @@ class BJTGroup:
             dbe, dbc = v_raw - v_lim
             limited = np.any(limit, axis=(0, -1))
             lanes = limited[..., None]
-            cur = base[2:4]
-            np.copyto(cur, cur + base[5:8:2] * dbe + base[6:9:2] * dbc,
-                      where=lanes)
-            np.copyto(qbe, qbe + cpi * dbe + base[22] * dbc, where=lanes)
+            np.copyto(cur, cur + d_e * dbe + d_c * dbc, where=lanes)
+            np.copyto(qbe, qbe + cpi * dbe + cx * dbc, where=lanes)
             np.copyto(qbc, qbc + cmu * dbc, where=lanes)
-        np.add(ic, ib, out=base[4])
+        np.add(ic, ib, out=ie)
 
-        np.take(base, _STAMP_BASE, axis=0, out=vals, mode="clip")
+        base.take(_STAMP_BASE, axis=0, out=vals, mode="clip")
         vals *= sign
         return v_lim, limited
 
@@ -1092,7 +1123,8 @@ class BJTGroup:
         if jacobian:
             np.add.at(self._g_flat, self._g_idx, g_vals)
             if jac_alpha is not None:
-                np.add.at(self._g_flat, self._c_idx, c_vals * jac_alpha)
+                np.add.at(self._g_flat, self._c_idx,
+                          np.multiply(c_vals, jac_alpha, out=self._c_scaled))
             else:
                 np.add.at(self._c_flat, self._c_idx, c_vals)
         np.add.at(self._q_full, self._q_rows, q_vals)
@@ -1102,10 +1134,10 @@ class BJTGroup:
         ``q += Q + C @ (x - x_eval)``."""
         _, _, q_vals, c_vals = self._flat
         np.add.at(self._q_full, self._q_rows, q_vals)
-        np.add.at(
-            self._q_full, self._c_rows_arr,
-            c_vals * (xg - self._x_eval)[self._c_cols_arr],
-        )
+        np.subtract(xg, self._x_eval, out=self._dx_eval)
+        dq = self._dx_eval.take(self._c_cols_arr, out=self._dx_cols)
+        np.add.at(self._q_full, self._c_rows_arr,
+                  np.multiply(c_vals, dq, out=dq))
 
     def load(self, ctx: LoadContext, charges_only: bool = False,
              stamps: LaneStamps | None = None,
@@ -1125,18 +1157,20 @@ class BJTGroup:
         when that is set (see :meth:`CompiledCircuit.evaluate`) --, sets
         ``ctx.limited`` if pnjlim limited a junction, and returns 0.
         """
-        size = self.size
-        xg = self._xg
-        xg[:size] = ctx.x
-        xg[size] = 0.0
+        xg = self._xg  # its ground slot stays 0
+        np.copyto(self._xg_nodes, ctx.x)
         limits = ctx.limits
+        gmin = ctx.gmin
         if (charges_only and self._eval_limits is limits
-                and self._eval_gmin == ctx.gmin
+                and self._eval_gmin == gmin
                 and self._eval_stamps is stamps):
             self._scatter_charges(xg)
             return self.n
+        if gmin != self._gmin_value:
+            self._gmin_value = gmin
+            self._gmin = np.array(gmin)
         v_lim, limited = self._evaluate(
-            xg, limits.get(self, self._no_history), ctx.gmin,
+            xg, limits.get(self, self._no_history), self._gmin,
             self._rows if stamps is None
             else self._views(stamps.params[:, 0]),
             self._base, self._vals,
@@ -1147,9 +1181,9 @@ class BJTGroup:
         # the whole (9, n) controls array alive for as long as the
         # history is kept.
         limits[self] = v_lim.copy()
-        self._x_eval[:] = xg
+        np.copyto(self._x_eval, xg)
         self._eval_limits = limits
-        self._eval_gmin = ctx.gmin
+        self._eval_gmin = gmin
         self._eval_stamps = stamps
         self._scatter(jac_alpha, not residual_only)
         return 0
@@ -1193,8 +1227,9 @@ class BJTGroup:
             xg,
             (self._no_history[:, None, :] if history is None
              else history.transpose(1, 0, 2)),
-            gmin, self._views(self.params if params is None else params),
-            np.empty((23, L, self.nb)), vals,
+            np.array(gmin),
+            self._views(self.params if params is None else params),
+            _base_views(np.empty((23, L, self.nb))), vals,
         )
         if history is not None:
             history[...] = v_lim.transpose(1, 0, 2)
@@ -1399,6 +1434,38 @@ class StackedContext:
         self.limited = limited
 
 
+def dense_buffer(size: int, *lanes: int) -> tuple:
+    """A dense assembly buffer and its matrix view: ``size * size + 1``
+    zeros (per lane, given ``lanes``), the C-order ``(size, size)``
+    matrix first and one trailing slot that absorbs every ground stamp
+    (:meth:`BJTGroup.bind_dense`), which no reader sees."""
+    flat = np.zeros((*lanes, size * size + 1))
+    return flat, flat[..., : size * size].reshape(*lanes, size, size)
+
+
+class StepBuffers:
+    """The vectors a scalar Newton iteration and a transient step write
+    in place, one set per engine (:attr:`CompiledCircuit.buffers`).
+
+    :func:`~repro.spice.dcop.newton_solve` owns ``rhs`` (the negated
+    residual it solves for), ``term`` (the integration term, then the
+    gshunt current), ``scale`` and ``error`` (its step-size test) for
+    the length of one iteration;
+    :func:`~repro.spice.transient.solve_transient` owns ``predicted``
+    (the predictor, Newton's initial guess) for one step and ``delta``
+    (the predictor's scratch, then the corrector-predictor difference),
+    and runs its LTE test in ``scale`` and ``error`` once Newton has
+    returned.  Each is overwritten at its next use.
+    """
+
+    __slots__ = ("rhs", "term", "scale", "error", "predicted", "delta")
+
+    def __init__(self, size: int):
+        for name, row in zip(self.__slots__,
+                             np.empty((len(self.__slots__), size))):
+            setattr(self, name, row)
+
+
 class CompiledCircuit:
     """Compile-once, evaluate-many circuit engine.
 
@@ -1464,8 +1531,9 @@ class CompiledCircuit:
         # What a lane's circuit must share with this one (lane_stamps).
         self._topology = _topology(circuit, probe)
 
-        # Evaluation buffers carry a dummy slot (row/col ``size``) that
-        # absorbs ground stamps from the vectorized group.
+        # Evaluation vectors carry a dummy entry ``size`` that absorbs
+        # ground stamps from the vectorized group (matrices: their
+        # trailing slot).
         n1 = size + 1
         self._i_full = np.zeros(n1)
         self._q_full = np.zeros(n1)
@@ -1501,29 +1569,43 @@ class CompiledCircuit:
         #: The engine's own values: one lane, built as lane_stamps builds
         #: any circuit's.
         self.stamps = self._lane(circuit, probe)
+        nodes = np.arange(self.num_nodes)
         if backend == "sparse":
             pattern = self.pattern
             self._g_data = np.zeros(pattern.nnz + 1)
             self._c_data = np.zeros(pattern.nnz + 1)
-            self._g_pm = PatternMatrix(pattern, self._g_data)
-            self._c_pm = PatternMatrix(pattern, self._c_data)
-            self._g_full = self._c_full = None
+            self._g = PatternMatrix(pattern, self._g_data)
+            self._c = PatternMatrix(pattern, self._c_data)
             if self._bjt_group is not None:
                 self._bjt_group.bind_sparse(
                     pattern, self._g_data, self._c_data
                 )
-            nodes = np.arange(self.num_nodes)
-            #: Data positions of the node diagonal, where the Newton loops
-            #: add the gshunt conductance (``None`` on a dense engine,
-            #: whose Jacobian they index directly).
+            #: The flat array an evaluation's Jacobian ``g_mat`` lives
+            #: in, and the positions of its node diagonal there, where the
+            #: Newton loops add the gshunt conductance: the pattern's
+            #: values here, a stacked lane's too; the
+            #: :func:`dense_buffer` on a dense engine.
+            self.jacobian_data = self._g_data
             self.node_diagonal = pattern.positions(nodes, nodes)
             self.stats.pattern_nnz = pattern.nnz
+            #: Where :meth:`evaluate` assembles G and C.
+            self._g_target, self._c_target = self._g_data, self._c_data
         else:
-            self.node_diagonal = None
-            self._g_full = np.zeros((n1, n1))
-            self._c_full = np.zeros((n1, n1))
+            g_flat, self._g = dense_buffer(size)
+            c_flat, self._c = dense_buffer(size)
             if self._bjt_group is not None:
-                self._bjt_group.bind_dense(self._g_full, self._c_full)
+                self._bjt_group.bind_dense(g_flat, c_flat)
+            self.jacobian_data = g_flat
+            self.node_diagonal = nodes * (size + 1)
+            self._g_target, self._c_target = self._g, self._c
+        #: The residual and charge vectors an evaluation returns.
+        self._i = self._i_full[:size]
+        self._q = self._q_full[:size]
+        #: The engine's own lane, bound for :meth:`evaluate`.
+        self._own = self._lane_views(self.stamps)
+        #: Scratch of the scalar Newton iteration and transient step.
+        self.buffers = StepBuffers(size)
+        self._tolerance_vectors: dict = {}
 
         #: The engine's one LU object; every analysis solves through it.
         self.solver = make_solver(
@@ -1673,7 +1755,7 @@ class CompiledCircuit:
         ``jac_alpha`` (transient hot path) fuses the integration formula
         into assembly: ``g_mat`` is built directly as ``G + alpha*C``
         (one dense pass instead of two copies plus a dense
-        multiply-add in the integrator callback) and ``c_mat`` is left
+        multiply-add in Newton) and ``c_mat`` is left
         untouched.  ``charges_only=True`` assembles just ``q_vec`` — the
         contract for the converged-point context handed back to the
         integrator, whose accept path reads nothing else; ``i_vec``,
@@ -1690,50 +1772,38 @@ class CompiledCircuit:
         """
         own = stamps is None or stamps is self.stamps
         if own:
-            stamps = self.stamps
+            g0, c0, g_dot, c_dot, src = self._own
         elif len(stamps) != 1:
             raise AnalysisError(
                 f"evaluate takes one lane of stamps, got {len(stamps)}")
-        g0, c0 = stamps.g0[0], stamps.c0[0]
-        size = self.size
-        i = self._i_full[:size]
-        q = self._q_full[:size]
+        else:
+            g0, c0, g_dot, c_dot, src = self._lane_views(stamps)
+        i, g, q, c = self._i, self._g, self._q, self._c
+        g_target, c_target = self._g_target, self._c_target
+        # Sparse: flat nnz-length assembly, where no (n, n) buffer
+        # exists, let alone gets written; the constant stamps are CSR
+        # matvecs (O(nnz)) and base-value copies into the pattern data.
         sparse = self.assembly == "sparse"
         if sparse:
-            # Flat nnz-length assembly: no (n, n) buffer exists, let
-            # alone gets written.  The constant stamps are CSR matvecs
-            # (O(nnz)) and base-value copies into the pattern data.
-            g = self._g_pm
-            c = self._c_pm
-            g_dot, c_dot = stamps.csr[0]
             q[:] = c_dot.dot(x)
         else:
-            g = self._g_full[:size, :size]
-            c = self._c_full[:size, :size]
-            np.matmul(c0, x, out=q)  # as evaluate_stacked's (not np.dot)
+            np.matmul(c_dot, x, out=q)  # as evaluate_stacked's (not np.dot)
         if not (charges_only or residual_only):
-            if sparse:
-                if jac_alpha is not None:
-                    np.multiply(c0, jac_alpha, out=self._g_data)
-                    self._g_data += g0
-                else:
-                    np.copyto(self._g_data, g0)
-                    np.copyto(self._c_data, c0)
-            elif jac_alpha is not None:
-                np.multiply(c0, jac_alpha, out=g)
-                g += g0
+            if jac_alpha is not None:
+                np.multiply(c0, jac_alpha, out=g_target)
+                g_target += g0
             else:
-                np.copyto(g, g0)
-                np.copyto(c, c0)
+                np.copyto(g_target, g0)
+                np.copyto(c_target, c0)
         if not charges_only:
             if sparse:
                 i[:] = g_dot.dot(x)
             else:
-                np.matmul(g0, x, out=i)
-            self._add_sources(i, stamps.src[0], time, source_scale)
+                np.matmul(g_dot, x, out=i)
+            self._add_sources(i, src, time, source_scale)
 
         ctx = LoadContext(
-            size, x, time, gmin, source_scale, buffers=(i, g, q, c)
+            self.size, x, time, gmin, source_scale, buffers=(i, g, q, c)
         )
         if limits is not None:
             ctx.limits = limits
@@ -1744,15 +1814,39 @@ class CompiledCircuit:
                 ctx, charges_only, None if own else stamps, jac_alpha,
                 residual_only)
 
-        self.stats.assemblies += 1
+        stats = self.stats
+        stats.assemblies += 1
         if sparse:
-            self.stats.sparse_assemblies += 1
+            stats.sparse_assemblies += 1
         else:
-            self.stats.dense_assemblies += 1
-        self.stats.element_evals += self._eval_cost - bypassed
+            stats.dense_assemblies += 1
+        stats.element_evals += self._eval_cost - bypassed
         if bypassed:
-            self.stats.bypassed_evals += bypassed
+            stats.bypassed_evals += bypassed
         return ctx
+
+    def _lane_views(self, stamps: LaneStamps) -> tuple:
+        """``(g0, c0, g_dot, c_dot, src)`` of a one-lane ``stamps``: its
+        linear stamps in assembly form, the matrices of its residual and
+        charge matvecs (on a dense engine ``g0`` and ``c0`` again) and
+        its DC source vector."""
+        g0, c0 = stamps.g0[0], stamps.c0[0]
+        g_dot, c_dot = stamps.csr[0] if stamps.csr is not None else (g0, c0)
+        return g0, c0, g_dot, c_dot, stamps.src[0]
+
+    def tolerance_vector(self, node_tol: float,
+                         branch_tol: float) -> np.ndarray:
+        """The per-unknown absolute tolerance: ``node_tol`` on the node
+        voltages, ``branch_tol`` on the branch currents.  Built once per
+        pair and read-only."""
+        key = (node_tol, branch_tol)
+        vector = self._tolerance_vectors.get(key)
+        if vector is None:
+            vector = np.full(self.size, branch_tol)
+            vector[:self.num_nodes] = node_tol
+            vector.flags.writeable = False
+            self._tolerance_vectors[key] = vector
+        return vector
 
     def _add_sources(self, i, src, time, source_scale) -> None:
         """Add the sources to the residual ``i`` (one lane's, or a
@@ -1821,7 +1915,7 @@ class CompiledCircuit:
                 f"{len(lanes)} lane stamps for {L} stacked solutions")
         i_full = np.zeros((L, n1))
         q_full = np.zeros((L, n1))
-        c_buf = None
+        c_buf = c_view = None
         if sparse:
             csr = lanes.csr if len(lanes.csr) == L else lanes.csr * L
             for k, (g_dot, c_dot) in enumerate(csr):
@@ -1839,22 +1933,17 @@ class CompiledCircuit:
             columns = x_stack[..., None]
             i_full[:, :size] = np.matmul(lanes.g0, columns)[..., 0]
             q_full[:, :size] = np.matmul(lanes.c0, columns)[..., 0]
-            g_buf = np.zeros((L, n1, n1))
-            g_buf[:, :size, :size] = lanes.g0
+            g_buf, g_view = dense_buffer(size, L)
+            g_view[:] = lanes.g0
             if with_c:
-                c_buf = np.zeros((L, n1, n1))
-                c_buf[:, :size, :size] = lanes.c0
+                c_buf, c_view = dense_buffer(size, L)
+                c_view[:] = lanes.c0
 
         self._add_sources(i_full[:, :size], lanes.src, None, source_scale)
         limited = np.zeros(L, dtype=bool)
         if self._bjt_group is not None:
-            if sparse:
-                g_flat, c_flat = g_buf, c_buf
-            else:
-                g_flat = g_buf.reshape(L, -1)
-                c_flat = c_buf.reshape(L, -1) if with_c else None
             limited = self._bjt_group.load_stacked(
-                x_stack, gmin, history, i_full, q_full, g_flat, c_flat,
+                x_stack, gmin, history, i_full, q_full, g_buf, c_buf,
                 lanes.params,
             )
 
@@ -1865,8 +1954,6 @@ class CompiledCircuit:
             c_view = c_buf[:, : self.pattern.nnz] if with_c else None
         else:
             self.stats.dense_assemblies += L
-            g_view = g_buf[:, :size, :size]
-            c_view = c_buf[:, :size, :size] if with_c else None
         self.stats.element_evals += self._eval_cost * L
         return StackedContext(
             i_full[:, :size], g_view, q_full[:, :size], c_view, limited

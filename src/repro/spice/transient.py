@@ -31,7 +31,8 @@ from ..errors import (
     ConvergenceReport,
     NetlistError,
 )
-from .dcop import Tolerances, newton_solve, solve_dc, weighted_max_error
+from .dcop import (Integration, Tolerances, newton_solve, solve_dc,
+                   weighted_error)
 from .engine import EngineStats, resolve_engine
 from .netlist import Circuit
 
@@ -198,8 +199,6 @@ def _solve_transient(
         max_step = stop_time / 50.0
     if initial_step is None:
         initial_step = max_step / 10.0
-    num_nodes = engine.num_nodes
-
     limits: dict = {}
     if x0 is None:
         x = solve_dc(circuit, tolerances=tolerances, gmin=gmin,
@@ -208,13 +207,16 @@ def _solve_transient(
         x = np.array(x0, dtype=float)
 
     ctx0 = engine.evaluate(x, time=0.0, gmin=gmin, limits=dict(limits))
-    q_prev = ctx0.q_vec.copy()
-    qdot_prev = np.zeros_like(q_prev)
-    # Accept-path scratch: charges are copied out of the engine-owned
-    # context buffers into these, then ping-ponged into q_prev/qdot_prev,
+    # The integration history Newton adds to each step's residual.  On
+    # acceptance the charges are copied out of the engine-owned context
+    # buffers into the scratch pair, which then swaps with the history,
     # so the accept path allocates nothing per step.
-    q_scratch = np.empty_like(q_prev)
-    qdot_scratch = np.empty_like(q_prev)
+    integration = Integration(math.nan, ctx0.q_vec.copy(),
+                          np.zeros_like(ctx0.q_vec), False)
+    q_scratch = np.empty_like(integration.q_prev)
+    qdot_scratch = np.empty_like(integration.q_prev)
+    buffers = engine.buffers
+    x_pred, delta = buffers.predicted, buffers.delta
 
     min_step = stop_time * 1e-15
     breakpoints = _collect_breakpoints(circuit, stop_time, min_step)
@@ -240,6 +242,7 @@ def _solve_transient(
     newton_failures = 0
     token_anchor = None  # log(alpha) the chord token is anchored at
     token_use_be = None
+    token = None
 
     while t < stop_time * (1.0 - 1e-12):
         h = min(h, max_step, stop_time - t)
@@ -252,20 +255,12 @@ def _solve_transient(
         t_new = t + h
 
         # Predictor: quadratic extrapolation through the last 3 points.
-        x_pred = _predict(times, states, hist_start, count, t_new)
+        _predict(times, states, hist_start, count, t_new, x_pred, delta)
 
         use_be = use_be_next or method == "be"
         alpha = (1.0 / h) if use_be else (2.0 / h)
-
-        def dynamic(ctx, residual, jacobian):
-            qdot = alpha * (ctx.q_vec - q_prev)
-            if not use_be:
-                qdot -= qdot_prev
-            residual += qdot
-            if not chord:
-                # The hot path fuses jacobian = G + alpha*C into the
-                # engine's assembly pass instead.
-                jacobian += alpha * ctx.c_mat
+        integration.alpha = alpha
+        integration.trap = not use_be
 
         # Each step runs on a copy of the accepted limiting history and
         # replaces it only when the step is accepted.
@@ -273,7 +268,6 @@ def _solve_transient(
         try:
             # A token turns chord Newton on; the reference path passes
             # none, so every iteration factorizes its own Jacobian.
-            token = None
             if chord:
                 # Hysteresis: keep the token anchored at the alpha the
                 # jacobian was last factorized for until the controller
@@ -286,13 +280,11 @@ def _solve_transient(
                 ):
                     token_anchor = log_alpha
                     token_use_be = use_be
-                token = ("tran", use_be, token_anchor)
+                    token = ("tran", use_be, token_anchor)
             x_new, ctx = newton_solve(
                 circuit, x_pred, tolerances, gmin,
-                time=t_new, limits=step_limits, dynamic=dynamic,
-                engine=engine, jacobian_token=token,
-                jac_alpha=alpha if chord else None,
-                return_context=True,
+                time=t_new, limits=step_limits, integration=integration,
+                engine=engine, jacobian_token=token, return_context=True,
             )
         except ConvergenceError as exc:
             newton_failures += 1
@@ -314,10 +306,11 @@ def _solve_transient(
 
         # Local truncation error: corrector vs predictor.
         if count - hist_start >= 3:
-            error = weighted_max_error(
-                x_new - x_pred, x_new, x, num_nodes,
-                lte_reltol, lte_abstol, lte_abstol,
-            )
+            error = float(weighted_error(
+                np.subtract(x_new, x_pred, out=delta), x_new, x,
+                lte_reltol, lte_abstol, out=buffers.error,
+                work=buffers.scale,
+            ).max())
         else:
             error = 0.5  # no history yet: accept and grow slowly
         if error > 10.0 and h > min_step * 8:
@@ -328,12 +321,13 @@ def _solve_transient(
         # Accept the step.  ``ctx`` already holds the charges at (or,
         # replayed on the hot path, within Newton tolerance of) x_new.
         np.copyto(q_scratch, ctx.q_vec)
-        np.subtract(q_scratch, q_prev, out=qdot_scratch)
+        np.subtract(q_scratch, integration.q_prev, out=qdot_scratch)
         qdot_scratch *= alpha
         if not use_be:
-            qdot_scratch -= qdot_prev
-        q_prev, q_scratch = q_scratch, q_prev
-        qdot_prev, qdot_scratch = qdot_scratch, qdot_prev
+            qdot_scratch -= integration.qdot_prev
+        integration.q_prev, q_scratch = q_scratch, integration.q_prev
+        integration.qdot_prev, qdot_scratch = (qdot_scratch,
+                                               integration.qdot_prev)
 
         t = t_new
         x = x_new
@@ -407,8 +401,11 @@ def _predict(
     start: int,
     count: int,
     t_new: float,
-) -> np.ndarray:
-    """Polynomial extrapolation of the solution to ``t_new``.
+    out: np.ndarray,
+    work: np.ndarray,
+) -> None:
+    """Polynomial extrapolation of the solution to ``t_new``, written to
+    ``out`` (``work`` is scratch).
 
     Reads up to the last three accepted points (quadratic Lagrange form)
     from the trajectory buffers, beginning no earlier than ``start`` (the
@@ -417,17 +414,26 @@ def _predict(
     """
     avail = count - start
     if avail == 1:
-        return states[count - 1].copy()
+        np.copyto(out, states[count - 1])
+        return
     if avail == 2:
         t0, t1 = times[count - 2], times[count - 1]
         x0, x1 = states[count - 2], states[count - 1]
         if t1 == t0:
-            return x1.copy()
+            np.copyto(out, x1)
+            return
         frac = (t_new - t1) / (t1 - t0)
-        return x1 + frac * (x1 - x0)
+        # x1 + frac * (x1 - x0)
+        np.subtract(x1, x0, out=out)
+        out *= frac
+        out += x1
+        return
     t0, t1, t2 = times[count - 3], times[count - 2], times[count - 1]
     x0, x1, x2 = states[count - 3], states[count - 2], states[count - 1]
     l0 = (t_new - t1) * (t_new - t2) / ((t0 - t1) * (t0 - t2))
     l1 = (t_new - t0) * (t_new - t2) / ((t1 - t0) * (t1 - t2))
     l2 = (t_new - t0) * (t_new - t1) / ((t2 - t0) * (t2 - t1))
-    return l0 * x0 + l1 * x1 + l2 * x2
+    # l0 * x0 + l1 * x1 + l2 * x2
+    np.multiply(x0, l0, out=out)
+    out += np.multiply(x1, l1, out=work)
+    out += np.multiply(x2, l2, out=work)

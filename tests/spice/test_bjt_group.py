@@ -88,10 +88,12 @@ def models(draw):
         RB=either(0.0, draw(st.floats(20.0, 200.0))),
         RBM=either(None, 10.0),
         RE=either(0.0, 3.0), RC=either(0.0, 60.0),
-        CJE=45e-15, VJE=0.9, MJE=0.35,
-        CJC=30e-15, VJC=0.7, MJC=0.33,
+        # A grading coefficient of exactly 0.5: numpy's power takes a
+        # sqrt for a broadcast exponent of 0.5 and pow otherwise.
+        CJE=45e-15, VJE=0.9, MJE=either(0.35, 0.5),
+        CJC=30e-15, VJC=0.7, MJC=either(0.33, 0.5),
         XCJC=either(1.0, draw(st.floats(0.2, 0.95))),
-        CJS=either(0.0, 70e-15), VJS=0.6, MJS=0.4,
+        CJS=either(0.0, 70e-15), VJS=0.6, MJS=either(0.4, 0.5),
         TF=either(0.0, 9e-12), XTF=either(0.0, 2.0),
         VTF=either(math.inf, 2.0), ITF=either(0.0, 8e-3),
         TR=either(0.0, 1e-9),
@@ -107,7 +109,8 @@ def diode_models(draw):
         N=draw(st.floats(0.95, 1.3)),
         RS=either(0.0, draw(st.floats(1.0, 50.0))),
         CJO=either(0.0, draw(st.floats(1e-15, 2e-12))),
-        VJ=draw(st.floats(0.6, 1.0)), M=draw(st.floats(0.3, 0.5)),
+        VJ=draw(st.floats(0.6, 1.0)),
+        M=either(0.5, draw(st.floats(0.3, 0.5))),
         TT=either(0.0, draw(st.floats(1e-12, 1e-9))),
     )
 
@@ -353,13 +356,32 @@ HOT = 3.0
 @settings(max_examples=30, deadline=None)
 @given(case=groups(), lanes=st.integers(1, 4), evaluations=st.integers(3, 4))
 def test_stacked_lanes_are_scalar_bit_for_bit(case, lanes, evaluations):
+    _assert_stacked_lanes_are_scalar(*case, lanes, evaluations)
+
+
+@pytest.mark.parametrize("mode", ["dense", "sparse"])
+def test_stacked_one_bjt_with_grading_half_is_scalar(mode):
+    """One BJT whose junctions all grade at exactly 0.5, eight lanes
+    over the engine's shared parameters: the stacked depletion power
+    then broadcasts a one-column exponent across the lanes, the layout
+    in which numpy's power may round a 0.5 exponent as a sqrt."""
+    circuit = Circuit("bjt_group")
+    circuit.add(Resistor("RL", ("a", "0"), 1e3))
+    circuit.add(BJT("Q0", ("a", "b", "e0", "c"), GummelPoonParameters(
+        name="QF", CJE=45e-15, MJE=0.5, CJC=30e-15, MJC=0.5, XCJC=0.6,
+        CJS=70e-15, MJS=0.5, TF=9e-12, RB=100.0)))
+    _assert_stacked_lanes_are_scalar(circuit, mode, seed=7, scale=0.9,
+                                     lanes=5, evaluations=3)
+
+
+def _assert_stacked_lanes_are_scalar(circuit, mode, seed, scale, lanes,
+                                     evaluations):
     """Three fixed lanes ride in every stack, so each one mixes the
     kernel's two shortcuts with its general paths: a quiet lane (all
     zero: nothing limited, ordinary exponents), a held lane (the first
     device at ``vbe = HOT`` throughout: its exponent above
     ``EXP_LIMIT``, never limited) and a jumping lane (the same point,
     from a zero history: limited at every evaluation)."""
-    circuit, mode, seed, scale = case
     size = circuit.assign_indices()
     engine = compile_circuit(circuit, mode=mode)
     hot = np.zeros(size)

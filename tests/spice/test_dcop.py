@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.devices import thermal_voltage
 from repro.errors import ConvergenceError
 from repro.spice import Circuit, Simulator, solve_dc
-from repro.spice.dcop import Tolerances
+from repro.spice.dcop import Tolerances, weighted_error
 from repro.spice.engine import BJTGroup
 from repro.spice.elements import (
     BJT,
@@ -308,50 +308,60 @@ class TestHomotopies:
 
 
 class TestWeightedMaxError:
-    """The shared vectorized tolerance kernel (Newton + transient LTE)."""
+    """The one step-size test (Newton, stacked Newton, transient LTE):
+    :func:`~repro.spice.dcop.weighted_error` over a per-unknown
+    tolerance vector."""
 
     def test_mixed_node_branch_scaling(self):
-        from repro.spice.dcop import weighted_max_error
-
         delta = np.array([1e-6, 2e-6, 1e-12])
         x = np.array([1.0, 0.0, 0.5])
         # 2 nodes (vntol=1e-6) then 1 branch (abstol=1e-12)
-        err = weighted_max_error(delta, x, x + delta, 2,
-                                 reltol=1e-3, atol_nodes=1e-6,
-                                 atol_branches=1e-12)
+        atol = np.array([1e-6, 1e-6, 1e-12])
+        err = weighted_error(delta, x, x + delta, 1e-3, atol).max()
         # branch entry: 1e-12 / (1e-3*0.5 + 1e-12) ~ 2e-9; node 1:
         # 1e-6/(1e-3+1e-6) ~ 1e-3; node 2 dominates: 2e-6/1e-6 = 2.
         assert err == pytest.approx(2.0, rel=1e-2)
 
     def test_matches_scalar_loop(self):
-        from repro.spice.dcop import weighted_max_error
-
         rng = np.random.default_rng(17)
         num_nodes = 5
-        delta = 1e-5 * rng.standard_normal(8)
-        a = rng.standard_normal(8)
+        delta = 1e-5 * rng.standard_normal((3, 8))
+        a = rng.standard_normal((3, 8))
         b = a + delta
         reltol, vntol, abstol = 1e-3, 1e-6, 1e-12
-        expected = 0.0
-        for i in range(8):
-            atol = vntol if i < num_nodes else abstol
-            scale = reltol * max(abs(a[i]), abs(b[i])) + atol
-            expected = max(expected, abs(delta[i]) / scale)
-        got = weighted_max_error(delta, a, b, num_nodes,
-                                 reltol, vntol, abstol)
-        assert got == pytest.approx(expected, rel=1e-12)
+        atol = np.where(np.arange(8) < num_nodes, vntol, abstol)
+        # Every lane of a stack, and the in-place form, bit for bit the
+        # scalar loop's tolerance arithmetic.
+        expected = np.empty((3, 8))
+        for lane in range(3):
+            for i in range(8):
+                scale = reltol * max(abs(a[lane, i]), abs(b[lane, i]))
+                scale += vntol if i < num_nodes else abstol
+                expected[lane, i] = abs(delta[lane, i]) / scale
+        got = weighted_error(delta, a, b, reltol, atol)
+        np.testing.assert_array_equal(got, expected)
+        out, work = np.empty(8), a[1].copy()
+        assert weighted_error(delta[1], work, b[1], reltol, atol, out=out,
+                              work=work) is out
+        np.testing.assert_array_equal(out, expected[1])
 
     def test_converged_uses_both_tolerances(self):
         tol = Tolerances(reltol=1e-3, vntol=1e-6, abstol=1e-12)
+        atol = np.array([tol.vntol, tol.abstol])  # one node, one branch
+
+        def converged(dx, x):
+            return weighted_error(dx, x, x + dx, tol.reltol,
+                                  atol).max() <= 1.0
+
         x = np.array([1.0, 1e-9])
         # node step within vntol, branch step within abstol -> converged
-        assert tol.converged(np.array([5e-7, 5e-13]), x, 1)
+        assert converged(np.array([5e-7, 5e-13]), x)
         # branch step violating abstol alone -> not converged
-        assert not tol.converged(np.array([5e-7, 5e-11]), x, 1)
+        assert not converged(np.array([5e-7, 5e-11]), x)
         # node step violating vntol alone (small voltage, so the
         # absolute term dominates the scale) -> not converged
         small = np.array([1e-4, 1e-9])
-        assert not tol.converged(np.array([5e-5, 5e-13]), small, 1)
+        assert not converged(np.array([5e-5, 5e-13]), small)
 
 
 class TestConvergenceForensics:

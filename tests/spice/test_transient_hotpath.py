@@ -125,6 +125,30 @@ class TestHotPathParity:
         assert on.factorizations < off.factorizations
 
 
+class TestHotPathWork:
+    """The exact work of two chord transients, counted at the commit
+    before the step path wrote into engine-owned buffers: a change to
+    the step's plumbing must leave every counter where it was."""
+
+    @pytest.mark.parametrize("stages, stop, expected", [
+        (5, 0.3e-9, dict(
+            assembly="dense", steps=89, assemblies=203, factorizations=44,
+            solves=113, bypassed_evals=1780, jacobian_reuses=69,
+            refactorizations=2)),
+        (25, 0.1e-9, dict(
+            assembly="sparse", steps=30, assemblies=70, factorizations=20,
+            solves=39, bypassed_evals=3000, jacobian_reuses=19,
+            refactorizations=0)),
+    ])
+    def test_counters_are_pinned(self, stages, stop, expected):
+        result = solve_transient(_ring(stages), stop_time=stop,
+                                 max_step=5e-12)
+        counters = {key: getattr(result.stats, key)
+                    for key in expected if hasattr(result.stats, key)}
+        counters["steps"] = len(result.times) - 1
+        assert counters == expected
+
+
 def _two_stage_circuit(hf_model):
     """Two independent common-emitter stages sharing only the rails."""
     ckt = Circuit("two_stage")
